@@ -159,7 +159,9 @@ bool write_perf_json(const std::string& path, int points, int jobs,
   std::uint64_t flows = 0;
   std::uint64_t bg_flows = 0;
   double max_util = 0.0;
+  fabric::FabricPerf fp;
   for (const tenant::TenantResult& r : result_slots) {
+    fp.merge(r.fabric_perf);
     events += r.events;
     flows += r.flows;
     bg_flows += r.bg_flows;
@@ -184,6 +186,7 @@ bool write_perf_json(const std::string& path, int points, int jobs,
      << "  \"max_link_util\": " << max_util << ",\n"
      << "  \"fabric_flows\": " << flows << ",\n"
      << "  \"bg_flows\": " << bg_flows << ",\n"
+     << fp.json_members()
      << "  \"wall_ms\": " << wall_ms << "\n"
      << "}\n";
   return true;

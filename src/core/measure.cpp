@@ -68,6 +68,7 @@ struct RepOutcome {
   bool fabric_links = false;
   double max_link_util = 0.0;
   std::uint64_t fabric_flows = 0;
+  fabric::FabricPerf fabric_perf;
   std::uint64_t imbalance_ops = 0;
   sim::Time imb_entry = 0;
   sim::Time imb_exit = 0;
@@ -214,6 +215,7 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
     out.fabric_links = true;
     out.max_link_util = ff->max_avg_link_utilization(machine.engine().now());
     out.fabric_flows = ff->total_flows();
+    out.fabric_perf = ff->perf();
   }
   for (const auto& [key, st] : machine.imbalance_stats()) {
     (void)key;
@@ -389,6 +391,7 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
       res.oversubscription = cfg.oversubscription;
       res.max_link_util = std::max(res.max_link_util, rep.max_link_util);
       res.fabric_flows += rep.fabric_flows;
+      res.fabric_perf.merge(rep.fabric_perf);
     }
     res.imbalance_ops += rep.imbalance_ops;
     imb_entry += rep.imb_entry;

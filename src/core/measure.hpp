@@ -98,6 +98,7 @@ struct MeasureResult {
   double oversubscription = 1.0;
   double max_link_util = 0.0;
   std::uint64_t fabric_flows = 0;  // flows launched, summed over reps
+  fabric::FabricPerf fabric_perf;  // allocator work, summed over reps
   // Host-side performance counters (dpmlsim --perf, bench summaries).
   MeasurePerf perf;
 };

@@ -36,6 +36,14 @@ FabricLevel fabric_level_by_name(const std::string& name) {
   return FabricLevel::none;
 }
 
+std::string FabricPerf::json_members() const {
+  return "  \"fabric_recomputes\": " + std::to_string(recomputes) + ",\n" +
+         "  \"fabric_fill_rounds\": " + std::to_string(fill_rounds) + ",\n" +
+         "  \"fabric_link_resums\": " + std::to_string(link_resums) + ",\n" +
+         "  \"fabric_wakes\": " + std::to_string(wakes) + ",\n" +
+         "  \"fabric_stale_wakes\": " + std::to_string(stale_wakes) + ",\n";
+}
+
 FabricTopo FabricTopo::derive(const net::ClusterConfig& cfg, int nodes) {
   DPML_CHECK_MSG(nodes >= 1, "fabric needs at least one node");
   DPML_CHECK_MSG(cfg.nodes_per_leaf >= 1,
@@ -183,8 +191,7 @@ void FlowFabric::set_way_down(int leaf, int way, bool down) {
   // Recomputing from scratch (rather than only moving flows off dead ways)
   // also rebalances flows back onto recovered ways, so recovery restores
   // the exact pristine routing.
-  for (auto& [id, f] : flows_) {
-    (void)id;
+  for (Flow& f : flows_) {
     if (f.nlinks != 4) continue;
     const int w = choose_way(f.src, f.dst);
     f.links[1] = leaf_uplink(f.src / topo_.nodes_per_leaf, w);
@@ -292,6 +299,7 @@ FlowFabric::FlowId FlowFabric::launch(const int* links, int nlinks,
   }
   advance(now);
   Flow f;
+  f.id = id;
   for (int i = 0; i < nlinks; ++i) f.links[i] = links[i];
   f.nlinks = nlinks;
   f.src = src;
@@ -300,7 +308,7 @@ FlowFabric::FlowId FlowFabric::launch(const int* links, int nlinks,
   f.remaining = static_cast<double>(bytes);
   f.cap = to_bps(rate_cap_gbps);
   f.done = std::move(done);
-  flows_.emplace(id, std::move(f));
+  flows_.push_back(std::move(f));
   recompute(now);
   reschedule(now);
   return id;
@@ -324,8 +332,7 @@ void FlowFabric::advance(sim::Time now) {
   const sim::Time dt = now - last_;
   if (dt == 0) return;
   const double dt_s = sim::to_seconds(dt);
-  for (auto& [id, f] : flows_) {
-    (void)id;
+  for (Flow& f : flows_) {
     const double drained = std::min(f.remaining, f.rate * dt_s);
     f.remaining -= drained;
     if (!group_bytes_.empty() &&
@@ -345,75 +352,112 @@ void FlowFabric::advance(sim::Time now) {
 }
 
 void FlowFabric::recompute(sim::Time now) {
+  ++perf_.recomputes;
   // Refresh scaled capacities and close/open congestion intervals against
   // the new flow set.
+  const std::size_t nl = links_.size();
   for (Link& l : links_) {
     l.cap = scaled_capacity(static_cast<int>(&l - links_.data()), now);
     l.load = 0.0;
     l.nflows = 0;
   }
-  for (auto& [id, f] : flows_) {
-    (void)id;
+  for (Flow& f : flows_) {
     f.rate = -1.0;  // unfrozen
     for (int i = 0; i < f.nlinks; ++i) {
       ++links_[static_cast<std::size_t>(f.links[i])].nflows;
     }
   }
+  // CSR rows: row_flows_[row_start_[l], row_start_[l + 1]) lists link l's
+  // flows in id order, so each per-link re-sum below adds the frozen rates
+  // in the order a pass over every flow would (same bits).
+  row_start_.assign(nl + 1, 0);
+  active_links_.clear();
+  for (std::size_t l = 0; l < nl; ++l) {
+    row_start_[l + 1] = row_start_[l] + links_[l].nflows;
+    if (links_[l].nflows > 0) active_links_.push_back(static_cast<int>(l));
+  }
+  row_fill_.assign(row_start_.begin(), row_start_.end() - 1);
+  row_flows_.resize(static_cast<std::size_t>(row_start_[nl]));
+  unfrozen_.resize(flows_.size());
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const Flow& f = flows_[i];
+    for (int k = 0; k < f.nlinks; ++k) {
+      row_flows_[static_cast<std::size_t>(
+          row_fill_[static_cast<std::size_t>(f.links[k])]++)] =
+          static_cast<int>(i);
+    }
+    unfrozen_[i] = static_cast<int>(i);
+  }
+  touched_mark_.resize(nl, 0);
 
   // Progressive filling: raise one shared water level across all unfrozen
   // flows; each round freezes every flow on a newly-saturated link (at the
-  // link's fair share) or at its own rate cap, whichever binds first.
-  int unfrozen = static_cast<int>(flows_.size());
-  while (unfrozen > 0) {
+  // link's fair share) or at its own rate cap, whichever binds first. A
+  // round's freezes change only the links those flows cross, so only those
+  // are re-summed; every other link's load and count carry over unchanged.
+  while (!unfrozen_.empty()) {
+    ++perf_.fill_rounds;
     double level = std::numeric_limits<double>::infinity();
-    for (const Link& l : links_) {
-      if (l.nflows > 0) {
-        level = std::min(level, (l.cap - l.load) / l.nflows);
-      }
+    for (int li : active_links_) {
+      const Link& l = links_[static_cast<std::size_t>(li)];
+      level = std::min(level, (l.cap - l.load) / l.nflows);
     }
-    for (const auto& [id, f] : flows_) {
-      (void)id;
-      if (f.rate < 0.0) level = std::min(level, f.cap);
+    for (int fi : unfrozen_) {
+      level = std::min(level, flows_[static_cast<std::size_t>(fi)].cap);
     }
     DPML_CHECK(level >= 0.0 && std::isfinite(level));
     const double freeze_at = level * (1.0 + kRelEps) + 1.0;
-    for (auto& [id, f] : flows_) {
-      (void)id;
-      if (f.rate >= 0.0) continue;
+    std::size_t kept = 0;
+    for (int fi : unfrozen_) {
+      Flow& f = flows_[static_cast<std::size_t>(fi)];
       bool frozen = f.cap <= freeze_at;
       for (int i = 0; i < f.nlinks && !frozen; ++i) {
         const Link& l = links_[static_cast<std::size_t>(f.links[i])];
         frozen = (l.cap - l.load) / l.nflows <= freeze_at;
       }
-      if (!frozen) continue;
+      if (!frozen) {
+        unfrozen_[kept++] = fi;
+        continue;
+      }
       f.rate = std::min(level, f.cap);
-      --unfrozen;
-    }
-    // Commit the frozen rates to their links.
-    for (Link& l : links_) {
-      l.load = 0.0;
-      l.nflows = 0;
-    }
-    for (const auto& [id, f] : flows_) {
-      (void)id;
       for (int i = 0; i < f.nlinks; ++i) {
-        Link& l = links_[static_cast<std::size_t>(f.links[i])];
-        if (f.rate >= 0.0) {
-          l.load += f.rate;
-        } else {
-          ++l.nflows;
+        const auto li = static_cast<std::size_t>(f.links[i]);
+        if (touched_mark_[li] == 0) {
+          touched_mark_[li] = 1;
+          touched_.push_back(f.links[i]);
         }
       }
     }
+    unfrozen_.resize(kept);
+    // Commit the frozen rates to the touched links.
+    for (int li : touched_) {
+      const auto l = static_cast<std::size_t>(li);
+      touched_mark_[l] = 0;
+      double load = 0.0;
+      int nflows = 0;
+      for (int k = row_start_[l]; k < row_start_[l + 1]; ++k) {
+        const auto fi = row_flows_[static_cast<std::size_t>(k)];
+        const Flow& f = flows_[static_cast<std::size_t>(fi)];
+        if (f.rate >= 0.0) {
+          load += f.rate;
+        } else {
+          ++nflows;
+        }
+      }
+      links_[l].load = load;
+      links_[l].nflows = nflows;
+    }
+    perf_.link_resums += touched_.size();
+    touched_.clear();
+    std::erase_if(active_links_, [this](int li) {
+      return links_[static_cast<std::size_t>(li)].nflows == 0;
+    });
   }
 
   // Final per-link flow counts (everything is frozen now; the filling loop
   // left nflows at zero).
-  for (const auto& [id, f] : flows_) {
-    (void)id;
-    for (int i = 0; i < f.nlinks; ++i) {
-      ++links_[static_cast<std::size_t>(f.links[i])].nflows;
-    }
+  for (std::size_t l = 0; l < nl; ++l) {
+    links_[l].nflows = row_start_[l + 1] - row_start_[l];
   }
 
   // Conservation invariant (always on, cheap): no link is allocated beyond
@@ -440,33 +484,53 @@ void FlowFabric::recompute(sim::Time now) {
 }
 
 void FlowFabric::reschedule(sim::Time now) {
-  for (auto& [id, f] : flows_) {
-    ++f.gen;
+  ++wake_gen_;  // the pending wake, if any, is now stale
+  if (flows_.empty()) return;
+  // Of one event per flow (seqs consecutive in id order), only the
+  // earliest (eta, seq) could act before the next reschedule staled the
+  // rest: post that one at its own seq and hold the clock at the latest.
+  const std::uint64_t base = engine_.reserve_seqs(flows_.size());
+  std::size_t first = 0;
+  sim::Time first_eta = std::numeric_limits<sim::Time>::max();
+  sim::Time last_eta = now;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const Flow& f = flows_[i];
     DPML_CHECK(f.rate > 0.0);
     const double eta_s = f.remaining / f.rate;
     const sim::Time eta =
         now + std::max<sim::Time>(
                   1, static_cast<sim::Time>(
                          std::ceil(eta_s * static_cast<double>(sim::kSecond))));
-    const FlowId fid = id;
-    const std::uint64_t gen = f.gen;
-    engine_.schedule_call(eta,
-                        [this, fid, gen]() { on_completion_event(fid, gen); });
+    if (eta < first_eta) {  // strict: ties go to the lowest id
+      first_eta = eta;
+      first = i;
+    }
+    last_eta = std::max(last_eta, eta);
   }
+  engine_.hold_until(last_eta);
+  wake_flow_ = first;
+  ++perf_.wakes;
+  engine_.schedule_call_at_seq(first_eta, base + first,
+                               [this, gen = wake_gen_]() { on_wake(gen); });
 }
 
-void FlowFabric::on_completion_event(FlowId id, std::uint64_t gen) {
-  auto it = flows_.find(id);
-  if (it == flows_.end() || it->second.gen != gen) return;  // stale event
+void FlowFabric::on_wake(std::uint64_t gen) {
+  if (gen != wake_gen_) {
+    ++perf_.stale_wakes;
+    return;
+  }
+  // Nothing changed flows_ since this wake was posted (every change
+  // reschedules), so wake_flow_ still indexes its flow.
   const sim::Time now = engine_.now();
   advance(now);
-  if (it->second.remaining > kDrainedBytes) {
+  Flow& f = flows_[wake_flow_];
+  if (f.remaining > kDrainedBytes) {
     // Rounding drift: the flow is not quite done — reschedule its tail.
     reschedule(now);
     return;
   }
-  Completion done = std::move(it->second.done);
-  flows_.erase(it);
+  Completion done = std::move(f.done);
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(wake_flow_));
   recompute(now);
   reschedule(now);
   // Invoked last: the callback may start new flows, which re-enter the
@@ -515,9 +579,12 @@ void FlowFabric::finish(sim::Time now) {
 }
 
 double FlowFabric::flow_rate_gbps(FlowId id) const {
-  auto it = flows_.find(id);
-  DPML_CHECK_MSG(it != flows_.end(), "querying a completed fabric flow");
-  return it->second.rate / kGiga;
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const Flow& f, FlowId v) { return f.id < v; });
+  DPML_CHECK_MSG(it != flows_.end() && it->id == id,
+                 "querying a completed fabric flow");
+  return it->rate / kGiga;
 }
 
 double FlowFabric::link_avg_utilization(int id, sim::Time now) const {

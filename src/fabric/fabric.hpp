@@ -18,10 +18,20 @@
 // SHArP tree legs and perturbation-degraded links genuinely contend.
 //
 // Rates are recomputed on every flow arrival and departure (and at
-// perturbation rule boundaries); each recompute reschedules every flow's
-// completion event through a generation counter, since the engine has no
-// event cancellation. All state iterates in deterministic order (std::map
-// keyed by flow id, vectors of links), so runs are bitwise reproducible.
+// perturbation rule boundaries). Each filling round re-sums only the links
+// its freezes touch: a per-recompute CSR table lists every link's flows in
+// id order, so each per-link sum adds in the same order a full pass would.
+//
+// Completions: after every change the fabric computes each live flow's
+// ETA but posts a single wake, for the earliest (eta, id). A per-flow
+// event batch would make every older batch stale, so only the earliest
+// event of the latest batch could ever act; the one wake takes exactly
+// that event's (t, seq) place, using a block of seqs reserved from the
+// engine (Engine::reserve_seqs). The engine has no cancellation, so a
+// fabric-wide wake generation marks superseded wakes stale, and the
+// latest ETA is held on the engine clock (Engine::hold_until) so runs end
+// at the same instant as with per-flow events. Everything iterates in
+// flow-id or link-id order, so runs are bitwise reproducible.
 //
 // Opt-in: a Machine builds a FlowFabric only when
 // RunOptions::fabric_level == FabricLevel::links; the default `none` leaves
@@ -31,7 +41,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -69,6 +78,29 @@ struct FabricTopo {
   // oversubscription >= 1, positive bandwidths) and derives the link plan
   // for the first `nodes` nodes.
   static FabricTopo derive(const net::ClusterConfig& cfg, int nodes);
+};
+
+// Deterministic allocator work counters: pure functions of the simulated
+// inputs, identical across reruns and --jobs widths, and never read by the
+// model (dpmlsim --perf / --perf-json print them on fabric runs).
+struct FabricPerf {
+  std::uint64_t recomputes = 0;   // max-min allocations
+  std::uint64_t fill_rounds = 0;  // progressive-filling rounds across them
+  std::uint64_t link_resums = 0;  // per-link load re-sums after freezes
+  std::uint64_t wakes = 0;        // completion wakes posted
+  std::uint64_t stale_wakes = 0;  // wakes superseded before they fired
+
+  void merge(const FabricPerf& o) {
+    recomputes += o.recomputes;
+    fill_rounds += o.fill_rounds;
+    link_resums += o.link_resums;
+    wakes += o.wakes;
+    stale_wakes += o.stale_wakes;
+  }
+  bool operator==(const FabricPerf&) const = default;
+  // The counters as indented `"fabric_<name>": N,` JSON member lines: the
+  // --perf-json snapshot format shared by dpmlsim and the tenant benches.
+  std::string json_members() const;
 };
 
 class FlowFabric {
@@ -109,8 +141,8 @@ class FlowFabric {
   // Mark one leaf's ECMP way — or, with leaf == kAllLeaves, core switch
   // `way` across every leaf — down or back up. Takes effect immediately:
   // live core-crossing flows are deterministically rerouted onto surviving
-  // ways (and rebalanced back on recovery) and rescheduled through the
-  // generation counter. Edge (node<->leaf) links never fail in this model.
+  // ways (and rebalanced back on recovery) and re-timed through a fresh
+  // completion wake. Edge (node<->leaf) links never fail in this model.
   static constexpr int kAllLeaves = -1;
   void set_way_down(int leaf, int way, bool down);
   bool way_down(int leaf, int way) const;
@@ -181,6 +213,7 @@ class FlowFabric {
   double max_avg_link_utilization(sim::Time now) const;
   // Total time `link` spent congested (>= 2 concurrent flows).
   sim::Time link_congested_time(int id, sim::Time now) const;
+  const FabricPerf& perf() const { return perf_; }
 
  private:
   struct Link {
@@ -197,6 +230,7 @@ class FlowFabric {
   };
 
   struct Flow {
+    FlowId id = 0;
     int links[4] = {0, 0, 0, 0};
     int nlinks = 0;
     int src = -1;            // endpoints, kept for failure rerouting
@@ -205,7 +239,6 @@ class FlowFabric {
     double remaining = 0.0;  // bytes left on the wire
     double rate = 0.0;       // bytes/s
     double cap = 0.0;        // bytes/s rate ceiling
-    std::uint64_t gen = 0;   // completion-event generation (stale detection)
     Completion done;
   };
 
@@ -217,16 +250,32 @@ class FlowFabric {
   void advance(sim::Time now);
   // Progressive-filling max-min fair allocation over the live flows.
   void recompute(sim::Time now);
-  // Bump generations and schedule a completion event per flow.
+  // Supersede the pending wake and post one for the earliest completion.
   void reschedule(sim::Time now);
-  void on_completion_event(FlowId id, std::uint64_t gen);
+  void on_wake(std::uint64_t gen);
   double scaled_capacity(int link, sim::Time now) const;
 
   sim::Engine& engine_;
   FabricTopo topo_;
   std::vector<Link> links_;
-  std::map<FlowId, Flow> flows_;  // ordered: deterministic allocation
+  // Live flows in ascending id order (ids are issued monotonically, so a
+  // launch appends): deterministic allocation order.
+  std::vector<Flow> flows_;
   FlowId next_id_ = 0;
+  std::uint64_t wake_gen_ = 0;   // generation of the one live wake
+  std::size_t wake_flow_ = 0;    // index of the flow that wake completes
+  FabricPerf perf_;
+  // Progressive-filling scratch, reused across recomputes: CSR rows of
+  // each link's flow indices in id order, the links still carrying
+  // unfrozen flows, the unfrozen flows, and the links a round's freezes
+  // touched (deduplicated through touched_mark_).
+  std::vector<int> row_start_;
+  std::vector<int> row_fill_;
+  std::vector<int> row_flows_;
+  std::vector<int> active_links_;
+  std::vector<int> unfrozen_;
+  std::vector<int> touched_;
+  std::vector<char> touched_mark_;
   sim::Time last_ = 0;  // time up to which advance() has accounted
   double peak_util_ = 0.0;
   int down_links_ = 0;  // live count of down links (choose_way fast path)

@@ -51,6 +51,10 @@ void Engine::check_not_past(Time t) const {
   DPML_CHECK_MSG(t >= now_, "cannot schedule an event in the simulated past");
 }
 
+void Engine::check_reserved(std::uint64_t seq) const {
+  DPML_CHECK_MSG(seq < seq_, "event seq was never reserved");
+}
+
 void Engine::push_event(Event ev) {
   // Calendar staging: only the near future (t < front_limit_) enters the
   // front heap; later events take an O(1) append into their year bucket or
@@ -268,6 +272,7 @@ void Engine::run() {
     auto e = std::exchange(error_, nullptr);
     std::rethrow_exception(e);
   }
+  if (hold_until_ > now_) now_ = hold_until_;
   if (live_tasks_ > 0) {
     throw util::DeadlockError(
         "simulation deadlock: event queue drained with " +

@@ -123,10 +123,7 @@ class Engine {
   template <typename F>
   void schedule_call(Time t, F&& fn) {
     check_not_past(t);
-    using Fn = std::decay_t<F>;
-    void* mem = callback_pool_.allocate(sizeof(Callback<Fn>));
-    auto* cb = ::new (mem) Callback<Fn>(std::forward<F>(fn));
-    push_event(Event{t, seq_++, {}, cb});
+    post_call(t, seq_++, std::forward<F>(fn));
   }
 
   // schedule_call with message-delivery metadata for model checking: when
@@ -137,6 +134,35 @@ class Engine {
   void schedule_call_mc(Time t, const McChannel& ch, F&& fn) {
     if (oracle_ != nullptr) mc_meta_.emplace(seq_, ch);
     schedule_call(t, std::forward<F>(fn));
+  }
+
+  // Reserve `n` consecutive sequence numbers and return the first. Every
+  // later schedule_call / schedule_call_mc draws a seq past the block, so a
+  // reserved seq never aliases a model-checking tag.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    const std::uint64_t base = seq_;
+    seq_ += n;
+    return base;
+  }
+
+  // schedule_call at a seq taken from reserve_seqs: the event takes the
+  // (t, seq) place the reserving batch's event with that seq would have
+  // had. The flow fabric posts its one live completion wake this way in
+  // place of a per-flow batch (src/fabric/fabric.hpp).
+  template <typename F>
+  void schedule_call_at_seq(Time t, std::uint64_t seq, F&& fn) {
+    check_not_past(t);
+    check_reserved(seq);
+    post_call(t, seq, std::forward<F>(fn));
+  }
+
+  // Keep the clock from stopping before `t`: when run() drains the queue,
+  // now() advances to the latest time held. A layer that elides events
+  // which would only have fired as no-ops declares their times here, so
+  // the end-of-run clock — and every time average taken over it — is
+  // unchanged by the elision.
+  void hold_until(Time t) {
+    if (t > hold_until_) hold_until_ = t;
   }
 
   // Attach a schedule oracle (model-checking mode). Null — the default —
@@ -239,6 +265,14 @@ class Engine {
 
   void destroy_callback(CallbackBase* cb) { cb->dispose(cb, *this); }
 
+  template <typename F>
+  void post_call(Time t, std::uint64_t seq, F&& fn) {
+    using Fn = std::decay_t<F>;
+    void* mem = callback_pool_.allocate(sizeof(Callback<Fn>));
+    auto* cb = ::new (mem) Callback<Fn>(std::forward<F>(fn));
+    push_event(Event{t, seq, {}, cb});
+  }
+
   // Small-footprint event record: trivially movable, no allocation, stored
   // flat in reserved vectors (front heap, calendar buckets, overflow) so
   // scheduler traversals stay cache-friendly.
@@ -255,6 +289,7 @@ class Engine {
   }
 
   void check_not_past(Time t) const;
+  void check_reserved(std::uint64_t seq) const;
   void push_event(Event ev);
   Event pop_event();
   // Oracle-attached pop: may redirect which same-instant tagged deliver
@@ -303,6 +338,7 @@ class Engine {
   std::size_t next_bucket_ = 0;
   std::uint64_t staged_ = 0;  // events in buckets_ + overflow_
   Time now_ = 0;
+  Time hold_until_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t peak_live_events_ = 0;

@@ -173,6 +173,7 @@ struct RunOut {
   double peak_link_util = 0.0;
   std::uint64_t flows = 0;
   std::uint64_t bg_flows = 0;
+  fabric::FabricPerf fabric_perf;
   std::string hot_link;
   double hot_link_bg_share = 0.0;
   int shared_links = 0;
@@ -588,6 +589,7 @@ RunOut simulate(const net::ClusterConfig& cfg, int ppn,
     out.max_link_util = ff->max_avg_link_utilization(endt);
     out.peak_link_util = ff->peak_link_utilization();
     out.flows = ff->total_flows();
+    out.fabric_perf = ff->perf();
     out.bg_flows = bg ? bg->flows() : 0;
     if (shared) {
       int hot = 0;
@@ -661,6 +663,60 @@ RunOut simulate(const net::ClusterConfig& cfg, int ppn,
     machine.tracer().write_chrome_json(os);
   }
   return out;
+}
+
+// Replays the failure schedule in engine order — by instant, then in
+// schedule order (each clause's failure before its recovery) — and rejects
+// the first failure after which some pair of leaves (or one leaf with
+// itself) shares no live ECMP way: choose_way could not route a
+// cross-leaf flow there.
+void check_failure_schedule(const FailSpec& spec,
+                            const fabric::FabricTopo& topo) {
+  struct Step {
+    sim::Time at;
+    std::size_t clause;
+    bool down;
+  };
+  std::vector<Step> steps;
+  for (std::size_t i = 0; i < spec.events.size(); ++i) {
+    const FailSpec::Event& e = spec.events[i];
+    steps.push_back({sim::us(e.at_us), i, true});
+    if (e.recover_us > 0.0) steps.push_back({sim::us(e.recover_us), i, false});
+  }
+  std::stable_sort(steps.begin(), steps.end(),
+                   [](const Step& a, const Step& b) { return a.at < b.at; });
+  const int ways = topo.ecmp_ways;
+  std::vector<char> down(static_cast<std::size_t>(topo.leaves * ways), 0);
+  auto live = [&](int leaf, int way) {
+    return down[static_cast<std::size_t>(leaf * ways + way)] == 0;
+  };
+  for (const Step& s : steps) {
+    const FailSpec::Event& e = spec.events[s.clause];
+    const int lo = e.leaf < 0 ? 0 : e.leaf;
+    const int hi = e.leaf < 0 ? topo.leaves - 1 : e.leaf;
+    for (int l = lo; l <= hi; ++l) {
+      down[static_cast<std::size_t>(l * ways + e.way)] = s.down ? 1 : 0;
+    }
+    if (!s.down) continue;
+    for (int a = 0; a < topo.leaves; ++a) {
+      for (int b = a; b < topo.leaves; ++b) {
+        bool shared = false;
+        for (int w = 0; w < ways && !shared; ++w) {
+          shared = live(a, w) && live(b, w);
+        }
+        if (shared) continue;
+        FailSpec clause;
+        clause.events.push_back(e);
+        DPML_CHECK_MSG(
+            false, "--fail-links clause '" + clause.to_string() + "' leaves " +
+                       (a == b ? "leaf " + std::to_string(a) +
+                                     " with every ECMP way down"
+                               : "leaves " + std::to_string(a) + " and " +
+                                     std::to_string(b) +
+                                     " with no common live ECMP way"));
+      }
+    }
+  }
 }
 
 void validate(const net::ClusterConfig& cfg, int ppn,
@@ -774,6 +830,7 @@ void validate(const net::ClusterConfig& cfg, int ppn,
                          " out of range (fabric has " +
                          std::to_string(topo.leaves) + " leaves)");
     }
+    check_failure_schedule(opt.failures, topo);
   }
 }
 
@@ -803,6 +860,7 @@ TenantResult run_tenants(const net::ClusterConfig& cfg, int ppn,
   res.peak_link_util = sh.peak_link_util;
   res.flows = sh.flows;
   res.bg_flows = sh.bg_flows;
+  res.fabric_perf = sh.fabric_perf;
   res.hot_link = sh.hot_link;
   res.hot_link_bg_share = sh.hot_link_bg_share;
   res.shared_links = sh.shared_links;

@@ -171,6 +171,7 @@ struct TenantResult {
   double peak_link_util = 0.0;     // allocator conservation witness
   std::uint64_t flows = 0;         // fabric flows launched (shared run)
   std::uint64_t bg_flows = 0;      // of which background
+  fabric::FabricPerf fabric_perf;  // allocator work (shared run)
   std::string hot_link;            // busiest link's name
   double hot_link_bg_share = 0.0;  // background's byte share on it
   // Links whose delivered bytes came from >= 2 distinct jobs (background

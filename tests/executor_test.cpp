@@ -196,6 +196,7 @@ void expect_identical(const core::MeasureResult& a,
   EXPECT_EQ(a.fabric_links, b.fabric_links) << what;
   EXPECT_EQ(a.oversubscription, b.oversubscription) << what;
   EXPECT_EQ(a.max_link_util, b.max_link_util) << what;
+  EXPECT_TRUE(a.fabric_perf == b.fabric_perf) << what;
   EXPECT_EQ(a.perf.events, b.perf.events) << what;
   EXPECT_EQ(a.perf.peak_live_events, b.perf.peak_live_events) << what;
   EXPECT_EQ(a.perf.callback_pool_hit_rate, b.perf.callback_pool_hit_rate)

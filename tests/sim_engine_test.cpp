@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/oracle.hpp"
 #include "sim/resource.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -61,6 +63,86 @@ TEST(Engine, WrappedStdFunctionMatchesScheduleCallOrdering) {
   e.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
+
+// Reserved seqs: an event posted later at a reserved seq fires exactly where
+// the reserving batch's event would have, under both schedulers.
+class ReservedSeqTest : public ::testing::TestWithParam<SchedulerKind> {};
+
+TEST_P(ReservedSeqTest, ReservedEventsTakeTheirSeqPlaceAmongSameInstantEvents) {
+  Engine e(GetParam());
+  std::vector<int> order;
+  e.schedule_call(us(5.0), [&] { order.push_back(0); });
+  const std::uint64_t base = e.reserve_seqs(3);
+  e.schedule_call(us(5.0), [&] { order.push_back(4); });
+  e.schedule_call(us(900.0), [&] { order.push_back(5); });
+  // Posted after the event above, yet inside the reserved block: both
+  // reserved events fire before it, in seq order.
+  e.schedule_call_at_seq(us(5.0), base + 2, [&] { order.push_back(3); });
+  e.schedule_call_at_seq(us(5.0), base, [&] { order.push_back(1); });
+  e.schedule_call(us(4.0), [&] { order.push_back(-1); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 3, 4, 5}));
+}
+
+TEST_P(ReservedSeqTest, UnreservedSeqIsRejected) {
+  Engine e(GetParam());
+  const std::uint64_t next = e.reserve_seqs(0);
+  EXPECT_THROW(e.schedule_call_at_seq(us(1.0), next, [] {}),
+               util::InvariantError);
+}
+
+struct RecordingOracle : ScheduleOracle {
+  std::vector<std::vector<ChoiceAlt>> calls;
+  std::size_t choose(ChoiceKind, const std::vector<ChoiceAlt>& alts) override {
+    calls.push_back(alts);
+    return 0;
+  }
+  void note_wildcard_recv(int, int) override {}
+  bool race_matters(int, int) override { return true; }
+  void note_pruned(std::uint64_t) override {}
+};
+
+TEST_P(ReservedSeqTest, ReservedSeqsNeverAliasModelCheckingTags) {
+  Engine e(GetParam());
+  RecordingOracle oracle;
+  e.set_oracle(&oracle);
+  std::vector<int> order;
+  const std::uint64_t base = e.reserve_seqs(2);
+  e.schedule_call_mc(us(1.0), McChannel{0, 0, 7, 1}, [&] { order.push_back(10); });
+  e.schedule_call_mc(us(1.0), McChannel{0, 0, 7, 2}, [&] { order.push_back(11); });
+  e.schedule_call_at_seq(us(1.0), base + 1, [&] { order.push_back(2); });
+  e.schedule_call_at_seq(us(1.0), base, [&] { order.push_back(1); });
+  e.run();
+  // The reserved events are untagged, so they pop canonically; the one
+  // choice point offers exactly the two tagged delivers.
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 10, 11}));
+  ASSERT_EQ(oracle.calls.size(), 1u);
+  ASSERT_EQ(oracle.calls[0].size(), 2u);
+  EXPECT_EQ(oracle.calls[0][0].src, 1);
+  EXPECT_EQ(oracle.calls[0][1].src, 2);
+}
+
+TEST_P(ReservedSeqTest, HoldUntilExtendsTheDrainedClock) {
+  Engine e(GetParam());
+  e.hold_until(us(9.0));
+  e.hold_until(us(3.0));  // never moves the hold backwards
+  e.schedule_call(us(2.0), [] {});
+  e.run();
+  EXPECT_EQ(e.now(), us(9.0));
+  EXPECT_EQ(e.events_processed(), 1u);
+  e.schedule_call(us(12.0), [] {});
+  e.run();
+  EXPECT_EQ(e.now(), us(12.0));  // a later event outruns the hold
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, ReservedSeqTest,
+                         ::testing::Values(SchedulerKind::binary_heap,
+                                           SchedulerKind::calendar),
+                         [](const ::testing::TestParamInfo<SchedulerKind>& i) {
+                           return i.param == SchedulerKind::calendar
+                                      ? std::string("calendar")
+                                      : std::string("heap");
+                         });
 
 CoTask<void> delayer(Engine& e, Time d, int id, std::vector<int>& log) {
   co_await e.delay(d);

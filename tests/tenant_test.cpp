@@ -126,6 +126,9 @@ void expect_same(const tenant::TenantResult& a, const tenant::TenantResult& b) {
   EXPECT_DOUBLE_EQ(a.max_link_util, b.max_link_util);
   EXPECT_EQ(a.flows, b.flows);
   EXPECT_EQ(a.bg_flows, b.bg_flows);
+  // The allocator counters are deterministic too.
+  EXPECT_GT(a.fabric_perf.recomputes, 0u);
+  EXPECT_TRUE(a.fabric_perf == b.fabric_perf);
   EXPECT_EQ(a.hot_link, b.hot_link);
   EXPECT_DOUBLE_EQ(a.hot_link_bg_share, b.hot_link_bg_share);
   ASSERT_EQ(a.jobs.size(), b.jobs.size());
@@ -310,6 +313,49 @@ TEST(TenantValidateTest, HotspotDemandExactlyAtCapacityIsAccepted) {
   over.traffic = tenant::TrafficSpec::parse("hotspot:load=0.51,hot_frac=0.5");
   EXPECT_THROW((void)tenant::run_tenants(cfg, 1, {j}, over),
                util::InvariantError);
+}
+
+TEST(TenantValidateTest, FailureScheduleMustKeepEveryLeafPairRoutable) {
+  // Regression: a schedule that downs every ECMP way of a leaf used to pass
+  // validation and abort mid-run inside FlowFabric::choose_way. It is now
+  // replayed in time order up front and rejected with the clause named.
+  const auto cfg = net::test_cluster(8);  // 2 leaves x 4 ways
+  const auto jobs = tenant::default_jobs(2, cfg, 8);
+  auto run = [&](const std::string& spec) {
+    tenant::TenantOptions opt;
+    opt.solo_baseline = false;
+    opt.failures = tenant::FailSpec::parse(spec);
+    return tenant::run_tenants(cfg, 2, jobs, opt);
+  };
+  const std::string all_down =
+      "way=0,leaf=0,at_us=10;way=1,leaf=0,at_us=20;way=2,at_us=30;"
+      "way=3,leaf=0,at_us=40";
+  try {
+    (void)run(all_down);
+    ADD_FAILURE() << "schedule downing every way of leaf 0 was accepted";
+  } catch (const util::InvariantError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'way=3,leaf=0,at_us=40'"), std::string::npos) << what;
+    EXPECT_NE(what.find("leaf 0 with every ECMP way down"), std::string::npos)
+        << what;
+  }
+  // Two leaves left with disjoint live ways cannot route between them.
+  EXPECT_THROW((void)run("way=0,at_us=10;way=1,leaf=0,at_us=20;"
+                         "way=2,leaf=0,at_us=20;way=3,leaf=1,at_us=30"),
+               util::InvariantError);
+  // Same instant, failure listed before the recovery that would have saved
+  // it: the engine applies them in that order, so the transient counts.
+  EXPECT_THROW((void)run("way=3,leaf=0,at_us=40;"
+                         "way=0,leaf=0,at_us=10,recover_us=40;"
+                         "way=1,leaf=0,at_us=10;way=2,leaf=0,at_us=10"),
+               util::InvariantError);
+  // Replayed in time order, a recovery that lands first keeps the schedule
+  // legal even though the clauses are listed out of order, and the run
+  // completes through every outage.
+  const auto r = run("way=3,leaf=0,at_us=40;way=0,leaf=0,at_us=10,"
+                     "recover_us=35;way=1,leaf=0,at_us=20;way=2,leaf=0,"
+                     "at_us=30,recover_us=80");
+  EXPECT_GT(r.makespan_us, 40.0);
 }
 
 TEST(TenantValidateTest, DefaultJobsFitTheClusterAndPassValidation) {

@@ -102,7 +102,10 @@ int usage() {
       "                never depend on this flag)\n"
       "              --perf  (print host-side perf counters per point:\n"
       "                simulated events/sec, peak live events, queue depth,\n"
-      "                peak RSS, pool hit rates, wall-ms per simulated-ms)\n"
+      "                peak RSS, pool hit rates, wall-ms per simulated-ms;\n"
+      "                on fabric runs also the deterministic allocator\n"
+      "                counters: recomputes, filling rounds, link re-sums,\n"
+      "                completion wakes and stale wakes)\n"
       "              --perf-json FILE  (write the sweep's aggregate perf\n"
       "                counters as JSON, for trajectory diffs against the\n"
       "                checked-in BENCH_perf.json snapshot)\n"
@@ -216,6 +219,15 @@ int cmd_list_clusters() {
   return 0;
 }
 
+// The fabric allocator's deterministic work counters as a [perf] clause.
+std::string fabric_perf_text(const fabric::FabricPerf& p) {
+  return "fabric allocator: " + std::to_string(p.recomputes) +
+         " recomputes, " + std::to_string(p.fill_rounds) +
+         " filling rounds, " + std::to_string(p.link_resums) +
+         " link re-sums, " + std::to_string(p.wakes) + " wakes (" +
+         std::to_string(p.stale_wakes) + " stale)";
+}
+
 // Aggregate host-side perf counters across a sweep, serializable as the
 // JSON snapshot format diffed by CI (--perf-json, bench_patterns).
 struct PerfAgg {
@@ -234,6 +246,7 @@ struct PerfAgg {
   bool fabric = false;
   double max_link_util = 0.0;
   std::uint64_t fabric_flows = 0;
+  fabric::FabricPerf fabric_perf;
 
   void add(const core::MeasureResult& r) {
     events += r.perf.events;
@@ -248,6 +261,7 @@ struct PerfAgg {
       fabric = true;
       max_link_util = std::max(max_link_util, r.max_link_util);
       fabric_flows += r.fabric_flows;
+      fabric_perf.merge(r.fabric_perf);
     }
     ++rows;
   }
@@ -281,7 +295,8 @@ struct PerfAgg {
     if (fabric) {
       os << "  \"fabric\": true,\n"
          << "  \"max_link_util\": " << max_link_util << ",\n"
-         << "  \"fabric_flows\": " << fabric_flows << ",\n";
+         << "  \"fabric_flows\": " << fabric_flows << ",\n"
+         << fabric_perf.json_members();
     }
     os << "  \"wall_ms\": " << wall_ms << "\n"
        << "}\n";
@@ -424,6 +439,9 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
                 << " of payload";
     }
     std::cout << "\n";
+    if (agg.fabric) {
+      std::cout << "[perf] " << fabric_perf_text(agg.fabric_perf) << "\n";
+    }
   }
   if (!perf_json.empty()) {
     if (!agg.write_json(perf_json, "dpmlsim latency")) {
@@ -795,6 +813,10 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
               << r.hot_link_bg_share << ")";
   }
   std::cout << ", " << r.shared_links << " link(s) shared by >1 job\n";
+  if (args.get_bool("perf", false) &&
+      opt.fabric == fabric::FabricLevel::links) {
+    std::cout << "[perf] " << fabric_perf_text(r.fabric_perf) << "\n";
+  }
   if (!adapt_table_path.empty() && !r.adapt_table.empty()) {
     std::ofstream os(adapt_table_path);
     if (!os) {
@@ -825,8 +847,11 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
        << (opt.fabric == fabric::FabricLevel::links ? "true" : "false")
        << ",\n"
        << "  \"max_link_util\": " << r.max_link_util << ",\n"
-       << "  \"fabric_flows\": " << r.flows << ",\n"
-       << "  \"bg_flows\": " << r.bg_flows << "\n"
+       << "  \"fabric_flows\": " << r.flows << ",\n";
+    if (opt.fabric == fabric::FabricLevel::links) {
+      os << r.fabric_perf.json_members();
+    }
+    os << "  \"bg_flows\": " << r.bg_flows << "\n"
        << "}\n";
     std::cout << "perf counters written to " << perf_json << "\n";
   }
