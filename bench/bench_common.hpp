@@ -17,14 +17,16 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -143,30 +145,37 @@ inline std::vector<PendingPoint>& pending_points() {
   return points;
 }
 
-// Simulated engine events accumulated by the measure helpers below; feeds
-// the events/sec line of the perf summary. Atomic: points run concurrently.
-inline std::atomic<std::uint64_t>& sim_event_counter() {
-  static std::atomic<std::uint64_t> events{0};
-  return events;
+// Fold one point's deterministic perf counters and wall time into a
+// total: sums, except the peaks, which are maxima over points.
+inline void fold_perf(core::MeasurePerf& t, const core::MeasurePerf& p) {
+  t.events += p.events;
+  t.resumes += p.resumes;
+  t.callbacks += p.callbacks;
+  t.instants += p.instants;
+  t.peak_instants = std::max(t.peak_instants, p.peak_instants);
+  t.peak_live_events = std::max(t.peak_live_events, p.peak_live_events);
+  t.peak_queue_depth = std::max(t.peak_queue_depth, p.peak_queue_depth);
+  t.peak_rss_kb = std::max(t.peak_rss_kb, p.peak_rss_kb);
+  t.elided_bytes += p.elided_bytes;
+  t.wall_ms += p.wall_ms;
 }
 
-// High-water mark of any point's event-queue backlog (EnginePerf
-// peak_queue_depth), maximized across all points. Atomic for the same
-// reason.
-inline std::atomic<std::uint64_t>& sim_queue_depth_peak() {
-  static std::atomic<std::uint64_t> depth{0};
-  return depth;
+// Counters of every point measured through the helpers below, for the
+// perf summary line.
+inline core::MeasurePerf& perf_totals() {
+  static core::MeasurePerf totals;
+  return totals;
 }
 
-// Fold one measurement's perf counters into the process-wide bench
-// aggregates (events sum, queue-depth max).
+// Guards perf_totals(): points run concurrently.
+inline std::mutex& perf_totals_mutex() {
+  static std::mutex m;
+  return m;
+}
+
 inline void note_measure_perf(const core::MeasureResult& r) {
-  sim_event_counter() += r.events;
-  std::uint64_t seen = sim_queue_depth_peak().load();
-  while (seen < r.perf.peak_queue_depth &&
-         !sim_queue_depth_peak().compare_exchange_weak(
-             seen, r.perf.peak_queue_depth)) {
-  }
+  const std::lock_guard<std::mutex> lock(perf_totals_mutex());
+  fold_perf(perf_totals(), r.perf);
 }
 
 // Register a single-iteration manual-time benchmark point that evaluates
@@ -188,6 +197,48 @@ inline double latency_us(const net::ClusterConfig& cfg, int nodes, int ppn,
   return r.avg_us;
 }
 
+// Write the aggregate of per-point perf results as the JSON snapshot format
+// diffed by scripts/perf_delta.py (entries of BENCH_perf.json).
+inline bool write_perf_json(const std::string& path, const std::string& tool,
+                            const std::vector<core::MeasurePerf>& slots,
+                            int points, const std::string& data_mode) {
+  core::MeasurePerf sum;
+  double cb_hits = 0.0, pl_hits = 0.0;
+  for (const core::MeasurePerf& p : slots) {
+    fold_perf(sum, p);
+    cb_hits += p.callback_pool_hit_rate;
+    pl_hits += p.payload_pool_hit_rate;
+  }
+  const double n = slots.empty() ? 1.0 : static_cast<double>(slots.size());
+  std::ofstream os(path);
+  if (!os) return false;
+  os << "{\n"
+     << "  \"tool\": \"" << tool << "\",\n"
+     << "  \"data_mode\": \"" << data_mode << "\",\n"
+     << "  \"points\": " << points << ",\n"
+     << "  \"jobs\": " << core::default_jobs() << ",\n"
+     << "  \"events\": " << sum.events << ",\n"
+     << "  \"events_per_sec\": "
+     << (sum.wall_ms > 0.0
+             ? static_cast<long long>(static_cast<double>(sum.events) /
+                                      (sum.wall_ms / 1e3))
+             : 0)
+     << ",\n"
+     << "  \"resumes\": " << sum.resumes << ",\n"
+     << "  \"callbacks\": " << sum.callbacks << ",\n"
+     << "  \"instants\": " << sum.instants << ",\n"
+     << "  \"peak_instants\": " << sum.peak_instants << ",\n"
+     << "  \"peak_live_events\": " << sum.peak_live_events << ",\n"
+     << "  \"peak_queue_depth\": " << sum.peak_queue_depth << ",\n"
+     << "  \"peak_rss_kb\": " << sum.peak_rss_kb << ",\n"
+     << "  \"elided_bytes\": " << sum.elided_bytes << ",\n"
+     << "  \"callback_pool_hit_rate\": " << cb_hits / n << ",\n"
+     << "  \"payload_pool_hit_rate\": " << pl_hits / n << ",\n"
+     << "  \"wall_ms\": " << sum.wall_ms << "\n"
+     << "}\n";
+  return true;
+}
+
 inline int run_benchmarks(int argc, char** argv) {
   // Drivers that interpret --smoke strip it themselves (idempotent); this
   // catches --jobs for the drivers that pass argv straight through.
@@ -201,7 +252,7 @@ inline int run_benchmarks(int argc, char** argv) {
   // serial order for any --jobs width.
   std::vector<PendingPoint>& points = pending_points();
   const core::Executor executor;
-  sim_event_counter() = 0;
+  perf_totals() = core::MeasurePerf{};
   // Host-side wall clock for the events/sec perf line, not simulated time.
   const auto wall_start =
       std::chrono::steady_clock::now();  // dpmllint: allow(wall-clock)
@@ -231,13 +282,16 @@ inline int run_benchmarks(int argc, char** argv) {
 
   std::cout << "\n[perf] " << points.size() << " points, jobs="
             << executor.jobs() << ", wall " << wall_s << " s";
-  const std::uint64_t events = sim_event_counter().load();
-  if (events > 0 && wall_s > 0.0) {
-    std::cout << ", " << events << " simulated events ("
-              << (static_cast<double>(events) / wall_s) / 1e6 << " Mev/s)";
+  const core::MeasurePerf& t = perf_totals();
+  if (t.events > 0 && wall_s > 0.0) {
+    std::cout << ", " << t.events << " simulated events ("
+              << (static_cast<double>(t.events) / wall_s) / 1e6 << " Mev/s; "
+              << t.resumes << " resumes, " << t.callbacks << " callbacks), "
+              << t.instants << " instants (peak " << t.peak_instants << ")";
   }
-  const std::uint64_t depth = sim_queue_depth_peak().load();
-  if (depth > 0) std::cout << ", peak queue depth " << depth;
+  if (t.peak_queue_depth > 0) {
+    std::cout << ", peak queue depth " << t.peak_queue_depth;
+  }
   std::cout << ", peak RSS " << sim::peak_rss_kb() << " KB";
   std::cout << "\n";
   points.clear();

@@ -20,7 +20,6 @@
 //                      the checked-in BENCH_perf.json trajectory snapshot
 #include <atomic>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -104,52 +103,6 @@ core::CollSpec spec_for(core::CollKind kind) {
 std::vector<core::MeasurePerf> perf_slots;
 std::atomic<int> verify_failures{0};
 
-bool write_perf_json(const std::string& path, int points, int jobs,
-                     const std::string& data_mode) {
-  std::uint64_t events = 0;
-  std::uint64_t peak_live = 0;
-  std::uint64_t peak_queue = 0;
-  std::uint64_t peak_rss = 0;
-  std::uint64_t elided = 0;
-  double wall_ms = 0.0, cb_hits = 0.0, pl_hits = 0.0;
-  for (const core::MeasurePerf& p : perf_slots) {
-    events += p.events;
-    peak_live = std::max(peak_live, p.peak_live_events);
-    peak_queue = std::max(peak_queue, p.peak_queue_depth);
-    peak_rss = std::max(peak_rss, p.peak_rss_kb);
-    elided += p.elided_bytes;
-    wall_ms += p.wall_ms;
-    cb_hits += p.callback_pool_hit_rate;
-    pl_hits += p.payload_pool_hit_rate;
-  }
-  const double n = perf_slots.empty()
-                       ? 1.0
-                       : static_cast<double>(perf_slots.size());
-  std::ofstream os(path);
-  if (!os) return false;
-  os << "{\n"
-     << "  \"tool\": \"bench_patterns\",\n"
-     << "  \"data_mode\": \"" << data_mode << "\",\n"
-     << "  \"points\": " << points << ",\n"
-     << "  \"jobs\": " << jobs << ",\n"
-     << "  \"events\": " << events << ",\n"
-     << "  \"events_per_sec\": "
-     << (wall_ms > 0.0
-             ? static_cast<long long>(static_cast<double>(events) /
-                                      (wall_ms / 1e3))
-             : 0)
-     << ",\n"
-     << "  \"peak_live_events\": " << peak_live << ",\n"
-     << "  \"peak_queue_depth\": " << peak_queue << ",\n"
-     << "  \"peak_rss_kb\": " << peak_rss << ",\n"
-     << "  \"elided_bytes\": " << elided << ",\n"
-     << "  \"callback_pool_hit_rate\": " << cb_hits / n << ",\n"
-     << "  \"payload_pool_hit_rate\": " << pl_hits / n << ",\n"
-     << "  \"wall_ms\": " << wall_ms << "\n"
-     << "}\n";
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -227,8 +180,8 @@ int main(int argc, char** argv) {
                      "msg size");
   }
   if (!pf.perf_json.empty()) {
-    if (!write_perf_json(pf.perf_json, slot, core::default_jobs(),
-                         sim::data_mode_name(opt.data_mode))) {
+    if (!benchx::write_perf_json(pf.perf_json, "bench_patterns", perf_slots,
+                                 slot, sim::data_mode_name(opt.data_mode))) {
       std::cerr << "cannot write perf json " << pf.perf_json << "\n";
       return 1;
     }

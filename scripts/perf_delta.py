@@ -73,7 +73,8 @@ def cmd_delta(args):
         mark = "REGRESSION" if change < -args.threshold else "ok"
         print(f"[perf-delta] {tag}: {old_eps} -> {new_eps} events/sec "
               f"({change:+.1f}%) {mark}")
-        for field in ("events", "wall_ms", "peak_queue_depth", "peak_rss_kb",
+        for field in ("events", "wall_ms", "instants", "peak_instants",
+                      "peak_queue_depth", "peak_rss_kb",
                       "elided_bytes", "fabric_flows", "max_link_util",
                       "fabric_wakes", "fabric_stale_wakes"):
             if field in new or field in old:

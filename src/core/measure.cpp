@@ -100,7 +100,6 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
   ropt.check_level = opt.check;
   ropt.fabric_level = opt.fabric;
   ropt.data_mode = opt.data_mode;
-  ropt.scheduler = opt.scheduler;
   ropt.perturb = opt.perturb;
   ropt.perturb.seed = opt.perturb.seed + static_cast<std::uint64_t>(rep);
   simmpi::Machine machine(cfg, nodes, ppn, ropt);
@@ -398,6 +397,11 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
     imb_exit += rep.imb_exit;
     imb_wait += rep.imb_wait;
     sim_total += rep.sim_end;
+    res.perf.resumes += rep.engine_perf.resumes;
+    res.perf.callbacks += rep.engine_perf.callbacks;
+    res.perf.instants += rep.engine_perf.instants;
+    res.perf.peak_instants =
+        std::max(res.perf.peak_instants, rep.engine_perf.peak_instants);
     res.perf.peak_live_events =
         std::max(res.perf.peak_live_events, rep.engine_perf.peak_live_events);
     res.perf.peak_queue_depth =

@@ -52,8 +52,7 @@ struct MeasureOptions {
   // storage entirely (simulated times stay bit-identical); it conflicts
   // with with_data and check, which is rejected up front.
   sim::DataMode data_mode = sim::DataMode::payload;
-  // Event-queue choice, forwarded to every repetition's engine. `automatic`
-  // picks the calendar queue for time-only runs, the binary heap otherwise.
+  // Ignored (see sim::SchedulerKind): one event queue serves every run.
   sim::SchedulerKind scheduler = sim::SchedulerKind::automatic;
 };
 
@@ -63,8 +62,12 @@ struct MeasureOptions {
 // function of the simulation and stays identical across jobs counts.
 struct MeasurePerf {
   std::uint64_t events = 0;            // engine events, summed over reps
-  std::uint64_t peak_live_events = 0;  // event-heap high-water mark (max)
-  std::uint64_t peak_queue_depth = 0;  // whole-backlog high-water mark (max)
+  std::uint64_t resumes = 0;           // ... coroutine resumes (sum)
+  std::uint64_t callbacks = 0;         // ... pooled callbacks (sum)
+  std::uint64_t instants = 0;          // event-queue runs opened (sum)
+  std::uint64_t peak_instants = 0;     // most runs queued at once (max)
+  std::uint64_t peak_live_events = 0;  // queued-event high-water mark (max)
+  std::uint64_t peak_queue_depth = 0;  // the same counter (max)
   std::uint64_t peak_rss_kb = 0;       // process peak RSS in KB (host-side)
   std::uint64_t elided_bytes = 0;      // payload bytes elided (time-only)
   double callback_pool_hit_rate = 0.0; // pooled event records served warm

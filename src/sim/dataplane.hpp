@@ -98,10 +98,4 @@ class PayloadPlane final : public DataPlane {
   Engine& engine_;
 };
 
-// Resolve the scheduler for a run: `automatic` picks the calendar queue for
-// the time-only plane (event throughput is the whole point there) and the
-// binary heap otherwise (bit-identical to the pre-calendar engine by
-// construction; the orders are equal regardless — see engine.hpp).
-SchedulerKind resolve_scheduler(SchedulerKind requested, DataMode mode);
-
 }  // namespace dpml::sim

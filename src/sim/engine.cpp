@@ -12,26 +12,6 @@
 
 namespace dpml::sim {
 
-const char* scheduler_kind_name(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::automatic: return "auto";
-    case SchedulerKind::binary_heap: return "binary-heap";
-    case SchedulerKind::calendar: return "calendar";
-  }
-  return "?";
-}
-
-SchedulerKind scheduler_kind_by_name(const std::string& name) {
-  if (name == "auto" || name == "automatic") return SchedulerKind::automatic;
-  if (name == "heap" || name == "binary-heap" || name == "binary_heap") {
-    return SchedulerKind::binary_heap;
-  }
-  if (name == "calendar") return SchedulerKind::calendar;
-  DPML_CHECK_MSG(false, "unknown scheduler '" + name +
-                            "'; valid names: auto, binary-heap, calendar");
-  return SchedulerKind::automatic;
-}
-
 std::uint64_t peak_rss_kb() {
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage ru {};
@@ -55,68 +35,166 @@ void Engine::check_reserved(std::uint64_t seq) const {
   DPML_CHECK_MSG(seq < seq_, "event seq was never reserved");
 }
 
-void Engine::push_event(Event ev) {
-  // Calendar staging: only the near future (t < front_limit_) enters the
-  // front heap; later events take an O(1) append into their year bucket or
-  // the overflow. Everything below front_limit_ is already in the front
-  // heap, so popping the front min is popping the global min.
-  if (sched_ == SchedulerKind::calendar && ev.t >= front_limit_) {
-    if (width_ > 0 &&
-        ev.t < year_start_ + static_cast<Time>(kNumBuckets) * width_) {
-      const auto idx = static_cast<std::size_t>((ev.t - year_start_) / width_);
-      buckets_[idx].push_back(ev);
-    } else {
-      overflow_.push_back(ev);
+Engine::Engine()
+    : table_(std::size_t{1} << kInitialTableBits, Instant{0, kNil}) {}
+
+Engine::~Engine() {
+  // Drop callback records still queued (a run abandoned by an error or a
+  // machine torn down mid-simulation) without invoking them.
+  for (const Instant& in : heap_) {
+    for (std::uint32_t i = runs_[in.run].head; i != kNil; i = items_[i].next) {
+      if (items_[i].cb != nullptr) destroy_callback(items_[i].cb);
     }
-    ++staged_;
-    note_queued();
-    return;
   }
-  heap_.push_back(ev);
-  std::push_heap(heap_.begin(), heap_.end(), later);
-  note_queued();
 }
 
-Engine::Event Engine::pop_event() {
-  if (heap_.empty()) refill_front();
-  if (oracle_ != nullptr) return pop_event_mc();
+void Engine::push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
+                        CallbackBase* cb) {
+  std::uint32_t i = free_item_;
+  if (i != kNil) {
+    free_item_ = items_[i].next;
+    items_[i] = Item{seq, h, cb, kNil};
+  } else {
+    i = static_cast<std::uint32_t>(items_.size());
+    items_.push_back(Item{seq, h, cb, kNil});
+  }
+  Run& run = runs_[run_at(t)];
+  if (run.tail == kNil) {
+    run.head = i;
+    run.tail = i;
+  } else if (items_[run.tail].seq < seq) {
+    // Every fresh seq is the largest yet, so FIFO order is seq order.
+    items_[run.tail].next = i;
+    run.tail = i;
+  } else {
+    // A reserved seq (schedule_call_at_seq) takes its sorted place.
+    std::uint32_t prev = kNil;
+    std::uint32_t cur = run.head;
+    while (items_[cur].seq < seq) {
+      prev = cur;
+      cur = items_[cur].next;
+    }
+    items_[i].next = cur;
+    (prev == kNil ? run.head : items_[prev].next) = i;
+  }
+  if (++queued_ > peak_queued_) peak_queued_ = queued_;
+}
+
+std::uint32_t Engine::run_at(Time t) {
+  if (t == cached_t_) return cached_run_;
+  cached_t_ = t;
+  // A post at now(): the run being drained.
+  if (!heap_.empty() && heap_.front().t == t) {
+    return cached_run_ = heap_.front().run;
+  }
+  if (2 * (heap_.size() + 1) > table_.size()) grow_table();
+  const std::size_t mask = table_.size() - 1;
+  std::size_t s = home_slot(t);
+  while (table_[s].run != kNil && table_[s].t != t) s = (s + 1) & mask;
+  if (table_[s].run == kNil) table_[s] = Instant{t, open_run(t)};
+  return cached_run_ = table_[s].run;
+}
+
+// A new empty run for `t`, pushed onto the heap (the caller files it in
+// the table).
+std::uint32_t Engine::open_run(Time t) {
+  std::uint32_t r = free_run_;
+  if (r != kNil) {
+    free_run_ = runs_[r].head;
+    runs_[r] = Run{kNil, kNil};
+  } else {
+    r = static_cast<std::uint32_t>(runs_.size());
+    runs_.push_back(Run{kNil, kNil});
+  }
+  heap_.push_back(Instant{t, r});
+  std::push_heap(heap_.begin(), heap_.end(), later);
+  ++instants_;
+  peak_instants_ = std::max<std::uint64_t>(peak_instants_, heap_.size());
+  return r;
+}
+
+// Double the table and re-insert every open instant (heap_ lists them).
+void Engine::grow_table() {
+  table_.assign(table_.size() * 2, Instant{0, kNil});
+  --table_shift_;
+  const std::size_t mask = table_.size() - 1;
+  for (const Instant& in : heap_) {
+    std::size_t s = home_slot(in.t);
+    while (table_[s].run != kNil) s = (s + 1) & mask;
+    table_[s] = in;
+  }
+}
+
+void Engine::close_front() {
+  const Instant front = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), later);
-  Event ev = heap_.back();
   heap_.pop_back();
+  // Backward-shift deletion: pull each later entry of the probe cluster
+  // into the hole unless the hole lies before that entry's home slot, so
+  // every entry stays reachable from its home without tombstones.
+  const std::size_t mask = table_.size() - 1;
+  std::size_t hole = home_slot(front.t);
+  while (table_[hole].run != front.run) hole = (hole + 1) & mask;
+  for (std::size_t j = (hole + 1) & mask; table_[j].run != kNil;
+       j = (j + 1) & mask) {
+    if (((j - home_slot(table_[j].t)) & mask) >= ((j - hole) & mask)) {
+      table_[hole] = table_[j];
+      hole = j;
+    }
+  }
+  table_[hole].run = kNil;
+  // The cache may still name this run, but never matches again: the next
+  // pop moves now() past front.t, so no later push is at front.t.
+  runs_[front.run].head = free_run_;
+  free_run_ = front.run;
+}
+
+Engine::Event Engine::take(std::uint32_t prev, std::uint32_t i) {
+  Run& run = runs_[heap_.front().run];
+  Item& it = items_[i];
+  (prev == kNil ? run.head : items_[prev].next) = it.next;
+  if (run.tail == i) run.tail = prev;
+  const Event ev{heap_.front().t, it.handle, it.cb};
+  it.next = free_item_;
+  free_item_ = i;
+  --queued_;
   return ev;
 }
 
-// Oracle-attached pop. heap_[0] is the global (t, seq) minimum (the calendar
-// invariant keeps every event with t < front_limit_ in the front heap, so
-// all events sharing the minimum's timestamp are in heap_). If that minimum
-// is a tagged message deliver, the enabled set at this instant is every
-// same-t tagged deliver; the oracle may redirect which one fires first.
-// Untagged events (coroutine resumes, timers, transport-internal hops) are
-// never reordered — only message delivery order is a real-MPI degree of
-// freedom.
+// The front run holds every queued event at the earliest instant, in seq
+// order, so its head is the (t, seq) minimum. A drained front run closes
+// only here: until the next pop, a push at now() joins it.
+Engine::Event Engine::pop_event() {
+  while (runs_[heap_.front().run].head == kNil) close_front();
+  if (oracle_ != nullptr) return pop_event_mc();
+  return take(kNil, runs_[heap_.front().run].head);
+}
+
+// Oracle-attached pop. If the canonical next event is a tagged message
+// deliver, the enabled set at this instant is every tagged deliver of the
+// front run; the oracle may redirect which one fires first. Untagged
+// events (coroutine resumes, timers, transport-internal hops) are never
+// reordered — only message delivery order is a real-MPI degree of freedom.
 Engine::Event Engine::pop_event_mc() {
-  const auto top = mc_meta_.find(heap_.front().seq);
-  if (top == mc_meta_.end()) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    Event ev = heap_.back();
-    heap_.pop_back();
-    return ev;
+  const std::uint32_t head = runs_[heap_.front().run].head;
+  if (mc_meta_.find(items_[head].seq) == mc_meta_.end()) {
+    return take(kNil, head);
   }
-  const Time t = heap_.front().t;
-  // Collect same-instant tagged delivers in seq (= canonical) order.
+  // The run's tagged delivers, in seq (= canonical) order.
   struct Cand {
     std::uint64_t seq;
-    std::size_t idx;
+    std::uint32_t prev;
+    std::uint32_t idx;
     McChannel ch;
   };
   std::vector<Cand> cands;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    if (heap_[i].t != t) continue;
-    const auto it = mc_meta_.find(heap_[i].seq);
-    if (it != mc_meta_.end()) cands.push_back({heap_[i].seq, i, it->second});
+  for (std::uint32_t prev = kNil, i = head; i != kNil;
+       prev = i, i = items_[i].next) {
+    const auto it = mc_meta_.find(items_[i].seq);
+    if (it != mc_meta_.end()) {
+      cands.push_back({items_[i].seq, prev, i, it->second});
+    }
   }
-  std::sort(cands.begin(), cands.end(),
-            [](const Cand& a, const Cand& b) { return a.seq < b.seq; });
   // Per-source FIFO dedupe within each (rank, ctx) channel: a second
   // message from the same source can never overtake the first, so only the
   // oldest per (rank, ctx, src) is an alternative at all. The canonical
@@ -158,75 +236,9 @@ Engine::Event Engine::pop_event_mc() {
     // are equivalent, so their sibling branches are pruned wholesale.
     oracle_->note_pruned(eligible - 1);
   }
-  const std::size_t idx = alts[static_cast<std::size_t>(pick)].idx;
-  mc_meta_.erase(alts[static_cast<std::size_t>(pick)].seq);
-  Event ev = heap_[idx];
-  // Remove an arbitrary heap element: swap the tail in and re-heapify. Mc
-  // runs are tiny (np <= 5); this O(n) never touches the default path.
-  heap_[idx] = heap_.back();
-  heap_.pop_back();
-  std::make_heap(heap_.begin(), heap_.end(), later);
-  return ev;
-}
-
-// Move staged events into the front heap until it is non-empty: drain year
-// buckets in order (each drained bucket advances front_limit_ past it), and
-// when the year is spent, rebuild it from the overflow. Preconditions:
-// heap_ empty, staged_ > 0.
-void Engine::refill_front() {
-  DPML_CHECK(staged_ > 0);
-  for (;;) {
-    if (width_ == 0) {
-      rebuild_year();
-      continue;
-    }
-    while (next_bucket_ < kNumBuckets && buckets_[next_bucket_].empty()) {
-      ++next_bucket_;
-    }
-    if (next_bucket_ == kNumBuckets) {
-      width_ = 0;  // year spent; everything staged is in overflow_
-      continue;
-    }
-    std::vector<Event>& b = buckets_[next_bucket_];
-    staged_ -= b.size();
-    heap_.swap(b);  // b keeps heap_'s (empty) storage; capacity recycles
-    std::make_heap(heap_.begin(), heap_.end(), later);
-    ++next_bucket_;
-    front_limit_ = year_start_ + static_cast<Time>(next_bucket_) * width_;
-    if (next_bucket_ == kNumBuckets) width_ = 0;
-    if (!heap_.empty()) return;
-  }
-}
-
-// Lay a new year over the overflow events: year_start_ at their minimum
-// time, bucket width the smallest power of two covering span/kNumBuckets.
-// Deterministic by construction — a pure function of queued event times.
-void Engine::rebuild_year() {
-  DPML_CHECK(!overflow_.empty());
-  Time lo = overflow_.front().t;
-  Time hi = lo;
-  for (const Event& ev : overflow_) {
-    if (ev.t < lo) lo = ev.t;
-    if (ev.t > hi) hi = ev.t;
-  }
-  year_start_ = lo;
-  const Time span = hi - lo + 1;
-  Time per_bucket = span / static_cast<Time>(kNumBuckets) + 1;
-  width_ = 1;
-  while (width_ < per_bucket) width_ <<= 1;
-  next_bucket_ = 0;
-  front_limit_ = year_start_;
-  const Time year_end = year_start_ + static_cast<Time>(kNumBuckets) * width_;
-  std::vector<Event> pending;
-  pending.swap(overflow_);
-  for (const Event& ev : pending) {
-    if (ev.t < year_end) {
-      buckets_[static_cast<std::size_t>((ev.t - year_start_) / width_)]
-          .push_back(ev);
-    } else {
-      overflow_.push_back(ev);
-    }
-  }
+  const Cand& c = alts[pick];
+  mc_meta_.erase(c.seq);
+  return take(c.prev, c.idx);
 }
 
 Engine::Detached Engine::run_detached(CoTask<void> task,
@@ -256,14 +268,15 @@ void Engine::record_error(std::exception_ptr e) {
 }
 
 void Engine::run() {
-  while (!queue_empty()) {
-    Event ev = pop_event();
+  while (queued_ != 0) {
+    const Event ev = pop_event();
     DPML_CHECK(ev.t >= now_);
     now_ = ev.t;
-    ++events_processed_;
-    if (ev.handle) {
+    if (ev.cb == nullptr) {
+      ++resumes_;
       ev.handle.resume();
-    } else if (ev.cb != nullptr) {
+    } else {
+      ++callbacks_;
       ev.cb->invoke(ev.cb, *this);
     }
     if (error_) break;

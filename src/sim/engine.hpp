@@ -13,32 +13,21 @@
 // schedule_call() is the only form (the dpmllint `schedule-fn` rule keeps
 // it from coming back).
 //
-// Two schedulers sit behind SchedulerKind, both draining events in exactly
-// the same strict (t, seq) total order — the choice can never change
-// simulated results, only host throughput:
-//
-//   binary_heap  the classic open-coded binary heap over one reserved,
-//                flat Event vector.
-//   calendar     a calendar-queue hybrid for extreme-scale runs: a small
-//                "front" binary heap serves the near future, a year of
-//                fixed-width buckets (flat Event vectors whose capacity is
-//                recycled across years, same cache-friendly layout) stages
-//                the mid future with O(1) inserts, and an overflow vector
-//                absorbs everything beyond the year. When the front drains,
-//                the next non-empty bucket is heapified into it wholesale —
-//                so same-instant bursts (a 100k-rank barrier release) cost
-//                one O(n) heapify instead of degenerate bucket scans, and
-//                strict (t, seq) order is preserved by the front heap's
-//                comparator.
+// The event queue is an instant queue. Ranks of a collective run in
+// lockstep, so many queued events share a timestamp: the queue keeps one
+// FIFO run of events per distinct timestamp (pooled items linked by index)
+// and a binary heap over the timestamps only. A flat open-addressing
+// table maps a timestamp to its run, and the last-pushed instant is
+// cached. Pops drain the earliest run from its head; only opening and
+// closing a run touches the heap. Events drain in strict (t, seq) order
+// (docs/MODEL.md §10 gives the argument).
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -52,19 +41,14 @@ namespace dpml::sim {
 
 class Flag;
 
-// Event-queue implementation choice. `automatic` is resolved by the layer
-// that knows the run's data mode (sim::resolve_scheduler in dataplane.hpp);
-// an Engine constructed with `automatic` directly uses the binary heap.
+// Ignored: one event queue serves every run. The type and the `scheduler`
+// option fields that carry it remain only because the benchmark driver
+// (benchmark/dpmlbench.cpp) still sets them.
 enum class SchedulerKind {
   automatic,
   binary_heap,
   calendar,
 };
-
-const char* scheduler_kind_name(SchedulerKind kind);
-// Throws util::InvariantError listing the valid names. Accepts "auto",
-// "heap"/"binary-heap"/"binary_heap", and "calendar".
-SchedulerKind scheduler_kind_by_name(const std::string& name);
 
 // Peak resident set size of this process in KB (getrusage; 0 where
 // unsupported). Host-side only, like the wall-clock perf fields.
@@ -75,9 +59,13 @@ std::uint64_t peak_rss_kb();
 // engine itself never reads a wall clock).
 struct EnginePerf {
   std::uint64_t events = 0;           // events processed
-  std::uint64_t peak_live_events = 0; // high-water mark of the front heap
-  // High-water mark of the whole event backlog: front heap plus calendar
-  // buckets plus overflow. Equal to peak_live_events under the binary heap.
+  std::uint64_t resumes = 0;          // ... of which coroutine resumes
+  std::uint64_t callbacks = 0;        // ... of which pooled callbacks
+  std::uint64_t instants = 0;         // runs opened (distinct-instant pushes)
+  std::uint64_t peak_instants = 0;    // most runs queued at once
+  // High-water mark of the queued events. The two names are one counter;
+  // both stay because reports and snapshots print both.
+  std::uint64_t peak_live_events = 0;
   std::uint64_t peak_queue_depth = 0;
   std::uint64_t peak_rss_kb = 0;      // process peak RSS (host-side, KB)
   PoolStats callback_pool;            // pooled callback records
@@ -86,36 +74,18 @@ struct EnginePerf {
 
 class Engine {
  public:
-  explicit Engine(SchedulerKind sched = SchedulerKind::binary_heap)
-      : sched_(sched == SchedulerKind::calendar ? SchedulerKind::calendar
-                                                : SchedulerKind::binary_heap) {
-    heap_.reserve(kInitialHeapReserve);
-    if (sched_ == SchedulerKind::calendar) buckets_.resize(kNumBuckets);
-  }
+  Engine();
+  explicit Engine(SchedulerKind) : Engine() {}  // see SchedulerKind
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  ~Engine() {
-    // Drop callback records still queued (a run abandoned by an error or a
-    // machine torn down mid-simulation) without invoking them, wherever
-    // they are staged.
-    auto drop = [this](std::vector<Event>& evs) {
-      for (Event& ev : evs) {
-        if (ev.cb != nullptr) destroy_callback(ev.cb);
-      }
-      evs.clear();
-    };
-    drop(heap_);
-    for (auto& b : buckets_) drop(b);
-    drop(overflow_);
-  }
+  ~Engine();
 
   Time now() const { return now_; }
-  SchedulerKind scheduler() const { return sched_; }
 
   // Schedule a coroutine resume / callback at absolute time `t` (>= now).
   void schedule_at(Time t, std::coroutine_handle<> h) {
     check_not_past(t);
-    push_event(Event{t, seq_++, h, nullptr});
+    push_event(t, seq_++, h, nullptr);
   }
 
   // Schedule an arbitrary callable at absolute time `t`. The callable is
@@ -188,15 +158,13 @@ class Engine {
   // processes remain blocked with no pending events.
   void run();
 
-  std::uint64_t events_processed() const { return events_processed_; }
+  std::uint64_t events_processed() const { return resumes_ + callbacks_; }
   int live_tasks() const { return live_tasks_; }
 
-  // Pre-size the front event heap (e.g. for the expected number of
+  // Pre-size the event item pool (e.g. for the expected number of
   // concurrently scheduled rank events) so early growth does not reallocate
   // mid-run.
-  void reserve_events(std::size_t n) {
-    if (n > heap_.capacity()) heap_.reserve(n);
-  }
+  void reserve_events(std::size_t n) { items_.reserve(n); }
 
   // Recycled payload buffers for the payload data plane (see sim/pool.hpp;
   // access outside the plane is flagged by dpmllint's payload-plane rule).
@@ -205,9 +173,13 @@ class Engine {
   // Counters for perf reporting (dpmlsim --perf, MeasureResult::perf).
   EnginePerf perf() const {
     EnginePerf p;
-    p.events = events_processed_;
-    p.peak_live_events = peak_live_events_;
-    p.peak_queue_depth = peak_queue_depth_;
+    p.events = events_processed();
+    p.resumes = resumes_;
+    p.callbacks = callbacks_;
+    p.instants = instants_;
+    p.peak_instants = peak_instants_;
+    p.peak_live_events = peak_queued_;
+    p.peak_queue_depth = peak_queued_;
     p.peak_rss_kb = sim::peak_rss_kb();
     p.callback_pool = callback_pool_.stats();
     p.payload_pool = payload_pool_.stats();
@@ -227,10 +199,9 @@ class Engine {
   };
 
  private:
-  static constexpr std::size_t kInitialHeapReserve = 1024;
-  // One calendar year: enough buckets that a year rebuild is rare, few
-  // enough that scanning for the next non-empty bucket is trivial.
-  static constexpr std::size_t kNumBuckets = 256;
+  static constexpr std::uint32_t kNil = 0xffffffffu;  // no item / no run
+  // Initial timestamp-table size: a power of two, kept at most half full.
+  static constexpr int kInitialTableBits = 10;
   // Chunk size covering every in-tree schedule_call capture (the largest is
   // the transport's routed-delivery lambda: this + a handful of ints/Times +
   // a moved std::function continuation). Larger captures fall back to
@@ -270,43 +241,57 @@ class Engine {
     using Fn = std::decay_t<F>;
     void* mem = callback_pool_.allocate(sizeof(Callback<Fn>));
     auto* cb = ::new (mem) Callback<Fn>(std::forward<F>(fn));
-    push_event(Event{t, seq, {}, cb});
+    push_event(t, seq, {}, cb);
   }
 
-  // Small-footprint event record: trivially movable, no allocation, stored
-  // flat in reserved vectors (front heap, calendar buckets, overflow) so
-  // scheduler traversals stay cache-friendly.
-  struct Event {
-    Time t;
+  // One queued event: a pooled item of its instant's run. Items never move
+  // while queued, so runs link them by index.
+  struct Item {
     std::uint64_t seq;
     std::coroutine_handle<> handle;  // preferred: resume directly
     CallbackBase* cb;                // pooled callback otherwise
+    std::uint32_t next;              // next item of the run or free list
   };
-  // Min-heap order: earliest (t, seq) first.
-  static bool later(const Event& a, const Event& b) {
-    if (a.t != b.t) return a.t > b.t;
-    return a.seq > b.seq;
-  }
+  // The events queued at one timestamp, ascending in seq.
+  struct Run {
+    std::uint32_t head;  // kNil when drained; free-list link once closed
+    std::uint32_t tail;
+  };
+  // A queued timestamp and its run: the entry of both the heap and the
+  // timestamp table (where run == kNil marks an empty slot).
+  struct Instant {
+    Time t;
+    std::uint32_t run;
+  };
+  static bool later(const Instant& a, const Instant& b) { return a.t > b.t; }
+  // What run() needs of a popped event.
+  struct Event {
+    Time t;
+    std::coroutine_handle<> handle;
+    CallbackBase* cb;
+  };
 
   void check_not_past(Time t) const;
   void check_reserved(std::uint64_t seq) const;
-  void push_event(Event ev);
+  void push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
+                  CallbackBase* cb);
+  // The run of instant `t`, opened if no event at `t` is queued.
+  std::uint32_t run_at(Time t);
+  std::uint32_t open_run(Time t);
   Event pop_event();
   // Oracle-attached pop: may redirect which same-instant tagged deliver
-  // event leaves the front heap first (engine.cpp).
+  // event leaves the front run first (engine.cpp).
   Event pop_event_mc();
-  bool queue_empty() const { return heap_.empty() && staged_ == 0; }
-
-  // Calendar internals (engine.cpp): refill the front heap from the next
-  // non-empty bucket, rebuilding the year from overflow when it is spent.
-  void refill_front();
-  void rebuild_year();
-  void note_queued() {
-    const std::uint64_t depth =
-        static_cast<std::uint64_t>(heap_.size()) + staged_;
-    if (heap_.size() > peak_live_events_) peak_live_events_ = heap_.size();
-    if (depth > peak_queue_depth_) peak_queue_depth_ = depth;
+  // Unlink item `i` (after `prev`, kNil at the head) from the front run.
+  Event take(std::uint32_t prev, std::uint32_t i);
+  // Drop the drained front run from the heap and the table.
+  void close_front();
+  std::size_t home_slot(Time t) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(t) * 0x9E3779B97F4A7C15ull) >>
+        table_shift_);
   }
+  void grow_table();
 
   // Detached wrapper coroutine: owns the task, maintains the live count,
   // captures exceptions, posts the optional completion flag.
@@ -321,28 +306,27 @@ class Engine {
   };
   Detached run_detached(CoTask<void> task, std::shared_ptr<Flag> done);
 
-  SchedulerKind sched_;
-  // Front heap: the only stage events are popped from. Under the binary
-  // heap scheduler it is the whole queue.
-  std::vector<Event> heap_;
-  // Calendar stages (empty under the binary heap scheduler). Invariants:
-  // heap_ holds every queued event with t < front_limit_; bucket i holds
-  // events with t in [year_start_ + i*width_, year_start_ + (i+1)*width_)
-  // for i >= next_bucket_; overflow_ holds events at or beyond the year end
-  // (and everything, initially, until the first year is built).
-  std::vector<std::vector<Event>> buckets_;
-  std::vector<Event> overflow_;
-  Time year_start_ = 0;
-  Time width_ = 0;  // 0: no active year
-  Time front_limit_ = std::numeric_limits<Time>::min();
-  std::size_t next_bucket_ = 0;
-  std::uint64_t staged_ = 0;  // events in buckets_ + overflow_
+  // Invariants: every queued timestamp has exactly one open run, listed
+  // once in heap_ and once in table_; only the front run may be empty
+  // (it closes on the next pop, so pushes at now() keep joining it).
+  std::vector<Item> items_;
+  std::uint32_t free_item_ = kNil;
+  std::vector<Run> runs_;
+  std::uint32_t free_run_ = kNil;
+  std::vector<Instant> heap_;   // min-heap on t
+  std::vector<Instant> table_;  // linear probing, at most half full
+  int table_shift_ = 64 - kInitialTableBits;
+  Time cached_t_ = -1;  // the last-pushed instant (none: no push is < 0)
+  std::uint32_t cached_run_ = kNil;
+  std::uint64_t queued_ = 0;
   Time now_ = 0;
   Time hold_until_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t events_processed_ = 0;
-  std::uint64_t peak_live_events_ = 0;
-  std::uint64_t peak_queue_depth_ = 0;
+  std::uint64_t resumes_ = 0;
+  std::uint64_t callbacks_ = 0;
+  std::uint64_t instants_ = 0;
+  std::uint64_t peak_instants_ = 0;
+  std::uint64_t peak_queued_ = 0;
   int live_tasks_ = 0;
   std::exception_ptr error_{};
   SlabPool callback_pool_{kCallbackChunk};

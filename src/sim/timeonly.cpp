@@ -32,12 +32,6 @@ std::vector<std::byte> PayloadPlane::capture(const MsgMeta& meta,
   return buf;
 }
 
-SchedulerKind resolve_scheduler(SchedulerKind requested, DataMode mode) {
-  if (requested != SchedulerKind::automatic) return requested;
-  return mode == DataMode::timeonly ? SchedulerKind::calendar
-                                    : SchedulerKind::binary_heap;
-}
-
 TimeOnlyPlane::TimeOnlyPlane(int world_size) {
   DPML_CHECK(world_size >= 1);
   ranks_.resize(static_cast<std::size_t>(world_size));

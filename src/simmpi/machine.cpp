@@ -204,7 +204,6 @@ Machine::Machine(net::ClusterConfig cfg, int nodes, int ppn, RunOptions opt)
       opt_(opt),
       nodes_used_(nodes),
       ppn_(ppn),
-      engine_(sim::resolve_scheduler(opt.scheduler, opt.data_mode)),
       topo_(nodes, cfg_.nodes_per_leaf) {
   DPML_CHECK_MSG(nodes >= 1, "need at least one node");
   DPML_CHECK_MSG(nodes <= cfg_.total_nodes,
@@ -234,10 +233,11 @@ Machine::Machine(net::ClusterConfig cfg, int nodes, int ppn, RunOptions opt)
   // plan validates nodes_per_leaf and oversubscription for every cluster,
   // whether or not the flow-level model is enabled for this run.
   (void)fabric::FabricTopo::derive(cfg_, nodes);
-  // Pre-size the event heap for the expected in-flight event population
-  // (every rank typically has a handful of outstanding events).
+  // Pre-size the event pool for the in-flight event population: the
+  // measured backlog peaks at 4 events per rank (the paper's Fig. 5/9
+  // sweep on cluster B) and 2 per rank at 8,192 time-only ranks.
   engine_.reserve_events(static_cast<std::size_t>(nodes) *
-                         static_cast<std::size_t>(ppn) * 8);
+                         static_cast<std::size_t>(ppn) * 4);
   if (opt_.oracle != nullptr) {
     DPML_CHECK_MSG(opt_.check_level != check::CheckLevel::off,
                    "a schedule oracle explores alternative message orders; "

@@ -60,9 +60,7 @@ struct RunOptions {
   // `timeonly` elides them entirely — simulated time is bit-identical, but
   // with_data and check_level are rejected up front (nothing to verify).
   sim::DataMode data_mode = sim::DataMode::payload;
-  // Event-queue implementation. `automatic` resolves to the calendar queue
-  // for time-only runs and the binary heap otherwise; either choice drains
-  // events in the same strict order, so results never depend on it.
+  // Ignored (see sim::SchedulerKind): one event queue serves every run.
   sim::SchedulerKind scheduler = sim::SchedulerKind::automatic;
   // Model-checking schedule oracle (sim/oracle.hpp), attached to the engine
   // and every rank's Matcher. Null — the default — keeps all scheduling

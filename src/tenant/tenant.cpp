@@ -407,7 +407,6 @@ RunOut simulate(const net::ClusterConfig& cfg, int ppn,
   ro.perturb = opt.perturb;
   ro.fabric_level = opt.fabric;
   ro.data_mode = opt.data_mode;
-  ro.scheduler = opt.scheduler;
   simmpi::Machine machine(cfg, total_nodes, ppn, ro);
   sim::Engine& engine = machine.engine();
   const bool tracing = shared && !opt.trace_json.empty();

@@ -126,7 +126,7 @@ struct TenantOptions {
   FailSpec failures;               // way failures (shared run only)
   fabric::FabricLevel fabric = fabric::FabricLevel::links;
   sim::DataMode data_mode = sim::DataMode::payload;
-  sim::SchedulerKind scheduler = sim::SchedulerKind::automatic;
+  sim::SchedulerKind scheduler = sim::SchedulerKind::automatic;  // ignored
   perturb::PerturbSpec perturb;
   bool solo_baseline = true;       // run each job alone for slowdown
   int jobs = 0;                    // host threads (0 = core::default_jobs())

@@ -198,7 +198,13 @@ void expect_identical(const core::MeasureResult& a,
   EXPECT_EQ(a.max_link_util, b.max_link_util) << what;
   EXPECT_TRUE(a.fabric_perf == b.fabric_perf) << what;
   EXPECT_EQ(a.perf.events, b.perf.events) << what;
+  EXPECT_EQ(a.perf.resumes, b.perf.resumes) << what;
+  EXPECT_EQ(a.perf.callbacks, b.perf.callbacks) << what;
+  EXPECT_EQ(a.perf.resumes + a.perf.callbacks, a.perf.events) << what;
+  EXPECT_EQ(a.perf.instants, b.perf.instants) << what;
+  EXPECT_EQ(a.perf.peak_instants, b.perf.peak_instants) << what;
   EXPECT_EQ(a.perf.peak_live_events, b.perf.peak_live_events) << what;
+  EXPECT_EQ(a.perf.peak_queue_depth, b.perf.peak_queue_depth) << what;
   EXPECT_EQ(a.perf.callback_pool_hit_rate, b.perf.callback_pool_hit_rate)
       << what;
   EXPECT_EQ(a.perf.payload_pool_hit_rate, b.perf.payload_pool_hit_rate)

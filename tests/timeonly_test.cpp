@@ -4,9 +4,8 @@
 // verification) versus the time-only plane, on pristine, perturbed, and
 // flow-level-fabric machines. Further suites cover the TimeOnlyPlane
 // contract itself (metadata-only captures, POD rank state, payload bytes
-// rejected), the up-front conflict errors, calendar-vs-heap scheduler
-// equivalence, a randomized property sweep, and executor byte-identity for
-// time-only batches.
+// rejected), the up-front conflict errors, a randomized property sweep, and
+// executor byte-identity for time-only batches.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -157,6 +156,8 @@ TEST(TimeOnlyPlane, CapturesMetadataOnly) {
   EXPECT_EQ(plane.rank_state(0).messages, 0u);
   EXPECT_EQ(plane.recycler(), nullptr);
   EXPECT_EQ(plane.mode(), sim::DataMode::timeonly);
+  EXPECT_EQ(sim::data_mode_by_name("time-only"), sim::DataMode::timeonly);
+  EXPECT_STREQ(sim::data_mode_name(sim::DataMode::payload), "payload");
 }
 
 TEST(TimeOnlyPlane, PayloadBytesAreRejected) {
@@ -172,24 +173,6 @@ TEST(TimeOnlyPlane, PayloadBytesAreRejected) {
     EXPECT_NE(std::string(e.what()).find("time-only"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(TimeOnlyPlane, SchedulerResolution) {
-  using sim::DataMode;
-  using sim::SchedulerKind;
-  EXPECT_EQ(sim::resolve_scheduler(SchedulerKind::automatic,
-                                   DataMode::timeonly),
-            SchedulerKind::calendar);
-  EXPECT_EQ(sim::resolve_scheduler(SchedulerKind::automatic,
-                                   DataMode::payload),
-            SchedulerKind::binary_heap);
-  // Explicit requests always win.
-  EXPECT_EQ(sim::resolve_scheduler(SchedulerKind::calendar,
-                                   DataMode::payload),
-            SchedulerKind::calendar);
-  EXPECT_EQ(sim::resolve_scheduler(SchedulerKind::binary_heap,
-                                   DataMode::timeonly),
-            SchedulerKind::binary_heap);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,55 +249,8 @@ TEST(TimeOnlyConflicts, NeedsPayloadAlgorithmIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// The calendar queue is an implementation detail: switching schedulers can
-// never change simulated results, in either data mode.
-
-TEST(CalendarScheduler, BitIdenticalToBinaryHeap) {
-  const int nodes = 5;
-  const auto cfg = net::test_cluster(nodes);
-  for (const bool timeonly : {false, true}) {
-    for (const std::size_t bytes : {std::size_t{512}, std::size_t{8192}}) {
-      coll::CollSpec spec;
-      spec.algo = "dpml-auto";
-      MeasureOptions opt;
-      opt.iterations = 2;
-      opt.warmup = 1;
-      if (timeonly) opt.data_mode = sim::DataMode::timeonly;
-
-      MeasureOptions heap = opt;
-      heap.scheduler = sim::SchedulerKind::binary_heap;
-      MeasureOptions cal = opt;
-      cal.scheduler = sim::SchedulerKind::calendar;
-
-      const auto h = measure_collective(coll::CollKind::allreduce, cfg,
-                                        nodes, 2, bytes, spec, heap);
-      const auto c = measure_collective(coll::CollKind::allreduce, cfg,
-                                        nodes, 2, bytes, spec, cal);
-      EXPECT_TRUE(digest(h) == digest(c))
-          << (timeonly ? "timeonly" : "payload") << " bytes=" << bytes
-          << ": heap avg=" << h.avg_us << " vs calendar avg=" << c.avg_us;
-    }
-  }
-}
-
-TEST(CalendarScheduler, NamesRoundTrip) {
-  using sim::SchedulerKind;
-  EXPECT_EQ(sim::scheduler_kind_by_name("calendar"), SchedulerKind::calendar);
-  EXPECT_EQ(sim::scheduler_kind_by_name("binary-heap"),
-            SchedulerKind::binary_heap);
-  EXPECT_EQ(sim::scheduler_kind_by_name("auto"), SchedulerKind::automatic);
-  EXPECT_STREQ(sim::scheduler_kind_name(SchedulerKind::calendar), "calendar");
-  expect_throw_containing(
-      [] { (void)sim::scheduler_kind_by_name("fifo"); },
-      {"fifo", "calendar"});
-  EXPECT_EQ(sim::data_mode_by_name("time-only"), sim::DataMode::timeonly);
-  EXPECT_STREQ(sim::data_mode_name(sim::DataMode::payload), "payload");
-}
-
-// ---------------------------------------------------------------------------
 // Randomized property: seeded random (kind, algorithm, shape, size, variant)
-// draws must digest identically across the payload/time-only planes and the
-// heap/calendar schedulers.
+// draws must digest identically across the payload/time-only planes.
 
 TEST(TimeOnlyProperty, RandomDrawsDigestIdentically) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -341,8 +277,6 @@ TEST(TimeOnlyProperty, RandomDrawsDigestIdentically) {
     MeasureOptions timeonly = variant_opts(v);
     timeonly.data_mode = sim::DataMode::timeonly;
     timeonly.seed = seed;
-    MeasureOptions timeonly_heap = timeonly;
-    timeonly_heap.scheduler = sim::SchedulerKind::binary_heap;
 
     const auto cfg = net::test_cluster(nodes);
     const std::string what = "seed " + std::to_string(seed) + ": " +
@@ -355,11 +289,8 @@ TEST(TimeOnlyProperty, RandomDrawsDigestIdentically) {
                                       payload);
     const auto t = measure_collective(kind, cfg, nodes, ppn, bytes, spec,
                                       timeonly);
-    const auto th = measure_collective(kind, cfg, nodes, ppn, bytes, spec,
-                                       timeonly_heap);
     EXPECT_TRUE(p.verified) << what;
     EXPECT_TRUE(digest(p) == digest(t)) << what << " (payload vs time-only)";
-    EXPECT_TRUE(digest(t) == digest(th)) << what << " (calendar vs heap)";
   }
 }
 

@@ -96,13 +96,9 @@ int usage() {
       "                compact POD record. Simulated times are bit-identical\n"
       "                to payload mode; --data and --check are rejected.\n"
       "                Scales to 100k+ ranks. See docs/MODEL.md §10)\n"
-      "              --scheduler auto|binary-heap|calendar  (event-queue\n"
-      "                implementation; auto picks calendar for --time-only.\n"
-      "                Either drains events in the same order, so results\n"
-      "                never depend on this flag)\n"
       "              --perf  (print host-side perf counters per point:\n"
-      "                simulated events/sec, peak live events, queue depth,\n"
-      "                peak RSS, pool hit rates, wall-ms per simulated-ms;\n"
+      "                simulated events/sec, resumes, callbacks, instants,\n"
+      "                queue depth, peak RSS, pool hit rates, wall/sim ms;\n"
       "                on fabric runs also the deterministic allocator\n"
       "                counters: recomputes, filling rounds, link re-sums,\n"
       "                completion wakes and stale wakes)\n"
@@ -232,6 +228,10 @@ std::string fabric_perf_text(const fabric::FabricPerf& p) {
 // JSON snapshot format diffed by CI (--perf-json, bench_patterns).
 struct PerfAgg {
   std::uint64_t events = 0;
+  std::uint64_t resumes = 0;
+  std::uint64_t callbacks = 0;
+  std::uint64_t instants = 0;
+  std::uint64_t peak_instants = 0;
   std::uint64_t peak_live = 0;
   std::uint64_t peak_queue = 0;
   std::uint64_t peak_rss_kb = 0;
@@ -250,6 +250,10 @@ struct PerfAgg {
 
   void add(const core::MeasureResult& r) {
     events += r.perf.events;
+    resumes += r.perf.resumes;
+    callbacks += r.perf.callbacks;
+    instants += r.perf.instants;
+    peak_instants = std::max(peak_instants, r.perf.peak_instants);
     peak_live = std::max(peak_live, r.perf.peak_live_events);
     peak_queue = std::max(peak_queue, r.perf.peak_queue_depth);
     peak_rss_kb = std::max(peak_rss_kb, r.perf.peak_rss_kb);
@@ -286,6 +290,10 @@ struct PerfAgg {
        << "  \"events\": " << events << ",\n"
        << "  \"events_per_sec\": " << static_cast<long long>(events_per_sec())
        << ",\n"
+       << "  \"resumes\": " << resumes << ",\n"
+       << "  \"callbacks\": " << callbacks << ",\n"
+       << "  \"instants\": " << instants << ",\n"
+       << "  \"peak_instants\": " << peak_instants << ",\n"
        << "  \"peak_live_events\": " << peak_live << ",\n"
        << "  \"peak_queue_depth\": " << peak_queue << ",\n"
        << "  \"peak_rss_kb\": " << peak_rss_kb << ",\n"
@@ -342,9 +350,6 @@ core::MeasureOptions measure_opts(const util::Args& args) {
                        "drop --check (simulated times are bit-identical) or "
                        "drop --time-only");
     opt.data_mode = sim::DataMode::timeonly;
-  }
-  if (args.has("scheduler")) {
-    opt.scheduler = sim::scheduler_kind_by_name(args.get("scheduler", "auto"));
   }
   return opt;
 }
@@ -430,9 +435,11 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   if (perf_on && agg.rows > 0) {
     std::cout << "\n[perf] jobs=" << core::default_jobs() << ", " << agg.events
               << " simulated events in " << agg.wall_ms << " ms wall ("
-              << agg.events_per_sec() / 1e6 << " Mev/s), peak live events "
-              << agg.peak_live << ", peak queue depth " << agg.peak_queue
-              << ", peak RSS " << agg.peak_rss_kb << " KB, pool hit rates cb="
+              << agg.events_per_sec() / 1e6 << " Mev/s; " << agg.resumes
+              << " resumes, " << agg.callbacks << " callbacks), "
+              << agg.instants << " instants (peak " << agg.peak_instants
+              << "), peak queue depth " << agg.peak_queue << ", peak RSS "
+              << agg.peak_rss_kb << " KB, pool hit rates cb="
               << agg.cb_hit_rate() << " payload=" << agg.pl_hit_rate();
     if (agg.elided_bytes > 0) {
       std::cout << ", elided " << util::format_bytes(agg.elided_bytes)
@@ -721,9 +728,6 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
   }
   if (args.get_bool("time-only", false)) {
     opt.data_mode = sim::DataMode::timeonly;
-  }
-  if (args.has("scheduler")) {
-    opt.scheduler = sim::scheduler_kind_by_name(args.get("scheduler", "auto"));
   }
   if (args.has("bg-traffic")) {
     const std::string spec = args.get("bg-traffic", "");
