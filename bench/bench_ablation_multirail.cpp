@@ -19,23 +19,20 @@ int main(int argc, char** argv) {
   struct Series {
     const char* label;
     net::ClusterConfig cfg;
-    core::Algorithm algo;
+    const char* algo;
     int leaders;
   };
   const Series series[] = {
-      {"flat-rsa 1 rail", net::cluster_b(),
-       core::Algorithm::reduce_scatter_allgather, 1},
-      {"flat-rsa 2 rails", net::with_rails(net::cluster_b(), 2),
-       core::Algorithm::reduce_scatter_allgather, 1},
-      {"dpml16 1 rail", net::cluster_b(), core::Algorithm::dpml, 16},
-      {"dpml16 2 rails", net::with_rails(net::cluster_b(), 2),
-       core::Algorithm::dpml, 16},
+      {"flat-rsa 1 rail", net::cluster_b(), "rsa", 1},
+      {"flat-rsa 2 rails", net::with_rails(net::cluster_b(), 2), "rsa", 1},
+      {"dpml16 1 rail", net::cluster_b(), "dpml", 16},
+      {"dpml16 2 rails", net::with_rails(net::cluster_b(), 2), "dpml", 16},
   };
 
   for (std::size_t bytes : benchx::paper_sizes()) {
     const std::string row = util::format_bytes(bytes);
     for (const Series& se : series) {
-      core::AllreduceSpec spec;
+      coll::CollSpec spec;
       spec.algo = se.algo;
       spec.leaders = se.leaders;
       benchx::register_point(

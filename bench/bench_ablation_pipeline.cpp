@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   for (std::size_t bytes : {262144ul, 1048576ul, 4194304ul, 16777216ul}) {
     for (int l : {4, 16}) {
       for (int k : {1, 2, 4, 8, 16}) {
-        core::AllreduceSpec spec;
-        spec.algo = core::Algorithm::dpml;
+        coll::CollSpec spec;
+        spec.algo = "dpml";
         spec.leaders = l;
         spec.pipeline_k = k;
         const std::string row =

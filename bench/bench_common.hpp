@@ -190,9 +190,9 @@ inline void register_point(const std::string& name, SeriesStore& store,
 
 // Convenience: latency of one allreduce spec (microseconds).
 inline double latency_us(const net::ClusterConfig& cfg, int nodes, int ppn,
-                         std::size_t bytes, const core::AllreduceSpec& spec) {
-  const core::MeasureResult r =
-      core::measure_allreduce(cfg, nodes, ppn, bytes, spec, default_opts());
+                         std::size_t bytes, const coll::CollSpec& spec) {
+  const core::MeasureResult r = core::measure_collective(
+      coll::CollKind::allreduce, cfg, nodes, ppn, bytes, spec, default_opts());
   note_measure_perf(r);
   return r.avg_us;
 }

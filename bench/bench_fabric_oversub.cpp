@@ -73,15 +73,16 @@ double fabric_latency(const Config& c, std::size_t bytes, int leaders,
                       double oversub, bool fabric_on) {
   net::ClusterConfig cfg = c.base;
   cfg.oversubscription = oversub;
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::dpml;
+  coll::CollSpec spec;
+  spec.algo = "dpml";
   spec.leaders = leaders;
   core::MeasureOptions opt;
   opt.iterations = c.iterations;
   opt.warmup = 1;
   opt.fabric =
       fabric_on ? fabric::FabricLevel::links : fabric::FabricLevel::none;
-  return core::measure_allreduce(cfg, c.nodes, c.ppn, bytes, spec, opt)
+  return core::measure_collective(coll::CollKind::allreduce, cfg, c.nodes,
+                                 c.ppn, bytes, spec, opt)
       .avg_us;
 }
 

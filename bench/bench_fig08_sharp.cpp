@@ -33,18 +33,18 @@ int main(int argc, char** argv) {
 
   struct Design {
     const char* label;
-    core::Algorithm algo;
+    const char* algo;
   };
   const Design designs[] = {
-      {"host-based", core::Algorithm::mvapich2},
-      {"node-leader", core::Algorithm::sharp_node_leader},
-      {"socket-leader", core::Algorithm::sharp_socket_leader},
+      {"host-based", "mvapich2"},
+      {"node-leader", "sharp-node-leader"},
+      {"socket-leader", "sharp-socket-leader"},
   };
 
   for (Panel& p : panels) {
     for (std::size_t bytes : sizes) {
       for (const Design& d : designs) {
-        core::AllreduceSpec spec;
+        coll::CollSpec spec;
         spec.algo = d.algo;
         const std::string name = std::string("fig08/ppn:") +
                                  std::to_string(p.ppn) + "/bytes:" +

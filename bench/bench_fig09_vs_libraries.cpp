@@ -29,8 +29,8 @@ struct Panel {
 // Per-size tuned configuration (the paper's empirical best-config search).
 double tuned_latency(const net::ClusterConfig& cfg, int nodes, int ppn,
                      std::size_t bytes) {
-  const auto r = core::tune_allreduce(cfg, nodes, ppn, bytes,
-                                      benchx::default_opts());
+  const auto r = core::tune_collective(coll::CollKind::allreduce, cfg, nodes,
+                                       ppn, bytes, benchx::default_opts());
   return r.best.avg_us;
 }
 
@@ -54,16 +54,16 @@ int main(int argc, char** argv) {
                                return tuned_latency(p.cfg, p.nodes, p.ppn,
                                                     bytes);
                              });
-      core::AllreduceSpec mv;
-      mv.algo = core::Algorithm::mvapich2;
+      coll::CollSpec mv;
+      mv.algo = "mvapich2";
       benchx::register_point(base + "/mvapich2", p.store, row, "mvapich2",
                              [&p, bytes, mv]() {
                                return benchx::latency_us(p.cfg, p.nodes, p.ppn,
                                                          bytes, mv);
                              });
       if (p.include_intel) {
-        core::AllreduceSpec im;
-        im.algo = core::Algorithm::intelmpi;
+        coll::CollSpec im;
+        im.algo = "intelmpi";
         benchx::register_point(base + "/intelmpi", p.store, row, "intelmpi",
                                [&p, bytes, im]() {
                                  return benchx::latency_us(p.cfg, p.nodes,

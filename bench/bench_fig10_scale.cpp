@@ -20,17 +20,17 @@ int main(int argc, char** argv) {
 
   struct Entry {
     const char* label;
-    core::Algorithm algo;
+    const char* algo;
   };
   const Entry entries[] = {
-      {"proposed", core::Algorithm::dpml_auto},
-      {"mvapich2", core::Algorithm::mvapich2},
-      {"intelmpi", core::Algorithm::intelmpi},
+      {"proposed", "dpml-auto"},
+      {"mvapich2", "mvapich2"},
+      {"intelmpi", "intelmpi"},
   };
 
   for (std::size_t bytes : benchx::paper_sizes()) {
     for (const Entry& e : entries) {
-      core::AllreduceSpec spec;
+      coll::CollSpec spec;
       spec.algo = e.algo;
       const std::string row = util::format_bytes(bytes);
       benchx::register_point(

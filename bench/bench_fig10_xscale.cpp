@@ -85,15 +85,15 @@ int main(int argc, char** argv) {
   for (const net::ClusterConfig& base : bases) {
     for (const int nodes : node_counts) {
       const net::ClusterConfig cfg = net::with_nodes(base, nodes);
-      core::AllreduceSpec spec;
-      spec.algo = core::Algorithm::dpml_auto;
+      coll::CollSpec spec;
+      spec.algo = "dpml-auto";
       const std::string row = std::to_string(nodes);
       const int my_slot = slot++;
       benchx::register_point(
           "fig10x/" + base.name + "/nodes:" + row, store, row, base.name,
           [=]() {
-            const core::MeasureResult r = core::measure_allreduce(
-                cfg, nodes, ppn, bytes, spec, opt);
+            const core::MeasureResult r = core::measure_collective(
+                coll::CollKind::allreduce, cfg, nodes, ppn, bytes, spec, opt);
             benchx::note_measure_perf(r);
             perf_slots[static_cast<std::size_t>(my_slot)] = r.perf;
             return r.avg_us;

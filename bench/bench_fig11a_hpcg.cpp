@@ -16,12 +16,12 @@ int main(int argc, char** argv) {
 
   struct Design {
     const char* label;
-    core::Algorithm algo;
+    const char* algo;
   };
   const Design designs[] = {
-      {"host-based", core::Algorithm::mvapich2},
-      {"node-leader", core::Algorithm::sharp_node_leader},
-      {"socket-leader", core::Algorithm::sharp_socket_leader},
+      {"host-based", "mvapich2"},
+      {"node-leader", "sharp-node-leader"},
+      {"socket-leader", "sharp-socket-leader"},
   };
   const int node_counts[] = {2, 8, 16};  // 56, 224, 448 procs at 28 ppn
 

@@ -31,12 +31,12 @@ int main(int argc, char** argv) {
   };
   struct Entry {
     const char* label;
-    core::Algorithm algo;
+    const char* algo;
   };
   const Entry entries[] = {
-      {"proposed", core::Algorithm::dpml_auto},
-      {"mvapich2", core::Algorithm::mvapich2},
-      {"intelmpi", core::Algorithm::intelmpi},
+      {"proposed", "dpml-auto"},
+      {"mvapich2", "mvapich2"},
+      {"intelmpi", "intelmpi"},
   };
   const int block_counts[] = {8, 32, 64};  // refinement vector sizes
 

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
                        model::from_cluster(cfg, nodes, ppn, l, bytes)) *
                    1e6;
           });
-      core::AllreduceSpec spec;
-      spec.algo = core::Algorithm::dpml;
+      coll::CollSpec spec;
+      spec.algo = "dpml";
       spec.leaders = l;
       spec.inter = coll::InterAlgo::recursive_doubling;  // Eq (4) assumes rd
       benchx::register_point(

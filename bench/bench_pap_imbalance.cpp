@@ -36,16 +36,20 @@ struct Config {
   int ppn = 28;
   std::vector<std::size_t> sizes;
   std::vector<double> skews_us;       // 0 first: the clean baseline
-  std::vector<core::AllreduceSpec> designs;
+  std::vector<coll::CollSpec> designs;
   int reps = 5;
   int iterations = 3;
 };
 
-core::AllreduceSpec design(core::Algorithm algo, int leaders = 1) {
-  core::AllreduceSpec s;
+coll::CollSpec design(const char* algo, int leaders = 1) {
+  coll::CollSpec s;
   s.algo = algo;
   s.leaders = leaders;
   return s;
+}
+
+std::string label(const coll::CollSpec& s) {
+  return s.label(coll::CollKind::allreduce);
 }
 
 Config make_config(bool smoke) {
@@ -56,11 +60,8 @@ Config make_config(bool smoke) {
     c.ppn = 4;
     c.sizes = {256, 1024};
     c.skews_us = {0.0, 25.0};
-    c.designs = {design(core::Algorithm::recursive_doubling),
-                 design(core::Algorithm::binomial),
-                 design(core::Algorithm::single_leader),
-                 design(core::Algorithm::dpml, 2),
-                 design(core::Algorithm::dpml, 4)};
+    c.designs = {design("rd"), design("binomial"), design("single-leader"),
+                 design("dpml", 2), design("dpml", 4)};
     c.reps = 2;
     c.iterations = 2;
     return c;
@@ -68,17 +69,14 @@ Config make_config(bool smoke) {
   c.cfg = net::cluster_b();
   c.sizes = {64, 256, 1024, 4096, 16384};
   c.skews_us = {0.0, 10.0, 25.0, 50.0};
-  c.designs = {design(core::Algorithm::recursive_doubling),
-               design(core::Algorithm::binomial),
-               design(core::Algorithm::single_leader),
-               design(core::Algorithm::dpml, 1),
-               design(core::Algorithm::dpml, 4),
-               design(core::Algorithm::dpml, 16)};
+  c.designs = {design("rd"),         design("binomial"),
+               design("single-leader"), design("dpml", 1),
+               design("dpml", 4),       design("dpml", 16)};
   return c;
 }
 
 double skewed_latency(const Config& c, std::size_t bytes,
-                      const core::AllreduceSpec& spec, double skew_us) {
+                      const coll::CollSpec& spec, double skew_us) {
   core::MeasureOptions opt;
   opt.iterations = c.iterations;
   opt.warmup = 1;
@@ -87,7 +85,8 @@ double skewed_latency(const Config& c, std::size_t bytes,
     opt.perturb = perturb::PerturbSpec::parse(
         "skew=uniform:max_us=" + std::to_string(skew_us) + ";seed=7");
   }
-  return core::measure_allreduce(c.cfg, c.nodes, c.ppn, bytes, spec, opt)
+  return core::measure_collective(coll::CollKind::allreduce, c.cfg, c.nodes,
+                                 c.ppn, bytes, spec, opt)
       .avg_us;
 }
 
@@ -105,12 +104,12 @@ int main(int argc, char** argv) {
   for (std::size_t si = 0; si < c.sizes.size(); ++si) {
     const std::size_t bytes = c.sizes[si];
     for (double skew : c.skews_us) {
-      for (const core::AllreduceSpec& spec : c.designs) {
+      for (const coll::CollSpec& spec : c.designs) {
         const std::string name = "pap/bytes:" + util::format_bytes(bytes) +
                                  "/skew:" +
                                  std::to_string(static_cast<int>(skew)) +
-                                 "us/" + spec.label();
-        benchx::register_point(name, stores[si], skew_row(skew), spec.label(),
+                                 "us/" + label(spec);
+        benchx::register_point(name, stores[si], skew_row(skew), label(spec),
                                [&c, bytes, spec, skew]() {
                                  return skewed_latency(c, bytes, spec, skew);
                                });
@@ -134,10 +133,10 @@ int main(int argc, char** argv) {
     benchx::SeriesStore ratio;
     for (double skew : c.skews_us) {
       if (skew == 0.0) continue;
-      for (const core::AllreduceSpec& spec : c.designs) {
-        ratio.put(skew_row(skew), spec.label(),
-                  stores[si].at(skew_row(skew), spec.label()) /
-                      stores[si].at(clean, spec.label()));
+      for (const coll::CollSpec& spec : c.designs) {
+        ratio.put(skew_row(skew), label(spec),
+                  stores[si].at(skew_row(skew), label(spec)) /
+                      stores[si].at(clean, label(spec)));
       }
     }
     ratio.print("PAP " + size + " — degradation ratio T_skew / T_0",
@@ -146,12 +145,12 @@ int main(int argc, char** argv) {
     const auto& flat = c.designs.front();                 // rd
     const auto& dpml_best = c.designs.back();             // largest leader count
     const double flat_loss =
-        stores[si].at(worst, flat.label()) / stores[si].at(clean, flat.label());
-    const double dpml_loss = stores[si].at(worst, dpml_best.label()) /
-                             stores[si].at(clean, dpml_best.label());
+        stores[si].at(worst, label(flat)) / stores[si].at(clean, label(flat));
+    const double dpml_loss = stores[si].at(worst, label(dpml_best)) /
+                             stores[si].at(clean, label(dpml_best));
     std::cout << "\n" << size << " @ " << c.skews_us.back() << "us max skew: "
-              << flat.label() << " degrades " << flat_loss << "x vs "
-              << dpml_best.label() << " " << dpml_loss << "x"
+              << label(flat) << " degrades " << flat_loss << "x vs "
+              << label(dpml_best) << " " << dpml_loss << "x"
               << (flat_loss > dpml_loss
                       ? " — flat design loses more under arrival skew\n"
                       : " — multi-leader loses more at this size\n");

@@ -32,8 +32,8 @@ inline int run_leader_sweep(const std::string& figure,
 
   for (std::size_t bytes : sizes) {
     for (int l : leader_counts) {
-      core::AllreduceSpec spec;
-      spec.algo = core::Algorithm::dpml;
+      coll::CollSpec spec;
+      spec.algo = "dpml";
       spec.leaders = l;
       const std::string name = figure + "/bytes:" + util::format_bytes(bytes) +
                                "/leaders:" + std::to_string(l);
@@ -42,8 +42,8 @@ inline int run_leader_sweep(const std::string& figure,
                        return latency_us(cfg, use_nodes, use_ppn, bytes, spec);
                      });
     }
-    core::AllreduceSpec mv;
-    mv.algo = core::Algorithm::mvapich2;
+    coll::CollSpec mv;
+    mv.algo = "mvapich2";
     register_point(figure + "/bytes:" + util::format_bytes(bytes) + "/mvapich2",
                    store, util::format_bytes(bytes), "mvapich2", [=]() {
                      return latency_us(cfg, use_nodes, use_ppn, bytes, mv);

@@ -32,12 +32,14 @@ int main(int argc, char** argv) {
     core::MeasureOptions opt;
     opt.iterations = 3;
     opt.warmup = 1;
-    const auto r = core::tune_allreduce(cfg, nodes, ppn, bytes, opt);
+    const auto allreduce = core::CollKind::allreduce;
+    const auto r =
+        core::tune_collective(allreduce, cfg, nodes, ppn, bytes, opt);
     table.row()
         .cell(util::format_bytes(bytes))
-        .cell(r.best.spec.label())
+        .cell(r.best.spec.label(allreduce))
         .cell(r.best.avg_us, 2)
-        .cell(r.all.size() > 1 ? r.all[1].spec.label() : "-")
+        .cell(r.all.size() > 1 ? r.all[1].spec.label(allreduce) : "-")
         .cell(r.all.size() > 1 ? r.all[1].avg_us : 0.0, 2);
   }
   table.print(std::cout);

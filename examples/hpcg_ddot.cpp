@@ -26,18 +26,17 @@ int main(int argc, char** argv) {
   util::Table table({"reduction design", "DDOT total", "per-DDOT (us)",
                      "CG loop total"});
   double host_ddot = 0;
-  for (core::Algorithm algo :
-       {core::Algorithm::mvapich2, core::Algorithm::sharp_node_leader,
-        core::Algorithm::sharp_socket_leader}) {
+  for (const std::string algo :
+       {"mvapich2", "sharp-node-leader", "sharp-socket-leader"}) {
     apps::HpcgOptions o;
     o.nodes = nodes;
     o.ppn = ppn;
     o.iterations = iterations;
     o.spec.algo = algo;
     const auto r = apps::run_hpcg(cfg, o);
-    if (algo == core::Algorithm::mvapich2) host_ddot = r.ddot_s;
+    if (algo == "mvapich2") host_ddot = r.ddot_s;
     table.row()
-        .cell(std::string(core::algorithm_name(algo)))
+        .cell(algo)
         .cell(util::format_seconds(r.ddot_s))
         .cell(r.ddot_avg_us, 2)
         .cell(util::format_seconds(r.total_s));
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
   o.nodes = nodes;
   o.ppn = ppn;
   o.iterations = iterations;
-  o.spec.algo = core::Algorithm::sharp_socket_leader;
+  o.spec.algo = "sharp-socket-leader";
   const auto best = apps::run_hpcg(cfg, o);
   std::cout << "\nDDOT improvement with SHArP socket-leader: "
             << (1.0 - best.ddot_s / host_ddot) * 100.0

@@ -5,9 +5,10 @@
 //   $ ./quickstart B 8 28 65536
 //
 // Walks through the three core pieces of the library:
-//   1. net::ClusterConfig       — pick/shape a simulated platform
-//   2. core::measure_allreduce  — run + time + verify a collective design
-//   3. core::AllreduceSpec      — choose algorithms and DPML parameters
+//   1. net::ClusterConfig        — pick/shape a simulated platform
+//   2. core::measure_collective  — run + time + verify a collective design
+//   3. coll::CollSpec            — name a registered algorithm and its
+//                                  DPML parameters
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -38,25 +39,26 @@ int main(int argc, char** argv) {
   opt.warmup = 2;
 
   util::Table table({"design", "avg latency (us)", "verified"});
+  const auto allreduce = core::CollKind::allreduce;
   for (int leaders : {1, 2, 4, 8, 16}) {
-    core::AllreduceSpec spec;
-    spec.algo = core::Algorithm::dpml;
+    coll::CollSpec spec;
+    spec.algo = "dpml";
     spec.leaders = leaders;
-    const auto r = core::measure_allreduce(cfg, nodes, ppn, bytes, spec, opt);
+    const auto r =
+        core::measure_collective(allreduce, cfg, nodes, ppn, bytes, spec, opt);
     table.row()
-        .cell(spec.label())
+        .cell(spec.label(allreduce))
         .cell(r.avg_us, 2)
         .cell(std::string(r.verified ? "yes" : "NO"));
     if (!r.verified) return 1;
   }
-  for (core::Algorithm algo :
-       {core::Algorithm::mvapich2, core::Algorithm::intelmpi,
-        core::Algorithm::recursive_doubling}) {
-    core::AllreduceSpec spec;
+  for (const char* algo : {"mvapich2", "intelmpi", "rd"}) {
+    coll::CollSpec spec;
     spec.algo = algo;
-    const auto r = core::measure_allreduce(cfg, nodes, ppn, bytes, spec, opt);
+    const auto r =
+        core::measure_collective(allreduce, cfg, nodes, ppn, bytes, spec, opt);
     table.row()
-        .cell(spec.label())
+        .cell(spec.label(allreduce))
         .cell(r.avg_us, 2)
         .cell(std::string(r.verified ? "yes" : "NO"));
     if (!r.verified) return 1;

@@ -14,8 +14,24 @@
 #include "simmpi/machine.hpp"
 #include "util/table.hpp"
 
+using namespace dpml;
+
+namespace {
+
+// One rank's part: a single in-place allreduce of `count` floats.
+sim::CoTask<void> rank_main(simmpi::Rank& r, std::size_t count,
+                            coll::CollSpec spec) {
+  coll::CollArgs a;
+  a.rank = &r;
+  a.comm = &r.machine().world();
+  a.count = count;
+  a.inplace = true;
+  co_await core::run_collective(core::CollKind::allreduce, a, spec);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace dpml;
   const int nodes = argc > 1 ? std::atoi(argv[1]) : 4;
   const int ppn = argc > 2 ? std::atoi(argv[2]) : 8;
   const std::size_t bytes = argc > 3 ? std::strtoull(argv[3], nullptr, 10)
@@ -27,17 +43,10 @@ int main(int argc, char** argv) {
   simmpi::Machine m(net::cluster_b(), nodes, ppn, opt);
   m.enable_trace();
 
-  m.run([&](simmpi::Rank& r) -> sim::CoTask<void> {
-    core::AllreduceSpec spec;
-    spec.algo = core::Algorithm::dpml;
-    spec.leaders = 4;
-    coll::CollArgs a;
-    a.rank = &r;
-    a.comm = &m.world();
-    a.count = bytes / 4;
-    a.inplace = true;
-    co_await core::run_allreduce(a, spec);
-  });
+  coll::CollSpec spec;
+  spec.algo = "dpml";
+  spec.leaders = 4;
+  m.run([&](simmpi::Rank& r) { return rank_main(r, bytes / 4, spec); });
 
   std::ofstream os(out);
   m.tracer().write_chrome_json(os);

@@ -12,10 +12,15 @@
 // default table), so adaptive runs under zero background load and no
 // failures stay bit-identical to static selection (golden-locked).
 //
-// Everything here is pure bookkeeping over numbers the tenant layer hands
-// in; no clocks, no RNG, no engine state — re-planning is a deterministic
-// function of the simulation, so adaptive runs remain byte-identical across
-// reruns and sweep-executor widths.
+// The same table is the repository's one persistable selection table: its
+// level-0 entries are the offline per-size choices the tuner writes
+// (AdaptiveTable::tune, `dpmlsim tune`) and the table dispatcher runs
+// (run_collective below, `dpmlsim latency --table`).
+//
+// Re-planning is pure bookkeeping over numbers the tenant layer hands in;
+// no clocks, no RNG, no engine state — a deterministic function of the
+// simulation, so adaptive runs remain byte-identical across reruns and
+// sweep-executor widths.
 #pragma once
 
 #include <cstddef>
@@ -23,10 +28,7 @@
 #include <vector>
 
 #include "coll/registry.hpp"
-
-namespace dpml::core {
-class SelectionTable;
-}
+#include "core/tuner.hpp"
 
 namespace dpml::adapt {
 
@@ -51,21 +53,23 @@ struct Signals {
 // core capacity than the utilization numbers alone suggest).
 int classify(const Signals& s);
 
-// A congestion-keyed selection table. The text format extends the
-// core::SelectionTable grammar with an optional contention-level qualifier:
+// A congestion-keyed selection table. Text format, one entry per line, '#'
+// comments; bare lines (no KIND) are allreduce entries:
 //
 //   [KIND] [@cLEVEL] <=BYTES  ALGO [leaders] [pipeline_k]
 //   [KIND] [@cLEVEL] *        ALGO [leaders] [pipeline_k]
 //
 // e.g.
-//   *                ring            # legacy line: level 0
-//   @c1 *            cring 2         # mild contention: 2 channels
+//   <=2048           sharp-socket-leader   # level 0: the static choice
+//   *                dpml 16 4
+//   reduce *         dpml 8
+//   @c1 *            cring 2               # mild contention: 2 channels
 //   allreduce @c3 *  cring 8
 //
-// Lines without @c parse as level 0, so every legacy selection table is a
-// valid adaptive table (schema migration, docs/MODEL.md §12); level-0-only
-// tables serialize back without qualifiers, i.e. in the legacy format.
-// Per (kind, level): thresholds strictly ascending, catch-all required last.
+// Lines without @c are level 0, so plain per-size selection tables (the
+// tuner's output) are adaptive tables too (docs/MODEL.md §12); level-0-only
+// tables serialize back without qualifiers. Per (kind, level): thresholds
+// strictly ascending, catch-all required last.
 class AdaptiveTable {
  public:
   struct Entry {
@@ -83,9 +87,14 @@ class AdaptiveTable {
   // ring channels for congested allreduce jobs.
   static AdaptiveTable defaults();
 
-  // Migration: every entry of a legacy selection table becomes a level-0
-  // adaptive entry.
-  static AdaptiveTable from_selection(const core::SelectionTable& table);
+  // Build a level-0 table by running the empirical tuner at each probe size
+  // on the given shape. Threshold i covers (probe[i-1], probe[i]], the last
+  // probe becomes the catch-all, and adjacent entries with identical specs
+  // merge.
+  static AdaptiveTable tune(coll::CollKind kind, const net::ClusterConfig& cfg,
+                            int nodes, int ppn,
+                            const std::vector<std::size_t>& probe_sizes,
+                            const core::MeasureOptions& opt = {});
 
   // Parse / serialize the text format above. parse() throws
   // util::InvariantError on malformed input or unregistered algorithms.
@@ -95,6 +104,13 @@ class AdaptiveTable {
   // Entry for (kind, bytes) at the highest populated level <= level;
   // nullptr when no level down to 0 covers the kind.
   const Entry* select(coll::CollKind kind, std::size_t bytes, int level) const;
+  // The level-0 spec for (kind, bytes), i.e. the static choice. Without a
+  // fabric (has_fabric false) an allreduce SHArP entry resolves to dpml
+  // with one leader, so tuned tables stay usable on fabric-less platforms.
+  // Throws util::InvariantError naming the kind when no level-0 entry
+  // covers it.
+  coll::CollSpec level0(coll::CollKind kind, std::size_t bytes,
+                        bool has_fabric = true) const;
 
   // Persist an observed choice: replace the catch-all spec for
   // (kind, level), appending the entry if absent. Recording the spec the
@@ -109,6 +125,13 @@ class AdaptiveTable {
   void validate() const;
   std::vector<Entry> entries_;
 };
+
+// Run a collective through a table's level-0 entries (resolved by kind,
+// args.bytes() and whether `fabric` is attached, see level0). `fabric` is
+// handed to specs that take one (core::takes_fabric).
+sim::CoTask<void> run_collective(coll::CollKind kind, coll::CollArgs args,
+                                 const AdaptiveTable& table,
+                                 sharp::SharpFabric* fabric = nullptr);
 
 // A job's (algorithm, leader_count) plan.
 struct Plan {

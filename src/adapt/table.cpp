@@ -1,12 +1,12 @@
-// AdaptiveTable: the selection-table text format extended with a
-// contention-level dimension (docs/MODEL.md §12).
+// AdaptiveTable: per-size selection tables with a contention-level
+// dimension (docs/MODEL.md §12), their tuner and their level-0 dispatcher.
 #include "adapt/adapt.hpp"
 
 #include <limits>
 #include <sstream>
 #include <utility>
 
-#include "core/selection.hpp"
+#include "core/api.hpp"
 #include "util/error.hpp"
 
 namespace dpml::adapt {
@@ -16,7 +16,7 @@ namespace {
 constexpr std::size_t kCatchAll = std::numeric_limits<std::size_t>::max();
 
 // Persist leaders/pipeline_k exactly when the registered descriptor honours
-// them (same rule as core::SelectionTable::serialize).
+// them.
 bool persists_params(coll::CollKind kind, const std::string& algo) {
   const coll::CollDescriptor* d =
       coll::CollRegistry::instance().find(kind, algo);
@@ -86,15 +86,29 @@ AdaptiveTable AdaptiveTable::defaults() {
   return AdaptiveTable(std::move(entries));
 }
 
-AdaptiveTable AdaptiveTable::from_selection(const core::SelectionTable& table) {
+AdaptiveTable AdaptiveTable::tune(coll::CollKind kind,
+                                  const net::ClusterConfig& cfg, int nodes,
+                                  int ppn,
+                                  const std::vector<std::size_t>& probe_sizes,
+                                  const core::MeasureOptions& opt) {
+  DPML_CHECK_MSG(!probe_sizes.empty(), "no probe sizes");
   std::vector<Entry> entries;
-  for (const core::SelectionTable::Entry& s : table.entries()) {
+  for (std::size_t i = 0; i < probe_sizes.size(); ++i) {
     Entry e;
-    e.kind = s.kind;
-    e.level = 0;
-    e.max_bytes = s.max_bytes;
-    e.spec = s.spec;
-    entries.push_back(e);
+    e.kind = kind;
+    e.max_bytes = i + 1 == probe_sizes.size() ? kCatchAll : probe_sizes[i];
+    e.spec =
+        core::tune_collective(kind, cfg, nodes, ppn, probe_sizes[i], opt)
+            .best.spec;
+    e.spec.fabric = nullptr;  // tables are machine-independent
+    // Merge adjacent entries with identical specs (keeps tables small).
+    if (!entries.empty() && entries.back().spec.algo == e.spec.algo &&
+        entries.back().spec.leaders == e.spec.leaders &&
+        entries.back().spec.pipeline_k == e.spec.pipeline_k) {
+      entries.back().max_bytes = e.max_bytes;
+    } else {
+      entries.push_back(e);
+    }
   }
   return AdaptiveTable(std::move(entries));
 }
@@ -201,6 +215,24 @@ const AdaptiveTable::Entry* AdaptiveTable::select(coll::CollKind kind,
   return nullptr;
 }
 
+coll::CollSpec AdaptiveTable::level0(coll::CollKind kind, std::size_t bytes,
+                                     bool has_fabric) const {
+  const Entry* e = select(kind, bytes, 0);
+  DPML_CHECK_MSG(e != nullptr,
+                 std::string("selection table has no entries for ") +
+                     coll::coll_kind_name(kind));
+  coll::CollSpec spec = e->spec;
+  if (!has_fabric && kind == coll::CollKind::allreduce &&
+      coll::CollRegistry::instance().at(kind, spec.algo).caps.needs_fabric) {
+    // Graceful degradation on fabric-less platforms: fall back to the tuned
+    // host design family.
+    spec.algo = "dpml";
+    spec.leaders = 1;
+    spec.pipeline_k = 1;
+  }
+  return spec;
+}
+
 void AdaptiveTable::record(coll::CollKind kind, int level,
                            const coll::CollSpec& spec) {
   DPML_CHECK_MSG(level >= 0 && level < kLevels,
@@ -219,6 +251,14 @@ void AdaptiveTable::record(coll::CollKind kind, int level,
   e.spec = spec;
   e.spec.fabric = nullptr;
   entries_.push_back(e);
+}
+
+sim::CoTask<void> run_collective(coll::CollKind kind, coll::CollArgs args,
+                                 const AdaptiveTable& table,
+                                 sharp::SharpFabric* fabric) {
+  coll::CollSpec spec = table.level0(kind, args.bytes(), fabric != nullptr);
+  if (core::takes_fabric(kind, spec.algo)) spec.fabric = fabric;
+  return core::run_collective(kind, std::move(args), spec);
 }
 
 }  // namespace dpml::adapt

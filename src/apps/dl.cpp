@@ -21,7 +21,7 @@ struct DlShared {
 };
 
 sim::CoTask<void> dl_rank(Rank& r, const DlOptions& opt,
-                          const core::AllreduceSpec& spec,
+                          const core::CollSpec& spec,
                           std::shared_ptr<DlShared> sh) {
   Machine& m = r.machine();
   const std::size_t count = opt.bucket_bytes / 4;
@@ -42,9 +42,10 @@ sim::CoTask<void> dl_rank(Rank& r, const DlOptions& opt,
       a.inplace = true;
       a.tag_base = (b % 128) * 256;  // disjoint tag space per in-flight op
       if (opt.overlap) {
-        pending.push_back(core::start_allreduce(a, spec));
+        pending.push_back(
+            core::start_collective(core::CollKind::allreduce, a, spec));
       } else {
-        co_await core::run_allreduce(a, spec);
+        co_await core::run_collective(core::CollKind::allreduce, a, spec);
       }
     }
     if (opt.overlap) {
@@ -75,13 +76,8 @@ DlResult run_dl_training(const net::ClusterConfig& cfg, const DlOptions& opt) {
   Machine m(cfg, opt.nodes, opt.ppn, ropt);
 
   std::optional<sharp::SharpFabric> fabric;
-  core::AllreduceSpec spec = opt.spec;
-  if ((core::needs_fabric(spec.algo) ||
-       spec.algo == core::Algorithm::dpml_auto) &&
-      cfg.has_sharp() && spec.fabric == nullptr) {
-    fabric.emplace(m);
-    spec.fabric = &*fabric;
-  }
+  core::CollSpec spec = opt.spec;
+  core::attach_fabric(m, core::CollKind::allreduce, spec, fabric);
 
   auto sh = std::make_shared<DlShared>(m.engine(), m.world_size());
   m.run([&](Rank& r) -> sim::CoTask<void> {

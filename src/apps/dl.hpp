@@ -26,7 +26,7 @@ struct DlOptions {
   sim::Time backprop_per_bucket = sim::us(300.0);  // compute per bucket
   sim::Time optimizer_time = sim::us(500.0);
   bool overlap = true;                 // iallreduce during backprop
-  core::AllreduceSpec spec;
+  core::CollSpec spec{.algo = "dpml"};
 };
 
 struct DlResult {

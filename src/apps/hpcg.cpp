@@ -33,7 +33,7 @@ sim::Time local_dot_time(const net::ClusterConfig& cfg, std::size_t rows) {
 }
 
 sim::CoTask<void> hpcg_rank(Rank& r, const HpcgOptions& opt,
-                            const core::AllreduceSpec& spec,
+                            const core::CollSpec& spec,
                             std::shared_ptr<HpcgShared> sh, double* recv_buf) {
   Machine& m = r.machine();
   const auto& cfg = m.config();
@@ -58,7 +58,7 @@ sim::CoTask<void> hpcg_rank(Rank& r, const HpcgOptions& opt,
                    ? simmpi::MutBytes{reinterpret_cast<std::byte*>(recv_buf), 8}
                    : simmpi::MutBytes{};
       a.inplace = true;
-      co_await core::run_allreduce(a, spec);
+      co_await core::run_collective(core::CollKind::allreduce, a, spec);
       co_await sh->barrier.arrive_and_wait();
       if (r.world_rank() == 0) {
         sh->ddot_total += r.engine().now() - t0;
@@ -78,13 +78,8 @@ HpcgResult run_hpcg(const net::ClusterConfig& cfg, const HpcgOptions& opt) {
   Machine m(cfg, opt.nodes, opt.ppn, ropt);
 
   std::optional<sharp::SharpFabric> fabric;
-  core::AllreduceSpec spec = opt.spec;
-  if ((core::needs_fabric(spec.algo) ||
-       spec.algo == core::Algorithm::dpml_auto) &&
-      cfg.has_sharp() && spec.fabric == nullptr) {
-    fabric.emplace(m);
-    spec.fabric = &*fabric;
-  }
+  core::CollSpec spec = opt.spec;
+  core::attach_fabric(m, core::CollKind::allreduce, spec, fabric);
 
   auto sh = std::make_shared<HpcgShared>(m.engine(), m.world_size());
   m.run([&](Rank& r) -> sim::CoTask<void> {

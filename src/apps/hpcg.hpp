@@ -24,7 +24,7 @@ struct HpcgOptions {
   int ppn = 28;
   int iterations = 50;            // CG iterations
   std::size_t rows_per_rank = 16 * 16 * 16;  // weak-scaling local problem
-  core::AllreduceSpec spec;       // reduction design for the DDOTs
+  core::CollSpec spec{.algo = "dpml"};  // reduction design for the DDOTs
   std::uint64_t seed = 1;
 };
 

@@ -22,7 +22,7 @@ struct AmrShared {
 };
 
 sim::CoTask<void> amr_rank(Rank& r, const MiniAmrOptions& opt,
-                           const core::AllreduceSpec& spec,
+                           const core::CollSpec& spec,
                            std::shared_ptr<AmrShared> sh) {
   Machine& m = r.machine();
   const int p = m.world_size();
@@ -49,7 +49,7 @@ sim::CoTask<void> amr_rank(Rank& r, const MiniAmrOptions& opt,
       a.dt = simmpi::Dtype::i32;
       a.op = simmpi::ReduceOp::max;
       a.inplace = true;
-      co_await core::run_allreduce(a, spec);
+      co_await core::run_collective(core::CollKind::allreduce, a, spec);
     }
     // Two small redistribution reductions: total block count, max load.
     for (auto op : {simmpi::ReduceOp::sum, simmpi::ReduceOp::max}) {
@@ -60,7 +60,7 @@ sim::CoTask<void> amr_rank(Rank& r, const MiniAmrOptions& opt,
       a.dt = simmpi::Dtype::i64;
       a.op = op;
       a.inplace = true;
-      co_await core::run_allreduce(a, spec);
+      co_await core::run_collective(core::CollKind::allreduce, a, spec);
     }
 
     co_await sh->barrier.arrive_and_wait();
@@ -91,13 +91,8 @@ MiniAmrResult run_miniamr(const net::ClusterConfig& cfg,
   Machine m(cfg, opt.nodes, opt.ppn, ropt);
 
   std::optional<sharp::SharpFabric> fabric;
-  core::AllreduceSpec spec = opt.spec;
-  if ((core::needs_fabric(spec.algo) ||
-       spec.algo == core::Algorithm::dpml_auto) &&
-      cfg.has_sharp() && spec.fabric == nullptr) {
-    fabric.emplace(m);
-    spec.fabric = &*fabric;
-  }
+  core::CollSpec spec = opt.spec;
+  core::attach_fabric(m, core::CollKind::allreduce, spec, fabric);
 
   auto sh = std::make_shared<AmrShared>(m.engine(), m.world_size());
   m.run([&](Rank& r) -> sim::CoTask<void> {

@@ -25,7 +25,7 @@ struct MiniAmrOptions {
   int refine_steps = 20;
   int blocks_per_rank = 8;     // initial blocks per rank
   int max_blocks_per_rank = 64;
-  core::AllreduceSpec spec;
+  core::CollSpec spec{.algo = "dpml"};
   std::uint64_t seed = 7;
 };
 

@@ -80,7 +80,7 @@ struct ReplayShared {
 
 sim::CoTask<void> replay_rank(Rank& r, const std::vector<TraceOp>& trace,
                               const ReplayOptions& opt,
-                              const core::AllreduceSpec& spec,
+                              const core::CollSpec& spec,
                               std::shared_ptr<ReplayShared> sh) {
   Machine& m = r.machine();
   for (int rep = 0; rep < opt.repetitions; ++rep) {
@@ -94,7 +94,7 @@ sim::CoTask<void> replay_rank(Rank& r, const std::vector<TraceOp>& trace,
           a.comm = &m.world();
           a.count = op.bytes / 4;
           a.inplace = true;
-          co_await core::run_allreduce(a, spec);
+          co_await core::run_collective(core::CollKind::allreduce, a, spec);
           break;
         }
         case TraceOp::Kind::reduce: {
@@ -144,13 +144,8 @@ ReplayResult replay_trace(const net::ClusterConfig& cfg,
   Machine m(cfg, opt.nodes, opt.ppn, ropt);
 
   std::optional<sharp::SharpFabric> fabric;
-  core::AllreduceSpec spec = opt.spec;
-  if ((core::needs_fabric(spec.algo) ||
-       spec.algo == core::Algorithm::dpml_auto) &&
-      cfg.has_sharp() && spec.fabric == nullptr) {
-    fabric.emplace(m);
-    spec.fabric = &*fabric;
-  }
+  core::CollSpec spec = opt.spec;
+  core::attach_fabric(m, core::CollKind::allreduce, spec, fabric);
 
   auto sh = std::make_shared<ReplayShared>(m.engine(), m.world_size());
   m.run([&](Rank& r) -> sim::CoTask<void> {

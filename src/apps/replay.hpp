@@ -42,7 +42,7 @@ struct ReplayOptions {
   int nodes = 4;
   int ppn = 8;
   int repetitions = 1;          // replay the trace this many times
-  core::AllreduceSpec spec;     // design used for the reductions
+  core::CollSpec spec{.algo = "dpml"};  // design used for the reductions
 };
 
 struct ReplayResult {

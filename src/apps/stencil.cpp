@@ -43,7 +43,7 @@ struct StencilShared {
 };
 
 sim::CoTask<void> stencil_rank(Rank& r, const StencilOptions& opt,
-                               const core::AllreduceSpec& spec,
+                               const core::CollSpec& spec,
                                std::array<int, 3> grid,
                                std::shared_ptr<StencilShared> sh) {
   Machine& m = r.machine();
@@ -105,7 +105,7 @@ sim::CoTask<void> stencil_rank(Rank& r, const StencilOptions& opt,
       a.dt = simmpi::Dtype::f64;
       a.op = simmpi::ReduceOp::sum;
       a.inplace = true;
-      co_await core::run_allreduce(a, spec);
+      co_await core::run_collective(core::CollKind::allreduce, a, spec);
       if (me == 0) {
         sh->allreduce += r.engine().now() - t_ar0;
         ++sh->checks;
@@ -127,13 +127,8 @@ StencilResult run_stencil(const net::ClusterConfig& cfg,
   DPML_CHECK(grid[0] * grid[1] * grid[2] == m.world_size());
 
   std::optional<sharp::SharpFabric> fabric;
-  core::AllreduceSpec spec = opt.spec;
-  if ((core::needs_fabric(spec.algo) ||
-       spec.algo == core::Algorithm::dpml_auto) &&
-      cfg.has_sharp() && spec.fabric == nullptr) {
-    fabric.emplace(m);
-    spec.fabric = &*fabric;
-  }
+  core::CollSpec spec = opt.spec;
+  core::attach_fabric(m, core::CollKind::allreduce, spec, fabric);
 
   auto sh = std::make_shared<StencilShared>(m.engine(), m.world_size());
   m.run([&](Rank& r) -> sim::CoTask<void> {

@@ -24,7 +24,7 @@ struct StencilOptions {
   int check_every = 4;              // residual allreduce cadence
   std::size_t local_dim = 64;       // local subdomain edge (cells)
   std::size_t elem_bytes = 8;       // f64 cells
-  core::AllreduceSpec spec;         // design for the residual allreduce
+  core::CollSpec spec{.algo = "dpml"};  // design for the residual allreduce
 };
 
 struct StencilResult {

@@ -1,6 +1,7 @@
 #include "core/api.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 #include <utility>
 
@@ -8,84 +9,6 @@
 #include "util/log.hpp"
 
 namespace dpml::core {
-
-const char* algorithm_name(Algorithm algo) {
-  switch (algo) {
-    case Algorithm::recursive_doubling: return "rd";
-    case Algorithm::reduce_scatter_allgather: return "rsa";
-    case Algorithm::ring: return "ring";
-    case Algorithm::binomial: return "binomial";
-    case Algorithm::gather_bcast: return "gather-bcast";
-    case Algorithm::single_leader: return "single-leader";
-    case Algorithm::dpml: return "dpml";
-    case Algorithm::sharp_node_leader: return "sharp-node-leader";
-    case Algorithm::sharp_socket_leader: return "sharp-socket-leader";
-    case Algorithm::mvapich2: return "mvapich2";
-    case Algorithm::intelmpi: return "intelmpi";
-    case Algorithm::dpml_auto: return "dpml-auto";
-  }
-  return "?";
-}
-
-namespace {
-
-constexpr Algorithm kAllAlgorithms[] = {
-    Algorithm::recursive_doubling, Algorithm::reduce_scatter_allgather,
-    Algorithm::ring, Algorithm::binomial, Algorithm::gather_bcast,
-    Algorithm::single_leader, Algorithm::dpml, Algorithm::sharp_node_leader,
-    Algorithm::sharp_socket_leader, Algorithm::mvapich2, Algorithm::intelmpi,
-    Algorithm::dpml_auto};
-
-}  // namespace
-
-Algorithm algorithm_by_name(const std::string& name) {
-  for (Algorithm a : kAllAlgorithms) {
-    if (name == algorithm_name(a)) return a;
-  }
-  std::string valid;
-  for (Algorithm a : kAllAlgorithms) {
-    if (!valid.empty()) valid += ", ";
-    valid += algorithm_name(a);
-  }
-  DPML_CHECK_MSG(false,
-                 "unknown algorithm '" + name + "'; valid names: " + valid);
-  return Algorithm::dpml;
-}
-
-std::string AllreduceSpec::label() const {
-  std::string s = algorithm_name(algo);
-  if (algo == Algorithm::dpml) {
-    s += "(l=" + std::to_string(leaders);
-    if (pipeline_k > 1) s += ",k=" + std::to_string(pipeline_k);
-    s += ")";
-  }
-  return s;
-}
-
-bool needs_fabric(Algorithm algo) {
-  return algo == Algorithm::sharp_node_leader ||
-         algo == Algorithm::sharp_socket_leader;
-}
-
-CollSpec to_generic(const AllreduceSpec& spec) {
-  CollSpec s;
-  s.algo = algorithm_name(spec.algo);
-  s.leaders = spec.leaders;
-  s.pipeline_k = spec.pipeline_k;
-  s.inter = spec.inter;
-  s.fabric = spec.fabric;
-  return s;
-}
-
-AllreduceSpec to_allreduce_spec(const CollSpec& spec) {
-  AllreduceSpec s;
-  s.algo = algorithm_by_name(spec.algo);
-  s.leaders = spec.leaders;
-  s.pipeline_k = spec.pipeline_k;
-  s.inter = spec.inter;
-  s.fabric = spec.fabric;
-  return s;
-}
 
 namespace {
 
@@ -95,22 +18,20 @@ namespace {
 // grow with message size, and on fabrics whose large-message throughput
 // does not scale with concurrency (Omni-Path Zone C) the inter-node phase
 // is pipelined.
-AllreduceSpec auto_spec(const coll::CollArgs& args,
-                        sharp::SharpFabric* fabric) {
+CollSpec auto_spec(const coll::CollArgs& args, sharp::SharpFabric* fabric) {
   const auto& m = args.rank->machine();
   const std::size_t bytes = args.bytes();
   const int ppn = m.ppn();
 
+  CollSpec s;
   if (fabric != nullptr && bytes <= 2048 && fabric->supports(bytes)) {
-    AllreduceSpec s;
-    s.algo = m.config().node.sockets > 1 ? Algorithm::sharp_socket_leader
-                                         : Algorithm::sharp_node_leader;
+    s.algo = m.config().node.sockets > 1 ? "sharp-socket-leader"
+                                         : "sharp-node-leader";
     s.fabric = fabric;
     return s;
   }
 
-  AllreduceSpec s;
-  s.algo = Algorithm::dpml;
+  s.algo = "dpml";
   if (bytes <= 1024) {
     s.leaders = 1;
   } else if (bytes <= 8 * 1024) {
@@ -143,18 +64,22 @@ const coll::CollRegistration reg_dpml_auto{{
     CollKind::allreduce,
     coll::CollCaps{},
     [](coll::CollArgs a, const CollSpec& s) {
-      AllreduceSpec resolved = auto_spec(a, s.fabric);
-      return run_allreduce(std::move(a), resolved);
+      const CollSpec resolved = auto_spec(a, s.fabric);
+      return run_collective(CollKind::allreduce, std::move(a), resolved);
     }}};
 
 // Warn at most once per distinct clamp configuration; measurement loops
-// dispatch per rank per iteration and would otherwise flood stderr.
+// dispatch per rank per iteration and would otherwise flood stderr. The
+// sweep executor dispatches from several host threads at once, so the
+// dedup set is locked (only clamped dispatches get here).
 void warn_leader_clamp(CollKind kind, const std::string& algo, int requested,
                        int ppn) {
+  static std::mutex mu;
   static std::set<std::string> warned;
   const std::string key = std::string(coll::coll_kind_name(kind)) + "/" +
                           algo + "/" + std::to_string(requested) + ">" +
                           std::to_string(ppn);
+  const std::lock_guard<std::mutex> lock(mu);
   if (!warned.insert(key).second) return;
   DPML_WARN("clamping " << coll::coll_kind_name(kind) << "/" << algo
                         << " leaders from " << requested << " to ppn=" << ppn);
@@ -325,16 +250,18 @@ std::shared_ptr<sim::Flag> start_collective(CollKind kind, coll::CollArgs args,
   return engine.spawn_sub(run_collective(kind, std::move(args), spec));
 }
 
-sim::CoTask<void> run_allreduce(coll::CollArgs args,
-                                const AllreduceSpec& spec) {
-  return run_collective(CollKind::allreduce, std::move(args),
-                        to_generic(spec));
+bool takes_fabric(CollKind kind, const std::string& algo) {
+  return coll::CollRegistry::instance().at(kind, algo).caps.needs_fabric ||
+         algo == "dpml-auto";
 }
 
-std::shared_ptr<sim::Flag> start_allreduce(coll::CollArgs args,
-                                           const AllreduceSpec& spec) {
-  return start_collective(CollKind::allreduce, std::move(args),
-                          to_generic(spec));
+void attach_fabric(simmpi::Machine& m, CollKind kind, CollSpec& spec,
+                   std::optional<sharp::SharpFabric>& fabric) {
+  if (takes_fabric(kind, spec.algo) && m.config().has_sharp() &&
+      spec.fabric == nullptr) {
+    fabric.emplace(m);
+    spec.fabric = &*fabric;
+  }
 }
 
 }  // namespace dpml::core

@@ -1,17 +1,19 @@
 // Public entry point: one registry-backed dispatcher over every collective
 // in the repository. This is the API the examples, tests, and benches
 // program against; it mirrors what an MPI library's collective-selection
-// layer does, generalized over the whole reduction-collective family
-// (allreduce, rooted reduce, bcast, alltoall).
+// layer does, generalized over the whole collective family (allreduce,
+// rooted reduce, bcast, alltoall, the gather/scatter patterns, barrier).
 //
-// The generic path is run_collective(kind, args, spec): the (kind,
-// spec.algo) pair resolves to a coll::CollDescriptor in the registry, the
-// spec is validated against the descriptor's capability flags (clear
-// failures at dispatch instead of deep inside a phase), and the
-// descriptor's coroutine factory runs. run_allreduce and the Algorithm
-// enum remain as source-compatible shims over the allreduce kind.
+// A design is a coll::CollSpec naming a registered algorithm plus its
+// runtime parameters, e.g. allreduce "dpml" with leaders/pipeline_k, or
+// "dpml-auto", the tuned per-size DPML choice registered here (the paper's
+// "proposed" line, §6.4). run_collective(kind, args, spec) resolves the
+// (kind, spec.algo) pair to a coll::CollDescriptor, validates the spec
+// against the descriptor's capability flags (clear failures at dispatch
+// instead of deep inside a phase), and runs the descriptor's coroutine.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "coll/baselines.hpp"
@@ -26,47 +28,6 @@ namespace dpml::core {
 using CollKind = coll::CollKind;
 using CollSpec = coll::CollSpec;
 
-enum class Algorithm {
-  // Flat baselines
-  recursive_doubling,
-  reduce_scatter_allgather,
-  ring,
-  binomial,
-  gather_bcast,
-  // Hierarchical designs
-  single_leader,
-  dpml,            // paper §4.1 (pipeline_k > 1 => DPML-Pipelined, §4.2)
-  // SHArP designs (paper §4.3; need a SharpFabric)
-  sharp_node_leader,
-  sharp_socket_leader,
-  // Library-like selection stacks (paper §6.4 baselines)
-  mvapich2,
-  intelmpi,
-  // Tuned DPML selection (paper's "proposed" line; see tuner.hpp)
-  dpml_auto,
-};
-
-const char* algorithm_name(Algorithm algo);
-// Throws util::InvariantError listing every valid name on an unknown name.
-Algorithm algorithm_by_name(const std::string& name);
-
-struct AllreduceSpec {
-  Algorithm algo = Algorithm::dpml;
-  int leaders = 4;
-  int pipeline_k = 1;
-  coll::InterAlgo inter = coll::InterAlgo::automatic;
-  sharp::SharpFabric* fabric = nullptr;  // required by the sharp_* designs
-
-  // Human-readable label for tables, e.g. "dpml(l=16,k=4)".
-  std::string label() const;
-};
-
-// Conversions between the enum-era allreduce spec and the registry's
-// generic spec. to_allreduce_spec throws if spec.algo is not a registered
-// allreduce algorithm name.
-CollSpec to_generic(const AllreduceSpec& spec);
-AllreduceSpec to_allreduce_spec(const CollSpec& spec);
-
 // Run one collective of `kind` with the given spec. SPMD: every rank of
 // args.comm calls this with identical arguments. Spec validation (unknown
 // algorithm, leaders/pipeline_k < 1, missing fabric) throws
@@ -78,20 +39,22 @@ AllreduceSpec to_allreduce_spec(const CollSpec& spec);
 sim::CoTask<void> run_collective(CollKind kind, coll::CollArgs args,
                                  const CollSpec& spec);
 
-// Non-blocking variant: starts the collective as a background sub-operation
-// of the calling rank and returns its completion flag.
+// Non-blocking variant (MPI_Iallreduce-style): starts the collective as a
+// background sub-operation of the calling rank and returns its completion
+// flag; co_await flag->wait(), or sim::wait_all for a waitall.
 std::shared_ptr<sim::Flag> start_collective(CollKind kind, coll::CollArgs args,
                                             const CollSpec& spec);
 
-// Compatibility shim over run_collective(CollKind::allreduce, ...).
-sim::CoTask<void> run_allreduce(coll::CollArgs args, const AllreduceSpec& spec);
+// True when `algo` of `kind` should be handed a SharpFabric: the designs
+// that need one, and "dpml-auto", which routes small messages through it.
+// Throws util::InvariantError on an unregistered name.
+bool takes_fabric(CollKind kind, const std::string& algo);
 
-// Non-blocking allreduce shim (MPI_Iallreduce-style): co_await flag->wait(),
-// or sim::wait_all for a waitall.
-std::shared_ptr<sim::Flag> start_allreduce(coll::CollArgs args,
-                                           const AllreduceSpec& spec);
-
-// True if the algorithm requires a SHArP fabric.
-bool needs_fabric(Algorithm algo);
+// Whoever builds the Machine calls this once before running `spec`: when
+// spec.algo takes a fabric, the cluster is SHArP-capable and the caller
+// supplied none, it builds one on `m` into `fabric` (which must outlive
+// every collective run with `spec`) and points spec.fabric at it.
+void attach_fabric(simmpi::Machine& m, CollKind kind, CollSpec& spec,
+                   std::optional<sharp::SharpFabric>& fabric);
 
 }  // namespace dpml::core

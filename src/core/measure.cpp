@@ -108,11 +108,7 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
   // when dpml-auto could route small messages through it).
   std::optional<sharp::SharpFabric> fabric;
   coll::CollSpec used = spec;
-  if ((desc.caps.needs_fabric || spec.algo == "dpml-auto") &&
-      cfg.has_sharp() && spec.fabric == nullptr) {
-    fabric.emplace(machine);
-    used.fabric = &*fabric;
-  }
+  attach_fabric(machine, kind, used, fabric);
   if (desc.caps.needs_fabric) {
     DPML_CHECK_MSG(used.fabric != nullptr,
                    "SHArP design requested on a fabric-less cluster");
@@ -450,14 +446,6 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
     res.wait_avg_us = sim::to_us(imb_wait) / ops;
   }
   return res;
-}
-
-MeasureResult measure_allreduce(const net::ClusterConfig& cfg, int nodes,
-                                int ppn, std::size_t bytes,
-                                const AllreduceSpec& spec,
-                                const MeasureOptions& opt) {
-  return measure_collective(CollKind::allreduce, cfg, nodes, ppn, bytes,
-                            to_generic(spec), opt);
 }
 
 }  // namespace dpml::core

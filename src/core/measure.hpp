@@ -114,10 +114,4 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
                                  const coll::CollSpec& spec,
                                  const MeasureOptions& opt = {});
 
-// Compatibility shim over measure_collective(CollKind::allreduce, ...).
-MeasureResult measure_allreduce(const net::ClusterConfig& cfg, int nodes,
-                                int ppn, std::size_t bytes,
-                                const AllreduceSpec& spec,
-                                const MeasureOptions& opt = {});
-
 }  // namespace dpml::core

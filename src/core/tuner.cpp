@@ -63,68 +63,35 @@ std::vector<coll::CollSpec> registry_candidates(CollKind kind, int ppn,
   return out;
 }
 
-GenericTuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
-                                  int nodes, int ppn, std::size_t bytes,
-                                  const std::vector<coll::CollSpec>& candidates,
-                                  const MeasureOptions& opt) {
+TuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
+                           int nodes, int ppn, std::size_t bytes,
+                           const std::vector<coll::CollSpec>& candidates,
+                           const MeasureOptions& opt) {
   DPML_CHECK_MSG(!candidates.empty(), "empty candidate set");
   const auto& reg = coll::CollRegistry::instance();
-  GenericTuneResult result;
+  TuneResult result;
   for (const coll::CollSpec& cand : candidates) {
     const coll::CollDescriptor& d = reg.at(kind, cand.algo);
     if (d.caps.needs_fabric && !cfg.has_sharp()) continue;
     const MeasureResult m =
         measure_collective(kind, cfg, nodes, ppn, bytes, cand, opt);
-    result.all.push_back(GenericTunedEntry{cand, m.avg_us});
+    result.all.push_back(TunedEntry{cand, m.avg_us});
   }
   DPML_CHECK_MSG(!result.all.empty(), "no runnable candidates");
   std::sort(result.all.begin(), result.all.end(),
-            [](const GenericTunedEntry& a, const GenericTunedEntry& b) {
+            [](const TunedEntry& a, const TunedEntry& b) {
               return a.avg_us < b.avg_us;
             });
   result.best = result.all.front();
   return result;
 }
 
-GenericTuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
-                                  int nodes, int ppn, std::size_t bytes,
-                                  const MeasureOptions& opt) {
+TuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
+                           int nodes, int ppn, std::size_t bytes,
+                           const MeasureOptions& opt) {
   return tune_collective(kind, cfg, nodes, ppn, bytes,
                          registry_candidates(kind, ppn, cfg.has_sharp(), bytes),
                          opt);
-}
-
-std::vector<AllreduceSpec> default_candidates(int ppn, bool has_sharp,
-                                              std::size_t bytes) {
-  std::vector<AllreduceSpec> out;
-  for (const coll::CollSpec& s :
-       registry_candidates(CollKind::allreduce, ppn, has_sharp, bytes)) {
-    out.push_back(to_allreduce_spec(s));
-  }
-  return out;
-}
-
-TuneResult tune_allreduce(const net::ClusterConfig& cfg, int nodes, int ppn,
-                          std::size_t bytes,
-                          const std::vector<AllreduceSpec>& candidates,
-                          const MeasureOptions& opt) {
-  std::vector<coll::CollSpec> generic;
-  generic.reserve(candidates.size());
-  for (const AllreduceSpec& c : candidates) generic.push_back(to_generic(c));
-  const GenericTuneResult g = tune_collective(CollKind::allreduce, cfg, nodes,
-                                              ppn, bytes, generic, opt);
-  TuneResult result;
-  for (const GenericTunedEntry& e : g.all) {
-    result.all.push_back(TunedEntry{to_allreduce_spec(e.spec), e.avg_us});
-  }
-  result.best = result.all.front();
-  return result;
-}
-
-TuneResult tune_allreduce(const net::ClusterConfig& cfg, int nodes, int ppn,
-                          std::size_t bytes, const MeasureOptions& opt) {
-  return tune_allreduce(cfg, nodes, ppn, bytes,
-                        default_candidates(ppn, cfg.has_sharp(), bytes), opt);
 }
 
 }  // namespace dpml::core

@@ -5,14 +5,14 @@
 // tuner does exactly that: sweep a candidate set (leader counts, pipeline
 // depths, SHArP designs) at a given shape and message size and return the
 // fastest. The Figure 9/10 benches use it to produce the paper's "proposed"
-// line; it is also part of the public API so downstream users can tune for
-// their own simulated platforms.
+// line; adapt::AdaptiveTable::tune runs it per probe size to build a
+// persistable level-0 table; it is also part of the public API so
+// downstream users can tune for their own simulated platforms.
 //
 // Candidates come from the collective registry: every descriptor of the
 // requested kind whose caps mark it tunable contributes, expanded through
 // its capability flags (uses_leaders -> leader sweep, supports_pipelining ->
-// pipelined variants, needs_fabric/max_tune_bytes -> fabric gating). The
-// allreduce entry points are kept as source-compatible shims.
+// pipelined variants, needs_fabric/max_tune_bytes -> fabric gating).
 #pragma once
 
 #include <vector>
@@ -21,16 +21,14 @@
 
 namespace dpml::core {
 
-// ---- Generic (any collective kind) ----
-
-struct GenericTunedEntry {
+struct TunedEntry {
   coll::CollSpec spec;
   double avg_us = 0.0;
 };
 
-struct GenericTuneResult {
-  GenericTunedEntry best;
-  std::vector<GenericTunedEntry> all;  // every candidate, fastest first
+struct TuneResult {
+  TunedEntry best;
+  std::vector<TunedEntry> all;  // every candidate, fastest first
 };
 
 // Candidate sweep for `kind` built from the registry's tunable descriptors.
@@ -43,39 +41,14 @@ std::vector<coll::CollSpec> registry_candidates(CollKind kind, int ppn,
                                                 bool has_sharp,
                                                 std::size_t bytes);
 
-GenericTuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
-                                  int nodes, int ppn, std::size_t bytes,
-                                  const std::vector<coll::CollSpec>& candidates,
-                                  const MeasureOptions& opt = {});
+TuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
+                           int nodes, int ppn, std::size_t bytes,
+                           const std::vector<coll::CollSpec>& candidates,
+                           const MeasureOptions& opt = {});
 
 // Convenience: registry candidate set.
-GenericTuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
-                                  int nodes, int ppn, std::size_t bytes,
-                                  const MeasureOptions& opt = {});
-
-// ---- Allreduce compatibility shims ----
-
-struct TunedEntry {
-  AllreduceSpec spec;
-  double avg_us = 0.0;
-};
-
-struct TuneResult {
-  TunedEntry best;
-  std::vector<TunedEntry> all;  // every candidate, fastest first
-};
-
-// Candidate set mirroring the paper's sweep (see registry_candidates).
-std::vector<AllreduceSpec> default_candidates(int ppn, bool has_sharp,
-                                              std::size_t bytes);
-
-TuneResult tune_allreduce(const net::ClusterConfig& cfg, int nodes, int ppn,
-                          std::size_t bytes,
-                          const std::vector<AllreduceSpec>& candidates,
-                          const MeasureOptions& opt = {});
-
-// Convenience: default candidate set.
-TuneResult tune_allreduce(const net::ClusterConfig& cfg, int nodes, int ppn,
-                          std::size_t bytes, const MeasureOptions& opt = {});
+TuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
+                           int nodes, int ppn, std::size_t bytes,
+                           const MeasureOptions& opt = {});
 
 }  // namespace dpml::core

@@ -117,17 +117,11 @@ RunResult run_one(const McConfig& cfg, const std::vector<int>& prefix,
     simmpi::Machine m(cluster, cfg.nodes, cfg.ppn, ropt);
     const int world = m.world_size();
     DPML_CHECK_MSG(cfg.root >= 0 && cfg.root < world, "mc root out of range");
-    const coll::CollDescriptor& d =
-        coll::CollRegistry::instance().at(cfg.kind, cfg.algo);
     coll::CollSpec spec;
     spec.algo = cfg.algo;
     spec.leaders = cfg.leaders;
     std::optional<sharp::SharpFabric> fabric;
-    if ((d.caps.needs_fabric || cfg.algo == "dpml-auto") &&
-        cluster.has_sharp()) {
-      fabric.emplace(m);
-      spec.fabric = &*fabric;
-    }
+    core::attach_fabric(m, cfg.kind, spec, fabric);
 
     // Buffers, shaped per kind (mirrors core/measure): the reduction kinds
     // carry the affine non-commutative operands, everything else the

@@ -1,6 +1,6 @@
 // Congestion-aware adaptive re-planning (src/adapt, docs/MODEL.md §12):
 // signal quantization fixtures, the contention-keyed table grammar
-// (parse/serialize round-trips, legacy-table migration, level fallback,
+// (parse/serialize round-trips, level-0 per-size tables, level fallback,
 // record persistence), the Replanner state machine, and the tenant-layer
 // integration contracts — the golden no-op lock (adaptive on a quiet fabric
 // is bit-identical to static selection), the congestion flip (a hot link
@@ -11,11 +11,11 @@
 // witness on preset D).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "adapt/adapt.hpp"
-#include "core/selection.hpp"
 #include "net/cluster.hpp"
 #include "tenant/tenant.hpp"
 #include "util/error.hpp"
@@ -85,31 +85,46 @@ TEST(AdaptTableTest, SerializeRoundTripsAndLevelZeroStaysLegacy) {
     EXPECT_EQ(back.entries()[i].max_bytes, t.entries()[i].max_bytes) << i;
     EXPECT_EQ(back.entries()[i].spec.algo, t.entries()[i].spec.algo) << i;
   }
-  // A level-0-only table serializes in the legacy selection-table format —
-  // and therefore parses as a legacy core::SelectionTable too.
+  // A level-0-only table serializes as a plain per-size table (no @c
+  // qualifiers), which parses back to the same level-0 choice.
   const adapt::AdaptiveTable flat =
       adapt::AdaptiveTable::parse("<=1024 rd\n* ring\n");
   const std::string legacy = flat.serialize();
   EXPECT_EQ(legacy.find("@c"), std::string::npos);
-  const core::SelectionTable st = core::SelectionTable::parse(legacy);
-  EXPECT_EQ(st.select(coll::CollKind::allreduce, 4096).algo, "ring");
+  const adapt::AdaptiveTable st = adapt::AdaptiveTable::parse(legacy);
+  EXPECT_EQ(st.level0(coll::CollKind::allreduce, 4096).algo, "ring");
 }
 
 TEST(AdaptTableTest, MigratesLegacySelectionTables) {
-  // Every legacy selection table is a valid adaptive table: directly...
+  // Every plain per-size selection table is a valid adaptive table...
   const adapt::AdaptiveTable direct =
       adapt::AdaptiveTable::parse("<=16384 rd\n* ring\n");
   EXPECT_EQ(direct.entries().size(), 2u);
   for (const auto& e : direct.entries()) EXPECT_EQ(e.level, 0);
-  // ...and via the typed migration.
-  const core::SelectionTable legacy =
-      core::SelectionTable::parse("<=16384 rd\n* ring\n");
-  const adapt::AdaptiveTable migrated =
-      adapt::AdaptiveTable::from_selection(legacy);
-  ASSERT_EQ(migrated.entries().size(), 2u);
-  EXPECT_EQ(migrated.entries()[0].spec.algo, "rd");
-  EXPECT_EQ(migrated.entries()[1].spec.algo, "ring");
-  for (const auto& e : migrated.entries()) EXPECT_EQ(e.level, 0);
+  // ...including the tuner's output, which parses back as the same level-0
+  // entries.
+  core::MeasureOptions opt;
+  opt.iterations = 1;
+  opt.warmup = 0;
+  const adapt::AdaptiveTable tuned = adapt::AdaptiveTable::tune(
+      coll::CollKind::allreduce, net::test_cluster(2), 2, 2, {1024, 65536},
+      opt);
+  const std::string text = tuned.serialize();
+  EXPECT_EQ(text.find("@c"), std::string::npos) << text;
+  const adapt::AdaptiveTable back = adapt::AdaptiveTable::parse(text);
+  ASSERT_EQ(back.entries().size(), tuned.entries().size()) << text;
+  for (std::size_t i = 0; i < back.entries().size(); ++i) {
+    const auto& got = back.entries()[i];
+    const auto& want = tuned.entries()[i];
+    EXPECT_EQ(got.level, 0) << i;
+    EXPECT_EQ(got.kind, coll::CollKind::allreduce) << i;
+    EXPECT_EQ(got.max_bytes, want.max_bytes) << i;
+    EXPECT_EQ(got.spec.algo, want.spec.algo) << i;
+    EXPECT_EQ(got.spec.leaders, want.spec.leaders) << i;
+    EXPECT_EQ(got.spec.pipeline_k, want.spec.pipeline_k) << i;
+  }
+  EXPECT_EQ(back.entries().back().max_bytes,
+            std::numeric_limits<std::size_t>::max());  // catch-all
 }
 
 TEST(AdaptTableTest, ValidatesShapeAndAlgorithms) {

@@ -309,7 +309,7 @@ TEST(Stencil, RunsAndCountsResidualChecks) {
   o.ppn = 4;
   o.sweeps = 8;
   o.check_every = 4;
-  o.spec.algo = core::Algorithm::mvapich2;
+  o.spec.algo = "mvapich2";
   const auto r = apps::run_stencil(cfg, o);
   EXPECT_EQ(r.residual_checks, 2);
   EXPECT_GT(r.total_s, 0.0);
@@ -325,9 +325,9 @@ TEST(Stencil, SharpSpeedsUpResidualPhase) {
   host.ppn = 28;
   host.sweeps = 8;
   host.check_every = 1;  // allreduce-heavy
-  host.spec.algo = core::Algorithm::mvapich2;
+  host.spec.algo = "mvapich2";
   apps::StencilOptions sharp_opt = host;
-  sharp_opt.spec.algo = core::Algorithm::sharp_socket_leader;
+  sharp_opt.spec.algo = "sharp-socket-leader";
   const auto a = apps::run_stencil(cfg, host);
   const auto b = apps::run_stencil(cfg, sharp_opt);
   EXPECT_LT(b.allreduce_s, a.allreduce_s);
@@ -339,7 +339,7 @@ TEST(Stencil, Deterministic) {
   o.nodes = 3;
   o.ppn = 4;
   o.sweeps = 5;
-  o.spec.algo = core::Algorithm::dpml;
+  o.spec.algo = "dpml";
   EXPECT_EQ(apps::run_stencil(cfg, o).total_s,
             apps::run_stencil(cfg, o).total_s);
 }

@@ -71,7 +71,7 @@ TEST(Hpcg, RunsAndTimesDdot) {
   o.nodes = 2;
   o.ppn = 28;
   o.iterations = 5;
-  o.spec.algo = core::Algorithm::mvapich2;
+  o.spec.algo = "mvapich2";
   const auto r = run_hpcg(cfg, o);
   EXPECT_EQ(r.ddots, 15);  // 3 per iteration
   EXPECT_GT(r.ddot_s, 0.0);
@@ -84,9 +84,9 @@ TEST(Hpcg, SharpImprovesDdot) {
   host.nodes = 2;
   host.ppn = 28;
   host.iterations = 5;
-  host.spec.algo = core::Algorithm::mvapich2;
+  host.spec.algo = "mvapich2";
   HpcgOptions sharp = host;
-  sharp.spec.algo = core::Algorithm::sharp_socket_leader;
+  sharp.spec.algo = "sharp-socket-leader";
   const auto a = run_hpcg(cfg, host);
   const auto b = run_hpcg(cfg, sharp);
   // Paper Figure 11(a): SHArP designs improve DDOT time.
@@ -99,7 +99,7 @@ TEST(Hpcg, Deterministic) {
   o.nodes = 2;
   o.ppn = 4;
   o.iterations = 3;
-  o.spec.algo = core::Algorithm::dpml;
+  o.spec.algo = "dpml";
   const auto a = run_hpcg(cfg, o);
   const auto b = run_hpcg(cfg, o);
   EXPECT_EQ(a.ddot_s, b.ddot_s);
@@ -112,7 +112,7 @@ TEST(MiniAmr, RunsAndEvolvesBlocks) {
   o.nodes = 2;
   o.ppn = 8;
   o.refine_steps = 10;
-  o.spec.algo = core::Algorithm::mvapich2;
+  o.spec.algo = "mvapich2";
   const auto r = run_miniamr(cfg, o);
   EXPECT_GT(r.refine_s, 0.0);
   EXPECT_GT(r.total_s, r.refine_s * 0.5);
@@ -126,9 +126,9 @@ TEST(MiniAmr, DpmlImprovesRefinementTime) {
   base.ppn = 28;
   base.refine_steps = 6;
   base.blocks_per_rank = 32;  // large refinement vectors
-  base.spec.algo = core::Algorithm::mvapich2;
+  base.spec.algo = "mvapich2";
   MiniAmrOptions ours = base;
-  ours.spec.algo = core::Algorithm::dpml_auto;
+  ours.spec.algo = "dpml-auto";
   const auto a = run_miniamr(cfg, base);
   const auto b = run_miniamr(cfg, ours);
   // Paper Figure 11(b): up to ~40% over MVAPICH2 on cluster C.
@@ -141,7 +141,7 @@ TEST(MiniAmr, DeterministicAcrossRuns) {
   o.nodes = 2;
   o.ppn = 16;
   o.refine_steps = 5;
-  o.spec.algo = core::Algorithm::intelmpi;
+  o.spec.algo = "intelmpi";
   const auto a = run_miniamr(cfg, o);
   const auto b = run_miniamr(cfg, o);
   EXPECT_EQ(a.refine_s, b.refine_s);

@@ -88,15 +88,11 @@ void run_affine(CollKind kind, const std::string& algo, Dtype dt,
   ropt.check_level = check::CheckLevel::strict;
   Machine m(cfg, kNodes, kPpn, ropt);
 
-  const coll::CollDescriptor& d = CollRegistry::instance().at(kind, algo);
   CollSpec spec;
   spec.algo = algo;
   spec.leaders = 2;
   std::optional<sharp::SharpFabric> fabric;
-  if (d.caps.needs_fabric || algo == "dpml-auto") {
-    fabric.emplace(m);
-    spec.fabric = &*fabric;
-  }
+  core::attach_fabric(m, kind, spec, fabric);
 
   // reduce_scatter takes the per-block count; each rank contributes the
   // full count*world vector and keeps its own comm-rank-ordered block.
@@ -187,15 +183,11 @@ void run_inplace(CollKind kind, const std::string& algo, int root) {
   ropt.check_level = check::CheckLevel::strict;
   Machine m(cfg, kNodes, kPpn, ropt);
 
-  const coll::CollDescriptor& d = CollRegistry::instance().at(kind, algo);
   CollSpec spec;
   spec.algo = algo;
   spec.leaders = 2;
   std::optional<sharp::SharpFabric> fabric;
-  if (d.caps.needs_fabric || algo == "dpml-auto") {
-    fabric.emplace(m);
-    spec.fabric = &*fabric;
-  }
+  core::attach_fabric(m, kind, spec, fabric);
 
   const Dtype dt = Dtype::f32;
   const std::size_t count = 512;  // 2 KiB

@@ -10,16 +10,18 @@ namespace dpml::core {
 namespace {
 
 double lat(const net::ClusterConfig& cfg, int nodes, int ppn,
-           std::size_t bytes, const AllreduceSpec& spec) {
+           std::size_t bytes, const CollSpec& spec) {
   MeasureOptions opt;
   opt.iterations = 3;
   opt.warmup = 1;
-  return measure_allreduce(cfg, nodes, ppn, bytes, spec, opt).avg_us;
+  return measure_collective(CollKind::allreduce, cfg, nodes, ppn, bytes, spec,
+                            opt)
+      .avg_us;
 }
 
-AllreduceSpec dpml_spec(int leaders, int k = 1) {
-  AllreduceSpec s;
-  s.algo = Algorithm::dpml;
+CollSpec dpml_spec(int leaders, int k = 1) {
+  CollSpec s;
+  s.algo = "dpml";
   s.leaders = leaders;
   s.pipeline_k = k;
   return s;
@@ -30,10 +32,11 @@ AllreduceSpec dpml_spec(int leaders, int k = 1) {
 
 TEST(Dpml, LeaderCountClampsToPpn) {
   auto cfg = net::test_cluster(2);
-  AllreduceSpec s = dpml_spec(64);  // ppn is only 4
+  CollSpec s = dpml_spec(64);  // ppn is only 4
   MeasureOptions opt;
   opt.with_data = true;
-  const auto r = measure_allreduce(cfg, 2, 4, 1024, s, opt);
+  const auto r =
+      measure_collective(CollKind::allreduce, cfg, 2, 4, 1024, s, opt);
   EXPECT_TRUE(r.verified);
 }
 
@@ -41,7 +44,8 @@ TEST(Dpml, SingleNodeSkipsInterPhase) {
   auto cfg = net::test_cluster(1);
   MeasureOptions opt;
   opt.with_data = true;
-  const auto r = measure_allreduce(cfg, 1, 4, 4096, dpml_spec(2), opt);
+  const auto r = measure_collective(CollKind::allreduce, cfg, 1, 4, 4096,
+                                    dpml_spec(2), opt);
   EXPECT_TRUE(r.verified);
 }
 
@@ -50,7 +54,8 @@ TEST(Dpml, CountSmallerThanLeaders) {
   auto cfg = net::test_cluster(2);
   MeasureOptions opt;
   opt.with_data = true;
-  const auto r = measure_allreduce(cfg, 2, 4, 3 * 4, dpml_spec(4), opt);
+  const auto r = measure_collective(CollKind::allreduce, cfg, 2, 4, 3 * 4,
+                                    dpml_spec(4), opt);
   EXPECT_TRUE(r.verified);
 }
 
@@ -156,8 +161,8 @@ TEST(DpmlPerf, ExtraLeadersDoNotHelpSmallMessages) {
 
 TEST(DpmlPerf, BeatsMvapich2ForLargeMessages) {
   auto cfg = net::cluster_b();
-  AllreduceSpec mv;
-  mv.algo = Algorithm::mvapich2;
+  CollSpec mv;
+  mv.algo = "mvapich2";
   const double base = lat(cfg, 16, 28, 512 * 1024, mv);
   const double ours = lat(cfg, 16, 28, 512 * 1024, dpml_spec(16));
   // Paper Figure 9(b): up to ~3x on cluster B.
@@ -166,8 +171,8 @@ TEST(DpmlPerf, BeatsMvapich2ForLargeMessages) {
 
 TEST(DpmlPerf, MatchesSingleLeaderWhenLIsOne) {
   auto cfg = net::cluster_b();
-  AllreduceSpec sl;
-  sl.algo = Algorithm::single_leader;
+  CollSpec sl;
+  sl.algo = "single-leader";
   const double a = lat(cfg, 4, 8, 32 * 1024, sl);
   const double b = lat(cfg, 4, 8, 32 * 1024, dpml_spec(1));
   // Same structure up to the leader's self-copy through shared memory.
@@ -184,10 +189,10 @@ TEST(DpmlPerf, PipeliningHelpsVeryLargeMessagesOnOpa) {
 
 TEST(DpmlPerf, IntelBaselineBetweenMvapichAndDpmlAtScale) {
   auto cfg = net::cluster_d();
-  AllreduceSpec mv;
-  mv.algo = Algorithm::mvapich2;
-  AllreduceSpec im;
-  im.algo = Algorithm::intelmpi;
+  CollSpec mv;
+  mv.algo = "mvapich2";
+  CollSpec im;
+  im.algo = "intelmpi";
   const double t_mv = lat(cfg, 32, 64, 512 * 1024, mv);
   const double t_im = lat(cfg, 32, 64, 512 * 1024, im);
   const double t_dp = lat(cfg, 32, 64, 512 * 1024, dpml_spec(16));
@@ -198,8 +203,8 @@ TEST(DpmlPerf, IntelBaselineBetweenMvapichAndDpmlAtScale) {
 
 TEST(DpmlPerf, HierarchicalBeatsFlatAtFullSubscription) {
   auto cfg = net::cluster_b();
-  AllreduceSpec flat;
-  flat.algo = Algorithm::reduce_scatter_allgather;
+  CollSpec flat;
+  flat.algo = "rsa";
   const double t_flat = lat(cfg, 8, 28, 256 * 1024, flat);
   const double t_dpml = lat(cfg, 8, 28, 256 * 1024, dpml_spec(8));
   // Flat algorithms flood each NIC with ppn concurrent streams (paper §3).

@@ -385,8 +385,8 @@ TEST(NonBlocking, TwoConcurrentAllreducesComplete) {
   }
   m.run([&](Rank& r) -> sim::CoTask<void> {
     const auto w = static_cast<std::size_t>(r.world_rank());
-    core::AllreduceSpec spec;
-    spec.algo = core::Algorithm::recursive_doubling;
+    core::CollSpec spec;
+    spec.algo = "rd";
     coll::CollArgs a1;
     a1.rank = &r;
     a1.comm = &m.world();
@@ -397,8 +397,8 @@ TEST(NonBlocking, TwoConcurrentAllreducesComplete) {
     a2.send = simmpi::ConstBytes{in2[w]};
     a2.recv = simmpi::MutBytes{out2[w]};
     a2.tag_base = 256;  // disjoint tag namespace for the concurrent op
-    auto f1 = core::start_allreduce(a1, spec);
-    auto f2 = core::start_allreduce(a2, spec);
+    auto f1 = core::start_collective(core::CollKind::allreduce, a1, spec);
+    auto f2 = core::start_collective(core::CollKind::allreduce, a2, spec);
     std::vector<std::shared_ptr<sim::Flag>> flags;
     flags.push_back(std::move(f1));
     flags.push_back(std::move(f2));
@@ -422,19 +422,19 @@ TEST(NonBlocking, OverlapsWithCompute) {
     ropt.with_data = false;
     Machine m(net::test_cluster(4), 4, 2, ropt);
     m.run([&, overlap](Rank& r) -> sim::CoTask<void> {
-      core::AllreduceSpec spec;
-      spec.algo = core::Algorithm::recursive_doubling;
+      core::CollSpec spec;
+      spec.algo = "rd";
       coll::CollArgs a;
       a.rank = &r;
       a.comm = &m.world();
       a.count = 65536;
       a.inplace = true;
       if (overlap) {
-        auto f = core::start_allreduce(a, spec);
+        auto f = core::start_collective(core::CollKind::allreduce, a, spec);
         co_await r.compute(sim::us(200.0));
         co_await f->wait();
       } else {
-        co_await core::run_allreduce(a, spec);
+        co_await core::run_collective(core::CollKind::allreduce, a, spec);
         co_await r.compute(sim::us(200.0));
       }
     });

@@ -114,28 +114,30 @@ TEST(OpLabel, UserOpNamed) {
 }
 
 TEST(SpecLabel, EncodesConfiguration) {
-  core::AllreduceSpec s;
-  s.algo = core::Algorithm::dpml;
+  core::CollSpec s;
+  s.algo = "dpml";
   s.leaders = 8;
   s.pipeline_k = 4;
-  EXPECT_EQ(s.label(), "dpml(l=8,k=4)");
+  const auto allreduce = core::CollKind::allreduce;
+  EXPECT_EQ(s.label(allreduce), "dpml(l=8,k=4)");
   s.pipeline_k = 1;
-  EXPECT_EQ(s.label(), "dpml(l=8)");
-  s.algo = core::Algorithm::mvapich2;
-  EXPECT_EQ(s.label(), "mvapich2");
-  EXPECT_EQ(core::algorithm_by_name("sharp-socket-leader"),
-            core::Algorithm::sharp_socket_leader);
-  EXPECT_THROW(core::algorithm_by_name("nope"), util::InvariantError);
+  EXPECT_EQ(s.label(allreduce), "dpml(l=8)");
+  s.algo = "mvapich2";
+  EXPECT_EQ(s.label(allreduce), "mvapich2");
+  const auto& reg = coll::CollRegistry::instance();
+  EXPECT_EQ(reg.at(allreduce, "sharp-socket-leader").name,
+            "sharp-socket-leader");
+  EXPECT_THROW(reg.at(allreduce, "nope"), util::InvariantError);
 }
 
 TEST(MeasureEdge, BestWorstBracketAverage) {
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::dpml;
+  core::CollSpec spec;
+  spec.algo = "dpml";
   spec.leaders = 2;
   core::MeasureOptions opt;
   opt.iterations = 5;
-  const auto r =
-      core::measure_allreduce(net::test_cluster(2), 2, 4, 8192, spec, opt);
+  const auto r = core::measure_collective(
+      core::CollKind::allreduce, net::test_cluster(2), 2, 4, 8192, spec, opt);
   EXPECT_LE(r.best_us, r.avg_us);
   EXPECT_GE(r.worst_us, r.avg_us);
 }

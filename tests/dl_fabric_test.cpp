@@ -20,7 +20,7 @@ TEST(DlTraining, RunsAndReportsTimes) {
   o.steps = 2;
   o.buckets = 4;
   o.bucket_bytes = 1 << 20;
-  o.spec.algo = core::Algorithm::dpml;
+  o.spec.algo = "dpml";
   const auto r = apps::run_dl_training(cfg, o);
   EXPECT_GT(r.step_s, 0.0);
   EXPECT_GT(r.total_s, r.step_s);
@@ -35,7 +35,7 @@ TEST(DlTraining, OverlapHidesCommunication) {
   base.steps = 2;
   base.buckets = 8;
   base.bucket_bytes = 2 << 20;
-  base.spec.algo = core::Algorithm::dpml;
+  base.spec.algo = "dpml";
   base.spec.leaders = 8;
   base.overlap = false;
   apps::DlOptions with = base;
@@ -53,9 +53,9 @@ TEST(DlTraining, DpmlBeatsMvapichPerStep) {
   mva.ppn = 28;
   mva.steps = 2;
   mva.buckets = 8;
-  mva.spec.algo = core::Algorithm::mvapich2;
+  mva.spec.algo = "mvapich2";
   apps::DlOptions dp = mva;
-  dp.spec.algo = core::Algorithm::dpml_auto;
+  dp.spec.algo = "dpml-auto";
   EXPECT_LT(apps::run_dl_training(cfg, dp).step_s,
             apps::run_dl_training(cfg, mva).step_s);
 }
@@ -68,7 +68,7 @@ TEST(DlTraining, Deterministic) {
   o.steps = 2;
   o.buckets = 3;
   o.bucket_bytes = 1 << 18;
-  o.spec.algo = core::Algorithm::intelmpi;
+  o.spec.algo = "intelmpi";
   EXPECT_EQ(apps::run_dl_training(cfg, o).total_s,
             apps::run_dl_training(cfg, o).total_s);
 }
@@ -145,14 +145,15 @@ TEST(Oversubscription, CollectivesRemainCorrect) {
   auto cfg = net::test_cluster(8);
   cfg.oversubscription = 2.0;
   cfg.nodes_per_leaf = 2;
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::dpml;
+  core::CollSpec spec;
+  spec.algo = "dpml";
   spec.leaders = 2;
   core::MeasureOptions opt;
   opt.with_data = true;
   opt.iterations = 2;
   opt.warmup = 0;
-  const auto r = core::measure_allreduce(cfg, 8, 4, 4096, spec, opt);
+  const auto r = core::measure_collective(core::CollKind::allreduce, cfg, 8, 4,
+                                          4096, spec, opt);
   EXPECT_TRUE(r.verified);
 }
 

@@ -386,6 +386,21 @@ TEST(LintTree, AdaptSubsystemIsCovered) {
   }
 }
 
+TEST(LintTree, BenchesAndExamplesAreClean) {
+  // The benches and examples are the code users copy from; they follow the
+  // same coroutine and determinism rules as src/.
+  const auto files = dpml::lint::collect_sources(
+      {kRoot + "/bench", kRoot + "/examples"});
+  ASSERT_GT(files.size(), 25u) << "bench/examples enumeration looks broken";
+  for (const std::string& f : files) {
+    const auto fs = dpml::lint::lint_file(f);
+    for (const Finding& v : fs) {
+      ADD_FAILURE() << v.file << ":" << v.line << ": [" << v.rule << "] "
+                    << v.message;
+    }
+  }
+}
+
 TEST(LintTree, WholeSourceTreeIsClean) {
   const auto files = dpml::lint::collect_sources({kRoot + "/src"});
   ASSERT_GT(files.size(), 50u) << "source enumeration looks broken";

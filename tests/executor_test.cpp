@@ -139,6 +139,27 @@ TEST(Executor, NestedExecutorRunsSerialOnWorkerThread) {
   EXPECT_FALSE(core::in_executor_worker());
 }
 
+TEST(Executor, LeaderClampWarningIsRaceFree) {
+  // 16 leaders on ppn=4 clamp on every dispatch, and the 8 repetitions run
+  // on 4 worker threads at once, so every thread reaches the leader-clamp
+  // warning's shared dedup set (ThreadSanitizer builds check the locking).
+  CollSpec spec;
+  spec.algo = "dpml";
+  spec.leaders = 16;
+  core::MeasureOptions opt;
+  opt.repetitions = 8;
+  opt.jobs = 4;
+  const net::ClusterConfig cfg = net::test_cluster(4);
+  const auto clamped = core::measure_collective(CollKind::allreduce, cfg, 4, 4,
+                                                64 * 1024, spec, opt);
+  spec.leaders = 4;
+  const auto at_ppn = core::measure_collective(CollKind::allreduce, cfg, 4, 4,
+                                               64 * 1024, spec, opt);
+  EXPECT_EQ(clamped.perf.jobs, 4);
+  EXPECT_EQ(clamped.avg_us, at_ppn.avg_us);
+  EXPECT_EQ(clamped.events, at_ppn.events);
+}
+
 // ---------------------------------------------------------------------------
 // Seed-derivation contract: repetition r of a measure() call runs with
 // perturbation seed perturb.seed + r, independent of every other repetition.
@@ -155,15 +176,16 @@ core::MeasureOptions perturbed_opts(std::uint64_t seed, int reps) {
 
 TEST(ExecutorSeeds, RepetitionSeedIsBasePlusRepIndex) {
   const net::ClusterConfig cfg = net::cluster_by_name("test");
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::dpml;
+  core::CollSpec spec;
+  spec.algo = "dpml";
   spec.leaders = 2;
-  const auto both =
-      core::measure_allreduce(cfg, 3, 4, 1024, spec, perturbed_opts(7, 2));
-  const auto rep0 =
-      core::measure_allreduce(cfg, 3, 4, 1024, spec, perturbed_opts(7, 1));
-  const auto rep1 =
-      core::measure_allreduce(cfg, 3, 4, 1024, spec, perturbed_opts(8, 1));
+  const auto allreduce = CollKind::allreduce;
+  const auto both = core::measure_collective(allreduce, cfg, 3, 4, 1024, spec,
+                                             perturbed_opts(7, 2));
+  const auto rep0 = core::measure_collective(allreduce, cfg, 3, 4, 1024, spec,
+                                             perturbed_opts(7, 1));
+  const auto rep1 = core::measure_collective(allreduce, cfg, 3, 4, 1024, spec,
+                                             perturbed_opts(8, 1));
   // The two-repetition sweep is exactly the union of the two single runs
   // with explicitly shifted seeds: integer tallies add, extrema combine.
   EXPECT_EQ(both.events, rep0.events + rep1.events);

@@ -2,7 +2,7 @@
 // multi-rail (multi-HCA) transport, and model-constant fitting.
 #include <gtest/gtest.h>
 
-#include "core/selection.hpp"
+#include "adapt/adapt.hpp"
 #include "model/fit.hpp"
 #include "net/cluster.hpp"
 #include "simmpi/machine.hpp"
@@ -44,8 +44,8 @@ TEST(Stats, CountsPointToPointTraffic) {
 TEST(Stats, RecursiveDoublingMessageCount) {
   // rd over p=2^k ranks: each rank sends lg p messages (plus the initial
   // local copy, which is not a message).
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::recursive_doubling;
+  core::CollSpec spec;
+  spec.algo = "rd";
   simmpi::RunOptions opt;
   opt.with_data = false;
   Machine m(net::test_cluster(8), 8, 1, opt);
@@ -55,14 +55,14 @@ TEST(Stats, RecursiveDoublingMessageCount) {
     a.comm = &m.world();
     a.count = 16;
     a.inplace = true;
-    co_await core::run_allreduce(a, spec);
+    co_await core::run_collective(core::CollKind::allreduce, a, spec);
   });
   EXPECT_EQ(m.comm_stats().net_messages, 8u * 3u);  // p * lg p
 }
 
 TEST(Stats, DpmlMovesLessNetDataThanFlat) {
-  auto run = [](core::Algorithm algo) {
-    core::AllreduceSpec spec;
+  auto run = [](const char* algo) {
+    core::CollSpec spec;
     spec.algo = algo;
     spec.leaders = 4;
     simmpi::RunOptions opt;
@@ -74,18 +74,17 @@ TEST(Stats, DpmlMovesLessNetDataThanFlat) {
       a.comm = &m.world();
       a.count = 64 * 1024;
       a.inplace = true;
-      co_await core::run_allreduce(a, spec);
+      co_await core::run_collective(core::CollKind::allreduce, a, spec);
     });
     return m.comm_stats().net_bytes;
   };
   // Hierarchical designs put only the leaders on the fabric.
-  EXPECT_LT(run(core::Algorithm::dpml),
-            run(core::Algorithm::recursive_doubling));
+  EXPECT_LT(run("dpml"), run("rd"));
 }
 
 TEST(Stats, NicUtilizationHigherUnderFlatAlgorithms) {
-  auto run = [](core::Algorithm algo) {
-    core::AllreduceSpec spec;
+  auto run = [](const char* algo) {
+    core::CollSpec spec;
     spec.algo = algo;
     spec.leaders = 8;
     simmpi::RunOptions opt;
@@ -97,37 +96,39 @@ TEST(Stats, NicUtilizationHigherUnderFlatAlgorithms) {
       a.comm = &m.world();
       a.count = 128 * 1024;
       a.inplace = true;
-      co_await core::run_allreduce(a, spec);
+      co_await core::run_collective(core::CollKind::allreduce, a, spec);
     });
     return m.avg_tx_utilization();
   };
-  const double flat = run(core::Algorithm::reduce_scatter_allgather);
-  const double dpml = run(core::Algorithm::dpml);
+  const double flat = run("rsa");
+  const double dpml = run("dpml");
   EXPECT_GT(flat, 0.0);
   EXPECT_GT(dpml, 0.0);
   EXPECT_LE(dpml, 1.0);
 }
 
 // ---------------------------------------------------------------------------
-// Selection tables
+// Selection tables (level-0 adaptive tables)
+
+constexpr coll::CollKind kAllreduce = coll::CollKind::allreduce;
 
 TEST(Selection, SelectRespectsThresholds) {
-  core::SelectionTable::Entry small;
+  adapt::AdaptiveTable::Entry small;
   small.max_bytes = 1024;
   small.spec.algo = "rd";
-  core::SelectionTable::Entry mid;
+  adapt::AdaptiveTable::Entry mid;
   mid.max_bytes = 65536;
   mid.spec.algo = "dpml";
   mid.spec.leaders = 4;
-  core::SelectionTable::Entry rest;
+  adapt::AdaptiveTable::Entry rest;
   rest.max_bytes = std::numeric_limits<std::size_t>::max();
   rest.spec.algo = "dpml";
   rest.spec.leaders = 16;
-  core::SelectionTable t({small, mid, rest});
-  EXPECT_EQ(t.select(4).algo, core::Algorithm::recursive_doubling);
-  EXPECT_EQ(t.select(1024).algo, core::Algorithm::recursive_doubling);
-  EXPECT_EQ(t.select(1025).leaders, 4);
-  EXPECT_EQ(t.select(1 << 20).leaders, 16);
+  const adapt::AdaptiveTable t({small, mid, rest});
+  EXPECT_EQ(t.level0(kAllreduce, 4).algo, "rd");
+  EXPECT_EQ(t.level0(kAllreduce, 1024).algo, "rd");
+  EXPECT_EQ(t.level0(kAllreduce, 1025).leaders, 4);
+  EXPECT_EQ(t.level0(kAllreduce, 1 << 20).leaders, 16);
 }
 
 TEST(Selection, SerializeParseRoundTrip) {
@@ -136,25 +137,46 @@ TEST(Selection, SerializeParseRoundTrip) {
       "<=2048  sharp-socket-leader\n"
       "<=65536  dpml 8 1\n"
       "*  dpml 16 4\n";
-  const auto t = core::SelectionTable::parse(text);
+  const auto t = adapt::AdaptiveTable::parse(text);
   ASSERT_EQ(t.entries().size(), 3u);
-  EXPECT_EQ(t.select(100).algo, core::Algorithm::sharp_socket_leader);
-  EXPECT_EQ(t.select(1 << 20).pipeline_k, 4);
-  const auto again = core::SelectionTable::parse(t.serialize());
+  EXPECT_EQ(t.level0(kAllreduce, 100).algo, "sharp-socket-leader");
+  EXPECT_EQ(t.level0(kAllreduce, 1 << 20).pipeline_k, 4);
+  const auto again = adapt::AdaptiveTable::parse(t.serialize());
   EXPECT_EQ(again.entries().size(), t.entries().size());
-  EXPECT_EQ(again.select(4096).leaders, 8);
+  EXPECT_EQ(again.level0(kAllreduce, 4096).leaders, 8);
 }
 
 TEST(Selection, RejectsMalformedTables) {
-  EXPECT_THROW(core::SelectionTable::parse(""), util::InvariantError);
-  EXPECT_THROW(core::SelectionTable::parse("<=100 dpml 4\n"),
+  // An empty table parses, but dispatching through it fails naming the
+  // kind it has no entries for.
+  const auto empty = adapt::AdaptiveTable::parse("");
+  EXPECT_TRUE(empty.empty());
+  simmpi::RunOptions opt;
+  opt.with_data = false;
+  Machine m(net::test_cluster(2), 2, 2, opt);
+  try {
+    m.run([&](Rank& r) -> sim::CoTask<void> {
+      coll::CollArgs a;
+      a.rank = &r;
+      a.comm = &m.world();
+      a.count = 16;
+      a.inplace = true;
+      co_await adapt::run_collective(kAllreduce, a, empty);
+    });
+    ADD_FAILURE() << "expected InvariantError";
+  } catch (const util::InvariantError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("no entries for allreduce"), std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(adapt::AdaptiveTable::parse("<=100 dpml 4\n"),
                util::InvariantError);  // no catch-all
-  EXPECT_THROW(core::SelectionTable::parse("<=100 nonsense\n* dpml 4\n"),
+  EXPECT_THROW(adapt::AdaptiveTable::parse("<=100 nonsense\n* dpml 4\n"),
                util::InvariantError);
-  EXPECT_THROW(core::SelectionTable::parse("<=200 dpml 2\n<=100 dpml 4\n"
+  EXPECT_THROW(adapt::AdaptiveTable::parse("<=200 dpml 2\n<=100 dpml 4\n"
                                            "* dpml 8\n"),
                util::InvariantError);  // descending thresholds
-  EXPECT_THROW(core::SelectionTable::parse("100 dpml 4\n* dpml 8\n"),
+  EXPECT_THROW(adapt::AdaptiveTable::parse("100 dpml 4\n* dpml 8\n"),
                util::InvariantError);  // missing '<='
 }
 
@@ -163,15 +185,16 @@ TEST(Selection, TunedTableIsOrderedAndUsable) {
   core::MeasureOptions opt;
   opt.iterations = 2;
   opt.warmup = 1;
-  const auto t = core::SelectionTable::tune(
-      cfg, 8, 28, {256, 16384, 262144}, opt);
+  const auto t = adapt::AdaptiveTable::tune(kAllreduce, cfg, 8, 28,
+                                            {256, 16384, 262144}, opt);
   ASSERT_FALSE(t.empty());
   // Larger probes should never select fewer leaders than the small probe.
-  EXPECT_LE(t.select(64).leaders, t.select(262144).leaders);
+  EXPECT_LE(t.level0(kAllreduce, 64).leaders,
+            t.level0(kAllreduce, 262144).leaders);
 }
 
 TEST(Selection, DispatcherRunsThroughTable) {
-  const auto t = core::SelectionTable::parse("<=1024 rd\n* dpml 4 1\n");
+  const auto t = adapt::AdaptiveTable::parse("<=1024 rd\n* dpml 4 1\n");
   simmpi::RunOptions opt;
   opt.with_data = false;
   Machine m(net::test_cluster(2), 2, 4, opt);
@@ -181,16 +204,24 @@ TEST(Selection, DispatcherRunsThroughTable) {
     a.comm = &m.world();
     a.count = 4096;  // 16KB -> dpml entry
     a.inplace = true;
-    co_await core::run_allreduce(a, t);
+    co_await adapt::run_collective(kAllreduce, a, t);
   });
   SUCCEED();
 }
 
 TEST(Selection, FabriclessFallbackForSharpEntries) {
-  const auto t = core::SelectionTable::parse("<=4096 sharp-node-leader\n"
+  const auto t = adapt::AdaptiveTable::parse("<=4096 sharp-node-leader\n"
                                              "* dpml 8 1\n");
   simmpi::RunOptions opt;
   opt.with_data = false;
+  // One resolver for the library and the CLI: the SHArP entry as written
+  // with a fabric, dpml with one leader without.
+  EXPECT_EQ(t.level0(kAllreduce, 64, true).algo, "sharp-node-leader");
+  const coll::CollSpec degraded = t.level0(kAllreduce, 64, false);
+  EXPECT_EQ(degraded.algo, "dpml");
+  EXPECT_EQ(degraded.leaders, 1);
+  EXPECT_EQ(degraded.pipeline_k, 1);
+  EXPECT_EQ(t.level0(kAllreduce, 1 << 20, false).leaders, 8);
   Machine m(net::cluster_b(), 2, 4, opt);  // no SHArP
   m.run([&](Rank& r) -> sim::CoTask<void> {
     coll::CollArgs a;
@@ -198,7 +229,7 @@ TEST(Selection, FabriclessFallbackForSharpEntries) {
     a.comm = &m.world();
     a.count = 16;  // small -> sharp entry -> must degrade gracefully
     a.inplace = true;
-    co_await core::run_allreduce(a, t, nullptr);
+    co_await adapt::run_collective(kAllreduce, a, t, nullptr);
   });
   SUCCEED();
 }
@@ -249,13 +280,15 @@ TEST(MultiRail, DoublesAggregateBandwidthForManyPairs) {
 
 TEST(MultiRail, SpeedsUpDpmlLargeAllreduce) {
   auto lat = [](const net::ClusterConfig& cfg) {
-    core::AllreduceSpec spec;
-    spec.algo = core::Algorithm::dpml;
+    core::CollSpec spec;
+    spec.algo = "dpml";
     spec.leaders = 16;
     core::MeasureOptions opt;
     opt.iterations = 2;
     opt.warmup = 1;
-    return core::measure_allreduce(cfg, 8, 28, 1 << 20, spec, opt).avg_us;
+    return core::measure_collective(core::CollKind::allreduce, cfg, 8, 28,
+                                    1 << 20, spec, opt)
+        .avg_us;
   };
   const double single = lat(net::cluster_b());
   const double dual = lat(net::with_rails(net::cluster_b(), 2));
@@ -263,15 +296,16 @@ TEST(MultiRail, SpeedsUpDpmlLargeAllreduce) {
 }
 
 TEST(MultiRail, CollectivesRemainCorrect) {
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::dpml;
+  core::CollSpec spec;
+  spec.algo = "dpml";
   spec.leaders = 4;
   core::MeasureOptions opt;
   opt.with_data = true;
   opt.iterations = 2;
   opt.warmup = 0;
-  const auto r = core::measure_allreduce(
-      net::with_rails(net::test_cluster(4), 2), 4, 4, 4096, spec, opt);
+  const auto r = core::measure_collective(
+      core::CollKind::allreduce, net::with_rails(net::test_cluster(4), 2), 4,
+      4, 4096, spec, opt);
   EXPECT_TRUE(r.verified);
 }
 

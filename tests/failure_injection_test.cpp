@@ -99,13 +99,14 @@ TEST(FailureInjection, MakeCommRejectsBadRanks) {
 }
 
 TEST(FailureInjection, MeasureRejectsBadIterationCounts) {
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::recursive_doubling;
+  core::CollSpec spec;
+  spec.algo = "rd";
   core::MeasureOptions opt;
   opt.iterations = 0;
-  EXPECT_THROW(
-      core::measure_allreduce(net::test_cluster(2), 2, 2, 64, spec, opt),
-      util::InvariantError);
+  EXPECT_THROW(core::measure_collective(core::CollKind::allreduce,
+                                        net::test_cluster(2), 2, 2, 64, spec,
+                                        opt),
+               util::InvariantError);
 }
 
 TEST(FailureInjection, ExceptionInOneRankAbortsRunCleanly) {

@@ -51,7 +51,8 @@ struct GoldenRun {
   std::vector<std::vector<std::byte>> results;
 };
 
-GoldenRun run_allreduce(const std::string& algo, sim::ScheduleOracle* oracle) {
+GoldenRun golden_allreduce(const std::string& algo,
+                           sim::ScheduleOracle* oracle) {
   constexpr int kNodes = 2;
   constexpr int kPpn = 2;
   constexpr std::size_t kCount = 8;
@@ -92,9 +93,9 @@ GoldenRun run_allreduce(const std::string& algo, sim::ScheduleOracle* oracle) {
 }
 
 TEST(McGolden, CanonicalOracleIsBitIdentical) {
-  const GoldenRun plain = run_allreduce("rd", nullptr);
+  const GoldenRun plain = golden_allreduce("rd", nullptr);
   CanonicalOracle oracle;
-  const GoldenRun mc = run_allreduce("rd", &oracle);
+  const GoldenRun mc = golden_allreduce("rd", &oracle);
   EXPECT_EQ(plain.final_time, mc.final_time);
   ASSERT_EQ(plain.results.size(), mc.results.size());
   for (std::size_t w = 0; w < plain.results.size(); ++w) {

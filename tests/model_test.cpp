@@ -116,15 +116,18 @@ TEST(Model, AgreesWithSimulatorWithinSmallFactor) {
   for (int l : {1, 4, 16}) {
     for (std::size_t bytes : {64ul * 1024, 512ul * 1024}) {
       const double predicted = t_dpml(from_cluster(cfg, 16, 28, l, bytes));
-      core::AllreduceSpec s;
-      s.algo = core::Algorithm::dpml;
+      core::CollSpec s;
+      s.algo = "dpml";
       s.leaders = l;
       s.inter = coll::InterAlgo::recursive_doubling;  // Eq (4) assumes rd
       core::MeasureOptions opt;
       opt.iterations = 3;
       opt.warmup = 1;
       const double simulated =
-          core::measure_allreduce(cfg, 16, 28, bytes, s, opt).avg_us * 1e-6;
+          core::measure_collective(core::CollKind::allreduce, cfg, 16, 28,
+                                   bytes, s, opt)
+              .avg_us *
+          1e-6;
       const double factor = l >= 16 ? 2.5 : 2.0;
       EXPECT_LT(simulated, predicted * factor)
           << "l=" << l << " bytes=" << bytes;

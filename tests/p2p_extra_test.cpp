@@ -154,8 +154,7 @@ TEST(Replay, ExampleTraceRunsUnderAllDesigns) {
   o.nodes = 2;
   o.ppn = 8;
   double prev = 0;
-  for (core::Algorithm algo :
-       {core::Algorithm::mvapich2, core::Algorithm::dpml_auto}) {
+  for (const char* algo : {"mvapich2", "dpml-auto"}) {
     o.spec.algo = algo;
     const auto r = replay_trace(cfg, trace, o);
     EXPECT_EQ(r.ops, static_cast<int>(trace.size()));
@@ -172,7 +171,7 @@ TEST(Replay, RepetitionsScaleTime) {
   ReplayOptions one;
   one.nodes = 2;
   one.ppn = 4;
-  one.spec.algo = core::Algorithm::dpml;
+  one.spec.algo = "dpml";
   ReplayOptions ten = one;
   ten.repetitions = 10;
   const auto a = replay_trace(cfg, trace, one);

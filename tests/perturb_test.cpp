@@ -13,9 +13,9 @@
 
 #include <algorithm>
 
+#include "adapt/adapt.hpp"
 #include "coll/registry.hpp"
 #include "core/measure.hpp"
-#include "core/selection.hpp"
 #include "net/cluster.hpp"
 #include "perturb/perturb.hpp"
 #include "simmpi/machine.hpp"
@@ -364,7 +364,7 @@ TEST(PerturbTuner, TunerSweepsUnderAPerturbSpec) {
   // The tuner threads MeasureOptions through: tuning under noise picks a
   // configuration from perturbed measurements without error.
   const auto opt = perturbed_opt("jitter=uniform:frac=0.2;seed=2");
-  const auto table = core::SelectionTable::tune(
+  const auto table = adapt::AdaptiveTable::tune(
       CollKind::allreduce, net::test_cluster(4), 4, 4, {1024, 16384}, opt);
   EXPECT_FALSE(table.serialize().empty());
 }

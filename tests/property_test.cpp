@@ -31,7 +31,7 @@ using simmpi::Dtype;
 using simmpi::ReduceOp;
 
 struct Scenario {
-  Algorithm algo;
+  const char* algo;  // registered allreduce name
   int nodes;
   int ppn;
   std::size_t count;
@@ -43,13 +43,11 @@ struct Scenario {
 
 Scenario random_scenario(std::uint64_t seed) {
   util::SplitMix64 rng(seed);
-  const Algorithm algos[] = {
-      Algorithm::recursive_doubling, Algorithm::reduce_scatter_allgather,
-      Algorithm::ring,               Algorithm::binomial,
-      Algorithm::gather_bcast,       Algorithm::single_leader,
-      Algorithm::dpml,               Algorithm::sharp_node_leader,
-      Algorithm::sharp_socket_leader, Algorithm::mvapich2,
-      Algorithm::intelmpi,           Algorithm::dpml_auto,
+  const char* const algos[] = {
+      "rd",       "rsa",         "ring",
+      "binomial", "gather-bcast", "single-leader",
+      "dpml",     "sharp-node-leader", "sharp-socket-leader",
+      "mvapich2", "intelmpi",    "dpml-auto",
   };
   const Dtype dtypes[] = {Dtype::f32, Dtype::f64, Dtype::i32, Dtype::i64,
                           Dtype::u8};
@@ -83,7 +81,7 @@ class RandomScenario : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomScenario, ExactAndDeterministic) {
   const Scenario s = random_scenario(GetParam());
-  AllreduceSpec spec;
+  CollSpec spec;
   spec.algo = s.algo;
   spec.leaders = s.leaders;
   spec.pipeline_k = s.pipeline_k;
@@ -95,16 +93,16 @@ TEST_P(RandomScenario, ExactAndDeterministic) {
   opt.op = s.op;
   opt.seed = GetParam();
   auto cfg = net::test_cluster(s.nodes);
-  const auto a = measure_allreduce(cfg, s.nodes, s.ppn,
-                                   s.count * simmpi::dtype_size(s.dt), spec,
-                                   opt);
+  const auto a = measure_collective(CollKind::allreduce, cfg, s.nodes, s.ppn,
+                                    s.count * simmpi::dtype_size(s.dt), spec,
+                                    opt);
   EXPECT_TRUE(a.verified)
-      << algorithm_name(s.algo) << " " << s.nodes << "x" << s.ppn << " n="
+      << s.algo << " " << s.nodes << "x" << s.ppn << " n="
       << s.count << " " << simmpi::dtype_name(s.dt) << " "
       << simmpi::op_name(s.op) << " l=" << s.leaders << " k=" << s.pipeline_k;
-  const auto b = measure_allreduce(cfg, s.nodes, s.ppn,
-                                   s.count * simmpi::dtype_size(s.dt), spec,
-                                   opt);
+  const auto b = measure_collective(CollKind::allreduce, cfg, s.nodes, s.ppn,
+                                    s.count * simmpi::dtype_size(s.dt), spec,
+                                    opt);
   EXPECT_EQ(a.avg_us, b.avg_us) << "nondeterministic simulated time";
   EXPECT_EQ(a.events, b.events);
 }
@@ -256,16 +254,11 @@ WorkloadDigest run_workload(const Workload& w, std::uint64_t seed) {
   ropt.check_level = check::CheckLevel::strict;
   simmpi::Machine m(cfg, w.nodes, w.ppn, ropt);
 
-  const auto& d = coll::CollRegistry::instance().at(coll::CollKind::allreduce,
-                                                    w.algo);
   coll::CollSpec spec;
   spec.algo = w.algo;
   spec.leaders = w.leaders;
   std::optional<sharp::SharpFabric> fabric;
-  if (d.caps.needs_fabric || w.algo == "dpml-auto") {
-    fabric.emplace(m);
-    spec.fabric = &*fabric;
-  }
+  attach_fabric(m, CollKind::allreduce, spec, fabric);
 
   const int world = w.nodes * w.ppn;
   const std::size_t esize = simmpi::dtype_size(w.dt);

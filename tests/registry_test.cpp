@@ -8,11 +8,11 @@
 #include <string>
 #include <vector>
 
+#include "adapt/adapt.hpp"
 #include "coll/alltoall.hpp"
 #include "coll/bcast.hpp"
 #include "coll/reduce.hpp"
 #include "coll/registry.hpp"
-#include "core/selection.hpp"
 #include "net/cluster.hpp"
 #include "simmpi/machine.hpp"
 
@@ -89,7 +89,7 @@ TEST(Registry, UnknownNameErrorListsRegisteredNames) {
 
 TEST(Registry, AlgorithmByNameErrorListsValidNames) {
   try {
-    core::algorithm_by_name("not-an-algo");
+    CollRegistry::instance().at(CollKind::allreduce, "not-an-algo");
     FAIL() << "expected InvariantError";
   } catch (const util::InvariantError& e) {
     const std::string what = e.what();
@@ -111,7 +111,7 @@ TEST(Registry, RejectsDuplicateRegistration) {
 // Equivalence: the registry path must charge exactly the same simulated
 // time as invoking the src/coll coroutine directly.
 
-sim::Time direct_allreduce_time(core::Algorithm algo, int leaders, int k) {
+sim::Time direct_allreduce_time(const std::string& name, int leaders, int k) {
   simmpi::RunOptions opt;
   opt.with_data = false;
   Machine m(net::test_cluster(4), 4, 4, opt);
@@ -121,40 +121,27 @@ sim::Time direct_allreduce_time(core::Algorithm algo, int leaders, int k) {
     a.comm = &m.world();
     a.count = 4096;
     a.inplace = true;
-    switch (algo) {
-      case core::Algorithm::recursive_doubling:
-        co_await coll::allreduce_recursive_doubling(a);
-        break;
-      case core::Algorithm::reduce_scatter_allgather:
-        co_await coll::allreduce_reduce_scatter_allgather(a);
-        break;
-      case core::Algorithm::ring:
-        co_await coll::allreduce_ring(a);
-        break;
-      case core::Algorithm::binomial:
-        co_await coll::allreduce_binomial(a);
-        break;
-      case core::Algorithm::gather_bcast:
-        co_await coll::allreduce_gather_bcast(a);
-        break;
-      case core::Algorithm::single_leader:
-        co_await coll::allreduce_single_leader(a, coll::InterAlgo::automatic);
-        break;
-      case core::Algorithm::dpml: {
-        coll::DpmlParams p;
-        p.leaders = leaders;
-        p.pipeline_k = k;
-        co_await coll::allreduce_dpml(a, p);
-        break;
-      }
-      case core::Algorithm::mvapich2:
-        co_await coll::allreduce_mvapich2(a);
-        break;
-      case core::Algorithm::intelmpi:
-        co_await coll::allreduce_intelmpi(a);
-        break;
-      default:
-        break;
+    if (name == "rd") {
+      co_await coll::allreduce_recursive_doubling(a);
+    } else if (name == "rsa") {
+      co_await coll::allreduce_reduce_scatter_allgather(a);
+    } else if (name == "ring") {
+      co_await coll::allreduce_ring(a);
+    } else if (name == "binomial") {
+      co_await coll::allreduce_binomial(a);
+    } else if (name == "gather-bcast") {
+      co_await coll::allreduce_gather_bcast(a);
+    } else if (name == "single-leader") {
+      co_await coll::allreduce_single_leader(a, coll::InterAlgo::automatic);
+    } else if (name == "dpml") {
+      coll::DpmlParams p;
+      p.leaders = leaders;
+      p.pipeline_k = k;
+      co_await coll::allreduce_dpml(a, p);
+    } else if (name == "mvapich2") {
+      co_await coll::allreduce_mvapich2(a);
+    } else if (name == "intelmpi") {
+      co_await coll::allreduce_intelmpi(a);
     }
   });
   return m.now();
@@ -182,59 +169,56 @@ sim::Time registry_allreduce_time(const std::string& name, int leaders,
 
 TEST(Equivalence, RegistryPathMatchesDirectInvocationExactly) {
   struct Case {
-    core::Algorithm algo;
     const char* name;
     int leaders;
     int k;
   };
   const Case cases[] = {
-      {core::Algorithm::recursive_doubling, "rd", 1, 1},
-      {core::Algorithm::reduce_scatter_allgather, "rsa", 1, 1},
-      {core::Algorithm::ring, "ring", 1, 1},
-      {core::Algorithm::binomial, "binomial", 1, 1},
-      {core::Algorithm::gather_bcast, "gather-bcast", 1, 1},
-      {core::Algorithm::single_leader, "single-leader", 1, 1},
-      {core::Algorithm::dpml, "dpml", 2, 1},
-      {core::Algorithm::dpml, "dpml", 4, 2},
-      {core::Algorithm::mvapich2, "mvapich2", 1, 1},
-      {core::Algorithm::intelmpi, "intelmpi", 1, 1},
+      {"rd", 1, 1},
+      {"rsa", 1, 1},
+      {"ring", 1, 1},
+      {"binomial", 1, 1},
+      {"gather-bcast", 1, 1},
+      {"single-leader", 1, 1},
+      {"dpml", 2, 1},
+      {"dpml", 4, 2},
+      {"mvapich2", 1, 1},
+      {"intelmpi", 1, 1},
   };
   for (const Case& c : cases) {
-    EXPECT_EQ(direct_allreduce_time(c.algo, c.leaders, c.k),
+    EXPECT_EQ(direct_allreduce_time(c.name, c.leaders, c.k),
               registry_allreduce_time(c.name, c.leaders, c.k))
         << c.name << " l=" << c.leaders << " k=" << c.k;
   }
 }
 
 TEST(Equivalence, RunAllreduceShimMatchesGenericEntry) {
-  for (core::Algorithm algo :
-       {core::Algorithm::recursive_doubling, core::Algorithm::dpml,
-        core::Algorithm::mvapich2, core::Algorithm::dpml_auto}) {
-    auto run = [&](bool generic) {
+  // dpml-auto dispatched by name is bit-identical to the spec it resolves
+  // to on a 4x4 machine with no SharpFabric attached: dpml with one leader
+  // up to 1 KiB, four up to 8 KiB, then eight clamped to ppn = 4.
+  struct Case {
+    std::size_t count;  // f32 elements
+    int leaders;
+  };
+  for (const Case c : {Case{64, 1}, Case{1024, 4}, Case{4096, 4}}) {
+    auto run = [&](const char* algo, int leaders) {
       simmpi::RunOptions opt;
       opt.with_data = false;
       Machine m(net::test_cluster(4), 4, 4, opt);
-      core::AllreduceSpec spec;
+      CollSpec spec;
       spec.algo = algo;
-      spec.leaders = 2;
+      spec.leaders = leaders;
       m.run([&](Rank& r) -> sim::CoTask<void> {
         coll::CollArgs a;
         a.rank = &r;
         a.comm = &m.world();
-        a.count = 1024;
+        a.count = c.count;
         a.inplace = true;
-        if (generic) {
-          // Named spec, not a temporary: gcc 12 double-destroys extra
-          // temporaries in a co_await full expression (await-temporary).
-          const core::CollSpec gspec = core::to_generic(spec);
-          co_await core::run_collective(core::CollKind::allreduce, a, gspec);
-        } else {
-          co_await core::run_allreduce(a, spec);
-        }
+        co_await core::run_collective(CollKind::allreduce, a, spec);
       });
       return m.now();
     };
-    EXPECT_EQ(run(false), run(true)) << core::algorithm_name(algo);
+    EXPECT_EQ(run("dpml-auto", 2), run("dpml", c.leaders)) << c.count;
   }
 }
 
@@ -416,14 +400,15 @@ TEST(SelectionRegistry, LegacyAllreduceTablesParseUnchanged) {
       "<=8192   dpml 4\n"
       "<=65536  dpml 8\n"
       "*        dpml 16 4\n";
-  const auto t = core::SelectionTable::parse(legacy);
+  const auto t = adapt::AdaptiveTable::parse(legacy);
   ASSERT_EQ(t.entries().size(), 4u);
   for (const auto& e : t.entries()) {
     EXPECT_EQ(e.kind, CollKind::allreduce);
+    EXPECT_EQ(e.level, 0);
   }
-  EXPECT_EQ(t.select(100).algo, core::Algorithm::sharp_socket_leader);
-  EXPECT_EQ(t.select(5000).leaders, 4);
-  EXPECT_EQ(t.select(1 << 20).pipeline_k, 4);
+  EXPECT_EQ(t.level0(CollKind::allreduce, 100).algo, "sharp-socket-leader");
+  EXPECT_EQ(t.level0(CollKind::allreduce, 5000).leaders, 4);
+  EXPECT_EQ(t.level0(CollKind::allreduce, 1 << 20).pipeline_k, 4);
 }
 
 TEST(SelectionRegistry, OpQualifiedTablesRoundTrip) {
@@ -435,44 +420,60 @@ TEST(SelectionRegistry, OpQualifiedTablesRoundTrip) {
       "bcast  <=8192  binomial\n"
       "bcast  *       scatter-allgather\n"
       "alltoall *     pairwise\n";
-  const auto t = core::SelectionTable::parse(text);
+  const auto t = adapt::AdaptiveTable::parse(text);
   ASSERT_EQ(t.entries().size(), 7u);
-  EXPECT_TRUE(t.has_kind(CollKind::reduce));
-  EXPECT_TRUE(t.has_kind(CollKind::alltoall));
-  EXPECT_EQ(t.select(CollKind::reduce, 1024).algo, "binomial");
-  EXPECT_EQ(t.select(CollKind::reduce, 1 << 20).algo, "dpml");
-  EXPECT_EQ(t.select(CollKind::reduce, 1 << 20).leaders, 8);
-  EXPECT_EQ(t.select(CollKind::bcast, 1 << 20).algo, "scatter-allgather");
-  EXPECT_EQ(t.select(CollKind::alltoall, 64).algo, "pairwise");
-  EXPECT_EQ(t.select(4096).algo, core::Algorithm::dpml);
+  EXPECT_NE(t.select(CollKind::reduce, 0, 0), nullptr);
+  EXPECT_NE(t.select(CollKind::alltoall, 0, 0), nullptr);
+  EXPECT_EQ(t.level0(CollKind::reduce, 1024).algo, "binomial");
+  EXPECT_EQ(t.level0(CollKind::reduce, 1 << 20).algo, "dpml");
+  EXPECT_EQ(t.level0(CollKind::reduce, 1 << 20).leaders, 8);
+  EXPECT_EQ(t.level0(CollKind::bcast, 1 << 20).algo, "scatter-allgather");
+  EXPECT_EQ(t.level0(CollKind::alltoall, 64).algo, "pairwise");
+  EXPECT_EQ(t.level0(CollKind::allreduce, 4096).algo, "dpml");
 
   // Serialize -> parse -> serialize is a fixed point.
   const std::string once = t.serialize();
-  const auto t2 = core::SelectionTable::parse(once);
+  const auto t2 = adapt::AdaptiveTable::parse(once);
   EXPECT_EQ(t2.serialize(), once);
   ASSERT_EQ(t2.entries().size(), t.entries().size());
-  EXPECT_EQ(t2.select(CollKind::reduce, 1 << 20).leaders, 8);
+  EXPECT_EQ(t2.level0(CollKind::reduce, 1 << 20).leaders, 8);
 }
 
 TEST(SelectionRegistry, PerKindValidation) {
+  using adapt::AdaptiveTable;
   // Missing catch-all for the reduce entries.
-  EXPECT_THROW(core::SelectionTable::parse("* dpml 4 1\nreduce <=100 binomial\n"),
+  EXPECT_THROW(AdaptiveTable::parse("* dpml 4 1\nreduce <=100 binomial\n"),
                util::InvariantError);
   // Descending thresholds within a kind.
-  EXPECT_THROW(core::SelectionTable::parse(
+  EXPECT_THROW(AdaptiveTable::parse(
                    "reduce <=200 binomial\nreduce <=100 binomial\n"
                    "reduce * dpml 8 1\n* dpml 4 1\n"),
                util::InvariantError);
   // Unknown algorithm for the qualified kind, even if valid for another.
-  EXPECT_THROW(core::SelectionTable::parse("bcast * rd\n"),
-               util::InvariantError);
-  // Selecting a kind with no entries.
-  const auto t = core::SelectionTable::parse("* dpml 4 1\n");
-  EXPECT_THROW(t.select(CollKind::bcast, 64), util::InvariantError);
+  EXPECT_THROW(AdaptiveTable::parse("bcast * rd\n"), util::InvariantError);
+  // Dispatching a kind the table has no entries for fails naming the kind.
+  const auto t = AdaptiveTable::parse("* dpml 4 1\n");
+  simmpi::RunOptions opt;
+  opt.with_data = false;
+  Machine m(net::test_cluster(2), 2, 2, opt);
+  try {
+    m.run([&](Rank& r) -> sim::CoTask<void> {
+      coll::CollArgs a;
+      a.rank = &r;
+      a.comm = &m.world();
+      a.count = 16;
+      a.inplace = true;
+      co_await adapt::run_collective(CollKind::bcast, a, t);
+    });
+    FAIL() << "expected InvariantError";
+  } catch (const util::InvariantError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("no entries for bcast"), std::string::npos) << what;
+  }
 }
 
 TEST(SelectionRegistry, TableDispatchRunsNonAllreduceKinds) {
-  const auto t = core::SelectionTable::parse(
+  const auto t = adapt::AdaptiveTable::parse(
       "* dpml 2 1\nbcast <=1024 binomial\nbcast * scatter-allgather\n");
   simmpi::RunOptions opt;
   opt.with_data = false;
@@ -483,7 +484,7 @@ TEST(SelectionRegistry, TableDispatchRunsNonAllreduceKinds) {
     a.comm = &m.world();
     a.count = 4096;  // 16KB -> scatter-allgather entry
     a.inplace = true;
-    co_await core::run_collective(CollKind::bcast, a, t);
+    co_await adapt::run_collective(CollKind::bcast, a, t);
   });
   SUCCEED();
 }
@@ -511,15 +512,33 @@ TEST(TunerRegistry, RegistryCandidatesCoverReduceDesigns) {
 }
 
 TEST(TunerRegistry, AllreduceCandidatesMatchLegacyDefaultCandidates) {
-  for (std::size_t bytes : {512ul, 512ul * 1024ul}) {
-    const auto legacy = core::default_candidates(28, true, bytes);
-    const auto generic =
+  // The paper's sweep (§6.4), spelled out: DPML with 1..16 leaders, the
+  // pipelined variants while the per-leader partition is >= 64 KiB, then
+  // both SHArP designs when the message fits their tuning range.
+  struct Cand {
+    const char* algo;
+    int leaders;
+    int k;
+  };
+  const std::vector<Cand> small = {
+      {"dpml", 1, 1}, {"dpml", 2, 1}, {"dpml", 4, 1},
+      {"dpml", 8, 1}, {"dpml", 16, 1}, {"sharp-node-leader", 4, 1},
+      {"sharp-socket-leader", 4, 1}};
+  const std::vector<Cand> large = {
+      {"dpml", 1, 1}, {"dpml", 1, 2}, {"dpml", 1, 4}, {"dpml", 1, 8},
+      {"dpml", 2, 1}, {"dpml", 2, 2}, {"dpml", 2, 4}, {"dpml", 2, 8},
+      {"dpml", 4, 1}, {"dpml", 4, 2}, {"dpml", 4, 4}, {"dpml", 4, 8},
+      {"dpml", 8, 1}, {"dpml", 8, 2}, {"dpml", 8, 4}, {"dpml", 8, 8},
+      {"dpml", 16, 1}};
+  for (const auto& [bytes, want] :
+       {std::pair{512ul, small}, std::pair{512ul * 1024ul, large}}) {
+    const auto got =
         core::registry_candidates(CollKind::allreduce, 28, true, bytes);
-    ASSERT_EQ(legacy.size(), generic.size()) << bytes;
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      EXPECT_EQ(core::algorithm_name(legacy[i].algo), generic[i].algo);
-      EXPECT_EQ(legacy[i].leaders, generic[i].leaders);
-      EXPECT_EQ(legacy[i].pipeline_k, generic[i].pipeline_k);
+    ASSERT_EQ(got.size(), want.size()) << bytes;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].algo, want[i].algo) << bytes << " #" << i;
+      EXPECT_EQ(got[i].leaders, want[i].leaders) << bytes << " #" << i;
+      EXPECT_EQ(got[i].pipeline_k, want[i].k) << bytes << " #" << i;
     }
   }
 }

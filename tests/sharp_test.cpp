@@ -133,19 +133,21 @@ TEST(SharpFabric, OperationOnDestroyedGroupRejected) {
 // Design-level behaviour (paper Figure 8).
 
 double lat(const net::ClusterConfig& cfg, int nodes, int ppn,
-           std::size_t bytes, core::Algorithm algo) {
-  core::AllreduceSpec s;
+           std::size_t bytes, const char* algo) {
+  core::CollSpec s;
   s.algo = algo;
   core::MeasureOptions opt;
   opt.iterations = 3;
   opt.warmup = 1;
-  return core::measure_allreduce(cfg, nodes, ppn, bytes, s, opt).avg_us;
+  return core::measure_collective(core::CollKind::allreduce, cfg, nodes, ppn,
+                                  bytes, s, opt)
+      .avg_us;
 }
 
 TEST(SharpDesigns, BeatHostBasedForSmallMessages) {
   auto cfg = net::cluster_a();
-  const double host = lat(cfg, 16, 1, 16, core::Algorithm::mvapich2);
-  const double sharp = lat(cfg, 16, 1, 16, core::Algorithm::sharp_node_leader);
+  const double host = lat(cfg, 16, 1, 16, "mvapich2");
+  const double sharp = lat(cfg, 16, 1, 16, "sharp-node-leader");
   // Paper: up to 2.5x at ppn=1 for small messages.
   EXPECT_GT(host / sharp, 1.8);
   EXPECT_LT(host / sharp, 4.0);
@@ -153,37 +155,36 @@ TEST(SharpDesigns, BeatHostBasedForSmallMessages) {
 
 TEST(SharpDesigns, HostBasedWinsAtFourKilobytes) {
   auto cfg = net::cluster_a();
-  const double host = lat(cfg, 16, 1, 4096, core::Algorithm::mvapich2);
-  const double sharp = lat(cfg, 16, 1, 4096, core::Algorithm::sharp_node_leader);
+  const double host = lat(cfg, 16, 1, 4096, "mvapich2");
+  const double sharp = lat(cfg, 16, 1, 4096, "sharp-node-leader");
   // Paper: crossover between 2KB and 4KB.
   EXPECT_LT(host, sharp);
 }
 
 TEST(SharpDesigns, SocketLeaderBeatsNodeLeaderAtHighPpn) {
   auto cfg = net::cluster_a();
-  const double node = lat(cfg, 16, 28, 256, core::Algorithm::sharp_node_leader);
-  const double sock =
-      lat(cfg, 16, 28, 256, core::Algorithm::sharp_socket_leader);
+  const double node = lat(cfg, 16, 28, 256, "sharp-node-leader");
+  const double sock = lat(cfg, 16, 28, 256, "sharp-socket-leader");
   // Paper §6.3: socket-leader avoids the cross-socket gather/broadcast.
   EXPECT_LT(sock, node);
 }
 
 TEST(SharpDesigns, DesignsCoincideAtOneProcessPerNode) {
   auto cfg = net::cluster_a();
-  const double node = lat(cfg, 16, 1, 64, core::Algorithm::sharp_node_leader);
-  const double sock =
-      lat(cfg, 16, 1, 64, core::Algorithm::sharp_socket_leader);
+  const double node = lat(cfg, 16, 1, 64, "sharp-node-leader");
+  const double sock = lat(cfg, 16, 1, 64, "sharp-socket-leader");
   EXPECT_DOUBLE_EQ(node, sock);
 }
 
 TEST(SharpDesigns, OversizedPayloadFallsBackToHostPath) {
   auto cfg = net::cluster_a();
   cfg.sharp->max_payload = 1024;
-  core::AllreduceSpec s;
-  s.algo = core::Algorithm::sharp_socket_leader;
+  core::CollSpec s;
+  s.algo = "sharp-socket-leader";
   core::MeasureOptions opt;
   opt.with_data = true;
-  const auto r = core::measure_allreduce(cfg, 4, 4, 8192, s, opt);
+  const auto r = core::measure_collective(core::CollKind::allreduce, cfg, 4, 4,
+                                          8192, s, opt);
   EXPECT_TRUE(r.verified);  // completed via the host-based fallback
 }
 

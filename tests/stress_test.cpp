@@ -82,10 +82,10 @@ TEST(Stress, ManyIterationsReuseSlotsWithoutLeaks) {
       a.comm = &m.world();
       a.count = 256;
       a.inplace = true;
-      core::AllreduceSpec spec;
-      spec.algo = core::Algorithm::dpml;
+      core::CollSpec spec;
+      spec.algo = "dpml";
       spec.leaders = 2;
-      co_await core::run_allreduce(a, spec);
+      co_await core::run_collective(core::CollKind::allreduce, a, spec);
     }
   });
   EXPECT_EQ(m.node(0).live_slots(), 0u);
@@ -97,27 +97,29 @@ TEST(Stress, ManyIterationsReuseSlotsWithoutLeaks) {
 
 TEST(ScaleSmoke, Fig5ShapeRuns) {
   // 1792 ranks (64x28), one large DPML allreduce.
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::dpml;
+  core::CollSpec spec;
+  spec.algo = "dpml";
   spec.leaders = 16;
   core::MeasureOptions opt;
   opt.iterations = 1;
   opt.warmup = 0;
   const auto r =
-      core::measure_allreduce(net::cluster_b(), 64, 28, 512 * 1024, spec, opt);
+      core::measure_collective(core::CollKind::allreduce, net::cluster_b(), 64,
+                               28, 512 * 1024, spec, opt);
   EXPECT_GT(r.avg_us, 100.0);
   EXPECT_LT(r.avg_us, 10000.0);
 }
 
 TEST(ScaleSmoke, Fig10ShapeRuns) {
   // 10,240 ranks (160x64) — the paper's largest experiment.
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::dpml_auto;
+  core::CollSpec spec;
+  spec.algo = "dpml-auto";
   core::MeasureOptions opt;
   opt.iterations = 1;
   opt.warmup = 0;
   const auto r =
-      core::measure_allreduce(net::cluster_d(), 160, 64, 16 * 1024, spec, opt);
+      core::measure_collective(core::CollKind::allreduce, net::cluster_d(), 160,
+                               64, 16 * 1024, spec, opt);
   EXPECT_GT(r.avg_us, 10.0);
   EXPECT_LT(r.avg_us, 5000.0);
   EXPECT_GT(r.events, 100000u);  // genuinely simulated at scale
@@ -125,26 +127,26 @@ TEST(ScaleSmoke, Fig10ShapeRuns) {
 
 TEST(ScaleSmoke, FullClusterBWidth) {
   // All 648 nodes of cluster B at ppn=1 with a flat algorithm.
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::recursive_doubling;
+  core::CollSpec spec;
+  spec.algo = "rd";
   core::MeasureOptions opt;
   opt.iterations = 1;
   opt.warmup = 0;
-  const auto r = core::measure_allreduce(net::cluster_b(), 648, 1, 4096, spec,
-                                         opt);
+  const auto r = core::measure_collective(
+      core::CollKind::allreduce, net::cluster_b(), 648, 1, 4096, spec, opt);
   EXPECT_GT(r.avg_us, 0.0);
 }
 
 TEST(ScaleSmoke, DeterministicAtScale) {
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::mvapich2;
+  core::CollSpec spec;
+  spec.algo = "mvapich2";
   core::MeasureOptions opt;
   opt.iterations = 1;
   opt.warmup = 0;
-  const auto a =
-      core::measure_allreduce(net::cluster_d(), 64, 64, 65536, spec, opt);
-  const auto b =
-      core::measure_allreduce(net::cluster_d(), 64, 64, 65536, spec, opt);
+  const auto a = core::measure_collective(
+      core::CollKind::allreduce, net::cluster_d(), 64, 64, 65536, spec, opt);
+  const auto b = core::measure_collective(
+      core::CollKind::allreduce, net::cluster_d(), 64, 64, 65536, spec, opt);
   EXPECT_EQ(a.avg_us, b.avg_us);
   EXPECT_EQ(a.events, b.events);
 }

@@ -12,15 +12,15 @@ namespace {
 
 void run_one_allreduce(Machine& m) {
   m.run([&](Rank& r) -> sim::CoTask<void> {
-    core::AllreduceSpec spec;
-    spec.algo = core::Algorithm::dpml;
+    core::CollSpec spec;
+    spec.algo = "dpml";
     spec.leaders = 2;
     coll::CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
     a.count = 1024;
     a.inplace = true;
-    co_await core::run_allreduce(a, spec);
+    co_await core::run_collective(core::CollKind::allreduce, a, spec);
   });
 }
 

@@ -7,13 +7,25 @@
 namespace dpml::core {
 namespace {
 
+constexpr CollKind kAllreduce = CollKind::allreduce;
+
+std::vector<CollSpec> candidates(int ppn, bool has_sharp, std::size_t bytes) {
+  return registry_candidates(kAllreduce, ppn, has_sharp, bytes);
+}
+
+bool needs_sharp(const CollSpec& s) {
+  return coll::CollRegistry::instance()
+      .at(kAllreduce, s.algo)
+      .caps.needs_fabric;
+}
+
 TEST(Tuner, CandidatesMatchPaperSweep) {
-  const auto c = default_candidates(28, false, 512 * 1024);
+  const auto c = candidates(28, false, 512 * 1024);
   // Leaders 1,2,4,8,16 plus pipelined variants of the larger counts.
   int plain = 0;
   int piped = 0;
   for (const auto& s : c) {
-    EXPECT_EQ(s.algo, Algorithm::dpml);
+    EXPECT_EQ(s.algo, "dpml");
     if (s.pipeline_k == 1) {
       ++plain;
     } else {
@@ -25,7 +37,7 @@ TEST(Tuner, CandidatesMatchPaperSweep) {
 }
 
 TEST(Tuner, CandidatesClampAndDeduplicate) {
-  const auto c = default_candidates(4, false, 1024);
+  const auto c = candidates(4, false, 1024);
   int count = 0;
   for (const auto& s : c) {
     EXPECT_LE(s.leaders, 4);
@@ -35,13 +47,13 @@ TEST(Tuner, CandidatesClampAndDeduplicate) {
 }
 
 TEST(Tuner, IncludesSharpForSmallMessagesOnly) {
-  const auto small = default_candidates(28, true, 256);
+  const auto small = candidates(28, true, 256);
   bool has_sharp = false;
-  for (const auto& s : small) has_sharp |= needs_fabric(s.algo);
+  for (const auto& s : small) has_sharp |= needs_sharp(s);
   EXPECT_TRUE(has_sharp);
 
-  const auto large = default_candidates(28, true, 1 << 20);
-  for (const auto& s : large) EXPECT_FALSE(needs_fabric(s.algo));
+  const auto large = candidates(28, true, 1 << 20);
+  for (const auto& s : large) EXPECT_FALSE(needs_sharp(s));
 }
 
 TEST(Tuner, PicksManyLeadersForLargeMessages) {
@@ -49,8 +61,8 @@ TEST(Tuner, PicksManyLeadersForLargeMessages) {
   MeasureOptions opt;
   opt.iterations = 2;
   opt.warmup = 1;
-  const auto r = tune_allreduce(cfg, 8, 28, 512 * 1024, opt);
-  EXPECT_EQ(r.best.spec.algo, Algorithm::dpml);
+  const auto r = tune_collective(kAllreduce, cfg, 8, 28, 512 * 1024, opt);
+  EXPECT_EQ(r.best.spec.algo, "dpml");
   EXPECT_GE(r.best.spec.leaders, 8);
   // Results are sorted fastest-first.
   for (std::size_t i = 1; i < r.all.size(); ++i) {
@@ -63,8 +75,8 @@ TEST(Tuner, PicksFewLeadersForTinyMessages) {
   MeasureOptions opt;
   opt.iterations = 2;
   opt.warmup = 1;
-  const auto r = tune_allreduce(cfg, 8, 28, 16, opt);
-  if (r.best.spec.algo == Algorithm::dpml) {
+  const auto r = tune_collective(kAllreduce, cfg, 8, 28, 16, opt);
+  if (r.best.spec.algo == "dpml") {
     EXPECT_LE(r.best.spec.leaders, 2);
   }
 }
@@ -74,8 +86,8 @@ TEST(Tuner, PicksSharpForSmallMessagesOnClusterA) {
   MeasureOptions opt;
   opt.iterations = 2;
   opt.warmup = 1;
-  const auto r = tune_allreduce(cfg, 8, 28, 64, opt);
-  EXPECT_TRUE(needs_fabric(r.best.spec.algo));
+  const auto r = tune_collective(kAllreduce, cfg, 8, 28, 64, opt);
+  EXPECT_TRUE(needs_sharp(r.best.spec));
 }
 
 TEST(Tuner, SkipsSharpCandidatesOnFabriclessCluster) {
@@ -84,15 +96,16 @@ TEST(Tuner, SkipsSharpCandidatesOnFabriclessCluster) {
   opt.iterations = 2;
   opt.warmup = 1;
   // Force SHArP candidates into the set; tuner must skip them.
-  auto cands = default_candidates(28, true, 64);
-  const auto r = tune_allreduce(cfg, 4, 28, 64, cands, opt);
-  EXPECT_FALSE(needs_fabric(r.best.spec.algo));
+  auto cands = candidates(28, true, 64);
+  const auto r = tune_collective(kAllreduce, cfg, 4, 28, 64, cands, opt);
+  EXPECT_FALSE(needs_sharp(r.best.spec));
 }
 
 TEST(Tuner, EmptyCandidateSetThrows) {
   auto cfg = net::cluster_b();
-  EXPECT_THROW(tune_allreduce(cfg, 2, 2, 64, std::vector<AllreduceSpec>{}, {}),
-               util::InvariantError);
+  EXPECT_THROW(
+      tune_collective(kAllreduce, cfg, 2, 2, 64, std::vector<CollSpec>{}, {}),
+      util::InvariantError);
 }
 
 }  // namespace

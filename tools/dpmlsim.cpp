@@ -32,7 +32,6 @@
 #include "apps/dl.hpp"
 #include "apps/replay.hpp"
 #include "core/executor.hpp"
-#include "core/selection.hpp"
 #include "fabric/fabric.hpp"
 #include "mc/explore.hpp"
 #include "mc/probes.hpp"
@@ -364,8 +363,9 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   spec.pipeline_k = static_cast<int>(args.get_int("pipeline", 1));
   // Fail fast on unknown names (the error lists the registered ones).
   coll::CollRegistry::instance().at(kind, spec.algo);
-  // --table FILE: dispatch through a tuned selection table instead.
-  std::optional<core::SelectionTable> table;
+  // --table FILE: dispatch through a tuned selection table instead (its
+  // level-0 entries; see adapt::AdaptiveTable).
+  std::optional<adapt::AdaptiveTable> table;
   const std::string table_path = args.get("table");
   if (!table_path.empty()) {
     std::ifstream is(table_path);
@@ -375,7 +375,7 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
     }
     std::stringstream ss;
     ss << is.rdbuf();
-    table = core::SelectionTable::parse(ss.str());
+    table = adapt::AdaptiveTable::parse(ss.str());
   }
   const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
   const core::MeasureOptions opt = measure_opts(args);
@@ -400,7 +400,8 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   PerfAgg agg;
   agg.data_mode = sim::data_mode_name(opt.data_mode);
   for (std::size_t bytes : sizes) {
-    const core::CollSpec used = table ? table->select(kind, bytes) : spec;
+    const core::CollSpec used =
+        table ? table->level0(kind, bytes, cfg.has_sharp()) : spec;
     const auto r =
         core::measure_collective(kind, cfg, nodes, ppn, bytes, used, opt);
     t.row()
@@ -505,11 +506,11 @@ int cmd_sweep(const util::Args& args, const net::ClusterConfig& cfg,
   for (std::size_t bytes : sizes) {
     t.row().cell(util::format_bytes(bytes));
     for (int l : {1, 2, 4, 8, 16}) {
-      core::AllreduceSpec spec;
-      spec.algo = core::Algorithm::dpml;
+      core::CollSpec spec;
+      spec.algo = "dpml";
       spec.leaders = l;
-      t.cell(core::measure_allreduce(cfg, nodes, ppn, bytes, spec,
-                                     measure_opts(args))
+      t.cell(core::measure_collective(core::CollKind::allreduce, cfg, nodes,
+                                      ppn, bytes, spec, measure_opts(args))
                  .avg_us,
              2);
     }
@@ -523,7 +524,7 @@ int cmd_sweep(const util::Args& args, const net::ClusterConfig& cfg,
 int cmd_tune(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
              int ppn) {
   const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
-  const auto table = core::SelectionTable::tune(
+  const auto table = adapt::AdaptiveTable::tune(
       collective_kind(args), cfg, nodes, ppn, sizes, measure_opts(args));
   const std::string out = args.get("out");
   if (!out.empty()) {
@@ -603,17 +604,25 @@ int cmd_fit(const net::ClusterConfig& cfg) {
   return 0;
 }
 
+// --algo of the allreduce-driven application subcommands: any registered
+// allreduce algorithm (an unknown name fails listing the registered ones).
+std::string app_algo(const util::Args& args, const char* fallback) {
+  return coll::CollRegistry::instance()
+      .at(core::CollKind::allreduce, args.get("algo", fallback))
+      .name;
+}
+
 int cmd_hpcg(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
              int ppn) {
   apps::HpcgOptions o;
   o.nodes = nodes;
   o.ppn = ppn;
   o.iterations = static_cast<int>(args.get_int("iterations", 25));
-  o.spec.algo = core::algorithm_by_name(args.get("algo", "mvapich2"));
+  o.spec.algo = app_algo(args, "mvapich2");
   const auto r = apps::run_hpcg(cfg, o);
   std::cout << "HPCG on cluster " << cfg.name << ", " << nodes * ppn
             << " ranks, " << o.iterations << " iterations with "
-            << core::algorithm_name(o.spec.algo) << ":\n"
+            << o.spec.algo << ":\n"
             << "  DDOT total:  " << util::format_seconds(r.ddot_s) << "\n"
             << "  per DDOT:    " << r.ddot_avg_us << " us\n"
             << "  CG loop:     " << util::format_seconds(r.total_s) << "\n";
@@ -627,7 +636,7 @@ int cmd_stencil(const util::Args& args, const net::ClusterConfig& cfg,
   o.ppn = ppn;
   o.sweeps = static_cast<int>(args.get_int("sweeps", 20));
   o.check_every = static_cast<int>(args.get_int("check-every", 4));
-  o.spec.algo = core::algorithm_by_name(args.get("algo", "dpml-auto"));
+  o.spec.algo = app_algo(args, "dpml-auto");
   const auto r = apps::run_stencil(cfg, o);
   std::cout << "3D stencil on cluster " << cfg.name << ", grid " << r.grid[0]
             << "x" << r.grid[1] << "x" << r.grid[2] << ":\n"
@@ -647,10 +656,10 @@ int cmd_dl(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
   o.buckets = static_cast<int>(args.get_int("buckets", 16));
   o.bucket_bytes = args.get_bytes("bucket", 4 << 20);
   o.overlap = args.get_bool("overlap", true);
-  o.spec.algo = core::algorithm_by_name(args.get("algo", "dpml-auto"));
+  o.spec.algo = app_algo(args, "dpml-auto");
   const auto r = apps::run_dl_training(cfg, o);
   std::cout << "SGD on cluster " << cfg.name << " with "
-            << core::algorithm_name(o.spec.algo)
+            << o.spec.algo
             << (o.overlap ? " (overlapped)" : " (blocking)") << ":\n"
             << "  step time:     " << util::format_seconds(r.step_s) << "\n"
             << "  exposed comm:  " << util::format_seconds(r.exposed_comm_s)
@@ -680,10 +689,10 @@ int cmd_replay(const util::Args& args, const net::ClusterConfig& cfg,
   o.nodes = nodes;
   o.ppn = ppn;
   o.repetitions = static_cast<int>(args.get_int("reps", 1));
-  o.spec.algo = core::algorithm_by_name(args.get("algo", "dpml-auto"));
+  o.spec.algo = app_algo(args, "dpml-auto");
   const auto r = apps::replay_trace(cfg, trace, o);
   std::cout << "replayed " << r.ops << " collective ops on cluster "
-            << cfg.name << " with " << core::algorithm_name(o.spec.algo)
+            << cfg.name << " with " << o.spec.algo
             << ":\n  total: " << util::format_seconds(r.total_s)
             << "\n  in collectives: " << util::format_seconds(r.comm_s)
             << " (" << (r.comm_s / r.total_s) * 100.0 << "%)\n";
@@ -697,11 +706,11 @@ int cmd_miniamr(const util::Args& args, const net::ClusterConfig& cfg,
   o.ppn = ppn;
   o.refine_steps = static_cast<int>(args.get_int("steps", 10));
   o.blocks_per_rank = static_cast<int>(args.get_int("blocks", 32));
-  o.spec.algo = core::algorithm_by_name(args.get("algo", "dpml-auto"));
+  o.spec.algo = app_algo(args, "dpml-auto");
   const auto r = apps::run_miniamr(cfg, o);
   std::cout << "miniAMR on cluster " << cfg.name << ", " << nodes * ppn
             << " ranks, " << o.refine_steps << " steps with "
-            << core::algorithm_name(o.spec.algo) << ":\n"
+            << o.spec.algo << ":\n"
             << "  refinement total: " << util::format_seconds(r.refine_s)
             << "\n  per step:         " << r.per_step_us << " us\n"
             << "  final blocks:     " << r.final_blocks << "\n";
