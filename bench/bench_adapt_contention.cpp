@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
         benchx::register_point(
             "adapt_contention/" + cfg.name + "/" + row.label + "/" +
                 (adapt != 0 ? "adaptive" : "static"),
-            latency, row.label, col, [&c, &cfg, &bf, row, adapt, slot]() {
+            latency, row.label, col, [&c, &cfg, row, adapt, slot]() {
               std::vector<tenant::JobSpec> jobs;
               jobs.push_back(subject_job(c.iterations));
               jobs.push_back(cotenant_job(c.iterations));
@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
               opt.stagger_max_us = 20.0;
               opt.placement = tenant::Placement::round_robin;
               opt.adapt = adapt != 0;
-              if (bf.time_only) opt.data_mode = sim::DataMode::timeonly;
               if (row.bg_load > 0.0) opt.traffic = bg_traffic(row.bg_load);
               if (row.fail) opt.failures = mid_run_failure();
               return subject_makespan(cfg, c.ppn, jobs, opt, slot);

@@ -102,13 +102,10 @@ class SeriesStore {
 // Flags shared by every bench driver but unknown to google-benchmark.
 // strip_common_flags removes them from argv before Initialize sees them:
 //   --smoke        tiny CI shape (driver-interpreted)
-//   --time-only    payload-free data plane (driver-interpreted; simulated
-//                  latencies are bit-identical, host memory/time shrink)
 //   --jobs N       sweep-executor width (also --jobs=N; sets the process
 //                  default, so every measure() call fans its reps out too)
 struct BenchFlags {
   bool smoke = false;
-  bool time_only = false;
 };
 
 inline BenchFlags strip_common_flags(int& argc, char** argv) {
@@ -117,8 +114,6 @@ inline BenchFlags strip_common_flags(int& argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       flags.smoke = true;
-    } else if (std::strcmp(argv[i], "--time-only") == 0) {
-      flags.time_only = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       core::set_default_jobs(std::atoi(argv[++i]));
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
@@ -201,7 +196,7 @@ inline double latency_us(const net::ClusterConfig& cfg, int nodes, int ppn,
 // diffed by scripts/perf_delta.py (entries of BENCH_perf.json).
 inline bool write_perf_json(const std::string& path, const std::string& tool,
                             const std::vector<core::MeasurePerf>& slots,
-                            int points, const std::string& data_mode) {
+                            int points) {
   core::MeasurePerf sum;
   double cb_hits = 0.0, pl_hits = 0.0;
   for (const core::MeasurePerf& p : slots) {
@@ -214,7 +209,6 @@ inline bool write_perf_json(const std::string& path, const std::string& tool,
   if (!os) return false;
   os << "{\n"
      << "  \"tool\": \"" << tool << "\",\n"
-     << "  \"data_mode\": \"" << data_mode << "\",\n"
      << "  \"points\": " << points << ",\n"
      << "  \"jobs\": " << core::default_jobs() << ",\n"
      << "  \"events\": " << sum.events << ",\n"

@@ -4,13 +4,11 @@
 // (KNL + Omni-Path) node/NIC models, extrapolated with net::with_nodes.
 //
 // At these scales payload buffers alone would dwarf host memory, so the
-// sweep runs on the time-only data plane (docs/MODEL.md §10): messages
-// carry only (size, dtype, op-cost) metadata and the simulated latencies
-// are bit-identical to a payload-mode run. Passing --time-only is
-// therefore implied for the full sweep; --smoke keeps a tiny CI shape
-// (64 and 512 nodes, 2 ppn) that honors the flag as given.
+// sweep runs metadata-only (docs/MODEL.md §10): messages carry no payload
+// and the simulated latencies are bit-identical to a payload-mode run.
+// --smoke keeps a tiny CI shape (64 and 512 nodes, 2 ppn).
 //
-// Flags beyond the common bench set (--smoke, --time-only, --jobs N):
+// Flags beyond the common bench set (--smoke, --jobs N):
 //   --perf-json FILE   write aggregate host-perf counters (events/sec,
 //                      peak queue depth, peak RSS, elided payload bytes)
 //                      as JSON — appended to BENCH_perf.json by CI
@@ -54,22 +52,12 @@ std::vector<core::MeasurePerf> perf_slots;
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchx::BenchFlags bf = benchx::strip_common_flags(argc, argv);
+  const benchx::BenchFlags bf = benchx::strip_common_flags(argc, argv);
   const XscaleFlags xf = strip_xscale_flags(argc, argv);
 
-  // The full sweep's top points (262,144 ranks x 16 KB) cannot carry
-  // payload on a workstation; force the time-only plane rather than fail.
-  if (!bf.smoke && !bf.time_only) {
-    std::cerr << "bench_fig10_xscale: extreme-scale sweep runs on the "
-                 "time-only data plane (simulated latencies are "
-                 "bit-identical); enabling --time-only\n";
-    bf.time_only = true;
-  }
-
-  core::MeasureOptions opt;
+  core::MeasureOptions opt;  // metadata-only (with_data = false)
   opt.iterations = 1;
   opt.warmup = 0;
-  if (bf.time_only) opt.data_mode = sim::DataMode::timeonly;
 
   const std::vector<int> node_counts =
       bf.smoke ? std::vector<int>{64, 512}
@@ -104,13 +92,11 @@ int main(int argc, char** argv) {
 
   const int rc = benchx::run_benchmarks(argc, argv);
   store.print("Fig 10x — MPI_Allreduce 16 KB latency (us) vs node count, "
-                  "ppn=" + std::to_string(ppn) + ", dpml-auto, " +
-                  (bf.time_only ? "time-only" : "payload") + " plane",
+                  "ppn=" + std::to_string(ppn) + ", dpml-auto, metadata-only",
               "nodes");
   if (!xf.perf_json.empty()) {
     if (!benchx::write_perf_json(xf.perf_json, "bench_fig10_xscale",
-                                 perf_slots, slot,
-                                 sim::data_mode_name(opt.data_mode))) {
+                                 perf_slots, slot)) {
       std::cerr << "cannot write perf json " << xf.perf_json << "\n";
       return 1;
     }

@@ -185,7 +185,6 @@ int main(int argc, char** argv) {
   tenant::TenantOptions base;
   base.seed = 1;
   base.stagger_max_us = 20.0;
-  if (bf.time_only) base.data_mode = sim::DataMode::timeonly;
 
   // Store 1: probe slowdown vs background (co-tenant) load, one co-tenant
   // job always present. Store 2: probe slowdown vs tenancy configuration.

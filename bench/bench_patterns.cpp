@@ -8,10 +8,9 @@
 // "auto" dispatch. One table (rows = sizes, columns = kinds) prints per
 // cluster, plus CSV.
 //
-// Flags beyond the common bench set (--smoke, --time-only, --jobs N):
+// Flags beyond the common bench set (--smoke, --jobs N):
 //   --data             data mode with bit-exact per-kind verification
-//                      (implied by --smoke unless --time-only; failures fail
-//                      the run)
+//                      (implied by --smoke; failures fail the run)
 //   --perturb SPEC     machine perturbations, e.g. "jitter=lognormal:sigma=0.2"
 //   --fabric[=links]   flow-level congested fabric
 //   --check[=basic|strict]  simcheck MPI-semantics verification
@@ -110,17 +109,7 @@ int main(int argc, char** argv) {
   const PatternFlags pf = strip_pattern_flags(argc, argv);
 
   core::MeasureOptions opt = benchx::default_opts();
-  opt.with_data = (pf.data || bf.smoke) && !bf.time_only;
-  if (bf.time_only) {
-    if (pf.data || !pf.check.empty()) {
-      std::cerr << "bench_patterns: incompatible flags: --time-only with "
-                << (pf.data ? "--data" : "--check")
-                << "; the time-only plane has no payload to verify — drop "
-                   "one of the flags\n";
-      return 1;
-    }
-    opt.data_mode = sim::DataMode::timeonly;
-  }
+  opt.with_data = pf.data || bf.smoke;
   opt.perturb = perturb::PerturbSpec::parse(pf.perturb);
   if (!opt.perturb.empty()) opt.repetitions = 2;
   if (!pf.check.empty()) opt.check = check::check_level_by_name(pf.check);
@@ -181,7 +170,7 @@ int main(int argc, char** argv) {
   }
   if (!pf.perf_json.empty()) {
     if (!benchx::write_perf_json(pf.perf_json, "bench_patterns", perf_slots,
-                                 slot, sim::data_mode_name(opt.data_mode))) {
+                                 slot)) {
       std::cerr << "cannot write perf json " << pf.perf_json << "\n";
       return 1;
     }

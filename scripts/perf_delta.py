@@ -2,8 +2,8 @@
 """Host-perf trajectory tooling for BENCH_perf.json.
 
 BENCH_perf.json is an append-only array of --perf-json snapshots (one or
-more per PR), each tagged by (tool, data_mode, placement, adapt). Two
-commands:
+more per PR), each tagged by (tool, data_mode, placement, adapt); current
+tools emit no data_mode, which reads as "payload". Two commands:
 
   delta  BENCH_perf.json NEW.json [NEW2.json ...]
       Compare each new snapshot against the latest checked-in entry with
@@ -40,8 +40,9 @@ def as_array(doc):
 
 
 def key(entry):
-    # Legacy entries predate the data plane split and were payload-mode.
-    # Tenant snapshots additionally carry placement/adapt: a round-robin
+    # Snapshots without data_mode are payload-plane runs: entries that
+    # predate the time-only plane, and every snapshot since it was removed.
+    # Legacy "timeonly" entries keep their own key. Tenant snapshots additionally carry placement/adapt: a round-robin
     # adaptive run is a different workload from a block static one, so only
     # like-keyed snapshots are comparable.
     return (entry.get("tool", "?"), entry.get("data_mode", "payload"),

@@ -1,5 +1,7 @@
 #include "apps/replay.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -24,8 +26,11 @@ std::vector<TraceOp> parse_trace(const std::string& text) {
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
     std::istringstream ls(line);
-    std::string kind;
-    if (!(ls >> kind)) continue;
+    std::vector<std::string> tok;
+    for (std::string t; ls >> t;) tok.push_back(t);
+    if (tok.empty()) continue;
+    const std::string where = "trace line " + std::to_string(lineno) + ": ";
+    const std::string& kind = tok[0];
     TraceOp op;
     if (kind == "allreduce") {
       op.kind = TraceOp::Kind::allreduce;
@@ -35,16 +40,37 @@ std::vector<TraceOp> parse_trace(const std::string& text) {
       op.kind = TraceOp::Kind::bcast;
     } else if (kind == "barrier") {
       op.kind = TraceOp::Kind::barrier;
-      ls >> op.compute_us;
-      ops.push_back(op);
-      continue;
     } else {
-      DPML_CHECK_MSG(false, "trace line " + std::to_string(lineno) +
-                                ": unknown op '" + kind + "'");
+      DPML_CHECK_MSG(false, where + "unknown op '" + kind + "'");
     }
-    DPML_CHECK_MSG(static_cast<bool>(ls >> op.bytes),
-                   "trace line " + std::to_string(lineno) + ": missing size");
-    ls >> op.compute_us;
+    // Every op but barrier carries a size; all take an optional gap.
+    const bool sized = op.kind != TraceOp::Kind::barrier;
+    const std::size_t gap_at = sized ? 2 : 1;
+    DPML_CHECK_MSG(tok.size() <= gap_at + 1,
+                   where + "unexpected trailing token '" + tok[gap_at + 1] +
+                       "'");
+    if (sized) {
+      DPML_CHECK_MSG(tok.size() >= 2, where + "missing size");
+      const std::string& size = tok[1];
+      const char* last = size.data() + size.size();
+      const auto [end, ec] = std::from_chars(size.data(), last, op.bytes);
+      DPML_CHECK_MSG(end == last && ec == std::errc{},
+                     where + "bad size '" + size +
+                         "' (expected a byte count: digits only)");
+      // The reductions run on f32 elements.
+      DPML_CHECK_MSG(op.kind == TraceOp::Kind::bcast || op.bytes % 4 == 0,
+                     where + kind + " size " + size +
+                         " is not a multiple of the 4-byte f32 element");
+    }
+    if (tok.size() > gap_at) {
+      const std::string& gap = tok[gap_at];
+      const char* last = gap.data() + gap.size();
+      const auto [end, ec] = std::from_chars(gap.data(), last, op.compute_us);
+      DPML_CHECK_MSG(end == last && ec == std::errc{} &&
+                         std::isfinite(op.compute_us) && op.compute_us >= 0,
+                     where + "bad compute gap '" + gap +
+                         "' (expected non-negative microseconds)");
+    }
     ops.push_back(op);
   }
   return ops;

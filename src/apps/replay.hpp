@@ -13,6 +13,8 @@
 //   bcast     <bytes> [compute_us]
 //   barrier   [compute_us]
 // `compute_us` is local work charged before the operation (default 0).
+// Sizes are byte counts (digits only; allreduce/reduce sizes a multiple of
+// the 4-byte f32 element) and gaps non-negative microseconds.
 #pragma once
 
 #include <string>
@@ -30,7 +32,8 @@ struct TraceOp {
   double compute_us = 0.0;
 };
 
-// Parse a trace script. Throws util::InvariantError on malformed lines.
+// Parse a trace script. Throws util::InvariantError on malformed lines,
+// naming the line and the bad field.
 std::vector<TraceOp> parse_trace(const std::string& text);
 
 // A synthetic production-like mix (allreduce-heavy, per the paper's [24]):

@@ -81,10 +81,6 @@ struct CollCaps {
   bool supports_pipelining = false; // honours CollSpec::pipeline_k
   bool world_only = false;          // hierarchical: needs the world comm
   bool tunable = false;             // part of the default tuning sweep
-  // Inspects payload bytes (not just metadata): incompatible with the
-  // time-only data plane, rejected at dispatch. No in-tree design sets this;
-  // it exists for algorithms whose control flow depends on data values.
-  bool needs_payload = false;
   int min_comm_size = 1;
   // Only tuned at or below this payload (e.g. the SHArP designs' useful
   // range); dispatching larger payloads explicitly is still allowed.

@@ -216,13 +216,6 @@ sim::CoTask<void> run_collective(CollKind kind, coll::CollArgs args,
   DPML_CHECK_MSG(args.comm->size() >= d.caps.min_comm_size,
                  d.name + " needs a communicator of at least " +
                      std::to_string(d.caps.min_comm_size) + " ranks");
-  if (d.caps.needs_payload) {
-    DPML_CHECK_MSG(m.data_mode() != sim::DataMode::timeonly,
-                   d.name + " inspects payload bytes (needs_payload) and "
-                   "cannot run on the time-only data plane; run "
-                   "data_mode=payload (drop --time-only) or pick an "
-                   "algorithm without the needs-payload capability");
-  }
 
   CollSpec s = spec;
   // Hierarchical (world_only) designs spawn `leaders` processes per node, so

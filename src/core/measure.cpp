@@ -75,7 +75,7 @@ struct RepOutcome {
   sim::Time imb_wait = 0;
   sim::Time sim_end = 0;  // final simulated time of this machine
   sim::EnginePerf engine_perf;
-  std::uint64_t elided_bytes = 0;  // payload bytes elided (time-only plane)
+  std::uint64_t elided_bytes = 0;  // payload bytes elided (metadata-only)
 };
 
 // One repetition: fresh machine (perturbation seed shifted by `rep`), warmup
@@ -99,7 +99,6 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
   ropt.seed = opt.seed;
   ropt.check_level = opt.check;
   ropt.fabric_level = opt.fabric;
-  ropt.data_mode = opt.data_mode;
   ropt.perturb = opt.perturb;
   ropt.perturb.seed = opt.perturb.seed + static_cast<std::uint64_t>(rep);
   simmpi::Machine machine(cfg, nodes, ppn, ropt);
@@ -333,27 +332,6 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
                  "message size must be a multiple of the datatype size");
   DPML_CHECK(opt.iterations >= 1 && opt.warmup >= 0);
   DPML_CHECK_MSG(opt.repetitions >= 1, "measure needs at least one repetition");
-  // Time-only conflicts fail here, before any Machine is built, so a whole
-  // repetition sweep cannot die halfway through on the same error.
-  if (opt.data_mode == sim::DataMode::timeonly) {
-    DPML_CHECK_MSG(!opt.with_data,
-                   "data verification needs payload buffers: "
-                   "MeasureOptions::with_data conflicts with "
-                   "data_mode=timeonly; clear with_data or run "
-                   "data_mode=payload");
-    DPML_CHECK_MSG(opt.check == check::CheckLevel::off,
-                   "simcheck needs payload spans: MeasureOptions::check=" +
-                       std::string(check::check_level_name(opt.check)) +
-                       " conflicts with data_mode=timeonly; set check=off or "
-                       "run data_mode=payload");
-    const coll::CollDescriptor& desc =
-        coll::CollRegistry::instance().at(kind, spec.algo);
-    DPML_CHECK_MSG(!desc.caps.needs_payload,
-                   desc.name + " inspects payload bytes (needs_payload) and "
-                   "cannot run on the time-only data plane; run "
-                   "data_mode=payload or pick an algorithm without the "
-                   "needs-payload capability");
-  }
 
   MeasureResult res;
 

@@ -48,9 +48,8 @@ struct MeasureOptions {
   // (perturb.seed + rep) committed into its own result slot, so any jobs
   // value produces byte-identical MeasureResults (see docs/MODEL.md §8).
   int jobs = 0;
-  // Data plane for every repetition's machine. `timeonly` elides payload
-  // storage entirely (simulated times stay bit-identical); it conflicts
-  // with with_data and check, which is rejected up front.
+  // Ignored (see sim::DataMode): metadata-only runs are the payload-free
+  // mode.
   sim::DataMode data_mode = sim::DataMode::payload;
   // Ignored (see sim::SchedulerKind): one event queue serves every run.
   sim::SchedulerKind scheduler = sim::SchedulerKind::automatic;
@@ -69,7 +68,7 @@ struct MeasurePerf {
   std::uint64_t peak_live_events = 0;  // queued-event high-water mark (max)
   std::uint64_t peak_queue_depth = 0;  // the same counter (max)
   std::uint64_t peak_rss_kb = 0;       // process peak RSS in KB (host-side)
-  std::uint64_t elided_bytes = 0;      // payload bytes elided (time-only)
+  std::uint64_t elided_bytes = 0;      // payload bytes elided (metadata-only)
   double callback_pool_hit_rate = 0.0; // pooled event records served warm
   double payload_pool_hit_rate = 0.0;  // recycled message payload buffers
   double sim_ms = 0.0;                 // simulated time, summed over reps

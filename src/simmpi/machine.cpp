@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "sim/timeonly.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -204,6 +203,7 @@ Machine::Machine(net::ClusterConfig cfg, int nodes, int ppn, RunOptions opt)
       opt_(opt),
       nodes_used_(nodes),
       ppn_(ppn),
+      data_plane_(engine_, opt.with_data),
       topo_(nodes, cfg_.nodes_per_leaf) {
   DPML_CHECK_MSG(nodes >= 1, "need at least one node");
   DPML_CHECK_MSG(nodes <= cfg_.total_nodes,
@@ -211,31 +211,13 @@ Machine::Machine(net::ClusterConfig cfg, int nodes, int ppn, RunOptions opt)
                      std::to_string(cfg_.total_nodes) + " nodes");
   DPML_CHECK_MSG(ppn >= 1 && ppn <= cfg_.max_ppn(),
                  "ppn out of range for cluster '" + cfg_.name + "'");
-  if (opt_.data_mode == sim::DataMode::timeonly) {
-    DPML_CHECK_MSG(!opt_.with_data,
-                   "time-only runs cannot carry payload data: "
-                   "RunOptions::with_data conflicts with "
-                   "data_mode=timeonly; clear with_data (there are no "
-                   "buffers to fill) or run data_mode=payload");
-    DPML_CHECK_MSG(opt_.check_level == check::CheckLevel::off,
-                   "time-only runs cannot be verified: "
-                   "RunOptions::check_level=" +
-                       std::string(check::check_level_name(opt_.check_level)) +
-                       " conflicts with data_mode=timeonly (simcheck leases "
-                       "need real payload spans); set check_level=off or run "
-                       "data_mode=payload");
-    data_plane_ =
-        std::make_unique<sim::TimeOnlyPlane>(nodes * ppn);
-  } else {
-    data_plane_ = std::make_unique<sim::PayloadPlane>(engine_);
-  }
   // Enforce the preset's declared fabric shape up front: deriving the link
   // plan validates nodes_per_leaf and oversubscription for every cluster,
   // whether or not the flow-level model is enabled for this run.
   (void)fabric::FabricTopo::derive(cfg_, nodes);
   // Pre-size the event pool for the in-flight event population: the
   // measured backlog peaks at 4 events per rank (the paper's Fig. 5/9
-  // sweep on cluster B) and 2 per rank at 8,192 time-only ranks.
+  // sweep on cluster B) and 2 per rank at 8,192 metadata-only ranks.
   engine_.reserve_events(static_cast<std::size_t>(nodes) *
                          static_cast<std::size_t>(ppn) * 4);
   if (opt_.oracle != nullptr) {
@@ -571,19 +553,6 @@ void Machine::run(const std::function<sim::CoTask<void>(Rank&)>& main) {
 // ---------------------------------------------------------------------------
 // Transport
 
-std::vector<std::byte> Machine::capture_payload(int src_world,
-                                                std::size_t bytes, int dtype,
-                                                sim::Time op_cost,
-                                                ConstBytes data) {
-  sim::MsgMeta meta;
-  meta.src = src_world;
-  meta.bytes = bytes;
-  meta.dtype = dtype;
-  meta.op_cost = op_cost;
-  return data_plane_->capture(meta, data.empty() ? nullptr : data.data(),
-                              data.size());
-}
-
 namespace {
 // Shared state between the rendezvous sender continuation and the match-time
 // callback running on the receiver side.
@@ -657,8 +626,7 @@ sim::CoTask<void> Machine::do_send(Rank& sender, int dst_world, int ctx,
     env.src = src_world;
     env.tag = tag;
     env.bytes = bytes;
-    env.data = capture_payload(src_world, bytes, send_dtype,
-                               host.flag_latency, data);
+    env.data = data_plane_.capture(bytes, data);
     env.recv_cost = host.flag_latency;
     env.dtype = send_dtype;
     deliver_at(done + host.flag_latency, std::move(env));
@@ -705,7 +673,7 @@ sim::CoTask<void> Machine::do_send(Rank& sender, int dst_world, int ctx,
     env.src = src_world;
     env.tag = tag;
     env.bytes = bytes;
-    env.data = capture_payload(src_world, bytes, send_dtype, nic.o_recv, data);
+    env.data = data_plane_.capture(bytes, data);
     env.recv_cost = nic.o_recv;
     env.dtype = send_dtype;
     if (fabric_ != nullptr) {
@@ -779,15 +747,14 @@ sim::CoTask<void> Machine::do_send(Rank& sender, int dst_world, int ctx,
   link_mods(lbw, extra);
   auto deliver_payload =
       [this, state,
-       payload = capture_payload(src_world, bytes, send_dtype, nic.o_recv,
-                                 data)](Time rx_done) mutable {
+       payload = data_plane_.capture(bytes, data)](Time rx_done) mutable {
     engine_.schedule_call(rx_done, [this, state,
                                     payload = std::move(payload)]() mutable {
       PostedRecv& pr = *state->pr;
       if (!pr.truncated && !payload.empty() && !pr.out.empty()) {
         std::memcpy(pr.out.data(), payload.data(), payload.size());
       }
-      data_plane_->reclaim(std::move(payload));
+      data_plane_.reclaim(std::move(payload));
       pr.done->post();
     });
   };

@@ -56,9 +56,8 @@ struct RunOptions {
   // payload through the flow-level max-min fair link model, enforcing the
   // cluster's nodes_per_leaf/oversubscription capacities.
   fabric::FabricLevel fabric_level = fabric::FabricLevel::none;
-  // Data plane (sim/dataplane.hpp). `payload` owns real in-flight buffers;
-  // `timeonly` elides them entirely — simulated time is bit-identical, but
-  // with_data and check_level are rejected up front (nothing to verify).
+  // Ignored (see sim::DataMode): metadata-only runs are the payload-free
+  // mode.
   sim::DataMode data_mode = sim::DataMode::payload;
   // Ignored (see sim::SchedulerKind): one event queue serves every run.
   sim::SchedulerKind scheduler = sim::SchedulerKind::automatic;
@@ -227,9 +226,8 @@ class Machine {
   const net::FabricTopology& topology() const { return topo_; }
   const RunOptions& options() const { return opt_; }
   bool with_data() const { return opt_.with_data; }
-  sim::DataMode data_mode() const { return opt_.data_mode; }
-  // The plane owning in-flight payload storage (never null).
-  sim::DataPlane& data_plane() { return *data_plane_; }
+  // The plane owning in-flight payload storage.
+  sim::PayloadPlane& data_plane() { return data_plane_; }
 
   int num_nodes() const { return nodes_used_; }
   int ppn() const { return ppn_; }
@@ -352,7 +350,7 @@ class Machine {
   int nodes_used_;
   int ppn_;
   sim::Engine engine_;
-  std::unique_ptr<sim::DataPlane> data_plane_;
+  sim::PayloadPlane data_plane_;
   net::FabricTopology topo_;
   std::deque<Node> nodes_;
   std::deque<Rank> ranks_;
@@ -392,13 +390,6 @@ class Machine {
   void fabric_send(int src_node, int src_hca, int dst_node, int dst_hca,
                    sim::Time t0, std::size_t bytes, sim::Time extra_latency,
                    std::function<void(sim::Time)> complete);
-
-  // Hand an outgoing payload to the data plane: the payload plane copies it
-  // into a pooled buffer, the time-only plane records the MsgMeta and
-  // returns an empty vector.
-  std::vector<std::byte> capture_payload(int src_world, std::size_t bytes,
-                                         int dtype, sim::Time op_cost,
-                                         ConstBytes data);
 
   // Transport implementation (machine.cpp).
   sim::CoTask<void> do_send(Rank& sender, int dst_world, int ctx, int tag,

@@ -406,7 +406,6 @@ RunOut simulate(const net::ClusterConfig& cfg, int ppn,
   ro.seed = opt.seed;
   ro.perturb = opt.perturb;
   ro.fabric_level = opt.fabric;
-  ro.data_mode = opt.data_mode;
   simmpi::Machine machine(cfg, total_nodes, ppn, ro);
   sim::Engine& engine = machine.engine();
   const bool tracing = shared && !opt.trace_json.empty();

@@ -125,7 +125,7 @@ struct TenantOptions {
   TrafficSpec traffic;             // background flows (shared run only)
   FailSpec failures;               // way failures (shared run only)
   fabric::FabricLevel fabric = fabric::FabricLevel::links;
-  sim::DataMode data_mode = sim::DataMode::payload;
+  sim::DataMode data_mode = sim::DataMode::payload;  // ignored
   sim::SchedulerKind scheduler = sim::SchedulerKind::automatic;  // ignored
   perturb::PerturbSpec perturb;
   bool solo_baseline = true;       // run each job alone for slowdown

@@ -1,10 +1,30 @@
 #include "util/args.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 
 #include "util/error.hpp"
 
 namespace dpml::util {
+
+namespace {
+
+// A non-negative integer written as digits only: no sign, no fraction, no
+// trailing text, no wrap-around. The error names the field (`what`) and the
+// form it expects.
+std::uint64_t parse_digits(const std::string& digits, const std::string& what,
+                           const std::string& form) {
+  std::uint64_t n = 0;
+  const char* last = digits.data() + digits.size();
+  const auto [end, ec] = std::from_chars(digits.data(), last, n);
+  DPML_CHECK_MSG(end == last && ec != std::errc::invalid_argument,
+                 "bad " + what + ": expected " + form);
+  DPML_CHECK_MSG(ec == std::errc{}, "bad " + what + ": does not fit in 64 bits");
+  return n;
+}
+
+}  // namespace
 
 Args::Args(int argc, char** argv) {
   DPML_CHECK(argc >= 1);
@@ -58,18 +78,23 @@ bool Args::get_bool(const std::string& key, bool def) const {
 }
 
 std::size_t Args::parse_bytes(const std::string& text) {
-  DPML_CHECK_MSG(!text.empty(), "empty size");
+  const std::string what = "size '" + text + "'";
   std::size_t mult = 1;
   std::string digits = text;
-  const char suffix =
-      static_cast<char>(std::toupper(static_cast<unsigned char>(text.back())));
-  if (suffix == 'K' || suffix == 'M' || suffix == 'G') {
-    mult = suffix == 'K' ? (1ull << 10)
-                         : suffix == 'M' ? (1ull << 20) : (1ull << 30);
-    digits.pop_back();
+  if (!digits.empty()) {
+    switch (std::toupper(static_cast<unsigned char>(digits.back()))) {
+      case 'K': mult = std::size_t{1} << 10; break;
+      case 'M': mult = std::size_t{1} << 20; break;
+      case 'G': mult = std::size_t{1} << 30; break;
+      default: break;
+    }
+    if (mult != 1) digits.pop_back();
   }
-  DPML_CHECK_MSG(!digits.empty(), "bad size: " + text);
-  return std::stoull(digits) * mult;
+  const std::uint64_t n =
+      parse_digits(digits, what, "digits with an optional K/M/G suffix");
+  DPML_CHECK_MSG(n <= std::numeric_limits<std::size_t>::max() / mult,
+                 "bad " + what + ": does not fit in 64 bits");
+  return static_cast<std::size_t>(n) * mult;
 }
 
 std::size_t Args::get_bytes(const std::string& key, std::size_t def) const {
@@ -93,11 +118,17 @@ std::vector<std::size_t> Args::parse_size_range(const std::string& text) {
                  "size range must be lo:hi[:factor]: " + text);
   const std::size_t lo = parse_bytes(parts[0]);
   const std::size_t hi = parse_bytes(parts[1]);
-  const std::size_t factor =
-      parts.size() == 3 ? std::stoull(parts[2]) : 4;
+  const std::uint64_t factor =
+      parts.size() == 3
+          ? parse_digits(parts[2], "size range factor '" + parts[2] + "'",
+                         "digits")
+          : 4;
   DPML_CHECK_MSG(lo >= 1 && hi >= lo && factor >= 2, "bad size range: " + text);
   std::vector<std::size_t> out;
-  for (std::size_t b = lo; b <= hi; b *= factor) out.push_back(b);
+  for (std::size_t b = lo;; b *= factor) {
+    out.push_back(b);
+    if (b > hi / factor) break;  // the next step passes hi (or would wrap)
+  }
   return out;
 }
 

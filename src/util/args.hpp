@@ -24,11 +24,14 @@ class Args {
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def = false) const;
 
-  // Parse a byte size with optional K/M/G suffix ("64K" -> 65536).
+  // Parse a byte size: digits with an optional K/M/G suffix ("64K" ->
+  // 65536). Anything else ("16KB", "1.5K", "-8") or a size past 64 bits
+  // throws util::InvariantError naming the text.
   static std::size_t parse_bytes(const std::string& text);
   std::size_t get_bytes(const std::string& key, std::size_t def) const;
 
-  // Parse a size range "4:1M[:4]" (lo:hi[:factor]) into a geometric sweep.
+  // Parse a size range "4:1M[:4]" (lo:hi[:factor]) into a geometric sweep;
+  // the factor is digits only and at least 2.
   static std::vector<std::size_t> parse_size_range(const std::string& text);
 
   // Keys that were provided but never queried (typo detection).

@@ -53,6 +53,23 @@ TEST(Args, ParseBytes) {
   EXPECT_EQ(Args::parse_bytes("1G"), 1u << 30);
   EXPECT_THROW(Args::parse_bytes(""), InvariantError);
   EXPECT_THROW(Args::parse_bytes("K"), InvariantError);
+  // Only digits with an optional suffix: no unit tails, fractions, signs or
+  // wrap-around.
+  EXPECT_THROW(Args::parse_bytes("16KB"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("1.5K"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("-8"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("+8"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes(" 8"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("18446744073709551616"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("17179869184G"), InvariantError);
+  EXPECT_EQ(Args::parse_bytes("18446744073709551615"),
+            18446744073709551615ull);
+  try {
+    Args::parse_bytes("16KB");
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("size '16KB'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Args, ParseSizeRange) {
@@ -64,6 +81,13 @@ TEST(Args, ParseSizeRange) {
   ASSERT_EQ(r2.size(), 4u);  // 8, 16, 32, 64
   EXPECT_THROW(Args::parse_size_range("bad"), std::exception);
   EXPECT_THROW(Args::parse_size_range("16:4"), InvariantError);
+  // The factor is digits only and at least 2.
+  EXPECT_THROW(Args::parse_size_range("4:16:-2"), InvariantError);
+  EXPECT_THROW(Args::parse_size_range("4:16:2.5"), InvariantError);
+  EXPECT_THROW(Args::parse_size_range("4:16:1"), InvariantError);
+  EXPECT_THROW(Args::parse_size_range("4:16KB"), InvariantError);
+  const auto r3 = Args::parse_size_range("4:16:2");
+  EXPECT_EQ(r3, (std::vector<std::size_t>{4, 8, 16}));
 }
 
 TEST(Args, UnusedDetection) {

@@ -247,9 +247,8 @@ TEST(LintPayloadPlane, EnginePoolAndPlaneFilesAreTheSanctionedHomes) {
   EXPECT_TRUE(dpml::lint::lint_source("src/sim/engine.cpp", src).empty());
   EXPECT_TRUE(dpml::lint::lint_source("src/sim/pool.hpp", src).empty());
   EXPECT_TRUE(dpml::lint::lint_source("src/sim/dataplane.hpp", src).empty());
-  EXPECT_TRUE(dpml::lint::lint_source("src/sim/timeonly.cpp", src).empty());
   // "sim/" alone is not enough: simmpi transport code must go through the
-  // DataPlane seam.
+  // PayloadPlane seam.
   EXPECT_EQ(
       count_rule(dpml::lint::lint_source("src/simmpi/machine.cpp", src),
                  "payload-plane"),

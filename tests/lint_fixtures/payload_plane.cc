@@ -1,6 +1,6 @@
 // dpmllint fixture: direct Engine::payload_pool() access outside the data
-// plane (sim/dataplane.hpp owns payload capture/release so the time-only
-// plane can elide buffers). Never compiled; scanned by dpmllint_test.
+// plane (sim/dataplane.hpp owns payload capture/release so metadata-only
+// runs can elide buffers). Never compiled; scanned by dpmllint_test.
 #include <cstddef>
 #include <vector>
 

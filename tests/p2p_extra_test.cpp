@@ -145,6 +145,30 @@ TEST(Replay, ParsesTraceFormat) {
   EXPECT_EQ(ops[3].kind, TraceOp::Kind::barrier);
   EXPECT_THROW(parse_trace("frobnicate 8\n"), util::InvariantError);
   EXPECT_THROW(parse_trace("allreduce\n"), util::InvariantError);
+  EXPECT_EQ(parse_trace("bcast 6\n")[0].bytes, 6u);  // bcast moves bytes
+  // Each malformed field fails with its line number and the field named.
+  const auto expect_rejected = [](const std::string& trace,
+                                  const std::string& needle) {
+    try {
+      parse_trace(trace);
+      ADD_FAILURE() << "accepted: " << trace;
+    } catch (const util::InvariantError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("trace line 2: "), std::string::npos) << msg;
+      EXPECT_NE(msg.find(needle), std::string::npos) << msg;
+    }
+  };
+  expect_rejected("barrier\nallreduce -8\n", "bad size '-8'");
+  expect_rejected("barrier\nallreduce 16KB\n", "bad size '16KB'");
+  expect_rejected("barrier\nallreduce 1e3\n", "bad size '1e3'");
+  expect_rejected("barrier\nallreduce 6\n", "size 6 is not a multiple");
+  expect_rejected("barrier\nreduce 10 5\n", "size 10 is not a multiple");
+  expect_rejected("barrier\nallreduce 8 xyz\n", "bad compute gap 'xyz'");
+  expect_rejected("barrier\nallreduce 8 -5\n", "bad compute gap '-5'");
+  expect_rejected("barrier\nbcast 8 nan\n", "bad compute gap 'nan'");
+  expect_rejected("barrier\nbarrier xyz\n", "bad compute gap 'xyz'");
+  expect_rejected("barrier\nallreduce 8 50 7\n", "trailing token '7'");
+  expect_rejected("barrier\nbarrier 3 xyz\n", "trailing token 'xyz'");
 }
 
 TEST(Replay, ExampleTraceRunsUnderAllDesigns) {

@@ -1,26 +1,23 @@
-// Time-only data plane (docs/MODEL.md §10): payload elision must never move
+// Metadata-only runs (docs/MODEL.md §10): eliding payload must never move
 // simulated time. The golden parity suite locks bit-identical results —
-// every registered (kind, algorithm) on the payload plane (with full data
-// verification) versus the time-only plane, on pristine, perturbed, and
-// flow-level-fabric machines. Further suites cover the TimeOnlyPlane
-// contract itself (metadata-only captures, POD rank state, payload bytes
-// rejected), the up-front conflict errors, a randomized property sweep, and
-// executor byte-identity for time-only batches.
+// every registered (kind, algorithm) with payload (and full data
+// verification) versus metadata-only, on pristine, perturbed, and
+// flow-level-fabric machines. Further suites cover the data plane's
+// metadata-only contract (nothing captured, elided bytes counted, payload
+// bytes rejected), a randomized property sweep, and executor byte-identity
+// for metadata-only batches.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <functional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
-#include "check/check.hpp"
 #include "coll/registry.hpp"
 #include "core/executor.hpp"
 #include "core/measure.hpp"
 #include "net/cluster.hpp"
 #include "sim/dataplane.hpp"
-#include "sim/timeonly.hpp"
+#include "simmpi/machine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -72,8 +69,8 @@ MeasureOptions variant_opts(Variant v) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden parity: payload (with full data verification) vs time-only must be
-// bit-identical in simulated time and event count for every registered
+// Golden parity: payload (with full data verification) vs metadata-only must
+// be bit-identical in simulated time and event count for every registered
 // algorithm of every kind, on every machine variant.
 
 class GoldenParity : public ::testing::TestWithParam<Variant> {};
@@ -89,7 +86,6 @@ TEST_P(GoldenParity, EveryKindEveryAlgorithmBitIdentical) {
          coll::CollRegistry::instance().names(kind)) {
       const auto& d = coll::CollRegistry::instance().at(kind, algo);
       if (d.caps.min_comm_size > nodes * ppn) continue;
-      if (d.caps.needs_payload) continue;  // rejected by design, not compared
       for (const std::size_t bytes : {std::size_t{512}, std::size_t{8192}}) {
         if (kind == coll::CollKind::barrier && bytes != 512) continue;
         coll::CollSpec spec;
@@ -98,8 +94,7 @@ TEST_P(GoldenParity, EveryKindEveryAlgorithmBitIdentical) {
 
         MeasureOptions payload = variant_opts(v);
         payload.with_data = true;
-        MeasureOptions timeonly = variant_opts(v);
-        timeonly.data_mode = sim::DataMode::timeonly;
+        const MeasureOptions meta = variant_opts(v);  // with_data = false
 
         const std::string what = std::string(variant_name(v)) + " " +
                                  coll::coll_kind_name(kind) + "/" + algo +
@@ -107,11 +102,11 @@ TEST_P(GoldenParity, EveryKindEveryAlgorithmBitIdentical) {
         const auto p = measure_collective(kind, cfg, nodes, ppn, bytes, spec,
                                           payload);
         const auto t = measure_collective(kind, cfg, nodes, ppn, bytes, spec,
-                                          timeonly);
+                                          meta);
         EXPECT_TRUE(p.verified) << what;
         EXPECT_TRUE(digest(p) == digest(t))
             << what << ": payload avg=" << p.avg_us << " events=" << p.events
-            << " vs time-only avg=" << t.avg_us << " events=" << t.events;
+            << " vs metadata-only avg=" << t.avg_us << " events=" << t.events;
         // Zero-byte messages (barrier) and fabric-offloaded payloads (the
         // SHArP designs) legitimately elide nothing; the aggregate below
         // still proves the counter is wired.
@@ -120,7 +115,7 @@ TEST_P(GoldenParity, EveryKindEveryAlgorithmBitIdentical) {
       }
     }
   }
-  EXPECT_GT(total_elided, 0u) << "no time-only run elided any payload";
+  EXPECT_GT(total_elided, 0u) << "no metadata-only run elided any payload";
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, GoldenParity,
@@ -134,123 +129,51 @@ INSTANTIATE_TEST_SUITE_P(Variants, GoldenParity,
 // ---------------------------------------------------------------------------
 // The plane contract.
 
-TEST(TimeOnlyPlane, RankStateIsCompactPod) {
-  static_assert(std::is_trivially_copyable_v<sim::TimeOnlyRankState>);
-  static_assert(sizeof(sim::TimeOnlyRankState) == 32,
-                "one cache-line holds two rank records");
-}
-
 TEST(TimeOnlyPlane, CapturesMetadataOnly) {
-  sim::TimeOnlyPlane plane(4);
-  sim::MsgMeta meta;
-  meta.src = 2;
-  meta.bytes = 4096;
-  meta.op_cost = 7;
-  const std::vector<std::byte> got = plane.capture(meta, nullptr, 0);
-  EXPECT_TRUE(got.empty());
-  EXPECT_EQ(plane.elided_bytes(), 4096u);
-  EXPECT_EQ(plane.elided_messages(), 1u);
-  EXPECT_EQ(plane.rank_state(2).messages, 1u);
-  EXPECT_EQ(plane.rank_state(2).bytes, 4096u);
-  EXPECT_EQ(plane.rank_state(2).op_cost_total, 7);
-  EXPECT_EQ(plane.rank_state(0).messages, 0u);
-  EXPECT_EQ(plane.recycler(), nullptr);
-  EXPECT_EQ(plane.mode(), sim::DataMode::timeonly);
-  EXPECT_EQ(sim::data_mode_by_name("time-only"), sim::DataMode::timeonly);
-  EXPECT_STREQ(sim::data_mode_name(sim::DataMode::payload), "payload");
+  sim::Engine engine;
+  sim::PayloadPlane meta(engine, /*with_data=*/false);
+  EXPECT_TRUE(meta.capture(4096, {}).empty());
+  EXPECT_TRUE(meta.capture(512, {}).empty());
+  EXPECT_EQ(meta.elided_bytes(), 4608u);
+
+  // A payload machine's plane copies the bytes and elides nothing.
+  sim::PayloadPlane payload(engine, /*with_data=*/true);
+  const std::vector<std::byte> data(8, std::byte{7});
+  std::vector<std::byte> got = payload.capture(data.size(), data);
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(payload.elided_bytes(), 0u);
+  payload.reclaim(std::move(got));
 }
 
 TEST(TimeOnlyPlane, PayloadBytesAreRejected) {
-  sim::TimeOnlyPlane plane(2);
-  sim::MsgMeta meta;
-  meta.src = 0;
-  meta.bytes = 8;
-  const std::byte data[8] = {};
-  try {
-    plane.capture(meta, data, sizeof(data));
-    FAIL() << "payload bytes reached the time-only plane without an error";
-  } catch (const util::InvariantError& e) {
-    EXPECT_NE(std::string(e.what()).find("time-only"), std::string::npos)
-        << e.what();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Conflicts are rejected up front, naming the offending option and a remedy.
-
-void expect_throw_containing(const std::function<void()>& fn,
-                             const std::vector<std::string>& needles) {
-  try {
-    fn();
-    FAIL() << "expected util::InvariantError";
-  } catch (const util::InvariantError& e) {
-    const std::string msg = e.what();
-    for (const std::string& n : needles) {
-      EXPECT_NE(msg.find(n), std::string::npos)
-          << "message '" << msg << "' lacks '" << n << "'";
+  // An inter-node (eager) and an intra-node (shared-memory) send. Both
+  // capture their payload before any receive is needed, so no rank is left
+  // suspended when the send throws.
+  for (const int nodes : {2, 1}) {
+    simmpi::RunOptions ro;
+    ro.with_data = false;
+    simmpi::Machine m(net::test_cluster(2), nodes, 2 / nodes, ro);
+    const std::vector<std::byte> data(8);
+    const std::string what = std::to_string(nodes) + " node(s)";
+    try {
+      m.run([&](simmpi::Rank& r) -> sim::CoTask<void> {
+        if (r.world_rank() == 0) {
+          co_await r.send(m.world(), 1, 0, data.size(), data);
+        }
+      });
+      ADD_FAILURE() << what << ": payload bytes reached a metadata-only "
+                    << "machine without an error";
+    } catch (const util::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("metadata-only"),
+                std::string::npos)
+          << what << ": " << e.what();
     }
   }
 }
 
-TEST(TimeOnlyConflicts, WithDataIsRejectedWithRemedy) {
-  const auto cfg = net::test_cluster(2);
-  coll::CollSpec spec;
-  MeasureOptions opt;
-  opt.data_mode = sim::DataMode::timeonly;
-  opt.with_data = true;
-  expect_throw_containing(
-      [&] {
-        measure_collective(coll::CollKind::allreduce, cfg, 2, 2, 256, spec,
-                           opt);
-      },
-      {"with_data", "data_mode=timeonly", "data_mode=payload"});
-}
-
-TEST(TimeOnlyConflicts, SimcheckIsRejectedWithRemedy) {
-  const auto cfg = net::test_cluster(2);
-  coll::CollSpec spec;
-  MeasureOptions opt;
-  opt.data_mode = sim::DataMode::timeonly;
-  opt.check = check::CheckLevel::strict;
-  expect_throw_containing(
-      [&] {
-        measure_collective(coll::CollKind::allreduce, cfg, 2, 2, 256, spec,
-                           opt);
-      },
-      {"check=strict", "data_mode=timeonly", "check=off"});
-}
-
-TEST(TimeOnlyConflicts, NeedsPayloadAlgorithmIsRejected) {
-  // A synthetic design whose control flow inspects payload values; no
-  // in-tree algorithm sets the flag, so register one just for this test.
-  static const bool registered = [] {
-    coll::CollDescriptor d;
-    d.name = "test-needs-payload";
-    d.kind = coll::CollKind::allreduce;
-    d.caps.needs_payload = true;
-    d.make = [](coll::CollArgs, const coll::CollSpec&) -> sim::CoTask<void> {
-      co_return;
-    };
-    coll::CollRegistry::instance().add(std::move(d));
-    return true;
-  }();
-  ASSERT_TRUE(registered);
-  const auto cfg = net::test_cluster(2);
-  coll::CollSpec spec;
-  spec.algo = "test-needs-payload";
-  MeasureOptions opt;
-  opt.data_mode = sim::DataMode::timeonly;
-  expect_throw_containing(
-      [&] {
-        measure_collective(coll::CollKind::allreduce, cfg, 2, 2, 256, spec,
-                           opt);
-      },
-      {"test-needs-payload", "needs_payload", "data_mode=payload"});
-}
-
 // ---------------------------------------------------------------------------
 // Randomized property: seeded random (kind, algorithm, shape, size, variant)
-// draws must digest identically across the payload/time-only planes.
+// draws must digest identically with payload and metadata-only.
 
 TEST(TimeOnlyProperty, RandomDrawsDigestIdentically) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -260,7 +183,6 @@ TEST(TimeOnlyProperty, RandomDrawsDigestIdentically) {
     const auto algos = coll::CollRegistry::instance().names(kind);
     const std::string algo = algos[rng.next_below(algos.size())];
     const auto& d = coll::CollRegistry::instance().at(kind, algo);
-    if (d.caps.needs_payload) continue;  // the synthetic test-only design
     const int nodes = static_cast<int>(2 + rng.next_below(4));
     int ppn = static_cast<int>(1 + rng.next_below(3));
     while (nodes * ppn < d.caps.min_comm_size) ++ppn;
@@ -274,9 +196,8 @@ TEST(TimeOnlyProperty, RandomDrawsDigestIdentically) {
     MeasureOptions payload = variant_opts(v);
     payload.with_data = true;
     payload.seed = seed;
-    MeasureOptions timeonly = variant_opts(v);
-    timeonly.data_mode = sim::DataMode::timeonly;
-    timeonly.seed = seed;
+    MeasureOptions meta = variant_opts(v);  // with_data = false
+    meta.seed = seed;
 
     const auto cfg = net::test_cluster(nodes);
     const std::string what = "seed " + std::to_string(seed) + ": " +
@@ -288,15 +209,16 @@ TEST(TimeOnlyProperty, RandomDrawsDigestIdentically) {
     const auto p = measure_collective(kind, cfg, nodes, ppn, bytes, spec,
                                       payload);
     const auto t = measure_collective(kind, cfg, nodes, ppn, bytes, spec,
-                                      timeonly);
+                                      meta);
     EXPECT_TRUE(p.verified) << what;
-    EXPECT_TRUE(digest(p) == digest(t)) << what << " (payload vs time-only)";
+    EXPECT_TRUE(digest(p) == digest(t))
+        << what << " (payload vs metadata-only)";
   }
 }
 
 // ---------------------------------------------------------------------------
-// Time-only batches through the sweep executor: any jobs width produces the
-// byte-identical digest vector (docs/MODEL.md §8 extends to the new plane).
+// Metadata-only batches through the sweep executor: any jobs width produces
+// the byte-identical digest vector (docs/MODEL.md §8).
 
 TEST(TimeOnlyExecutor, ByteIdenticalAcrossJobCounts) {
   constexpr std::size_t kBatch = 16;
@@ -313,11 +235,10 @@ TEST(TimeOnlyExecutor, ByteIdenticalAcrossJobCounts) {
       const int nodes = static_cast<int>(2 + rng.next_below(3));
       int ppn = static_cast<int>(1 + rng.next_below(3));
       while (nodes * ppn < d.caps.min_comm_size) ++ppn;
-      MeasureOptions opt;
+      MeasureOptions opt;  // metadata-only (with_data = false)
       opt.iterations = 2;
       opt.warmup = 1;
       opt.seed = seed;
-      if (!d.caps.needs_payload) opt.data_mode = sim::DataMode::timeonly;
       return digest(measure_collective(kind, net::test_cluster(nodes), nodes,
                                        ppn, 4 * (1 + rng.next_below(2048)),
                                        spec, opt));

@@ -629,17 +629,15 @@ void scan_match_order_assumption(const std::string& file,
 // ---------------------------------------------------------------------------
 
 // Payload buffers are owned by the data plane (sim/dataplane.hpp): transport
-// and algorithm code must route captures/releases through DataPlane so the
-// time-only plane can elide them. A direct Engine::payload_pool() call
-// outside the plane implementations bypasses that seam and would silently
-// reintroduce per-message payload storage on time-only runs. The engine/pool
-// internals and the plane implementations themselves are the sanctioned
-// homes for the call.
+// and algorithm code must route captures/releases through PayloadPlane so
+// metadata-only runs elide them. A direct Engine::payload_pool() call
+// outside the plane bypasses that seam and would silently reintroduce
+// per-message payload storage on metadata-only runs. The engine/pool
+// internals and the plane itself are the sanctioned homes for the call.
 void scan_payload_plane(const std::string& file, const std::string& masked,
                         const std::vector<std::size_t>& starts,
                         std::vector<Finding>& out) {
-  for (const char* home : {"sim/engine.", "sim/pool.", "sim/dataplane.",
-                           "sim/timeonly."}) {
+  for (const char* home : {"sim/engine.", "sim/pool.", "sim/dataplane."}) {
     if (file.find(home) != std::string::npos) return;
   }
   std::size_t pos = 0;
@@ -651,9 +649,9 @@ void scan_payload_plane(const std::string& file, const std::string& masked,
       out.push_back(
           {file, line_of(starts, pos), "payload-plane",
            "direct Engine::payload_pool() access outside the data plane; "
-           "route payload capture/release through sim::DataPlane "
-           "(Machine::capture_payload / DataPlane::reclaim) so time-only "
-           "runs stay payload-free"});
+           "route payload capture/release through sim::PayloadPlane "
+           "(PayloadPlane::capture / PayloadPlane::reclaim) so "
+           "metadata-only runs stay payload-free"});
     }
     pos += std::string("payload_pool").size();
   }

@@ -39,7 +39,6 @@
 #include "adapt/adapt.hpp"
 #include "perturb/spec.hpp"
 #include "net/cluster.hpp"
-#include "sim/dataplane.hpp"
 #include "tenant/tenant.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -90,11 +89,6 @@ int usage() {
       "                repetitions/points across N host threads; results\n"
       "                are byte-identical to --jobs 1. Default: DPML_JOBS\n"
       "                or 1. See docs/MODEL.md §8)\n"
-      "              --time-only  (payload-free data plane: messages carry\n"
-      "                only size/dtype/op-cost metadata, per-rank state is a\n"
-      "                compact POD record. Simulated times are bit-identical\n"
-      "                to payload mode; --data and --check are rejected.\n"
-      "                Scales to 100k+ ranks. See docs/MODEL.md §10)\n"
       "              --perf  (print host-side perf counters per point:\n"
       "                simulated events/sec, resumes, callbacks, instants,\n"
       "                queue depth, peak RSS, pool hit rates, wall/sim ms;\n"
@@ -167,7 +161,6 @@ int cmd_list_algorithms() {
       if (d->caps.supports_pipelining) flag("pipelining");
       if (d->caps.world_only) flag("world-only");
       if (d->caps.tunable) flag("tunable");
-      if (d->caps.needs_payload) flag("needs-payload");
       if (d->caps.min_comm_size > 1) {
         flag(("min-comm=" + std::to_string(d->caps.min_comm_size)).c_str());
       }
@@ -239,7 +232,6 @@ struct PerfAgg {
   double cb_hits = 0.0;
   double pl_hits = 0.0;
   int rows = 0;
-  std::string data_mode = "payload";
   // Fabric metadata (--fabric runs): machine-diffable alongside the
   // human-readable max-link-util column.
   bool fabric = false;
@@ -283,7 +275,6 @@ struct PerfAgg {
     if (!os) return false;
     os << "{\n"
        << "  \"tool\": \"" << tool << "\",\n"
-       << "  \"data_mode\": \"" << data_mode << "\",\n"
        << "  \"points\": " << rows << ",\n"
        << "  \"jobs\": " << core::default_jobs() << ",\n"
        << "  \"events\": " << events << ",\n"
@@ -334,22 +325,6 @@ core::MeasureOptions measure_opts(const util::Args& args) {
                      ? fabric::FabricLevel::links
                      : fabric::fabric_level_by_name(level);
   }
-  if (args.get_bool("time-only", false)) {
-    // Conflicts fail here with the offending flags and the remedy spelled
-    // out, before any machine is built.
-    DPML_CHECK_MSG(!opt.with_data,
-                   "incompatible flags: --time-only --data. The time-only "
-                   "data plane elides payload bytes, so there are no buffers "
-                   "to fill or verify; drop --data (simulated times are "
-                   "bit-identical) or drop --time-only");
-    DPML_CHECK_MSG(opt.check == check::CheckLevel::off,
-                   "incompatible flags: --time-only --check " +
-                       std::string(check::check_level_name(opt.check)) +
-                       ". simcheck verification needs real payload spans; "
-                       "drop --check (simulated times are bit-identical) or "
-                       "drop --time-only");
-    opt.data_mode = sim::DataMode::timeonly;
-  }
   return opt;
 }
 
@@ -398,7 +373,6 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   // Host-side perf aggregates across the whole size sweep (--perf and/or
   // --perf-json).
   PerfAgg agg;
-  agg.data_mode = sim::data_mode_name(opt.data_mode);
   for (std::size_t bytes : sizes) {
     const core::CollSpec used =
         table ? table->level0(kind, bytes, cfg.has_sharp()) : spec;
@@ -735,9 +709,6 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
                      ? fabric::FabricLevel::links
                      : fabric::fabric_level_by_name(level);
   }
-  if (args.get_bool("time-only", false)) {
-    opt.data_mode = sim::DataMode::timeonly;
-  }
   if (args.has("bg-traffic")) {
     const std::string spec = args.get("bg-traffic", "");
     // Bare "--bg-traffic" parses as the boolean "true": uniform defaults.
@@ -899,10 +870,7 @@ int cmd_mc_replay(const std::string& path) {
   return obs.failure_type.empty() ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Args args(argc, argv);
+int run(const util::Args& args) {
   // --jobs N sets the process-wide sweep-executor width: every measure()
   // call fans its repetitions (and sweeps their points) across N threads
   // while staying byte-identical to the serial order (docs/MODEL.md §8).
@@ -952,4 +920,19 @@ int main(int argc, char** argv) {
     std::cerr << "dpmlsim: " << e.what() << "\n";
     return 1;
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const util::Args args(argc, argv);
+  const int rc = run(args);
+  if (rc != 0) return rc;
+  // A flag the command never read is a typo or a retired option: reject it
+  // rather than let the run silently ignore it.
+  const std::vector<std::string> unknown = args.unused();
+  for (const std::string& key : unknown) {
+    std::cerr << "dpmlsim: unknown flag --" << key << "\n";
+  }
+  return unknown.empty() ? 0 : 2;
 }
