@@ -1,94 +1,45 @@
 #include "apps/dl.hpp"
 
-#include <memory>
-#include <optional>
-#include <vector>
-
-#include "util/error.hpp"
+#include "apps/program.hpp"
 
 namespace dpml::apps {
 
-using simmpi::Machine;
-using simmpi::Rank;
-
-namespace {
-
-struct DlShared {
-  explicit DlShared(sim::Engine& e, int parties) : barrier(e, parties) {}
-  sim::Barrier barrier;
-  sim::Time step_total = 0;
-  sim::Time exposed_comm = 0;
-};
-
-sim::CoTask<void> dl_rank(Rank& r, const DlOptions& opt,
-                          const core::CollSpec& spec,
-                          std::shared_ptr<DlShared> sh) {
-  Machine& m = r.machine();
-  const std::size_t count = opt.bucket_bytes / 4;
-
-  for (int step = 0; step < opt.steps; ++step) {
-    co_await sh->barrier.arrive_and_wait();
-    const sim::Time t0 = r.engine().now();
-
-    std::vector<std::shared_ptr<sim::Flag>> pending;
-    pending.reserve(static_cast<std::size_t>(opt.buckets));
-    for (int b = 0; b < opt.buckets; ++b) {
-      // Backprop for this bucket's layers.
-      co_await r.compute(opt.backprop_per_bucket);
-      coll::CollArgs a;
-      a.rank = &r;
-      a.comm = &m.world();
-      a.count = count;
-      a.inplace = true;
-      a.tag_base = (b % 128) * 256;  // disjoint tag space per in-flight op
-      if (opt.overlap) {
-        pending.push_back(
-            core::start_collective(core::CollKind::allreduce, a, spec));
-      } else {
-        co_await core::run_collective(core::CollKind::allreduce, a, spec);
-      }
-    }
-    if (opt.overlap) {
-      co_await sim::wait_all(std::move(pending));
-      pending.clear();
-    }
-    const sim::Time grads_done = r.engine().now();
-    // Optimizer update once all gradients are global.
-    co_await r.compute(opt.optimizer_time);
-
-    co_await sh->barrier.arrive_and_wait();
-    if (r.world_rank() == 0) {
-      sh->step_total += r.engine().now() - t0;
-      // Communication not hidden by backprop compute.
-      sh->exposed_comm +=
-          (grads_done - t0) - opt.backprop_per_bucket * opt.buckets;
-    }
-  }
-}
-
-}  // namespace
-
 DlResult run_dl_training(const net::ClusterConfig& cfg, const DlOptions& opt) {
-  DPML_CHECK(opt.steps >= 1 && opt.buckets >= 1);
-  DPML_CHECK_MSG(opt.bucket_bytes % 4 == 0, "bucket bytes must be f32-sized");
-  simmpi::RunOptions ropt;
-  ropt.with_data = false;
-  Machine m(cfg, opt.nodes, opt.ppn, ropt);
-
-  std::optional<sharp::SharpFabric> fabric;
-  core::CollSpec spec = opt.spec;
-  core::attach_fabric(m, core::CollKind::allreduce, spec, fabric);
-
-  auto sh = std::make_shared<DlShared>(m.engine(), m.world_size());
-  m.run([&](Rank& r) -> sim::CoTask<void> {
-    return dl_rank(r, opt, spec, sh);
-  });
-
-  DlResult res;
-  res.total_s = sim::to_seconds(m.now());
-  res.step_s = sim::to_seconds(sh->step_total) / opt.steps;
-  res.exposed_comm_s = sim::to_seconds(sh->exposed_comm) / opt.steps;
-  return res;
+  check_shape("dl", cfg, opt.nodes, opt.ppn);
+  require(opt.steps >= 1, "dl", "steps", ">= 1", opt.steps);
+  require(opt.buckets >= 1, "dl", "buckets", ">= 1", opt.buckets);
+  require(opt.bucket_bytes % 4 == 0, "dl", "bucket_bytes",
+          "a multiple of the 4-byte f32 element",
+          static_cast<long long>(opt.bucket_bytes));
+  using K = Op::Kind;
+  // Timer 0 spans the step; timer 1 ends once every gradient is global.
+  Program p;
+  for (int step = 0; step < opt.steps; ++step) {
+    p.insert(p.end(), {{.kind = K::sync},
+                       {.kind = K::begin, .timer = 0},
+                       {.kind = K::begin, .timer = 1}});
+    for (int b = 0; b < opt.buckets; ++b) {
+      // Backprop for this bucket's layers, then its gradient allreduce in a
+      // disjoint tag space per in-flight op.
+      p.push_back({.kind = K::compute, .time = opt.backprop_per_bucket});
+      p.push_back({.kind = opt.overlap ? K::iallreduce : K::allreduce,
+                   .tag = (b % 128) * 256,
+                   .count = opt.bucket_bytes / 4});
+    }
+    if (opt.overlap) p.push_back({.kind = K::waitall});
+    // Optimizer update once all gradients are global.
+    p.insert(p.end(), {{.kind = K::end, .timer = 1},
+                       {.kind = K::compute, .time = opt.optimizer_time},
+                       {.kind = K::sync},
+                       {.kind = K::end, .timer = 0}});
+  }
+  const auto run = run_program(cfg, opt.nodes, opt.ppn, opt.spec, 1, {p}, 2);
+  // Communication not hidden by backprop compute.
+  const sim::Time exposed = run.timers[1].total -
+                            opt.backprop_per_bucket * opt.buckets * opt.steps;
+  return {.step_s = sim::to_seconds(run.timers[0].total) / opt.steps,
+          .total_s = sim::to_seconds(run.end),
+          .exposed_comm_s = sim::to_seconds(exposed) / opt.steps};
 }
 
 }  // namespace dpml::apps

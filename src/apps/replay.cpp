@@ -2,19 +2,12 @@
 
 #include <charconv>
 #include <cmath>
-#include <memory>
-#include <optional>
 #include <sstream>
 
-#include "coll/bcast.hpp"
-#include "coll/group_coll.hpp"
-#include "coll/reduce.hpp"
+#include "apps/program.hpp"
 #include "util/error.hpp"
 
 namespace dpml::apps {
-
-using simmpi::Machine;
-using simmpi::Rank;
 
 std::vector<TraceOp> parse_trace(const std::string& text) {
   std::vector<TraceOp> ops;
@@ -95,94 +88,38 @@ std::string example_trace() {
   return os.str();
 }
 
-namespace {
-
-struct ReplayShared {
-  explicit ReplayShared(sim::Engine& e, int parties) : barrier(e, parties) {}
-  sim::Barrier barrier;
-  sim::Time comm = 0;
-  int ops = 0;
-};
-
-sim::CoTask<void> replay_rank(Rank& r, const std::vector<TraceOp>& trace,
-                              const ReplayOptions& opt,
-                              const core::CollSpec& spec,
-                              std::shared_ptr<ReplayShared> sh) {
-  Machine& m = r.machine();
-  for (int rep = 0; rep < opt.repetitions; ++rep) {
-    for (const TraceOp& op : trace) {
-      if (op.compute_us > 0) co_await r.compute(sim::us(op.compute_us));
-      const sim::Time t0 = r.engine().now();
-      switch (op.kind) {
-        case TraceOp::Kind::allreduce: {
-          coll::CollArgs a;
-          a.rank = &r;
-          a.comm = &m.world();
-          a.count = op.bytes / 4;
-          a.inplace = true;
-          co_await core::run_collective(core::CollKind::allreduce, a, spec);
-          break;
-        }
-        case TraceOp::Kind::reduce: {
-          coll::ReduceArgs a;
-          a.rank = &r;
-          a.comm = &m.world();
-          a.root = 0;
-          a.count = op.bytes / 4;
-          a.inplace = true;
-          co_await coll::reduce(a, coll::ReduceAlgo::automatic);
-          break;
-        }
-        case TraceOp::Kind::bcast: {
-          coll::BcastArgs a;
-          a.rank = &r;
-          a.comm = &m.world();
-          a.bytes = op.bytes;
-          co_await coll::bcast(a);
-          break;
-        }
-        case TraceOp::Kind::barrier: {
-          coll::BarrierArgs a;
-          a.rank = &r;
-          a.comm = &m.world();
-          co_await coll::barrier(a);
-          break;
-        }
-      }
-      if (r.world_rank() == 0) {
-        sh->comm += r.engine().now() - t0;
-        ++sh->ops;
-      }
-    }
-  }
-  co_await sh->barrier.arrive_and_wait();
-}
-
-}  // namespace
-
 ReplayResult replay_trace(const net::ClusterConfig& cfg,
                           const std::vector<TraceOp>& trace,
                           const ReplayOptions& opt) {
-  DPML_CHECK(opt.repetitions >= 1);
-  DPML_CHECK_MSG(!trace.empty(), "empty trace");
-  simmpi::RunOptions ropt;
-  ropt.with_data = false;
-  Machine m(cfg, opt.nodes, opt.ppn, ropt);
-
-  std::optional<sharp::SharpFabric> fabric;
-  core::CollSpec spec = opt.spec;
-  core::attach_fabric(m, core::CollKind::allreduce, spec, fabric);
-
-  auto sh = std::make_shared<ReplayShared>(m.engine(), m.world_size());
-  m.run([&](Rank& r) -> sim::CoTask<void> {
-    return replay_rank(r, trace, opt, spec, sh);
-  });
-
-  ReplayResult res;
-  res.total_s = sim::to_seconds(m.now());
-  res.comm_s = sim::to_seconds(sh->comm);
-  res.ops = sh->ops;
-  return res;
+  check_shape("replay", cfg, opt.nodes, opt.ppn);
+  require(opt.repetitions >= 1, "replay", "repetitions", ">= 1",
+          opt.repetitions);
+  DPML_CHECK_MSG(!trace.empty(), "replay: empty trace");
+  using K = Op::Kind;
+  // Each trace line: its compute gap, then the op timed on rank 0.
+  Program p;
+  for (int rep = 0; rep < opt.repetitions; ++rep) {
+    for (const TraceOp& t : trace) {
+      if (t.compute_us > 0) {
+        p.push_back({.kind = K::compute, .time = sim::us(t.compute_us)});
+      }
+      using T = TraceOp::Kind;
+      const K kind = t.kind == T::allreduce ? K::allreduce
+                     : t.kind == T::reduce  ? K::reduce
+                     : t.kind == T::bcast   ? K::bcast
+                                            : K::barrier;
+      // The reductions run on f32 elements.
+      const std::size_t count = kind == K::bcast ? t.bytes : t.bytes / 4;
+      p.insert(p.end(), {{.kind = K::begin},
+                         {.kind = kind, .count = count},
+                         {.kind = K::end}});
+    }
+  }
+  p.push_back({.kind = K::sync});
+  const auto run = run_program(cfg, opt.nodes, opt.ppn, opt.spec, 1, {p}, 1);
+  return {.total_s = sim::to_seconds(run.end),
+          .comm_s = sim::to_seconds(run.timers[0].total),
+          .ops = run.timers[0].count};
 }
 
 }  // namespace dpml::apps

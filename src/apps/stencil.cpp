@@ -1,16 +1,11 @@
 #include "apps/stencil.hpp"
 
 #include <cmath>
-#include <memory>
-#include <optional>
-#include <vector>
 
+#include "apps/program.hpp"
 #include "util/error.hpp"
 
 namespace dpml::apps {
-
-using simmpi::Machine;
-using simmpi::Rank;
 
 std::array<int, 3> process_grid(int p) {
   DPML_CHECK(p >= 1);
@@ -32,49 +27,40 @@ std::array<int, 3> process_grid(int p) {
   return dims;
 }
 
-namespace {
-
-struct StencilShared {
-  explicit StencilShared(sim::Engine& e, int parties) : barrier(e, parties) {}
-  sim::Barrier barrier;
-  sim::Time halo = 0;
-  sim::Time allreduce = 0;
-  int checks = 0;
-};
-
-sim::CoTask<void> stencil_rank(Rank& r, const StencilOptions& opt,
-                               const core::CollSpec& spec,
-                               std::array<int, 3> grid,
-                               std::shared_ptr<StencilShared> sh) {
-  Machine& m = r.machine();
-  const int me = r.world_rank();
-  const int gx = grid[0];
-  const int gy = grid[1];
-  const int gz = grid[2];
-  const int x = me % gx;
-  const int y = (me / gx) % gy;
-  const int z = me / (gx * gy);
-  const std::size_t face_bytes =
-      opt.local_dim * opt.local_dim * opt.elem_bytes;
+StencilResult run_stencil(const net::ClusterConfig& cfg,
+                          const StencilOptions& opt) {
+  const int p = check_shape("stencil", cfg, opt.nodes, opt.ppn);
+  require(opt.sweeps >= 1, "stencil", "sweeps", ">= 1", opt.sweeps);
+  require(opt.check_every >= 1, "stencil", "check_every", ">= 1",
+          opt.check_every);
+  using K = Op::Kind;
+  const auto [gx, gy, gz] = process_grid(p);
+  DPML_CHECK(gx * gy * gz == p);
+  const std::size_t face = opt.local_dim * opt.local_dim * opt.elem_bytes;
   // Jacobi sweep: 7-point stencil over local_dim^3 cells, memory bound.
   const double sweep_bytes = 8.0 * static_cast<double>(opt.local_dim) *
                              static_cast<double>(opt.local_dim) *
                              static_cast<double>(opt.local_dim) *
                              static_cast<double>(opt.elem_bytes) / 4.0;
   const sim::Time sweep_compute =
-      sim::from_seconds(sweep_bytes / (m.config().host.copy_bw * 1e9));
+      sim::from_seconds(sweep_bytes / (cfg.host.copy_bw * 1e9));
+  // Residual check (timer 1): an 8-byte f64 sum.
+  const Program check = {
+      {.kind = K::begin, .timer = 1},
+      {.kind = K::allreduce, .dt = simmpi::Dtype::f64, .count = 1},
+      {.kind = K::end, .timer = 1}};
+  const int deltas[6][3] = {{-1, 0, 0}, {1, 0, 0},  {0, -1, 0},
+                            {0, 1, 0},  {0, 0, -1}, {0, 0, 1}};
 
-  auto rank_at = [&](int xx, int yy, int zz) {
-    return xx + gx * (yy + gy * zz);
-  };
-
-  for (int sweep = 0; sweep < opt.sweeps; ++sweep) {
-    // Halo exchange: up to 6 neighbours, non-blocking both ways, waitall.
-    const sim::Time t_halo0 = r.engine().now();
-    std::vector<std::shared_ptr<sim::Flag>> pending;
+  std::vector<Program> programs(static_cast<std::size_t>(p));
+  for (int me = 0; me < p; ++me) {
+    const int x = me % gx;
+    const int y = (me / gx) % gy;
+    const int z = me / (gx * gy);
+    // Halo exchange (timer 0): up to 6 neighbours, non-blocking both ways,
+    // waitall.
+    Program halo = {{.kind = K::begin}};
     int dir = 0;
-    const int deltas[6][3] = {{-1, 0, 0}, {1, 0, 0},  {0, -1, 0},
-                              {0, 1, 0},  {0, 0, -1}, {0, 0, 1}};
     for (const auto& d : deltas) {
       const int nx = x + d[0];
       const int ny = y + d[1];
@@ -83,65 +69,36 @@ sim::CoTask<void> stencil_rank(Rank& r, const StencilOptions& opt,
       if (nx < 0 || nx >= gx || ny < 0 || ny >= gy || nz < 0 || nz >= gz) {
         continue;  // physical boundary
       }
-      const int peer = rank_at(nx, ny, nz);
+      const int peer = nx + gx * (ny + gy * nz);
       // Tag by direction so opposite faces do not cross-match; the peer's
       // matching recv uses the mirrored direction index.
       const int mirrored = dir % 2 == 0 ? dir - 1 : dir + 1;
-      pending.push_back(r.isend(m.world(), peer, 8000 + dir, face_bytes));
-      auto h = r.irecv(m.world(), peer, 8000 + mirrored, face_bytes);
-      pending.push_back(h.done);
+      halo.push_back(
+          {.kind = K::isend, .peer = peer, .tag = 8000 + dir, .count = face});
+      halo.push_back({.kind = K::irecv,
+                      .peer = peer,
+                      .tag = 8000 + mirrored,
+                      .count = face});
     }
-    co_await sim::wait_all(std::move(pending));
-    if (me == 0) sh->halo += r.engine().now() - t_halo0;
+    halo.insert(halo.end(), {{.kind = K::waitall}, {.kind = K::end}});
 
-    co_await r.compute(sweep_compute);
-
-    if ((sweep + 1) % opt.check_every == 0) {
-      const sim::Time t_ar0 = r.engine().now();
-      coll::CollArgs a;
-      a.rank = &r;
-      a.comm = &m.world();
-      a.count = 1;
-      a.dt = simmpi::Dtype::f64;
-      a.op = simmpi::ReduceOp::sum;
-      a.inplace = true;
-      co_await core::run_collective(core::CollKind::allreduce, a, spec);
-      if (me == 0) {
-        sh->allreduce += r.engine().now() - t_ar0;
-        ++sh->checks;
+    Program& prog = programs[static_cast<std::size_t>(me)];
+    for (int sweep = 0; sweep < opt.sweeps; ++sweep) {
+      prog.insert(prog.end(), halo.begin(), halo.end());
+      prog.push_back({.kind = K::compute, .time = sweep_compute});
+      if ((sweep + 1) % opt.check_every == 0) {
+        prog.insert(prog.end(), check.begin(), check.end());
       }
     }
+    prog.push_back({.kind = K::sync});
   }
-  co_await sh->barrier.arrive_and_wait();
-}
-
-}  // namespace
-
-StencilResult run_stencil(const net::ClusterConfig& cfg,
-                          const StencilOptions& opt) {
-  DPML_CHECK(opt.sweeps >= 1 && opt.check_every >= 1);
-  simmpi::RunOptions ropt;
-  ropt.with_data = false;
-  Machine m(cfg, opt.nodes, opt.ppn, ropt);
-  const auto grid = process_grid(m.world_size());
-  DPML_CHECK(grid[0] * grid[1] * grid[2] == m.world_size());
-
-  std::optional<sharp::SharpFabric> fabric;
-  core::CollSpec spec = opt.spec;
-  core::attach_fabric(m, core::CollKind::allreduce, spec, fabric);
-
-  auto sh = std::make_shared<StencilShared>(m.engine(), m.world_size());
-  m.run([&](Rank& r) -> sim::CoTask<void> {
-    return stencil_rank(r, opt, spec, grid, sh);
-  });
-
-  StencilResult res;
-  res.total_s = sim::to_seconds(m.now());
-  res.halo_s = sim::to_seconds(sh->halo);
-  res.allreduce_s = sim::to_seconds(sh->allreduce);
-  res.residual_checks = sh->checks;
-  res.grid = grid;
-  return res;
+  const auto run =
+      run_program(cfg, opt.nodes, opt.ppn, opt.spec, 1, programs, 2);
+  return {.total_s = sim::to_seconds(run.end),
+          .halo_s = sim::to_seconds(run.timers[0].total),
+          .allreduce_s = sim::to_seconds(run.timers[1].total),
+          .residual_checks = run.timers[1].count,
+          .grid = {gx, gy, gz}};
 }
 
 }  // namespace dpml::apps

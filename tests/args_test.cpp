@@ -43,6 +43,59 @@ TEST(Args, TypedGetters) {
   EXPECT_TRUE(a.get_bool("b"));
   EXPECT_EQ(a.get_int("n", 0), -7);
   EXPECT_DOUBLE_EQ(a.get_double("absent", 1.25), 1.25);
+
+  // Integers: the whole text, with an optional sign.
+  auto i = make({"prog", "--nodes", "2x", "--reps", "1.5", "--plus", "+3",
+                 "--sign2", "+-3", "--space", " 4", "--big",
+                 "99999999999999999999"});
+  EXPECT_THROW(i.get_int("nodes", 0), InvariantError);
+  EXPECT_THROW(i.get_int("reps", 0), InvariantError);
+  EXPECT_EQ(i.get_int("plus", 0), 3);
+  EXPECT_THROW(i.get_int("sign2", 0), InvariantError);
+  EXPECT_THROW(i.get_int("space", 0), InvariantError);
+  EXPECT_THROW(i.get_int("big", 0), InvariantError);
+  try {
+    make({"prog", "--nodes", "abc"}).get_int("nodes", 0);
+    ADD_FAILURE() << "--nodes abc parsed";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("'abc' for --nodes"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Doubles: the whole text, finite only.
+  auto d = make({"prog", "--stagger-us", "5us", "--inf", "inf", "--nan",
+                 "nan", "--huge", "1e400", "--neg", "-0.5", "--pos", "+2e1"});
+  EXPECT_THROW(d.get_double("stagger-us", 0), InvariantError);
+  EXPECT_THROW(d.get_double("inf", 0), InvariantError);
+  EXPECT_THROW(d.get_double("nan", 0), InvariantError);
+  EXPECT_THROW(d.get_double("huge", 0), InvariantError);
+  EXPECT_DOUBLE_EQ(d.get_double("neg", 0), -0.5);
+  EXPECT_DOUBLE_EQ(d.get_double("pos", 0), 20.0);
+  try {
+    d.get_double("stagger-us", 0);
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("'5us' for --stagger-us"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Booleans: true/false, 1/0, yes/no, on/off; a bare flag reads true.
+  auto b = make({"prog", "--overlap", "maybe", "--off", "off", "--no", "no",
+                 "--zero", "0", "--on", "on", "--bare"});
+  EXPECT_THROW(b.get_bool("overlap", true), InvariantError);
+  EXPECT_FALSE(b.get_bool("off", true));
+  EXPECT_FALSE(b.get_bool("no", true));
+  EXPECT_FALSE(b.get_bool("zero", true));
+  EXPECT_TRUE(b.get_bool("on"));
+  EXPECT_TRUE(b.get_bool("bare"));
+  try {
+    b.get_bool("overlap", true);
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("'maybe' for --overlap"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Args, ParseBytes) {

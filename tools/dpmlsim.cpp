@@ -6,9 +6,16 @@
 //   sweep       leader-count sweep table (Figures 4-7 style)
 //   tune        empirical per-size tuning; prints a selection table
 //   throughput  osu_mbw_mr relative-throughput table (Figure 1 style)
+//   pingpong    osu_latency one-way latency table
 //   fit         fit the Section-5 model constants from the transport
 //   hpcg        HPCG DDOT application kernel
 //   miniamr     miniAMR refinement application kernel
+//   stencil     3D halo-exchange stencil with residual allreduces
+//   dl          data-parallel SGD gradient synchronization
+//   replay      replay a collective trace (apps/replay.hpp)
+//   verify      data-mode self-test of every algorithm of every kind
+// and, without a subcommand, --tenants N (multi-tenant fabric run) and
+// --mc-replay FILE (re-execute a dpmlmc counterexample).
 //
 // Common flags: --cluster A|B|C|D|test  --nodes N  --ppn P
 // Examples:
@@ -871,23 +878,16 @@ int cmd_mc_replay(const std::string& path) {
 }
 
 int run(const util::Args& args) {
-  // --jobs N sets the process-wide sweep-executor width: every measure()
-  // call fans its repetitions (and sweeps their points) across N threads
-  // while staying byte-identical to the serial order (docs/MODEL.md §8).
-  if (args.has("jobs"))
-    core::set_default_jobs(static_cast<int>(args.get_int("jobs", 1)));
-  if (args.get_bool("list-algorithms", false)) return cmd_list_algorithms();
-  if (args.get_bool("list-clusters", false)) return cmd_list_clusters();
-  if (args.has("mc-replay")) {
-    try {
-      return cmd_mc_replay(args.get("mc-replay"));
-    } catch (const std::exception& e) {
-      std::cerr << "dpmlsim: " << e.what() << "\n";
-      return 1;
-    }
-  }
-  if (args.positional().empty() && !args.has("tenants")) return usage();
   try {
+    // --jobs N sets the process-wide sweep-executor width: every measure()
+    // call fans its repetitions (and sweeps their points) across N threads
+    // while staying byte-identical to the serial order (docs/MODEL.md §8).
+    if (args.has("jobs"))
+      core::set_default_jobs(static_cast<int>(args.get_int("jobs", 1)));
+    if (args.get_bool("list-algorithms", false)) return cmd_list_algorithms();
+    if (args.get_bool("list-clusters", false)) return cmd_list_clusters();
+    if (args.has("mc-replay")) return cmd_mc_replay(args.get("mc-replay"));
+    if (args.positional().empty() && !args.has("tenants")) return usage();
     net::ClusterConfig cfg = net::cluster_by_name(args.get("cluster", "B"));
     const int rails = static_cast<int>(args.get_int("rails", 1));
     if (rails > 1) cfg = net::with_rails(cfg, rails);
