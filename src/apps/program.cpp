@@ -61,18 +61,19 @@ sim::CoTask<void> run_rank(simmpi::Rank& r, const Program& program,
         pending.clear();
         break;
       case K::reduce: {
-        const coll::ReduceArgs a{.rank = &r, .comm = &world, .count = op.count,
-                                 .dt = op.dt, .op = op.op, .inplace = true};
-        co_await coll::reduce(a, coll::ReduceAlgo::automatic);
+        const coll::CollArgs a{.rank = &r, .comm = &world, .count = op.count,
+                               .dt = op.dt, .op = op.op, .inplace = true};
+        co_await coll::reduce(a);
         break;
       }
       case K::bcast: {
-        const coll::BcastArgs a{.rank = &r, .comm = &world, .bytes = op.count};
+        const coll::CollArgs a{.rank = &r, .comm = &world, .count = op.count,
+                               .dt = coll::Dtype::u8};
         co_await coll::bcast(a);
         break;
       }
       case K::barrier: {
-        const coll::BarrierArgs a{.rank = &r, .comm = &world};
+        const coll::CollArgs a{.rank = &r, .comm = &world};
         co_await coll::barrier(a);
         break;
       }

@@ -14,36 +14,31 @@ namespace dpml::coll {
 // ---------------------------------------------------------------------------
 // Alltoall
 
-void AlltoallArgs::check() const {
-  DPML_CHECK_MSG(rank != nullptr && comm != nullptr,
-                 "AlltoallArgs missing rank/comm");
-  const auto p = static_cast<std::size_t>(comm->size());
-  DPML_CHECK(send.empty() || send.size() == p * block_bytes);
-  DPML_CHECK(recv.empty() || recv.size() == p * block_bytes);
+namespace {
+
+void check_alltoall(const CollArgs& a) {
+  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
+                 "alltoall CollArgs missing rank/comm");
+  const auto p = static_cast<std::size_t>(a.comm->size());
+  DPML_CHECK(a.send.empty() || a.send.size() == p * a.bytes());
+  DPML_CHECK(a.recv.empty() || a.recv.size() == p * a.bytes());
 }
 
-sim::CoTask<void> alltoall(AlltoallArgs a, AlltoallAlgo algo) {
-  if (algo == AlltoallAlgo::automatic) {
-    algo = a.block_bytes <= 1024 ? AlltoallAlgo::bruck
-                                 : AlltoallAlgo::pairwise;
-  }
-  switch (algo) {
-    case AlltoallAlgo::bruck: return alltoall_bruck(std::move(a));
-    case AlltoallAlgo::pairwise: return alltoall_pairwise(std::move(a));
-    case AlltoallAlgo::automatic: break;
-  }
-  DPML_CHECK_MSG(false, "unreachable alltoall algo");
-  return {};
+}  // namespace
+
+sim::CoTask<void> alltoall(CollArgs a) {
+  if (a.bytes() <= 1024) return alltoall_bruck(std::move(a));
+  return alltoall_pairwise(std::move(a));
 }
 
-sim::CoTask<void> alltoall_pairwise(AlltoallArgs a) {
-  a.check();
+sim::CoTask<void> alltoall_pairwise(CollArgs a) {
+  check_alltoall(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
-  const std::size_t bb = a.block_bytes;
+  const std::size_t bb = a.bytes();
 
   // Own block: local copy.
   {
@@ -69,14 +64,14 @@ sim::CoTask<void> alltoall_pairwise(AlltoallArgs a) {
   }
 }
 
-sim::CoTask<void> alltoall_bruck(AlltoallArgs a) {
-  a.check();
+sim::CoTask<void> alltoall_bruck(CollArgs a) {
+  check_alltoall(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
-  const std::size_t bb = a.block_bytes;
+  const std::size_t bb = a.bytes();
   const bool with_data = r.machine().with_data();
   const auto& host = r.machine().config().host;
 
@@ -315,38 +310,13 @@ sim::CoTask<void> scatterv(ScattervArgs a) {
 
 namespace {
 
-// The registry's shared CollArgs entry currency, adapted to AlltoallArgs:
-// `count` is the per-destination element count, so CollArgs::bytes() is the
-// per-peer block and send/recv span p blocks.
-AlltoallArgs to_alltoall_args(const CollArgs& a) {
-  AlltoallArgs aa;
-  aa.rank = a.rank;
-  aa.comm = a.comm;
-  aa.block_bytes = a.bytes();
-  aa.send = a.send;
-  aa.recv = a.recv;
-  aa.tag_base = a.tag_base;
-  return aa;
-}
-
-CollDescriptor alltoall_desc(const char* name, AlltoallAlgo algo,
-                             CollCaps caps) {
-  CollDescriptor d;
-  d.name = name;
-  d.kind = CollKind::alltoall;
-  d.caps = caps;
-  d.make = [algo](CollArgs a, const CollSpec&) {
-    return alltoall(to_alltoall_args(a), algo);
-  };
-  return d;
-}
-
-const CollRegistration reg_alltoall_bruck{
-    alltoall_desc("bruck", AlltoallAlgo::bruck, CollCaps{.tunable = true})};
-const CollRegistration reg_alltoall_pairwise{alltoall_desc(
-    "pairwise", AlltoallAlgo::pairwise, CollCaps{.tunable = true})};
+const CollRegistration reg_alltoall_bruck{plain_desc(
+    "bruck", CollKind::alltoall, alltoall_bruck, CollCaps{.tunable = true})};
+const CollRegistration reg_alltoall_pairwise{
+    plain_desc("pairwise", CollKind::alltoall, alltoall_pairwise,
+               CollCaps{.tunable = true})};
 const CollRegistration reg_alltoall_auto{
-    alltoall_desc("auto", AlltoallAlgo::automatic, CollCaps{})};
+    plain_desc("auto", CollKind::alltoall, alltoall)};
 
 }  // namespace
 

@@ -13,25 +13,15 @@ namespace dpml::coll {
 
 // ---- Alltoall (equal blocks) ----
 
-struct AlltoallArgs {
-  Rank* rank = nullptr;
-  const Comm* comm = nullptr;
-  std::size_t block_bytes = 0;  // bytes sent to each rank
-  ConstBytes send{};            // p * block_bytes, block i -> rank i
-  MutBytes recv{};              // p * block_bytes, block i <- rank i
-  int tag_base = 0;
+// Every design takes CollArgs with `count` elements of `dt` per block:
+// send and recv span comm-size blocks (block i goes to / comes from rank i).
 
-  void check() const;
-};
-
-enum class AlltoallAlgo { bruck, pairwise, automatic };
-
-sim::CoTask<void> alltoall(AlltoallArgs a,
-                           AlltoallAlgo algo = AlltoallAlgo::automatic);
+// The "auto" rule: bruck up to 1 KiB blocks, pairwise above.
+sim::CoTask<void> alltoall(CollArgs a);
 // Bruck: ceil(lg p) rounds of aggregated blocks — latency-optimal.
-sim::CoTask<void> alltoall_bruck(AlltoallArgs a);
+sim::CoTask<void> alltoall_bruck(CollArgs a);
 // Pairwise exchange: p-1 rounds with XOR/shift partners — bandwidth-optimal.
-sim::CoTask<void> alltoall_pairwise(AlltoallArgs a);
+sim::CoTask<void> alltoall_pairwise(CollArgs a);
 
 // ---- Variable-count gather/scatter/allgather ----
 

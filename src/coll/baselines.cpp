@@ -33,20 +33,12 @@ sim::CoTask<void> allreduce_intelmpi(CollArgs a) {
 
 namespace {
 
-CollDescriptor library_desc(const char* name,
-                            sim::CoTask<void> (*fn)(CollArgs)) {
-  CollDescriptor d;
-  d.name = name;
-  d.kind = CollKind::allreduce;
-  d.caps = CollCaps{.world_only = true};
-  d.make = [fn](CollArgs a, const CollSpec&) { return fn(std::move(a)); };
-  return d;
-}
-
-const CollRegistration reg_mvapich2{
-    library_desc("mvapich2", allreduce_mvapich2)};
-const CollRegistration reg_intelmpi{
-    library_desc("intelmpi", allreduce_intelmpi)};
+const CollRegistration reg_mvapich2{plain_desc(
+    "mvapich2", CollKind::allreduce, allreduce_mvapich2,
+    CollCaps{.world_only = true})};
+const CollRegistration reg_intelmpi{plain_desc(
+    "intelmpi", CollKind::allreduce, allreduce_intelmpi,
+    CollCaps{.world_only = true})};
 
 }  // namespace
 

@@ -11,57 +11,39 @@ using simmpi::CollSlot;
 using simmpi::Machine;
 using simmpi::ShmWindow;
 
-void BcastArgs::check() const {
-  DPML_CHECK_MSG(rank != nullptr && comm != nullptr, "BcastArgs missing rank/comm");
-  DPML_CHECK(root >= 0 && root < comm->size());
-  DPML_CHECK_MSG(buf.empty() || buf.size() == bytes, "bcast buffer size mismatch");
-  if (rank->machine().with_data()) {
-    DPML_CHECK_MSG(!buf.empty() || bytes == 0,
+void check_bcast(const CollArgs& a) {
+  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
+                 "bcast CollArgs missing rank/comm");
+  DPML_CHECK(a.root >= 0 && a.root < a.comm->size());
+  DPML_CHECK_MSG(a.recv.empty() || a.recv.size() == a.bytes(),
+                 "bcast buffer size mismatch");
+  if (a.rank->machine().with_data()) {
+    DPML_CHECK_MSG(!a.recv.empty() || a.bytes() == 0,
                    "data-mode bcast requires a buffer");
   }
 }
 
-const char* bcast_algo_name(BcastAlgo a) {
-  switch (a) {
-    case BcastAlgo::binomial: return "binomial";
-    case BcastAlgo::scatter_allgather: return "scatter-allgather";
-    case BcastAlgo::single_leader: return "single-leader";
-    case BcastAlgo::automatic: return "auto";
-  }
-  return "?";
+sim::CoTask<void> bcast(CollArgs a) {
+  if (a.bytes() <= 8 * 1024) return bcast_binomial(std::move(a));
+  return bcast_scatter_allgather(std::move(a));
 }
 
-sim::CoTask<void> bcast(BcastArgs a, BcastAlgo algo) {
-  if (algo == BcastAlgo::automatic) {
-    algo = a.bytes <= 8 * 1024 ? BcastAlgo::binomial
-                               : BcastAlgo::scatter_allgather;
-  }
-  switch (algo) {
-    case BcastAlgo::binomial: return bcast_binomial(std::move(a));
-    case BcastAlgo::scatter_allgather:
-      return bcast_scatter_allgather(std::move(a));
-    case BcastAlgo::single_leader: return bcast_single_leader(std::move(a));
-    case BcastAlgo::automatic: break;
-  }
-  DPML_CHECK_MSG(false, "unreachable bcast algo");
-  return {};
-}
-
-sim::CoTask<void> bcast_binomial(BcastArgs a) {
-  a.check();
+sim::CoTask<void> bcast_binomial(CollArgs a) {
+  check_bcast(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
   if (p == 1) co_return;
+  const std::size_t nbytes = a.bytes();
   const int vrank = (me - a.root + p) % p;
   auto actual = [&](int v) { return (v + a.root) % p; };
 
   int mask = 1;
   while (mask < p) {
     if (vrank & mask) {
-      co_await r.recv(c, actual(vrank - mask), a.tag_base, a.bytes, a.buf);
+      co_await r.recv(c, actual(vrank - mask), a.tag_base, nbytes, a.recv);
       break;
     }
     mask <<= 1;
@@ -69,29 +51,30 @@ sim::CoTask<void> bcast_binomial(BcastArgs a) {
   mask >>= 1;
   while (mask > 0) {
     if (vrank + mask < p) {
-      co_await r.send(c, actual(vrank + mask), a.tag_base, a.bytes,
-                      as_const(a.buf));
+      co_await r.send(c, actual(vrank + mask), a.tag_base, nbytes,
+                      as_const(a.recv));
     }
     mask >>= 1;
   }
 }
 
-sim::CoTask<void> bcast_scatter_allgather(BcastArgs a) {
-  a.check();
+sim::CoTask<void> bcast_scatter_allgather(CollArgs a) {
+  check_bcast(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
   if (p == 1) co_return;
+  const std::size_t nbytes = a.bytes();
   const int vrank = (me - a.root + p) % p;
   auto actual = [&](int v) { return (v + a.root) % p; };
   // Byte range of blocks [first, last).
   auto range_begin = [&](int block) {
-    return partition(a.bytes, p, block).offset;
+    return partition(nbytes, p, block).offset;
   };
   auto range_end = [&](int block) {
-    const Part pb = partition(a.bytes, p, block);
+    const Part pb = partition(nbytes, p, block);
     return pb.offset + pb.count;
   };
 
@@ -105,7 +88,7 @@ sim::CoTask<void> bcast_scatter_allgather(BcastArgs a) {
         const std::size_t lo = range_begin(first);
         const std::size_t hi = range_end(last - 1);
         co_await r.recv(c, actual(vrank - mask), a.tag_base + 1, hi - lo,
-                        sub(a.buf, lo, hi - lo));
+                        sub(a.recv, lo, hi - lo));
         break;
       }
       mask <<= 1;
@@ -118,7 +101,7 @@ sim::CoTask<void> bcast_scatter_allgather(BcastArgs a) {
         const std::size_t lo = range_begin(first);
         const std::size_t hi = range_end(last - 1);
         co_await r.send(c, actual(vrank + mask), a.tag_base + 1, hi - lo,
-                        sub(as_const(a.buf), lo, hi - lo));
+                        sub(as_const(a.recv), lo, hi - lo));
       }
       mask >>= 1;
     }
@@ -135,14 +118,14 @@ sim::CoTask<void> bcast_scatter_allgather(BcastArgs a) {
     const std::size_t tlo = range_begin(take);
     const std::size_t tbytes = range_end(take) - tlo;
     auto sf = r.isend(c, next, a.tag_base + 2, gbytes,
-                      sub(as_const(a.buf), glo, gbytes));
-    co_await r.recv(c, prev, a.tag_base + 2, tbytes, sub(a.buf, tlo, tbytes));
+                      sub(as_const(a.recv), glo, gbytes));
+    co_await r.recv(c, prev, a.tag_base + 2, tbytes, sub(a.recv, tlo, tbytes));
     co_await sf->wait();
   }
 }
 
-sim::CoTask<void> bcast_single_leader(BcastArgs a) {
-  a.check();
+sim::CoTask<void> bcast_single_leader(CollArgs a) {
+  check_bcast(a);
   Rank& r = *a.rank;
   Machine& m = r.machine();
   DPML_CHECK_MSG(a.comm->context() == m.world().context(),
@@ -153,6 +136,7 @@ sim::CoTask<void> bcast_single_leader(BcastArgs a) {
     co_return;
   }
   const Comm& c = *a.comm;
+  const std::size_t nbytes = a.bytes();
   const int root_node = c.world_rank(a.root) / ppn;
   const int root_local = c.world_rank(a.root) % ppn;
   const bool is_leader = r.local_rank() == 0;
@@ -160,7 +144,7 @@ sim::CoTask<void> bcast_single_leader(BcastArgs a) {
   const std::int64_t key = r.next_coll_key(c.context());
   CollSlot& slot = r.node().slot(key);
   if (!slot.initialized) {
-    slot.windows.emplace_back(a.bytes, m.socket_of_local(0), m.with_data());
+    slot.windows.emplace_back(nbytes, m.socket_of_local(0), m.with_data());
     slot.flags.emplace_back(r.engine());
     slot.initialized = true;
   }
@@ -168,24 +152,24 @@ sim::CoTask<void> bcast_single_leader(BcastArgs a) {
   // Get the payload to the root node's leader.
   if (r.world_rank() == c.world_rank(a.root) && root_local != 0) {
     co_await r.send(c, c.rank_of_world(root_node * ppn), a.tag_base + 3,
-                    a.bytes, as_const(a.buf));
+                    nbytes, as_const(a.recv));
   }
   if (is_leader) {
     if (r.node_id() == root_node && root_local != 0) {
-      co_await r.recv(c, a.root, a.tag_base + 3, a.bytes, a.buf);
+      co_await r.recv(c, a.root, a.tag_base + 3, nbytes, a.recv);
     }
     // Inter-node binomial bcast among node leaders.
-    BcastArgs la = a;
+    CollArgs la = a;
     la.comm = &m.leader_comm(0, 1);
     la.root = root_node;
     la.tag_base = static_cast<int>((key & 0x3ff)) * 2048;
     co_await bcast_binomial(la);
-    co_await r.shm_put(slot.windows[0], 0, a.bytes, as_const(a.buf));
+    co_await r.shm_put(slot.windows[0], 0, nbytes, as_const(a.recv));
     co_await r.signal(slot.flags[0]);
   } else {
     co_await slot.flags[0].wait();
     if (r.world_rank() != c.world_rank(a.root)) {
-      co_await r.shm_get(slot.windows[0], 0, a.bytes, a.buf);
+      co_await r.shm_get(slot.windows[0], 0, nbytes, a.recv);
     }
   }
   r.node().release_slot(key, ppn);
@@ -195,40 +179,16 @@ sim::CoTask<void> bcast_single_leader(BcastArgs a) {
 
 namespace {
 
-// The registry's shared CollArgs entry currency, adapted to BcastArgs: the
-// payload travels in `recv` (valid at root, filled elsewhere).
-BcastArgs to_bcast_args(const CollArgs& a) {
-  BcastArgs ba;
-  ba.rank = a.rank;
-  ba.comm = a.comm;
-  ba.root = a.root;
-  ba.bytes = a.bytes();
-  ba.buf = a.recv;
-  ba.tag_base = a.tag_base;
-  return ba;
-}
-
-CollDescriptor bcast_desc(const char* name, BcastAlgo algo, CollCaps caps) {
-  CollDescriptor d;
-  d.name = name;
-  d.kind = CollKind::bcast;
-  d.caps = caps;
-  d.make = [algo](CollArgs a, const CollSpec&) {
-    return bcast(to_bcast_args(a), algo);
-  };
-  return d;
-}
-
-const CollRegistration reg_bcast_binomial{
-    bcast_desc("binomial", BcastAlgo::binomial, CollCaps{.tunable = true})};
+const CollRegistration reg_bcast_binomial{plain_desc(
+    "binomial", CollKind::bcast, bcast_binomial, CollCaps{.tunable = true})};
 const CollRegistration reg_bcast_sag{
-    bcast_desc("scatter-allgather", BcastAlgo::scatter_allgather,
+    plain_desc("scatter-allgather", CollKind::bcast, bcast_scatter_allgather,
                CollCaps{.tunable = true})};
 const CollRegistration reg_bcast_single_leader{
-    bcast_desc("single-leader", BcastAlgo::single_leader,
+    plain_desc("single-leader", CollKind::bcast, bcast_single_leader,
                CollCaps{.world_only = true, .tunable = true})};
 const CollRegistration reg_bcast_auto{
-    bcast_desc("auto", BcastAlgo::automatic, CollCaps{})};
+    plain_desc("auto", CollKind::bcast, bcast)};
 
 }  // namespace
 

@@ -15,27 +15,19 @@
 
 namespace dpml::coll {
 
-struct BcastArgs {
-  Rank* rank = nullptr;
-  const Comm* comm = nullptr;
-  int root = 0;           // comm rank holding the payload
-  std::size_t bytes = 0;
-  MutBytes buf{};         // in/out: valid at root, filled elsewhere
-  int tag_base = 0;
+// Every design takes CollArgs with `count` elements of `dt` (a.bytes() is
+// the payload) in recv: valid at the root, filled elsewhere.
 
-  void check() const;
-};
+// The "auto" rule: binomial up to 8 KiB, scatter-allgather above.
+sim::CoTask<void> bcast(CollArgs a);
 
-enum class BcastAlgo { binomial, scatter_allgather, single_leader, automatic };
-
-const char* bcast_algo_name(BcastAlgo a);
-
-sim::CoTask<void> bcast(BcastArgs a, BcastAlgo algo = BcastAlgo::automatic);
-
-sim::CoTask<void> bcast_binomial(BcastArgs a);
-sim::CoTask<void> bcast_scatter_allgather(BcastArgs a);
+sim::CoTask<void> bcast_binomial(CollArgs a);
+sim::CoTask<void> bcast_scatter_allgather(CollArgs a);
 // Requires the world communicator (leaders are per-node); root must be a
 // node leader's world rank or the payload is first forwarded to one.
-sim::CoTask<void> bcast_single_leader(BcastArgs a);
+sim::CoTask<void> bcast_single_leader(CollArgs a);
+
+// The argument checks every bcast design (and bcast_sharp) runs at entry.
+void check_bcast(const CollArgs& a);
 
 }  // namespace dpml::coll

@@ -27,6 +27,8 @@ using simmpi::MutBytes;
 using simmpi::Op;
 using simmpi::Rank;
 
+// The one argument type of every algorithm of every kind; `count` is read
+// per kind as coll/registry.hpp documents (a bcast payload is in recv).
 struct CollArgs {
   Rank* rank = nullptr;
   const Comm* comm = nullptr;
@@ -37,12 +39,13 @@ struct CollArgs {
   MutBytes recv{};
   int tag_base = 0;     // tag namespace for concurrent sub-collectives
   bool inplace = false; // recv already holds the input vector (MPI_IN_PLACE)
-  int root = 0;         // rooted kinds (reduce/bcast) only; ignored otherwise
+  int root = 0;  // rooted kinds (reduce/bcast/gather/scatter) only
 
   std::size_t bytes() const { return count * simmpi::dtype_size(dt); }
   // Allocate a scratch buffer honouring the machine's data mode.
   std::vector<std::byte> scratch(std::size_t nbytes) const;
-  // Validate the SPMD invariants; called at algorithm entry.
+  // Validate the allreduce SPMD invariants; called at algorithm entry (the
+  // other kinds check their own buffer shapes).
   void check() const;
 };
 

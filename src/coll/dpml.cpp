@@ -286,16 +286,7 @@ sim::CoTask<void> reduce_scatter_dpml(CollArgs a, DpmlParams params) {
 
   if (ppn == 1) {
     // Degenerate hierarchy: flat order-aware dispatch.
-    ReduceScatterArgs rs;
-    rs.rank = a.rank;
-    rs.comm = a.comm;
-    rs.block_count = a.count;
-    rs.dt = a.dt;
-    rs.op = a.op;
-    rs.send = a.send;
-    rs.recv = a.recv;
-    rs.tag_base = a.tag_base;
-    co_await reduce_scatter(std::move(rs), ReduceScatterAlgo::automatic);
+    co_await reduce_scatter(std::move(a));
     co_return;
   }
 
@@ -333,14 +324,7 @@ sim::CoTask<void> allgather_dpml(CollArgs a, DpmlParams params) {
 
   if (ppn == 1) {
     // Degenerate hierarchy: flat dispatch.
-    AllgatherArgs ag;
-    ag.rank = a.rank;
-    ag.comm = a.comm;
-    ag.block_bytes = bbytes;
-    ag.send = input;
-    ag.recv = a.recv;
-    ag.tag_base = a.tag_base;
-    co_await allgather(std::move(ag), AllgatherAlgo::automatic);
+    co_await allgather(std::move(a));
     co_return;
   }
 
@@ -401,14 +385,14 @@ sim::CoTask<void> allgather_dpml(CollArgs a, DpmlParams params) {
     if (h > 1) {
       result_store = a.scratch(static_cast<std::size_t>(h) * pbytes);
       MutBytes result{result_store};
-      AllgatherArgs ia;
-      ia.rank = a.rank;
+      CollArgs ia = a;
       ia.comm = &m.leader_comm(j, l);
-      ia.block_bytes = pbytes;
+      ia.count = pj.count;
       ia.send = as_const(stripe);
       ia.recv = result;
+      ia.inplace = false;
       ia.tag_base = inner_tag_base(key);
-      co_await allgather(std::move(ia), AllgatherAlgo::automatic);
+      co_await allgather(std::move(ia));
       co_await r.shm_put(slot.windows[2 * j + 1], 0,
                          static_cast<std::size_t>(h) * pbytes,
                          as_const(result));

@@ -494,19 +494,12 @@ sim::CoTask<void> allreduce_gather_bcast(CollArgs a) {
 
 namespace {
 
-CollDescriptor flat_desc(const char* name,
-                         sim::CoTask<void> (*fn)(CollArgs)) {
-  CollDescriptor d;
-  d.name = name;
-  d.kind = CollKind::allreduce;
-  d.make = [fn](CollArgs a, const CollSpec&) { return fn(std::move(a)); };
-  return d;
-}
-
-const CollRegistration reg_rd{flat_desc("rd", allreduce_recursive_doubling)};
+const CollRegistration reg_rd{
+    plain_desc("rd", CollKind::allreduce, allreduce_recursive_doubling)};
 const CollRegistration reg_rsa{
-    flat_desc("rsa", allreduce_reduce_scatter_allgather)};
-const CollRegistration reg_ring{flat_desc("ring", allreduce_ring)};
+    plain_desc("rsa", CollKind::allreduce, allreduce_reduce_scatter_allgather)};
+const CollRegistration reg_ring{
+    plain_desc("ring", CollKind::allreduce, allreduce_ring)};
 // Multi-channel ring: `leaders` is the concurrent channel count. Works on
 // any sub-communicator (not world_only) and is deliberately not part of the
 // default tuning sweep — the adaptive re-planning layer (src/adapt/) selects
@@ -519,9 +512,10 @@ const CollRegistration reg_cring{{
       return allreduce_ring_channels(std::move(a), s.leaders);
     },
 }};
-const CollRegistration reg_binomial{flat_desc("binomial", allreduce_binomial)};
+const CollRegistration reg_binomial{
+    plain_desc("binomial", CollKind::allreduce, allreduce_binomial)};
 const CollRegistration reg_gather_bcast{
-    flat_desc("gather-bcast", allreduce_gather_bcast)};
+    plain_desc("gather-bcast", CollKind::allreduce, allreduce_gather_bcast)};
 
 }  // namespace
 

@@ -17,67 +17,67 @@ using simmpi::Machine;
 // ---------------------------------------------------------------------------
 // Gather
 
-void GatherArgs::check() const {
-  DPML_CHECK_MSG(rank != nullptr && comm != nullptr,
-                 "GatherArgs missing rank/comm");
-  DPML_CHECK(root >= 0 && root < comm->size());
-  DPML_CHECK(send.empty() || send.size() == block_bytes);
-  const auto p = static_cast<std::size_t>(comm->size());
-  DPML_CHECK(recv.empty() || recv.size() == p * block_bytes);
+namespace {
+
+void check_gather(const CollArgs& a) {
+  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
+                 "gather CollArgs missing rank/comm");
+  DPML_CHECK_MSG(!a.inplace, "gather does not take MPI_IN_PLACE here; pass "
+                             "the root's contribution in send like every "
+                             "other rank");
+  DPML_CHECK(a.root >= 0 && a.root < a.comm->size());
+  DPML_CHECK(a.send.empty() || a.send.size() == a.bytes());
+  const auto p = static_cast<std::size_t>(a.comm->size());
+  DPML_CHECK(a.recv.empty() || a.recv.size() == p * a.bytes());
 }
 
-sim::CoTask<void> gather(GatherArgs a, GatherAlgo algo) {
-  if (algo == GatherAlgo::automatic) {
-    // Small trees gain nothing from forwarding; the root link is the
-    // bottleneck either way, and linear saves the intermediate hops.
-    algo = a.comm->size() <= 4 ? GatherAlgo::linear : GatherAlgo::binomial;
-  }
-  switch (algo) {
-    case GatherAlgo::binomial: return gather_binomial(std::move(a));
-    case GatherAlgo::linear: return gather_linear(std::move(a));
-    case GatherAlgo::automatic: break;
-  }
-  DPML_CHECK_MSG(false, "unreachable gather algo");
-  return {};
+}  // namespace
+
+sim::CoTask<void> gather(CollArgs a) {
+  // Small trees gain nothing from forwarding; the root link is the
+  // bottleneck either way, and linear saves the intermediate hops.
+  if (a.comm->size() <= 4) return gather_linear(std::move(a));
+  return gather_binomial(std::move(a));
 }
 
-sim::CoTask<void> gather_linear(GatherArgs a) {
-  a.check();
+sim::CoTask<void> gather_linear(CollArgs a) {
+  check_gather(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
+  const std::size_t bb = a.bytes();
   if (me == a.root) {
     std::vector<std::shared_ptr<sim::Flag>> pending;
     for (int src = 0; src < p; ++src) {
       if (src == me) continue;
-      auto h = r.irecv(c, src, a.tag_base, a.block_bytes,
-                       sub(a.recv,
-                           static_cast<std::size_t>(src) * a.block_bytes,
-                           a.recv.empty() ? 0 : a.block_bytes));
+      auto h = r.irecv(c, src, a.tag_base, bb,
+                       sub(a.recv, static_cast<std::size_t>(src) * bb,
+                           a.recv.empty() ? 0 : bb));
       pending.push_back(h.done);
     }
     const auto& host = r.machine().config().host;
     co_await r.engine().delay(host.copy_startup +
-                              sim::transfer_time(a.block_bytes, host.copy_bw));
+                              sim::transfer_time(bb, host.copy_bw));
     if (!a.send.empty() && !a.recv.empty()) {
-      std::memcpy(a.recv.data() + static_cast<std::size_t>(me) * a.block_bytes,
-                  a.send.data(), a.block_bytes);
+      std::memcpy(a.recv.data() + static_cast<std::size_t>(me) * bb,
+                  a.send.data(), bb);
     }
     co_await sim::wait_all(std::move(pending));
   } else {
-    co_await r.send(c, a.root, a.tag_base, a.block_bytes, a.send);
+    co_await r.send(c, a.root, a.tag_base, bb, a.send);
   }
 }
 
-sim::CoTask<void> gather_binomial(GatherArgs a) {
-  a.check();
+sim::CoTask<void> gather_binomial(CollArgs a) {
+  check_gather(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
+  const std::size_t bb = a.bytes();
   const int vrank = (me - a.root + p) % p;
   auto actual = [&](int v) { return (v + a.root) % p; };
 
@@ -95,9 +95,9 @@ sim::CoTask<void> gather_binomial(GatherArgs a) {
     }
   }
   if (with_data) {
-    stage.resize(static_cast<std::size_t>(extent) * a.block_bytes);
+    stage.resize(static_cast<std::size_t>(extent) * bb);
     if (!a.send.empty()) {
-      std::memcpy(stage.data(), a.send.data(), a.block_bytes);
+      std::memcpy(stage.data(), a.send.data(), bb);
     }
   }
   MutBytes stageb{stage};
@@ -107,8 +107,7 @@ sim::CoTask<void> gather_binomial(GatherArgs a) {
   int mask = 1;
   while (mask < p) {
     if (vrank & mask) {
-      const std::size_t nbytes =
-          static_cast<std::size_t>(filled) * a.block_bytes;
+      const std::size_t nbytes = static_cast<std::size_t>(filled) * bb;
       co_await r.send(c, actual(vrank - mask), a.tag_base + step, nbytes,
                       sub(as_const(stageb), 0, with_data ? nbytes : 0));
       break;
@@ -116,11 +115,9 @@ sim::CoTask<void> gather_binomial(GatherArgs a) {
     const int src = vrank + mask;
     if (src < p) {
       const int incoming = std::min(mask, p - src);
-      const std::size_t nbytes =
-          static_cast<std::size_t>(incoming) * a.block_bytes;
+      const std::size_t nbytes = static_cast<std::size_t>(incoming) * bb;
       co_await r.recv(c, actual(src), a.tag_base + step, nbytes,
-                      sub(stageb, static_cast<std::size_t>(filled) *
-                                      a.block_bytes,
+                      sub(stageb, static_cast<std::size_t>(filled) * bb,
                           with_data ? nbytes : 0));
       filled += incoming;
     }
@@ -132,10 +129,8 @@ sim::CoTask<void> gather_binomial(GatherArgs a) {
     // Unrotate from vrank space into comm-rank order.
     for (int v = 0; v < p; ++v) {
       const int rank_of_block = actual(v);
-      std::memcpy(a.recv.data() +
-                      static_cast<std::size_t>(rank_of_block) * a.block_bytes,
-                  stage.data() + static_cast<std::size_t>(v) * a.block_bytes,
-                  a.block_bytes);
+      std::memcpy(a.recv.data() + static_cast<std::size_t>(rank_of_block) * bb,
+                  stage.data() + static_cast<std::size_t>(v) * bb, bb);
     }
   }
 }
@@ -143,65 +138,65 @@ sim::CoTask<void> gather_binomial(GatherArgs a) {
 // ---------------------------------------------------------------------------
 // Scatter
 
-void ScatterArgs::check() const {
-  DPML_CHECK_MSG(rank != nullptr && comm != nullptr,
-                 "ScatterArgs missing rank/comm");
-  DPML_CHECK(root >= 0 && root < comm->size());
-  DPML_CHECK(recv.empty() || recv.size() == block_bytes);
-  const auto p = static_cast<std::size_t>(comm->size());
-  DPML_CHECK(send.empty() || send.size() == p * block_bytes);
+namespace {
+
+void check_scatter(const CollArgs& a) {
+  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
+                 "scatter CollArgs missing rank/comm");
+  DPML_CHECK_MSG(!a.inplace, "scatter does not take MPI_IN_PLACE here; the "
+                             "root receives its own block in recv like every "
+                             "other rank");
+  DPML_CHECK(a.root >= 0 && a.root < a.comm->size());
+  DPML_CHECK(a.recv.empty() || a.recv.size() == a.bytes());
+  const auto p = static_cast<std::size_t>(a.comm->size());
+  DPML_CHECK(a.send.empty() || a.send.size() == p * a.bytes());
 }
 
-sim::CoTask<void> scatter(ScatterArgs a, ScatterAlgo algo) {
-  if (algo == ScatterAlgo::automatic) {
-    algo = a.comm->size() <= 4 ? ScatterAlgo::linear : ScatterAlgo::binomial;
-  }
-  switch (algo) {
-    case ScatterAlgo::binomial: return scatter_binomial(std::move(a));
-    case ScatterAlgo::linear: return scatter_linear(std::move(a));
-    case ScatterAlgo::automatic: break;
-  }
-  DPML_CHECK_MSG(false, "unreachable scatter algo");
-  return {};
+}  // namespace
+
+sim::CoTask<void> scatter(CollArgs a) {
+  if (a.comm->size() <= 4) return scatter_linear(std::move(a));
+  return scatter_binomial(std::move(a));
 }
 
-sim::CoTask<void> scatter_linear(ScatterArgs a) {
-  a.check();
+sim::CoTask<void> scatter_linear(CollArgs a) {
+  check_scatter(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
+  const std::size_t bb = a.bytes();
   if (me == a.root) {
     std::vector<std::shared_ptr<sim::Flag>> pending;
     for (int dst = 0; dst < p; ++dst) {
       if (dst == me) continue;
       pending.push_back(
-          r.isend(c, dst, a.tag_base, a.block_bytes,
-                  sub(a.send, static_cast<std::size_t>(dst) * a.block_bytes,
-                      a.send.empty() ? 0 : a.block_bytes)));
+          r.isend(c, dst, a.tag_base, bb,
+                  sub(a.send, static_cast<std::size_t>(dst) * bb,
+                      a.send.empty() ? 0 : bb)));
     }
     const auto& host = r.machine().config().host;
     co_await r.engine().delay(host.copy_startup +
-                              sim::transfer_time(a.block_bytes, host.copy_bw));
+                              sim::transfer_time(bb, host.copy_bw));
     if (!a.send.empty() && !a.recv.empty()) {
       std::memcpy(a.recv.data(),
-                  a.send.data() + static_cast<std::size_t>(me) * a.block_bytes,
-                  a.block_bytes);
+                  a.send.data() + static_cast<std::size_t>(me) * bb, bb);
     }
     co_await sim::wait_all(std::move(pending));
   } else {
-    co_await r.recv(c, a.root, a.tag_base, a.block_bytes, a.recv);
+    co_await r.recv(c, a.root, a.tag_base, bb, a.recv);
   }
 }
 
-sim::CoTask<void> scatter_binomial(ScatterArgs a) {
-  a.check();
+sim::CoTask<void> scatter_binomial(CollArgs a) {
+  check_scatter(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
+  const std::size_t bb = a.bytes();
   const int vrank = (me - a.root + p) % p;
   auto actual = [&](int v) { return (v + a.root) % p; };
   const bool with_data = r.machine().with_data();
@@ -214,12 +209,11 @@ sim::CoTask<void> scatter_binomial(ScatterArgs a) {
   if (vrank == 0) {
     run = p;
     if (with_data && !a.send.empty()) {
-      stage.resize(static_cast<std::size_t>(p) * a.block_bytes);
+      stage.resize(static_cast<std::size_t>(p) * bb);
       for (int v = 0; v < p; ++v) {
-        std::memcpy(stage.data() + static_cast<std::size_t>(v) * a.block_bytes,
-                    a.send.data() +
-                        static_cast<std::size_t>(actual(v)) * a.block_bytes,
-                    a.block_bytes);
+        std::memcpy(stage.data() + static_cast<std::size_t>(v) * bb,
+                    a.send.data() + static_cast<std::size_t>(actual(v)) * bb,
+                    bb);
       }
       stageb = MutBytes{stage};
     }
@@ -230,11 +224,11 @@ sim::CoTask<void> scatter_binomial(ScatterArgs a) {
     if (vrank & mask) {
       run = std::min(mask, p - vrank);
       if (with_data) {
-        stage.resize(static_cast<std::size_t>(run) * a.block_bytes);
+        stage.resize(static_cast<std::size_t>(run) * bb);
         stageb = MutBytes{stage};
       }
       co_await r.recv(c, actual(vrank - mask), a.tag_base,
-                      static_cast<std::size_t>(run) * a.block_bytes, stageb);
+                      static_cast<std::size_t>(run) * bb, stageb);
       break;
     }
     mask <<= 1;
@@ -244,74 +238,65 @@ sim::CoTask<void> scatter_binomial(ScatterArgs a) {
     if (vrank + mask < p && mask < run) {
       const int nblocks = std::min(run - mask, std::min(mask, p - vrank - mask));
       const std::size_t nbytes =
-          static_cast<std::size_t>(nblocks) * a.block_bytes;
+          static_cast<std::size_t>(nblocks) * bb;
       co_await r.send(c, actual(vrank + mask), a.tag_base, nbytes,
                       sub(as_const(stageb),
-                          static_cast<std::size_t>(mask) * a.block_bytes,
+                          static_cast<std::size_t>(mask) * bb,
                           with_data && !stageb.empty() ? nbytes : 0));
       run = mask;
     }
     mask >>= 1;
   }
   if (!a.recv.empty() && with_data && !stage.empty()) {
-    std::memcpy(a.recv.data(), stage.data(), a.block_bytes);
+    std::memcpy(a.recv.data(), stage.data(), bb);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Allgather
 
-void AllgatherArgs::check() const {
-  DPML_CHECK_MSG(rank != nullptr && comm != nullptr,
-                 "AllgatherArgs missing rank/comm");
-  DPML_CHECK(send.empty() || send.size() == block_bytes);
-  const auto p = static_cast<std::size_t>(comm->size());
-  DPML_CHECK(recv.empty() || recv.size() == p * block_bytes);
-  if (rank->machine().with_data() && block_bytes > 0) {
-    DPML_CHECK_MSG(!recv.empty(), "data-mode allgather requires recv buffer");
-  }
-}
-
-sim::CoTask<void> allgather(AllgatherArgs a, AllgatherAlgo algo) {
-  if (algo == AllgatherAlgo::automatic) {
-    algo = a.block_bytes * static_cast<std::size_t>(a.comm->size()) <= 32 * 1024
-               ? AllgatherAlgo::recursive_doubling
-               : AllgatherAlgo::ring;
-  }
-  switch (algo) {
-    case AllgatherAlgo::ring: return allgather_ring(std::move(a));
-    case AllgatherAlgo::recursive_doubling: return allgather_rd(std::move(a));
-    case AllgatherAlgo::automatic: break;
-  }
-  DPML_CHECK_MSG(false, "unreachable allgather algo");
-  return {};
-}
-
 namespace {
 
-sim::CoTask<void> allgather_copy_own(const AllgatherArgs& a, int me) {
+void check_allgather(const CollArgs& a) {
+  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
+                 "allgather CollArgs missing rank/comm");
+  DPML_CHECK(a.send.empty() || a.send.size() == a.bytes());
+  const auto p = static_cast<std::size_t>(a.comm->size());
+  DPML_CHECK(a.recv.empty() || a.recv.size() == p * a.bytes());
+  if (a.rank->machine().with_data() && a.bytes() > 0) {
+    DPML_CHECK_MSG(!a.recv.empty(), "data-mode allgather requires recv buffer");
+  }
+}
+
+sim::CoTask<void> allgather_copy_own(const CollArgs& a, int me) {
+  const std::size_t bb = a.bytes();
   const auto& host = a.rank->machine().config().host;
-  co_await a.rank->engine().delay(
-      host.copy_startup + sim::transfer_time(a.block_bytes, host.copy_bw));
-  std::byte* own =
-      a.recv.empty() ? nullptr
-                     : a.recv.data() + static_cast<std::size_t>(me) *
-                                           a.block_bytes;
-  // In-place entry (send aliases recv's own block): the data is already home.
-  if (!a.send.empty() && own != nullptr && a.send.data() != own) {
-    std::memcpy(own, a.send.data(), a.block_bytes);
+  co_await a.rank->engine().delay(host.copy_startup +
+                                  sim::transfer_time(bb, host.copy_bw));
+  // In-place: my block is already home in recv.
+  if (!a.inplace && !a.send.empty() && !a.recv.empty()) {
+    std::memcpy(a.recv.data() + static_cast<std::size_t>(me) * bb,
+                a.send.data(), bb);
   }
 }
 
 }  // namespace
 
-sim::CoTask<void> allgather_ring(AllgatherArgs a) {
-  a.check();
+sim::CoTask<void> allgather(CollArgs a) {
+  if (a.bytes() * static_cast<std::size_t>(a.comm->size()) <= 32 * 1024) {
+    return allgather_rd(std::move(a));
+  }
+  return allgather_ring(std::move(a));
+}
+
+sim::CoTask<void> allgather_ring(CollArgs a) {
+  check_allgather(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
+  const std::size_t bb = a.bytes();
   co_await allgather_copy_own(a, me);
   if (p == 1) co_return;
   const int right = (me + 1) % p;
@@ -319,24 +304,25 @@ sim::CoTask<void> allgather_ring(AllgatherArgs a) {
   for (int s = 0; s < p - 1; ++s) {
     const int give = (me - s + p) % p;
     const int take = (me - s - 1 + 2 * p) % p;
-    auto sf = r.isend(c, right, a.tag_base, a.block_bytes,
+    auto sf = r.isend(c, right, a.tag_base, bb,
                       sub(as_const(a.recv),
-                          static_cast<std::size_t>(give) * a.block_bytes,
-                          a.recv.empty() ? 0 : a.block_bytes));
-    co_await r.recv(c, left, a.tag_base, a.block_bytes,
-                    sub(a.recv, static_cast<std::size_t>(take) * a.block_bytes,
-                        a.recv.empty() ? 0 : a.block_bytes));
+                          static_cast<std::size_t>(give) * bb,
+                          a.recv.empty() ? 0 : bb));
+    co_await r.recv(c, left, a.tag_base, bb,
+                    sub(a.recv, static_cast<std::size_t>(take) * bb,
+                        a.recv.empty() ? 0 : bb));
     co_await sf->wait();
   }
 }
 
-sim::CoTask<void> allgather_rd(AllgatherArgs a) {
-  a.check();
+sim::CoTask<void> allgather_rd(CollArgs a) {
+  check_allgather(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
+  const std::size_t bb = a.bytes();
   if ((p & (p - 1)) != 0) {
     // Non-power-of-two: fall back to the ring (documented behaviour).
     co_await allgather_ring(std::move(a));
@@ -353,14 +339,14 @@ sim::CoTask<void> allgather_rd(AllgatherArgs a) {
     const int my_base = me & ~(mask - 1);
     const int partner_base = partner & ~(mask - 1);
     const std::size_t nbytes =
-        static_cast<std::size_t>(mask) * a.block_bytes;
+        static_cast<std::size_t>(mask) * bb;
     auto sf = r.isend(c, partner, a.tag_base + 1 + step, nbytes,
                       sub(as_const(a.recv),
-                          static_cast<std::size_t>(my_base) * a.block_bytes,
+                          static_cast<std::size_t>(my_base) * bb,
                           a.recv.empty() ? 0 : nbytes));
     co_await r.recv(c, partner, a.tag_base + 1 + step, nbytes,
                     sub(a.recv,
-                        static_cast<std::size_t>(partner_base) * a.block_bytes,
+                        static_cast<std::size_t>(partner_base) * bb,
                         a.recv.empty() ? 0 : nbytes));
     co_await sf->wait();
   }
@@ -369,40 +355,34 @@ sim::CoTask<void> allgather_rd(AllgatherArgs a) {
 // ---------------------------------------------------------------------------
 // Reduce-scatter
 
-std::size_t ReduceScatterArgs::total_bytes() const {
-  return block_bytes() * static_cast<std::size_t>(comm->size());
+namespace {
+
+void check_reduce_scatter(const CollArgs& a) {
+  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
+                 "reduce_scatter CollArgs missing rank/comm");
+  DPML_CHECK_MSG(!a.inplace,
+                 "reduce_scatter does not take MPI_IN_PLACE here; recv is "
+                 "one block, send spans the p input blocks");
+  const auto p = static_cast<std::size_t>(a.comm->size());
+  DPML_CHECK(a.send.empty() || a.send.size() == p * a.bytes());
+  DPML_CHECK(a.recv.empty() || a.recv.size() == a.bytes());
 }
 
-void ReduceScatterArgs::check() const {
-  DPML_CHECK_MSG(rank != nullptr && comm != nullptr,
-                 "ReduceScatterArgs missing rank/comm");
-  DPML_CHECK(send.empty() || send.size() == total_bytes());
-  DPML_CHECK(recv.empty() || recv.size() == block_bytes());
+}  // namespace
+
+sim::CoTask<void> reduce_scatter(CollArgs a) {
+  if (a.op.commutative()) return reduce_scatter_ring(std::move(a));
+  return reduce_scatter_reduce_then_scatter(std::move(a));
 }
 
-sim::CoTask<void> reduce_scatter(ReduceScatterArgs a, ReduceScatterAlgo algo) {
-  if (algo == ReduceScatterAlgo::automatic) {
-    algo = a.op.commutative() ? ReduceScatterAlgo::ring
-                              : ReduceScatterAlgo::reduce_then_scatter;
-  }
-  switch (algo) {
-    case ReduceScatterAlgo::ring: return reduce_scatter_ring(std::move(a));
-    case ReduceScatterAlgo::reduce_then_scatter:
-      return reduce_scatter_reduce_then_scatter(std::move(a));
-    case ReduceScatterAlgo::automatic: break;
-  }
-  DPML_CHECK_MSG(false, "unreachable reduce_scatter algo");
-  return {};
-}
-
-sim::CoTask<void> reduce_scatter_reduce_then_scatter(ReduceScatterArgs a) {
-  a.check();
+sim::CoTask<void> reduce_scatter_reduce_then_scatter(CollArgs a) {
+  check_reduce_scatter(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
-  const std::size_t bbytes = a.block_bytes();
+  const std::size_t bbytes = a.bytes();
 
   if (p == 1) {
     const auto& host = r.machine().config().host;
@@ -420,33 +400,23 @@ sim::CoTask<void> reduce_scatter_reduce_then_scatter(ReduceScatterArgs a) {
   // space (+64) stays clear of the reduce's step tags.
   std::vector<std::byte> full;
   if (me == 0 && r.machine().with_data()) {
-    full.resize(a.total_bytes());
+    full.resize(static_cast<std::size_t>(p) * bbytes);
   }
-  ReduceArgs ra;
-  ra.rank = a.rank;
-  ra.comm = a.comm;
+  CollArgs ra = a;
   ra.root = 0;
-  ra.count = a.block_count * static_cast<std::size_t>(p);
-  ra.dt = a.dt;
-  ra.op = a.op;
-  ra.send = a.send;
+  ra.count = a.count * static_cast<std::size_t>(p);
   ra.recv = MutBytes{full};
-  ra.tag_base = a.tag_base;
   co_await reduce_binomial(std::move(ra));
 
-  ScatterArgs sa;
-  sa.rank = a.rank;
-  sa.comm = a.comm;
+  CollArgs sa = a;
   sa.root = 0;
-  sa.block_bytes = bbytes;
   sa.send = ConstBytes{full};
-  sa.recv = a.recv;
   sa.tag_base = a.tag_base + 64;
   co_await scatter_binomial(std::move(sa));
 }
 
-sim::CoTask<void> reduce_scatter_ring(ReduceScatterArgs a) {
-  a.check();
+sim::CoTask<void> reduce_scatter_ring(CollArgs a) {
+  check_reduce_scatter(a);
   // The ring folds each block in rotation order, which cannot preserve
   // ascending comm-rank operand order. MPICH-style fallback.
   if (!a.op.commutative()) {
@@ -458,7 +428,7 @@ sim::CoTask<void> reduce_scatter_ring(ReduceScatterArgs a) {
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
-  const std::size_t bbytes = a.block_bytes();
+  const std::size_t bbytes = a.bytes();
   const bool with_data = r.machine().with_data();
 
   if (p == 1) {
@@ -478,8 +448,9 @@ sim::CoTask<void> reduce_scatter_ring(ReduceScatterArgs a) {
   }
   MutBytes workb{work};
   const auto& host = r.machine().config().host;
-  co_await r.engine().delay(host.copy_startup +
-                            sim::transfer_time(a.total_bytes(), host.copy_bw));
+  co_await r.engine().delay(
+      host.copy_startup +
+      sim::transfer_time(static_cast<std::size_t>(p) * bbytes, host.copy_bw));
 
   auto tmp_store = a.rank->machine().with_data()
                        ? std::vector<std::byte>(bbytes)
@@ -497,7 +468,7 @@ sim::CoTask<void> reduce_scatter_ring(ReduceScatterArgs a) {
     co_await r.recv(c, left, a.tag_base, bbytes, tmp);
     co_await sf->wait();
     co_await r.reduce_compute(bbytes);
-    a.op.apply(a.dt, a.block_count,
+    a.op.apply(a.dt, a.count,
                sub(workb, static_cast<std::size_t>(take) * bbytes,
                    workb.empty() ? 0 : bbytes),
                as_const(tmp));
@@ -517,27 +488,17 @@ sim::CoTask<void> reduce_scatter_ring(ReduceScatterArgs a) {
 // ---------------------------------------------------------------------------
 // Barrier
 
-sim::CoTask<void> barrier(BarrierArgs a, BarrierAlgo algo) {
+sim::CoTask<void> barrier(CollArgs a) {
   DPML_CHECK(a.rank != nullptr && a.comm != nullptr);
-  if (algo == BarrierAlgo::automatic) {
-    const bool is_world =
-        a.comm->context() == a.rank->machine().world().context();
-    algo = is_world && a.rank->machine().ppn() > 1
-               ? BarrierAlgo::single_leader
-               : BarrierAlgo::dissemination;
+  const bool is_world =
+      a.comm->context() == a.rank->machine().world().context();
+  if (is_world && a.rank->machine().ppn() > 1) {
+    return barrier_single_leader(std::move(a));
   }
-  switch (algo) {
-    case BarrierAlgo::dissemination:
-      return barrier_dissemination(std::move(a));
-    case BarrierAlgo::single_leader:
-      return barrier_single_leader(std::move(a));
-    case BarrierAlgo::automatic: break;
-  }
-  DPML_CHECK_MSG(false, "unreachable barrier algo");
-  return {};
+  return barrier_dissemination(std::move(a));
 }
 
-sim::CoTask<void> barrier_dissemination(BarrierArgs a) {
+sim::CoTask<void> barrier_dissemination(CollArgs a) {
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -553,7 +514,7 @@ sim::CoTask<void> barrier_dissemination(BarrierArgs a) {
   }
 }
 
-sim::CoTask<void> barrier_single_leader(BarrierArgs a) {
+sim::CoTask<void> barrier_single_leader(CollArgs a) {
   Rank& r = *a.rank;
   Machine& m = r.machine();
   DPML_CHECK_MSG(a.comm->context() == m.world().context(),
@@ -573,9 +534,7 @@ sim::CoTask<void> barrier_single_leader(BarrierArgs a) {
   if (r.local_rank() == 0) {
     co_await slot.latches[0].wait();
     if (m.num_nodes() > 1) {
-      BarrierArgs la;
-      la.rank = &r;
-      la.comm = &m.leader_comm(0, 1);
+      const CollArgs la{.rank = &r, .comm = &m.leader_comm(0, 1)};
       co_await barrier_dissemination(la);
     }
     co_await r.signal(slot.flags[0]);
@@ -591,181 +550,45 @@ sim::CoTask<void> barrier_single_leader(BarrierArgs a) {
 
 namespace {
 
-// The registry's shared CollArgs entry currency, adapted to the per-op
-// argument structs. For every block-shaped kind, CollArgs::count is the
-// per-block element count, so CollArgs::bytes() is one block.
-
-GatherArgs to_gather_args(const CollArgs& a) {
-  DPML_CHECK_MSG(!a.inplace, "gather does not take MPI_IN_PLACE here; pass "
-                             "the root's contribution in send like every "
-                             "other rank");
-  GatherArgs g;
-  g.rank = a.rank;
-  g.comm = a.comm;
-  g.root = a.root;
-  g.block_bytes = a.bytes();
-  g.send = a.send;
-  g.recv = a.recv;
-  g.tag_base = a.tag_base;
-  return g;
-}
-
-ScatterArgs to_scatter_args(const CollArgs& a) {
-  DPML_CHECK_MSG(!a.inplace, "scatter does not take MPI_IN_PLACE here; the "
-                             "root receives its own block in recv like every "
-                             "other rank");
-  ScatterArgs s;
-  s.rank = a.rank;
-  s.comm = a.comm;
-  s.root = a.root;
-  s.block_bytes = a.bytes();
-  s.send = a.send;
-  s.recv = a.recv;
-  s.tag_base = a.tag_base;
-  return s;
-}
-
-AllgatherArgs to_allgather_args(const CollArgs& a) {
-  AllgatherArgs g;
-  g.rank = a.rank;
-  g.comm = a.comm;
-  g.block_bytes = a.bytes();
-  g.recv = a.recv;
-  g.tag_base = a.tag_base;
-  if (a.inplace) {
-    // MPI_IN_PLACE: my contribution already sits in recv's own block.
-    const int me = a.comm->rank_of_world(a.rank->world_rank());
-    if (me >= 0 && !a.recv.empty()) {
-      g.send = sub(as_const(a.recv),
-                   static_cast<std::size_t>(me) * g.block_bytes,
-                   g.block_bytes);
-    }
-  } else {
-    g.send = a.send;
-  }
-  return g;
-}
-
-ReduceScatterArgs to_reduce_scatter_args(const CollArgs& a) {
-  DPML_CHECK_MSG(!a.inplace,
-                 "reduce_scatter does not take MPI_IN_PLACE here; recv is "
-                 "one block, send spans the p input blocks");
-  ReduceScatterArgs rs;
-  rs.rank = a.rank;
-  rs.comm = a.comm;
-  rs.block_count = a.count;
-  rs.dt = a.dt;
-  rs.op = a.op;
-  rs.send = a.send;
-  rs.recv = a.recv;
-  rs.tag_base = a.tag_base;
-  return rs;
-}
-
-BarrierArgs to_barrier_args(const CollArgs& a) {
-  BarrierArgs b;
-  b.rank = a.rank;
-  b.comm = a.comm;
-  b.tag_base = a.tag_base;
-  return b;
-}
-
-CollDescriptor gather_desc(const char* name, GatherAlgo algo, CollCaps caps) {
-  CollDescriptor d;
-  d.name = name;
-  d.kind = CollKind::gather;
-  d.caps = caps;
-  d.make = [algo](CollArgs a, const CollSpec&) {
-    return gather(to_gather_args(a), algo);
-  };
-  return d;
-}
-
-CollDescriptor scatter_desc(const char* name, ScatterAlgo algo,
-                            CollCaps caps) {
-  CollDescriptor d;
-  d.name = name;
-  d.kind = CollKind::scatter;
-  d.caps = caps;
-  d.make = [algo](CollArgs a, const CollSpec&) {
-    return scatter(to_scatter_args(a), algo);
-  };
-  return d;
-}
-
-CollDescriptor allgather_desc(const char* name, AllgatherAlgo algo,
-                              CollCaps caps) {
-  CollDescriptor d;
-  d.name = name;
-  d.kind = CollKind::allgather;
-  d.caps = caps;
-  d.make = [algo](CollArgs a, const CollSpec&) {
-    return allgather(to_allgather_args(a), algo);
-  };
-  return d;
-}
-
-CollDescriptor reduce_scatter_desc(const char* name, ReduceScatterAlgo algo,
-                                   CollCaps caps) {
-  CollDescriptor d;
-  d.name = name;
-  d.kind = CollKind::reduce_scatter;
-  d.caps = caps;
-  d.make = [algo](CollArgs a, const CollSpec&) {
-    return reduce_scatter(to_reduce_scatter_args(a), algo);
-  };
-  return d;
-}
-
-CollDescriptor barrier_desc(const char* name, BarrierAlgo algo,
-                            CollCaps caps) {
-  CollDescriptor d;
-  d.name = name;
-  d.kind = CollKind::barrier;
-  d.caps = caps;
-  d.make = [algo](CollArgs a, const CollSpec&) {
-    return barrier(to_barrier_args(a), algo);
-  };
-  return d;
-}
-
-const CollRegistration reg_gather_binomial{
-    gather_desc("binomial", GatherAlgo::binomial, CollCaps{.tunable = true})};
-const CollRegistration reg_gather_linear{
-    gather_desc("linear", GatherAlgo::linear, CollCaps{.tunable = true})};
+const CollRegistration reg_gather_binomial{plain_desc(
+    "binomial", CollKind::gather, gather_binomial, CollCaps{.tunable = true})};
+const CollRegistration reg_gather_linear{plain_desc(
+    "linear", CollKind::gather, gather_linear, CollCaps{.tunable = true})};
 const CollRegistration reg_gather_auto{
-    gather_desc("auto", GatherAlgo::automatic, CollCaps{})};
+    plain_desc("auto", CollKind::gather, gather)};
 
-const CollRegistration reg_scatter_binomial{scatter_desc(
-    "binomial", ScatterAlgo::binomial, CollCaps{.tunable = true})};
-const CollRegistration reg_scatter_linear{
-    scatter_desc("linear", ScatterAlgo::linear, CollCaps{.tunable = true})};
+const CollRegistration reg_scatter_binomial{
+    plain_desc("binomial", CollKind::scatter, scatter_binomial,
+               CollCaps{.tunable = true})};
+const CollRegistration reg_scatter_linear{plain_desc(
+    "linear", CollKind::scatter, scatter_linear, CollCaps{.tunable = true})};
 const CollRegistration reg_scatter_auto{
-    scatter_desc("auto", ScatterAlgo::automatic, CollCaps{})};
+    plain_desc("auto", CollKind::scatter, scatter)};
 
-const CollRegistration reg_allgather_ring{
-    allgather_desc("ring", AllgatherAlgo::ring, CollCaps{.tunable = true})};
-const CollRegistration reg_allgather_rd{
-    allgather_desc("rd", AllgatherAlgo::recursive_doubling,
-                   CollCaps{.tunable = true})};
+const CollRegistration reg_allgather_ring{plain_desc(
+    "ring", CollKind::allgather, allgather_ring, CollCaps{.tunable = true})};
+const CollRegistration reg_allgather_rd{plain_desc(
+    "rd", CollKind::allgather, allgather_rd, CollCaps{.tunable = true})};
 const CollRegistration reg_allgather_auto{
-    allgather_desc("auto", AllgatherAlgo::automatic, CollCaps{})};
+    plain_desc("auto", CollKind::allgather, allgather)};
 
-const CollRegistration reg_reduce_scatter_ring{reduce_scatter_desc(
-    "ring", ReduceScatterAlgo::ring, CollCaps{.tunable = true})};
-const CollRegistration reg_reduce_scatter_rts{reduce_scatter_desc(
-    "reduce-then-scatter", ReduceScatterAlgo::reduce_then_scatter,
-    CollCaps{.tunable = true})};
-const CollRegistration reg_reduce_scatter_auto{reduce_scatter_desc(
-    "auto", ReduceScatterAlgo::automatic, CollCaps{})};
+const CollRegistration reg_reduce_scatter_ring{
+    plain_desc("ring", CollKind::reduce_scatter, reduce_scatter_ring,
+               CollCaps{.tunable = true})};
+const CollRegistration reg_reduce_scatter_rts{
+    plain_desc("reduce-then-scatter", CollKind::reduce_scatter,
+               reduce_scatter_reduce_then_scatter, CollCaps{.tunable = true})};
+const CollRegistration reg_reduce_scatter_auto{
+    plain_desc("auto", CollKind::reduce_scatter, reduce_scatter)};
 
-const CollRegistration reg_barrier_dissemination{barrier_desc(
-    "dissemination", BarrierAlgo::dissemination, CollCaps{.tunable = true})};
+const CollRegistration reg_barrier_dissemination{
+    plain_desc("dissemination", CollKind::barrier, barrier_dissemination,
+               CollCaps{.tunable = true})};
 const CollRegistration reg_barrier_single_leader{
-    barrier_desc("single-leader", BarrierAlgo::single_leader,
-                 CollCaps{.world_only = true, .tunable = true})};
+    plain_desc("single-leader", CollKind::barrier, barrier_single_leader,
+               CollCaps{.world_only = true, .tunable = true})};
 const CollRegistration reg_barrier_auto{
-    barrier_desc("auto", BarrierAlgo::automatic, CollCaps{})};
+    plain_desc("auto", CollKind::barrier, barrier)};
 
 }  // namespace
 

@@ -12,118 +12,58 @@
 
 namespace dpml::coll {
 
+// Every design takes CollArgs with `count` elements of `dt` per block, and
+// each kind's un-suffixed entry is its registered "auto" rule.
+
 // ---- Gather / Scatter (equal block sizes) ----
 
-enum class GatherAlgo { binomial, linear, automatic };
-enum class ScatterAlgo { binomial, linear, automatic };
-
-struct GatherArgs {
-  Rank* rank = nullptr;
-  const Comm* comm = nullptr;
-  int root = 0;
-  std::size_t block_bytes = 0;  // per-rank contribution
-  ConstBytes send{};            // my block
-  MutBytes recv{};              // root only: p * block_bytes
-  int tag_base = 0;
-
-  void check() const;
-};
-
-sim::CoTask<void> gather(GatherArgs a, GatherAlgo algo = GatherAlgo::automatic);
-sim::CoTask<void> gather_binomial(GatherArgs a);
+// Gather: send is my block, recv (root only) spans comm-size blocks. The
+// "auto" rule: linear on up to 4 ranks, binomial above.
+sim::CoTask<void> gather(CollArgs a);
+sim::CoTask<void> gather_binomial(CollArgs a);
 // Root posts p-1 direct receives; optimal for small communicators where the
 // root link is the bottleneck anyway and forwarding only adds hops.
-sim::CoTask<void> gather_linear(GatherArgs a);
+sim::CoTask<void> gather_linear(CollArgs a);
 
-struct ScatterArgs {
-  Rank* rank = nullptr;
-  const Comm* comm = nullptr;
-  int root = 0;
-  std::size_t block_bytes = 0;
-  ConstBytes send{};  // root only: p * block_bytes
-  MutBytes recv{};    // my block
-  int tag_base = 0;
-
-  void check() const;
-};
-
-sim::CoTask<void> scatter(ScatterArgs a,
-                          ScatterAlgo algo = ScatterAlgo::automatic);
-sim::CoTask<void> scatter_binomial(ScatterArgs a);
+// Scatter: send (root only) spans comm-size blocks, recv is my block. The
+// "auto" rule matches gather's.
+sim::CoTask<void> scatter(CollArgs a);
+sim::CoTask<void> scatter_binomial(CollArgs a);
 // Root sends p-1 blocks directly (non-blocking fan-out).
-sim::CoTask<void> scatter_linear(ScatterArgs a);
+sim::CoTask<void> scatter_linear(CollArgs a);
 
 // ---- Allgather ----
 
-struct AllgatherArgs {
-  Rank* rank = nullptr;
-  const Comm* comm = nullptr;
-  std::size_t block_bytes = 0;  // per-rank block
-  ConstBytes send{};            // my block
-  MutBytes recv{};              // p * block_bytes, my block also written
-  int tag_base = 0;
-
-  void check() const;
-};
-
-enum class AllgatherAlgo { ring, recursive_doubling, automatic };
-
-sim::CoTask<void> allgather(AllgatherArgs a,
-                            AllgatherAlgo algo = AllgatherAlgo::automatic);
-sim::CoTask<void> allgather_ring(AllgatherArgs a);
+// send is my block, recv spans comm-size blocks (in-place: my block is
+// already in recv). The "auto" rule: rd up to 32 KiB in total, ring above.
+sim::CoTask<void> allgather(CollArgs a);
+sim::CoTask<void> allgather_ring(CollArgs a);
 // Recursive doubling; non-power-of-two sizes fall back to ring.
-sim::CoTask<void> allgather_rd(AllgatherArgs a);
+sim::CoTask<void> allgather_rd(CollArgs a);
 
 // ---- Reduce-scatter (equal block counts per rank) ----
 
-enum class ReduceScatterAlgo { ring, reduce_then_scatter, automatic };
-
-struct ReduceScatterArgs {
-  Rank* rank = nullptr;
-  const Comm* comm = nullptr;
-  std::size_t block_count = 0;  // elements each rank receives
-  Dtype dt = Dtype::f32;
-  Op op = simmpi::ReduceOp::sum;
-  ConstBytes send{};  // p * block_count elements
-  MutBytes recv{};    // block_count elements
-  int tag_base = 0;
-
-  std::size_t block_bytes() const {
-    return block_count * simmpi::dtype_size(dt);
-  }
-  std::size_t total_bytes() const;
-  void check() const;
-};
-
-// Automatic routes non-commutative ops to reduce_then_scatter (the ring
-// folds blocks in rotation order, which cannot honour ascending comm-rank
-// operand order); commutative ops take the bandwidth-optimal ring.
-sim::CoTask<void> reduce_scatter(
-    ReduceScatterArgs a,
-    ReduceScatterAlgo algo = ReduceScatterAlgo::automatic);
+// send spans comm-size blocks, recv is my block. The "auto" rule routes
+// non-commutative ops to reduce_then_scatter (the ring folds blocks in
+// rotation order, which cannot honour ascending comm-rank operand order);
+// commutative ops take the bandwidth-optimal ring.
+sim::CoTask<void> reduce_scatter(CollArgs a);
 // Ring reduce-scatter (bandwidth optimal; p-1 steps). Commutative ops only.
-sim::CoTask<void> reduce_scatter_ring(ReduceScatterArgs a);
+sim::CoTask<void> reduce_scatter_ring(CollArgs a);
 // Binomial reduce of the full vector to comm rank 0 followed by a binomial
 // scatter of the reduced blocks. Order-preserving, so it is the fallback
 // for non-commutative ops (MPICH-style).
-sim::CoTask<void> reduce_scatter_reduce_then_scatter(ReduceScatterArgs a);
+sim::CoTask<void> reduce_scatter_reduce_then_scatter(CollArgs a);
 
 // ---- Barrier ----
 
-struct BarrierArgs {
-  Rank* rank = nullptr;
-  const Comm* comm = nullptr;
-  int tag_base = 0;
-};
-
-enum class BarrierAlgo { dissemination, single_leader, automatic };
-
-sim::CoTask<void> barrier(BarrierArgs a,
-                          BarrierAlgo algo = BarrierAlgo::automatic);
+// The "auto" rule: single-leader on the world communicator when ppn > 1,
+// dissemination otherwise.
+sim::CoTask<void> barrier(CollArgs a);
 // Dissemination barrier: ceil(lg p) rounds of 0-byte messages.
-sim::CoTask<void> barrier_dissemination(BarrierArgs a);
+sim::CoTask<void> barrier_dissemination(CollArgs a);
 // Hierarchical: intra-node latch, inter-node dissemination among leaders,
 // intra-node release (world communicator only).
-sim::CoTask<void> barrier_single_leader(BarrierArgs a);
+sim::CoTask<void> barrier_single_leader(CollArgs a);
 
 }  // namespace dpml::coll

@@ -14,70 +14,38 @@ using simmpi::CollSlot;
 using simmpi::Machine;
 using simmpi::ShmWindow;
 
-std::vector<std::byte> ReduceArgs::scratch(std::size_t nbytes) const {
-  DPML_CHECK(rank != nullptr);
-  if (!rank->machine().with_data()) return {};
-  return std::vector<std::byte>(nbytes);
-}
+namespace {
 
-void ReduceArgs::check() const {
-  DPML_CHECK_MSG(rank != nullptr && comm != nullptr,
-                 "ReduceArgs missing rank/comm");
-  DPML_CHECK(root >= 0 && root < comm->size());
-  const std::size_t nbytes = bytes();
-  DPML_CHECK_MSG(recv.empty() || recv.size() == nbytes,
+void check_reduce(const CollArgs& a) {
+  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
+                 "reduce CollArgs missing rank/comm");
+  DPML_CHECK(a.root >= 0 && a.root < a.comm->size());
+  const std::size_t nbytes = a.bytes();
+  DPML_CHECK_MSG(a.recv.empty() || a.recv.size() == nbytes,
                  "recv buffer size mismatch");
-  DPML_CHECK_MSG(send.empty() || send.size() == nbytes,
+  DPML_CHECK_MSG(a.send.empty() || a.send.size() == nbytes,
                  "send buffer size mismatch");
-  const bool am_root = comm->rank_of_world(rank->world_rank()) == root;
-  if (rank->machine().with_data() && nbytes > 0) {
-    if (inplace) {
+  const bool am_root = a.comm->rank_of_world(a.rank->world_rank()) == a.root;
+  if (a.rank->machine().with_data() && nbytes > 0) {
+    if (a.inplace) {
       // In-place: this rank's input (and, at the root, output) is in recv.
-      DPML_CHECK_MSG(!recv.empty(), "in-place reduce needs recv buffer");
+      DPML_CHECK_MSG(!a.recv.empty(), "in-place reduce needs recv buffer");
     } else if (am_root) {
-      DPML_CHECK_MSG(!recv.empty(), "data-mode reduce root needs recv buffer");
-      DPML_CHECK_MSG(!send.empty(), "data-mode reduce root needs send buffer");
+      DPML_CHECK_MSG(!a.recv.empty(),
+                     "data-mode reduce root needs recv buffer");
+      DPML_CHECK_MSG(!a.send.empty(),
+                     "data-mode reduce root needs send buffer");
     } else {
-      DPML_CHECK_MSG(!send.empty(), "data-mode reduce needs send buffer");
+      DPML_CHECK_MSG(!a.send.empty(), "data-mode reduce needs send buffer");
     }
   }
 }
-
-const char* reduce_algo_name(ReduceAlgo a) {
-  switch (a) {
-    case ReduceAlgo::binomial: return "binomial";
-    case ReduceAlgo::rsa_gather: return "rsa-gather";
-    case ReduceAlgo::single_leader: return "single-leader";
-    case ReduceAlgo::dpml: return "dpml";
-    case ReduceAlgo::automatic: return "auto";
-  }
-  return "?";
-}
-
-sim::CoTask<void> reduce(ReduceArgs a, ReduceAlgo algo,
-                         DpmlParams dpml_params) {
-  if (algo == ReduceAlgo::automatic) {
-    algo = a.bytes() <= 8 * 1024 ? ReduceAlgo::binomial
-                                 : ReduceAlgo::rsa_gather;
-  }
-  switch (algo) {
-    case ReduceAlgo::binomial: return reduce_binomial(std::move(a));
-    case ReduceAlgo::rsa_gather: return reduce_rsa_gather(std::move(a));
-    case ReduceAlgo::single_leader: return reduce_single_leader(std::move(a));
-    case ReduceAlgo::dpml: return reduce_dpml(std::move(a), dpml_params);
-    case ReduceAlgo::automatic: break;
-  }
-  DPML_CHECK_MSG(false, "unreachable reduce algo");
-  return {};
-}
-
-namespace {
 
 // Prepare the local accumulator. In-place: every rank's input already sits
 // in recv (the convention the hierarchical designs use internally), so recv
 // is the accumulator. Otherwise the root accumulates into recv and other
 // ranks into scratch; the initial copy is charged either way.
-sim::CoTask<MutBytes> prepare_acc(const ReduceArgs& a, bool am_root,
+sim::CoTask<MutBytes> prepare_acc(const CollArgs& a, bool am_root,
                                   std::vector<std::byte>& store) {
   Rank& r = *a.rank;
   const std::size_t nbytes = a.bytes();
@@ -101,8 +69,13 @@ sim::CoTask<MutBytes> prepare_acc(const ReduceArgs& a, bool am_root,
 
 }  // namespace
 
-sim::CoTask<void> reduce_binomial(ReduceArgs a) {
-  a.check();
+sim::CoTask<void> reduce(CollArgs a) {
+  if (a.bytes() <= 8 * 1024) return reduce_binomial(std::move(a));
+  return reduce_rsa_gather(std::move(a));
+}
+
+sim::CoTask<void> reduce_binomial(CollArgs a) {
+  check_reduce(a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -145,8 +118,8 @@ sim::CoTask<void> reduce_binomial(ReduceArgs a) {
   }
 }
 
-sim::CoTask<void> reduce_rsa_gather(ReduceArgs a) {
-  a.check();
+sim::CoTask<void> reduce_rsa_gather(CollArgs a) {
+  check_reduce(a);
   // The ring reduce-scatter folds each block in rotation order, which cannot
   // preserve ascending comm-rank operand order. MPICH-style fallback.
   if (!a.op.commutative()) {
@@ -212,8 +185,8 @@ sim::CoTask<void> reduce_rsa_gather(ReduceArgs a) {
   }
 }
 
-sim::CoTask<void> reduce_single_leader(ReduceArgs a) {
-  a.check();
+sim::CoTask<void> reduce_single_leader(CollArgs a) {
+  check_reduce(a);
   Rank& r = *a.rank;
   Machine& m = r.machine();
   DPML_CHECK_MSG(a.comm->context() == m.world().context(),
@@ -243,8 +216,7 @@ sim::CoTask<void> reduce_single_leader(ReduceArgs a) {
   if (is_leader) {
     std::vector<std::byte> acc_store;
     // The leader accumulates into recv only when it is also the root.
-    ReduceArgs la = a;
-    MutBytes acc = co_await prepare_acc(la, am_root, acc_store);
+    MutBytes acc = co_await prepare_acc(a, am_root, acc_store);
     co_await slot.latches[0].wait();
     co_await r.compute(m.collection_cost(0, 0, ppn));
     co_await r.reduce_compute(static_cast<std::size_t>(ppn - 1) * nbytes);
@@ -256,7 +228,7 @@ sim::CoTask<void> reduce_single_leader(ReduceArgs a) {
       }
     }
     if (h > 1) {
-      ReduceArgs ia = a;
+      CollArgs ia = a;
       ia.comm = &m.leader_comm(0, 1);
       ia.root = root_node;
       ia.send = {};
@@ -283,8 +255,8 @@ sim::CoTask<void> reduce_single_leader(ReduceArgs a) {
   r.node().release_slot(key, ppn);
 }
 
-sim::CoTask<void> reduce_dpml(ReduceArgs a, DpmlParams params) {
-  a.check();
+sim::CoTask<void> reduce_dpml(CollArgs a, DpmlParams params) {
+  check_reduce(a);
   Rank& r = *a.rank;
   Machine& m = r.machine();
   DPML_CHECK_MSG(a.comm->context() == m.world().context(),
@@ -355,7 +327,7 @@ sim::CoTask<void> reduce_dpml(ReduceArgs a, DpmlParams params) {
     }
     co_await r.reduce_compute(static_cast<std::size_t>(ppn - 1) * pbytes);
     if (h > 1) {
-      ReduceArgs ia = a;
+      CollArgs ia = a;
       ia.comm = &m.leader_comm(j, l);
       ia.root = root_node;  // leader comms are ordered by node id
       ia.count = pj.count;
@@ -388,51 +360,28 @@ sim::CoTask<void> reduce_dpml(ReduceArgs a, DpmlParams params) {
 
 namespace {
 
-// The registry's shared CollArgs entry currency, adapted to ReduceArgs.
-ReduceArgs to_reduce_args(const CollArgs& a) {
-  ReduceArgs ra;
-  ra.rank = a.rank;
-  ra.comm = a.comm;
-  ra.root = a.root;
-  ra.count = a.count;
-  ra.dt = a.dt;
-  ra.op = a.op;
-  ra.send = a.send;
-  ra.recv = a.recv;
-  ra.tag_base = a.tag_base;
-  ra.inplace = a.inplace;
-  return ra;
-}
-
-CollDescriptor reduce_desc(const char* name, ReduceAlgo algo, CollCaps caps) {
-  CollDescriptor d;
-  d.name = name;
-  d.kind = CollKind::reduce;
-  d.caps = caps;
-  d.make = [algo](CollArgs a, const CollSpec& s) {
-    DpmlParams p;
-    p.leaders = s.leaders;
-    p.pipeline_k = s.pipeline_k;
-    p.inter = s.inter;
-    return reduce(to_reduce_args(a), algo, p);
-  };
-  return d;
-}
-
-const CollRegistration reg_reduce_binomial{
-    reduce_desc("binomial", ReduceAlgo::binomial, CollCaps{.tunable = true})};
-const CollRegistration reg_reduce_rsa{reduce_desc(
-    "rsa-gather", ReduceAlgo::rsa_gather, CollCaps{.tunable = true})};
+const CollRegistration reg_reduce_binomial{plain_desc(
+    "binomial", CollKind::reduce, reduce_binomial, CollCaps{.tunable = true})};
+const CollRegistration reg_reduce_rsa{
+    plain_desc("rsa-gather", CollKind::reduce, reduce_rsa_gather,
+               CollCaps{.tunable = true})};
 const CollRegistration reg_reduce_single_leader{
-    reduce_desc("single-leader", ReduceAlgo::single_leader,
-                CollCaps{.world_only = true, .tunable = true})};
-const CollRegistration reg_reduce_dpml{
-    reduce_desc("dpml", ReduceAlgo::dpml,
-                CollCaps{.uses_leaders = true,
-                         .world_only = true,
-                         .tunable = true})};
+    plain_desc("single-leader", CollKind::reduce, reduce_single_leader,
+               CollCaps{.world_only = true, .tunable = true})};
+const CollRegistration reg_reduce_dpml{{
+    "dpml",
+    CollKind::reduce,
+    CollCaps{.uses_leaders = true, .world_only = true, .tunable = true},
+    [](CollArgs a, const CollSpec& s) {
+      DpmlParams p;
+      p.leaders = s.leaders;
+      p.pipeline_k = s.pipeline_k;
+      p.inter = s.inter;
+      return reduce_dpml(std::move(a), p);
+    },
+}};
 const CollRegistration reg_reduce_auto{
-    reduce_desc("auto", ReduceAlgo::automatic, CollCaps{})};
+    plain_desc("auto", CollKind::reduce, reduce)};
 
 }  // namespace
 

@@ -18,33 +18,15 @@
 
 namespace dpml::coll {
 
-struct ReduceArgs {
-  Rank* rank = nullptr;
-  const Comm* comm = nullptr;
-  int root = 0;
-  std::size_t count = 0;
-  Dtype dt = Dtype::f32;
-  Op op = simmpi::ReduceOp::sum;
-  ConstBytes send{};
-  MutBytes recv{};      // significant only at root
-  int tag_base = 0;
-  bool inplace = false;
+// Every design takes CollArgs with `count` elements: the whole vector. recv
+// is significant only at the root; in-place, every rank's input is in recv.
 
-  std::size_t bytes() const { return count * simmpi::dtype_size(dt); }
-  std::vector<std::byte> scratch(std::size_t nbytes) const;
-  void check() const;
-};
+// The "auto" rule: binomial up to 8 KiB, rsa-gather above.
+sim::CoTask<void> reduce(CollArgs a);
 
-enum class ReduceAlgo { binomial, rsa_gather, single_leader, dpml, automatic };
-
-const char* reduce_algo_name(ReduceAlgo a);
-
-sim::CoTask<void> reduce(ReduceArgs a, ReduceAlgo algo = ReduceAlgo::automatic,
-                         DpmlParams dpml_params = {});
-
-sim::CoTask<void> reduce_binomial(ReduceArgs a);
-sim::CoTask<void> reduce_rsa_gather(ReduceArgs a);
-sim::CoTask<void> reduce_single_leader(ReduceArgs a);
-sim::CoTask<void> reduce_dpml(ReduceArgs a, DpmlParams params);
+sim::CoTask<void> reduce_binomial(CollArgs a);
+sim::CoTask<void> reduce_rsa_gather(CollArgs a);
+sim::CoTask<void> reduce_single_leader(CollArgs a);
+sim::CoTask<void> reduce_dpml(CollArgs a, DpmlParams params);
 
 }  // namespace dpml::coll

@@ -7,21 +7,6 @@
 
 namespace dpml::coll {
 
-const char* coll_kind_name(CollKind k) {
-  switch (k) {
-    case CollKind::allreduce: return "allreduce";
-    case CollKind::reduce: return "reduce";
-    case CollKind::bcast: return "bcast";
-    case CollKind::alltoall: return "alltoall";
-    case CollKind::allgather: return "allgather";
-    case CollKind::reduce_scatter: return "reduce_scatter";
-    case CollKind::gather: return "gather";
-    case CollKind::scatter: return "scatter";
-    case CollKind::barrier: return "barrier";
-  }
-  return "?";
-}
-
 CollKind coll_kind_by_name(const std::string& name) {
   for (CollKind k : kAllCollKinds) {
     if (name == coll_kind_name(k)) return k;
@@ -123,6 +108,12 @@ std::vector<std::string> CollRegistry::names(CollKind kind) const {
 
 CollRegistration::CollRegistration(CollDescriptor d) {
   CollRegistry::instance().add(std::move(d));
+}
+
+CollDescriptor plain_desc(std::string name, CollKind kind,
+                          sim::CoTask<void> (*fn)(CollArgs), CollCaps caps) {
+  return {std::move(name), kind, caps,
+          [fn](CollArgs a, const CollSpec&) { return fn(std::move(a)); }};
 }
 
 void ensure_builtin_collectives() {

@@ -9,13 +9,13 @@
 // through the registry instead of per-op switch ladders, so adding an
 // algorithm — or a whole collective kind — never touches the dispatcher.
 //
-// The nine collective kinds share one entry currency: CollArgs (vector
+// The nine collective kinds share one argument type: CollArgs (vector
 // length, dtype, op, buffers, root) plus a CollSpec naming the algorithm and
-// its runtime parameters. `count` is interpreted per kind (see coll.hpp):
-// the full vector for allreduce/reduce/bcast, the per-block element count
-// for alltoall/allgather/reduce_scatter/gather/scatter, and 0 for barrier.
-// Factories adapt CollArgs to the per-op argument structs (ReduceArgs,
-// BcastArgs, AlltoallArgs, GatherArgs, ...).
+// its runtime parameters. `count` is interpreted per kind: the full vector
+// for allreduce/reduce/bcast, the per-block element count for
+// alltoall/allgather/reduce_scatter/gather/scatter, and 0 for barrier.
+// Every algorithm takes CollArgs itself, so a factory only reads whichever
+// CollSpec fields its design honours (plain_desc: none).
 #pragma once
 
 #include <cstddef>
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "coll/coll.hpp"
+#include "coll/kind.hpp"
 
 namespace dpml::sharp {
 class SharpFabric;
@@ -33,25 +34,6 @@ class SharpFabric;
 
 namespace dpml::coll {
 
-enum class CollKind {
-  allreduce,
-  reduce,
-  bcast,
-  alltoall,
-  allgather,
-  reduce_scatter,
-  gather,
-  scatter,
-  barrier,
-};
-
-inline constexpr CollKind kAllCollKinds[] = {
-    CollKind::allreduce,      CollKind::reduce,  CollKind::bcast,
-    CollKind::alltoall,       CollKind::allgather,
-    CollKind::reduce_scatter, CollKind::gather,  CollKind::scatter,
-    CollKind::barrier};
-
-const char* coll_kind_name(CollKind k);
 // Throws util::InvariantError listing the valid kind names.
 CollKind coll_kind_by_name(const std::string& name);
 bool is_coll_kind_name(const std::string& name);
@@ -118,11 +100,17 @@ class CollRegistry {
 
 // Registers a descriptor; declare as a namespace-scope static in the
 // algorithm's translation unit:
-//   static const CollRegistration reg{{"ring", CollKind::allreduce, {},
-//       [](CollArgs a, const CollSpec&) { return allreduce_ring(std::move(a)); }}};
+//   static const CollRegistration reg{
+//       plain_desc("ring", CollKind::allreduce, allreduce_ring)};
 struct CollRegistration {
   explicit CollRegistration(CollDescriptor d);
 };
+
+// The descriptor of a design that reads nothing from the CollSpec: its
+// factory hands the CollArgs straight to `fn`.
+CollDescriptor plain_desc(std::string name, CollKind kind,
+                          sim::CoTask<void> (*fn)(CollArgs),
+                          CollCaps caps = {});
 
 // Forces the built-in algorithm translation units (and their static
 // CollRegistration objects) into the link; every registry accessor calls it,

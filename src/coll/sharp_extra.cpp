@@ -21,7 +21,7 @@ std::vector<int> node_leaders(Machine& m) {
 
 }  // namespace
 
-sim::CoTask<void> barrier_sharp(BarrierArgs a, sharp::SharpFabric& fabric) {
+sim::CoTask<void> barrier_sharp(CollArgs a, sharp::SharpFabric& fabric) {
   DPML_CHECK(a.rank != nullptr && a.comm != nullptr);
   Rank& r = *a.rank;
   Machine& m = r.machine();
@@ -53,13 +53,14 @@ sim::CoTask<void> barrier_sharp(BarrierArgs a, sharp::SharpFabric& fabric) {
   r.node().release_slot(key, ppn);
 }
 
-sim::CoTask<void> bcast_sharp(BcastArgs a, sharp::SharpFabric& fabric) {
-  a.check();
+sim::CoTask<void> bcast_sharp(CollArgs a, sharp::SharpFabric& fabric) {
+  check_bcast(a);
   Rank& r = *a.rank;
   Machine& m = r.machine();
   DPML_CHECK_MSG(a.comm->context() == m.world().context(),
                  "SHArP bcast runs on the world communicator");
-  if (!fabric.supports(a.bytes)) {
+  const std::size_t nbytes = a.bytes();
+  if (!fabric.supports(nbytes)) {
     co_await bcast_single_leader(std::move(a));
     co_return;
   }
@@ -67,7 +68,7 @@ sim::CoTask<void> bcast_sharp(BcastArgs a, sharp::SharpFabric& fabric) {
   const Comm& c = *a.comm;
   if (ppn == 1) {
     const sharp::Group& g = fabric.named_group("all_ranks", m.world().ranks());
-    co_await fabric.bcast(r, g, c.world_rank(a.root), a.bytes, a.buf);
+    co_await fabric.bcast(r, g, c.world_rank(a.root), nbytes, a.recv);
     co_return;
   }
   const int root_node = c.world_rank(a.root) / ppn;
@@ -77,7 +78,7 @@ sim::CoTask<void> bcast_sharp(BcastArgs a, sharp::SharpFabric& fabric) {
   const std::int64_t key = r.next_coll_key(c.context());
   CollSlot& slot = r.node().slot(key);
   if (!slot.initialized) {
-    slot.windows.emplace_back(a.bytes, m.socket_of_local(0), m.with_data());
+    slot.windows.emplace_back(nbytes, m.socket_of_local(0), m.with_data());
     slot.flags.emplace_back(r.engine());
     slot.initialized = true;
   }
@@ -85,22 +86,22 @@ sim::CoTask<void> bcast_sharp(BcastArgs a, sharp::SharpFabric& fabric) {
   // Payload to the root node's leader if the root is not itself a leader.
   if (r.world_rank() == c.world_rank(a.root) && root_local != 0) {
     co_await r.send(c, c.rank_of_world(root_node * ppn),
-                    static_cast<int>((key & 0x3ff)) * 2048 + 3, a.bytes,
-                    as_const(a.buf));
+                    static_cast<int>((key & 0x3ff)) * 2048 + 3, nbytes,
+                    as_const(a.recv));
   }
   if (is_leader) {
     if (r.node_id() == root_node && root_local != 0) {
       co_await r.recv(c, a.root, static_cast<int>((key & 0x3ff)) * 2048 + 3,
-                      a.bytes, a.buf);
+                      nbytes, a.recv);
     }
     const sharp::Group& g = fabric.named_group("node_leaders", node_leaders(m));
-    co_await fabric.bcast(r, g, root_node * ppn, a.bytes, a.buf);
-    co_await r.shm_put(slot.windows[0], 0, a.bytes, as_const(a.buf));
+    co_await fabric.bcast(r, g, root_node * ppn, nbytes, a.recv);
+    co_await r.shm_put(slot.windows[0], 0, nbytes, as_const(a.recv));
     co_await r.signal(slot.flags[0]);
   } else {
     co_await slot.flags[0].wait();
     if (r.world_rank() != c.world_rank(a.root)) {
-      co_await r.shm_get(slot.windows[0], 0, a.bytes, a.buf);
+      co_await r.shm_get(slot.windows[0], 0, nbytes, a.recv);
     }
   }
   r.node().release_slot(key, ppn);

@@ -12,13 +12,16 @@
 
 namespace dpml::coll {
 
+// Both take CollArgs under the barrier and bcast conventions (bcast: the
+// a.bytes() payload in recv). Neither is registered.
+
 // Barrier: intra-node latch -> in-network barrier among node leaders ->
 // intra-node release. World communicator only.
-sim::CoTask<void> barrier_sharp(BarrierArgs a, sharp::SharpFabric& fabric);
+sim::CoTask<void> barrier_sharp(CollArgs a, sharp::SharpFabric& fabric);
 
 // Broadcast: payload to the root's node leader -> in-network multicast to
 // all node leaders -> shared-memory broadcast. Falls back to the host
 // single-leader design when the payload exceeds the fabric limit.
-sim::CoTask<void> bcast_sharp(BcastArgs a, sharp::SharpFabric& fabric);
+sim::CoTask<void> bcast_sharp(CollArgs a, sharp::SharpFabric& fabric);
 
 }  // namespace dpml::coll

@@ -7,6 +7,7 @@
 
 #include "apps/stencil.hpp"
 #include "coll/alltoall.hpp"
+#include "coll/registry.hpp"
 #include "coll/sharp_extra.hpp"
 #include "net/cluster.hpp"
 
@@ -24,7 +25,7 @@ std::vector<std::byte> block_pattern(int from, int to, std::size_t bytes) {
   return v;
 }
 
-void run_alltoall_case(AlltoallAlgo algo, int nodes, int ppn,
+void run_alltoall_case(const char* algo, int nodes, int ppn,
                        std::size_t block) {
   Machine m(net::test_cluster(nodes), nodes, ppn);
   const int p = m.world_size();
@@ -39,14 +40,18 @@ void run_alltoall_case(AlltoallAlgo algo, int nodes, int ppn,
                   b.data(), block);
     }
   }
+  const CollDescriptor& d =
+      CollRegistry::instance().at(CollKind::alltoall, algo);
+  const CollSpec spec;
   m.run([&](Rank& r) -> sim::CoTask<void> {
-    AlltoallArgs a;
+    CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
-    a.block_bytes = block;
+    a.count = block;
+    a.dt = simmpi::Dtype::u8;
     a.send = simmpi::ConstBytes{in[static_cast<std::size_t>(r.world_rank())]};
     a.recv = simmpi::MutBytes{out[static_cast<std::size_t>(r.world_rank())]};
-    co_await alltoall(a, algo);
+    co_await d.make(a, spec);
   });
   for (int w = 0; w < p; ++w) {
     for (int from = 0; from < p; ++from) {
@@ -54,48 +59,49 @@ void run_alltoall_case(AlltoallAlgo algo, int nodes, int ppn,
       ASSERT_EQ(0, std::memcmp(out[w].data() +
                                    static_cast<std::size_t>(from) * block,
                                expect.data(), block))
-          << "algo=" << static_cast<int>(algo) << " " << nodes << "x" << ppn
+          << "algo=" << algo << " " << nodes << "x" << ppn
           << " dst=" << w << " src=" << from;
     }
   }
 }
 
 TEST(Alltoall, PairwiseExactOnVariousShapes) {
-  run_alltoall_case(AlltoallAlgo::pairwise, 2, 2, 16);
-  run_alltoall_case(AlltoallAlgo::pairwise, 3, 2, 9);
-  run_alltoall_case(AlltoallAlgo::pairwise, 4, 4, 32);
-  run_alltoall_case(AlltoallAlgo::pairwise, 5, 1, 8);
+  run_alltoall_case("pairwise", 2, 2, 16);
+  run_alltoall_case("pairwise", 3, 2, 9);
+  run_alltoall_case("pairwise", 4, 4, 32);
+  run_alltoall_case("pairwise", 5, 1, 8);
 }
 
 TEST(Alltoall, BruckExactOnVariousShapes) {
-  run_alltoall_case(AlltoallAlgo::bruck, 2, 2, 16);
-  run_alltoall_case(AlltoallAlgo::bruck, 3, 2, 9);
-  run_alltoall_case(AlltoallAlgo::bruck, 4, 4, 32);
-  run_alltoall_case(AlltoallAlgo::bruck, 5, 1, 8);
-  run_alltoall_case(AlltoallAlgo::bruck, 7, 1, 4);  // non-power-of-two
+  run_alltoall_case("bruck", 2, 2, 16);
+  run_alltoall_case("bruck", 3, 2, 9);
+  run_alltoall_case("bruck", 4, 4, 32);
+  run_alltoall_case("bruck", 5, 1, 8);
+  run_alltoall_case("bruck", 7, 1, 4);  // non-power-of-two
 }
 
 TEST(Alltoall, AutomaticPicksBySize) {
-  run_alltoall_case(AlltoallAlgo::automatic, 4, 2, 8);      // bruck range
-  run_alltoall_case(AlltoallAlgo::automatic, 4, 2, 4096);   // pairwise range
+  run_alltoall_case("auto", 4, 2, 8);     // bruck range
+  run_alltoall_case("auto", 4, 2, 4096);  // pairwise range
 }
 
 TEST(Alltoall, BruckBeatsPairwiseLatencyForTinyBlocks) {
-  auto run = [](AlltoallAlgo algo) {
+  auto run = [](sim::CoTask<void> (*algo)(CollArgs)) {
     simmpi::RunOptions opt;
     opt.with_data = false;
     Machine m(net::cluster_b(), 16, 1, opt);
     m.run([&](Rank& r) -> sim::CoTask<void> {
-      AlltoallArgs a;
+      CollArgs a;
       a.rank = &r;
       a.comm = &m.world();
-      a.block_bytes = 8;
-      co_await alltoall(a, algo);
+      a.count = 8;
+      a.dt = simmpi::Dtype::u8;
+      co_await algo(a);
     });
     return m.now();
   };
   // lg(p) rounds vs p-1 rounds.
-  EXPECT_LT(run(AlltoallAlgo::bruck), run(AlltoallAlgo::pairwise));
+  EXPECT_LT(run(alltoall_bruck), run(alltoall_pairwise));
 }
 
 // ---------------------------------------------------------------------------
@@ -200,13 +206,14 @@ TEST(Vcoll, SizeVectorLengthChecked) {
 // SHArP barrier and bcast
 
 TEST(SharpExtra, BarrierReleasesAfterLastArrival) {
-  Machine m(net::test_cluster(4), 4, 4, simmpi::RunOptions{false, 1});
+  Machine m(net::test_cluster(4), 4, 4,
+            simmpi::RunOptions{.with_data = false, .seed = 1});
   sharp::SharpFabric f(m);
   std::vector<sim::Time> exits(static_cast<std::size_t>(m.world_size()));
   const sim::Time skew = sim::us(40.0);
   m.run([&](Rank& r) -> sim::CoTask<void> {
     co_await r.compute(skew * r.world_rank());
-    BarrierArgs a;
+    CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
     co_await barrier_sharp(a, f);
@@ -219,16 +226,16 @@ TEST(SharpExtra, BarrierReleasesAfterLastArrival) {
 TEST(SharpExtra, BarrierFasterThanDisseminationAtScale) {
   auto run = [](bool use_sharp) {
     auto cfg = net::cluster_a();
-    Machine m(cfg, 16, 28, simmpi::RunOptions{false, 1});
+    Machine m(cfg, 16, 28, simmpi::RunOptions{.with_data = false, .seed = 1});
     sharp::SharpFabric f(m);
     m.run([&, use_sharp](Rank& r) -> sim::CoTask<void> {
-      BarrierArgs a;
+      CollArgs a;
       a.rank = &r;
       a.comm = &m.world();
       if (use_sharp) {
         co_await barrier_sharp(a, f);
       } else {
-        co_await barrier(a, BarrierAlgo::single_leader);
+        co_await barrier_single_leader(a);
       }
     });
     return m.now();
@@ -249,12 +256,13 @@ TEST(SharpExtra, BcastDeliversPayload) {
       if (w == root) bufs[w] = payload;
     }
     m.run([&](Rank& r) -> sim::CoTask<void> {
-      BcastArgs a;
+      CollArgs a;
       a.rank = &r;
       a.comm = &m.world();
       a.root = root;
-      a.bytes = bytes;
-      a.buf = simmpi::MutBytes{bufs[static_cast<std::size_t>(r.world_rank())]};
+      a.count = bytes;
+      a.dt = simmpi::Dtype::u8;
+      a.recv = simmpi::MutBytes{bufs[static_cast<std::size_t>(r.world_rank())]};
       co_await bcast_sharp(a, f);
     });
     for (int w = 0; w < m.world_size(); ++w) {
@@ -277,11 +285,12 @@ TEST(SharpExtra, BcastOversizeFallsBackToHost) {
     if (w == 0) bufs[w] = payload;
   }
   m.run([&](Rank& r) -> sim::CoTask<void> {
-    BcastArgs a;
+    CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
-    a.bytes = bytes;
-    a.buf = simmpi::MutBytes{bufs[static_cast<std::size_t>(r.world_rank())]};
+    a.count = bytes;
+    a.dt = simmpi::Dtype::u8;
+    a.recv = simmpi::MutBytes{bufs[static_cast<std::size_t>(r.world_rank())]};
     co_await bcast_sharp(a, f);
   });
   for (int w = 0; w < m.world_size(); ++w) EXPECT_EQ(bufs[w], payload);

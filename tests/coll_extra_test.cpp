@@ -10,6 +10,7 @@
 #include "coll/bcast.hpp"
 #include "coll/group_coll.hpp"
 #include "coll/reduce.hpp"
+#include "coll/registry.hpp"
 #include "core/api.hpp"
 #include "net/cluster.hpp"
 #include "simmpi/verify.hpp"
@@ -30,11 +31,44 @@ std::vector<std::byte> pattern(std::size_t bytes, std::uint64_t seed) {
   return v;
 }
 
+// A sweep's designs by registry name. The sweep parameter is a position in
+// the list: Algo has no operator<<, so gtest prints it as its raw bytes and
+// the ctest names of the sweeps stay those of the earlier enum-typed
+// parameters.
+const char* const kBcastAlgos[] = {"binomial", "scatter-allgather",
+                                   "single-leader", "auto"};
+const char* const kReduceAlgos[] = {"binomial", "rsa-gather", "single-leader",
+                                    "dpml", "auto"};
+const char* const kAllgatherAlgos[] = {"ring", "rd", "auto"};
+
+struct Algo {
+  int index;
+};
+
+template <std::size_t N>
+std::vector<Algo> positions(const char* const (&)[N]) {
+  std::vector<Algo> out;
+  for (std::size_t i = 0; i < N; ++i) out.push_back(Algo{static_cast<int>(i)});
+  return out;
+}
+
+// The instance-name prefix of a design: its name with '-' spelled '_'.
+std::string name_part(std::string name) {
+  for (auto& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  return name;
+}
+
+const CollDescriptor& design(CollKind kind, const char* name) {
+  return CollRegistry::instance().at(kind, name);
+}
+
 // ---------------------------------------------------------------------------
 // Broadcast
 
 class BcastSweep : public ::testing::TestWithParam<
-                       std::tuple<BcastAlgo, int /*nodes*/, int /*ppn*/,
+                       std::tuple<Algo, int /*nodes*/, int /*ppn*/,
                                   std::size_t /*bytes*/, int /*root*/>> {};
 
 TEST_P(BcastSweep, DeliversRootPayloadEverywhere) {
@@ -48,14 +82,17 @@ TEST_P(BcastSweep, DeliversRootPayloadEverywhere) {
     bufs[w].resize(bytes);
     if (w == root) bufs[w] = payload;
   }
+  const CollDescriptor& d = design(CollKind::bcast, kBcastAlgos[algo.index]);
+  const CollSpec spec;
   m.run([&](Rank& r) -> sim::CoTask<void> {
-    BcastArgs a;
+    CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
     a.root = root;
-    a.bytes = bytes;
-    a.buf = simmpi::MutBytes{bufs[static_cast<std::size_t>(r.world_rank())]};
-    co_await bcast(a, algo);
+    a.count = bytes;
+    a.dt = Dtype::u8;
+    a.recv = simmpi::MutBytes{bufs[static_cast<std::size_t>(r.world_rank())]};
+    co_await d.make(a, spec);
   });
   for (int w = 0; w < p; ++w) {
     EXPECT_EQ(bufs[w], payload) << "rank " << w;
@@ -65,16 +102,12 @@ TEST_P(BcastSweep, DeliversRootPayloadEverywhere) {
 INSTANTIATE_TEST_SUITE_P(
     Bcast, BcastSweep,
     ::testing::Combine(
-        ::testing::Values(BcastAlgo::binomial, BcastAlgo::scatter_allgather,
-                          BcastAlgo::single_leader, BcastAlgo::automatic),
+        ::testing::ValuesIn(positions(kBcastAlgos)),
         ::testing::Values(1, 3, 4), ::testing::Values(1, 4),
         ::testing::Values<std::size_t>(1, 64, 4097), ::testing::Values(0, 5)),
     [](const auto& info) {
-      std::string name = bcast_algo_name(std::get<0>(info.param));
-      for (auto& ch : name) {
-        if (ch == '-') ch = '_';
-      }
-      return name + "_" + std::to_string(std::get<1>(info.param)) + "x" +
+      return name_part(kBcastAlgos[std::get<0>(info.param).index]) + "_" +
+             std::to_string(std::get<1>(info.param)) + "x" +
              std::to_string(std::get<2>(info.param)) + "_b" +
              std::to_string(std::get<3>(info.param)) + "_r" +
              std::to_string(std::get<4>(info.param));
@@ -83,11 +116,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Bcast, ZeroBytes) {
   Machine m(net::test_cluster(2), 2, 2);
   m.run([&](Rank& r) -> sim::CoTask<void> {
-    BcastArgs a;
+    CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
-    a.bytes = 0;
-    co_await bcast(a, BcastAlgo::binomial);
+    a.dt = Dtype::u8;
+    co_await bcast_binomial(a);
   });
   SUCCEED();
 }
@@ -96,7 +129,7 @@ TEST(Bcast, ZeroBytes) {
 // Rooted reduce
 
 class ReduceSweep
-    : public ::testing::TestWithParam<std::tuple<ReduceAlgo, int, int,
+    : public ::testing::TestWithParam<std::tuple<Algo, int, int,
                                                  std::size_t, int>> {};
 
 TEST_P(ReduceSweep, RootGetsExactResult) {
@@ -109,8 +142,11 @@ TEST_P(ReduceSweep, RootGetsExactResult) {
   for (int w = 0; w < p; ++w) {
     in[w] = simmpi::make_operand(Dtype::f32, count, w, ReduceOp::sum);
   }
+  const CollDescriptor& d = design(CollKind::reduce, kReduceAlgos[algo.index]);
+  CollSpec spec;
+  spec.leaders = 2;
   m.run([&](Rank& r) -> sim::CoTask<void> {
-    ReduceArgs a;
+    CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
     a.root = root;
@@ -121,9 +157,7 @@ TEST_P(ReduceSweep, RootGetsExactResult) {
     if (r.world_rank() == m.world().world_rank(root)) {
       a.recv = simmpi::MutBytes{out};
     }
-    coll::DpmlParams dp;
-    dp.leaders = 2;
-    co_await reduce(a, algo, dp);
+    co_await d.make(a, spec);
   });
   const auto ref =
       simmpi::reference_allreduce(Dtype::f32, count, p, ReduceOp::sum);
@@ -133,17 +167,12 @@ TEST_P(ReduceSweep, RootGetsExactResult) {
 INSTANTIATE_TEST_SUITE_P(
     Reduce, ReduceSweep,
     ::testing::Combine(
-        ::testing::Values(ReduceAlgo::binomial, ReduceAlgo::rsa_gather,
-                          ReduceAlgo::single_leader, ReduceAlgo::dpml,
-                          ReduceAlgo::automatic),
+        ::testing::ValuesIn(positions(kReduceAlgos)),
         ::testing::Values(1, 3, 4), ::testing::Values(1, 4),
         ::testing::Values<std::size_t>(1, 63, 1024), ::testing::Values(0, 7)),
     [](const auto& info) {
-      std::string name = reduce_algo_name(std::get<0>(info.param));
-      for (auto& ch : name) {
-        if (ch == '-') ch = '_';
-      }
-      return name + "_" + std::to_string(std::get<1>(info.param)) + "x" +
+      return name_part(kReduceAlgos[std::get<0>(info.param).index]) + "_" +
+             std::to_string(std::get<1>(info.param)) + "x" +
              std::to_string(std::get<2>(info.param)) + "_n" +
              std::to_string(std::get<3>(info.param)) + "_r" +
              std::to_string(std::get<4>(info.param));
@@ -159,7 +188,7 @@ TEST(Reduce, DpmlManyLeaders) {
     in[w] = simmpi::make_operand(Dtype::f32, count, w, ReduceOp::max);
   }
   m.run([&](Rank& r) -> sim::CoTask<void> {
-    ReduceArgs a;
+    CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
     a.root = 9;
@@ -187,11 +216,12 @@ TEST(Gather, BinomialCollectsBlocksInRankOrder) {
     for (int w = 0; w < p; ++w) blocks[w] = pattern(block, 100 + w);
     std::vector<std::byte> out(static_cast<std::size_t>(p) * block);
     m.run([&](Rank& r) -> sim::CoTask<void> {
-      GatherArgs a;
+      CollArgs a;
       a.rank = &r;
       a.comm = &m.world();
       a.root = root;
-      a.block_bytes = block;
+      a.count = block;
+      a.dt = Dtype::u8;
       a.send = simmpi::ConstBytes{
           blocks[static_cast<std::size_t>(r.world_rank())]};
       if (r.world_rank() == root) a.recv = simmpi::MutBytes{out};
@@ -219,11 +249,12 @@ TEST(Scatter, BinomialDeliversEachBlock) {
     std::vector<std::vector<std::byte>> outs(static_cast<std::size_t>(p));
     for (auto& o : outs) o.resize(block);
     m.run([&](Rank& r) -> sim::CoTask<void> {
-      ScatterArgs a;
+      CollArgs a;
       a.rank = &r;
       a.comm = &m.world();
       a.root = root;
-      a.block_bytes = block;
+      a.count = block;
+      a.dt = Dtype::u8;
       if (r.world_rank() == root) a.send = simmpi::ConstBytes{all};
       a.recv =
           simmpi::MutBytes{outs[static_cast<std::size_t>(r.world_rank())]};
@@ -240,7 +271,7 @@ TEST(Scatter, BinomialDeliversEachBlock) {
 // Allgather
 
 class AllgatherSweep
-    : public ::testing::TestWithParam<std::tuple<AllgatherAlgo, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Algo, int, int>> {};
 
 TEST_P(AllgatherSweep, EveryRankSeesAllBlocks) {
   const auto [algo, nodes, ppn] = GetParam();
@@ -253,14 +284,18 @@ TEST_P(AllgatherSweep, EveryRankSeesAllBlocks) {
     in[w] = pattern(block, 300 + w);
     out[w].resize(static_cast<std::size_t>(p) * block);
   }
+  const CollDescriptor& d =
+      design(CollKind::allgather, kAllgatherAlgos[algo.index]);
+  const CollSpec spec;
   m.run([&](Rank& r) -> sim::CoTask<void> {
-    AllgatherArgs a;
+    CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
-    a.block_bytes = block;
+    a.count = block;
+    a.dt = Dtype::u8;
     a.send = simmpi::ConstBytes{in[static_cast<std::size_t>(r.world_rank())]};
     a.recv = simmpi::MutBytes{out[static_cast<std::size_t>(r.world_rank())]};
-    co_await allgather(a, algo);
+    co_await d.make(a, spec);
   });
   for (int w = 0; w < p; ++w) {
     for (int b = 0; b < p; ++b) {
@@ -274,15 +309,12 @@ TEST_P(AllgatherSweep, EveryRankSeesAllBlocks) {
 
 INSTANTIATE_TEST_SUITE_P(
     Allgather, AllgatherSweep,
-    ::testing::Combine(::testing::Values(AllgatherAlgo::ring,
-                                         AllgatherAlgo::recursive_doubling,
-                                         AllgatherAlgo::automatic),
+    ::testing::Combine(::testing::ValuesIn(positions(kAllgatherAlgos)),
                        ::testing::Values(2, 3, 4), ::testing::Values(1, 2, 4)),
     [](const auto& info) {
-      const int algo_idx = static_cast<int>(std::get<0>(info.param));
-      const char* name = algo_idx == 0 ? "ring" : algo_idx == 1 ? "rd" : "auto";
-      return std::string(name) + "_" + std::to_string(std::get<1>(info.param)) +
-             "x" + std::to_string(std::get<2>(info.param));
+      return name_part(kAllgatherAlgos[std::get<0>(info.param).index]) + "_" +
+             std::to_string(std::get<1>(info.param)) + "x" +
+             std::to_string(std::get<2>(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -302,10 +334,10 @@ TEST(ReduceScatter, RingBlocksAreExact) {
         out[w].resize(bc * 8);
       }
       m.run([&](Rank& r) -> sim::CoTask<void> {
-        ReduceScatterArgs a;
+        CollArgs a;
         a.rank = &r;
         a.comm = &m.world();
-        a.block_count = bc;
+        a.count = bc;
         a.dt = Dtype::i64;
         a.op = ReduceOp::sum;
         a.send =
@@ -331,18 +363,18 @@ TEST(ReduceScatter, RingBlocksAreExact) {
 // Barrier
 
 TEST(BarrierColl, AllRanksLeaveAfterLastArrives) {
-  for (BarrierAlgo algo : {BarrierAlgo::dissemination,
-                           BarrierAlgo::single_leader,
-                           BarrierAlgo::automatic}) {
+  for (const char* algo : {"dissemination", "single-leader", "auto"}) {
     Machine m(net::test_cluster(3), 3, 4);
     std::vector<sim::Time> exits(static_cast<std::size_t>(m.world_size()));
     const sim::Time skew = sim::us(50.0);
+    const CollDescriptor& d = design(CollKind::barrier, algo);
+    const CollSpec spec;
     m.run([&](Rank& r) -> sim::CoTask<void> {
       co_await r.compute(skew * r.world_rank());
-      BarrierArgs a;
+      CollArgs a;
       a.rank = &r;
       a.comm = &m.world();
-      co_await barrier(a, algo);
+      co_await d.make(a, spec);
       exits[static_cast<std::size_t>(r.world_rank())] = r.engine().now();
     });
     const sim::Time last_arrival = skew * (m.world_size() - 1);
@@ -358,7 +390,7 @@ TEST(BarrierColl, WorksOnSubCommunicator) {
   const simmpi::Comm& sub = m.make_comm({0, 3});
   m.run([&](Rank& r) -> sim::CoTask<void> {
     if (!sub.contains(r.world_rank())) co_return;
-    BarrierArgs a;
+    CollArgs a;
     a.rank = &r;
     a.comm = &sub;
     co_await barrier_dissemination(a);

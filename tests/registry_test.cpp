@@ -107,6 +107,33 @@ TEST(Registry, RejectsDuplicateRegistration) {
   EXPECT_THROW(CollRegistry::instance().add(d), util::InvariantError);
 }
 
+TEST(Registry, GatherScatterReduceScatterRejectInPlace) {
+  // recv holds the root's p blocks (gather) or one block (scatter,
+  // reduce_scatter), so none of these kinds has an MPI_IN_PLACE form here.
+  for (CollKind kind :
+       {CollKind::gather, CollKind::scatter, CollKind::reduce_scatter}) {
+    for (const coll::CollDescriptor* d : CollRegistry::instance().list(kind)) {
+      simmpi::RunOptions opt;
+      opt.with_data = false;
+      Machine m(net::test_cluster(2), 2, 2, opt);
+      CollSpec spec;
+      spec.algo = d->name;
+      auto run = [&] {
+        m.run([&](Rank& r) -> sim::CoTask<void> {
+          coll::CollArgs a;
+          a.rank = &r;
+          a.comm = &m.world();
+          a.count = 16;
+          a.inplace = true;
+          co_await core::run_collective(kind, a, spec);
+        });
+      };
+      EXPECT_THROW(run(), util::InvariantError)
+          << coll::coll_kind_name(kind) << "/" << d->name;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence: the registry path must charge exactly the same simulated
 // time as invoking the src/coll coroutine directly.
@@ -246,14 +273,14 @@ TEST(Equivalence, ReduceBcastAlltoallMatchDirectInvocation) {
     opt.with_data = false;
     Machine m(net::test_cluster(4), 4, 4, opt);
     m.run([&](Rank& r) -> sim::CoTask<void> {
-      coll::ReduceArgs a;
+      coll::CollArgs a;
       a.rank = &r;
       a.comm = &m.world();
       a.count = 2048;
       a.inplace = true;
       coll::DpmlParams p;
       p.leaders = 2;
-      co_await coll::reduce(a, coll::ReduceAlgo::dpml, p);
+      co_await coll::reduce_dpml(a, p);
     });
     EXPECT_EQ(m.now(), generic_time(CollKind::reduce, "dpml"));
   }
@@ -262,11 +289,12 @@ TEST(Equivalence, ReduceBcastAlltoallMatchDirectInvocation) {
     opt.with_data = false;
     Machine m(net::test_cluster(4), 4, 4, opt);
     m.run([&](Rank& r) -> sim::CoTask<void> {
-      coll::BcastArgs a;
+      coll::CollArgs a;
       a.rank = &r;
       a.comm = &m.world();
-      a.bytes = 2048 * 4;
-      co_await coll::bcast(a, coll::BcastAlgo::scatter_allgather);
+      a.count = 2048 * 4;
+      a.dt = simmpi::Dtype::u8;
+      co_await coll::bcast_scatter_allgather(a);
     });
     EXPECT_EQ(m.now(), generic_time(CollKind::bcast, "scatter-allgather"));
   }
@@ -275,11 +303,12 @@ TEST(Equivalence, ReduceBcastAlltoallMatchDirectInvocation) {
     opt.with_data = false;
     Machine m(net::test_cluster(4), 4, 4, opt);
     m.run([&](Rank& r) -> sim::CoTask<void> {
-      coll::AlltoallArgs a;
+      coll::CollArgs a;
       a.rank = &r;
       a.comm = &m.world();
-      a.block_bytes = 2048 * 4;
-      co_await coll::alltoall(a, coll::AlltoallAlgo::pairwise);
+      a.count = 2048 * 4;
+      a.dt = simmpi::Dtype::u8;
+      co_await coll::alltoall_pairwise(a);
     });
     EXPECT_EQ(m.now(), generic_time(CollKind::alltoall, "pairwise"));
   }
