@@ -9,6 +9,8 @@
 
 namespace dpml::check {
 
+using coll::coll_kind_name;
+using coll::CollKind;
 using simmpi::ConstBytes;
 using simmpi::Dtype;
 using simmpi::MutBytes;
@@ -32,20 +34,6 @@ CheckLevel check_level_by_name(const std::string& name) {
   return CheckLevel::off;
 }
 
-const char* coll_op_name(CollOp op) {
-  switch (op) {
-    case CollOp::allreduce: return "allreduce";
-    case CollOp::reduce: return "reduce";
-    case CollOp::bcast: return "bcast";
-    case CollOp::alltoall: return "alltoall";
-    case CollOp::allgather: return "allgather";
-    case CollOp::reduce_scatter: return "reduce_scatter";
-    case CollOp::gather: return "gather";
-    case CollOp::scatter: return "scatter";
-    case CollOp::barrier: return "barrier";
-  }
-  return "?";
-}
 
 std::string Violation::format() const {
   std::string s = "[" + rule + "]";
@@ -322,7 +310,7 @@ void Checker::on_recv_complete(int rank, int ctx, const simmpi::PostedRecv& pr) 
   }
 }
 
-std::uint64_t Checker::begin_collective(CollOp op_kind, int world_rank,
+std::uint64_t Checker::begin_collective(CollKind op_kind, int world_rank,
                                         int ctx, const std::string& label,
                                         int parties, int comm_rank, int root,
                                         std::size_t count, Dtype dt,
@@ -333,7 +321,7 @@ std::uint64_t Checker::begin_collective(CollOp op_kind, int world_rank,
   const std::uint64_t seq = enter_seq_[{ctx, world_rank}]++;
   CollRecord& rec = records_[{ctx, seq}];
   const std::string where =
-      std::string(coll_op_name(op_kind)) + "/" + label;
+      std::string(coll_kind_name(op_kind)) + "/" + label;
   if (rec.entered == 0) {
     rec.op_kind = op_kind;
     rec.label = label;
@@ -349,12 +337,12 @@ std::uint64_t Checker::begin_collective(CollOp op_kind, int world_rank,
     fail(Violation{
         "collective-argument-mismatch", world_rank, where,
         "entered invocation #" + std::to_string(seq) + " on context " +
-            std::to_string(ctx) + " with (kind=" + coll_op_name(op_kind) +
+            std::to_string(ctx) + " with (kind=" + coll_kind_name(op_kind) +
             ", label=" + label + ", parties=" + std::to_string(parties) +
             ", root=" + std::to_string(root) + ", count=" +
             std::to_string(count) + ", dtype=" + simmpi::dtype_name(dt) +
             ") but an earlier rank entered with (kind=" +
-            coll_op_name(rec.op_kind) + ", label=" +
+            coll_kind_name(rec.op_kind) + ", label=" +
             rec.label + ", parties=" + std::to_string(rec.parties) +
             ", root=" + std::to_string(rec.root) + ", count=" +
             std::to_string(rec.count) + ", dtype=" +
@@ -377,9 +365,9 @@ std::uint64_t Checker::begin_collective(CollOp op_kind, int world_rank,
   // Annotate this rank's p2p traffic with the reduction dtype; the pure
   // data-movement kinds (bcast, alltoall, allgather, gather, scatter) move
   // byte ranges that need not be element-aligned, so they stay unannotated.
-  const bool reduction = op_kind == CollOp::allreduce ||
-                         op_kind == CollOp::reduce ||
-                         op_kind == CollOp::reduce_scatter;
+  const bool reduction = op_kind == CollKind::allreduce ||
+                         op_kind == CollKind::reduce ||
+                         op_kind == CollKind::reduce_scatter;
   open_[static_cast<std::size_t>(world_rank)].push_back(
       OpenColl{ctx, seq, reduction ? static_cast<int>(dt) : -1});
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ctx)) << 32) |
@@ -435,24 +423,24 @@ void Checker::verify_collective(int ctx, std::uint64_t seq,
   // rank contributes no data (e.g. scatter non-roots).
   auto in_bytes_of = [&](int cr) -> std::size_t {
     switch (rec.op_kind) {
-      case CollOp::alltoall:
-      case CollOp::reduce_scatter:
+      case CollKind::alltoall:
+      case CollKind::reduce_scatter:
         return all_bytes;
-      case CollOp::scatter:
+      case CollKind::scatter:
         return cr == rec.root ? all_bytes : 0;
-      case CollOp::barrier:
+      case CollKind::barrier:
         return 0;
-      case CollOp::allreduce:
-      case CollOp::reduce:
-      case CollOp::bcast:
-      case CollOp::allgather:
-      case CollOp::gather:
+      case CollKind::allreduce:
+      case CollKind::reduce:
+      case CollKind::bcast:
+      case CollKind::allgather:
+      case CollKind::gather:
         break;
     }
     return vec_bytes;
   };
   const std::string where =
-      std::string(coll_op_name(rec.op_kind)) + "/" + rec.label;
+      std::string(coll_kind_name(rec.op_kind)) + "/" + rec.label;
   for (int cr = 0; cr < rec.parties; ++cr) {
     const Party& p = rec.party[static_cast<std::size_t>(cr)];
     const std::size_t expect_in = in_bytes_of(cr);
@@ -471,8 +459,8 @@ void Checker::verify_collective(int ctx, std::uint64_t seq,
   // placement reference (blocks concatenated in comm-rank order) instead.
   std::vector<std::byte> ref;
   switch (rec.op_kind) {
-    case CollOp::allreduce:
-    case CollOp::reduce: {
+    case CollKind::allreduce:
+    case CollKind::reduce: {
       ref = rec.party[0].input;
       for (int cr = 1; cr < rec.parties; ++cr) {
         rec.op.apply(rec.dt, rec.count, MutBytes{ref},
@@ -480,7 +468,7 @@ void Checker::verify_collective(int ctx, std::uint64_t seq,
       }
       break;
     }
-    case CollOp::reduce_scatter: {
+    case CollKind::reduce_scatter: {
       // Fold the full p-block vectors; comm rank cr receives block cr.
       ref = rec.party[0].input;
       for (int cr = 1; cr < rec.parties; ++cr) {
@@ -491,12 +479,12 @@ void Checker::verify_collective(int ctx, std::uint64_t seq,
       }
       break;
     }
-    case CollOp::bcast:
-    case CollOp::scatter:
+    case CollKind::bcast:
+    case CollKind::scatter:
       ref = rec.party[static_cast<std::size_t>(rec.root)].input;
       break;
-    case CollOp::allgather:
-    case CollOp::gather:
+    case CollKind::allgather:
+    case CollKind::gather:
       ref.resize(all_bytes);
       for (int cr = 0; cr < rec.parties; ++cr) {
         std::memcpy(ref.data() + static_cast<std::size_t>(cr) * vec_bytes,
@@ -504,8 +492,8 @@ void Checker::verify_collective(int ctx, std::uint64_t seq,
                     vec_bytes);
       }
       break;
-    case CollOp::alltoall:
-    case CollOp::barrier:
+    case CollKind::alltoall:
+    case CollKind::barrier:
       break;  // alltoall: per-receiver expectation computed below
   }
 
@@ -532,20 +520,20 @@ void Checker::verify_collective(int ctx, std::uint64_t seq,
   };
 
   switch (rec.op_kind) {
-    case CollOp::allreduce:
-    case CollOp::bcast:
-    case CollOp::allgather:
+    case CollKind::allreduce:
+    case CollKind::bcast:
+    case CollKind::allgather:
       for (int cr = 0; cr < rec.parties; ++cr) check_output(cr, ref);
       break;
-    case CollOp::reduce:
-    case CollOp::gather:
+    case CollKind::reduce:
+    case CollKind::gather:
       check_output(rec.root, ref);
       break;
-    case CollOp::reduce_scatter:
-    case CollOp::scatter:
+    case CollKind::reduce_scatter:
+    case CollKind::scatter:
       for (int cr = 0; cr < rec.parties; ++cr) check_output(cr, block_of(cr));
       break;
-    case CollOp::alltoall: {
+    case CollKind::alltoall: {
       std::vector<std::byte> expect(all_bytes);
       for (int cr = 0; cr < rec.parties; ++cr) {
         for (int src = 0; src < rec.parties; ++src) {
@@ -559,7 +547,7 @@ void Checker::verify_collective(int ctx, std::uint64_t seq,
       }
       break;
     }
-    case CollOp::barrier:
+    case CollKind::barrier:
       break;
   }
 }
@@ -616,7 +604,7 @@ void Checker::finalize(bool deadlocked, const std::string& deadlock_what,
     if (!inside.empty()) msg += "; world ranks still inside: " + inside;
     if (missing_n > 0) msg += "; comm ranks that never entered: " + missing;
     deferred_.push_back(Violation{"unbalanced-collective", -1,
-                                  std::string(coll_op_name(rec.op_kind)) +
+                                  std::string(coll_kind_name(rec.op_kind)) +
                                       "/" + rec.label,
                                   std::move(msg)});
   }

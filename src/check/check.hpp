@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "coll/kind.hpp"
 #include "simmpi/datatype.hpp"
 #include "simmpi/message.hpp"
 
@@ -39,23 +40,6 @@ enum class CheckLevel : std::uint8_t { off, basic, strict };
 const char* check_level_name(CheckLevel level);
 // Accepts "off", "basic", "strict"; throws util::InvariantError otherwise.
 CheckLevel check_level_by_name(const std::string& name);
-
-// The collective kinds the checker verifies results for. Mirrors
-// coll::CollKind without depending on the coll layer (src/check sits below
-// it; core maps between the two at dispatch time).
-enum class CollOp : std::uint8_t {
-  allreduce,
-  reduce,
-  bcast,
-  alltoall,
-  allgather,
-  reduce_scatter,
-  gather,
-  scatter,
-  barrier,
-};
-
-const char* coll_op_name(CollOp op);
 
 struct Violation {
   std::string rule;     // e.g. "unmatched-send", "result-mismatch"
@@ -156,10 +140,11 @@ class Checker {
   // matched across ranks by per-(rank, ctx) call sequence, which SPMD
   // execution keeps consistent; argument divergence between ranks of one
   // invocation is itself a violation.
-  std::uint64_t begin_collective(CollOp op_kind, int world_rank, int ctx,
-                                 const std::string& label, int parties,
-                                 int comm_rank, int root, std::size_t count,
-                                 simmpi::Dtype dt, const simmpi::Op& op,
+  std::uint64_t begin_collective(coll::CollKind op_kind, int world_rank,
+                                 int ctx, const std::string& label,
+                                 int parties, int comm_rank, int root,
+                                 std::size_t count, simmpi::Dtype dt,
+                                 const simmpi::Op& op,
                                  simmpi::ConstBytes input);
   // Registers exit; when the last party exits, the invocation's outputs are
   // verified against a serial reference computed from the entry snapshots.
@@ -213,7 +198,7 @@ class Checker {
   };
 
   struct CollRecord {
-    CollOp op_kind = CollOp::allreduce;
+    coll::CollKind op_kind = coll::CollKind::allreduce;
     std::string label;
     int parties = 0;
     int root = 0;

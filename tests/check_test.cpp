@@ -21,7 +21,7 @@ namespace {
 using check::Checker;
 using check::CheckError;
 using check::CheckLevel;
-using check::CollOp;
+using coll::CollKind;
 using simmpi::Dtype;
 using simmpi::Machine;
 using simmpi::Rank;
@@ -104,7 +104,7 @@ TEST(CheckBuffers, ReaderBlocksWriterWhileLive) {
 std::uint64_t open_reduction(Checker& ck, int world_rank, Dtype dt,
                              std::size_t count = 8, int parties = 2) {
   static const std::vector<std::byte> empty;
-  return ck.begin_collective(CollOp::allreduce, world_rank, /*ctx=*/1, "rd",
+  return ck.begin_collective(CollKind::allreduce, world_rank, /*ctx=*/1, "rd",
                              parties, /*comm_rank=*/world_rank, /*root=*/0,
                              count, dt, simmpi::ReduceOp::sum,
                              simmpi::ConstBytes{});
@@ -162,21 +162,21 @@ TEST(CheckTraffic, StrictRequiresExactCapacity) {
 
 TEST(CheckCollectives, ArgumentDivergenceAcrossRanks) {
   Checker ck(CheckLevel::basic, false, 2);
-  ck.begin_collective(CollOp::allreduce, 0, 1, "rd", 2, 0, 0, /*count=*/8,
+  ck.begin_collective(CollKind::allreduce, 0, 1, "rd", 2, 0, 0, /*count=*/8,
                       Dtype::f32, simmpi::ReduceOp::sum, {});
   expect_violation("collective-argument-mismatch", [&] {
-    ck.begin_collective(CollOp::allreduce, 1, 1, "rd", 2, 1, 0, /*count=*/16,
+    ck.begin_collective(CollKind::allreduce, 1, 1, "rd", 2, 1, 0, /*count=*/16,
                         Dtype::f32, simmpi::ReduceOp::sum, {});
   });
 }
 
 TEST(CheckCollectives, SameCommRankEnteringTwiceIsReentry) {
   Checker ck(CheckLevel::basic, false, 2);
-  ck.begin_collective(CollOp::allreduce, 0, 1, "rd", 2, 0, 0, 8, Dtype::f32,
+  ck.begin_collective(CollKind::allreduce, 0, 1, "rd", 2, 0, 0, 8, Dtype::f32,
                       simmpi::ReduceOp::sum, {});
   // World rank 1 claims the same comm rank 0 of the same invocation.
   expect_violation("collective-reentry", [&] {
-    ck.begin_collective(CollOp::allreduce, 1, 1, "rd", 2, 0, 0, 8, Dtype::f32,
+    ck.begin_collective(CollKind::allreduce, 1, 1, "rd", 2, 0, 0, 8, Dtype::f32,
                         simmpi::ReduceOp::sum, {});
   });
 }
@@ -190,10 +190,10 @@ TEST(CheckCollectives, ResultMismatchAgainstSerialReference) {
     return simmpi::ConstBytes{reinterpret_cast<const std::byte*>(v.data()),
                               v.size() * sizeof(float)};
   };
-  const auto t0 = ck.begin_collective(CollOp::allreduce, 0, 1, "rd", 2, 0, 0,
+  const auto t0 = ck.begin_collective(CollKind::allreduce, 0, 1, "rd", 2, 0, 0,
                                       count, Dtype::f32, simmpi::ReduceOp::sum,
                                       bytes_of(in0));
-  const auto t1 = ck.begin_collective(CollOp::allreduce, 1, 1, "rd", 2, 1, 0,
+  const auto t1 = ck.begin_collective(CollKind::allreduce, 1, 1, "rd", 2, 1, 0,
                                       count, Dtype::f32, simmpi::ReduceOp::sum,
                                       bytes_of(in1));
   ck.end_collective(0, t0, bytes_of(wrong));
@@ -217,10 +217,10 @@ TEST(CheckCollectives, CorrectResultPassesSilently) {
     return simmpi::ConstBytes{reinterpret_cast<const std::byte*>(v.data()),
                               v.size() * sizeof(float)};
   };
-  const auto t0 = ck.begin_collective(CollOp::allreduce, 0, 1, "rd", 2, 0, 0,
+  const auto t0 = ck.begin_collective(CollKind::allreduce, 0, 1, "rd", 2, 0, 0,
                                       2, Dtype::f32, simmpi::ReduceOp::sum,
                                       bytes_of(in0));
-  const auto t1 = ck.begin_collective(CollOp::allreduce, 1, 1, "rd", 2, 1, 0,
+  const auto t1 = ck.begin_collective(CollKind::allreduce, 1, 1, "rd", 2, 1, 0,
                                       2, Dtype::f32, simmpi::ReduceOp::sum,
                                       bytes_of(in1));
   ck.end_collective(0, t0, bytes_of(sum));
@@ -230,7 +230,7 @@ TEST(CheckCollectives, CorrectResultPassesSilently) {
 
 TEST(CheckCollectives, UnbalancedCollectiveReportedAtFinalize) {
   Checker ck(CheckLevel::basic, false, 2);
-  ck.begin_collective(CollOp::bcast, 0, 1, "binomial", 2, 0, 0, 8, Dtype::u8,
+  ck.begin_collective(CollKind::bcast, 0, 1, "binomial", 2, 0, 0, 8, Dtype::u8,
                       simmpi::ReduceOp::sum, {});
   try {
     ck.finalize(false, "", 0, 0);
