@@ -40,8 +40,10 @@ T parse_number(const std::string& key, const std::string& text,
   bool ok = end == last && ec == std::errc{} && one_sign;
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
   if (!ok) {
+    const bool range = end == last && ec == std::errc::result_out_of_range;
     throw InvariantError("bad value '" + text + "' for --" + key +
-                         ": expected " + form);
+                         ": expected " + form +
+                         (range ? " (out of range)" : ""));
   }
   return value;
 }
@@ -83,9 +85,9 @@ std::string Args::get(const std::string& key, const std::string& def) const {
   return it == flags_.end() ? def : it->second;
 }
 
-long long Args::get_int(const std::string& key, long long def) const {
+int Args::get_int(const std::string& key, int def) const {
   const std::string v = get(key);
-  return v.empty() ? def : parse_number<long long>(key, v, "an integer");
+  return v.empty() ? def : parse_number<int>(key, v, "an integer");
 }
 
 double Args::get_double(const std::string& key, double def) const {

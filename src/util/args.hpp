@@ -22,9 +22,10 @@ class Args {
   std::string get(const std::string& key, const std::string& def = "") const;
   // Typed getters read the whole value ("2x", "1.5" for an integer, "inf"
   // and "maybe" all throw util::InvariantError naming --key and the text):
-  // integers take an optional sign, doubles must be finite, and booleans
-  // are true/false, 1/0, yes/no or on/off (a bare flag reads true).
-  long long get_int(const std::string& key, long long def) const;
+  // integers take an optional sign and must fit in an int, doubles must be
+  // finite, and booleans are true/false, 1/0, yes/no or on/off (a bare flag
+  // reads true).
+  int get_int(const std::string& key, int def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def = false) const;
 

@@ -63,6 +63,22 @@ TEST(Args, TypedGetters) {
         << e.what();
   }
 
+  // Integers must fit in an int: 2^32 + 2 is an error, not a silent 2.
+  auto w = make({"prog", "--nodes", "4294967298", "--ppn", "-2147483649",
+                 "--max", "2147483647", "--min", "-2147483648"});
+  EXPECT_THROW(w.get_int("nodes", 0), InvariantError);
+  EXPECT_THROW(w.get_int("ppn", 0), InvariantError);
+  EXPECT_EQ(w.get_int("max", 0), 2147483647);
+  EXPECT_EQ(w.get_int("min", 0), -2147483647 - 1);
+  try {
+    w.get_int("nodes", 0);
+    ADD_FAILURE() << "--nodes 4294967298 parsed";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("'4294967298' for --nodes"),
+              std::string::npos)
+        << e.what();
+  }
+
   // Doubles: the whole text, finite only.
   auto d = make({"prog", "--stagger-us", "5us", "--inf", "inf", "--nan",
                  "nan", "--huge", "1e400", "--neg", "-0.5", "--pos", "+2e1"});

@@ -18,6 +18,7 @@
 #include "mc/probes.hpp"
 #include "net/cluster.hpp"
 #include "util/args.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -59,46 +60,53 @@ void shape_for(int np, int* nodes, int* ppn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dpml::util::Args args(argc, argv);
-  if (args.has("help")) {
-    usage();
-    return 0;
-  }
-  const int np_min = static_cast<int>(args.get_int("np-min", 2));
-  const int np_max = static_cast<int>(args.get_int("np-max", 4));
-  const std::string only_kind = args.get("kind", "");
-  const std::string only_algo = args.get("algo", "");
-  const std::string trace_dir = args.get("trace-dir", ".");
-  {
-    std::error_code ec;
-    std::filesystem::create_directories(trace_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "dpmlmc: cannot create --trace-dir '%s': %s\n",
-                   trace_dir.c_str(), ec.message().c_str());
+  // Flags are parsed inside the handler, so a bad value exits 1 with a
+  // one-line error naming the flag.
+  try {
+    dpml::util::Args args(argc, argv);
+    if (args.has("help")) {
+      usage();
+      return 0;
+    }
+    const int np_min = args.get_int("np-min", 2);
+    const int np_max = args.get_int("np-max", 4);
+    const std::string only_kind = args.get("kind", "");
+    const std::string only_algo = args.get("algo", "");
+    const std::string trace_dir = args.get("trace-dir", ".");
+    {
+      std::error_code ec;
+      std::filesystem::create_directories(trace_dir, ec);
+      if (ec) {
+        std::fprintf(stderr, "dpmlmc: cannot create --trace-dir '%s': %s\n",
+                     trace_dir.c_str(), ec.message().c_str());
+        return 2;
+      }
+    }
+    const bool probe = args.get_bool("probe", false);
+
+    dpml::mc::McConfig base;
+    base.cluster = args.get("cluster", "test");
+    base.count = args.get_int("count", 16);
+    // The affine reduction the explorer checks with is defined for these two.
+    const std::string dtype = args.get("dtype", "i32");
+    if (dtype != "i32" && dtype != "i64") {
+      throw dpml::util::InvariantError("bad value '" + dtype +
+                                       "' for --dtype: expected i32 or i64");
+    }
+    base.dt = dtype == "i64" ? dpml::simmpi::Dtype::i64
+                             : dpml::simmpi::Dtype::i32;
+    base.leaders = args.get_int("leaders", 2);
+
+    dpml::mc::McBudget budget;
+    budget.max_schedules = args.get_int("schedules", 4096);
+    budget.max_millis = args.get_int("ms", 10000);
+
+    for (const std::string& key : args.unused()) {
+      std::fprintf(stderr, "dpmlmc: unknown flag --%s (see --help)\n",
+                   key.c_str());
       return 2;
     }
-  }
-  const bool probe = args.get_bool("probe", false);
 
-  dpml::mc::McConfig base;
-  base.cluster = args.get("cluster", "test");
-  base.count = static_cast<std::size_t>(args.get_int("count", 16));
-  base.dt = args.get("dtype", "i32") == "i64" ? dpml::simmpi::Dtype::i64
-                                              : dpml::simmpi::Dtype::i32;
-  base.leaders = static_cast<int>(args.get_int("leaders", 2));
-
-  dpml::mc::McBudget budget;
-  budget.max_schedules =
-      static_cast<std::uint64_t>(args.get_int("schedules", 4096));
-  budget.max_millis = static_cast<std::uint64_t>(args.get_int("ms", 10000));
-
-  for (const std::string& key : args.unused()) {
-    std::fprintf(stderr, "dpmlmc: unknown flag --%s (see --help)\n",
-                 key.c_str());
-    return 2;
-  }
-
-  try {
     dpml::coll::ensure_builtin_collectives();
     if (probe) dpml::mc::ensure_probe_algorithms();
     const dpml::net::ClusterConfig cluster =

@@ -311,10 +311,10 @@ struct PerfAgg {
 
 core::MeasureOptions measure_opts(const util::Args& args) {
   core::MeasureOptions opt;
-  opt.iterations = static_cast<int>(args.get_int("iterations", 3));
-  opt.warmup = static_cast<int>(args.get_int("warmup", 1));
+  opt.iterations = args.get_int("iterations", 3);
+  opt.warmup = args.get_int("warmup", 1);
   opt.with_data = args.get_bool("data", false);
-  opt.repetitions = static_cast<int>(args.get_int("reps", 1));
+  opt.repetitions = args.get_int("reps", 1);
   // Unknown injectors/parameters throw util::InvariantError naming every
   // valid one; main's catch turns that into the CLI error message.
   opt.perturb = perturb::PerturbSpec::parse(args.get("perturb", ""));
@@ -341,8 +341,8 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   core::CollSpec spec;
   spec.algo =
       args.get("algo", kind == core::CollKind::allreduce ? "dpml" : "auto");
-  spec.leaders = static_cast<int>(args.get_int("leaders", 4));
-  spec.pipeline_k = static_cast<int>(args.get_int("pipeline", 1));
+  spec.leaders = args.get_int("leaders", 4);
+  spec.pipeline_k = args.get_int("pipeline", 1);
   // Fail fast on unknown names (the error lists the registered ones).
   coll::CollRegistry::instance().at(kind, spec.algo);
   // --table FILE: dispatch through a tuned selection table instead (its
@@ -446,9 +446,8 @@ int cmd_verify(const util::Args& args, const net::ClusterConfig& cfg) {
   // Self-test: run every registered algorithm of every collective kind in
   // data mode on a small shape and check results bit-for-bit against the
   // serial reference for that kind's semantics.
-  const int nodes = static_cast<int>(args.get_int("nodes", 4));
-  const int ppn = std::min(static_cast<int>(args.get_int("ppn", 4)),
-                           cfg.max_ppn());
+  const int nodes = args.get_int("nodes", 4);
+  const int ppn = std::min(args.get_int("ppn", 4), cfg.max_ppn());
   core::MeasureOptions opt;
   opt.with_data = true;
   opt.iterations = 2;
@@ -535,7 +534,7 @@ int cmd_pingpong(const util::Args& args, const net::ClusterConfig& cfg) {
 
 int cmd_throughput(const util::Args& args, const net::ClusterConfig& cfg,
                    int /*nodes*/, int /*ppn*/) {
-  const int pairs = static_cast<int>(args.get_int("pairs", 8));
+  const int pairs = args.get_int("pairs", 8);
   const bool intra = args.get_bool("intra", false);
   const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
   util::Table t({"msg size", "1 pair (MB/s)", "aggregate (MB/s)", "relative"});
@@ -598,7 +597,7 @@ int cmd_hpcg(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
   apps::HpcgOptions o;
   o.nodes = nodes;
   o.ppn = ppn;
-  o.iterations = static_cast<int>(args.get_int("iterations", 25));
+  o.iterations = args.get_int("iterations", 25);
   o.spec.algo = app_algo(args, "mvapich2");
   const auto r = apps::run_hpcg(cfg, o);
   std::cout << "HPCG on cluster " << cfg.name << ", " << nodes * ppn
@@ -615,8 +614,8 @@ int cmd_stencil(const util::Args& args, const net::ClusterConfig& cfg,
   apps::StencilOptions o;
   o.nodes = nodes;
   o.ppn = ppn;
-  o.sweeps = static_cast<int>(args.get_int("sweeps", 20));
-  o.check_every = static_cast<int>(args.get_int("check-every", 4));
+  o.sweeps = args.get_int("sweeps", 20);
+  o.check_every = args.get_int("check-every", 4);
   o.spec.algo = app_algo(args, "dpml-auto");
   const auto r = apps::run_stencil(cfg, o);
   std::cout << "3D stencil on cluster " << cfg.name << ", grid " << r.grid[0]
@@ -633,8 +632,8 @@ int cmd_dl(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
   apps::DlOptions o;
   o.nodes = nodes;
   o.ppn = ppn;
-  o.steps = static_cast<int>(args.get_int("steps", 4));
-  o.buckets = static_cast<int>(args.get_int("buckets", 16));
+  o.steps = args.get_int("steps", 4);
+  o.buckets = args.get_int("buckets", 16);
   o.bucket_bytes = args.get_bytes("bucket", 4 << 20);
   o.overlap = args.get_bool("overlap", true);
   o.spec.algo = app_algo(args, "dpml-auto");
@@ -669,7 +668,7 @@ int cmd_replay(const util::Args& args, const net::ClusterConfig& cfg,
   apps::ReplayOptions o;
   o.nodes = nodes;
   o.ppn = ppn;
-  o.repetitions = static_cast<int>(args.get_int("reps", 1));
+  o.repetitions = args.get_int("reps", 1);
   o.spec.algo = app_algo(args, "dpml-auto");
   const auto r = apps::replay_trace(cfg, trace, o);
   std::cout << "replayed " << r.ops << " collective ops on cluster "
@@ -685,8 +684,8 @@ int cmd_miniamr(const util::Args& args, const net::ClusterConfig& cfg,
   apps::MiniAmrOptions o;
   o.nodes = nodes;
   o.ppn = ppn;
-  o.refine_steps = static_cast<int>(args.get_int("steps", 10));
-  o.blocks_per_rank = static_cast<int>(args.get_int("blocks", 32));
+  o.refine_steps = args.get_int("steps", 10);
+  o.blocks_per_rank = args.get_int("blocks", 32);
   o.spec.algo = app_algo(args, "dpml-auto");
   const auto r = apps::run_miniamr(cfg, o);
   std::cout << "miniAMR on cluster " << cfg.name << ", " << nodes * ppn
@@ -705,9 +704,9 @@ int cmd_miniamr(const util::Args& args, const net::ClusterConfig& cfg,
 // ECMP-way failures.
 int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
                 int nodes, int ppn) {
-  const int njobs = static_cast<int>(args.get_int("tenants", 2));
+  const int njobs = args.get_int("tenants", 2);
   tenant::TenantOptions opt;
-  opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  opt.seed = args.get_int("seed", 1);
   opt.stagger_max_us = args.get_double("stagger-us", 20.0);
   opt.perturb = perturb::PerturbSpec::parse(args.get("perturb", ""));
   if (args.has("fabric")) {
@@ -746,7 +745,7 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
   }
   std::vector<tenant::JobSpec> jobs = tenant::default_jobs(njobs, cfg, nodes);
   if (args.has("tenant-iters")) {
-    const int iters = static_cast<int>(args.get_int("tenant-iters", 4));
+    const int iters = args.get_int("tenant-iters", 4);
     for (tenant::JobSpec& j : jobs) j.iterations = iters;
   }
   const tenant::TenantResult r = tenant::run_tenants(cfg, ppn, jobs, opt);
@@ -882,16 +881,15 @@ int run(const util::Args& args) {
     // --jobs N sets the process-wide sweep-executor width: every measure()
     // call fans its repetitions (and sweeps their points) across N threads
     // while staying byte-identical to the serial order (docs/MODEL.md §8).
-    if (args.has("jobs"))
-      core::set_default_jobs(static_cast<int>(args.get_int("jobs", 1)));
+    if (args.has("jobs")) core::set_default_jobs(args.get_int("jobs", 1));
     if (args.get_bool("list-algorithms", false)) return cmd_list_algorithms();
     if (args.get_bool("list-clusters", false)) return cmd_list_clusters();
     if (args.has("mc-replay")) return cmd_mc_replay(args.get("mc-replay"));
     if (args.positional().empty() && !args.has("tenants")) return usage();
     net::ClusterConfig cfg = net::cluster_by_name(args.get("cluster", "B"));
-    const int rails = static_cast<int>(args.get_int("rails", 1));
+    const int rails = args.get_int("rails", 1);
     if (rails > 1) cfg = net::with_rails(cfg, rails);
-    const int nodes = static_cast<int>(args.get_int("nodes", 8));
+    const int nodes = args.get_int("nodes", 8);
     if (nodes > cfg.total_nodes) {
       // Extrapolated sweep: grow the preset to the requested node count
       // rather than failing (fig10-style extreme-scale curves).
@@ -900,7 +898,7 @@ int run(const util::Args& args) {
                 << "\n";
       cfg = net::with_nodes(std::move(cfg), nodes);
     }
-    const int ppn = static_cast<int>(args.get_int("ppn", cfg.max_ppn()));
+    const int ppn = args.get_int("ppn", cfg.max_ppn());
     if (args.has("tenants")) return cmd_tenants(args, cfg, nodes, ppn);
     const std::string cmd = args.positional()[0];
     if (cmd == "latency") return cmd_latency(args, cfg, nodes, ppn);
