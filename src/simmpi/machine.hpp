@@ -45,7 +45,7 @@ struct RunOptions {
   // degradation, stragglers). An empty spec — the default — builds no
   // perturbation runtime at all: every charge path is bit-identical to a
   // machine constructed before this field existed.
-  perturb::PerturbSpec perturb;
+  perturb::PerturbSpec perturb{};
   // MPI-semantics verification (simcheck). `off` constructs no checker and
   // leaves every path byte-identical; `basic`/`strict` attach a
   // check::Checker whose hooks are pure host-side bookkeeping, so even
