@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
       spec.leaders = se.leaders;
       benchx::register_point(
           std::string("multirail/bytes:") + row + "/" + se.label, store, row,
-          se.label, [=]() {
-            return benchx::latency_us(se.cfg, nodes, ppn, bytes, spec);
+          se.label, [=](core::PerfReport& perf) {
+            return benchx::latency_us(se.cfg, nodes, ppn, bytes, spec, perf);
           });
     }
   }

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
         benchx::register_point(
             std::string("ablation/bytes:") + util::format_bytes(bytes) +
                 "/l:" + std::to_string(l) + "/k:" + std::to_string(k),
-            store, row, "k=" + std::to_string(k), [=]() {
-              return benchx::latency_us(cfg, nodes, ppn, bytes, spec);
+            store, row, "k=" + std::to_string(k), [=](core::PerfReport& perf) {
+              return benchx::latency_us(cfg, nodes, ppn, bytes, spec, perf);
             });
       }
     }

@@ -25,10 +25,7 @@
 // tables are byte-identical across --jobs widths and reruns.
 //
 // --smoke: two loads on the test cluster only.
-#include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -39,27 +36,6 @@
 namespace {
 
 using namespace dpml;
-
-struct AcFlags {
-  std::string perf_json;
-};
-
-AcFlags strip_ac_flags(int& argc, char** argv) {
-  AcFlags f;
-  int keep = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--perf-json" && i + 1 < argc) {
-      f.perf_json = argv[++i];
-    } else if (a.rfind("--perf-json=", 0) == 0) {
-      f.perf_json = a.substr(12);
-    } else {
-      argv[keep++] = argv[i];
-    }
-  }
-  argc = keep;
-  return f;
-}
 
 struct Row {
   std::string label;
@@ -138,65 +114,28 @@ tenant::FailSpec mid_run_failure() {
   return f;
 }
 
-// Per-point tenant results, committed by slot index so the post-run perf
-// aggregate is independent of executor scheduling.
+// Per-point tenant results, committed by slot index so the post-run
+// tables are independent of executor scheduling.
 std::vector<tenant::TenantResult> result_slots;
-std::atomic<std::size_t> next_slot{0};
 
 // One bench cell: the subject job's shared-run makespan in microseconds
-// (jobs[0] is always the subject).
+// (jobs[0] is always the subject); the run's perf folds into `perf`.
 double subject_makespan(const net::ClusterConfig& cfg, int ppn,
                         const std::vector<tenant::JobSpec>& jobs,
-                        const tenant::TenantOptions& opt, std::size_t slot) {
+                        const tenant::TenantOptions& opt, std::size_t slot,
+                        core::PerfReport& perf) {
   const tenant::TenantResult r = tenant::run_tenants(cfg, ppn, jobs, opt);
+  perf.add(r.engine_perf, r.elided_bytes,
+           core::FabricCounters{r.max_link_util, r.flows, r.bg_flows,
+                                r.fabric_perf});
   result_slots[slot] = r;
   return r.jobs.front().makespan_us;
-}
-
-bool write_perf_json(const std::string& path, int points, int jobs,
-                     double wall_ms) {
-  std::uint64_t events = 0;
-  std::uint64_t flows = 0;
-  std::uint64_t bg_flows = 0;
-  double max_util = 0.0;
-  fabric::FabricPerf fp;
-  for (const tenant::TenantResult& r : result_slots) {
-    fp.merge(r.fabric_perf);
-    events += r.events;
-    flows += r.flows;
-    bg_flows += r.bg_flows;
-    max_util = std::max(max_util, r.max_link_util);
-  }
-  std::ofstream os(path);
-  if (!os) return false;
-  os << "{\n"
-     << "  \"tool\": \"bench_adapt_contention\",\n"
-     << "  \"placement\": \"round-robin\",\n"
-     << "  \"adapt\": true,\n"
-     << "  \"points\": " << points << ",\n"
-     << "  \"jobs\": " << jobs << ",\n"
-     << "  \"events\": " << events << ",\n"
-     << "  \"events_per_sec\": "
-     << (wall_ms > 0.0
-             ? static_cast<long long>(static_cast<double>(events) /
-                                      (wall_ms / 1e3))
-             : 0)
-     << ",\n"
-     << "  \"fabric\": true,\n"
-     << "  \"max_link_util\": " << max_util << ",\n"
-     << "  \"fabric_flows\": " << flows << ",\n"
-     << "  \"bg_flows\": " << bg_flows << ",\n"
-     << fp.json_members()
-     << "  \"wall_ms\": " << wall_ms << "\n"
-     << "}\n";
-  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const benchx::BenchFlags bf = benchx::strip_common_flags(argc, argv);
-  const AcFlags af = strip_ac_flags(argc, argv);
   const Config c = make_config(bf.smoke);
 
   benchx::SeriesStore latency;   // subject makespan (us)
@@ -216,7 +155,8 @@ int main(int argc, char** argv) {
         benchx::register_point(
             "adapt_contention/" + cfg.name + "/" + row.label + "/" +
                 (adapt != 0 ? "adaptive" : "static"),
-            latency, row.label, col, [&c, &cfg, row, adapt, slot]() {
+            latency, row.label, col,
+            [&c, &cfg, row, adapt, slot](core::PerfReport& perf) {
               std::vector<tenant::JobSpec> jobs;
               jobs.push_back(subject_job(c.iterations));
               jobs.push_back(cotenant_job(c.iterations));
@@ -227,20 +167,16 @@ int main(int argc, char** argv) {
               opt.adapt = adapt != 0;
               if (row.bg_load > 0.0) opt.traffic = bg_traffic(row.bg_load);
               if (row.fail) opt.failures = mid_run_failure();
-              return subject_makespan(cfg, c.ppn, jobs, opt, slot);
+              return subject_makespan(cfg, c.ppn, jobs, opt, slot, perf);
             });
       }
     }
   }
 
-  const auto wall_start =
-      std::chrono::steady_clock::now();  // dpmllint: allow(wall-clock)
-  const int rc = benchx::run_benchmarks(argc, argv);
-  const auto wall_end =
-      std::chrono::steady_clock::now();  // dpmllint: allow(wall-clock)
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start)
-          .count();
+  // The snapshot tags keep this run's perf_delta.py key: a round-robin
+  // adaptive mix is a different workload from a block static one.
+  const int rc = benchx::run_benchmarks(
+      argc, argv, {{"placement", "\"round-robin\""}, {"adapt", "true"}});
 
   std::cout << "\nAdaptive re-planning study: 4-node allreduce subject "
                "(256KB ring static plan) + co-tenant, round-robin placement, "
@@ -283,15 +219,5 @@ int main(int argc, char** argv) {
   std::cout << "\n" << result_slots.size() << " tenant mixes, " << bg_total
             << " background flows injected, up to " << shared_max
             << " links shared by both jobs\n";
-
-  if (!af.perf_json.empty()) {
-    if (!write_perf_json(af.perf_json,
-                         static_cast<int>(result_slots.size()),
-                         core::default_jobs(), wall_ms)) {
-      std::cerr << "cannot write perf json " << af.perf_json << "\n";
-      return 1;
-    }
-    std::cout << "perf counters written to " << af.perf_json << "\n";
-  }
   return !wins_at_heavy_load && !c.smoke ? 1 : rc;
 }

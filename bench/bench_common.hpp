@@ -11,28 +11,27 @@
 // DPML_JOBS fan the fully independent simulations across host threads;
 // values land in pre-sized slots, so the tables are byte-identical to a
 // serial run), then hands google-benchmark entries that simply report the
-// precomputed values. A host-side perf summary (points, jobs, wall time,
-// aggregate simulated events/sec) is printed after the figure tables.
+// precomputed values. Each point folds what it measured into its own
+// core::PerfReport; run_benchmarks folds those in point order, prints the
+// [perf] line and writes the --perf-json snapshot.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/executor.hpp"
 #include "core/measure.hpp"
 #include "core/tuner.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
 
 namespace dpml::benchx {
@@ -101,76 +100,67 @@ class SeriesStore {
 
 // Flags shared by every bench driver but unknown to google-benchmark.
 // strip_common_flags removes them from argv before Initialize sees them:
-//   --smoke        tiny CI shape (driver-interpreted)
-//   --jobs N       sweep-executor width (also --jobs=N; sets the process
-//                  default, so every measure() call fans its reps out too)
+//   --smoke           tiny CI shape (driver-interpreted)
+//   --jobs N          sweep-executor width, an integer >= 1 (sets the
+//                     process default, so every measure() call fans its
+//                     reps out too)
+//   --perf-json FILE  write the sweep's core::PerfReport snapshot
+// Each also takes the --flag=value form. A bad --jobs or a --perf-json
+// without a file is a one-line error naming the flag (exit 1). The flags
+// read stay read: run_benchmarks strips again and sees the driver's.
 struct BenchFlags {
   bool smoke = false;
+  std::string perf_json;
 };
 
 inline BenchFlags strip_common_flags(int& argc, char** argv) {
-  BenchFlags flags;
+  static BenchFlags flags;
   int keep = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      flags.smoke = true;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      core::set_default_jobs(std::atoi(argv[++i]));
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      core::set_default_jobs(std::atoi(argv[i] + 7));
-    } else {
-      argv[keep++] = argv[i];
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      // "--flag=value", or "--flag value" unless the next token is a flag.
+      const auto value = [&](const std::string& flag) -> std::string {
+        if (a.size() > flag.size()) return a.substr(flag.size() + 1);
+        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+          return argv[++i];
+        }
+        return "";
+      };
+      if (a == "--smoke") {
+        flags.smoke = true;
+      } else if (a == "--jobs" || a.rfind("--jobs=", 0) == 0) {
+        core::set_default_jobs(core::parse_jobs(value("--jobs")));
+      } else if (a == "--perf-json" || a.rfind("--perf-json=", 0) == 0) {
+        flags.perf_json = value("--perf-json");
+        if (flags.perf_json.empty()) {
+          throw util::InvariantError("--perf-json needs a file path");
+        }
+      } else {
+        argv[keep++] = argv[i];
+      }
     }
+  } catch (const util::InvariantError& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    std::exit(1);
   }
   argc = keep;
   return flags;
 }
 
-// A benchmark point waiting for the executor pass in run_benchmarks().
+// A benchmark point waiting for the executor pass in run_benchmarks(): `fn`
+// returns the point's value and folds what it measured into its report.
 struct PendingPoint {
   std::string name;
   SeriesStore* store;
   std::string row;
   std::string col;
-  std::function<double()> fn;
+  std::function<double(core::PerfReport&)> fn;
 };
 
 inline std::vector<PendingPoint>& pending_points() {
   static std::vector<PendingPoint> points;
   return points;
-}
-
-// Fold one point's deterministic perf counters and wall time into a
-// total: sums, except the peaks, which are maxima over points.
-inline void fold_perf(core::MeasurePerf& t, const core::MeasurePerf& p) {
-  t.events += p.events;
-  t.resumes += p.resumes;
-  t.callbacks += p.callbacks;
-  t.instants += p.instants;
-  t.peak_instants = std::max(t.peak_instants, p.peak_instants);
-  t.peak_live_events = std::max(t.peak_live_events, p.peak_live_events);
-  t.peak_queue_depth = std::max(t.peak_queue_depth, p.peak_queue_depth);
-  t.peak_rss_kb = std::max(t.peak_rss_kb, p.peak_rss_kb);
-  t.elided_bytes += p.elided_bytes;
-  t.wall_ms += p.wall_ms;
-}
-
-// Counters of every point measured through the helpers below, for the
-// perf summary line.
-inline core::MeasurePerf& perf_totals() {
-  static core::MeasurePerf totals;
-  return totals;
-}
-
-// Guards perf_totals(): points run concurrently.
-inline std::mutex& perf_totals_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-inline void note_measure_perf(const core::MeasureResult& r) {
-  const std::lock_guard<std::mutex> lock(perf_totals_mutex());
-  fold_perf(perf_totals(), r.perf);
 }
 
 // Register a single-iteration manual-time benchmark point that evaluates
@@ -179,83 +169,59 @@ inline void note_measure_perf(const core::MeasureResult& r) {
 // across the sweep executor before google-benchmark reports them.
 inline void register_point(const std::string& name, SeriesStore& store,
                            const std::string& row, const std::string& col,
-                           std::function<double()> fn) {
+                           std::function<double(core::PerfReport&)> fn) {
   pending_points().push_back({name, &store, row, col, std::move(fn)});
+}
+
+// Measure one point, fold it into `perf` and return its latency (us).
+inline double measure_us(core::CollKind kind, const net::ClusterConfig& cfg,
+                         int nodes, int ppn, std::size_t bytes,
+                         const coll::CollSpec& spec,
+                         const core::MeasureOptions& opt,
+                         core::PerfReport& perf) {
+  const core::MeasureResult r =
+      core::measure_collective(kind, cfg, nodes, ppn, bytes, spec, opt);
+  perf.add(r);
+  return r.avg_us;
 }
 
 // Convenience: latency of one allreduce spec (microseconds).
 inline double latency_us(const net::ClusterConfig& cfg, int nodes, int ppn,
-                         std::size_t bytes, const coll::CollSpec& spec) {
-  const core::MeasureResult r = core::measure_collective(
-      coll::CollKind::allreduce, cfg, nodes, ppn, bytes, spec, default_opts());
-  note_measure_perf(r);
-  return r.avg_us;
+                         std::size_t bytes, const coll::CollSpec& spec,
+                         core::PerfReport& perf) {
+  return measure_us(coll::CollKind::allreduce, cfg, nodes, ppn, bytes, spec,
+                    default_opts(), perf);
 }
 
-// Write the aggregate of per-point perf results as the JSON snapshot format
-// diffed by scripts/perf_delta.py (entries of BENCH_perf.json).
-inline bool write_perf_json(const std::string& path, const std::string& tool,
-                            const std::vector<core::MeasurePerf>& slots,
-                            int points) {
-  core::MeasurePerf sum;
-  double cb_hits = 0.0, pl_hits = 0.0;
-  for (const core::MeasurePerf& p : slots) {
-    fold_perf(sum, p);
-    cb_hits += p.callback_pool_hit_rate;
-    pl_hits += p.payload_pool_hit_rate;
-  }
-  const double n = slots.empty() ? 1.0 : static_cast<double>(slots.size());
-  std::ofstream os(path);
-  if (!os) return false;
-  os << "{\n"
-     << "  \"tool\": \"" << tool << "\",\n"
-     << "  \"points\": " << points << ",\n"
-     << "  \"jobs\": " << core::default_jobs() << ",\n"
-     << "  \"events\": " << sum.events << ",\n"
-     << "  \"events_per_sec\": "
-     << (sum.wall_ms > 0.0
-             ? static_cast<long long>(static_cast<double>(sum.events) /
-                                      (sum.wall_ms / 1e3))
-             : 0)
-     << ",\n"
-     << "  \"resumes\": " << sum.resumes << ",\n"
-     << "  \"callbacks\": " << sum.callbacks << ",\n"
-     << "  \"instants\": " << sum.instants << ",\n"
-     << "  \"peak_instants\": " << sum.peak_instants << ",\n"
-     << "  \"peak_live_events\": " << sum.peak_live_events << ",\n"
-     << "  \"peak_queue_depth\": " << sum.peak_queue_depth << ",\n"
-     << "  \"peak_rss_kb\": " << sum.peak_rss_kb << ",\n"
-     << "  \"elided_bytes\": " << sum.elided_bytes << ",\n"
-     << "  \"callback_pool_hit_rate\": " << cb_hits / n << ",\n"
-     << "  \"payload_pool_hit_rate\": " << pl_hits / n << ",\n"
-     << "  \"wall_ms\": " << sum.wall_ms << "\n"
-     << "}\n";
-  return true;
-}
-
-inline int run_benchmarks(int argc, char** argv) {
-  // Drivers that interpret --smoke strip it themselves (idempotent); this
-  // catches --jobs for the drivers that pass argv straight through.
-  strip_common_flags(argc, argv);
+// Evaluates every registered point, reports them to google-benchmark, then
+// prints the sweep's [perf] line and writes --perf-json (tool: the binary's
+// name; `tags` follow it, see core::PerfReport::json). Returns 1 when the
+// arguments or the snapshot file are bad.
+inline int run_benchmarks(
+    int argc, char** argv,
+    const std::vector<std::pair<std::string, std::string>>& tags = {}) {
+  // Drivers that interpret --smoke strip it themselves; this catches the
+  // common flags for the drivers that pass argv straight through.
+  const BenchFlags flags = strip_common_flags(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
 
   // Evaluate every pending point through the sweep executor: each point is
-  // an independent deterministic simulation committed into its own slot, so
-  // the values (and every table built from them) are byte-identical to the
-  // serial order for any --jobs width.
+  // an independent deterministic simulation committed into its own value
+  // and report slots, so the values (and every table built from them) and
+  // the reports folded in point order are byte-identical to the serial
+  // order for any --jobs width.
   std::vector<PendingPoint>& points = pending_points();
   const core::Executor executor;
-  perf_totals() = core::MeasurePerf{};
-  // Host-side wall clock for the events/sec perf line, not simulated time.
-  const auto wall_start =
-      std::chrono::steady_clock::now();  // dpmllint: allow(wall-clock)
-  const std::vector<double> values = executor.map<double>(
-      points.size(), [&](std::size_t i) { return points[i].fn(); });
-  const auto wall_end =
-      std::chrono::steady_clock::now();  // dpmllint: allow(wall-clock)
-  const double wall_s =
-      std::chrono::duration<double>(wall_end - wall_start).count();
+  std::vector<core::PerfReport> reports(points.size());
+  std::vector<double> values;
+  core::PerfReport report;
+  report.time_sweep([&] {
+    values = executor.map<double>(points.size(), [&](std::size_t i) {
+      return points[i].fn(reports[i]);
+    });
+  });
+  for (const core::PerfReport& r : reports) report.add(r);
 
   for (std::size_t i = 0; i < points.size(); ++i) {
     PendingPoint& p = points[i];
@@ -273,22 +239,18 @@ inline int run_benchmarks(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-
-  std::cout << "\n[perf] " << points.size() << " points, jobs="
-            << executor.jobs() << ", wall " << wall_s << " s";
-  const core::MeasurePerf& t = perf_totals();
-  if (t.events > 0 && wall_s > 0.0) {
-    std::cout << ", " << t.events << " simulated events ("
-              << (static_cast<double>(t.events) / wall_s) / 1e6 << " Mev/s; "
-              << t.resumes << " resumes, " << t.callbacks << " callbacks), "
-              << t.instants << " instants (peak " << t.peak_instants << ")";
-  }
-  if (t.peak_queue_depth > 0) {
-    std::cout << ", peak queue depth " << t.peak_queue_depth;
-  }
-  std::cout << ", peak RSS " << sim::peak_rss_kb() << " KB";
-  std::cout << "\n";
   points.clear();
+
+  std::cout << "\n" << report.line() << "\n";
+  if (flags.perf_json.empty()) return 0;
+  const std::string program = argv[0];
+  std::ofstream os(flags.perf_json);
+  os << report.json(program.substr(program.rfind('/') + 1), tags);
+  if (!os) {
+    std::cerr << "cannot write perf json " << flags.perf_json << "\n";
+    return 1;
+  }
+  std::cout << "perf counters written to " << flags.perf_json << "\n";
   return 0;
 }
 

@@ -16,27 +16,14 @@
 #include "core/tuner.hpp"
 #include "net/cluster.hpp"
 
-namespace {
-
-using namespace dpml;
-
-double latency_us(core::CollKind kind, const net::ClusterConfig& cfg,
-                  int nodes, int ppn, std::size_t bytes,
-                  const core::CollSpec& spec) {
-  core::MeasureOptions opt;
-  opt.iterations = 1;
-  opt.warmup = 1;
-  opt.with_data = false;
-  return core::measure_collective(kind, cfg, nodes, ppn, bytes, spec, opt)
-      .avg_us;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace dpml;
   const auto cfg = net::cluster_b();
   const int nodes = 16;
   const int ppn = 28;
+  core::MeasureOptions opt;  // metadata-only
+  opt.iterations = 1;
+  opt.warmup = 1;
   static benchx::SeriesStore reduce_store;
   static benchx::SeriesStore bcast_store;
 
@@ -58,8 +45,9 @@ int main(int argc, char** argv) {
         const std::string label = cand.label(s.kind);
         benchx::register_point(
             std::string(s.tag) + "/bytes:" + row + "/" + label, *s.store, row,
-            label, [=]() {
-              return latency_us(s.kind, cfg, nodes, ppn, bytes, cand);
+            label, [=](core::PerfReport& perf) {
+              return benchx::measure_us(s.kind, cfg, nodes, ppn, bytes, cand,
+                                        opt, perf);
             });
       }
     }

@@ -70,7 +70,8 @@ Config make_config(bool smoke) {
 }
 
 double fabric_latency(const Config& c, std::size_t bytes, int leaders,
-                      double oversub, bool fabric_on) {
+                      double oversub, bool fabric_on,
+                      core::PerfReport& perf) {
   net::ClusterConfig cfg = c.base;
   cfg.oversubscription = oversub;
   coll::CollSpec spec;
@@ -81,9 +82,8 @@ double fabric_latency(const Config& c, std::size_t bytes, int leaders,
   opt.warmup = 1;
   opt.fabric =
       fabric_on ? fabric::FabricLevel::links : fabric::FabricLevel::none;
-  return core::measure_collective(coll::CollKind::allreduce, cfg, c.nodes,
-                                 c.ppn, bytes, spec, opt)
-      .avg_us;
+  return benchx::measure_us(coll::CollKind::allreduce, cfg, c.nodes, c.ppn,
+                            bytes, spec, opt, perf);
 }
 
 std::string os_row(double oversub) {
@@ -109,17 +109,19 @@ int main(int argc, char** argv) {
       const std::string ref_name = "oversub/bytes:" +
                                    util::format_bytes(bytes) + "/loggp/" +
                                    leader_col(l);
-      benchx::register_point(ref_name, stores[si], loggp, leader_col(l),
-                             [&c, bytes, l]() {
-                               return fabric_latency(c, bytes, l, 1.0, false);
-                             });
+      benchx::register_point(
+          ref_name, stores[si], loggp, leader_col(l),
+          [&c, bytes, l](core::PerfReport& perf) {
+            return fabric_latency(c, bytes, l, 1.0, false, perf);
+          });
       for (double os : c.oversubs) {
         const std::string name = "oversub/bytes:" + util::format_bytes(bytes) +
                                  "/" + os_row(os) + "/" + leader_col(l);
-        benchx::register_point(name, stores[si], os_row(os), leader_col(l),
-                               [&c, bytes, l, os]() {
-                                 return fabric_latency(c, bytes, l, os, true);
-                               });
+        benchx::register_point(
+            name, stores[si], os_row(os), leader_col(l),
+            [&c, bytes, l, os](core::PerfReport& perf) {
+              return fabric_latency(c, bytes, l, os, true, perf);
+            });
       }
     }
   }

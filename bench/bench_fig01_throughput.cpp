@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
                                  "/pairs:" + std::to_string(pairs);
         benchx::register_point(
             name, p.store, util::format_bytes(bytes),
-            "pairs=" + std::to_string(pairs), [&p, pairs, bytes]() {
+            "pairs=" + std::to_string(pairs),
+            [&p, pairs, bytes](core::PerfReport&) {
               return apps::relative_throughput(p.cfg, pairs, bytes,
                                                p.intra_node);
             });

@@ -49,11 +49,11 @@ int main(int argc, char** argv) {
         const std::string name = std::string("fig08/ppn:") +
                                  std::to_string(p.ppn) + "/bytes:" +
                                  util::format_bytes(bytes) + "/" + d.label;
-        benchx::register_point(name, p.store, util::format_bytes(bytes),
-                               d.label, [&cfg, &p, bytes, spec]() {
-                                 return benchx::latency_us(cfg, 16, p.ppn,
-                                                           bytes, spec);
-                               });
+        benchx::register_point(
+            name, p.store, util::format_bytes(bytes), d.label,
+            [&cfg, &p, bytes, spec](core::PerfReport& perf) {
+              return benchx::latency_us(cfg, 16, p.ppn, bytes, spec, perf);
+            });
       }
     }
   }

@@ -50,24 +50,25 @@ int main(int argc, char** argv) {
       const std::string base = std::string("fig09/") + p.cfg.name +
                                "/bytes:" + row;
       benchx::register_point(base + "/proposed", p.store, row, "proposed",
-                             [&p, bytes]() {
+                             [&p, bytes](core::PerfReport&) {
                                return tuned_latency(p.cfg, p.nodes, p.ppn,
                                                     bytes);
                              });
       coll::CollSpec mv;
       mv.algo = "mvapich2";
       benchx::register_point(base + "/mvapich2", p.store, row, "mvapich2",
-                             [&p, bytes, mv]() {
+                             [&p, bytes, mv](core::PerfReport& perf) {
                                return benchx::latency_us(p.cfg, p.nodes, p.ppn,
-                                                         bytes, mv);
+                                                         bytes, mv, perf);
                              });
       if (p.include_intel) {
         coll::CollSpec im;
         im.algo = "intelmpi";
         benchx::register_point(base + "/intelmpi", p.store, row, "intelmpi",
-                               [&p, bytes, im]() {
+                               [&p, bytes, im](core::PerfReport& perf) {
                                  return benchx::latency_us(p.cfg, p.nodes,
-                                                           p.ppn, bytes, im);
+                                                           p.ppn, bytes, im,
+                                                           perf);
                                });
       }
     }

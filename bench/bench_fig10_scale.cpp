@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
       const std::string row = util::format_bytes(bytes);
       benchx::register_point(
           std::string("fig10/bytes:") + row + "/" + e.label, store, row,
-          e.label, [=]() {
-            return benchx::latency_us(cfg, nodes, ppn, bytes, spec);
+          e.label, [=](core::PerfReport& perf) {
+            return benchx::latency_us(cfg, nodes, ppn, bytes, spec, perf);
           });
     }
   }

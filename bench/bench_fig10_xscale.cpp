@@ -7,53 +7,15 @@
 // sweep runs metadata-only (docs/MODEL.md §10): messages carry no payload
 // and the simulated latencies are bit-identical to a payload-mode run.
 // --smoke keeps a tiny CI shape (64 and 512 nodes, 2 ppn).
-//
-// Flags beyond the common bench set (--smoke, --jobs N):
-//   --perf-json FILE   write aggregate host-perf counters (events/sec,
-//                      peak queue depth, peak RSS, elided payload bytes)
-//                      as JSON — appended to BENCH_perf.json by CI
-#include <cstdint>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hpp"
 #include "net/cluster.hpp"
 
-namespace {
-
-using namespace dpml;
-
-struct XscaleFlags {
-  std::string perf_json;
-};
-
-XscaleFlags strip_xscale_flags(int& argc, char** argv) {
-  XscaleFlags f;
-  int keep = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--perf-json" && i + 1 < argc) {
-      f.perf_json = argv[++i];
-    } else if (a.rfind("--perf-json=", 0) == 0) {
-      f.perf_json = a.substr(12);
-    } else {
-      argv[keep++] = argv[i];
-    }
-  }
-  argc = keep;
-  return f;
-}
-
-// Per-point perf results, committed by slot index so the post-run aggregate
-// is independent of executor scheduling.
-std::vector<core::MeasurePerf> perf_slots;
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace dpml;
   const benchx::BenchFlags bf = benchx::strip_common_flags(argc, argv);
-  const XscaleFlags xf = strip_xscale_flags(argc, argv);
 
   core::MeasureOptions opt;  // metadata-only (with_data = false)
   opt.iterations = 1;
@@ -69,38 +31,24 @@ int main(int argc, char** argv) {
                                                  net::cluster_d()};
   static benchx::SeriesStore store;
 
-  int slot = 0;
   for (const net::ClusterConfig& base : bases) {
     for (const int nodes : node_counts) {
       const net::ClusterConfig cfg = net::with_nodes(base, nodes);
       coll::CollSpec spec;
       spec.algo = "dpml-auto";
       const std::string row = std::to_string(nodes);
-      const int my_slot = slot++;
       benchx::register_point(
           "fig10x/" + base.name + "/nodes:" + row, store, row, base.name,
-          [=]() {
-            const core::MeasureResult r = core::measure_collective(
-                coll::CollKind::allreduce, cfg, nodes, ppn, bytes, spec, opt);
-            benchx::note_measure_perf(r);
-            perf_slots[static_cast<std::size_t>(my_slot)] = r.perf;
-            return r.avg_us;
+          [=](core::PerfReport& perf) {
+            return benchx::measure_us(coll::CollKind::allreduce, cfg, nodes,
+                                      ppn, bytes, spec, opt, perf);
           });
     }
   }
-  perf_slots.resize(static_cast<std::size_t>(slot));
 
   const int rc = benchx::run_benchmarks(argc, argv);
   store.print("Fig 10x — MPI_Allreduce 16 KB latency (us) vs node count, "
                   "ppn=" + std::to_string(ppn) + ", dpml-auto, metadata-only",
               "nodes");
-  if (!xf.perf_json.empty()) {
-    if (!benchx::write_perf_json(xf.perf_json, "bench_fig10_xscale",
-                                 perf_slots, slot)) {
-      std::cerr << "cannot write perf json " << xf.perf_json << "\n";
-      return 1;
-    }
-    std::cout << "\nperf counters written to " << xf.perf_json << "\n";
-  }
   return rc;
 }

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       benchx::register_point(
           std::string("fig11a/procs:") + std::to_string(nodes * 28) + "/" +
               d.label,
-          store, row, d.label, [=]() {
+          store, row, d.label, [=](core::PerfReport&) {
             apps::HpcgOptions o;
             o.nodes = nodes;
             o.ppn = 28;

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
         benchx::register_point(
             std::string("fig11bc/") + p.cfg.name + "/blocks:" +
                 std::to_string(blocks) + "/" + e.label,
-            p.store, row, e.label, [&p, blocks, e]() {
+            p.store, row, e.label, [&p, blocks, e](core::PerfReport&) {
               apps::MiniAmrOptions o;
               o.nodes = p.nodes;
               o.ppn = p.ppn;

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
       benchx::register_point(
           std::string("model/bytes:") + util::format_bytes(bytes) +
               "/l:" + std::to_string(l) + "/analytical",
-          store, row, "model Eq.7 (us)", [=]() {
+          store, row, "model Eq.7 (us)", [=](core::PerfReport&) {
             return model::t_dpml(
                        model::from_cluster(cfg, nodes, ppn, l, bytes)) *
                    1e6;
@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
       benchx::register_point(
           std::string("model/bytes:") + util::format_bytes(bytes) +
               "/l:" + std::to_string(l) + "/simulated",
-          store, row, "simulated (us)", [=]() {
-            return benchx::latency_us(cfg, nodes, ppn, bytes, spec);
+          store, row, "simulated (us)", [=](core::PerfReport& perf) {
+            return benchx::latency_us(cfg, nodes, ppn, bytes, spec, perf);
           });
     }
   }

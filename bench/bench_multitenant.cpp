@@ -27,8 +27,7 @@
 // --smoke: probe + one config per store on the test cluster only.
 #include <atomic>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -39,27 +38,6 @@
 namespace {
 
 using namespace dpml;
-
-struct MtFlags {
-  std::string perf_json;
-};
-
-MtFlags strip_mt_flags(int& argc, char** argv) {
-  MtFlags f;
-  int keep = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--perf-json" && i + 1 < argc) {
-      f.perf_json = argv[++i];
-    } else if (a.rfind("--perf-json=", 0) == 0) {
-      f.perf_json = a.substr(12);
-    } else {
-      argv[keep++] = argv[i];
-    }
-  }
-  argc = keep;
-  return f;
-}
 
 struct Config {
   std::vector<net::ClusterConfig> clusters;
@@ -117,56 +95,23 @@ tenant::TrafficSpec bg_traffic(double load) {
   return t;
 }
 
-// Per-point tenant results, committed by slot index so the post-run perf
-// aggregate is independent of executor scheduling.
+// Per-point tenant results, committed by slot index so the post-run
+// summary is independent of executor scheduling.
 std::vector<tenant::TenantResult> result_slots;
 std::atomic<std::size_t> next_slot{0};
 
-// One bench cell: run the mix, record the full result, report the probe's
-// slowdown (jobs[0] is always the probe).
+// One bench cell: run the mix, record the full result and fold its perf,
+// report the probe's slowdown (jobs[0] is always the probe).
 double probe_slowdown(const net::ClusterConfig& cfg, int ppn,
                       const std::vector<tenant::JobSpec>& jobs,
-                      const tenant::TenantOptions& opt, std::size_t slot) {
+                      const tenant::TenantOptions& opt, std::size_t slot,
+                      core::PerfReport& perf) {
   const tenant::TenantResult r = tenant::run_tenants(cfg, ppn, jobs, opt);
+  perf.add(r.engine_perf, r.elided_bytes,
+           core::FabricCounters{r.max_link_util, r.flows, r.bg_flows,
+                                r.fabric_perf});
   result_slots[slot] = r;
   return r.jobs.front().slowdown;
-}
-
-bool write_perf_json(const std::string& path, int points, int jobs,
-                     double wall_ms) {
-  std::uint64_t events = 0;
-  std::uint64_t flows = 0;
-  std::uint64_t bg_flows = 0;
-  double max_util = 0.0;
-  fabric::FabricPerf fp;
-  for (const tenant::TenantResult& r : result_slots) {
-    fp.merge(r.fabric_perf);
-    events += r.events;
-    flows += r.flows;
-    bg_flows += r.bg_flows;
-    max_util = std::max(max_util, r.max_link_util);
-  }
-  std::ofstream os(path);
-  if (!os) return false;
-  os << "{\n"
-     << "  \"tool\": \"bench_multitenant\",\n"
-     << "  \"points\": " << points << ",\n"
-     << "  \"jobs\": " << jobs << ",\n"
-     << "  \"events\": " << events << ",\n"
-     << "  \"events_per_sec\": "
-     << (wall_ms > 0.0
-             ? static_cast<long long>(static_cast<double>(events) /
-                                      (wall_ms / 1e3))
-             : 0)
-     << ",\n"
-     << "  \"fabric\": true,\n"
-     << "  \"max_link_util\": " << max_util << ",\n"
-     << "  \"fabric_flows\": " << flows << ",\n"
-     << "  \"bg_flows\": " << bg_flows << ",\n"
-     << fp.json_members()
-     << "  \"wall_ms\": " << wall_ms << "\n"
-     << "}\n";
-  return true;
 }
 
 std::string load_row(double load) {
@@ -179,7 +124,6 @@ std::string load_row(double load) {
 
 int main(int argc, char** argv) {
   const benchx::BenchFlags bf = benchx::strip_common_flags(argc, argv);
-  const MtFlags mf = strip_mt_flags(argc, argv);
   const Config c = make_config(bf.smoke);
 
   tenant::TenantOptions base;
@@ -220,21 +164,22 @@ int main(int argc, char** argv) {
       const std::size_t slot = next_slot++;
       benchx::register_point(
           "multitenant/" + cfg.name + "/" + load_row(load), degradation,
-          load_row(load), col, [&c, &cfg, load, slot]() {
+          load_row(load), col,
+          [&c, &cfg, load, slot](core::PerfReport& perf) {
             std::vector<tenant::JobSpec> jobs;
             jobs.push_back(probe_job(4, c.iterations));
             jobs.push_back(cotenant_job(1, 4, c.iterations));
             tenant::TenantOptions opt;
             opt.seed = 1;
             if (load > 0.0) opt.traffic = bg_traffic(load);
-            return probe_slowdown(cfg, c.ppn, jobs, opt, slot);
+            return probe_slowdown(cfg, c.ppn, jobs, opt, slot, perf);
           });
     }
     for (const ConfigRow& row : rows) {
       const std::size_t slot = next_slot++;
       benchx::register_point(
           "multitenant/" + cfg.name + "/" + row.label, configs, row.label,
-          col, [&c, &cfg, row, slot]() {
+          col, [&c, &cfg, row, slot](core::PerfReport& perf) {
             // 3 jobs shrink to 2-node blocks so the mix fits 8 nodes.
             const int cot_nodes = row.cotenants > 1 ? 2 : 4;
             std::vector<tenant::JobSpec> jobs;
@@ -246,19 +191,12 @@ int main(int argc, char** argv) {
             opt.seed = 1;
             if (row.bg_load > 0.0) opt.traffic = bg_traffic(row.bg_load);
             if (row.fail) opt.failures = tenant::FailSpec::default_spec();
-            return probe_slowdown(cfg, c.ppn, jobs, opt, slot);
+            return probe_slowdown(cfg, c.ppn, jobs, opt, slot, perf);
           });
     }
   }
 
-  const auto wall_start =
-      std::chrono::steady_clock::now();  // dpmllint: allow(wall-clock)
   const int rc = benchx::run_benchmarks(argc, argv);
-  const auto wall_end =
-      std::chrono::steady_clock::now();  // dpmllint: allow(wall-clock)
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start)
-          .count();
 
   std::cout << "\nMulti-tenant fabric study: 4-node alltoall probe (64KB "
                "blocks, ppn "
@@ -273,15 +211,5 @@ int main(int argc, char** argv) {
   for (const tenant::TenantResult& r : result_slots) bg_total += r.bg_flows;
   std::cout << "\n" << result_slots.size() << " tenant mixes, "
             << bg_total << " background flows injected\n";
-
-  if (!mf.perf_json.empty()) {
-    if (!write_perf_json(mf.perf_json,
-                         static_cast<int>(result_slots.size()),
-                         core::default_jobs(), wall_ms)) {
-      std::cerr << "cannot write perf json " << mf.perf_json << "\n";
-      return 1;
-    }
-    std::cout << "perf counters written to " << mf.perf_json << "\n";
-  }
   return rc;
 }

@@ -76,7 +76,8 @@ Config make_config(bool smoke) {
 }
 
 double skewed_latency(const Config& c, std::size_t bytes,
-                      const coll::CollSpec& spec, double skew_us) {
+                      const coll::CollSpec& spec, double skew_us,
+                      core::PerfReport& perf) {
   core::MeasureOptions opt;
   opt.iterations = c.iterations;
   opt.warmup = 1;
@@ -85,9 +86,8 @@ double skewed_latency(const Config& c, std::size_t bytes,
     opt.perturb = perturb::PerturbSpec::parse(
         "skew=uniform:max_us=" + std::to_string(skew_us) + ";seed=7");
   }
-  return core::measure_collective(coll::CollKind::allreduce, c.cfg, c.nodes,
-                                 c.ppn, bytes, spec, opt)
-      .avg_us;
+  return benchx::measure_us(coll::CollKind::allreduce, c.cfg, c.nodes, c.ppn,
+                            bytes, spec, opt, perf);
 }
 
 std::string skew_row(double skew_us) {
@@ -109,10 +109,11 @@ int main(int argc, char** argv) {
                                  "/skew:" +
                                  std::to_string(static_cast<int>(skew)) +
                                  "us/" + label(spec);
-        benchx::register_point(name, stores[si], skew_row(skew), label(spec),
-                               [&c, bytes, spec, skew]() {
-                                 return skewed_latency(c, bytes, spec, skew);
-                               });
+        benchx::register_point(
+            name, stores[si], skew_row(skew), label(spec),
+            [&c, bytes, spec, skew](core::PerfReport& perf) {
+              return skewed_latency(c, bytes, spec, skew, perf);
+            });
       }
     }
   }

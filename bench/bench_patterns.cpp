@@ -8,17 +8,13 @@
 // "auto" dispatch. One table (rows = sizes, columns = kinds) prints per
 // cluster, plus CSV.
 //
-// Flags beyond the common bench set (--smoke, --jobs N):
+// Flags beyond the common bench set (--smoke, --jobs N, --perf-json FILE):
 //   --data             data mode with bit-exact per-kind verification
 //                      (implied by --smoke; failures fail the run)
 //   --perturb SPEC     machine perturbations, e.g. "jitter=lognormal:sigma=0.2"
 //   --fabric[=links]   flow-level congested fabric
 //   --check[=basic|strict]  simcheck MPI-semantics verification
-//   --perf-json FILE   write aggregate host-perf counters (events/sec, peak
-//                      live events, pool hit rates) as JSON — the format of
-//                      the checked-in BENCH_perf.json trajectory snapshot
 #include <atomic>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -35,7 +31,6 @@ struct PatternFlags {
   std::string perturb;
   std::string check;
   std::string fabric;
-  std::string perf_json;
 };
 
 // Strip the bench_patterns-specific flags before google-benchmark parses
@@ -64,10 +59,6 @@ PatternFlags strip_pattern_flags(int& argc, char** argv) {
       f.perturb = next_value("");
     } else if (a.rfind("--perturb=", 0) == 0) {
       f.perturb = a.substr(10);
-    } else if (a == "--perf-json") {
-      f.perf_json = next_value("");
-    } else if (a.rfind("--perf-json=", 0) == 0) {
-      f.perf_json = a.substr(12);
     } else {
       argv[keep++] = argv[i];
     }
@@ -97,9 +88,6 @@ core::CollSpec spec_for(core::CollKind kind) {
   return s;
 }
 
-// Per-point perf results, committed by slot index so the post-run aggregate
-// is independent of executor scheduling.
-std::vector<core::MeasurePerf> perf_slots;
 std::atomic<int> verify_failures{0};
 
 }  // namespace
@@ -127,7 +115,6 @@ int main(int argc, char** argv) {
   static std::vector<benchx::SeriesStore> stores;
   stores.resize(cfgs.size());
 
-  int slot = 0;
   for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
     const net::ClusterConfig cfg = cfgs[ci];
     const int ppn = bf.smoke ? std::min(4, cfg.max_ppn()) : cfg.max_ppn();
@@ -139,14 +126,12 @@ int main(int argc, char** argv) {
         if (kind == core::CollKind::barrier && si != 0) continue;
         const core::CollSpec spec = spec_for(kind);
         const std::string col = coll::coll_kind_name(kind);
-        const int my_slot = slot++;
         benchx::register_point(
             "patterns/" + cfg.name + "/" + col + "/bytes:" + row, stores[ci],
-            row, col, [=]() {
+            row, col, [=](core::PerfReport& perf) {
               const core::MeasureResult r = core::measure_collective(
                   kind, cfg, nodes, ppn, bytes, spec, opt);
-              benchx::note_measure_perf(r);
-              perf_slots[static_cast<std::size_t>(my_slot)] = r.perf;
+              perf.add(r);
               if (!r.verified) {
                 ++verify_failures;
                 std::cerr << "VERIFY FAIL: " << cfg.name << " " << col << "/"
@@ -157,7 +142,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  perf_slots.resize(static_cast<std::size_t>(slot));
 
   const int rc = benchx::run_benchmarks(argc, argv);
   for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
@@ -167,14 +151,6 @@ int main(int argc, char** argv) {
                          std::to_string(nodes) + "x" + std::to_string(ppn) +
                          " (latency us)",
                      "msg size");
-  }
-  if (!pf.perf_json.empty()) {
-    if (!benchx::write_perf_json(pf.perf_json, "bench_patterns", perf_slots,
-                                 slot)) {
-      std::cerr << "cannot write perf json " << pf.perf_json << "\n";
-      return 1;
-    }
-    std::cout << "\nperf counters written to " << pf.perf_json << "\n";
   }
   if (verify_failures.load() > 0) {
     std::cerr << verify_failures.load() << " verification failure(s)\n";

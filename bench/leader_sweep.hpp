@@ -38,15 +38,18 @@ inline int run_leader_sweep(const std::string& figure,
       const std::string name = figure + "/bytes:" + util::format_bytes(bytes) +
                                "/leaders:" + std::to_string(l);
       register_point(name, store, util::format_bytes(bytes),
-                     "l=" + std::to_string(l), [=]() {
-                       return latency_us(cfg, use_nodes, use_ppn, bytes, spec);
+                     "l=" + std::to_string(l), [=](core::PerfReport& perf) {
+                       return latency_us(cfg, use_nodes, use_ppn, bytes, spec,
+                                         perf);
                      });
     }
     coll::CollSpec mv;
     mv.algo = "mvapich2";
     register_point(figure + "/bytes:" + util::format_bytes(bytes) + "/mvapich2",
-                   store, util::format_bytes(bytes), "mvapich2", [=]() {
-                     return latency_us(cfg, use_nodes, use_ppn, bytes, mv);
+                   store, util::format_bytes(bytes), "mvapich2",
+                   [=](core::PerfReport& perf) {
+                     return latency_us(cfg, use_nodes, use_ppn, bytes, mv,
+                                       perf);
                    });
   }
 

@@ -12,10 +12,11 @@ tools emit no data_mode, which reads as "payload". Two commands:
       their identity. Flags events/sec regressions beyond
       --threshold (default 10%). NEVER gates: wall-clock throughput varies
       wildly across runners, so the exit code is always 0 — the output is
-      for humans reading the CI log. Snapshots from tools or entries that
-      carry no events_per_sec (e.g. dpmlsim tenants, which reports fabric
-      metadata instead) are listed and skipped, never treated as a -100%
-      regression; unknown extra fields are ignored.
+      for humans reading the CI log. Every snapshot now comes from one
+      writer (core::PerfReport) and carries events_per_sec, dpmlsim
+      tenants included; checked-in entries without it (tenant snapshots
+      written before that) are listed and skipped, never treated as a
+      -100% regression; unknown extra fields are ignored.
 
   append BENCH_perf.json NEW.json [NEW2.json ...] [--label TEXT]
       Append the snapshots to the trajectory array in place (converting a

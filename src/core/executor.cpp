@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/args.hpp"
 #include "util/error.hpp"
 
 namespace dpml::core {
@@ -42,6 +43,15 @@ int default_jobs() {
 
 void set_default_jobs(int jobs) {
   g_default_jobs.store(jobs < 1 ? 1 : jobs, std::memory_order_release);
+}
+
+int parse_jobs(const std::string& text) {
+  const int jobs = util::Args::parse_int("jobs", text);
+  if (jobs < 1) {
+    throw util::InvariantError("bad value '" + text +
+                               "' for --jobs: expected an integer >= 1");
+  }
+  return jobs;
 }
 
 bool in_executor_worker() { return t_in_worker; }

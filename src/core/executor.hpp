@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace dpml::core {
@@ -34,6 +35,11 @@ namespace dpml::core {
 // overrides it via set_default_jobs.
 int default_jobs();
 void set_default_jobs(int jobs);
+
+// The value of a --jobs flag (dpmlsim, the benches): an integer of at least
+// 1 under the util::Args::get_int rule. Anything else throws
+// util::InvariantError naming --jobs and the text.
+int parse_jobs(const std::string& text);
 
 // True while the calling thread is an Executor worker (used to serialize
 // nested sweeps; exposed for tests).

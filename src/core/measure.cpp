@@ -5,12 +5,14 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <vector>
 
 #include "core/executor.hpp"
 #include "simmpi/verify.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
+#include "util/table.hpp"
 
 namespace dpml::core {
 
@@ -376,12 +378,8 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
     res.perf.instants += rep.engine_perf.instants;
     res.perf.peak_instants =
         std::max(res.perf.peak_instants, rep.engine_perf.peak_instants);
-    res.perf.peak_live_events =
-        std::max(res.perf.peak_live_events, rep.engine_perf.peak_live_events);
     res.perf.peak_queue_depth =
         std::max(res.perf.peak_queue_depth, rep.engine_perf.peak_queue_depth);
-    res.perf.peak_rss_kb =
-        std::max(res.perf.peak_rss_kb, rep.engine_perf.peak_rss_kb);
     res.perf.elided_bytes += rep.elided_bytes;
     callback_pool.merge(rep.engine_perf.callback_pool);
     payload_pool.merge(rep.engine_perf.payload_pool);
@@ -424,6 +422,152 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
     res.wait_avg_us = sim::to_us(imb_wait) / ops;
   }
   return res;
+}
+
+void PerfReport::add(const MeasureResult& r) {
+  PerfReport p;
+  p.points = 1;
+  p.events = r.perf.events;
+  p.resumes = r.perf.resumes;
+  p.callbacks = r.perf.callbacks;
+  p.instants = r.perf.instants;
+  p.peak_instants = r.perf.peak_instants;
+  p.peak_queue_depth = r.perf.peak_queue_depth;
+  p.elided_bytes = r.perf.elided_bytes;
+  p.callback_pool_hits = r.perf.callback_pool_hit_rate;
+  p.payload_pool_hits = r.perf.payload_pool_hit_rate;
+  if (r.fabric_links) {
+    p.fabric = FabricCounters{r.max_link_util, r.fabric_flows, 0,
+                              r.fabric_perf};
+  }
+  add(p);
+}
+
+void PerfReport::add(const sim::EnginePerf& engine,
+                     std::uint64_t elided_bytes,
+                     const std::optional<FabricCounters>& fabric) {
+  PerfReport p;
+  p.points = 1;
+  p.events = engine.events;
+  p.resumes = engine.resumes;
+  p.callbacks = engine.callbacks;
+  p.instants = engine.instants;
+  p.peak_instants = engine.peak_instants;
+  p.peak_queue_depth = engine.peak_queue_depth;
+  p.elided_bytes = elided_bytes;
+  p.callback_pool_hits = engine.callback_pool.hit_rate();
+  p.payload_pool_hits = engine.payload_pool.hit_rate();
+  p.fabric = fabric;
+  add(p);
+}
+
+void PerfReport::add(const PerfReport& o) {
+  points += o.points;
+  events += o.events;
+  resumes += o.resumes;
+  callbacks += o.callbacks;
+  instants += o.instants;
+  peak_instants = std::max(peak_instants, o.peak_instants);
+  peak_queue_depth = std::max(peak_queue_depth, o.peak_queue_depth);
+  elided_bytes += o.elided_bytes;
+  callback_pool_hits += o.callback_pool_hits;
+  payload_pool_hits += o.payload_pool_hits;
+  if (o.fabric) {
+    if (!fabric) fabric = FabricCounters{};
+    fabric->max_link_util =
+        std::max(fabric->max_link_util, o.fabric->max_link_util);
+    fabric->flows += o.fabric->flows;
+    fabric->bg_flows += o.fabric->bg_flows;
+    fabric->perf.merge(o.fabric->perf);
+  }
+}
+
+void PerfReport::time_sweep(const std::function<void()>& sweep) {
+  const auto start =
+      std::chrono::steady_clock::now();  // dpmllint: allow(wall-clock)
+  sweep();
+  const auto end =
+      std::chrono::steady_clock::now();  // dpmllint: allow(wall-clock)
+  wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
+}
+
+namespace {
+
+double events_per_sec(const PerfReport& r) {
+  return r.wall_ms > 0.0 ? static_cast<double>(r.events) / (r.wall_ms / 1e3)
+                         : 0.0;
+}
+
+double mean(double sum, int points) {
+  return points > 0 ? sum / static_cast<double>(points) : 0.0;
+}
+
+}  // namespace
+
+std::string PerfReport::line() const {
+  std::ostringstream os;
+  os << "[perf] ";
+  if (points > 0) os << points << (points == 1 ? " point, " : " points, ");
+  os << "jobs=" << default_jobs() << ", wall " << wall_ms << " ms";
+  if (points > 0) {
+    os << ", " << events << " simulated events ("
+       << events_per_sec(*this) / 1e6 << " Mev/s; " << resumes
+       << " resumes, " << callbacks << " callbacks), " << instants
+       << " instants (peak " << peak_instants << "), peak queue depth "
+       << peak_queue_depth << ", pool hit rates cb="
+       << mean(callback_pool_hits, points)
+       << " payload=" << mean(payload_pool_hits, points);
+    if (elided_bytes > 0) {
+      os << ", elided " << util::format_bytes(elided_bytes) << " of payload";
+    }
+  }
+  os << ", peak RSS " << sim::peak_rss_kb() << " KB";
+  if (fabric) {
+    const fabric::FabricPerf& f = fabric->perf;
+    os << "; fabric allocator: " << f.recomputes << " recomputes, "
+       << f.fill_rounds << " filling rounds, " << f.link_resums
+       << " link re-sums, " << f.wakes << " wakes (" << f.stale_wakes
+       << " stale)";
+  }
+  return os.str();
+}
+
+std::string PerfReport::json(
+    const std::string& tool,
+    const std::vector<std::pair<std::string, std::string>>& tags) const {
+  std::ostringstream os;
+  const auto member = [&os](const std::string& name, const auto& value) {
+    os << "  \"" << name << "\": " << value << ",\n";
+  };
+  os << "{\n";
+  member("tool", "\"" + tool + "\"");
+  for (const auto& [name, value] : tags) member(name, value);
+  member("points", points);
+  member("jobs", default_jobs());
+  member("events", events);
+  member("events_per_sec", static_cast<long long>(events_per_sec(*this)));
+  member("resumes", resumes);
+  member("callbacks", callbacks);
+  member("instants", instants);
+  member("peak_instants", peak_instants);
+  member("peak_queue_depth", peak_queue_depth);
+  member("peak_rss_kb", sim::peak_rss_kb());
+  member("elided_bytes", elided_bytes);
+  member("callback_pool_hit_rate", mean(callback_pool_hits, points));
+  member("payload_pool_hit_rate", mean(payload_pool_hits, points));
+  if (fabric) {
+    member("fabric", "true");
+    member("max_link_util", fabric->max_link_util);
+    member("fabric_flows", fabric->flows);
+    member("bg_flows", fabric->bg_flows);
+    member("fabric_recomputes", fabric->perf.recomputes);
+    member("fabric_fill_rounds", fabric->perf.fill_rounds);
+    member("fabric_link_resums", fabric->perf.link_resums);
+    member("fabric_wakes", fabric->perf.wakes);
+    member("fabric_stale_wakes", fabric->perf.stale_wakes);
+  }
+  os << "  \"wall_ms\": " << wall_ms << "\n}\n";
+  return os.str();
 }
 
 }  // namespace dpml::core

@@ -5,10 +5,17 @@
 // per-iteration simulated latency. In data mode every rank's result is
 // verified bit-for-bit against a serial reference for the collective's
 // semantics (allreduce/reduce: the reference reduction; bcast: the root's
-// payload; alltoall: the transposed block pattern).
+// payload; alltoall: the transposed block pattern). PerfReport folds the
+// host-side counters of many points into the one report dpmlsim and the
+// benches print.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "check/check.hpp"
 #include "core/api.hpp"
@@ -16,6 +23,7 @@
 #include "net/cluster.hpp"
 #include "perturb/spec.hpp"
 #include "sim/dataplane.hpp"
+#include "sim/engine.hpp"
 
 namespace dpml::core {
 
@@ -65,9 +73,7 @@ struct MeasurePerf {
   std::uint64_t callbacks = 0;         // ... pooled callbacks (sum)
   std::uint64_t instants = 0;          // event-queue runs opened (sum)
   std::uint64_t peak_instants = 0;     // most runs queued at once (max)
-  std::uint64_t peak_live_events = 0;  // queued-event high-water mark (max)
-  std::uint64_t peak_queue_depth = 0;  // the same counter (max)
-  std::uint64_t peak_rss_kb = 0;       // process peak RSS in KB (host-side)
+  std::uint64_t peak_queue_depth = 0;  // queued-event high-water mark (max)
   std::uint64_t elided_bytes = 0;      // payload bytes elided (metadata-only)
   double callback_pool_hit_rate = 0.0; // pooled event records served warm
   double payload_pool_hit_rate = 0.0;  // recycled message payload buffers
@@ -112,5 +118,60 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
                                  int nodes, int ppn, std::size_t bytes,
                                  const coll::CollSpec& spec,
                                  const MeasureOptions& opt = {});
+
+// The link-fabric counters of one point that ran on the link fabric.
+struct FabricCounters {
+  double max_link_util = 0.0;  // busiest link, time-averaged
+  std::uint64_t flows = 0;     // fabric flows launched
+  std::uint64_t bg_flows = 0;  // ... of which background (tenant runs)
+  fabric::FabricPerf perf;     // allocator work
+};
+
+// The host-cost report of a sweep: the one `[perf]` line and the one
+// --perf-json snapshot of dpmlsim and every bench (docs/MODEL.md §8).
+// Folding sums the counters, takes the maxima of the peaks and of
+// max_link_util, and averages the pool hit rates over the points; the
+// fabric block is present once a point on the link fabric is folded.
+// Everything but wall_ms and the process's peak RSS is deterministic for a
+// fixed fold order.
+struct PerfReport {
+  int points = 0;                      // points folded
+  std::uint64_t events = 0;            // engine events (sum)
+  std::uint64_t resumes = 0;           // ... coroutine resumes (sum)
+  std::uint64_t callbacks = 0;         // ... pooled callbacks (sum)
+  std::uint64_t instants = 0;          // event-queue runs opened (sum)
+  std::uint64_t peak_instants = 0;     // most runs queued at once (max)
+  std::uint64_t peak_queue_depth = 0;  // queued-event high-water mark (max)
+  std::uint64_t elided_bytes = 0;      // payload bytes elided (sum)
+  double callback_pool_hits = 0.0;     // per-point hit rates (sum)
+  double payload_pool_hits = 0.0;
+  std::optional<FabricCounters> fabric;
+  double wall_ms = 0.0;  // host wall clock of the sweep (time_sweep)
+
+  // Fold one measure_collective point.
+  void add(const MeasureResult& r);
+  // Fold one point run on a single engine (a tenant mix's shared run): its
+  // counters, the payload bytes it elided and, on the link fabric, its
+  // fabric counters.
+  void add(const sim::EnginePerf& engine, std::uint64_t elided_bytes,
+           const std::optional<FabricCounters>& fabric);
+  // Fold every point of another report (the benches keep one per point and
+  // fold them in point order).
+  void add(const PerfReport& other);
+
+  // Runs the sweep and records its wall clock as wall_ms, so at --jobs > 1
+  // events/sec is the sweep's aggregate rate.
+  void time_sweep(const std::function<void()>& sweep);
+
+  // `[perf] N points, jobs=J, wall W ms, ...`, one line without a newline;
+  // on fabric runs it ends with the fabric-allocator clause.
+  std::string line() const;
+  // The --perf-json snapshot that scripts/perf_delta.py diffs against
+  // BENCH_perf.json: "tool", then `tags` (member name, JSON value) in
+  // order, then the counters.
+  std::string json(const std::string& tool,
+                   const std::vector<std::pair<std::string, std::string>>&
+                       tags = {}) const;
+};
 
 }  // namespace dpml::core

@@ -36,14 +36,6 @@ FabricLevel fabric_level_by_name(const std::string& name) {
   return FabricLevel::none;
 }
 
-std::string FabricPerf::json_members() const {
-  return "  \"fabric_recomputes\": " + std::to_string(recomputes) + ",\n" +
-         "  \"fabric_fill_rounds\": " + std::to_string(fill_rounds) + ",\n" +
-         "  \"fabric_link_resums\": " + std::to_string(link_resums) + ",\n" +
-         "  \"fabric_wakes\": " + std::to_string(wakes) + ",\n" +
-         "  \"fabric_stale_wakes\": " + std::to_string(stale_wakes) + ",\n";
-}
-
 FabricTopo FabricTopo::derive(const net::ClusterConfig& cfg, int nodes) {
   DPML_CHECK_MSG(nodes >= 1, "fabric needs at least one node");
   DPML_CHECK_MSG(cfg.nodes_per_leaf >= 1,

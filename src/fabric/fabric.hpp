@@ -98,9 +98,6 @@ struct FabricPerf {
     stale_wakes += o.stale_wakes;
   }
   bool operator==(const FabricPerf&) const = default;
-  // The counters as indented `"fabric_<name>": N,` JSON member lines: the
-  // --perf-json snapshot format shared by dpmlsim and the tenant benches.
-  std::string json_members() const;
 };
 
 class FlowFabric {

@@ -1,7 +1,10 @@
 #include "model/fit.hpp"
 
 #include <algorithm>
+#include <vector>
 
+#include "apps/osu.hpp"
+#include "apps/program.hpp"
 #include "simmpi/machine.hpp"
 #include "util/error.hpp"
 
@@ -12,62 +15,25 @@ namespace {
 using simmpi::Machine;
 using simmpi::Rank;
 
+// Per-byte streaming cost: back-to-back sends of a large message between
+// the two ranks apps::osu_latency pingpongs.
+double p2p_per_byte(const net::ClusterConfig& cfg, std::size_t bytes,
+                    bool intra_node, int msgs = 8) {
+  const int nodes = intra_node ? 1 : 2;
+  const int ppn = intra_node ? std::min(4, cfg.max_ppn()) : 1;
+  std::vector<apps::Program> programs(static_cast<std::size_t>(nodes * ppn));
+  programs[0].assign(static_cast<std::size_t>(msgs),
+                     {.kind = apps::Op::Kind::send, .peer = 1, .count = bytes});
+  programs[1].assign(static_cast<std::size_t>(msgs),
+                     {.kind = apps::Op::Kind::recv, .peer = 0, .count = bytes});
+  const auto run = apps::run_program(cfg, nodes, ppn, {}, 1, programs, 0);
+  return sim::to_seconds(run.end) / (static_cast<double>(bytes) * msgs);
+}
+
 // Named coroutines rather than lambda coroutines: a coroutine lambda's frame
 // refers back to the closure object, so captures dangle if the closure dies
 // before the frame does (dpmllint: coro-ref-capture). Parameters of a plain
 // coroutine function are copied into the frame and cannot dangle.
-sim::CoTask<void> pingpong_rank(Rank& r, std::size_t bytes, int iters) {
-  const auto& world = r.machine().world();
-  if (r.world_rank() > 1) co_return;  // only the measured pair participates
-  for (int i = 0; i < iters; ++i) {
-    if (r.world_rank() == 0) {
-      co_await r.send(world, 1, 0, bytes);
-      co_await r.recv(world, 1, 1, bytes);
-    } else {
-      co_await r.recv(world, 0, 0, bytes);
-      co_await r.send(world, 0, 1, bytes);
-    }
-  }
-}
-
-// One-way latency of a `bytes` message between two ranks, measured by a
-// pingpong halved (standard osu_latency methodology).
-double p2p_latency(const net::ClusterConfig& cfg, std::size_t bytes,
-                   bool intra_node, int iters = 8) {
-  simmpi::RunOptions opt;
-  opt.with_data = false;
-  // Intra-node pairs use two ranks on the same socket (ppn=4 places locals
-  // 0 and 1 together under socket-major mapping), matching how the paper's
-  // a'/b' constants are defined.
-  Machine m(cfg, intra_node ? 1 : 2,
-            intra_node ? std::min(4, cfg.max_ppn()) : 1, opt);
-  m.run([&](Rank& r) { return pingpong_rank(r, bytes, iters); });
-  return sim::to_seconds(m.now()) / (2.0 * iters);
-}
-
-sim::CoTask<void> stream_rank(Rank& r, std::size_t bytes, int msgs) {
-  const auto& world = r.machine().world();
-  if (r.world_rank() > 1) co_return;  // only the measured pair participates
-  for (int i = 0; i < msgs; ++i) {
-    if (r.world_rank() == 0) {
-      co_await r.send(world, 1, 0, bytes);
-    } else {
-      co_await r.recv(world, 0, 0, bytes);
-    }
-  }
-}
-
-// Per-byte streaming cost: back-to-back sends of a large message, one pair.
-double p2p_per_byte(const net::ClusterConfig& cfg, std::size_t bytes,
-                    bool intra_node, int msgs = 8) {
-  simmpi::RunOptions opt;
-  opt.with_data = false;
-  Machine m(cfg, intra_node ? 1 : 2,
-            intra_node ? std::min(4, cfg.max_ppn()) : 1, opt);
-  m.run([&](Rank& r) { return stream_rank(r, bytes, msgs); });
-  return sim::to_seconds(m.now()) / (static_cast<double>(bytes) * msgs);
-}
-
 sim::CoTask<void> oversub_rank(Rank& r, std::size_t bytes, int npl,
                                int pairs) {
   const auto& world = r.machine().world();
@@ -113,13 +79,13 @@ FittedParams fit_from_simulation(const net::ClusterConfig& cfg,
   DPML_CHECK(probe_bytes >= 4096);
   FittedParams f;
   // Small-message pingpong gives the startup term directly.
-  f.a = p2p_latency(cfg, 1, /*intra_node=*/false);
+  f.a = apps::osu_latency(cfg, 1, /*intra_node=*/false, 8);
   // Large-message streaming isolates the per-byte term (startup amortized).
   const double large = p2p_per_byte(cfg, probe_bytes, false);
   const double small = p2p_per_byte(cfg, 4096, false);
   f.b = std::min(large, small);
   // Shared memory: same two measurements within a node.
-  f.a2 = p2p_latency(cfg, 1, /*intra_node=*/true);
+  f.a2 = apps::osu_latency(cfg, 1, /*intra_node=*/true, 8);
   f.b2 = p2p_per_byte(cfg, probe_bytes, true);
   f.c = reduce_per_byte(cfg, probe_bytes);
   return f;

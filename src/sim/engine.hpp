@@ -63,11 +63,7 @@ struct EnginePerf {
   std::uint64_t callbacks = 0;        // ... of which pooled callbacks
   std::uint64_t instants = 0;         // runs opened (distinct-instant pushes)
   std::uint64_t peak_instants = 0;    // most runs queued at once
-  // High-water mark of the queued events. The two names are one counter;
-  // both stay because reports and snapshots print both.
-  std::uint64_t peak_live_events = 0;
-  std::uint64_t peak_queue_depth = 0;
-  std::uint64_t peak_rss_kb = 0;      // process peak RSS (host-side, KB)
+  std::uint64_t peak_queue_depth = 0; // queued-event high-water mark
   PoolStats callback_pool;            // pooled callback records
   PoolStats payload_pool;             // recycled payload buffers
 };
@@ -178,9 +174,7 @@ class Engine {
     p.callbacks = callbacks_;
     p.instants = instants_;
     p.peak_instants = peak_instants_;
-    p.peak_live_events = peak_queued_;
     p.peak_queue_depth = peak_queued_;
-    p.peak_rss_kb = sim::peak_rss_kb();
     p.callback_pool = callback_pool_.stats();
     p.payload_pool = payload_pool_.stats();
     return p;

@@ -169,6 +169,8 @@ struct RunOut {
   std::vector<double> link_share;
   double makespan_us = 0.0;
   std::uint64_t events = 0;
+  sim::EnginePerf engine_perf;
+  std::uint64_t elided_bytes = 0;
   double max_link_util = 0.0;
   double peak_link_util = 0.0;
   std::uint64_t flows = 0;
@@ -570,6 +572,8 @@ RunOut simulate(const net::ClusterConfig& cfg, int ppn,
   const sim::Time endt = machine.now();
   RunOut out;
   out.events = machine.engine().events_processed();
+  out.engine_perf = machine.engine().perf();
+  out.elided_bytes = machine.data_plane().elided_bytes();
   out.start_us.resize(static_cast<std::size_t>(njobs), 0.0);
   out.end_us.resize(static_cast<std::size_t>(njobs), 0.0);
   out.stall_us.resize(static_cast<std::size_t>(njobs), 0.0);
@@ -854,6 +858,8 @@ TenantResult run_tenants(const net::ClusterConfig& cfg, int ppn,
   TenantResult res;
   res.makespan_us = sh.makespan_us;
   res.events = sh.events;
+  res.engine_perf = sh.engine_perf;
+  res.elided_bytes = sh.elided_bytes;
   res.max_link_util = sh.max_link_util;
   res.peak_link_util = sh.peak_link_util;
   res.flows = sh.flows;

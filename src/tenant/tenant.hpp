@@ -32,6 +32,7 @@
 #include "net/cluster.hpp"
 #include "perturb/spec.hpp"
 #include "sim/dataplane.hpp"
+#include "sim/engine.hpp"
 
 namespace dpml::tenant {
 
@@ -167,6 +168,8 @@ struct TenantResult {
   std::vector<JobStats> jobs;
   double makespan_us = 0.0;        // whole shared run
   std::uint64_t events = 0;        // engine events of the shared run
+  sim::EnginePerf engine_perf;     // its engine counters (perf reports)
+  std::uint64_t elided_bytes = 0;  // payload bytes it elided
   double max_link_util = 0.0;      // busiest link, time-averaged
   double peak_link_util = 0.0;     // allocator conservation witness
   std::uint64_t flows = 0;         // fabric flows launched (shared run)

@@ -87,7 +87,11 @@ std::string Args::get(const std::string& key, const std::string& def) const {
 
 int Args::get_int(const std::string& key, int def) const {
   const std::string v = get(key);
-  return v.empty() ? def : parse_number<int>(key, v, "an integer");
+  return v.empty() ? def : parse_int(key, v);
+}
+
+int Args::parse_int(const std::string& key, const std::string& text) {
+  return parse_number<int>(key, text, "an integer");
 }
 
 double Args::get_double(const std::string& key, double def) const {

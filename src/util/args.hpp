@@ -26,6 +26,8 @@ class Args {
   // finite, and booleans are true/false, 1/0, yes/no or on/off (a bare flag
   // reads true).
   int get_int(const std::string& key, int def) const;
+  // The get_int rule for a value read outside an Args (`text` of --key).
+  static int parse_int(const std::string& key, const std::string& text);
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def = false) const;
 

@@ -12,6 +12,7 @@
 // (perturb.seed + rep) and committed into its own slot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -26,6 +27,7 @@
 #include "fabric/fabric.hpp"
 #include "net/cluster.hpp"
 #include "perturb/spec.hpp"
+#include "util/error.hpp"
 
 namespace dpml {
 namespace {
@@ -60,6 +62,23 @@ TEST(Executor, JobsResolutionAndClamping) {
   core::set_default_jobs(-2);
   EXPECT_EQ(core::default_jobs(), 1);
   core::set_default_jobs(1);
+}
+
+TEST(Executor, JobsFlagIsAnIntegerOfAtLeastOne) {
+  EXPECT_EQ(core::parse_jobs("4"), 4);
+  EXPECT_EQ(core::parse_jobs("+1"), 1);
+  for (const char* bad : {"4x", "x", "", "1.5", "0", "-2", "4294967298"}) {
+    try {
+      core::parse_jobs(bad);
+      ADD_FAILURE() << "accepted --jobs '" << bad << "'";
+    } catch (const util::InvariantError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(std::string("bad value '") + bad + "' for --jobs",
+                           0),
+                0u)
+          << what;
+    }
+  }
 }
 
 TEST(Executor, EmptyAndSingletonRuns) {
@@ -225,7 +244,6 @@ void expect_identical(const core::MeasureResult& a,
   EXPECT_EQ(a.perf.resumes + a.perf.callbacks, a.perf.events) << what;
   EXPECT_EQ(a.perf.instants, b.perf.instants) << what;
   EXPECT_EQ(a.perf.peak_instants, b.perf.peak_instants) << what;
-  EXPECT_EQ(a.perf.peak_live_events, b.perf.peak_live_events) << what;
   EXPECT_EQ(a.perf.peak_queue_depth, b.perf.peak_queue_depth) << what;
   EXPECT_EQ(a.perf.callback_pool_hit_rate, b.perf.callback_pool_hit_rate)
       << what;
@@ -339,6 +357,114 @@ TEST(ExecutorMatrix, JobsBeyondRepetitionsStillIdentical) {
                    measure_with_jobs(CollKind::allreduce, cfg, spec,
                                      perturbed_opts(3, 2), 16),
                    "allreduce/rd jobs=16 reps=2");
+}
+
+// ---------------------------------------------------------------------------
+// PerfReport: the one fold, [perf] line and --perf-json snapshot.
+
+core::MeasureResult perf_point(CollKind kind, int nodes, std::size_t bytes,
+                               fabric::FabricLevel level) {
+  core::MeasureOptions opt;
+  opt.iterations = 2;
+  opt.warmup = 1;
+  opt.fabric = level;
+  CollSpec spec;
+  spec.algo = kind == CollKind::allreduce ? "dpml" : "auto";
+  spec.leaders = 2;
+  return core::measure_collective(kind, net::cluster_by_name("test"), nodes,
+                                  4, bytes, spec, opt);
+}
+
+TEST(PerfReport, FoldSumsCountersAndTakesThePeakMaxima) {
+  const auto a = perf_point(CollKind::allreduce, 4, 65536,
+                            fabric::FabricLevel::none);
+  const auto b = perf_point(CollKind::bcast, 2, 1024,
+                            fabric::FabricLevel::none);
+  ASSERT_GT(a.perf.elided_bytes, 0u);  // metadata-only points elide payload
+  core::PerfReport rep;
+  rep.add(a);
+  rep.add(b);
+  EXPECT_EQ(rep.points, 2);
+  EXPECT_EQ(rep.events, a.perf.events + b.perf.events);
+  EXPECT_EQ(rep.resumes, a.perf.resumes + b.perf.resumes);
+  EXPECT_EQ(rep.callbacks, a.perf.callbacks + b.perf.callbacks);
+  EXPECT_EQ(rep.instants, a.perf.instants + b.perf.instants);
+  EXPECT_EQ(rep.elided_bytes, a.perf.elided_bytes + b.perf.elided_bytes);
+  EXPECT_EQ(rep.peak_instants,
+            std::max(a.perf.peak_instants, b.perf.peak_instants));
+  EXPECT_EQ(rep.peak_queue_depth,
+            std::max(a.perf.peak_queue_depth, b.perf.peak_queue_depth));
+  EXPECT_EQ(rep.callback_pool_hits,
+            a.perf.callback_pool_hit_rate + b.perf.callback_pool_hit_rate);
+  EXPECT_FALSE(rep.fabric.has_value());
+  // Folding per-point reports in order gives the same totals.
+  core::PerfReport pa, pb, folded;
+  pa.add(a);
+  pb.add(b);
+  folded.add(pa);
+  folded.add(pb);
+  EXPECT_EQ(folded.points, rep.points);
+  EXPECT_EQ(folded.events, rep.events);
+  EXPECT_EQ(folded.instants, rep.instants);
+  EXPECT_EQ(folded.peak_queue_depth, rep.peak_queue_depth);
+  EXPECT_EQ(folded.elided_bytes, rep.elided_bytes);
+  EXPECT_EQ(folded.callback_pool_hits, rep.callback_pool_hits);
+  EXPECT_EQ(folded.payload_pool_hits, rep.payload_pool_hits);
+  const std::string json = rep.json("t");
+  EXPECT_NE(json.find("\"events\": " + std::to_string(rep.events) + ",\n"),
+            std::string::npos);
+  EXPECT_EQ(rep.line().rfind("[perf] 2 points, jobs=", 0), 0u);
+}
+
+TEST(PerfReport, FabricBlockAppearsOnlyAfterALinkFabricPoint) {
+  core::PerfReport rep;
+  rep.add(perf_point(CollKind::allreduce, 4, 65536,
+                     fabric::FabricLevel::none));
+  EXPECT_FALSE(rep.fabric.has_value());
+  EXPECT_EQ(rep.json("t").find("fabric"), std::string::npos);
+  EXPECT_EQ(rep.line().find("fabric allocator"), std::string::npos);
+
+  const auto f1 = perf_point(CollKind::allreduce, 4, 65536,
+                             fabric::FabricLevel::links);
+  const auto f2 = perf_point(CollKind::allreduce, 3, 16384,
+                             fabric::FabricLevel::links);
+  ASSERT_GT(f1.fabric_perf.recomputes, 0u);
+  rep.add(f1);
+  ASSERT_TRUE(rep.fabric.has_value());
+  EXPECT_TRUE(rep.fabric->perf == f1.fabric_perf);
+  rep.add(f2);
+  fabric::FabricPerf sum = f1.fabric_perf;
+  sum.merge(f2.fabric_perf);
+  EXPECT_TRUE(rep.fabric->perf == sum);
+  EXPECT_EQ(rep.fabric->flows, f1.fabric_flows + f2.fabric_flows);
+  EXPECT_EQ(rep.fabric->max_link_util,
+            std::max(f1.max_link_util, f2.max_link_util));
+  EXPECT_EQ(rep.fabric->bg_flows, 0u);
+  const std::string json = rep.json("t");
+  EXPECT_NE(json.find("\"fabric\": true,\n"), std::string::npos);
+  EXPECT_NE(json.find("\"fabric_recomputes\": " +
+                      std::to_string(sum.recomputes) + ",\n"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"fabric_stale_wakes\": " +
+                      std::to_string(sum.stale_wakes) + ",\n"),
+            std::string::npos);
+  EXPECT_NE(rep.line().find("; fabric allocator: " +
+                            std::to_string(sum.recomputes) + " recomputes"),
+            std::string::npos);
+}
+
+TEST(PerfReport, JsonWritesTheTagsAfterTool) {
+  core::PerfReport rep;
+  rep.add(perf_point(CollKind::bcast, 2, 1024, fabric::FabricLevel::none));
+  const std::string json = rep.json(
+      "bench_x", {{"placement", "\"round-robin\""}, {"adapt", "true"}});
+  EXPECT_EQ(json.rfind("{\n  \"tool\": \"bench_x\",\n"
+                       "  \"placement\": \"round-robin\",\n"
+                       "  \"adapt\": true,\n"
+                       "  \"points\": 1,\n",
+                       0),
+            0u);
+  EXPECT_EQ(json.substr(json.size() - 2), "}\n");
 }
 
 }  // namespace

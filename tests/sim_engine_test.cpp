@@ -327,7 +327,6 @@ TEST(InstantQueue, FiresInReferenceOrder) {
     EXPECT_GE(p.peak_instants, 10000u) << "seed " << seed;
     EXPECT_GE(p.instants, p.peak_instants);
     EXPECT_LT(p.instants, p.events);  // some instants held several events
-    EXPECT_EQ(p.peak_live_events, p.peak_queue_depth);
     EXPECT_EQ(p.callback_pool.live, 0u);
   }
 }

@@ -226,7 +226,7 @@ TEST(EnginePool, ReserveEventsDoesNotDisturbCounters) {
   EXPECT_EQ(before.callback_pool.live, 100u);
   e.run();
   EXPECT_EQ(fired, 100);
-  EXPECT_EQ(e.perf().peak_live_events, 100u);
+  EXPECT_EQ(e.perf().peak_queue_depth, 100u);
   EXPECT_EQ(e.perf().callback_pool.live, 0u);
 }
 

@@ -173,6 +173,29 @@ TEST(TenantRunTest, ResultsAreBitIdenticalAcrossJobsWidths) {
   expect_same(serial, wide);
 }
 
+TEST(TenantRunTest, SharedRunFoldsIntoAPerfReport) {
+  const auto cfg = net::test_cluster(8);
+  const auto jobs = tenant::default_jobs(3, cfg, 8);
+  const tenant::TenantResult r =
+      tenant::run_tenants(cfg, 2, jobs, busy_options());
+  EXPECT_EQ(r.engine_perf.events, r.events);
+  EXPECT_GT(r.elided_bytes, 0u);  // tenant machines are metadata-only
+  core::PerfReport rep;
+  rep.add(r.engine_perf, r.elided_bytes,
+          core::FabricCounters{r.max_link_util, r.flows, r.bg_flows,
+                               r.fabric_perf});
+  EXPECT_EQ(rep.points, 1);
+  EXPECT_EQ(rep.events, r.events);
+  EXPECT_EQ(rep.resumes + rep.callbacks, r.events);
+  EXPECT_EQ(rep.elided_bytes, r.elided_bytes);
+  ASSERT_TRUE(rep.fabric.has_value());
+  EXPECT_EQ(rep.fabric->flows, r.flows);
+  EXPECT_EQ(rep.fabric->bg_flows, r.bg_flows);
+  EXPECT_TRUE(rep.fabric->perf == r.fabric_perf);
+  EXPECT_NE(rep.json("t").find("\"events\": " + std::to_string(r.events)),
+            std::string::npos);
+}
+
 TEST(TenantRunTest, SingleQuietJobMatchesItsSoloBaselineExactly) {
   // One job, no background, no failures: the shared run IS the solo run
   // (the stagger shifts the whole timeline, not the makespan), so the

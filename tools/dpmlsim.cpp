@@ -93,9 +93,9 @@ int usage() {
       "                enforcing the cluster's oversubscription. See\n"
       "                docs/MODEL.md §7)\n"
       "              --jobs N  (parallel sweep executor: fan independent\n"
-      "                repetitions/points across N host threads; results\n"
-      "                are byte-identical to --jobs 1. Default: DPML_JOBS\n"
-      "                or 1. See docs/MODEL.md §8)\n"
+      "                repetitions/points across N >= 1 host threads;\n"
+      "                results are byte-identical to --jobs 1. Default:\n"
+      "                DPML_JOBS or 1. See docs/MODEL.md §8)\n"
       "              --perf  (print host-side perf counters per point:\n"
       "                simulated events/sec, resumes, callbacks, instants,\n"
       "                queue depth, peak RSS, pool hit rates, wall/sim ms;\n"
@@ -214,100 +214,31 @@ int cmd_list_clusters() {
   return 0;
 }
 
-// The fabric allocator's deterministic work counters as a [perf] clause.
-std::string fabric_perf_text(const fabric::FabricPerf& p) {
-  return "fabric allocator: " + std::to_string(p.recomputes) +
-         " recomputes, " + std::to_string(p.fill_rounds) +
-         " filling rounds, " + std::to_string(p.link_resums) +
-         " link re-sums, " + std::to_string(p.wakes) + " wakes (" +
-         std::to_string(p.stale_wakes) + " stale)";
+// The --perf-json FILE path ("" when absent). A bare flag parses as the
+// boolean "true", which names no file.
+std::string perf_json_path(const util::Args& args) {
+  const std::string path = args.get("perf-json");
+  if (path == "true") {
+    throw util::InvariantError("--perf-json needs a file path");
+  }
+  return path;
 }
 
-// Aggregate host-side perf counters across a sweep, serializable as the
-// JSON snapshot format diffed by CI (--perf-json, bench_patterns).
-struct PerfAgg {
-  std::uint64_t events = 0;
-  std::uint64_t resumes = 0;
-  std::uint64_t callbacks = 0;
-  std::uint64_t instants = 0;
-  std::uint64_t peak_instants = 0;
-  std::uint64_t peak_live = 0;
-  std::uint64_t peak_queue = 0;
-  std::uint64_t peak_rss_kb = 0;
-  std::uint64_t elided_bytes = 0;
-  double wall_ms = 0.0;
-  double cb_hits = 0.0;
-  double pl_hits = 0.0;
-  int rows = 0;
-  // Fabric metadata (--fabric runs): machine-diffable alongside the
-  // human-readable max-link-util column.
-  bool fabric = false;
-  double max_link_util = 0.0;
-  std::uint64_t fabric_flows = 0;
-  fabric::FabricPerf fabric_perf;
-
-  void add(const core::MeasureResult& r) {
-    events += r.perf.events;
-    resumes += r.perf.resumes;
-    callbacks += r.perf.callbacks;
-    instants += r.perf.instants;
-    peak_instants = std::max(peak_instants, r.perf.peak_instants);
-    peak_live = std::max(peak_live, r.perf.peak_live_events);
-    peak_queue = std::max(peak_queue, r.perf.peak_queue_depth);
-    peak_rss_kb = std::max(peak_rss_kb, r.perf.peak_rss_kb);
-    elided_bytes += r.perf.elided_bytes;
-    wall_ms += r.perf.wall_ms;
-    cb_hits += r.perf.callback_pool_hit_rate;
-    pl_hits += r.perf.payload_pool_hit_rate;
-    if (r.fabric_links) {
-      fabric = true;
-      max_link_util = std::max(max_link_util, r.max_link_util);
-      fabric_flows += r.fabric_flows;
-      fabric_perf.merge(r.fabric_perf);
-    }
-    ++rows;
+// --perf-json FILE: write the report's snapshot; 1 when the file cannot be
+// written.
+int write_perf_snapshot(
+    const std::string& path, const core::PerfReport& report,
+    const std::string& tool,
+    const std::vector<std::pair<std::string, std::string>>& tags = {}) {
+  std::ofstream os(path);
+  os << report.json(tool, tags);
+  if (!os) {
+    std::cerr << "cannot write perf json " << path << "\n";
+    return 1;
   }
-  double events_per_sec() const {
-    return wall_ms > 0.0 ? static_cast<double>(events) / (wall_ms / 1e3) : 0.0;
-  }
-  double cb_hit_rate() const {
-    return rows > 0 ? cb_hits / static_cast<double>(rows) : 0.0;
-  }
-  double pl_hit_rate() const {
-    return rows > 0 ? pl_hits / static_cast<double>(rows) : 0.0;
-  }
-
-  bool write_json(const std::string& path, const std::string& tool) const {
-    std::ofstream os(path);
-    if (!os) return false;
-    os << "{\n"
-       << "  \"tool\": \"" << tool << "\",\n"
-       << "  \"points\": " << rows << ",\n"
-       << "  \"jobs\": " << core::default_jobs() << ",\n"
-       << "  \"events\": " << events << ",\n"
-       << "  \"events_per_sec\": " << static_cast<long long>(events_per_sec())
-       << ",\n"
-       << "  \"resumes\": " << resumes << ",\n"
-       << "  \"callbacks\": " << callbacks << ",\n"
-       << "  \"instants\": " << instants << ",\n"
-       << "  \"peak_instants\": " << peak_instants << ",\n"
-       << "  \"peak_live_events\": " << peak_live << ",\n"
-       << "  \"peak_queue_depth\": " << peak_queue << ",\n"
-       << "  \"peak_rss_kb\": " << peak_rss_kb << ",\n"
-       << "  \"elided_bytes\": " << elided_bytes << ",\n"
-       << "  \"callback_pool_hit_rate\": " << cb_hit_rate() << ",\n"
-       << "  \"payload_pool_hit_rate\": " << pl_hit_rate() << ",\n";
-    if (fabric) {
-      os << "  \"fabric\": true,\n"
-         << "  \"max_link_util\": " << max_link_util << ",\n"
-         << "  \"fabric_flows\": " << fabric_flows << ",\n"
-         << fabric_perf.json_members();
-    }
-    os << "  \"wall_ms\": " << wall_ms << "\n"
-       << "}\n";
-    return true;
-  }
-};
+  std::cout << "perf counters written to " << path << "\n";
+  return 0;
+}
 
 core::MeasureOptions measure_opts(const util::Args& args) {
   core::MeasureOptions opt;
@@ -367,7 +298,7 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   const bool perturbed = !opt.perturb.empty() || opt.repetitions > 1;
   const bool fabric_on = opt.fabric != fabric::FabricLevel::none;
   const bool perf_on = args.get_bool("perf", false);
-  const std::string perf_json = args.get("perf-json");
+  const std::string perf_json = perf_json_path(args);
   std::vector<std::string> header{"msg size", "design", "latency (us)"};
   if (perturbed) {
     header.insert(header.end(),
@@ -377,33 +308,34 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   if (perf_on) header.insert(header.end(), {"events", "Mev/s", "wall/sim"});
   header.push_back("verified");
   util::Table t(header);
-  // Host-side perf aggregates across the whole size sweep (--perf and/or
-  // --perf-json).
-  PerfAgg agg;
-  for (std::size_t bytes : sizes) {
-    const core::CollSpec used =
-        table ? table->level0(kind, bytes, cfg.has_sharp()) : spec;
-    const auto r =
-        core::measure_collective(kind, cfg, nodes, ppn, bytes, used, opt);
-    t.row()
-        .cell(util::format_bytes(bytes))
-        .cell(used.label(kind))
-        .cell(r.avg_us, 2);
-    if (perturbed) {
-      t.cell(r.median_us, 2)
-          .cell(r.p99_us, 2)
-          .cell(r.entry_skew_avg_us, 2)
-          .cell(r.wait_avg_us, 2);
+  // Host-side perf of the whole size sweep (--perf and --perf-json).
+  core::PerfReport report;
+  report.time_sweep([&] {
+    for (std::size_t bytes : sizes) {
+      const core::CollSpec used =
+          table ? table->level0(kind, bytes, cfg.has_sharp()) : spec;
+      const auto r =
+          core::measure_collective(kind, cfg, nodes, ppn, bytes, used, opt);
+      report.add(r);
+      t.row()
+          .cell(util::format_bytes(bytes))
+          .cell(used.label(kind))
+          .cell(r.avg_us, 2);
+      if (perturbed) {
+        t.cell(r.median_us, 2)
+            .cell(r.p99_us, 2)
+            .cell(r.entry_skew_avg_us, 2)
+            .cell(r.wait_avg_us, 2);
+      }
+      if (fabric_on) t.cell(r.max_link_util, 3);
+      if (perf_on) {
+        t.cell(static_cast<long long>(r.perf.events))
+            .cell(r.perf.events_per_sec / 1e6, 2)
+            .cell(r.perf.wall_ms_per_sim_ms, 2);
+      }
+      t.cell(std::string(r.verified ? "yes" : "NO"));
     }
-    if (fabric_on) t.cell(r.max_link_util, 3);
-    if (perf_on) {
-      t.cell(static_cast<long long>(r.perf.events))
-          .cell(r.perf.events_per_sec / 1e6, 2)
-          .cell(r.perf.wall_ms_per_sim_ms, 2);
-    }
-    if (perf_on || !perf_json.empty()) agg.add(r);
-    t.cell(std::string(r.verified ? "yes" : "NO"));
-  }
+  });
   std::cout << coll::coll_kind_name(kind) << " "
             << (table ? std::string("table-driven") : spec.label(kind))
             << " on cluster " << cfg.name << ", " << nodes << "x" << ppn;
@@ -414,32 +346,10 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   }
   std::cout << "\n";
   t.print(std::cout);
-  if (perf_on && agg.rows > 0) {
-    std::cout << "\n[perf] jobs=" << core::default_jobs() << ", " << agg.events
-              << " simulated events in " << agg.wall_ms << " ms wall ("
-              << agg.events_per_sec() / 1e6 << " Mev/s; " << agg.resumes
-              << " resumes, " << agg.callbacks << " callbacks), "
-              << agg.instants << " instants (peak " << agg.peak_instants
-              << "), peak queue depth " << agg.peak_queue << ", peak RSS "
-              << agg.peak_rss_kb << " KB, pool hit rates cb="
-              << agg.cb_hit_rate() << " payload=" << agg.pl_hit_rate();
-    if (agg.elided_bytes > 0) {
-      std::cout << ", elided " << util::format_bytes(agg.elided_bytes)
-                << " of payload";
-    }
-    std::cout << "\n";
-    if (agg.fabric) {
-      std::cout << "[perf] " << fabric_perf_text(agg.fabric_perf) << "\n";
-    }
-  }
-  if (!perf_json.empty()) {
-    if (!agg.write_json(perf_json, "dpmlsim latency")) {
-      std::cerr << "cannot write perf json " << perf_json << "\n";
-      return 1;
-    }
-    std::cout << "perf counters written to " << perf_json << "\n";
-  }
-  return 0;
+  if (perf_on) std::cout << "\n" << report.line() << "\n";
+  return perf_json.empty()
+             ? 0
+             : write_perf_snapshot(perf_json, report, "dpmlsim latency");
 }
 
 int cmd_verify(const util::Args& args, const net::ClusterConfig& cfg) {
@@ -697,14 +607,13 @@ int cmd_miniamr(const util::Args& args, const net::ClusterConfig& cfg,
   return 0;
 }
 
-// --mc-replay FILE: re-execute one explored schedule from a dpmlmc
-// counterexample trace (src/mc/). Distinct from the `replay` subcommand,
 // Multi-tenant fabric run (docs/MODEL.md §11): N concurrent jobs on one
 // shared flow fabric, with optional seeded background traffic and scheduled
 // ECMP-way failures.
 int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
                 int nodes, int ppn) {
   const int njobs = args.get_int("tenants", 2);
+  const std::string perf_json = perf_json_path(args);
   tenant::TenantOptions opt;
   opt.seed = args.get_int("seed", 1);
   opt.stagger_max_us = args.get_double("stagger-us", 20.0);
@@ -748,7 +657,15 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
     const int iters = args.get_int("tenant-iters", 4);
     for (tenant::JobSpec& j : jobs) j.iterations = iters;
   }
-  const tenant::TenantResult r = tenant::run_tenants(cfg, ppn, jobs, opt);
+  tenant::TenantResult r;
+  core::PerfReport report;
+  report.time_sweep([&] { r = tenant::run_tenants(cfg, ppn, jobs, opt); });
+  std::optional<core::FabricCounters> fabric_counters;
+  if (opt.fabric == fabric::FabricLevel::links) {
+    fabric_counters = core::FabricCounters{r.max_link_util, r.flows,
+                                           r.bg_flows, r.fabric_perf};
+  }
+  report.add(r.engine_perf, r.elided_bytes, fabric_counters);
 
   std::vector<std::string> cols = {
       "job", "kind", "algorithm", "nodes", "ranks", "bytes", "start (us)",
@@ -803,10 +720,7 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
               << r.hot_link_bg_share << ")";
   }
   std::cout << ", " << r.shared_links << " link(s) shared by >1 job\n";
-  if (args.get_bool("perf", false) &&
-      opt.fabric == fabric::FabricLevel::links) {
-    std::cout << "[perf] " << fabric_perf_text(r.fabric_perf) << "\n";
-  }
+  if (args.get_bool("perf", false)) std::cout << report.line() << "\n";
   if (!adapt_table_path.empty() && !r.adapt_table.empty()) {
     std::ofstream os(adapt_table_path);
     if (!os) {
@@ -817,37 +731,16 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
     std::cout << "adaptive selection table written to " << adapt_table_path
               << "\n";
   }
-  const std::string perf_json = args.get("perf-json");
-  if (!perf_json.empty()) {
-    std::ofstream os(perf_json);
-    if (!os) {
-      std::cerr << "cannot write perf json " << perf_json << "\n";
-      return 1;
-    }
-    os << "{\n"
-       << "  \"tool\": \"dpmlsim tenants\",\n"
-       << "  \"tenants\": " << njobs << ",\n"
-       << "  \"placement\": \"" << tenant::placement_name(opt.placement)
-       << "\",\n"
-       << "  \"adapt\": " << (opt.adapt ? "true" : "false") << ",\n"
-       << "  \"jobs\": " << core::default_jobs() << ",\n"
-       << "  \"events\": " << r.events << ",\n"
-       << "  \"makespan_us\": " << r.makespan_us << ",\n"
-       << "  \"fabric\": "
-       << (opt.fabric == fabric::FabricLevel::links ? "true" : "false")
-       << ",\n"
-       << "  \"max_link_util\": " << r.max_link_util << ",\n"
-       << "  \"fabric_flows\": " << r.flows << ",\n";
-    if (opt.fabric == fabric::FabricLevel::links) {
-      os << r.fabric_perf.json_members();
-    }
-    os << "  \"bg_flows\": " << r.bg_flows << "\n"
-       << "}\n";
-    std::cout << "perf counters written to " << perf_json << "\n";
-  }
-  return 0;
+  if (perf_json.empty()) return 0;
+  return write_perf_snapshot(
+      perf_json, report, "dpmlsim tenants",
+      {{"placement",
+        "\"" + std::string(tenant::placement_name(opt.placement)) + "\""},
+       {"adapt", opt.adapt ? "true" : "false"}});
 }
 
+// --mc-replay FILE: re-execute one explored schedule from a dpmlmc
+// counterexample trace (src/mc/). Distinct from the `replay` subcommand,
 // which replays an application communication trace.
 int cmd_mc_replay(const std::string& path) {
   mc::ensure_probe_algorithms();
@@ -881,7 +774,9 @@ int run(const util::Args& args) {
     // --jobs N sets the process-wide sweep-executor width: every measure()
     // call fans its repetitions (and sweeps their points) across N threads
     // while staying byte-identical to the serial order (docs/MODEL.md §8).
-    if (args.has("jobs")) core::set_default_jobs(args.get_int("jobs", 1));
+    if (args.has("jobs")) {
+      core::set_default_jobs(core::parse_jobs(args.get("jobs")));
+    }
     if (args.get_bool("list-algorithms", false)) return cmd_list_algorithms();
     if (args.get_bool("list-clusters", false)) return cmd_list_clusters();
     if (args.has("mc-replay")) return cmd_mc_replay(args.get("mc-replay"));
