@@ -125,9 +125,7 @@ double subject_makespan(const net::ClusterConfig& cfg, int ppn,
                         const tenant::TenantOptions& opt, std::size_t slot,
                         core::PerfReport& perf) {
   const tenant::TenantResult r = tenant::run_tenants(cfg, ppn, jobs, opt);
-  perf.add(r.engine_perf, r.elided_bytes,
-           core::FabricCounters{r.max_link_util, r.flows, r.bg_flows,
-                                r.fabric_perf});
+  tenant::fold_perf(r, opt, perf);
   result_slots[slot] = r;
   return r.jobs.front().makespan_us;
 }

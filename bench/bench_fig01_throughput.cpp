@@ -44,9 +44,9 @@ int main(int argc, char** argv) {
         benchx::register_point(
             name, p.store, util::format_bytes(bytes),
             "pairs=" + std::to_string(pairs),
-            [&p, pairs, bytes](core::PerfReport&) {
+            [&p, pairs, bytes](core::PerfReport& perf) {
               return apps::relative_throughput(p.cfg, pairs, bytes,
-                                               p.intra_node);
+                                               p.intra_node, &perf);
             });
       }
     }

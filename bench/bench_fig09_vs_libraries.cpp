@@ -28,9 +28,10 @@ struct Panel {
 
 // Per-size tuned configuration (the paper's empirical best-config search).
 double tuned_latency(const net::ClusterConfig& cfg, int nodes, int ppn,
-                     std::size_t bytes) {
+                     std::size_t bytes, core::PerfReport& perf) {
   const auto r = core::tune_collective(coll::CollKind::allreduce, cfg, nodes,
                                        ppn, bytes, benchx::default_opts());
+  perf.add(r.perf);
   return r.best.avg_us;
 }
 
@@ -50,9 +51,9 @@ int main(int argc, char** argv) {
       const std::string base = std::string("fig09/") + p.cfg.name +
                                "/bytes:" + row;
       benchx::register_point(base + "/proposed", p.store, row, "proposed",
-                             [&p, bytes](core::PerfReport&) {
+                             [&p, bytes](core::PerfReport& perf) {
                                return tuned_latency(p.cfg, p.nodes, p.ppn,
-                                                    bytes);
+                                                    bytes, perf);
                              });
       coll::CollSpec mv;
       mv.algo = "mvapich2";

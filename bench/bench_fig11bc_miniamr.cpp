@@ -47,14 +47,17 @@ int main(int argc, char** argv) {
         benchx::register_point(
             std::string("fig11bc/") + p.cfg.name + "/blocks:" +
                 std::to_string(blocks) + "/" + e.label,
-            p.store, row, e.label, [&p, blocks, e](core::PerfReport&) {
+            p.store, row, e.label,
+            [&p, blocks, e](core::PerfReport& perf) {
               apps::MiniAmrOptions o;
               o.nodes = p.nodes;
               o.ppn = p.ppn;
               o.refine_steps = 10;
               o.blocks_per_rank = blocks;
               o.spec.algo = e.algo;
-              return apps::run_miniamr(p.cfg, o).refine_s * 1e6;  // us
+              const apps::MiniAmrResult r = apps::run_miniamr(p.cfg, o);
+              perf.add(r.engine_perf, r.elided_bytes);
+              return r.refine_s * 1e6;  // us
             });
       }
     }

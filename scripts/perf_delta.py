@@ -77,7 +77,8 @@ def cmd_delta(args):
               f"({change:+.1f}%) {mark}")
         for field in ("events", "wall_ms", "instants", "peak_instants",
                       "peak_queue_depth", "peak_rss_kb",
-                      "elided_bytes", "fabric_flows", "max_link_util",
+                      "elided_bytes", "frame_pool_hit_rate",
+                      "fabric_flows", "max_link_util",
                       "fabric_wakes", "fabric_stale_wakes"):
             if field in new or field in old:
                 print(f"[perf-delta]   {field}: {old.get(field, '-')} -> "

@@ -39,7 +39,9 @@ DlResult run_dl_training(const net::ClusterConfig& cfg, const DlOptions& opt) {
                             opt.backprop_per_bucket * opt.buckets * opt.steps;
   return {.step_s = sim::to_seconds(run.timers[0].total) / opt.steps,
           .total_s = sim::to_seconds(run.end),
-          .exposed_comm_s = sim::to_seconds(exposed) / opt.steps};
+          .exposed_comm_s = sim::to_seconds(exposed) / opt.steps,
+          .engine_perf = run.engine_perf,
+          .elided_bytes = run.elided_bytes};
 }
 
 }  // namespace dpml::apps

@@ -33,6 +33,8 @@ struct DlResult {
   double step_s = 0.0;        // average time per training step
   double total_s = 0.0;
   double exposed_comm_s = 0.0;  // per-step communication not hidden by compute
+  sim::EnginePerf engine_perf;     // the run's engine counters (perf reports)
+  std::uint64_t elided_bytes = 0;  // payload bytes it elided
 };
 
 DlResult run_dl_training(const net::ClusterConfig& cfg, const DlOptions& opt);

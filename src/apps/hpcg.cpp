@@ -38,7 +38,9 @@ HpcgResult run_hpcg(const net::ClusterConfig& cfg, const HpcgOptions& opt) {
   return {.total_s = sim::to_seconds(run.end),
           .ddot_s = sim::to_seconds(ddot.total),
           .ddot_avg_us = sim::to_us(ddot.total) / ddot.count,
-          .ddots = ddot.count};
+          .ddots = ddot.count,
+          .engine_perf = run.engine_perf,
+          .elided_bytes = run.elided_bytes};
 }
 
 }  // namespace dpml::apps

@@ -33,6 +33,8 @@ struct HpcgResult {
   double ddot_s = 0.0;        // time inside DDOT (local dot + allreduce)
   double ddot_avg_us = 0.0;   // average per-DDOT latency
   int ddots = 0;
+  sim::EnginePerf engine_perf;     // the run's engine counters (perf reports)
+  std::uint64_t elided_bytes = 0;  // payload bytes it elided
 };
 
 HpcgResult run_hpcg(const net::ClusterConfig& cfg, const HpcgOptions& opt);

@@ -62,7 +62,9 @@ MiniAmrResult run_miniamr(const net::ClusterConfig& cfg,
   return {.total_s = sim::to_seconds(run.end),
           .refine_s = sim::to_seconds(run.timers[0].total),
           .per_step_us = sim::to_us(run.timers[0].total) / opt.refine_steps,
-          .final_blocks = total_blocks};
+          .final_blocks = total_blocks,
+          .engine_perf = run.engine_perf,
+          .elided_bytes = run.elided_bytes};
 }
 
 }  // namespace dpml::apps

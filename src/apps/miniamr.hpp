@@ -35,6 +35,8 @@ struct MiniAmrResult {
                                 // "overall Mesh Refinement time")
   double per_step_us = 0.0;
   std::size_t final_blocks = 0;  // total blocks after the run
+  sim::EnginePerf engine_perf;     // the run's engine counters (perf reports)
+  std::uint64_t elided_bytes = 0;  // payload bytes it elided
 };
 
 MiniAmrResult run_miniamr(const net::ClusterConfig& cfg,

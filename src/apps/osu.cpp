@@ -4,6 +4,7 @@
 #include <string>
 
 #include "apps/program.hpp"
+#include "core/measure.hpp"
 #include "util/error.hpp"
 
 namespace dpml::apps {
@@ -35,6 +36,8 @@ MbwMrResult osu_mbw_mr(const net::ClusterConfig& cfg, const MbwMrOptions& opt) {
   const auto run = run_program(cfg, nodes, ppn, {}, 1, programs, 0);
 
   MbwMrResult res;
+  res.engine_perf = run.engine_perf;
+  res.elided_bytes = run.elided_bytes;
   res.seconds = sim::to_seconds(run.end);
   const double total_bytes = static_cast<double>(opt.bytes) * total_msgs *
                              opt.pairs;
@@ -67,14 +70,22 @@ double osu_latency(const net::ClusterConfig& cfg, std::size_t bytes,
 }
 
 double relative_throughput(const net::ClusterConfig& cfg, int pairs,
-                           std::size_t bytes, bool intra_node) {
+                           std::size_t bytes, bool intra_node,
+                           core::PerfReport* perf) {
   MbwMrOptions one;
   one.pairs = 1;
   one.bytes = bytes;
   one.intra_node = intra_node;
   MbwMrOptions many = one;
   many.pairs = pairs;
-  return osu_mbw_mr(cfg, many).mb_per_s / osu_mbw_mr(cfg, one).mb_per_s;
+  const MbwMrResult base = osu_mbw_mr(cfg, one);
+  const MbwMrResult loaded = osu_mbw_mr(cfg, many);
+  if (perf != nullptr) {
+    sim::EnginePerf engine = base.engine_perf;
+    engine.merge(loaded.engine_perf);
+    perf->add(engine, base.elided_bytes + loaded.elided_bytes);
+  }
+  return loaded.mb_per_s / base.mb_per_s;
 }
 
 }  // namespace dpml::apps

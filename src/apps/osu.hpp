@@ -4,8 +4,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "net/cluster.hpp"
+#include "sim/engine.hpp"
+
+namespace dpml::core {
+struct PerfReport;
+}  // namespace dpml::core
 
 namespace dpml::apps {
 
@@ -21,14 +27,17 @@ struct MbwMrResult {
   double mb_per_s = 0.0;       // aggregate bandwidth (decimal MB/s)
   double msg_per_s = 0.0;      // aggregate message rate
   double seconds = 0.0;        // simulated wall-clock of the measured phase
+  sim::EnginePerf engine_perf;     // the run's engine counters (perf reports)
+  std::uint64_t elided_bytes = 0;  // payload bytes it elided
 };
 
 MbwMrResult osu_mbw_mr(const net::ClusterConfig& cfg, const MbwMrOptions& opt);
 
 // Relative throughput of `pairs` pairs vs one pair (the quantity Figure 1
-// plots).
+// plots). With `perf`, the two runs fold into it as one point.
 double relative_throughput(const net::ClusterConfig& cfg, int pairs,
-                           std::size_t bytes, bool intra_node);
+                           std::size_t bytes, bool intra_node,
+                           core::PerfReport* perf = nullptr);
 
 // osu_latency-style pingpong: one-way latency in seconds between two ranks
 // (same socket when intra_node, otherwise across two nodes).

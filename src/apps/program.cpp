@@ -122,7 +122,8 @@ ProgramResult run_program(const net::ClusterConfig& cfg, int nodes, int ppn,
     const auto w = static_cast<std::size_t>(r.world_rank());
     return run_rank(r, programs[shared ? 0 : w], run);
   });
-  return {m.now(), std::move(run.timers)};
+  return {m.now(), std::move(run.timers), m.engine().perf(),
+          m.data_plane().elided_bytes()};
 }
 
 void require(bool ok, const char* app, const char* field,

@@ -50,6 +50,8 @@ struct Timer {
 struct ProgramResult {
   sim::Time end = 0;          // simulated time when the last rank finished
   std::vector<Timer> timers;  // one per timer index
+  sim::EnginePerf engine_perf;     // the run's engine counters (perf reports)
+  std::uint64_t elided_bytes = 0;  // payload bytes it elided
 };
 
 // Runs `programs[w]` on world rank w (or `programs[0]` on every rank) of a

@@ -119,7 +119,9 @@ ReplayResult replay_trace(const net::ClusterConfig& cfg,
   const auto run = run_program(cfg, opt.nodes, opt.ppn, opt.spec, 1, {p}, 1);
   return {.total_s = sim::to_seconds(run.end),
           .comm_s = sim::to_seconds(run.timers[0].total),
-          .ops = run.timers[0].count};
+          .ops = run.timers[0].count,
+          .engine_perf = run.engine_perf,
+          .elided_bytes = run.elided_bytes};
 }
 
 }  // namespace dpml::apps

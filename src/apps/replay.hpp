@@ -52,6 +52,8 @@ struct ReplayResult {
   double total_s = 0.0;
   double comm_s = 0.0;  // time in collectives (rank 0)
   int ops = 0;
+  sim::EnginePerf engine_perf;     // the run's engine counters (perf reports)
+  std::uint64_t elided_bytes = 0;  // payload bytes it elided
 };
 
 ReplayResult replay_trace(const net::ClusterConfig& cfg,

@@ -98,7 +98,9 @@ StencilResult run_stencil(const net::ClusterConfig& cfg,
           .halo_s = sim::to_seconds(run.timers[0].total),
           .allreduce_s = sim::to_seconds(run.timers[1].total),
           .residual_checks = run.timers[1].count,
-          .grid = {gx, gy, gz}};
+          .grid = {gx, gy, gz},
+          .engine_perf = run.engine_perf,
+          .elided_bytes = run.elided_bytes};
 }
 
 }  // namespace dpml::apps

@@ -33,6 +33,8 @@ struct StencilResult {
   double allreduce_s = 0.0;  // time in residual reductions (rank 0)
   int residual_checks = 0;
   std::array<int, 3> grid{};  // process grid used
+  sim::EnginePerf engine_perf;     // the run's engine counters (perf reports)
+  std::uint64_t elided_bytes = 0;  // payload bytes it elided
 };
 
 // Factor `p` into a near-cubic 3D process grid.

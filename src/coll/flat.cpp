@@ -7,6 +7,7 @@
 // baselines, (2) the inter-node phase-3 building block of DPML, and (3)
 // correctness cross-checks for each other.
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -166,6 +167,8 @@ sim::CoTask<void> allreduce_reduce_scatter_allgather(CollArgs a) {
       int partner;
     };
     std::vector<Level> levels;
+    levels.reserve(static_cast<std::size_t>(std::bit_width(
+        static_cast<unsigned>(pof2))));
     int step = 1;
     for (int mask = pof2 >> 1; mask > 0; mask >>= 1, ++step) {
       const int partner = old_rank_of(newrank ^ mask);

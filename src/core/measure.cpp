@@ -356,7 +356,7 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
                   static_cast<std::size_t>(opt.iterations));
   sim::Time imb_entry = 0, imb_exit = 0, imb_wait = 0;
   sim::Time sim_total = 0;
-  sim::PoolStats callback_pool, payload_pool;
+  sim::EnginePerf engine;
   for (const RepOutcome& rep : reps) {
     samples.insert(samples.end(), rep.samples.begin(), rep.samples.end());
     res.events += rep.events;
@@ -373,20 +373,18 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
     imb_exit += rep.imb_exit;
     imb_wait += rep.imb_wait;
     sim_total += rep.sim_end;
-    res.perf.resumes += rep.engine_perf.resumes;
-    res.perf.callbacks += rep.engine_perf.callbacks;
-    res.perf.instants += rep.engine_perf.instants;
-    res.perf.peak_instants =
-        std::max(res.perf.peak_instants, rep.engine_perf.peak_instants);
-    res.perf.peak_queue_depth =
-        std::max(res.perf.peak_queue_depth, rep.engine_perf.peak_queue_depth);
+    engine.merge(rep.engine_perf);
     res.perf.elided_bytes += rep.elided_bytes;
-    callback_pool.merge(rep.engine_perf.callback_pool);
-    payload_pool.merge(rep.engine_perf.payload_pool);
   }
   res.perf.events = res.events;
-  res.perf.callback_pool_hit_rate = callback_pool.hit_rate();
-  res.perf.payload_pool_hit_rate = payload_pool.hit_rate();
+  res.perf.resumes = engine.resumes;
+  res.perf.callbacks = engine.callbacks;
+  res.perf.instants = engine.instants;
+  res.perf.peak_instants = engine.peak_instants;
+  res.perf.peak_queue_depth = engine.peak_queue_depth;
+  res.perf.callback_pool_hit_rate = engine.callback_pool.hit_rate();
+  res.perf.payload_pool_hit_rate = engine.payload_pool.hit_rate();
+  res.perf.frame_pool = engine.frame_pool;
   res.perf.sim_ms = sim::to_us(sim_total) / 1e3;
   res.perf.jobs = executor.jobs();
   res.perf.wall_ms =
@@ -436,6 +434,8 @@ void PerfReport::add(const MeasureResult& r) {
   p.elided_bytes = r.perf.elided_bytes;
   p.callback_pool_hits = r.perf.callback_pool_hit_rate;
   p.payload_pool_hits = r.perf.payload_pool_hit_rate;
+  p.frame_pool_hits = r.perf.frame_pool.hit_rate();
+  p.frame_pool_misses = r.perf.frame_pool.misses;
   if (r.fabric_links) {
     p.fabric = FabricCounters{r.max_link_util, r.fabric_flows, 0,
                               r.fabric_perf};
@@ -457,6 +457,8 @@ void PerfReport::add(const sim::EnginePerf& engine,
   p.elided_bytes = elided_bytes;
   p.callback_pool_hits = engine.callback_pool.hit_rate();
   p.payload_pool_hits = engine.payload_pool.hit_rate();
+  p.frame_pool_hits = engine.frame_pool.hit_rate();
+  p.frame_pool_misses = engine.frame_pool.misses;
   p.fabric = fabric;
   add(p);
 }
@@ -472,6 +474,8 @@ void PerfReport::add(const PerfReport& o) {
   elided_bytes += o.elided_bytes;
   callback_pool_hits += o.callback_pool_hits;
   payload_pool_hits += o.payload_pool_hits;
+  frame_pool_hits += o.frame_pool_hits;
+  frame_pool_misses += o.frame_pool_misses;
   if (o.fabric) {
     if (!fabric) fabric = FabricCounters{};
     fabric->max_link_util =
@@ -516,7 +520,8 @@ std::string PerfReport::line() const {
        << " instants (peak " << peak_instants << "), peak queue depth "
        << peak_queue_depth << ", pool hit rates cb="
        << mean(callback_pool_hits, points)
-       << " payload=" << mean(payload_pool_hits, points);
+       << " payload=" << mean(payload_pool_hits, points)
+       << " frame=" << mean(frame_pool_hits, points);
     if (elided_bytes > 0) {
       os << ", elided " << util::format_bytes(elided_bytes) << " of payload";
     }
@@ -555,6 +560,8 @@ std::string PerfReport::json(
   member("elided_bytes", elided_bytes);
   member("callback_pool_hit_rate", mean(callback_pool_hits, points));
   member("payload_pool_hit_rate", mean(payload_pool_hits, points));
+  member("frame_pool_hit_rate", mean(frame_pool_hits, points));
+  member("frame_pool_misses", frame_pool_misses);
   if (fabric) {
     member("fabric", "true");
     member("max_link_util", fabric->max_link_util);

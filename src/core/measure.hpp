@@ -77,6 +77,7 @@ struct MeasurePerf {
   std::uint64_t elided_bytes = 0;      // payload bytes elided (metadata-only)
   double callback_pool_hit_rate = 0.0; // pooled event records served warm
   double payload_pool_hit_rate = 0.0;  // recycled message payload buffers
+  sim::PoolStats frame_pool;           // coroutine frames (merged over reps)
   double sim_ms = 0.0;                 // simulated time, summed over reps
   // Host wall clock for the whole repetition sweep (not deterministic).
   double wall_ms = 0.0;
@@ -145,16 +146,18 @@ struct PerfReport {
   std::uint64_t elided_bytes = 0;      // payload bytes elided (sum)
   double callback_pool_hits = 0.0;     // per-point hit rates (sum)
   double payload_pool_hits = 0.0;
+  double frame_pool_hits = 0.0;
+  std::uint64_t frame_pool_misses = 0; // frames not served warm (sum)
   std::optional<FabricCounters> fabric;
   double wall_ms = 0.0;  // host wall clock of the sweep (time_sweep)
 
   // Fold one measure_collective point.
   void add(const MeasureResult& r);
-  // Fold one point run on a single engine (a tenant mix's shared run): its
-  // counters, the payload bytes it elided and, on the link fabric, its
-  // fabric counters.
+  // Fold one point run on engines of its own (an app kernel's run, a
+  // tenant mix): their counters, the payload bytes they elided and, on the
+  // link fabric, the fabric counters.
   void add(const sim::EnginePerf& engine, std::uint64_t elided_bytes,
-           const std::optional<FabricCounters>& fabric);
+           const std::optional<FabricCounters>& fabric = std::nullopt);
   // Fold every point of another report (the benches keep one per point and
   // fold them in point order).
   void add(const PerfReport& other);

@@ -76,6 +76,7 @@ TuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
     const MeasureResult m =
         measure_collective(kind, cfg, nodes, ppn, bytes, cand, opt);
     result.all.push_back(TunedEntry{cand, m.avg_us});
+    result.perf.add(m);
   }
   DPML_CHECK_MSG(!result.all.empty(), "no runnable candidates");
   std::sort(result.all.begin(), result.all.end(),

@@ -29,6 +29,7 @@ struct TunedEntry {
 struct TuneResult {
   TunedEntry best;
   std::vector<TunedEntry> all;  // every candidate, fastest first
+  PerfReport perf;              // the fold of every measured candidate
 };
 
 // Candidate sweep for `kind` built from the registry's tunable descriptors.

@@ -36,9 +36,13 @@ void Engine::check_reserved(std::uint64_t seq) const {
 }
 
 Engine::Engine()
-    : table_(std::size_t{1} << kInitialTableBits, Instant{0, kNil}) {}
+    : table_(std::size_t{1} << kInitialTableBits, Instant{0, kNil}) {
+  FramePool::local().attach();
+  frame_base_ = FramePool::local().stats();
+}
 
 Engine::~Engine() {
+  destroy_suspended();
   // Drop callback records still queued (a run abandoned by an error or a
   // machine torn down mid-simulation) without invoking them.
   for (const Instant& in : heap_) {
@@ -46,6 +50,18 @@ Engine::~Engine() {
       if (items_[i].cb != nullptr) destroy_callback(items_[i].cb);
     }
   }
+  // Every pooled block this engine's run held is back: the last engine on
+  // the thread lets the frame pool give its memory up.
+  FramePool::local().detach();
+}
+
+void Engine::destroy_suspended() {
+  // Destroying a root unlinks it (its promise's destructor).
+  while (roots_ != nullptr) {
+    std::coroutine_handle<Detached::promise_type>::from_promise(*roots_)
+        .destroy();
+  }
+  live_tasks_ = 0;
 }
 
 void Engine::push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
@@ -258,7 +274,7 @@ void Engine::spawn(CoTask<void> task) {
 }
 
 std::shared_ptr<Flag> Engine::spawn_sub(CoTask<void> task) {
-  auto done = std::make_shared<Flag>(*this);
+  auto done = make_pooled<Flag>(*this);
   run_detached(std::move(task), done);
   return done;
 }

@@ -8,10 +8,18 @@
 //
 // Hot path: an event is either a coroutine resume (a bare handle, no
 // allocation) or a callback. Callbacks are type-erased records placed in a
-// per-engine slab pool (sim/pool.hpp), so steady-state scheduling allocates
-// nothing once the pool is warm. The pre-pool schedule_fn() shim is gone —
-// schedule_call() is the only form (the dpmllint `schedule-fn` rule keeps
-// it from coming back).
+// per-engine slab pool (sim/pool.hpp), and coroutine frames — every
+// CoTask, the detached wrapper of spawn()/spawn_sub() — come from the
+// thread's FramePool, as does spawn_sub()'s completion Flag. Once the
+// pools are warm, steady-state scheduling and spawning allocate nothing.
+// The pre-pool schedule_fn() shim is gone — schedule_call() is the only
+// form (the dpmllint `schedule-fn` rule keeps it from coming back).
+//
+// Teardown: the engine tracks its live detached processes. A run that
+// deadlocks or fails leaves some suspended; destroy_suspended() destroys
+// their frames (Machine calls it before its checker, matchers and slots
+// go, ~Engine for a bare engine), so every pooled frame is back before the
+// thread's pool gives its memory up.
 //
 // The event queue is an instant queue. Ranks of a collective run in
 // lockstep, so many queued events share a timestamp: the queue keeps one
@@ -23,6 +31,7 @@
 // (docs/MODEL.md §10 gives the argument).
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -66,6 +75,23 @@ struct EnginePerf {
   std::uint64_t peak_queue_depth = 0; // queued-event high-water mark
   PoolStats callback_pool;            // pooled callback records
   PoolStats payload_pool;             // recycled payload buffers
+  // Coroutine frames and per-message records: the thread's FramePool,
+  // with hits and misses counted since this engine was built.
+  PoolStats frame_pool;
+
+  // Fold another run's counters in: sums, the maxima of the peaks, and
+  // merged pools.
+  void merge(const EnginePerf& o) {
+    events += o.events;
+    resumes += o.resumes;
+    callbacks += o.callbacks;
+    instants += o.instants;
+    peak_instants = std::max(peak_instants, o.peak_instants);
+    peak_queue_depth = std::max(peak_queue_depth, o.peak_queue_depth);
+    callback_pool.merge(o.callback_pool);
+    payload_pool.merge(o.payload_pool);
+    frame_pool.merge(o.frame_pool);
+  }
 };
 
 class Engine {
@@ -145,9 +171,16 @@ class Engine {
   // run() reports a deadlock if the queue drains while processes are blocked.
   void spawn(CoTask<void> task);
 
-  // Run `task` as a sub-operation; the returned Flag posts on completion.
-  // Used for non-blocking operations (isend/irecv/iallreduce).
+  // Run `task` as a sub-operation; the returned Flag (a FramePool record)
+  // posts on completion. Used for non-blocking operations
+  // (isend/irecv/iallreduce).
   std::shared_ptr<Flag> spawn_sub(CoTask<void> task);
+
+  // Destroy every spawned process that is still suspended (a deadlocked or
+  // abandoned run), with the tasks it owns. Call it while everything their
+  // frames reference still exists; queued resumes of those frames must
+  // never run afterwards, so the engine is not run again.
+  void destroy_suspended();
 
   // Process events until the queue is empty or a spawned task fails.
   // Rethrows the first task exception; throws util::DeadlockError if
@@ -177,6 +210,7 @@ class Engine {
     p.peak_queue_depth = peak_queued_;
     p.callback_pool = callback_pool_.stats();
     p.payload_pool = payload_pool_.stats();
+    p.frame_pool = FramePool::local().stats_since(frame_base_);
     return p;
   }
 
@@ -197,9 +231,9 @@ class Engine {
   // Initial timestamp-table size: a power of two, kept at most half full.
   static constexpr int kInitialTableBits = 10;
   // Chunk size covering every in-tree schedule_call capture (the largest is
-  // the transport's routed-delivery lambda: this + a handful of ints/Times +
-  // a moved std::function continuation). Larger captures fall back to
-  // operator new, counted as pool misses.
+  // the transport's cross-leaf hop: this + a handful of ints/Times + the
+  // moved delivery continuation with its eager Envelope). Larger captures
+  // fall back to operator new, counted as pool misses.
   static constexpr std::size_t kCallbackChunk = 192;
 
   // Type-erased pooled callback record. invoke() moves the callable out,
@@ -288,14 +322,35 @@ class Engine {
   void grow_table();
 
   // Detached wrapper coroutine: owns the task, maintains the live count,
-  // captures exceptions, posts the optional completion flag.
+  // captures exceptions, posts the optional completion flag. Its promise
+  // links itself into the engine's list of live roots while the frame
+  // exists, so destroy_suspended() can reach a frame that never finishes.
   struct Detached {
     struct promise_type {
+      promise_type(Engine& e, CoTask<void>&, std::shared_ptr<Flag>&)
+          : engine(e), next(e.roots_) {
+        if (next != nullptr) next->prev = this;
+        e.roots_ = this;
+      }
+      ~promise_type() {
+        (prev != nullptr ? prev->next : engine.roots_) = next;
+        if (next != nullptr) next->prev = prev;
+      }
+      static void* operator new(std::size_t size) {
+        return FramePool::local().allocate(size);
+      }
+      static void operator delete(void* p, std::size_t size) noexcept {
+        FramePool::local().deallocate(p, size);
+      }
       Detached get_return_object() { return {}; }
       std::suspend_never initial_suspend() noexcept { return {}; }
       std::suspend_never final_suspend() noexcept { return {}; }
       void return_void() {}
       void unhandled_exception() noexcept { std::terminate(); }
+
+      Engine& engine;
+      promise_type* prev = nullptr;
+      promise_type* next;
     };
   };
   Detached run_detached(CoTask<void> task, std::shared_ptr<Flag> done);
@@ -322,6 +377,8 @@ class Engine {
   std::uint64_t peak_instants_ = 0;
   std::uint64_t peak_queued_ = 0;
   int live_tasks_ = 0;
+  Detached::promise_type* roots_ = nullptr;  // live detached frames
+  PoolStats frame_base_;  // the thread's FramePool counters at construction
   std::exception_ptr error_{};
   SlabPool callback_pool_{kCallbackChunk};
   BufferPool payload_pool_;

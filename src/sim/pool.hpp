@@ -1,9 +1,10 @@
-// Per-engine slab allocation for simulation hot paths.
+// Slab and frame allocation for simulation hot paths.
 //
-// The engine schedules millions of short-lived callback records and the
-// transport copies payload bytes into per-message buffers; allocating each
-// of those with operator new dominates the host-side profile of large
-// sweeps. Two pools fix that:
+// The engine schedules millions of short-lived callback records, every
+// simulated operation is a coroutine frame, and the transport copies
+// payload bytes into per-message buffers; allocating each of those with
+// operator new dominates the host-side profile of large sweeps. Three
+// pools fix that:
 //
 //   SlabPool    fixed-size-chunk allocator with an intrusive free list.
 //               Chunks come from slabs (large blocks carved on demand);
@@ -11,13 +12,26 @@
 //               allocation is a pointer pop. Requests larger than the chunk
 //               size fall back to operator new (counted as misses).
 //
+//   FramePool   per-thread, size-classed recycler for coroutine frames
+//               (CoTask promises and the engine's detached wrapper) and the
+//               per-message records handed out through FrameAllocator
+//               (spawn_sub's completion Flag, irecv's result). Classes are
+//               16 bytes apart up to 2 KB, carved from slabs; a freed block
+//               goes on its class's free list, so a warm pool serves a
+//               frame with a pointer pop. Larger frames go to operator new
+//               as counted misses. Each Engine attaches on construction;
+//               when the thread's last engine is destroyed the pool hands
+//               its slabs back to the system allocator (if a frame is still
+//               alive, once it dies).
+//
 //   BufferPool  recycler for std::vector<std::byte> payload buffers,
 //               bucketed by power-of-two capacity class. acquire() resizes
 //               a recycled vector (no reallocation when the class matches);
 //               release() returns the storage for the next message.
 //
-// Neither pool is thread-safe: each Engine owns its own instances, and one
-// engine is only ever driven from one thread (the parallel sweep executor
+// None of the pools is thread-safe: each Engine owns its SlabPool and
+// BufferPool, the FramePool is per thread, and one engine is only ever
+// built, driven and torn down on one thread (the parallel sweep executor
 // gives every job its own Machine/Engine). Accounting invariants — live
 // counts, hit/miss totals, zero live allocations at teardown — are asserted
 // in debug and locked by tests/sim_pool_test.cpp.
@@ -25,14 +39,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace dpml::sim {
 
-// Allocation counters shared by both pools (and surfaced through
+// Allocation counters shared by the pools (and surfaced through
 // Engine::perf() into MeasureResult / dpmlsim --perf).
 struct PoolStats {
   std::uint64_t hits = 0;        // served from the free list / bucket
@@ -141,6 +157,168 @@ class SlabPool {
   std::vector<std::byte*> slabs_;
   PoolStats stats_;
 };
+
+// Per-thread size-classed pool for coroutine frames and per-message
+// records. Not a member of the Engine: a coroutine's operator new sees only
+// the frame size, so the pool is reached through FramePool::local(). The
+// object is constant-initialized and trivially destructible, so that call
+// is a plain thread-local access.
+//
+// Blocks are carved from 64 KB slabs, so a miss is a pointer bump and
+// giving the memory back is a few frees, not one per block. The pool holds
+// no memory while no engine is alive on its thread and no block is out:
+// the last engine's detach, or the last block's return after it, frees
+// the slabs.
+class FramePool {
+ public:
+  static constexpr std::size_t kGranule = 16;      // class spacing (bytes)
+  static constexpr std::size_t kMaxPooled = 2048;  // larger: operator new
+  static constexpr std::size_t kClasses = kMaxPooled / kGranule;
+  static constexpr std::size_t kSlabBytes = 64 * 1024;
+
+  constexpr FramePool() = default;
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+
+  // This thread's pool.
+  static FramePool& local();
+
+  void* allocate(std::size_t size) {
+    if (size > kMaxPooled) {
+      stats_.note_alloc(/*hit=*/false);
+      return ::operator new(size);
+    }
+    const std::size_t cls = class_of(size);
+    FreeBlock* b = free_[cls];
+    if (b == nullptr) {
+      stats_.note_alloc(/*hit=*/false);
+      return carve(class_bytes(cls));
+    }
+    free_[cls] = b->next;
+    stats_.note_alloc(/*hit=*/true);
+    return b;
+  }
+
+  void deallocate(void* p, std::size_t size) noexcept {
+    if (p == nullptr) return;
+    stats_.note_free();
+    if (size > kMaxPooled) {
+      ::operator delete(p);
+    } else {
+      auto* b = static_cast<FreeBlock*>(p);
+      const std::size_t cls = class_of(size);
+      b->next = free_[cls];
+      free_[cls] = b;
+    }
+    if (engines_ == 0 && stats_.live == 0) release();
+  }
+
+  // Engine lifetime hooks: once the thread's last engine is gone and every
+  // block is back, the slabs go back to the system allocator.
+  void attach() noexcept { ++engines_; }
+  void detach() noexcept {
+    if (--engines_ == 0 && stats_.live == 0) release();
+  }
+  int engines() const noexcept { return engines_; }
+
+  // This thread's counters since the thread started: hits, misses (carved
+  // or oversize blocks), live blocks and their high-water mark since the
+  // pool last emptied, and the slab bytes held.
+  const PoolStats& stats() const noexcept { return stats_; }
+  // stats() with hits and misses counted from `base`, an earlier stats()
+  // snapshot: one engine's share of a pool its thread may share.
+  PoolStats stats_since(const PoolStats& base) const noexcept {
+    PoolStats s = stats_;
+    s.hits -= base.hits;
+    s.misses -= base.misses;
+    return s;
+  }
+
+ private:
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+  struct alignas(kGranule) Slab {
+    Slab* next;
+  };
+  static constexpr std::size_t class_of(std::size_t size) {
+    return size == 0 ? 0 : (size - 1) / kGranule;
+  }
+  static constexpr std::size_t class_bytes(std::size_t cls) {
+    return (cls + 1) * kGranule;
+  }
+
+  void* carve(std::size_t bytes) {
+    if (static_cast<std::size_t>(end_ - next_) < bytes) {
+      auto* slab = static_cast<Slab*>(::operator new(kSlabBytes));
+      slab->next = slabs_;
+      slabs_ = slab;
+      next_ = reinterpret_cast<std::byte*>(slab) + sizeof(Slab);
+      end_ = reinterpret_cast<std::byte*>(slab) + kSlabBytes;
+      stats_.bytes_reserved += kSlabBytes;
+    }
+    void* p = next_;
+    next_ += bytes;
+    return p;
+  }
+
+  void release() noexcept {
+    if (slabs_ == nullptr) return;
+    while (slabs_ != nullptr) {
+      Slab* next = slabs_->next;
+      ::operator delete(slabs_);
+      slabs_ = next;
+    }
+    for (FreeBlock*& head : free_) head = nullptr;
+    next_ = end_ = nullptr;
+    stats_.bytes_reserved = 0;
+    stats_.peak_live = 0;
+  }
+
+  FreeBlock* free_[kClasses] = {};
+  Slab* slabs_ = nullptr;
+  std::byte* next_ = nullptr;  // the newest slab's unused tail
+  std::byte* end_ = nullptr;
+  int engines_ = 0;
+  PoolStats stats_;
+};
+
+namespace detail {
+inline thread_local constinit FramePool t_frame_pool;
+}  // namespace detail
+
+inline FramePool& FramePool::local() { return detail::t_frame_pool; }
+
+// Standard allocator over this thread's FramePool: std::allocate_shared
+// with it puts a shared record and its control block in one pooled block.
+template <typename T>
+struct FrameAllocator {
+  using value_type = T;
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "FramePool blocks carry operator new's default alignment");
+
+  FrameAllocator() = default;
+  template <typename U>
+  FrameAllocator(const FrameAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(FramePool::local().allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    FramePool::local().deallocate(p, n * sizeof(T));
+  }
+  template <typename U>
+  bool operator==(const FrameAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+// A shared T in one FramePool block (record and control block together).
+template <typename T, typename... Args>
+std::shared_ptr<T> make_pooled(Args&&... args) {
+  return std::allocate_shared<T>(FrameAllocator<T>{},
+                                 std::forward<Args>(args)...);
+}
 
 // Power-of-two-bucketed recycler for payload byte buffers. The transport
 // copies each in-flight message's bytes into an owned buffer; recycling the

@@ -9,13 +9,16 @@ void Flag::post() {
   if (posted_) return;
   posted_ = true;
   // Resume waiters through the event queue (flat, deterministic order)
-  // rather than nested direct resumption.
-  for (auto h : waiters_) engine_.schedule_at(engine_.now(), h);
-  waiters_.clear();
+  // rather than nested direct resumption. Scheduling resumes nothing yet,
+  // so each record is still alive when its successor is read.
+  for (Awaiter* w = std::exchange(head_, nullptr); w != nullptr; w = w->next) {
+    engine_.schedule_at(engine_.now(), w->handle);
+  }
+  tail_ = nullptr;
 }
 
 void Flag::reset() {
-  DPML_CHECK_MSG(waiters_.empty(), "resetting a Flag with pending waiters");
+  DPML_CHECK_MSG(head_ == nullptr, "resetting a Flag with pending waiters");
   posted_ = false;
 }
 

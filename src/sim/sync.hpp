@@ -19,7 +19,11 @@
 namespace dpml::sim {
 
 // One-shot event: wait() suspends until post(); waits after post() complete
-// immediately. reset() re-arms (only valid with no pending waiters).
+// immediately. reset() re-arms (only valid with no pending waiters). post()
+// resumes the waiters in wait order. Each waiter's record is its awaiter,
+// which lives in the suspended frame, and the records form a FIFO list: no
+// Flag allocates, whether one process waits on it (a receive, a
+// non-blocking request) or a whole node does (a collective slot's flag).
 class Flag {
  public:
   explicit Flag(Engine& engine) : engine_(engine) {}
@@ -33,16 +37,21 @@ class Flag {
  private:
   struct Awaiter {
     Flag& flag;
+    std::coroutine_handle<> handle{};
+    Awaiter* next = nullptr;
     bool await_ready() const noexcept { return flag.posted_; }
-    void await_suspend(std::coroutine_handle<> h) {
-      flag.waiters_.push_back(h);
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      handle = h;
+      (flag.tail_ != nullptr ? flag.tail_->next : flag.head_) = this;
+      flag.tail_ = this;
     }
     void await_resume() const noexcept {}
   };
 
   Engine& engine_;
   bool posted_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  Awaiter* head_ = nullptr;  // the waiters, in wait order
+  Awaiter* tail_ = nullptr;
 };
 
 // Count-down latch: wait() resumes once arrive() has been called `expect`

@@ -9,12 +9,17 @@
 // Exceptions thrown inside a CoTask are captured and rethrown at the
 // awaiter's co_await, so simulated-runtime failures surface naturally in
 // tests and at Machine::run().
+//
+// Frames come from the thread's FramePool (sim/pool.hpp): a warm pool
+// serves a frame with a free-list pop instead of a malloc.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
+#include "sim/pool.hpp"
 #include "util/error.hpp"
 
 namespace dpml::sim {
@@ -38,6 +43,13 @@ struct FinalAwaiter {
 struct PromiseBase {
   std::coroutine_handle<> continuation{};
   std::exception_ptr error{};
+
+  static void* operator new(std::size_t size) {
+    return FramePool::local().allocate(size);
+  }
+  static void operator delete(void* p, std::size_t size) noexcept {
+    FramePool::local().deallocate(p, size);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }

@@ -129,7 +129,7 @@ sim::CoTask<void> irecv_body(sim::CoTask<RecvResult> op,
 
 RecvHandle Rank::irecv(const Comm& comm, int src, int tag,
                        std::size_t capacity, MutBytes out) {
-  auto result = std::make_shared<RecvResult>();
+  auto result = sim::make_pooled<RecvResult>();
   auto done = engine().spawn_sub(
       irecv_body(recv(comm, src, tag, capacity, out), result));
   return RecvHandle{std::move(done), std::move(result)};
@@ -269,6 +269,8 @@ Machine::Machine(net::ClusterConfig cfg, int nodes, int ppn, RunOptions opt)
   }
 }
 
+Machine::~Machine() { engine_.destroy_suspended(); }
+
 void Machine::enable_trace() {
   if (tracer_) return;
   tracer_ = std::make_unique<Tracer>();
@@ -296,17 +298,21 @@ void Machine::enable_trace() {
   }
 }
 
+// The hop chain moves `complete` from record to record: each hop's pooled
+// callback carries it (with the eager Envelope it holds) and nothing is
+// copied or boxed in a std::function.
+template <typename Complete>
 void Machine::route(int src_node, int dst_node, int dst_hca,
                     sim::Time tx_start, sim::Time occupancy,
                     std::size_t bytes, sim::Time extra_latency,
-                    std::function<void(sim::Time)> complete) {
+                    Complete complete) {
   const net::NicModel& nic = cfg_.nic;
   const bool same_leaf = topo_.leaf_of(src_node) == topo_.leaf_of(dst_node);
   if (same_leaf || leaf_up_.empty()) {
     const Time head = tx_start + topo_.path_latency(src_node, dst_node, nic) +
                       extra_latency;
     engine_.schedule_call(head, [this, dst_node, dst_hca, occupancy,
-                               complete = std::move(complete)]() {
+                                 complete = std::move(complete)]() mutable {
       const Time rx_done =
           node(dst_node).rx(dst_hca).acquire(engine_.now(), occupancy);
       complete(rx_done);
@@ -319,33 +325,37 @@ void Machine::route(int src_node, int dst_node, int dst_hca,
   const Time occ_core = transfer_time(bytes, core_bw_);
   const int src_leaf = topo_.leaf_of(src_node);
   const int dst_leaf = topo_.leaf_of(dst_node);
-  engine_.schedule_call(tx_start + hop + extra_latency,
-                      [this, src_leaf, dst_leaf, dst_node, dst_hca, occupancy,
-                       occ_core, hop, complete = std::move(complete)]() {
-    const auto up = leaf_up_[static_cast<std::size_t>(src_leaf)].acquire_grant(
-        engine_.now(), occ_core);
-    engine_.schedule_call(up.start + hop, [this, dst_leaf, dst_node, dst_hca,
-                                         occupancy, occ_core, hop,
-                                         complete]() {
-      const auto dn =
-          leaf_down_[static_cast<std::size_t>(dst_leaf)].acquire_grant(
-              engine_.now(), occ_core);
-      // core -> destination leaf switch -> destination node.
-      engine_.schedule_call(
-          dn.start + cfg_.nic.switch_latency + cfg_.nic.wire_latency,
-          [this, dst_node, dst_hca, occupancy, complete]() {
-            const Time rx_done =
-                node(dst_node).rx(dst_hca).acquire(engine_.now(), occupancy);
-            complete(rx_done);
-          });
-    });
-  });
+  engine_.schedule_call(
+      tx_start + hop + extra_latency,
+      [this, src_leaf, dst_leaf, dst_node, dst_hca, occupancy, occ_core, hop,
+       complete = std::move(complete)]() mutable {
+        const auto up =
+            leaf_up_[static_cast<std::size_t>(src_leaf)].acquire_grant(
+                engine_.now(), occ_core);
+        engine_.schedule_call(
+            up.start + hop,
+            [this, dst_leaf, dst_node, dst_hca, occupancy, occ_core,
+             complete = std::move(complete)]() mutable {
+              const auto dn =
+                  leaf_down_[static_cast<std::size_t>(dst_leaf)].acquire_grant(
+                      engine_.now(), occ_core);
+              // core -> destination leaf switch -> destination node.
+              engine_.schedule_call(
+                  dn.start + cfg_.nic.switch_latency + cfg_.nic.wire_latency,
+                  [this, dst_node, dst_hca, occupancy,
+                   complete = std::move(complete)]() mutable {
+                    const Time rx_done = node(dst_node).rx(dst_hca).acquire(
+                        engine_.now(), occupancy);
+                    complete(rx_done);
+                  });
+            });
+      });
 }
 
+template <typename Complete>
 void Machine::fabric_send(int src_node, int src_hca, int dst_node, int dst_hca,
                           sim::Time t0, std::size_t bytes,
-                          sim::Time extra_latency,
-                          std::function<void(sim::Time)> complete) {
+                          sim::Time extra_latency, Complete complete) {
   const net::NicModel& nic = cfg_.nic;
   // Pairwise link-degradation rules cap this flow's own rate; node-scoped
   // and global rules are applied as link-capacity scaling by the fabric.
@@ -359,21 +369,21 @@ void Machine::fabric_send(int src_node, int src_hca, int dst_node, int dst_hca,
   // is the flow itself, draining at the max-min fair rate.
   const auto tx = node(src_node).tx(src_hca).acquire_grant(t0, nic.per_msg_tx);
   engine_.schedule_call(tx.start, [this, src_node, dst_node, dst_hca, bytes,
-                                 rate_cap, path,
-                                 complete = std::move(complete)]() {
+                                   rate_cap, path,
+                                   complete = std::move(complete)]() mutable {
     fabric_->start_flow(
         src_node, dst_node, bytes, rate_cap,
         [this, dst_node, dst_hca, path,
-         complete = std::move(complete)](Time flow_done) {
+         complete = std::move(complete)](Time flow_done) mutable {
           // Last byte off the wire; the head latency and the RX per-message
           // cost complete the delivery.
-          engine_.schedule_call(flow_done + path,
-                              [this, dst_node, dst_hca, complete]() {
-                                const Time rx_done =
-                                    node(dst_node).rx(dst_hca).acquire(
-                                        engine_.now(), cfg_.nic.per_msg_tx);
-                                complete(rx_done);
-                              });
+          engine_.schedule_call(
+              flow_done + path, [this, dst_node, dst_hca,
+                                 complete = std::move(complete)]() mutable {
+                const Time rx_done = node(dst_node).rx(dst_hca).acquire(
+                    engine_.now(), cfg_.nic.per_msg_tx);
+                complete(rx_done);
+              });
         });
   });
 }
@@ -553,15 +563,197 @@ void Machine::run(const std::function<sim::CoTask<void>(Rank&)>& main) {
 // ---------------------------------------------------------------------------
 // Transport
 
-namespace {
-// Shared state between the rendezvous sender continuation and the match-time
-// callback running on the receiver side.
-struct RndvState {
-  explicit RndvState(sim::Engine& e) : cts(e) {}
+// State between the rendezvous sender and the match-time callback running on
+// the receiver side. It lives in the sender's frame, which waits on `cts`
+// until that callback has run, so the callback and its CTS event reach it
+// through a plain pointer: the RTS's on_match then fits std::function's
+// inline storage and the handshake allocates nothing.
+struct Machine::RndvState {
+  RndvState(sim::Engine& e, int src, int dst)
+      : cts(e), src_node(src), dst_node(dst) {}
   sim::Flag cts;
   PostedRecv* pr = nullptr;
+  int src_node;
+  int dst_node;
 };
-}  // namespace
+
+// Every envelope delivery (shm, eager, rendezvous-RTS) funnels through here;
+// tagging it with its (rank, ctx, tag, src) channel lets a model-checking
+// oracle reorder same-instant deliveries (no-op when detached).
+void Machine::deliver_at(Time t, int dst_world, Envelope env) {
+  const sim::McChannel ch{dst_world, env.ctx, env.tag, env.src};
+  engine_.schedule_call_mc(
+      t, ch, [this, dst_world, env = std::move(env)]() mutable {
+        rank(dst_world).matcher().deliver(std::move(env));
+      });
+}
+
+Envelope Machine::envelope(const Outgoing& m, sim::Time recv_cost) {
+  Envelope env;
+  env.ctx = m.ctx;
+  env.src = m.sender.world_rank();
+  env.tag = m.tag;
+  env.bytes = m.bytes;
+  env.recv_cost = recv_cost;
+  env.dtype = m.dtype;
+  return env;
+}
+
+// Link-degradation rules are evaluated when the message enters the fabric
+// (time-windowed rules see the current simulated time): a bandwidth scale on
+// the wire occupancy and extra head latency on the path.
+void Machine::link_mods(int src_node, int dst_node, double& bw_scale,
+                        Time& extra) const {
+  bw_scale = 1.0;
+  extra = 0;
+  if (perturb_ != nullptr && perturb_->has_link_rules()) {
+    bw_scale = perturb_->link_bw_scale(src_node, dst_node, engine_.now());
+    extra = perturb_->link_extra_latency(src_node, dst_node, engine_.now());
+  }
+}
+
+// The steps of do_send that do not suspend live in plain member functions,
+// so the send's coroutine frame holds only what spans its suspensions.
+
+// Intra-node: shared-memory transport (copy + flag). Returns when the
+// sender's copy is done.
+Time Machine::send_shm(const Outgoing& m) {
+  const net::HostModel& host = cfg_.host;
+  const int src_world = m.sender.world_rank();
+  DPML_CHECK_MSG(m.dst.world_rank() != src_world,
+                 "self-send is not supported");
+  const bool xsock = m.dst.socket() != m.sender.socket();
+  const double bw = xsock ? host.copy_bw_xsocket : host.copy_bw;
+  const Time t0 = engine_.now();
+  const Time proc_cost = host.copy_startup +
+                         (xsock ? host.xsocket_latency : 0) +
+                         transfer_time(m.bytes, bw);
+  const Time proc_done = t0 + scale_time(proc_cost, m.chg);
+  const Time mem_done =
+      node(m.sender.node_id())
+          .mem()
+          .acquire(t0, transfer_time(m.bytes, host.mem_agg_bw));
+  const Time done = std::max(proc_done, mem_done);
+  stats_.shm_messages += 1;
+  stats_.shm_bytes += m.bytes;
+  trace("shm-send", "shm", src_world, t0, done);
+  Envelope env = envelope(m, host.flag_latency);
+  env.data = data_plane_.capture(m.bytes, m.data);
+  deliver_at(done + host.flag_latency, m.dst.world_rank(), std::move(env));
+  return done;
+}
+
+// Eager inter-node message, after the sender's o_send overhead. Returns when
+// the sender's injection pipe has drained.
+Time Machine::send_eager(const Outgoing& m, Time o_send) {
+  const net::NicModel& nic = cfg_.nic;
+  const int src_node = m.sender.node_id();
+  const int dst_node = m.dst.node_id();
+  const int src_hca = hca_of_local(m.sender.local_rank());
+  const int dst_hca = hca_of_local(m.dst.local_rank());
+  const int src_world = m.sender.world_rank();
+  const int dst_world = m.dst.world_rank();
+  const Time t0 = engine_.now();
+  const Time inj_done =
+      t0 + scale_time(transfer_time(m.bytes, nic.proc_bw), m.chg);
+  double lbw;
+  Time extra;
+  link_mods(src_node, dst_node, lbw, extra);
+  Envelope env = envelope(m, nic.o_recv);
+  env.data = data_plane_.capture(m.bytes, m.data);
+  auto deliver = [this, dst_world, env = std::move(env)](Time rx_done) mutable {
+    deliver_at(rx_done, dst_world, std::move(env));
+  };
+  if (fabric_ != nullptr) {
+    trace("net-send", "net", src_world, t0 - o_send, inj_done);
+    fabric_send(src_node, src_hca, dst_node, dst_hca, t0, m.bytes, extra,
+                std::move(deliver));
+  } else {
+    const Time occupancy = std::max<Time>(
+        nic.per_msg_tx, transfer_time(m.bytes, nic.link_bw * lbw));
+    const auto tx = node(src_node).tx(src_hca).acquire_grant(t0, occupancy);
+    trace("net-send", "net", src_world, t0 - o_send,
+          std::max(inj_done, tx.done));
+    route(src_node, dst_node, dst_hca, tx.start, occupancy, m.bytes, extra,
+          std::move(deliver));
+  }
+  return inj_done;
+}
+
+// Rendezvous RTS control message; its match sends the CTS that posts
+// `st.cts`.
+void Machine::send_rts(const Outgoing& m, RndvState& st) {
+  const net::NicModel& nic = cfg_.nic;
+  const int src_hca = hca_of_local(m.sender.local_rank());
+  const int dst_hca = hca_of_local(m.dst.local_rank());
+  const auto txg = node(st.src_node)
+                       .tx(src_hca)
+                       .acquire_grant(engine_.now(), nic.per_msg_tx);
+  Envelope rts = envelope(m, nic.o_recv);
+  rts.rendezvous = true;
+  rts.on_match = [this, s = &st](PostedRecv& pr) {
+    s->pr = &pr;
+    // CTS control message back to the sender (receiver-side overhead plus
+    // the return path, including any degraded-link extra latency).
+    Time cts_extra = 0;
+    if (perturb_ != nullptr && perturb_->has_link_rules()) {
+      cts_extra = perturb_->link_extra_latency(s->dst_node, s->src_node,
+                                               engine_.now());
+    }
+    const Time cts_arrive =
+        engine_.now() + cfg_.nic.o_send +
+        topo_.path_latency(s->dst_node, s->src_node, cfg_.nic) + cts_extra;
+    engine_.schedule_call(cts_arrive, [s]() { s->cts.post(); });
+  };
+  double lbw;
+  Time extra;
+  link_mods(st.src_node, st.dst_node, lbw, extra);
+  route(st.src_node, st.dst_node, dst_hca, txg.start, nic.per_msg_tx, 0,
+        extra,
+        [this, dst_world = m.dst.world_rank(),
+         rts = std::move(rts)](Time rx_done) mutable {
+          deliver_at(rx_done, dst_world, std::move(rts));
+        });
+}
+
+// Rendezvous payload, after the CTS and the sender's o_send overhead, into
+// the matched receive `pr`. Returns when the sender's injection pipe has
+// drained.
+Time Machine::send_payload(const Outgoing& m, PostedRecv* pr) {
+  const net::NicModel& nic = cfg_.nic;
+  const int src_node = m.sender.node_id();
+  const int dst_node = m.dst.node_id();
+  const int src_hca = hca_of_local(m.sender.local_rank());
+  const int dst_hca = hca_of_local(m.dst.local_rank());
+  const Time t0 = engine_.now();
+  const Time inj_done =
+      t0 + scale_time(transfer_time(m.bytes, nic.proc_bw), m.chg);
+  double lbw;
+  Time extra;
+  link_mods(src_node, dst_node, lbw, extra);
+  auto deliver = [this, pr, payload = data_plane_.capture(m.bytes, m.data)](
+                     Time rx_done) mutable {
+    engine_.schedule_call(rx_done, [this, pr,
+                                    payload = std::move(payload)]() mutable {
+      if (!pr->truncated && !payload.empty() && !pr->out.empty()) {
+        std::memcpy(pr->out.data(), payload.data(), payload.size());
+      }
+      data_plane_.reclaim(std::move(payload));
+      pr->done->post();
+    });
+  };
+  if (fabric_ != nullptr) {
+    fabric_send(src_node, src_hca, dst_node, dst_hca, t0, m.bytes, extra,
+                std::move(deliver));
+  } else {
+    const Time occupancy = std::max<Time>(
+        nic.per_msg_tx, transfer_time(m.bytes, nic.link_bw * lbw));
+    const auto tx = node(src_node).tx(src_hca).acquire_grant(t0, occupancy);
+    route(src_node, dst_node, dst_hca, tx.start, occupancy, m.bytes, extra,
+          std::move(deliver));
+  }
+  return inj_done;
+}
 
 sim::CoTask<void> Machine::do_send(Rank& sender, int dst_world, int ctx,
                                    int tag, std::size_t bytes,
@@ -569,8 +761,6 @@ sim::CoTask<void> Machine::do_send(Rank& sender, int dst_world, int ctx,
   DPML_CHECK_MSG(data.empty() || data.size() == bytes,
                  "send payload size mismatch");
   Rank& dst = rank(dst_world);
-  const net::HostModel& host = cfg_.host;
-  const net::NicModel& nic = cfg_.nic;
   const int src_world = sender.world_rank();
 
   // simcheck: validate the send against the current reduction dtype, hold a
@@ -587,189 +777,47 @@ sim::CoTask<void> Machine::do_send(Rank& sender, int dst_world, int ctx,
     send_dtype = ck->current_dtype(src_world);
   }
 
-  // Every envelope delivery (shm, eager, rendezvous-RTS) funnels through
-  // here; tagging it with its (rank, ctx, tag, src) channel lets a model-
-  // checking oracle reorder same-instant deliveries (no-op when detached).
-  auto deliver_at = [this, dst_world](Time t, Envelope env) {
-    const sim::McChannel ch{dst_world, env.ctx, env.tag, env.src};
-    engine_.schedule_call_mc(
-        t, ch, [this, dst_world, env = std::move(env)]() mutable {
-          rank(dst_world).matcher().deliver(std::move(env));
-        });
-  };
-
   // Perturbation modifiers. `chg` scales every host-side charge the sender
   // makes (straggler model); the clean value 1.0 leaves charges untouched
   // via scale_time's early-out.
-  const double chg =
-      perturb_ != nullptr ? perturb_->charge_scale(src_world) : 1.0;
+  const Outgoing m{sender,
+                   dst,
+                   ctx,
+                   tag,
+                   bytes,
+                   data,
+                   send_dtype,
+                   perturb_ != nullptr ? perturb_->charge_scale(src_world)
+                                       : 1.0};
 
   if (dst.node_id() == sender.node_id()) {
-    // Intra-node: shared-memory transport (copy + flag).
-    DPML_CHECK_MSG(dst_world != src_world, "self-send is not supported");
-    const bool xsock = dst.socket() != sender.socket();
-    const double bw = xsock ? host.copy_bw_xsocket : host.copy_bw;
-    const Time t0 = engine_.now();
-    const Time proc_cost = host.copy_startup +
-                           (xsock ? host.xsocket_latency : 0) +
-                           transfer_time(bytes, bw);
-    const Time proc_done = t0 + scale_time(proc_cost, chg);
-    const Time mem_done = node(sender.node_id())
-                              .mem()
-                              .acquire(t0, transfer_time(bytes, host.mem_agg_bw));
-    const Time done = std::max(proc_done, mem_done);
-    stats_.shm_messages += 1;
-    stats_.shm_bytes += bytes;
-    trace("shm-send", "shm", src_world, t0, done);
-    Envelope env;
-    env.ctx = ctx;
-    env.src = src_world;
-    env.tag = tag;
-    env.bytes = bytes;
-    env.data = data_plane_.capture(bytes, data);
-    env.recv_cost = host.flag_latency;
-    env.dtype = send_dtype;
-    deliver_at(done + host.flag_latency, std::move(env));
-    co_await engine_.until(done);
+    co_await engine_.until(send_shm(m));
     co_return;
   }
-
-  const int src_node = sender.node_id();
-  const int dst_node = dst.node_id();
-  const int src_hca = hca_of_local(sender.local_rank());
-  const int dst_hca = hca_of_local(dst.local_rank());
-
-  // Link-degradation rules are evaluated when the message enters the fabric
-  // (time-windowed rules see the current simulated time): a bandwidth scale
-  // on the wire occupancy and extra head latency on the path.
-  const auto link_mods = [this, src_node, dst_node](double& bw_scale,
-                                                    Time& extra) {
-    bw_scale = 1.0;
-    extra = 0;
-    if (perturb_ != nullptr && perturb_->has_link_rules()) {
-      bw_scale = perturb_->link_bw_scale(src_node, dst_node, engine_.now());
-      extra = perturb_->link_extra_latency(src_node, dst_node, engine_.now());
-    }
-  };
 
   // Inter-node data movement is pipelined: the per-process injection pipe,
   // the node TX link, and the destination RX link each serialize the payload
   // once, but they overlap in time (cut-through), so a single uncontended
   // message pays the bottleneck stage only once. The sender's blocking call
   // returns when its own injection pipe has drained (buffer reusable).
+  const net::NicModel& nic = cfg_.nic;
+  const Time o_send = scale_time(nic.o_send, m.chg);
+  stats_.net_messages += 1;
+  stats_.net_bytes += bytes;
   if (bytes < nic.rendezvous_threshold) {
-    stats_.net_messages += 1;
-    stats_.net_bytes += bytes;
-    const Time o_send = scale_time(nic.o_send, chg);
     co_await engine_.delay(o_send);
-    const Time t0 = engine_.now();
-    const Time inj_done =
-        t0 + scale_time(transfer_time(bytes, nic.proc_bw), chg);
-    double lbw;
-    Time extra;
-    link_mods(lbw, extra);
-    Envelope env;
-    env.ctx = ctx;
-    env.src = src_world;
-    env.tag = tag;
-    env.bytes = bytes;
-    env.data = data_plane_.capture(bytes, data);
-    env.recv_cost = nic.o_recv;
-    env.dtype = send_dtype;
-    if (fabric_ != nullptr) {
-      trace("net-send", "net", src_world, t0 - o_send, inj_done);
-      fabric_send(src_node, src_hca, dst_node, dst_hca, t0, bytes, extra,
-                  [deliver_at, env = std::move(env)](Time rx_done) mutable {
-                    deliver_at(rx_done, std::move(env));
-                  });
-    } else {
-      const Time occupancy = std::max<Time>(
-          nic.per_msg_tx, transfer_time(bytes, nic.link_bw * lbw));
-      const auto tx = node(src_node).tx(src_hca).acquire_grant(t0, occupancy);
-      trace("net-send", "net", src_world, t0 - o_send,
-            std::max(inj_done, tx.done));
-      route(src_node, dst_node, dst_hca, tx.start, occupancy, bytes, extra,
-            [deliver_at, env = std::move(env)](Time rx_done) mutable {
-              deliver_at(rx_done, std::move(env));
-            });
-    }
-    co_await engine_.until(inj_done);
+    co_await engine_.until(send_eager(m, o_send));
     co_return;
   }
 
   // Rendezvous: RTS control message, wait for CTS, then move the payload.
-  stats_.net_messages += 1;
-  stats_.net_bytes += bytes;
   stats_.rndv_handshakes += 1;
-  co_await engine_.delay(scale_time(nic.o_send, chg));
-  auto state = std::make_shared<RndvState>(engine_);
-  {
-    const auto txg =
-        node(src_node).tx(src_hca).acquire_grant(engine_.now(), nic.per_msg_tx);
-    Envelope rts;
-    rts.ctx = ctx;
-    rts.src = src_world;
-    rts.tag = tag;
-    rts.bytes = bytes;
-    rts.recv_cost = nic.o_recv;
-    rts.rendezvous = true;
-    rts.dtype = send_dtype;
-    rts.on_match = [this, state, src_node, dst_node](PostedRecv& pr) {
-      state->pr = &pr;
-      // CTS control message back to the sender (receiver-side overhead plus
-      // the return path, including any degraded-link extra latency).
-      Time cts_extra = 0;
-      if (perturb_ != nullptr && perturb_->has_link_rules()) {
-        cts_extra =
-            perturb_->link_extra_latency(dst_node, src_node, engine_.now());
-      }
-      const Time cts_arrive = engine_.now() + cfg_.nic.o_send +
-                              topo_.path_latency(dst_node, src_node, cfg_.nic) +
-                              cts_extra;
-      engine_.schedule_call(cts_arrive, [state]() { state->cts.post(); });
-    };
-    double rts_lbw;
-    Time rts_extra;
-    link_mods(rts_lbw, rts_extra);
-    route(src_node, dst_node, dst_hca, txg.start, nic.per_msg_tx, 0, rts_extra,
-          [deliver_at, rts = std::move(rts)](Time rx_done) mutable {
-            deliver_at(rx_done, std::move(rts));
-          });
-  }
-  co_await state->cts.wait();
-
-  co_await engine_.delay(scale_time(nic.o_send, chg));
-  const Time t0 = engine_.now();
-  const Time inj_done =
-      t0 + scale_time(transfer_time(bytes, nic.proc_bw), chg);
-  double lbw;
-  Time extra;
-  link_mods(lbw, extra);
-  auto deliver_payload =
-      [this, state,
-       payload = data_plane_.capture(bytes, data)](Time rx_done) mutable {
-    engine_.schedule_call(rx_done, [this, state,
-                                    payload = std::move(payload)]() mutable {
-      PostedRecv& pr = *state->pr;
-      if (!pr.truncated && !payload.empty() && !pr.out.empty()) {
-        std::memcpy(pr.out.data(), payload.data(), payload.size());
-      }
-      data_plane_.reclaim(std::move(payload));
-      pr.done->post();
-    });
-  };
-  if (fabric_ != nullptr) {
-    fabric_send(src_node, src_hca, dst_node, dst_hca, t0, bytes, extra,
-                std::move(deliver_payload));
-  } else {
-    const Time occupancy = std::max<Time>(
-        nic.per_msg_tx, transfer_time(bytes, nic.link_bw * lbw));
-    const auto tx = node(src_node).tx(src_hca).acquire_grant(t0, occupancy);
-    route(src_node, dst_node, dst_hca, tx.start, occupancy, bytes, extra,
-          std::move(deliver_payload));
-  }
-  // Sender completes once its injection pipe drains.
-  co_await engine_.until(inj_done);
+  co_await engine_.delay(o_send);
+  RndvState state(engine_, sender.node_id(), dst.node_id());
+  send_rts(m, state);
+  co_await state.cts.wait();
+  co_await engine_.delay(o_send);
+  co_await engine_.until(send_payload(m, state.pr));
 }
 
 sim::CoTask<RecvResult> Machine::do_recv(Rank& receiver, int src_world,

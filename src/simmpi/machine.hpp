@@ -220,6 +220,9 @@ class Machine {
   // Build a machine using the first `nodes` nodes of `cfg` with `ppn`
   // processes per node. Throws if the preset cannot host that shape.
   Machine(net::ClusterConfig cfg, int nodes, int ppn, RunOptions opt = {});
+  // Destroys the rank processes a deadlocked or failed run left suspended
+  // while the checker, matchers and slots their frames reference exist.
+  ~Machine();
 
   sim::Engine& engine() { return engine_; }
   const net::ClusterConfig& config() const { return cfg_; }
@@ -377,23 +380,46 @@ class Machine {
   friend class Rank;
 
   // Schedule the fabric traversal of a message whose head leaves the source
-  // NIC at tx_start; `complete` runs with the RX completion time.
+  // NIC at tx_start; `complete(Time)` runs with the RX completion time.
   // `extra_latency` is perturbation-injected path delay (0 when clean).
+  template <typename Complete>
   void route(int src_node, int dst_node, int dst_hca, sim::Time tx_start,
              sim::Time occupancy, std::size_t bytes, sim::Time extra_latency,
-             std::function<void(sim::Time)> complete);
+             Complete complete);
 
   // Flow-fabric payload path (fabric_level == links): the NIC TX engine
   // charges only its per-message cost, the payload drains as a max-min fair
   // flow, and delivery adds path latency plus the RX per-message cost.
-  // `complete` runs with the RX completion time.
+  // `complete(Time)` runs with the RX completion time.
+  template <typename Complete>
   void fabric_send(int src_node, int src_hca, int dst_node, int dst_hca,
                    sim::Time t0, std::size_t bytes, sim::Time extra_latency,
-                   std::function<void(sim::Time)> complete);
+                   Complete complete);
 
-  // Transport implementation (machine.cpp).
+  // Transport implementation (machine.cpp). do_send's steps that do not
+  // suspend are the send_* members, so its coroutine frame holds only what
+  // spans a suspension: the message below and the rendezvous state.
+  struct Outgoing {
+    Rank& sender;
+    Rank& dst;
+    int ctx;
+    int tag;
+    std::size_t bytes;
+    ConstBytes data;
+    int dtype;   // simcheck dtype annotation (-1 when unchecked)
+    double chg;  // perturbation charge scale (1.0 when clean)
+  };
+  struct RndvState;
   sim::CoTask<void> do_send(Rank& sender, int dst_world, int ctx, int tag,
                             std::size_t bytes, ConstBytes data);
+  sim::Time send_shm(const Outgoing& m);
+  sim::Time send_eager(const Outgoing& m, sim::Time o_send);
+  void send_rts(const Outgoing& m, RndvState& st);
+  sim::Time send_payload(const Outgoing& m, PostedRecv* pr);
+  Envelope envelope(const Outgoing& m, sim::Time recv_cost);
+  void deliver_at(sim::Time t, int dst_world, Envelope env);
+  void link_mods(int src_node, int dst_node, double& bw_scale,
+                 sim::Time& extra) const;
   sim::CoTask<RecvResult> do_recv(Rank& receiver, int src_world, int ctx,
                                   int tag, std::size_t capacity, MutBytes out);
   sim::CoTask<void> do_shm_copy(Rank& r, ShmWindow& w, std::size_t offset,

@@ -6,6 +6,7 @@
 #include <deque>
 #include <fstream>
 #include <memory>
+#include <optional>
 
 #include "core/api.hpp"
 #include "core/executor.hpp"
@@ -860,6 +861,10 @@ TenantResult run_tenants(const net::ClusterConfig& cfg, int ppn,
   res.events = sh.events;
   res.engine_perf = sh.engine_perf;
   res.elided_bytes = sh.elided_bytes;
+  for (std::size_t i = 1; i < outs.size(); ++i) {
+    res.baseline_perf.merge(outs[i].engine_perf);
+    res.baseline_elided_bytes += outs[i].elided_bytes;
+  }
   res.max_link_util = sh.max_link_util;
   res.peak_link_util = sh.peak_link_util;
   res.flows = sh.flows;
@@ -925,6 +930,18 @@ TenantResult run_tenants(const net::ClusterConfig& cfg, int ppn,
     res.adapt_table = updated.serialize();
   }
   return res;
+}
+
+void fold_perf(const TenantResult& r, const TenantOptions& opt,
+               core::PerfReport& report) {
+  sim::EnginePerf engine = r.engine_perf;
+  engine.merge(r.baseline_perf);
+  std::optional<core::FabricCounters> fabric;
+  if (opt.fabric == fabric::FabricLevel::links) {
+    fabric = core::FabricCounters{r.max_link_util, r.flows, r.bg_flows,
+                                  r.fabric_perf};
+  }
+  report.add(engine, r.elided_bytes + r.baseline_elided_bytes, fabric);
 }
 
 }  // namespace dpml::tenant

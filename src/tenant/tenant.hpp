@@ -28,6 +28,7 @@
 
 #include "adapt/adapt.hpp"
 #include "coll/registry.hpp"
+#include "core/measure.hpp"
 #include "fabric/fabric.hpp"
 #include "net/cluster.hpp"
 #include "perturb/spec.hpp"
@@ -170,6 +171,11 @@ struct TenantResult {
   std::uint64_t events = 0;        // engine events of the shared run
   sim::EnginePerf engine_perf;     // its engine counters (perf reports)
   std::uint64_t elided_bytes = 0;  // payload bytes it elided
+  // The solo baselines' engine counters and elided bytes, folded (zero
+  // without solo_baseline). The call simulates them too, so fold_perf adds
+  // them to the shared run's.
+  sim::EnginePerf baseline_perf;
+  std::uint64_t baseline_elided_bytes = 0;
   double max_link_util = 0.0;      // busiest link, time-averaged
   double peak_link_util = 0.0;     // allocator conservation witness
   std::uint64_t flows = 0;         // fabric flows launched (shared run)
@@ -192,5 +198,13 @@ struct TenantResult {
 TenantResult run_tenants(const net::ClusterConfig& cfg, int ppn,
                          const std::vector<JobSpec>& jobs,
                          const TenantOptions& opt = {});
+
+// Fold one run_tenants result (run with `opt`) into `report` as one point:
+// the engine counters and elided bytes of the shared run and of the solo
+// baselines, so events/sec divides every simulated event by the wall clock
+// that timed them, and on the link fabric the shared run's fabric
+// counters.
+void fold_perf(const TenantResult& r, const TenantOptions& opt,
+               core::PerfReport& report);
 
 }  // namespace dpml::tenant

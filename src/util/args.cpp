@@ -62,13 +62,16 @@ Args::Args(int argc, char** argv) {
     arg.erase(0, 2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
+      bare_.erase(arg.substr(0, eq));
       flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
       continue;
     }
     // "--key value" unless the next token is another flag (then boolean).
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      bare_.erase(arg);
       flags_[arg] = argv[++i];
     } else {
+      bare_.insert(arg);
       flags_[arg] = "true";
     }
   }
@@ -83,6 +86,14 @@ std::string Args::get(const std::string& key, const std::string& def) const {
   used_[key] = true;
   auto it = flags_.find(key);
   return it == flags_.end() ? def : it->second;
+}
+
+std::string Args::get_path(const std::string& key) const {
+  const std::string v = get(key);
+  if (bare_.count(key) != 0 || (v.empty() && flags_.count(key) != 0)) {
+    throw InvariantError("--" + key + " needs a file path");
+  }
+  return v;
 }
 
 int Args::get_int(const std::string& key, int def) const {

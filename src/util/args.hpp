@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,11 @@ class Args {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& def = "") const;
+  // A file-valued flag: its path, or "" when the flag is absent. A bare
+  // flag ("--out" with no value, which other getters read as true) or an
+  // empty "--out=" names no file and throws util::InvariantError
+  // "--key needs a file path".
+  std::string get_path(const std::string& key) const;
   // Typed getters read the whole value ("2x", "1.5" for an integer, "inf"
   // and "maybe" all throw util::InvariantError naming --key and the text):
   // integers take an optional sign and must fit in an int, doubles must be
@@ -48,6 +54,7 @@ class Args {
   std::string program_;
   // Ordered: unused() reports typos in deterministic (sorted) order.
   std::map<std::string, std::string> flags_;
+  std::set<std::string> bare_;  // flags given without a value
   mutable std::map<std::string, bool> used_;
   std::vector<std::string> positional_;
 };

@@ -10,10 +10,39 @@
 #include "apps/osu.hpp"
 #include "apps/replay.hpp"
 #include "apps/stencil.hpp"
+#include "core/measure.hpp"
 #include "net/cluster.hpp"
 
 namespace dpml::apps {
 namespace {
+
+TEST(AppsPerf, KernelResultsCarryTheirEngineCounters) {
+  // The app benches fold these into their [perf] line and snapshot.
+  HpcgOptions o;
+  o.nodes = 2;
+  o.ppn = 4;
+  o.iterations = 3;
+  const HpcgResult a = run_hpcg(net::cluster_a(), o);
+  const HpcgResult b = run_hpcg(net::cluster_a(), o);
+  EXPECT_GT(a.engine_perf.events, 0u);
+  EXPECT_EQ(a.engine_perf.events,
+            a.engine_perf.resumes + a.engine_perf.callbacks);
+  EXPECT_GT(a.elided_bytes, 0u);  // app machines are metadata-only
+  EXPECT_EQ(a.engine_perf.events, b.engine_perf.events);
+  EXPECT_EQ(a.elided_bytes, b.elided_bytes);
+  EXPECT_GT(a.engine_perf.frame_pool.hits, 0u);
+  // relative_throughput folds its two runs into one point.
+  core::PerfReport rep;
+  (void)relative_throughput(net::cluster_b(), 2, 4096, false, &rep);
+  EXPECT_EQ(rep.points, 1);
+  MbwMrOptions one;
+  one.bytes = 4096;
+  MbwMrOptions two = one;
+  two.pairs = 2;
+  EXPECT_EQ(rep.events,
+            osu_mbw_mr(net::cluster_b(), one).engine_perf.events +
+                osu_mbw_mr(net::cluster_b(), two).engine_perf.events);
+}
 
 TEST(OsuMbwMr, SinglePairBandwidthIsPositiveAndBounded) {
   auto cfg = net::cluster_b();

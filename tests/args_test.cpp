@@ -37,6 +37,29 @@ TEST(Args, BooleanBeforeAnotherFlag) {
   EXPECT_EQ(a.get_int("other", 0), 3);
 }
 
+TEST(Args, FileFlagsNeedAFile) {
+  auto a = make({"prog", "--out", "table.txt", "--trace=t.txt", "--table",
+                 "--perf-json", "--adapt-table=", "--trace-json", "true"});
+  EXPECT_EQ(a.get_path("out"), "table.txt");
+  EXPECT_EQ(a.get_path("trace"), "t.txt");
+  // Absent: no file, no error.
+  EXPECT_EQ(a.get_path("missing"), "");
+  // An explicit value is a path even when it spells a boolean.
+  EXPECT_EQ(a.get_path("trace-json"), "true");
+  // Bare flags and an empty value name no file: one line naming the flag.
+  for (const char* flag : {"table", "perf-json", "adapt-table"}) {
+    try {
+      (void)a.get_path(flag);
+      ADD_FAILURE() << "--" << flag << " without a file was accepted";
+    } catch (const InvariantError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("--") + flag + " needs a file path");
+    }
+  }
+  // Read as a boolean, the bare flag is still true.
+  EXPECT_TRUE(a.get_bool("table"));
+}
+
 TEST(Args, TypedGetters) {
   auto a = make({"prog", "--x", "2.5", "--b", "yes", "--n", "-7"});
   EXPECT_DOUBLE_EQ(a.get_double("x", 0), 2.5);

@@ -1,18 +1,24 @@
-// Accounting-invariant lock for the engine slab/buffer pools (sim/pool.hpp)
-// and the pooled schedule_call hot path. Runs under the ASan CI job, so a
-// leaked callback record, a double free, or storage handed out twice shows
-// up as a sanitizer failure on top of the counter assertions here.
+// Accounting-invariant lock for the engine slab/buffer pools and the
+// per-thread frame pool (sim/pool.hpp), the pooled schedule_call hot path
+// and the transport's pooled per-message records. Runs under the ASan CI
+// job, so a leaked callback record or frame, a double free, or storage
+// handed out twice shows up as a sanitizer failure on top of the counter
+// assertions here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <new>
 #include <vector>
 
+#include "net/cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/pool.hpp"
+#include "sim/sync.hpp"
+#include "simmpi/machine.hpp"
 #include "util/error.hpp"
 
 namespace dpml::sim {
@@ -228,6 +234,176 @@ TEST(EnginePool, ReserveEventsDoesNotDisturbCounters) {
   EXPECT_EQ(fired, 100);
   EXPECT_EQ(e.perf().peak_queue_depth, 100u);
   EXPECT_EQ(e.perf().callback_pool.live, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// FramePool: coroutine frames and per-message records.
+
+CoTask<int> after(Engine& e, Time t, int v) {
+  co_await e.delay(t);
+  co_return v;
+}
+
+// A nested chain with a non-blocking sub-operation: frames of three sizes
+// plus spawn_sub's pooled Flag record.
+CoTask<void> chain(Engine& e, int& sum) {
+  auto done = e.spawn_sub([](Engine& eng) -> CoTask<void> {
+    co_await eng.delay(3);
+  }(e));
+  sum += co_await after(e, 2, 1);
+  co_await done->wait();
+}
+
+void run_chains(Engine& e, int n, int& sum) {
+  for (int i = 0; i < n; ++i) e.spawn(chain(e, sum));
+  e.run();
+}
+
+TEST(FramePool, SecondIdenticalRunOnAFreshEngineHasNoMisses) {
+  // An engine kept alive keeps the thread's pool warm between the runs.
+  const Engine keep;
+  int sum = 0;
+  {
+    Engine first;
+    run_chains(first, 50, sum);
+    EXPECT_GT(first.perf().frame_pool.misses, 0u);
+  }
+  Engine second;
+  run_chains(second, 50, sum);
+  EXPECT_EQ(sum, 100);
+  const PoolStats p = second.perf().frame_pool;
+  EXPECT_EQ(p.misses, 0u);
+  EXPECT_GT(p.hits, 0u);
+  EXPECT_EQ(p.live, 0u);
+}
+
+CoTask<int> big_frame(Engine& e) {
+  // Live across the suspension, so the array sits in the frame.
+  std::array<unsigned char, 4 * FramePool::kMaxPooled> buf{};
+  buf[7] = 7;
+  co_await e.delay(1);
+  co_return buf[7];
+}
+
+TEST(FramePool, OversizeFrameFallsBackAndCountsAMiss) {
+  Engine e;
+  int got = 0;
+  for (int round = 0; round < 3; ++round) {
+    const std::uint64_t misses = e.perf().frame_pool.misses;
+    e.spawn([](Engine& eng, int& out) -> CoTask<void> {
+      out += co_await big_frame(eng);
+    }(e, got));
+    e.run();
+    // Never pooled: once the small frames are warm, the big one is still a
+    // miss every time.
+    if (round > 0) {
+      EXPECT_EQ(e.perf().frame_pool.misses, misses + 1);
+    }
+  }
+  EXPECT_EQ(got, 21);
+  FramePool& pool = FramePool::local();
+  const PoolStats before = pool.stats();
+  void* p = pool.allocate(FramePool::kMaxPooled + 1);
+  EXPECT_EQ(pool.stats().misses, before.misses + 1);
+  pool.deallocate(p, FramePool::kMaxPooled + 1);
+  EXPECT_EQ(pool.stats().live, before.live);
+  EXPECT_EQ(pool.stats().bytes_reserved, before.bytes_reserved);
+}
+
+TEST(FramePool, DeadlockedRunTeardownLeavesNoLiveFrames) {
+  ASSERT_EQ(FramePool::local().engines(), 0);
+  {
+    // Checked, with payload: each blocked receive holds a buffer lease in
+    // the checker, so its frame must be destroyed while the checker exists
+    // (ASan reports a use after free otherwise).
+    simmpi::RunOptions opt;
+    opt.check_level = check::CheckLevel::basic;
+    simmpi::Machine m(net::test_cluster(2), 2, 2, opt);
+    std::vector<std::vector<std::byte>> bufs(4, std::vector<std::byte>(16));
+    EXPECT_THROW(
+        m.run([&](simmpi::Rank& r) -> CoTask<void> {
+          // Everyone waits for a message nobody sends, some of them
+          // through irecv's pooled records.
+          const int me = r.world_rank();
+          auto h = r.irecv(m.world(), (me + 1) % 4, 9, 8,
+                           simmpi::MutBytes{bufs[me]}.first(8));
+          co_await r.recv(m.world(), (me + 3) % 4, 5, 8,
+                          simmpi::MutBytes{bufs[me]}.last(8));
+          co_await h.done->wait();
+        }),
+        check::CheckError);
+    EXPECT_GT(FramePool::local().stats().live, 0u);  // suspended frames
+  }
+  // ~Machine destroyed the suspended processes; the last engine's teardown
+  // then emptied the pool.
+  const PoolStats p = FramePool::local().stats();
+  EXPECT_EQ(p.live, 0u);
+  EXPECT_EQ(p.bytes_reserved, 0u);
+  EXPECT_EQ(FramePool::local().engines(), 0);
+}
+
+TEST(FramePool, PoolEmptiesWhenTheThreadsLastEngineGoes) {
+  FramePool& pool = FramePool::local();
+  int sum = 0;
+  {
+    Engine outer;
+    {
+      Engine inner;
+      run_chains(inner, 10, sum);
+    }
+    // outer is still attached: the slabs stay for reuse.
+    EXPECT_GT(pool.stats().bytes_reserved, 0u);
+    EXPECT_EQ(pool.engines(), 1);
+  }
+  EXPECT_EQ(pool.engines(), 0);
+  EXPECT_EQ(pool.stats().bytes_reserved, 0u);
+  EXPECT_EQ(pool.stats().live, 0u);
+}
+
+TEST(FramePool, TaskHeldPastItsEngineIsFreedSafely) {
+  FramePool& pool = FramePool::local();
+  CoTask<int> held;
+  {
+    Engine e;
+    held = after(e, 5, 1);  // created, never started
+  }
+  // The frame outlives the engine and keeps its memory; once it is freed
+  // with no engine attached, the pool gives its memory back.
+  EXPECT_EQ(pool.engines(), 0);
+  EXPECT_EQ(pool.stats().live, 1u);
+  EXPECT_GT(pool.stats().bytes_reserved, 0u);
+  held = CoTask<int>{};
+  EXPECT_EQ(pool.stats().live, 0u);
+  EXPECT_EQ(pool.stats().bytes_reserved, 0u);
+}
+
+TEST(FramePool, DeliveryRecordsFitTheCallbackChunk) {
+  // Cluster D's leaves hold two nodes and its core is oversubscribed, so
+  // node 0 reaches node 1 through its leaf and nodes 2-3 across the core:
+  // same-leaf eager records, the three cross-leaf hops and the rendezvous
+  // payload continuation, each carrying its message. Every record fits a
+  // slab chunk exactly when every callback-pool miss carved a slab.
+  simmpi::Machine m(net::cluster_d(), 4, 1);
+  const std::size_t big = 2 * m.config().nic.rendezvous_threshold;
+  std::vector<std::vector<std::byte>> out(4, std::vector<std::byte>(big));
+  const std::vector<std::byte> payload(big, std::byte{7});
+  m.run([&](simmpi::Rank& r) -> CoTask<void> {
+    const int me = r.world_rank();
+    for (int round = 0; round < 20; ++round) {
+      for (const int peer : {me ^ 1, (me + 2) % 4}) {
+        const std::size_t n = round % 2 == 0 ? 512 : big;
+        auto h = r.irecv(m.world(), peer, round, n,
+                         simmpi::MutBytes{out[me]}.first(n));
+        co_await r.send(m.world(), peer, round, n,
+                        simmpi::ConstBytes{payload}.first(n));
+        co_await h.done->wait();
+      }
+    }
+  });
+  EXPECT_EQ(out[2][big - 1], std::byte{7});
+  const PoolStats cb = m.engine().perf().callback_pool;
+  EXPECT_GT(cb.hits, 0u);
+  EXPECT_EQ(cb.misses, (cb.peak_live + 255) / 256);
 }
 
 // ---------------------------------------------------------------------------

@@ -59,6 +59,35 @@ TEST(Flag, ResetRearms) {
   EXPECT_FALSE(f.posted());
 }
 
+TEST(Flag, ResumesOneWaiterAndSeveralInWaitOrder) {
+  Engine e;
+  Flag one(e);
+  Flag many(e);
+  std::vector<int> log;
+  e.spawn(wait_flag(one, log, 0));
+  // Waiters 1..6 arrive over time, not in id order of their spawns.
+  for (int id : {4, 1, 6}) e.spawn(wait_flag(many, log, id));
+  e.spawn([](Engine& eng, Flag& f, std::vector<int>& l) -> CoTask<void> {
+    co_await eng.delay(us(1.0));
+    co_await wait_flag(f, l, 2);
+  }(e, many, log));
+  e.spawn([](Engine& eng, Flag& f, std::vector<int>& l) -> CoTask<void> {
+    co_await eng.delay(us(2.0));
+    for (int id : {5, 3}) eng.spawn(wait_flag(f, l, id));
+  }(e, many, log));
+  e.spawn(post_flag_at(e, one, us(3.0)));
+  e.spawn(post_flag_at(e, many, us(4.0)));
+  e.run();
+  EXPECT_EQ(log, (std::vector<int>{0, 4, 1, 6, 2, 5, 3}));
+  // Posting emptied the list: a re-armed flag takes new waiters.
+  many.reset();
+  e.spawn(wait_flag(many, log, 9));
+  e.spawn(post_flag_at(e, many, us(1.0)));
+  e.run();
+  EXPECT_EQ(log.back(), 9);
+  EXPECT_EQ(log.size(), 8u);
+}
+
 TEST(Flag, NeverPostedDeadlocks) {
   Engine e;
   Flag f(e);

@@ -196,6 +196,32 @@ TEST(TenantRunTest, SharedRunFoldsIntoAPerfReport) {
             std::string::npos);
 }
 
+TEST(TenantRunTest, FoldPerfAddsTheSoloBaselines) {
+  // One run_tenants call simulates the shared run and one solo baseline
+  // per job; the perf point carries all of their events, so events/sec is
+  // taken over the wall clock that timed them.
+  const auto cfg = net::test_cluster(8);
+  const auto jobs = tenant::default_jobs(3, cfg, 8);
+  tenant::TenantOptions opt = busy_options();
+  const tenant::TenantResult r = tenant::run_tenants(cfg, 2, jobs, opt);
+  EXPECT_GT(r.baseline_perf.events, 0u);
+  EXPECT_GT(r.baseline_elided_bytes, 0u);
+  core::PerfReport rep;
+  tenant::fold_perf(r, opt, rep);
+  EXPECT_EQ(rep.points, 1);
+  EXPECT_EQ(rep.events, r.events + r.baseline_perf.events);
+  EXPECT_EQ(rep.elided_bytes, r.elided_bytes + r.baseline_elided_bytes);
+  ASSERT_TRUE(rep.fabric.has_value());
+  EXPECT_EQ(rep.fabric->flows, r.flows);  // the shared run's fabric only
+  // Without baselines the point is the shared run alone.
+  opt.solo_baseline = false;
+  const tenant::TenantResult alone = tenant::run_tenants(cfg, 2, jobs, opt);
+  EXPECT_EQ(alone.baseline_perf.events, 0u);
+  core::PerfReport only;
+  tenant::fold_perf(alone, opt, only);
+  EXPECT_EQ(only.events, alone.events);
+}
+
 TEST(TenantRunTest, SingleQuietJobMatchesItsSoloBaselineExactly) {
   // One job, no background, no failures: the shared run IS the solo run
   // (the stagger shifts the whole timeline, not the makespan), so the

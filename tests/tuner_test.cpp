@@ -70,6 +70,23 @@ TEST(Tuner, PicksManyLeadersForLargeMessages) {
   }
 }
 
+TEST(Tuner, ReportFoldsEveryMeasuredCandidate) {
+  auto cfg = net::cluster_b();
+  MeasureOptions opt;
+  opt.iterations = 1;
+  opt.warmup = 0;
+  const auto r = tune_collective(kAllreduce, cfg, 2, 8, 4096, opt);
+  EXPECT_EQ(r.perf.points, static_cast<int>(r.all.size()));
+  PerfReport sum;
+  for (const TunedEntry& e : r.all) {
+    sum.add(measure_collective(kAllreduce, cfg, 2, 8, 4096, e.spec, opt));
+  }
+  EXPECT_GT(r.perf.events, 0u);
+  EXPECT_EQ(r.perf.events, sum.events);
+  EXPECT_EQ(r.perf.resumes, sum.resumes);
+  EXPECT_EQ(r.perf.frame_pool_misses, sum.frame_pool_misses);
+}
+
 TEST(Tuner, PicksFewLeadersForTinyMessages) {
   auto cfg = net::cluster_b();
   MeasureOptions opt;

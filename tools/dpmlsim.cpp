@@ -214,16 +214,6 @@ int cmd_list_clusters() {
   return 0;
 }
 
-// The --perf-json FILE path ("" when absent). A bare flag parses as the
-// boolean "true", which names no file.
-std::string perf_json_path(const util::Args& args) {
-  const std::string path = args.get("perf-json");
-  if (path == "true") {
-    throw util::InvariantError("--perf-json needs a file path");
-  }
-  return path;
-}
-
 // --perf-json FILE: write the report's snapshot; 1 when the file cannot be
 // written.
 int write_perf_snapshot(
@@ -279,7 +269,7 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   // --table FILE: dispatch through a tuned selection table instead (its
   // level-0 entries; see adapt::AdaptiveTable).
   std::optional<adapt::AdaptiveTable> table;
-  const std::string table_path = args.get("table");
+  const std::string table_path = args.get_path("table");
   if (!table_path.empty()) {
     std::ifstream is(table_path);
     if (!is) {
@@ -298,7 +288,7 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   const bool perturbed = !opt.perturb.empty() || opt.repetitions > 1;
   const bool fabric_on = opt.fabric != fabric::FabricLevel::none;
   const bool perf_on = args.get_bool("perf", false);
-  const std::string perf_json = perf_json_path(args);
+  const std::string perf_json = args.get_path("perf-json");
   std::vector<std::string> header{"msg size", "design", "latency (us)"};
   if (perturbed) {
     header.insert(header.end(),
@@ -414,12 +404,17 @@ int cmd_sweep(const util::Args& args, const net::ClusterConfig& cfg,
 int cmd_tune(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
              int ppn) {
   const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const std::string out = args.get_path("out");
   const auto table = adapt::AdaptiveTable::tune(
       collective_kind(args), cfg, nodes, ppn, sizes, measure_opts(args));
-  const std::string out = args.get("out");
   if (!out.empty()) {
     std::ofstream os(out);
     os << table.serialize();
+    os.close();
+    if (!os) {
+      std::cerr << "cannot write selection table " << out << "\n";
+      return 1;
+    }
     std::cout << "selection table written to " << out << "\n";
   } else {
     std::cout << table.serialize();
@@ -560,7 +555,7 @@ int cmd_dl(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
 int cmd_replay(const util::Args& args, const net::ClusterConfig& cfg,
                int nodes, int ppn) {
   std::vector<apps::TraceOp> trace;
-  const std::string path = args.get("trace");
+  const std::string path = args.get_path("trace");
   if (path.empty()) {
     trace = apps::parse_trace(apps::example_trace());
     std::cout << "(no --trace file given; replaying the built-in "
@@ -613,7 +608,7 @@ int cmd_miniamr(const util::Args& args, const net::ClusterConfig& cfg,
 int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
                 int nodes, int ppn) {
   const int njobs = args.get_int("tenants", 2);
-  const std::string perf_json = perf_json_path(args);
+  const std::string perf_json = args.get_path("perf-json");
   tenant::TenantOptions opt;
   opt.seed = args.get_int("seed", 1);
   opt.stagger_max_us = args.get_double("stagger-us", 20.0);
@@ -637,12 +632,12 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
                        ? tenant::FailSpec::default_spec()
                        : tenant::FailSpec::parse(spec);
   }
-  opt.trace_json = args.get("trace-json");
+  opt.trace_json = args.get_path("trace-json");
   if (args.has("placement")) {
     opt.placement = tenant::placement_by_name(args.get("placement", "block"));
   }
   opt.adapt = args.get_bool("adapt", false);
-  const std::string adapt_table_path = args.get("adapt-table");
+  const std::string adapt_table_path = args.get_path("adapt-table");
   if (!adapt_table_path.empty()) {
     opt.adapt = true;
     std::ifstream in(adapt_table_path);
@@ -660,12 +655,7 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
   tenant::TenantResult r;
   core::PerfReport report;
   report.time_sweep([&] { r = tenant::run_tenants(cfg, ppn, jobs, opt); });
-  std::optional<core::FabricCounters> fabric_counters;
-  if (opt.fabric == fabric::FabricLevel::links) {
-    fabric_counters = core::FabricCounters{r.max_link_util, r.flows,
-                                           r.bg_flows, r.fabric_perf};
-  }
-  report.add(r.engine_perf, r.elided_bytes, fabric_counters);
+  tenant::fold_perf(r, opt, report);
 
   std::vector<std::string> cols = {
       "job", "kind", "algorithm", "nodes", "ranks", "bytes", "start (us)",
