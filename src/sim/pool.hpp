@@ -35,7 +35,14 @@
 // gives every job its own Machine/Engine). Accounting invariants — live
 // counts, hit/miss totals, zero live allocations at teardown — are asserted
 // in debug and locked by tests/sim_pool_test.cpp.
+//
+// Under AddressSanitizer the slab pools poison the memory they hold free
+// (the ASAN_* macros are no-ops otherwise), so a use after free of a pooled
+// callback record, frame or message record is still reported even though
+// the block never goes back to the system allocator.
 #pragma once
+
+#include <sanitizer/asan_interface.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -93,7 +100,10 @@ class SlabPool {
     // freed out from under its owner when the slabs are released.
     DPML_CHECK_MSG(stats_.live == 0,
                    "SlabPool destroyed with live allocations");
-    for (std::byte* s : slabs_) ::operator delete[](s, std::align_val_t{kAlign});
+    for (std::byte* s : slabs_) {
+      ASAN_UNPOISON_MEMORY_REGION(s, chunk_size_ * chunks_per_slab_);
+      ::operator delete[](s, std::align_val_t{kAlign});
+    }
   }
 
   std::size_t chunk_size() const { return chunk_size_; }
@@ -111,6 +121,7 @@ class SlabPool {
       stats_.note_alloc(/*hit=*/true);
     }
     FreeChunk* c = free_;
+    ASAN_UNPOISON_MEMORY_REGION(c, chunk_size_);
     free_ = c->next;
     return c;
   }
@@ -125,6 +136,7 @@ class SlabPool {
     auto* c = static_cast<FreeChunk*>(p);
     c->next = free_;
     free_ = c;
+    ASAN_POISON_MEMORY_REGION(c, chunk_size_);
   }
 
  private:
@@ -149,6 +161,7 @@ class SlabPool {
       c->next = free_;
       free_ = c;
     }
+    ASAN_POISON_MEMORY_REGION(slab, bytes);
   }
 
   std::size_t chunk_size_;
@@ -162,7 +175,8 @@ class SlabPool {
 // records. Not a member of the Engine: a coroutine's operator new sees only
 // the frame size, so the pool is reached through FramePool::local(). The
 // object is constant-initialized and trivially destructible, so that call
-// is a plain thread-local access.
+// is a plain thread-local access. A block goes back on the thread that took
+// it: a frame is created, run and destroyed on its engine's thread.
 //
 // Blocks are carved from 64 KB slabs, so a miss is a pointer bump and
 // giving the memory back is a few frees, not one per block. The pool holds
@@ -194,6 +208,7 @@ class FramePool {
       stats_.note_alloc(/*hit=*/false);
       return carve(class_bytes(cls));
     }
+    ASAN_UNPOISON_MEMORY_REGION(b, class_bytes(cls));
     free_[cls] = b->next;
     stats_.note_alloc(/*hit=*/true);
     return b;
@@ -209,6 +224,7 @@ class FramePool {
       const std::size_t cls = class_of(size);
       b->next = free_[cls];
       free_[cls] = b;
+      ASAN_POISON_MEMORY_REGION(b, class_bytes(cls));
     }
     if (engines_ == 0 && stats_.live == 0) release();
   }
@@ -256,9 +272,11 @@ class FramePool {
       next_ = reinterpret_cast<std::byte*>(slab) + sizeof(Slab);
       end_ = reinterpret_cast<std::byte*>(slab) + kSlabBytes;
       stats_.bytes_reserved += kSlabBytes;
+      ASAN_POISON_MEMORY_REGION(next_, end_ - next_);
     }
     void* p = next_;
     next_ += bytes;
+    ASAN_UNPOISON_MEMORY_REGION(p, bytes);
     return p;
   }
 
@@ -266,6 +284,7 @@ class FramePool {
     if (slabs_ == nullptr) return;
     while (slabs_ != nullptr) {
       Slab* next = slabs_->next;
+      ASAN_UNPOISON_MEMORY_REGION(slabs_, kSlabBytes);
       ::operator delete(slabs_);
       slabs_ = next;
     }

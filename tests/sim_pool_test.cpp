@@ -5,6 +5,7 @@
 // handed out twice shows up as a sanitizer failure on top of the counter
 // assertions here.
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>
 
 #include <algorithm>
 #include <array>
@@ -404,6 +405,46 @@ TEST(FramePool, DeliveryRecordsFitTheCallbackChunk) {
   const PoolStats cb = m.engine().perf().callback_pool;
   EXPECT_GT(cb.hits, 0u);
   EXPECT_EQ(cb.misses, (cb.peak_live + 255) / 256);
+}
+
+// ---------------------------------------------------------------------------
+// Free pool memory under AddressSanitizer.
+
+// Under AddressSanitizer (the sanitizer CI leg) the pools poison what they
+// hold free; in other builds nothing is poisoned and these checks reduce to
+// the pools handing a freed block out again.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsan = true;
+bool poisoned(const void* p) { return __asan_address_is_poisoned(p) != 0; }
+#else
+constexpr bool kAsan = false;
+bool poisoned(const void*) { return false; }
+#endif
+
+TEST(PoolPoisoning, FreeMemoryIsPoisonedUnderAddressSanitizer) {
+  FramePool& frames = FramePool::local();
+  ASSERT_EQ(frames.stats().bytes_reserved, 0u);
+  const Engine keep;  // holds the frame pool's slab between the steps
+  auto* f = static_cast<std::byte*>(frames.allocate(40));  // 48-byte class
+  EXPECT_FALSE(poisoned(f));
+  EXPECT_FALSE(poisoned(f + 47));
+  EXPECT_EQ(poisoned(f + 48), kAsan);  // the slab's uncarved tail
+  frames.deallocate(f, 40);
+  EXPECT_EQ(poisoned(f), kAsan);
+  EXPECT_EQ(poisoned(f + 47), kAsan);
+  EXPECT_EQ(frames.allocate(40), f);
+  EXPECT_FALSE(poisoned(f + 47));
+  frames.deallocate(f, 40);
+
+  SlabPool chunks(64, 4);
+  auto* c = static_cast<std::byte*>(chunks.allocate(64));
+  EXPECT_FALSE(poisoned(c + 63));
+  EXPECT_EQ(poisoned(c + 64), kAsan);  // a chunk still on the free list
+  chunks.deallocate(c, 64);
+  EXPECT_EQ(poisoned(c), kAsan);
+  EXPECT_EQ(chunks.allocate(64), c);
+  EXPECT_FALSE(poisoned(c + 63));
+  chunks.deallocate(c, 64);
 }
 
 // ---------------------------------------------------------------------------
