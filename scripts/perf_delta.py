@@ -16,7 +16,9 @@ tools emit no data_mode, which reads as "payload". Two commands:
       writer (core::PerfReport) and carries events_per_sec, dpmlsim
       tenants included; checked-in entries without it (tenant snapshots
       written before that) are listed and skipped, never treated as a
-      -100% regression; unknown extra fields are ignored.
+      -100% regression; unknown extra fields are ignored. The matcher
+      counters (matches at post and at delivery, entries scanned, deepest
+      queues) print when either side carries them.
 
   append BENCH_perf.json NEW.json [NEW2.json ...] [--label TEXT]
       Append the snapshots to the trajectory array in place (converting a
@@ -78,6 +80,8 @@ def cmd_delta(args):
         for field in ("events", "wall_ms", "instants", "peak_instants",
                       "peak_queue_depth", "peak_rss_kb",
                       "elided_bytes", "frame_pool_hit_rate",
+                      "posted_matches", "delivered_matches", "match_scanned",
+                      "peak_posted_queue", "peak_unexpected_queue",
                       "fabric_flows", "max_link_util",
                       "fabric_wakes", "fabric_stale_wakes"):
             if field in new or field in old:

@@ -561,17 +561,17 @@ void Checker::note_endpoint_state(int rank, const simmpi::Matcher& matcher) {
             std::to_string(env.tag) + ", " + std::to_string(env.bytes) +
             " bytes): the send was never matched by a receive"});
   }
-  for (const simmpi::PostedRecv* pr : matcher.posted()) {
+  for (const simmpi::PostedRecv& pr : matcher.posted()) {
     blocked_edges_.push_back(
-        BlockedEdge{rank, pr->ctx, pr->src, pr->tag, pr->capacity});
+        BlockedEdge{rank, pr.ctx, pr.src, pr.tag, pr.capacity});
     deferred_.push_back(Violation{
         "blocked-recv", rank, "",
-        "is blocked on a posted receive (ctx=" + std::to_string(pr->ctx) +
+        "is blocked on a posted receive (ctx=" + std::to_string(pr.ctx) +
             ", src=" +
-            (pr->src < 0 ? std::string("any") : std::to_string(pr->src)) +
+            (pr.src < 0 ? std::string("any") : std::to_string(pr.src)) +
             ", tag=" +
-            (pr->tag < 0 ? std::string("any") : std::to_string(pr->tag)) +
-            ", capacity=" + std::to_string(pr->capacity) +
+            (pr.tag < 0 ? std::string("any") : std::to_string(pr.tag)) +
+            ", capacity=" + std::to_string(pr.capacity) +
             " bytes) that no message can ever match"});
   }
 }

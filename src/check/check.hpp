@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <stdexcept>
 #include <string>

@@ -77,6 +77,7 @@ struct RepOutcome {
   sim::Time imb_wait = 0;
   sim::Time sim_end = 0;  // final simulated time of this machine
   sim::EnginePerf engine_perf;
+  simmpi::MatchStats match;
   std::uint64_t elided_bytes = 0;  // payload bytes elided (metadata-only)
 };
 
@@ -206,6 +207,7 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
   out.events = machine.engine().events_processed();
   out.sim_end = machine.engine().now();
   out.engine_perf = machine.engine().perf();
+  out.match = machine.match_stats();
   out.elided_bytes = machine.data_plane().elided_bytes();
   if (const fabric::FlowFabric* ff = machine.flow_fabric()) {
     out.fabric_links = true;
@@ -374,6 +376,7 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
     imb_wait += rep.imb_wait;
     sim_total += rep.sim_end;
     engine.merge(rep.engine_perf);
+    res.perf.match.merge(rep.match);
     res.perf.elided_bytes += rep.elided_bytes;
   }
   res.perf.events = res.events;
@@ -436,6 +439,7 @@ void PerfReport::add(const MeasureResult& r) {
   p.payload_pool_hits = r.perf.payload_pool_hit_rate;
   p.frame_pool_hits = r.perf.frame_pool.hit_rate();
   p.frame_pool_misses = r.perf.frame_pool.misses;
+  p.match = r.perf.match;
   if (r.fabric_links) {
     p.fabric = FabricCounters{r.max_link_util, r.fabric_flows, 0,
                               r.fabric_perf};
@@ -476,6 +480,7 @@ void PerfReport::add(const PerfReport& o) {
   payload_pool_hits += o.payload_pool_hits;
   frame_pool_hits += o.frame_pool_hits;
   frame_pool_misses += o.frame_pool_misses;
+  match.merge(o.match);
   if (o.fabric) {
     if (!fabric) fabric = FabricCounters{};
     fabric->max_link_util =
@@ -526,6 +531,12 @@ std::string PerfReport::line() const {
       os << ", elided " << util::format_bytes(elided_bytes) << " of payload";
     }
   }
+  if (match.posted_matches + match.delivered_matches > 0) {
+    os << ", matcher: " << match.posted_matches << " matched at post, "
+       << match.delivered_matches << " at delivery, " << match.scanned
+       << " entries scanned, deepest queues posted " << match.peak_posted
+       << " unexpected " << match.peak_unexpected;
+  }
   os << ", peak RSS " << sim::peak_rss_kb() << " KB";
   if (fabric) {
     const fabric::FabricPerf& f = fabric->perf;
@@ -562,6 +573,13 @@ std::string PerfReport::json(
   member("payload_pool_hit_rate", mean(payload_pool_hits, points));
   member("frame_pool_hit_rate", mean(frame_pool_hits, points));
   member("frame_pool_misses", frame_pool_misses);
+  if (match.posted_matches + match.delivered_matches > 0) {
+    member("posted_matches", match.posted_matches);
+    member("delivered_matches", match.delivered_matches);
+    member("match_scanned", match.scanned);
+    member("peak_posted_queue", match.peak_posted);
+    member("peak_unexpected_queue", match.peak_unexpected);
+  }
   if (fabric) {
     member("fabric", "true");
     member("max_link_util", fabric->max_link_util);

@@ -24,6 +24,7 @@
 #include "perturb/spec.hpp"
 #include "sim/dataplane.hpp"
 #include "sim/engine.hpp"
+#include "simmpi/message.hpp"
 
 namespace dpml::core {
 
@@ -78,6 +79,7 @@ struct MeasurePerf {
   double callback_pool_hit_rate = 0.0; // pooled event records served warm
   double payload_pool_hit_rate = 0.0;  // recycled message payload buffers
   sim::PoolStats frame_pool;           // coroutine frames (merged over reps)
+  simmpi::MatchStats match;            // matcher work (sums; depth maxima)
   double sim_ms = 0.0;                 // simulated time, summed over reps
   // Host wall clock for the whole repetition sweep (not deterministic).
   double wall_ms = 0.0;
@@ -132,7 +134,9 @@ struct FabricCounters {
 // --perf-json snapshot of dpmlsim and every bench (docs/MODEL.md §8).
 // Folding sums the counters, takes the maxima of the peaks and of
 // max_link_util, and averages the pool hit rates over the points; the
-// fabric block is present once a point on the link fabric is folded.
+// fabric block is present once a point on the link fabric is folded, and
+// the matcher block once a measure_collective point matched a message (app
+// and tenant points fold engine counters only).
 // Everything but wall_ms and the process's peak RSS is deterministic for a
 // fixed fold order.
 struct PerfReport {
@@ -148,6 +152,7 @@ struct PerfReport {
   double payload_pool_hits = 0.0;
   double frame_pool_hits = 0.0;
   std::uint64_t frame_pool_misses = 0; // frames not served warm (sum)
+  simmpi::MatchStats match;            // matcher work (sums; depth maxima)
   std::optional<FabricCounters> fabric;
   double wall_ms = 0.0;  // host wall clock of the sweep (time_sweep)
 

@@ -14,15 +14,16 @@
 //
 //   FramePool   per-thread, size-classed recycler for coroutine frames
 //               (CoTask promises and the engine's detached wrapper) and the
-//               per-message records handed out through FrameAllocator
-//               (spawn_sub's completion Flag, irecv's result). Classes are
-//               16 bytes apart up to 2 KB, carved from slabs; a freed block
-//               goes on its class's free list, so a warm pool serves a
-//               frame with a pointer pop. Larger frames go to operator new
-//               as counted misses. Each Engine attaches on construction;
-//               when the thread's last engine is destroyed the pool hands
-//               its slabs back to the system allocator (if a frame is still
-//               alive, once it dies).
+//               per-message records: those handed out through
+//               FrameAllocator (spawn_sub's completion Flag, irecv's
+//               result) and the matchers' unexpected-envelope nodes.
+//               Classes are 16 bytes apart up to 2 KB, carved from slabs;
+//               a freed block goes on its class's free list, so a warm
+//               pool serves a frame with a pointer pop. Larger frames go
+//               to operator new as counted misses. Each Engine attaches on
+//               construction; when the thread's last engine is destroyed
+//               the pool hands its slabs back to the system allocator (if
+//               a frame is still alive, once it dies).
 //
 //   BufferPool  recycler for std::vector<std::byte> payload buffers,
 //               bucketed by power-of-two capacity class. acquire() resizes
@@ -173,10 +174,11 @@ class SlabPool {
 
 // Per-thread size-classed pool for coroutine frames and per-message
 // records. Not a member of the Engine: a coroutine's operator new sees only
-// the frame size, so the pool is reached through FramePool::local(). The
-// object is constant-initialized and trivially destructible, so that call
-// is a plain thread-local access. A block goes back on the thread that took
-// it: a frame is created, run and destroyed on its engine's thread.
+// the frame size (and a Matcher has no engine), so the pool is reached
+// through FramePool::local(). The object is constant-initialized and
+// trivially destructible, so that call is a plain thread-local access. A
+// block goes back on the thread that took it: a frame is created, run and
+// destroyed on its engine's thread.
 //
 // Blocks are carved from 64 KB slabs, so a miss is a pointer bump and
 // giving the memory back is a few frees, not one per block. The pool holds

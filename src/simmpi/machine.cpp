@@ -51,7 +51,7 @@ void Node::release_slot(std::int64_t key, int parties) {
 // Rank
 
 Rank::Rank(Machine& m, int world_rank)
-    : machine_(&m), world_rank_(world_rank) {
+    : machine_(&m), world_rank_(world_rank), matcher_(m.match_stats_) {
   node_id_ = world_rank / m.ppn();
   local_rank_ = world_rank % m.ppn();
   socket_ = m.socket_of_local(local_rank_);
@@ -191,7 +191,17 @@ sim::CoTask<void> Rank::signal(sim::Latch& l) {
 }
 
 std::int64_t Rank::next_coll_key(int context) {
-  const std::int64_t seq = coll_seq_[context]++;
+  auto it = std::find_if(coll_seq_.begin(), coll_seq_.end(),
+                         [context](const auto& e) {
+                           return e.first == context;
+                         });
+  if (it == coll_seq_.end()) {
+    // Room for a few contexts at once (the world, a leader communicator,
+    // a split), so the list does not regrow mid-run.
+    if (coll_seq_.empty()) coll_seq_.reserve(4);
+    it = coll_seq_.insert(coll_seq_.end(), {context, 0});
+  }
+  const std::int64_t seq = it->second++;
   return (static_cast<std::int64_t>(context) << 32) | seq;
 }
 

@@ -212,7 +212,10 @@ class Rank {
   int local_rank_;
   int socket_;
   Matcher matcher_;
-  std::unordered_map<int, std::int64_t> coll_seq_;
+  // (context, next invocation seq): a rank meets a few contexts, so a flat
+  // list beats a hash table, and a rank allocates it on its first
+  // collective rather than at set-up.
+  std::vector<std::pair<int, std::int64_t>> coll_seq_;
 };
 
 class Machine {
@@ -286,6 +289,8 @@ class Machine {
 
   // Aggregate communication counters for the run so far.
   const CommStats& comm_stats() const { return stats_; }
+  // Matching work of every rank's Matcher so far.
+  const MatchStats& match_stats() const { return match_stats_; }
 
   // Per-collective attribution keyed "<kind>/<label>" (e.g.
   // "allreduce/dpml(l=8)"). Populated by core::run_collective while tracing
@@ -355,6 +360,7 @@ class Machine {
   sim::Engine engine_;
   sim::PayloadPlane data_plane_;
   net::FabricTopology topo_;
+  MatchStats match_stats_;  // every rank's Matcher counts here
   std::deque<Node> nodes_;
   std::deque<Rank> ranks_;
   Comm world_;

@@ -1,10 +1,23 @@
 #include "simmpi/message.hpp"
 
 #include <cstring>
+#include <new>
 
 #include "util/error.hpp"
 
 namespace dpml::simmpi {
+
+Matcher::~Matcher() {
+  while (unexpected_.head_ != nullptr) (void)take(nullptr, unexpected_.head_);
+}
+
+Envelope Matcher::take(Queued* prev, Queued* q) {
+  unexpected_.unlink(prev, q);
+  Envelope env = std::move(static_cast<Envelope&>(*q));
+  q->~Queued();
+  sim::FramePool::local().deallocate(q, sizeof(Queued));
+  return env;
+}
 
 void Matcher::complete(PostedRecv& pr, Envelope& env) {
   pr.recv_bytes = env.bytes;
@@ -40,12 +53,15 @@ void Matcher::post_recv(PostedRecv* pr) {
       // Unexpected-queue choice point: the first matching envelope of each
       // distinct source is eligible (per-source FIFO order is preserved);
       // with two or more sources queued, the match is a real MPI race.
-      std::vector<std::deque<Envelope>::iterator> firsts;
-      for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-        if (!matches(*pr, *it)) continue;
+      // Each candidate is kept with its predecessor, for the unlink.
+      std::vector<std::pair<Queued*, Queued*>> firsts;
+      for (Queued *prev = nullptr, *q = unexpected_.head_; q != nullptr;
+           prev = q, q = q->next) {
+        ++stats_.scanned;
+        if (!matches(*pr, *q)) continue;
         bool seen = false;
-        for (const auto& f : firsts) seen = seen || f->src == it->src;
-        if (!seen) firsts.push_back(it);
+        for (const auto& f : firsts) seen = seen || f.second->src == q->src;
+        if (!seen) firsts.emplace_back(prev, q);
       }
       if (!firsts.empty()) {
         std::size_t pick = 0;
@@ -53,43 +69,56 @@ void Matcher::post_recv(PostedRecv* pr) {
           std::vector<sim::ChoiceAlt> alts;
           alts.reserve(firsts.size());
           for (const auto& f : firsts) {
-            alts.push_back({mc_rank_, f->ctx, f->tag, f->src});
+            alts.push_back({mc_rank_, f.second->ctx, f.second->tag,
+                            f.second->src});
           }
           pick = oracle_->choose(sim::ChoiceKind::match, alts);
           DPML_CHECK_MSG(pick < firsts.size(),
                          "schedule oracle match choice out of range");
         }
-        auto it = firsts[pick];
-        Envelope env = std::move(*it);
-        unexpected_.erase(it);
+        Envelope env = take(firsts[pick].first, firsts[pick].second);
+        ++stats_.posted_matches;
         complete(*pr, env);
         return;
       }
-      posted_.push_back(pr);
+      queue_posted(pr);
       return;
     }
   }
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (matches(*pr, *it)) {
-      Envelope env = std::move(*it);
-      unexpected_.erase(it);
+  for (Queued *prev = nullptr, *q = unexpected_.head_; q != nullptr;
+       prev = q, q = q->next) {
+    ++stats_.scanned;
+    if (matches(*pr, *q)) {
+      Envelope env = take(prev, q);
+      ++stats_.posted_matches;
       complete(*pr, env);
       return;
     }
   }
+  queue_posted(pr);
+}
+
+void Matcher::queue_posted(PostedRecv* pr) {
   posted_.push_back(pr);
+  stats_.peak_posted =
+      std::max<std::uint64_t>(stats_.peak_posted, posted_.size());
 }
 
 void Matcher::deliver(Envelope env) {
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    if (matches(**it, env)) {
-      PostedRecv* pr = *it;
-      posted_.erase(it);
+  for (PostedRecv *prev = nullptr, *pr = posted_.head_; pr != nullptr;
+       prev = pr, pr = pr->next) {
+    ++stats_.scanned;
+    if (matches(*pr, env)) {
+      posted_.unlink(prev, pr);
+      ++stats_.delivered_matches;
       complete(*pr, env);
       return;
     }
   }
-  unexpected_.push_back(std::move(env));
+  void* block = sim::FramePool::local().allocate(sizeof(Queued));
+  unexpected_.push_back(new (block) Queued(std::move(env)));
+  stats_.peak_unexpected =
+      std::max<std::uint64_t>(stats_.peak_unexpected, unexpected_.size());
   for (sim::Flag* f : watchers_) f->post();
   watchers_.clear();
 }

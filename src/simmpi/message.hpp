@@ -5,11 +5,20 @@
 // support, in envelope arrival order — eager envelopes are delivered when
 // the payload has fully arrived, rendezvous envelopes when the RTS control
 // message arrives.
+//
+// Both queues are FIFO lists threaded through their entries, so a Matcher
+// allocates nothing when it is built. A posted receive is its PostedRecv,
+// which lives in the receiving frame; an unexpected envelope sits in a node
+// taken from the thread's FramePool (sim/pool.hpp) and given back when a
+// receive matches it or the Matcher is destroyed. The scans are short on
+// collective traffic (a handful of entries), so lists beat hashed buckets.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "sim/oracle.hpp"
@@ -54,10 +63,101 @@ struct PostedRecv {
   sim::Time recv_cost = 0;
   bool truncated = false;
   int recv_dtype = -1;  // simcheck: the matched envelope's dtype annotation
+  PostedRecv* next = nullptr;  // the Matcher's posted-queue link
+};
+
+// Matching work of the Matchers that count into one record (a Machine's
+// ranks): sums of matches and scanned entries, maxima of queue depths.
+struct MatchStats {
+  std::uint64_t posted_matches = 0;     // receives matched when posted
+  std::uint64_t delivered_matches = 0;  // receives matched on delivery
+  std::uint64_t scanned = 0;            // queue entries the scans examined
+  std::uint64_t peak_posted = 0;        // deepest posted-receive queue
+  std::uint64_t peak_unexpected = 0;    // deepest unexpected queue
+
+  void merge(const MatchStats& o) {
+    posted_matches += o.posted_matches;
+    delivered_matches += o.delivered_matches;
+    scanned += o.scanned;
+    peak_posted = std::max(peak_posted, o.peak_posted);
+    peak_unexpected = std::max(peak_unexpected, o.peak_unexpected);
+  }
+  bool operator==(const MatchStats&) const = default;
+};
+
+// A FIFO threaded through its nodes' `next` links. Iteration is forward
+// only, in queue order; the owning Matcher alone links and unlinks.
+template <typename Node>
+class IntrusiveFifo {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Node;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Node*;
+    using reference = const Node&;
+
+    iterator() = default;
+    explicit iterator(const Node* n) : n_(n) {}
+    const Node& operator*() const { return *n_; }
+    iterator& operator++() {
+      n_ = n_->next;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      n_ = n_->next;
+      return old;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const Node* n_ = nullptr;
+  };
+
+  iterator begin() const { return iterator(head_); }
+  iterator end() const { return iterator(); }
+  std::size_t size() const { return size_; }
+
+ private:
+  friend class Matcher;
+
+  void push_back(Node* n) {
+    n->next = nullptr;
+    (tail_ != nullptr ? tail_->next : head_) = n;
+    tail_ = n;
+    ++size_;
+  }
+  // Unlink `n`, whose predecessor is `prev` (null when `n` is the head).
+  void unlink(Node* prev, Node* n) {
+    (prev != nullptr ? prev->next : head_) = n->next;
+    if (tail_ == n) tail_ = prev;
+    n->next = nullptr;
+    --size_;
+  }
+
+  Node* head_ = nullptr;
+  Node* tail_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 class Matcher {
+  // An unexpected envelope in its pooled queue node.
+  struct Queued : Envelope {
+    explicit Queued(Envelope&& e) : Envelope(std::move(e)) {}
+    Queued* next = nullptr;
+  };
+
  public:
+  // Counts its matching work into `stats`.
+  explicit Matcher(MatchStats& stats) : stats_(stats) {}
+  Matcher(const Matcher&) = delete;
+  Matcher& operator=(const Matcher&) = delete;
+  // Gives the queued envelopes' nodes back to the pool. Posted receives
+  // belong to their frames.
+  ~Matcher();
+
   // Post a receive; matches against the unexpected queue first.
   void post_recv(PostedRecv* pr);
 
@@ -72,10 +172,10 @@ class Matcher {
   // One-shot notification on the next unexpected arrival (blocking probe).
   void watch_arrivals(sim::Flag* f) { watchers_.push_back(f); }
 
-  // simcheck end-of-run inspection: leaked unexpected envelopes and
-  // still-posted (never-matched) receives.
-  const std::deque<Envelope>& unexpected() const { return unexpected_; }
-  const std::deque<PostedRecv*>& posted() const { return posted_; }
+  // simcheck end-of-run inspection: leaked unexpected envelopes (each
+  // entry is an Envelope) and still-posted (never-matched) receives.
+  const IntrusiveFifo<Queued>& unexpected() const { return unexpected_; }
+  const IntrusiveFifo<PostedRecv>& posted() const { return posted_; }
 
   // Recycle consumed eager payload buffers through the engine's pool (set
   // by the owning Rank; unset matchers free buffers normally).
@@ -97,11 +197,17 @@ class Matcher {
            (pr.tag == kAnyTag || pr.tag == env.tag);
   }
 
+  // Unlink `q` (predecessor `prev`) from the unexpected queue and return
+  // its envelope; the node goes back to the pool.
+  Envelope take(Queued* prev, Queued* q);
+  // Queue a receive no envelope matched.
+  void queue_posted(PostedRecv* pr);
   // Complete `pr` with `env` (copy payload for eager, trigger rendezvous).
   void complete(PostedRecv& pr, Envelope& env);
 
-  std::deque<Envelope> unexpected_;
-  std::deque<PostedRecv*> posted_;
+  MatchStats& stats_;
+  IntrusiveFifo<Queued> unexpected_;
+  IntrusiveFifo<PostedRecv> posted_;
   std::vector<sim::Flag*> watchers_;
   sim::BufferPool* recycle_ = nullptr;
   sim::ScheduleOracle* oracle_ = nullptr;

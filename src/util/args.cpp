@@ -88,12 +88,21 @@ std::string Args::get(const std::string& key, const std::string& def) const {
   return it == flags_.end() ? def : it->second;
 }
 
-std::string Args::get_path(const std::string& key) const {
+std::string Args::get_named(const std::string& key, const char* what) const {
   const std::string v = get(key);
-  if (bare_.count(key) != 0 || (v.empty() && flags_.count(key) != 0)) {
-    throw InvariantError("--" + key + " needs a file path");
+  if (bare_.count(key) != 0 || v.empty()) {
+    throw InvariantError("--" + key + " needs " + what);
   }
   return v;
+}
+
+std::string Args::get_path(const std::string& key) const {
+  return has(key) ? get_named(key, "a file path") : "";
+}
+
+std::string Args::get_dir(const std::string& key,
+                          const std::string& def) const {
+  return has(key) ? get_named(key, "a directory") : def;
 }
 
 int Args::get_int(const std::string& key, int def) const {

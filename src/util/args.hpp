@@ -26,6 +26,10 @@ class Args {
   // empty "--out=" names no file and throws util::InvariantError
   // "--key needs a file path".
   std::string get_path(const std::string& key) const;
+  // A directory-valued flag: its directory, or `def` when the flag is
+  // absent. A bare flag or an empty value names no directory and throws
+  // util::InvariantError "--key needs a directory".
+  std::string get_dir(const std::string& key, const std::string& def) const;
   // Typed getters read the whole value ("2x", "1.5" for an integer, "inf"
   // and "maybe" all throw util::InvariantError naming --key and the text):
   // integers take an optional sign and must fit in an int, doubles must be
@@ -51,6 +55,10 @@ class Args {
   std::vector<std::string> unused() const;
 
  private:
+  // The value of a flag given to name `what` (a file, a directory): a bare
+  // flag or an empty value throws "--key needs <what>".
+  std::string get_named(const std::string& key, const char* what) const;
+
   std::string program_;
   // Ordered: unused() reports typos in deterministic (sorted) order.
   std::map<std::string, std::string> flags_;

@@ -60,6 +60,26 @@ TEST(Args, FileFlagsNeedAFile) {
   EXPECT_TRUE(a.get_bool("table"));
 }
 
+TEST(Args, DirectoryFlagsNeedADirectory) {
+  auto a = make({"prog", "--trace-dir", "out/traces", "--bare-dir",
+                 "--empty-dir=", "--true-dir", "true"});
+  EXPECT_EQ(a.get_dir("trace-dir", "."), "out/traces");
+  // Absent: the default.
+  EXPECT_EQ(a.get_dir("missing", "."), ".");
+  // An explicit value is a directory even when it spells a boolean.
+  EXPECT_EQ(a.get_dir("true-dir", "."), "true");
+  // A bare flag or an empty value names no directory: one line naming it.
+  for (const char* flag : {"bare-dir", "empty-dir"}) {
+    try {
+      (void)a.get_dir(flag, ".");
+      ADD_FAILURE() << "--" << flag << " without a directory was accepted";
+    } catch (const InvariantError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("--") + flag + " needs a directory");
+    }
+  }
+}
+
 TEST(Args, TypedGetters) {
   auto a = make({"prog", "--x", "2.5", "--b", "yes", "--n", "-7"});
   EXPECT_DOUBLE_EQ(a.get_double("x", 0), 2.5);

@@ -249,6 +249,7 @@ void expect_identical(const core::MeasureResult& a,
       << what;
   EXPECT_EQ(a.perf.payload_pool_hit_rate, b.perf.payload_pool_hit_rate)
       << what;
+  EXPECT_TRUE(a.perf.match == b.perf.match) << what;
   EXPECT_EQ(a.perf.sim_ms, b.perf.sim_ms) << what;
 }
 
@@ -396,6 +397,16 @@ TEST(PerfReport, FoldSumsCountersAndTakesThePeakMaxima) {
             std::max(a.perf.peak_queue_depth, b.perf.peak_queue_depth));
   EXPECT_EQ(rep.callback_pool_hits,
             a.perf.callback_pool_hit_rate + b.perf.callback_pool_hit_rate);
+  ASSERT_GT(a.perf.match.delivered_matches, 0u);
+  EXPECT_EQ(rep.match.posted_matches,
+            a.perf.match.posted_matches + b.perf.match.posted_matches);
+  EXPECT_EQ(rep.match.delivered_matches,
+            a.perf.match.delivered_matches + b.perf.match.delivered_matches);
+  EXPECT_EQ(rep.match.scanned, a.perf.match.scanned + b.perf.match.scanned);
+  EXPECT_EQ(rep.match.peak_posted,
+            std::max(a.perf.match.peak_posted, b.perf.match.peak_posted));
+  EXPECT_EQ(rep.match.peak_unexpected, std::max(a.perf.match.peak_unexpected,
+                                                b.perf.match.peak_unexpected));
   EXPECT_FALSE(rep.fabric.has_value());
   // Folding per-point reports in order gives the same totals.
   core::PerfReport pa, pb, folded;
@@ -410,10 +421,18 @@ TEST(PerfReport, FoldSumsCountersAndTakesThePeakMaxima) {
   EXPECT_EQ(folded.elided_bytes, rep.elided_bytes);
   EXPECT_EQ(folded.callback_pool_hits, rep.callback_pool_hits);
   EXPECT_EQ(folded.payload_pool_hits, rep.payload_pool_hits);
+  EXPECT_TRUE(folded.match == rep.match);
   const std::string json = rep.json("t");
   EXPECT_NE(json.find("\"events\": " + std::to_string(rep.events) + ",\n"),
             std::string::npos);
+  EXPECT_NE(json.find("\"match_scanned\": " +
+                      std::to_string(rep.match.scanned) + ",\n"),
+            std::string::npos);
   EXPECT_EQ(rep.line().rfind("[perf] 2 points, jobs=", 0), 0u);
+  EXPECT_NE(rep.line().find(", matcher: " +
+                            std::to_string(rep.match.posted_matches) +
+                            " matched at post, "),
+            std::string::npos);
 }
 
 TEST(PerfReport, FabricBlockAppearsOnlyAfterALinkFabricPoint) {

@@ -1,0 +1,83 @@
+// Heap allocations made while building a Machine: per-rank state (each
+// rank's Matcher, its collective counters, the world communicator's index)
+// must not allocate per rank. A binary of its own, because it replaces the
+// global operator new to count calls.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
+#include "net/cluster.hpp"
+#include "simmpi/machine.hpp"
+
+namespace {
+std::uint64_t g_allocations = 0;  // the test runs on one thread
+
+void* counted_alloc(std::size_t n, std::size_t align) {
+  ++g_allocations;
+  if (n == 0) n = 1;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(n)
+                : std::aligned_alloc(align, (n + align - 1) / align * align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n, 0); }
+void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace dpml::simmpi {
+namespace {
+
+// Allocations made by building a metadata-only Machine of this shape.
+std::uint64_t setup_allocations(const net::ClusterConfig& cfg, int nodes,
+                                int ppn) {
+  RunOptions opt;
+  opt.with_data = false;
+  const std::uint64_t before = g_allocations;
+  auto m = std::make_unique<Machine>(cfg, nodes, ppn, opt);
+  return g_allocations - before;
+}
+
+TEST(SetupAllocations, PerRankStateDoesNotAllocate) {
+  const net::ClusterConfig b = net::cluster_b();
+  (void)setup_allocations(b, 2, 2);  // one-time static set-up
+  const std::uint64_t one = setup_allocations(b, 64, 1);
+  const std::uint64_t full = setup_allocations(b, 64, 28);
+  ASSERT_GE(full, one);
+  const double per_rank =
+      static_cast<double>(full - one) / static_cast<double>(64 * 27);
+  // What is left per rank is the std::deque<Rank> blocks (a few ranks per
+  // block); a per-rank queue, hash node or table would add one or more.
+  EXPECT_LT(per_rank, 0.5) << one << " allocations at 64x1, " << full
+                           << " at 64x28";
+}
+
+TEST(SetupAllocations, CountsThisBinarysAllocations) {
+  // The counter sees allocations: a Machine's set-up is never free.
+  EXPECT_GT(setup_allocations(net::test_cluster(2), 1, 1), 0u);
+}
+
+}  // namespace
+}  // namespace dpml::simmpi

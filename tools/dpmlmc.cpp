@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     const int np_max = args.get_int("np-max", 4);
     const std::string only_kind = args.get("kind", "");
     const std::string only_algo = args.get("algo", "");
-    const std::string trace_dir = args.get("trace-dir", ".");
+    const std::string trace_dir = args.get_dir("trace-dir", ".");
     {
       std::error_code ec;
       std::filesystem::create_directories(trace_dir, ec);
