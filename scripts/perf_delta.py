@@ -3,7 +3,7 @@
 
 BENCH_perf.json is an append-only array of --perf-json snapshots (one or
 more per PR), each tagged by (tool, data_mode, placement, adapt); current
-tools emit no data_mode, which reads as "payload". Two commands:
+tools emit no data_mode, which reads as "payload". Three commands:
 
   delta  BENCH_perf.json NEW.json [NEW2.json ...]
       Compare each new snapshot against the latest checked-in entry with
@@ -19,6 +19,16 @@ tools emit no data_mode, which reads as "payload". Two commands:
       -100% regression; unknown extra fields are ignored. The matcher
       counters (matches at post and at delivery, entries scanned, deepest
       queues) print when either side carries them.
+
+  exact  BENCH_perf.json NEW.json [NEW2.json ...]
+      Compare the deterministic members of each new snapshot with the
+      latest checked-in entry of the same key, and exit 1 when any differs
+      or a snapshot has no baseline. Compared: points, events, resumes,
+      callbacks, instants, peak_instants, peak_queue_depth, elided_bytes,
+      max_link_util, bg_flows and the fabric_* counts (a member either side
+      carries), and the matcher counters when both sides carry them. The
+      frame-pool counters are left out: they follow what the pool serves,
+      which a change may move without changing one simulated event.
 
   append BENCH_perf.json NEW.json [NEW2.json ...] [--label TEXT]
       Append the snapshots to the trajectory array in place (converting a
@@ -53,9 +63,7 @@ def key(entry):
 
 
 def cmd_delta(args):
-    baseline = {}
-    for entry in as_array(load(args.trajectory)):
-        baseline[key(entry)] = entry  # later entries win: latest is baseline
+    baseline = latest_baselines(args.trajectory)
     worst = 0.0
     for path in args.snapshots:
         new = load(path)
@@ -94,6 +102,46 @@ def cmd_delta(args):
     return 0  # never gate
 
 
+EXACT_MEMBERS = ("points", "events", "resumes", "callbacks", "instants",
+                 "peak_instants", "peak_queue_depth", "elided_bytes",
+                 "max_link_util", "bg_flows")
+MATCHER_MEMBERS = ("posted_matches", "delivered_matches", "match_scanned",
+                   "peak_posted_queue", "peak_unexpected_queue")
+
+
+def latest_baselines(path):
+    baseline = {}
+    for entry in as_array(load(path)):
+        baseline[key(entry)] = entry  # later entries win: latest is baseline
+    return baseline
+
+
+def cmd_exact(args):
+    baseline = latest_baselines(args.trajectory)
+    failed = 0
+    for path in args.snapshots:
+        new = load(path)
+        k = key(new)
+        old = baseline.get(k)
+        tag = f"{k[0]}/{k[1]}/{k[2]}/{'adapt' if k[3] else 'static'}"
+        if old is None:
+            print(f"[perf-exact] {tag}: no checked-in baseline ({path})")
+            failed += 1
+            continue
+        members = set(EXACT_MEMBERS) | {
+            m for m in set(old) | set(new) if m.startswith("fabric_")}
+        members |= {m for m in MATCHER_MEMBERS if m in old and m in new}
+        diffs = [m for m in sorted(members)
+                 if (m in old or m in new) and old.get(m) != new.get(m)]
+        for m in diffs:
+            print(f"[perf-exact] {tag}: {m} {old.get(m, '-')} -> "
+                  f"{new.get(m, '-')}")
+        print(f"[perf-exact] {tag}: "
+              f"{'DIFFERS' if diffs else 'identical'} ({path})")
+        failed += bool(diffs)
+    return 1 if failed else 0
+
+
 def cmd_append(args):
     trajectory = as_array(load(args.trajectory))
     for path in args.snapshots:
@@ -119,6 +167,11 @@ def main(argv):
     d.add_argument("--threshold", type=float, default=10.0,
                    help="events/sec regression percentage to flag")
     d.set_defaults(fn=cmd_delta)
+
+    e = sub.add_parser("exact", help="gate on the deterministic members")
+    e.add_argument("trajectory")
+    e.add_argument("snapshots", nargs="+")
+    e.set_defaults(fn=cmd_exact)
 
     a = sub.add_parser("append", help="append snapshots to the trajectory")
     a.add_argument("trajectory")

@@ -20,13 +20,12 @@ sim::CoTask<void> allreduce_intelmpi(CollArgs a) {
   if (nbytes <= kIntelMpiStripeThreshold) {
     return allreduce_single_leader(std::move(a), InterAlgo::automatic);
   }
-  DpmlParams p;
+  CollSpec spec;
   // Fixed 8-way node striping regardless of message size or platform — the
   // untuned configuration DPML's per-size leader selection improves on.
-  p.leaders = std::min(8, a.rank->machine().ppn());
-  p.pipeline_k = 1;
-  p.inter = InterAlgo::reduce_scatter_allgather;
-  return allreduce_dpml(std::move(a), p);
+  spec.leaders = std::min(8, a.rank->machine().ppn());
+  spec.inter = InterAlgo::reduce_scatter_allgather;
+  return allreduce_dpml(std::move(a), spec);
 }
 
 // ---- Registry entries ----

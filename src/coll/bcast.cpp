@@ -2,14 +2,16 @@
 
 #include <utility>
 
+#include "coll/node.hpp"
 #include "coll/registry.hpp"
+#include "sharp/sharp.hpp"
 #include "util/error.hpp"
 
 namespace dpml::coll {
 
-using simmpi::CollSlot;
 using simmpi::Machine;
-using simmpi::ShmWindow;
+
+namespace {
 
 void check_bcast(const CollArgs& a) {
   DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
@@ -22,6 +24,8 @@ void check_bcast(const CollArgs& a) {
                    "data-mode bcast requires a buffer");
   }
 }
+
+}  // namespace
 
 sim::CoTask<void> bcast(CollArgs a) {
   if (a.bytes() <= 8 * 1024) return bcast_binomial(std::move(a));
@@ -124,30 +128,31 @@ sim::CoTask<void> bcast_scatter_allgather(CollArgs a) {
   }
 }
 
-sim::CoTask<void> bcast_single_leader(CollArgs a) {
+sim::CoTask<void> bcast_single_leader(CollArgs a,
+                                      sharp::SharpFabric* fabric) {
   check_bcast(a);
+  require_world(a);
   Rank& r = *a.rank;
   Machine& m = r.machine();
-  DPML_CHECK_MSG(a.comm->context() == m.world().context(),
-                 "single-leader bcast runs on the world communicator");
+  const Comm& c = *a.comm;
   const int ppn = m.ppn();
+  const std::size_t nbytes = a.bytes();
+  if (fabric != nullptr && !fabric->supports(nbytes)) fabric = nullptr;
   if (ppn == 1) {
-    co_await bcast_binomial(std::move(a));
+    if (fabric == nullptr) {
+      co_await bcast_binomial(std::move(a));
+    } else {
+      const sharp::Group& g =
+          fabric->named_group("all_ranks", m.world().ranks());
+      co_await fabric->bcast(r, g, c.world_rank(a.root), nbytes, a.recv);
+    }
     co_return;
   }
-  const Comm& c = *a.comm;
-  const std::size_t nbytes = a.bytes();
   const int root_node = c.world_rank(a.root) / ppn;
   const int root_local = c.world_rank(a.root) % ppn;
   const bool is_leader = r.local_rank() == 0;
-
-  const std::int64_t key = r.next_coll_key(c.context());
-  CollSlot& slot = r.node().slot(key);
-  if (!slot.initialized) {
-    slot.windows.emplace_back(nbytes, m.socket_of_local(0), m.with_data());
-    slot.flags.emplace_back(r.engine());
-    slot.initialized = true;
-  }
+  NodeSlot slot = claim_leader_groups(a, ppn, nbytes, kResult | kPublished);
+  simmpi::ShmWindow& result = slot->windows[1];
 
   // Get the payload to the root node's leader.
   if (r.world_rank() == c.world_rank(a.root) && root_local != 0) {
@@ -158,21 +163,28 @@ sim::CoTask<void> bcast_single_leader(CollArgs a) {
     if (r.node_id() == root_node && root_local != 0) {
       co_await r.recv(c, a.root, a.tag_base + 3, nbytes, a.recv);
     }
-    // Inter-node binomial bcast among node leaders.
-    CollArgs la = a;
-    la.comm = &m.leader_comm(0, 1);
-    la.root = root_node;
-    la.tag_base = static_cast<int>((key & 0x3ff)) * 2048;
-    co_await bcast_binomial(la);
-    co_await r.shm_put(slot.windows[0], 0, nbytes, as_const(a.recv));
-    co_await r.signal(slot.flags[0]);
+    const Comm& leaders = m.leader_comm(0, 1);
+    if (fabric != nullptr) {
+      const sharp::Group& g = fabric->named_group("node_leaders",
+                                                  leaders.ranks());
+      co_await fabric->bcast(r, g, root_node * ppn, nbytes, a.recv);
+    } else {
+      // Inter-node binomial bcast among node leaders.
+      CollArgs la = a;
+      la.comm = &leaders;
+      la.root = root_node;
+      la.tag_base = slot.tag_base();
+      co_await bcast_binomial(la);
+    }
+    co_await r.shm_put(result, 0, nbytes, as_const(a.recv));
+    co_await r.signal(slot->flags[0]);
   } else {
-    co_await slot.flags[0].wait();
+    co_await slot->flags[0].wait();
     if (r.world_rank() != c.world_rank(a.root)) {
-      co_await r.shm_get(slot.windows[0], 0, nbytes, a.recv);
+      co_await r.shm_get(result, 0, nbytes, a.recv);
     }
   }
-  r.node().release_slot(key, ppn);
+  slot.release();
 }
 
 // ---- Registry entries ----
@@ -184,9 +196,14 @@ const CollRegistration reg_bcast_binomial{plain_desc(
 const CollRegistration reg_bcast_sag{
     plain_desc("scatter-allgather", CollKind::bcast, bcast_scatter_allgather,
                CollCaps{.tunable = true})};
-const CollRegistration reg_bcast_single_leader{
-    plain_desc("single-leader", CollKind::bcast, bcast_single_leader,
-               CollCaps{.world_only = true, .tunable = true})};
+const CollRegistration reg_bcast_single_leader{{
+    "single-leader",
+    CollKind::bcast,
+    CollCaps{.world_only = true, .tunable = true},
+    [](CollArgs a, const CollSpec&) {
+      return bcast_single_leader(std::move(a));
+    },
+}};
 const CollRegistration reg_bcast_auto{
     plain_desc("auto", CollKind::bcast, bcast)};
 

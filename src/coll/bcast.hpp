@@ -8,10 +8,15 @@
 //  * scatter_allgather   — van de Geijn: binomial scatter + ring allgather
 //                          (large messages; bandwidth-optimal)
 //  * single_leader       — shm-hierarchical: inter-node bcast among node
-//                          leaders, shared-memory broadcast within the node
+//                          leaders (host binomial, or a SHArP multicast),
+//                          shared-memory broadcast within the node
 #pragma once
 
 #include "coll/coll.hpp"
+
+namespace dpml::sharp {
+class SharpFabric;
+}
 
 namespace dpml::coll {
 
@@ -23,11 +28,12 @@ sim::CoTask<void> bcast(CollArgs a);
 
 sim::CoTask<void> bcast_binomial(CollArgs a);
 sim::CoTask<void> bcast_scatter_allgather(CollArgs a);
-// Requires the world communicator (leaders are per-node); root must be a
-// node leader's world rank or the payload is first forwarded to one.
-sim::CoTask<void> bcast_single_leader(CollArgs a);
-
-// The argument checks every bcast design (and bcast_sharp) runs at entry.
-void check_bcast(const CollArgs& a);
+// Requires the world communicator (leaders are per-node); a root that is
+// not a node leader first forwards the payload to its node's leader. With a
+// `fabric` (paper §8: SHArP for other collectives), the node leaders take
+// the payload from an in-network multicast instead of a binomial tree,
+// unless it exceeds the fabric's limit; only the host path is registered.
+sim::CoTask<void> bcast_single_leader(CollArgs a,
+                                      sharp::SharpFabric* fabric = nullptr);
 
 }  // namespace dpml::coll

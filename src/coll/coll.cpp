@@ -44,17 +44,6 @@ Part partition(std::size_t count, int parts, int index) {
   return p;
 }
 
-const char* inter_algo_name(InterAlgo a) {
-  switch (a) {
-    case InterAlgo::recursive_doubling: return "rd";
-    case InterAlgo::reduce_scatter_allgather: return "rsa";
-    case InterAlgo::ring: return "ring";
-    case InterAlgo::binomial: return "binomial";
-    case InterAlgo::automatic: return "auto";
-  }
-  return "?";
-}
-
 sim::CoTask<void> copy_in(const CollArgs& a) {
   if (a.inplace) co_return;
   const auto& host = a.rank->machine().config().host;

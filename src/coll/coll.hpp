@@ -67,8 +67,6 @@ enum class InterAlgo {
   automatic,  // library-style choice by message size / comm size
 };
 
-const char* inter_algo_name(InterAlgo a);
-
 // Span helpers tolerating empty (metadata-only) spans.
 inline ConstBytes sub(ConstBytes b, std::size_t off, std::size_t len) {
   return b.empty() ? b : b.subspan(off, len);

@@ -27,32 +27,30 @@
 //
 // All hierarchical designs require the collective to run on the machine's
 // world communicator (leaders are per-node entities), like the paper's
-// implementation inside MVAPICH2's shared-memory communicator structure.
+// implementation inside MVAPICH2's shared-memory communicator structure;
+// their node phases live in coll/node.
 #pragma once
 
 #include "coll/coll.hpp"
+#include "coll/registry.hpp"
 
 namespace dpml::coll {
-
-struct DpmlParams {
-  int leaders = 1;       // clamped to ppn
-  int pipeline_k = 1;    // >1 => DPML-Pipelined
-  InterAlgo inter = InterAlgo::automatic;
-};
 
 sim::CoTask<void> allreduce_single_leader(CollArgs a,
                                           InterAlgo inter = InterAlgo::automatic);
 
-sim::CoTask<void> allreduce_dpml(CollArgs a, DpmlParams params);
+// The dpml designs read spec.leaders (clamped to ppn), spec.pipeline_k
+// (> 1 selects DPML-Pipelined; allgather ignores it) and spec.inter.
+sim::CoTask<void> allreduce_dpml(CollArgs a, CollSpec spec);
 
 // Standalone DPML reduce-scatter: `a.count` is the per-rank block element
 // count (send spans comm_size blocks, recv one block); in-place is not
 // supported. Falls back to the flat order-aware dispatch when ppn == 1.
-sim::CoTask<void> reduce_scatter_dpml(CollArgs a, DpmlParams params);
+sim::CoTask<void> reduce_scatter_dpml(CollArgs a, CollSpec spec);
 
 // Standalone DPML allgather: `a.count` is the per-rank block element count
 // (recv spans comm_size blocks; in-place reads my block from recv). Falls
 // back to the flat dispatch when ppn == 1.
-sim::CoTask<void> allgather_dpml(CollArgs a, DpmlParams params);
+sim::CoTask<void> allgather_dpml(CollArgs a, CollSpec spec);
 
 }  // namespace dpml::coll

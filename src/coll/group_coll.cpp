@@ -5,13 +5,14 @@
 #include <utility>
 #include <vector>
 
+#include "coll/node.hpp"
 #include "coll/reduce.hpp"
 #include "coll/registry.hpp"
+#include "sharp/sharp.hpp"
 #include "util/error.hpp"
 
 namespace dpml::coll {
 
-using simmpi::CollSlot;
 using simmpi::Machine;
 
 // ---------------------------------------------------------------------------
@@ -514,36 +515,40 @@ sim::CoTask<void> barrier_dissemination(CollArgs a) {
   }
 }
 
-sim::CoTask<void> barrier_single_leader(CollArgs a) {
+sim::CoTask<void> barrier_single_leader(CollArgs a,
+                                        sharp::SharpFabric* fabric) {
+  require_world(a);
   Rank& r = *a.rank;
   Machine& m = r.machine();
-  DPML_CHECK_MSG(a.comm->context() == m.world().context(),
-                 "hierarchical barrier runs on the world communicator");
   const int ppn = m.ppn();
   if (ppn == 1) {
-    co_await barrier_dissemination(std::move(a));
+    if (fabric == nullptr) {
+      co_await barrier_dissemination(std::move(a));
+    } else {
+      const sharp::Group& g =
+          fabric->named_group("all_ranks", m.world().ranks());
+      co_await fabric->barrier(r, g);
+    }
     co_return;
   }
-  const std::int64_t key = r.next_coll_key(a.comm->context());
-  CollSlot& slot = r.node().slot(key);
-  if (!slot.initialized) {
-    slot.latches.emplace_back(r.engine(), ppn - 1);
-    slot.flags.emplace_back(r.engine());
-    slot.initialized = true;
-  }
+  NodeSlot slot = claim_leader_groups(a, ppn, 0, kArrivals | kPublished);
   if (r.local_rank() == 0) {
-    co_await slot.latches[0].wait();
-    if (m.num_nodes() > 1) {
+    co_await slot->latches[0].wait();
+    if (fabric != nullptr) {
+      const sharp::Group& g =
+          fabric->named_group("node_leaders", m.leader_comm(0, 1).ranks());
+      co_await fabric->barrier(r, g);
+    } else if (m.num_nodes() > 1) {
       const CollArgs la{.rank = &r, .comm = &m.leader_comm(0, 1)};
       co_await barrier_dissemination(la);
     }
-    co_await r.signal(slot.flags[0]);
+    co_await r.signal(slot->flags[0]);
   } else {
-    co_await r.signal(slot.latches[0]);
-    co_await slot.flags[0].wait();
+    co_await r.signal(slot->latches[0]);
+    co_await slot->flags[0].wait();
     co_await r.compute(m.config().host.flag_latency);
   }
-  r.node().release_slot(key, ppn);
+  slot.release();
 }
 
 // ---- Registry entries ----
@@ -584,9 +589,14 @@ const CollRegistration reg_reduce_scatter_auto{
 const CollRegistration reg_barrier_dissemination{
     plain_desc("dissemination", CollKind::barrier, barrier_dissemination,
                CollCaps{.tunable = true})};
-const CollRegistration reg_barrier_single_leader{
-    plain_desc("single-leader", CollKind::barrier, barrier_single_leader,
-               CollCaps{.world_only = true, .tunable = true})};
+const CollRegistration reg_barrier_single_leader{{
+    "single-leader",
+    CollKind::barrier,
+    CollCaps{.world_only = true, .tunable = true},
+    [](CollArgs a, const CollSpec&) {
+      return barrier_single_leader(std::move(a));
+    },
+}};
 const CollRegistration reg_barrier_auto{
     plain_desc("auto", CollKind::barrier, barrier)};
 

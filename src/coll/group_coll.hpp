@@ -10,6 +10,10 @@
 
 #include "coll/coll.hpp"
 
+namespace dpml::sharp {
+class SharpFabric;
+}
+
 namespace dpml::coll {
 
 // Every design takes CollArgs with `count` elements of `dt` per block, and
@@ -62,8 +66,11 @@ sim::CoTask<void> reduce_scatter_reduce_then_scatter(CollArgs a);
 sim::CoTask<void> barrier(CollArgs a);
 // Dissemination barrier: ceil(lg p) rounds of 0-byte messages.
 sim::CoTask<void> barrier_dissemination(CollArgs a);
-// Hierarchical: intra-node latch, inter-node dissemination among leaders,
-// intra-node release (world communicator only).
-sim::CoTask<void> barrier_single_leader(CollArgs a);
+// Hierarchical: intra-node latch, inter-node dissemination among leaders
+// (or, with a `fabric`, an in-network barrier among them: paper §8),
+// intra-node release (world communicator only). Only the host path is
+// registered.
+sim::CoTask<void> barrier_single_leader(CollArgs a,
+                                        sharp::SharpFabric* fabric = nullptr);
 
 }  // namespace dpml::coll

@@ -1,16 +1,16 @@
 #include "coll/reduce.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "coll/registry.hpp"
+#include "coll/node.hpp"
 #include "util/error.hpp"
 
 namespace dpml::coll {
 
-using simmpi::CollSlot;
 using simmpi::Machine;
 using simmpi::ShmWindow;
 
@@ -187,10 +187,9 @@ sim::CoTask<void> reduce_rsa_gather(CollArgs a) {
 
 sim::CoTask<void> reduce_single_leader(CollArgs a) {
   check_reduce(a);
+  require_world(a);
   Rank& r = *a.rank;
   Machine& m = r.machine();
-  DPML_CHECK_MSG(a.comm->context() == m.world().context(),
-                 "hierarchical reduce runs on the world communicator");
   const int ppn = m.ppn();
   if (ppn == 1) {
     co_await reduce_binomial(std::move(a));
@@ -203,28 +202,21 @@ sim::CoTask<void> reduce_single_leader(CollArgs a) {
   const std::size_t nbytes = a.bytes();
   const bool is_leader = r.local_rank() == 0;
   const bool am_root = r.world_rank() == root_world;
-
-  const std::int64_t key = r.next_coll_key(c.context());
-  CollSlot& slot = r.node().slot(key);
-  if (!slot.initialized) {
-    slot.windows.emplace_back(static_cast<std::size_t>(ppn - 1) * nbytes,
-                              m.socket_of_local(0), m.with_data());
-    slot.latches.emplace_back(r.engine(), ppn - 1);
-    slot.initialized = true;
-  }
+  NodeSlot slot = claim_leader_groups(a, ppn, nbytes, kStaging | kArrivals);
+  ShmWindow& gather = slot->windows[0];
 
   if (is_leader) {
     std::vector<std::byte> acc_store;
     // The leader accumulates into recv only when it is also the root.
     MutBytes acc = co_await prepare_acc(a, am_root, acc_store);
-    co_await slot.latches[0].wait();
+    co_await slot->latches[0].wait();
     co_await r.compute(m.collection_cost(0, 0, ppn));
     co_await r.reduce_compute(static_cast<std::size_t>(ppn - 1) * nbytes);
-    if (slot.windows[0].has_data() && !acc.empty()) {
+    if (gather.has_data() && !acc.empty()) {
       for (int i = 0; i < ppn - 1; ++i) {
         a.op.apply(a.dt, a.count, acc,
-                   slot.windows[0].data().subspan(
-                       static_cast<std::size_t>(i) * nbytes, nbytes));
+                   gather.data().subspan(static_cast<std::size_t>(i) * nbytes,
+                                         nbytes));
       }
     }
     if (h > 1) {
@@ -234,7 +226,7 @@ sim::CoTask<void> reduce_single_leader(CollArgs a) {
       ia.send = {};
       ia.recv = acc;
       ia.inplace = true;
-      ia.tag_base = static_cast<int>((key & 0x3ff)) * 2048;
+      ia.tag_base = slot.tag_base();
       co_await reduce_binomial(std::move(ia));
     }
     if (r.node_id() == root_node && !am_root) {
@@ -243,117 +235,27 @@ sim::CoTask<void> reduce_single_leader(CollArgs a) {
   } else {
     // In-place input is in recv on EVERY rank (see prepare_acc), not just
     // the root; reading send here striped empty buffers in data mode.
-    co_await r.shm_put(slot.windows[0],
+    co_await r.shm_put(gather,
                        static_cast<std::size_t>(r.local_rank() - 1) * nbytes,
                        nbytes, a.inplace ? as_const(a.recv) : a.send);
-    co_await r.signal(slot.latches[0]);
+    co_await r.signal(slot->latches[0]);
     if (am_root) {
       co_await r.recv(c, c.rank_of_world(r.node_id() * ppn), a.tag_base + 7,
                       nbytes, a.recv);
     }
   }
-  r.node().release_slot(key, ppn);
+  slot.release();
 }
 
-sim::CoTask<void> reduce_dpml(CollArgs a, DpmlParams params) {
+sim::CoTask<void> reduce_dpml(CollArgs a, CollSpec spec) {
   check_reduce(a);
-  Rank& r = *a.rank;
-  Machine& m = r.machine();
-  DPML_CHECK_MSG(a.comm->context() == m.world().context(),
-                 "DPML reduce runs on the world communicator");
-  const int ppn = m.ppn();
-  const int h = m.num_nodes();
-  const int l = std::clamp(params.leaders, 1, ppn);
-  const std::size_t esize = simmpi::dtype_size(a.dt);
-  const Comm& c = *a.comm;
-  const int root_world = c.world_rank(a.root);
-  const int root_node = root_world / ppn;
-  const bool am_root = r.world_rank() == root_world;
-
-  if (ppn == 1) {
-    co_await reduce_binomial(std::move(a));
-    co_return;
-  }
-
-  const std::int64_t key = r.next_coll_key(c.context());
-  CollSlot& slot = r.node().slot(key);
-  if (!slot.initialized) {
-    for (int j = 0; j < l; ++j) {
-      const Part pj = partition(a.count, l, j);
-      const std::size_t pbytes = pj.count * esize;
-      const int owner = m.socket_of_local(m.leader_local_rank(j, l));
-      slot.windows.emplace_back(static_cast<std::size_t>(ppn) * pbytes, owner,
-                                m.with_data());
-      slot.windows.emplace_back(pbytes, owner, m.with_data());
-      slot.flags.emplace_back(r.engine());
-    }
-    slot.latches.emplace_back(r.engine(), ppn);
-    slot.initialized = true;
-  }
-  sim::Latch& gathered = slot.latches[0];
-
-  // Phase 1: everyone stripes its input into the leaders' windows. In-place
-  // input is in recv on EVERY rank (see prepare_acc), not just the root.
-  const ConstBytes input = a.inplace ? as_const(a.recv) : a.send;
-  for (int j = 0; j < l; ++j) {
-    const Part pj = partition(a.count, l, j);
-    const std::size_t pbytes = pj.count * esize;
-    co_await r.shm_put(slot.windows[2 * j],
-                       static_cast<std::size_t>(r.local_rank()) * pbytes,
-                       pbytes, sub(input, pj.offset * esize, pbytes));
-  }
-  co_await r.signal(gathered);
-
-  // Phases 2-3: leaders reduce locally, then a rooted inter-node reduce per
-  // leader group toward the root node's leader.
-  const int my_leader = m.leader_index_of_local(r.local_rank(), l);
-  std::vector<std::byte> part_store;
-  if (my_leader >= 0) {
-    const int j = my_leader;
-    const Part pj = partition(a.count, l, j);
-    const std::size_t pbytes = pj.count * esize;
-    ShmWindow& gather = slot.windows[2 * j];
-    co_await gathered.wait();
-    co_await r.compute(m.collection_cost(r.local_rank(), 0, ppn));
-    part_store = a.scratch(pbytes);
-    MutBytes part{part_store};
-    if (gather.has_data() && pbytes > 0) {
-      std::memcpy(part.data(), gather.data().data(), pbytes);
-      for (int i = 1; i < ppn; ++i) {
-        a.op.apply(a.dt, pj.count, part,
-                   gather.data().subspan(static_cast<std::size_t>(i) * pbytes,
-                                         pbytes));
-      }
-    }
-    co_await r.reduce_compute(static_cast<std::size_t>(ppn - 1) * pbytes);
-    if (h > 1) {
-      CollArgs ia = a;
-      ia.comm = &m.leader_comm(j, l);
-      ia.root = root_node;  // leader comms are ordered by node id
-      ia.count = pj.count;
-      ia.send = {};
-      ia.recv = part;
-      ia.inplace = true;
-      ia.tag_base = static_cast<int>((key & 0x3ff)) * 2048;
-      co_await reduce_binomial(std::move(ia));
-    }
-    if (r.node_id() == root_node) {
-      co_await r.shm_put(slot.windows[2 * j + 1], 0, pbytes, as_const(part));
-      co_await r.signal(slot.flags[j]);
-    }
-  }
-
-  // Phase 4: the root collects every partition from its node's windows.
-  if (am_root) {
-    for (int j = 0; j < l; ++j) {
-      const Part pj = partition(a.count, l, j);
-      const std::size_t pbytes = pj.count * esize;
-      co_await slot.flags[j].wait();
-      co_await r.shm_get(slot.windows[2 * j + 1], 0, pbytes,
-                         sub(a.recv, pj.offset * esize, pbytes));
-    }
-  }
-  r.node().release_slot(key, ppn);
+  require_world(a);
+  const int ppn = a.rank->machine().ppn();
+  if (ppn == 1) return reduce_binomial(std::move(a));
+  const int root_node = a.comm->world_rank(a.root) / ppn;
+  const std::size_t count = a.count;
+  return dpml_reduce(std::move(a), std::clamp(spec.leaders, 1, ppn), 1,
+                     spec.inter, root_node, 0, count);
 }
 
 // ---- Registry entries ----
@@ -372,13 +274,7 @@ const CollRegistration reg_reduce_dpml{{
     "dpml",
     CollKind::reduce,
     CollCaps{.uses_leaders = true, .world_only = true, .tunable = true},
-    [](CollArgs a, const CollSpec& s) {
-      DpmlParams p;
-      p.leaders = s.leaders;
-      p.pipeline_k = s.pipeline_k;
-      p.inter = s.inter;
-      return reduce_dpml(std::move(a), p);
-    },
+    reduce_dpml,
 }};
 const CollRegistration reg_reduce_auto{
     plain_desc("auto", CollKind::reduce, reduce)};

@@ -14,7 +14,7 @@
 #pragma once
 
 #include "coll/coll.hpp"
-#include "coll/dpml.hpp"
+#include "coll/registry.hpp"
 
 namespace dpml::coll {
 
@@ -27,6 +27,7 @@ sim::CoTask<void> reduce(CollArgs a);
 sim::CoTask<void> reduce_binomial(CollArgs a);
 sim::CoTask<void> reduce_rsa_gather(CollArgs a);
 sim::CoTask<void> reduce_single_leader(CollArgs a);
-sim::CoTask<void> reduce_dpml(CollArgs a, DpmlParams params);
+// Reads spec.leaders (clamped to ppn).
+sim::CoTask<void> reduce_dpml(CollArgs a, CollSpec spec);
 
 }  // namespace dpml::coll

@@ -1,52 +1,13 @@
 #include "coll/sharp_coll.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "coll/dpml.hpp"
+#include "coll/node.hpp"
 #include "coll/registry.hpp"
 #include "util/error.hpp"
 
 namespace dpml::coll {
-
-using simmpi::CollSlot;
-using simmpi::Machine;
-using simmpi::ShmWindow;
-
-namespace {
-
-int ceil_div(int a, int b) { return (a + b - 1) / b; }
-
-ConstBytes input_of(const CollArgs& a) {
-  return a.inplace ? as_const(a.recv) : a.send;
-}
-
-// World ranks of the node leaders (local rank 0 on every node).
-std::vector<int> node_leader_members(Machine& m) {
-  std::vector<int> members;
-  members.reserve(static_cast<std::size_t>(m.num_nodes()));
-  for (int n = 0; n < m.num_nodes(); ++n) members.push_back(n * m.ppn());
-  return members;
-}
-
-// World ranks of the socket leaders (first local rank of each populated
-// socket on every node).
-std::vector<int> socket_leader_members(Machine& m) {
-  const int per_socket = ceil_div(m.ppn(), m.config().node.sockets);
-  const int sockets_used = ceil_div(m.ppn(), per_socket);
-  std::vector<int> members;
-  members.reserve(static_cast<std::size_t>(m.num_nodes()) * sockets_used);
-  for (int n = 0; n < m.num_nodes(); ++n) {
-    for (int s = 0; s < sockets_used; ++s) {
-      members.push_back(n * m.ppn() + s * per_socket);
-    }
-  }
-  return members;
-}
-
-}  // namespace
 
 const char* sharp_design_name(SharpDesign d) {
   switch (d) {
@@ -59,130 +20,17 @@ const char* sharp_design_name(SharpDesign d) {
 sim::CoTask<void> allreduce_sharp(CollArgs a, sharp::SharpFabric& fabric,
                                   SharpDesign design) {
   a.check();
-  Rank& r = *a.rank;
-  Machine& m = r.machine();
-  DPML_CHECK_MSG(a.comm->context() == m.world().context(),
-                 "SHArP designs run on the world communicator");
-  const std::size_t nbytes = a.bytes();
-
+  require_world(a);
   // Payloads beyond the aggregation hardware's limit fall back to the
   // host-based path (the paper only uses SHArP for small messages). The
   // fabric also aggregates contributions in arrival order, which cannot
   // honour the ascending comm-rank fold non-commutative ops require.
-  if (!fabric.supports(nbytes) || !a.op.commutative()) {
-    co_await allreduce_single_leader(std::move(a), InterAlgo::automatic);
-    co_return;
+  if (!fabric.supports(a.bytes()) || !a.op.commutative()) {
+    return leader_allreduce(std::move(a), InterAlgo::automatic, nullptr,
+                            false);
   }
-
-  const int ppn = m.ppn();
-  if (ppn == 1) {
-    // Designs coincide: every rank is a fabric port.
-    const sharp::Group& g =
-        fabric.named_group("all_ranks", m.world().ranks());
-    co_await copy_in(a);
-    co_await fabric.allreduce(r, g, a.count, a.dt, a.op, as_const(a.recv),
-                              a.recv);
-    co_return;
-  }
-
-  if (design == SharpDesign::node_leader) {
-    const std::int64_t key = r.next_coll_key(a.comm->context());
-    CollSlot& slot = r.node().slot(key);
-    if (!slot.initialized) {
-      slot.windows.emplace_back(static_cast<std::size_t>(ppn - 1) * nbytes,
-                                m.socket_of_local(0), m.with_data());
-      slot.windows.emplace_back(nbytes, m.socket_of_local(0), m.with_data());
-      slot.latches.emplace_back(r.engine(), ppn - 1);
-      slot.flags.emplace_back(r.engine());
-      slot.initialized = true;
-    }
-    if (r.local_rank() == 0) {
-      const sharp::Group& g =
-          fabric.named_group("node_leaders", node_leader_members(m));
-      co_await copy_in(a);
-      co_await slot.latches[0].wait();
-      // Node leader collects from both sockets: half the contributors pay
-      // the cross-socket penalty (the paper's §4.3 bottleneck).
-      co_await r.compute(m.collection_cost(0, 0, ppn));
-      co_await r.reduce_compute(static_cast<std::size_t>(ppn - 1) * nbytes);
-      if (slot.windows[0].has_data() && !a.recv.empty()) {
-        for (int i = 0; i < ppn - 1; ++i) {
-          a.op.apply(a.dt, a.count, a.recv,
-                     slot.windows[0].data().subspan(
-                         static_cast<std::size_t>(i) * nbytes, nbytes));
-        }
-      }
-      co_await fabric.allreduce(r, g, a.count, a.dt, a.op, as_const(a.recv),
-                                a.recv);
-      co_await r.shm_put(slot.windows[1], 0, nbytes, as_const(a.recv));
-      co_await r.signal(slot.flags[0]);
-    } else {
-      co_await r.shm_put(slot.windows[0],
-                         static_cast<std::size_t>(r.local_rank() - 1) * nbytes,
-                         nbytes, input_of(a));
-      co_await r.signal(slot.latches[0]);
-      co_await slot.flags[0].wait();
-      co_await r.shm_get(slot.windows[1], 0, nbytes, a.recv);
-    }
-    r.node().release_slot(key, ppn);
-    co_return;
-  }
-
-  // Socket-leader design.
-  const int per_socket = ceil_div(ppn, m.config().node.sockets);
-  const int sockets_used = ceil_div(ppn, per_socket);
-  const int s = r.socket();
-  const int leader_local = s * per_socket;
-  const int socket_count = std::min(per_socket, ppn - leader_local);
-  const bool is_leader = r.local_rank() == leader_local;
-
-  const std::int64_t key = r.next_coll_key(a.comm->context());
-  CollSlot& slot = r.node().slot(key);
-  if (!slot.initialized) {
-    for (int ss = 0; ss < sockets_used; ++ss) {
-      const int cnt = std::min(per_socket, ppn - ss * per_socket);
-      slot.windows.emplace_back(static_cast<std::size_t>(cnt - 1) * nbytes, ss,
-                                m.with_data());
-      slot.windows.emplace_back(nbytes, ss, m.with_data());
-      slot.latches.emplace_back(r.engine(), cnt - 1);
-      slot.flags.emplace_back(r.engine());
-    }
-    slot.initialized = true;
-  }
-  ShmWindow& gather = slot.windows[static_cast<std::size_t>(2 * s)];
-  ShmWindow& result = slot.windows[static_cast<std::size_t>(2 * s + 1)];
-
-  if (is_leader) {
-    const sharp::Group& g =
-        fabric.named_group("socket_leaders", socket_leader_members(m));
-    co_await copy_in(a);
-    co_await slot.latches[static_cast<std::size_t>(s)].wait();
-    // Socket leader only collects within its own socket: no cross-socket
-    // polling — the design's point.
-    co_await r.compute(
-        m.collection_cost(leader_local, leader_local, leader_local + socket_count));
-    co_await r.reduce_compute(static_cast<std::size_t>(socket_count - 1) *
-                              nbytes);
-    if (gather.has_data() && !a.recv.empty()) {
-      for (int i = 0; i < socket_count - 1; ++i) {
-        a.op.apply(a.dt, a.count, a.recv,
-                   gather.data().subspan(static_cast<std::size_t>(i) * nbytes,
-                                         nbytes));
-      }
-    }
-    co_await fabric.allreduce(r, g, a.count, a.dt, a.op, as_const(a.recv),
-                              a.recv);
-    co_await r.shm_put(result, 0, nbytes, as_const(a.recv));
-    co_await r.signal(slot.flags[static_cast<std::size_t>(s)]);
-  } else {
-    const int idx = r.local_rank() - leader_local - 1;
-    co_await r.shm_put(gather, static_cast<std::size_t>(idx) * nbytes, nbytes,
-                       input_of(a));
-    co_await r.signal(slot.latches[static_cast<std::size_t>(s)]);
-    co_await slot.flags[static_cast<std::size_t>(s)].wait();
-    co_await r.shm_get(result, 0, nbytes, a.recv);
-  }
-  r.node().release_slot(key, ppn);
+  return leader_allreduce(std::move(a), InterAlgo::automatic, &fabric,
+                          design == SharpDesign::socket_leader);
 }
 
 // ---- Registry entries ----

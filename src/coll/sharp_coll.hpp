@@ -13,6 +13,7 @@
 //
 // If the payload exceeds the fabric's aggregation limit the designs fall
 // back to the host-based single-leader algorithm (as the runtime would).
+// Both are coll/node's leader_allreduce with in-network leaders.
 #pragma once
 
 #include "coll/coll.hpp"

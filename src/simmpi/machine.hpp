@@ -103,12 +103,14 @@ class ShmWindow {
 
 // Per-node, per-collective-invocation shared state: windows, latches, flags.
 // The first rank of the node to reach the collective initializes the slot
-// (pure data setup, no simulated time); the last to release it frees it.
+// (pure data setup, no simulated time), reserving each vector once: waiters
+// hold references into them, so they never grow after set-up. The last rank
+// to release the slot frees it.
 struct CollSlot {
   bool initialized = false;
-  std::deque<ShmWindow> windows;
-  std::deque<sim::Latch> latches;
-  std::deque<sim::Flag> flags;
+  std::vector<ShmWindow> windows;
+  std::vector<sim::Latch> latches;
+  std::vector<sim::Flag> flags;
   int released = 0;
 };
 

@@ -7,9 +7,11 @@
 
 #include "apps/stencil.hpp"
 #include "coll/alltoall.hpp"
+#include "coll/bcast.hpp"
+#include "coll/group_coll.hpp"
 #include "coll/registry.hpp"
-#include "coll/sharp_extra.hpp"
 #include "net/cluster.hpp"
+#include "sharp/sharp.hpp"
 
 namespace dpml::coll {
 namespace {
@@ -216,7 +218,7 @@ TEST(SharpExtra, BarrierReleasesAfterLastArrival) {
     CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
-    co_await barrier_sharp(a, f);
+    co_await barrier_single_leader(a, &f);
     exits[static_cast<std::size_t>(r.world_rank())] = r.engine().now();
   });
   const sim::Time last = skew * (m.world_size() - 1);
@@ -233,7 +235,7 @@ TEST(SharpExtra, BarrierFasterThanDisseminationAtScale) {
       a.rank = &r;
       a.comm = &m.world();
       if (use_sharp) {
-        co_await barrier_sharp(a, f);
+        co_await barrier_single_leader(a, &f);
       } else {
         co_await barrier_single_leader(a);
       }
@@ -263,7 +265,7 @@ TEST(SharpExtra, BcastDeliversPayload) {
       a.count = bytes;
       a.dt = simmpi::Dtype::u8;
       a.recv = simmpi::MutBytes{bufs[static_cast<std::size_t>(r.world_rank())]};
-      co_await bcast_sharp(a, f);
+      co_await bcast_single_leader(a, &f);
     });
     for (int w = 0; w < m.world_size(); ++w) {
       EXPECT_EQ(bufs[w], payload) << "root " << root << " rank " << w;
@@ -291,7 +293,7 @@ TEST(SharpExtra, BcastOversizeFallsBackToHost) {
     a.count = bytes;
     a.dt = simmpi::Dtype::u8;
     a.recv = simmpi::MutBytes{bufs[static_cast<std::size_t>(r.world_rank())]};
-    co_await bcast_sharp(a, f);
+    co_await bcast_single_leader(a, &f);
   });
   for (int w = 0; w < m.world_size(); ++w) EXPECT_EQ(bufs[w], payload);
 }

@@ -70,7 +70,8 @@ TEST(Dpml, RejectsNonWorldComm) {
         a.comm = &sub;
         a.count = 4;
         a.inplace = true;
-        co_await coll::allreduce_dpml(a, coll::DpmlParams{});
+        const coll::CollSpec spec;
+        co_await coll::allreduce_dpml(a, spec);
       }),
       util::InvariantError);
 }
@@ -84,9 +85,9 @@ TEST(Dpml, RejectsBadPipelineDepth) {
         a.comm = &m.world();
         a.count = 4;
         a.inplace = true;
-        coll::DpmlParams p;
-        p.pipeline_k = 0;
-        co_await coll::allreduce_dpml(a, p);
+        coll::CollSpec spec;
+        spec.pipeline_k = 0;
+        co_await coll::allreduce_dpml(a, spec);
       }),
       util::InvariantError);
 }
@@ -101,9 +102,10 @@ TEST(Dpml, NoLeakedCollectiveSlots) {
     a.comm = &m.world();
     a.count = 64;
     a.inplace = true;
+    coll::CollSpec spec;
+    spec.leaders = 2;
     for (int i = 0; i < 3; ++i) {
-      co_await coll::allreduce_dpml(a, coll::DpmlParams{2, 1,
-                                    coll::InterAlgo::automatic});
+      co_await coll::allreduce_dpml(a, spec);
     }
   });
   EXPECT_EQ(m.node(0).live_slots(), 0u);

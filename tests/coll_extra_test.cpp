@@ -196,9 +196,9 @@ TEST(Reduce, DpmlManyLeaders) {
     a.op = ReduceOp::max;
     a.send = simmpi::ConstBytes{in[static_cast<std::size_t>(r.world_rank())]};
     if (r.world_rank() == 9) a.recv = simmpi::MutBytes{out};
-    coll::DpmlParams dp;
-    dp.leaders = 4;
-    co_await reduce_dpml(a, dp);
+    coll::CollSpec spec;
+    spec.leaders = 4;
+    co_await reduce_dpml(a, spec);
   });
   EXPECT_EQ(out, simmpi::reference_allreduce(Dtype::f32, count, p,
                                              ReduceOp::max));

@@ -148,6 +148,26 @@ TEST(LintAwaitTemp, EmptyBracesAndNamedLocalsAreFine) {
   EXPECT_TRUE(lint("co_await with([&]() -> T { return g(); });\n").empty());
 }
 
+TEST(LintAwaitTemp, TypeNamedTemporaryFires) {
+  // A type name before the braces makes a temporary, even of empty braces.
+  EXPECT_EQ(count_rule(lint("co_await f(a, T{x, y});\n"), "await-temporary"),
+            1);
+  EXPECT_EQ(count_rule(lint("co_await f(a, coll::CollSpec{});\n"),
+                       "await-temporary"),
+            1);
+  EXPECT_EQ(count_rule(lint("co_await f(std::vector<int>{1}, b);\n"),
+                       "await-temporary"),
+            1);
+  // Lambda bodies stay exempt, after a trailing return type too.
+  EXPECT_EQ(count_rule(lint("co_await with([x]() -> sim::CoTask<void> {\n"
+                            "  co_return;\n});\n"),
+                       "await-temporary"),
+            0);
+  EXPECT_EQ(count_rule(lint("co_await with([x]() mutable { return g(); });\n"),
+                       "await-temporary"),
+            0);
+}
+
 // ---------------------------------------------------------------------------
 // schedule-fn
 
@@ -321,7 +341,7 @@ TEST(LintFixtures, UnorderedIterationCaught) {
 TEST(LintFixtures, AwaitTemporaryCaught) {
   const auto fs =
       dpml::lint::lint_file(kRoot + "/tests/lint_fixtures/await_temp.cc");
-  EXPECT_EQ(count_rule(fs, "await-temporary"), 2);
+  EXPECT_EQ(count_rule(fs, "await-temporary"), 4);  // 2 bare + 2 typed
   for (const Finding& f : fs) EXPECT_EQ(f.rule, "await-temporary");
 }
 

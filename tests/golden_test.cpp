@@ -9,8 +9,14 @@
 // the table and update EXPERIMENTS.md in the same commit.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "coll/bcast.hpp"
+#include "coll/group_coll.hpp"
 #include "core/measure.hpp"
 #include "net/cluster.hpp"
+#include "sharp/sharp.hpp"
 
 namespace dpml::core {
 namespace {
@@ -63,6 +69,135 @@ TEST(Golden, SimulatedLatenciesAreLockedIn) {
     EXPECT_NEAR(r.avg_us, g.expect_us, 1e-4)
         << g.cluster << " " << g.nodes << "x" << g.ppn << " "
         << g.algo << " l=" << g.leaders << " " << g.bytes << "B";
+  }
+}
+
+// A value as the tables below record it: enough digits to round-trip.
+std::string g17(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+// The hierarchical designs of every kind, on shapes where the node phase is
+// irregular: ppn 7 on dual-socket A against 4 leaders (ragged leader
+// spacing and partitions, a short second socket), a root that leads no
+// group (world rank 11 is local rank 4 of node 1), pipelined rows and ppn 1.
+struct KindGolden {
+  const char* cluster;
+  int nodes;
+  int ppn;
+  CollKind kind;
+  const char* algo;
+  int leaders;
+  int pipeline_k;
+  std::size_t bytes;
+  int root;
+  double expect_us;
+};
+
+TEST(GoldenKinds, HierarchicalDesignLatenciesAreLockedIn) {
+  const KindGolden table[] = {
+      {"A", 4, 7, CollKind::reduce, "dpml", 4, 1, 4100ul, 11, 10.637862},
+      {"A", 4, 7, CollKind::reduce, "dpml", 4, 1, 262148ul, 11,
+       311.14826099999999},
+      {"A", 4, 7, CollKind::reduce_scatter, "dpml", 4, 1, 1028ul, 0,
+       29.43101866666667},
+      {"A", 4, 7, CollKind::reduce_scatter, "dpml", 4, 4, 1028ul, 0,
+       28.128792000000001},
+      {"A", 4, 7, CollKind::allgather, "dpml", 4, 1, 1028ul, 0,
+       22.273199000000002},
+      {"A", 4, 7, CollKind::reduce, "single-leader", 1, 1, 4100ul, 11,
+       13.816664000000001},
+      {"A", 4, 7, CollKind::bcast, "single-leader", 1, 1, 4100ul, 11,
+       8.7833319999999997},
+      {"A", 4, 7, CollKind::barrier, "single-leader", 1, 1, 0ul, 0,
+       2.3599999999999999},
+      {"A", 4, 7, CollKind::allreduce, "dpml", 4, 4, 262148ul, 0,
+       286.77809999999999},
+      {"B", 4, 28, CollKind::allreduce, "dpml", 16, 4, 1048576ul, 0,
+       1544.3512680000001},
+      {"A", 4, 7, CollKind::allreduce, "single-leader", 1, 1, 4100ul, 0,
+       15.532663999999999},
+      {"A", 4, 7, CollKind::allreduce, "sharp-node-leader", 1, 1, 64ul, 0,
+       3.6658659999999998},
+      {"A", 4, 7, CollKind::allreduce, "sharp-socket-leader", 1, 1, 64ul, 0,
+       2.5703999999999998},
+      {"A", 4, 7, CollKind::allreduce, "sharp-socket-leader", 1, 1,
+       2097152ul, 0, 5915.8281319999996},
+      {"A", 4, 1, CollKind::reduce, "dpml", 4, 1, 4100ul, 3,
+       5.3333319999999995},
+      {"A", 4, 1, CollKind::allreduce, "sharp-socket-leader", 1, 1, 64ul, 0,
+       1.8464},
+  };
+  for (const KindGolden& g : table) {
+    CollSpec spec;
+    spec.algo = g.algo;
+    spec.leaders = g.leaders;
+    spec.pipeline_k = g.pipeline_k;
+    MeasureOptions opt;
+    opt.iterations = 3;
+    opt.warmup = 1;
+    opt.root = g.root;
+    const auto r = measure_collective(g.kind, net::cluster_by_name(g.cluster),
+                                      g.nodes, g.ppn, g.bytes, spec, opt);
+    EXPECT_EQ(r.avg_us, g.expect_us)
+        << g.cluster << " " << g.nodes << "x" << g.ppn << " "
+        << coll_kind_name(g.kind) << "/" << g.algo << " l=" << g.leaders
+        << " k=" << g.pipeline_k << " " << g.bytes << "B root " << g.root
+        << ": measured " << g17(r.avg_us);
+  }
+}
+
+// The SHArP barrier and bcast are not registered: three back-to-back calls
+// on a metadata-only A machine, the total simulated time.
+double sharp_node_phase_us(CollKind kind, int nodes, int ppn,
+                           std::size_t bytes, int root) {
+  simmpi::Machine m(net::cluster_a(), nodes, ppn,
+                    simmpi::RunOptions{.with_data = false, .seed = 1});
+  sharp::SharpFabric f(m);
+  m.run([&](simmpi::Rank& r) -> sim::CoTask<void> {
+    coll::CollArgs a;
+    a.rank = &r;
+    a.comm = &m.world();
+    a.count = bytes;
+    a.dt = simmpi::Dtype::u8;
+    a.root = root;
+    for (int i = 0; i < 3; ++i) {
+      if (kind == CollKind::barrier) {
+        co_await coll::barrier_single_leader(a, &f);
+      } else {
+        co_await coll::bcast_single_leader(a, &f);
+      }
+    }
+  });
+  return sim::to_us(m.now());
+}
+
+TEST(GoldenKinds, SharpBarrierAndBcastAreLockedIn) {
+  struct Row {
+    CollKind kind;
+    int nodes;
+    int ppn;
+    std::size_t bytes;
+    int root;
+    double expect_us;
+  };
+  const Row table[] = {
+      {CollKind::barrier, 4, 7, 0ul, 0, 5.5199999999999996},
+      {CollKind::barrier, 4, 1, 0ul, 0, 4.6200000000000001},
+      {CollKind::bcast, 4, 7, 256ul, 12, 7.0761310000000002},
+      {CollKind::bcast, 4, 7, 256ul, 0, 4.8701319999999999},
+      {CollKind::bcast, 4, 7, 65536ul, 12, 227.94013100000001},
+      {CollKind::bcast, 4, 7, 2097152ul, 12, 9101.3086640000001},
+      {CollKind::bcast, 4, 1, 256ul, 2, 3.4311989999999999},
+  };
+  for (const Row& g : table) {
+    const double us =
+        sharp_node_phase_us(g.kind, g.nodes, g.ppn, g.bytes, g.root);
+    EXPECT_EQ(us, g.expect_us)
+        << coll_kind_name(g.kind) << " A " << g.nodes << "x" << g.ppn << " "
+        << g.bytes << "B root " << g.root << ": measured " << g17(us);
   }
 }
 

@@ -17,6 +17,10 @@ Task caller(int kind, int a) {
   const Spec s{"rd"};
   co_await run_collective(kind, a, s);
 
+  // A type name before the braces makes a temporary, empty or not.
+  co_await run_collective(kind, a, Spec{"rd"});  // await-temporary
+  co_await run_collective(kind, a, Spec{});  // await-temporary
+
   // Empty braces pass a default span and carry no destructor: fine.
   co_await send(1, 7, 64);
 }

@@ -161,10 +161,10 @@ sim::Time direct_allreduce_time(const std::string& name, int leaders, int k) {
     } else if (name == "single-leader") {
       co_await coll::allreduce_single_leader(a, coll::InterAlgo::automatic);
     } else if (name == "dpml") {
-      coll::DpmlParams p;
-      p.leaders = leaders;
-      p.pipeline_k = k;
-      co_await coll::allreduce_dpml(a, p);
+      coll::CollSpec spec;
+      spec.leaders = leaders;
+      spec.pipeline_k = k;
+      co_await coll::allreduce_dpml(a, spec);
     } else if (name == "mvapich2") {
       co_await coll::allreduce_mvapich2(a);
     } else if (name == "intelmpi") {
@@ -278,9 +278,9 @@ TEST(Equivalence, ReduceBcastAlltoallMatchDirectInvocation) {
       a.comm = &m.world();
       a.count = 2048;
       a.inplace = true;
-      coll::DpmlParams p;
-      p.leaders = 2;
-      co_await coll::reduce_dpml(a, p);
+      coll::CollSpec spec;
+      spec.leaders = 2;
+      co_await coll::reduce_dpml(a, spec);
     });
     EXPECT_EQ(m.now(), generic_time(CollKind::reduce, "dpml"));
   }

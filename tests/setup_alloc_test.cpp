@@ -1,6 +1,7 @@
 // Heap allocations made while building a Machine: per-rank state (each
 // rank's Matcher, its collective counters, the world communicator's index)
-// must not allocate per rank. A binary of its own, because it replaces the
+// must not allocate per rank; and a collective's per-node slot allocates
+// only what its design uses. A binary of its own, because it replaces the
 // global operator new to count calls.
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <memory>
 #include <new>
 
+#include "coll/registry.hpp"
 #include "net/cluster.hpp"
 #include "simmpi/machine.hpp"
 
@@ -72,6 +74,39 @@ TEST(SetupAllocations, PerRankStateDoesNotAllocate) {
   // block); a per-rank queue, hash node or table would add one or more.
   EXPECT_LT(per_rank, 0.5) << one << " allocations at 64x1, " << full
                            << " at 64x28";
+}
+
+// Allocations per node and invocation of a metadata-only allreduce on B
+// 4x28: the difference between runs of 6 and 2 back-to-back invocations,
+// so the Machine's set-up and the pools' first carving cancel out.
+double allocations_per_invocation(const coll::CollSpec& spec) {
+  const coll::CollDescriptor& d =
+      coll::CollRegistry::instance().at(coll::CollKind::allreduce, spec.algo);
+  const auto run = [&](int invocations) {
+    RunOptions opt;
+    opt.with_data = false;
+    Machine m(net::cluster_b(), 4, 28, opt);
+    const std::uint64_t before = g_allocations;
+    m.run([&](Rank& r) -> sim::CoTask<void> {
+      coll::CollArgs a;
+      a.rank = &r;
+      a.comm = &m.world();
+      a.count = 1024;
+      a.inplace = true;
+      for (int i = 0; i < invocations; ++i) co_await d.make(a, spec);
+    });
+    return g_allocations - before;
+  };
+  return static_cast<double>(run(6) - run(2)) / (4.0 * 4.0);
+}
+
+TEST(SetupAllocations, CollectiveSlotAllocatesOnlyWhatItsDesignUses) {
+  coll::CollSpec spec;
+  spec.algo = "dpml";
+  spec.leaders = 16;
+  // One hash node and one vector each of windows, latches and flags,
+  // however many leaders share the slot.
+  EXPECT_LE(allocations_per_invocation(spec), 4.0);
 }
 
 TEST(SetupAllocations, CountsThisBinarysAllocations) {

@@ -460,8 +460,33 @@ void scan_coro_ref_capture(const std::string& file, const std::string& masked,
 // destructible temporaries: the frame slot is torn down early, reused for
 // other locals, and torn down again when the full expression ends — observed
 // as munmap_chunk()/bad-free at the end of the awaiting statement. Bind the
-// value to a named local before the co_await instead. Empty `{}` braces are
-// tolerated: they conventionally denote default spans and carry no state.
+// value to a named local before the co_await instead. A bare empty `{}` is
+// tolerated: it conventionally denotes a default span and carries no state.
+// A type name before the braces (T{...}, ns::T<U>{}) makes a temporary even
+// when they are empty, so that form is flagged either way.
+
+// The start of the (qualified, possibly templated) name that ends right
+// before `end`, or npos when no name ends there.
+std::size_t type_name_start(const std::string& s, std::size_t end) {
+  std::size_t p = end;
+  while (true) {
+    if (p > 0 && s[p - 1] == '>') {  // template arguments: back to '<'
+      int depth = 0;
+      while (p > 0) {
+        --p;
+        if (s[p] == '>') ++depth;
+        if (s[p] == '<' && --depth == 0) break;
+      }
+      if (depth != 0) return std::string::npos;
+    }
+    const std::size_t name_end = p;
+    while (p > 0 && ident_char(s[p - 1])) --p;
+    if (p == name_end) return std::string::npos;
+    if (p < 2 || s[p - 1] != ':' || s[p - 2] != ':') return p;
+    p -= 2;
+  }
+}
+
 void scan_await_temporary(const std::string& file, const std::string& masked,
                           const std::vector<std::size_t>& starts,
                           std::vector<Finding>& out) {
@@ -486,23 +511,32 @@ void scan_await_temporary(const std::string& file, const std::string& masked,
       if (c == ';' && depth == 0) break;
       if (c != '{') continue;
       if (depth == 0) break;  // a block, not an argument: statement over
-      // An argument-position brace follows '(' or ','; anything else is a
-      // lambda body or similar — skip over it wholesale (nested co_awaits
-      // are found by their own keyword).
-      std::size_t p = i;
-      while (p > kw &&
-             std::isspace(static_cast<unsigned char>(masked[p - 1])) != 0) {
-        --p;
+      // An argument-position brace follows '(' or ',', directly or after a
+      // type name; anything else (a lambda body, also after a trailing
+      // return type) is skipped wholesale (nested co_awaits are found by
+      // their own keyword).
+      const auto prev_code = [&masked, kw](std::size_t p) {
+        while (p > kw &&
+               std::isspace(static_cast<unsigned char>(masked[p - 1])) != 0) {
+          --p;
+        }
+        return p;
+      };
+      std::size_t p = prev_code(i);
+      bool typed = false;
+      if (ident_char(masked[p - 1]) || masked[p - 1] == '>') {
+        const std::size_t name = type_name_start(masked, p);
+        typed = name != std::string::npos && name > kw;
+        if (typed) p = prev_code(name);
       }
       const char prev = masked[p - 1];
       const std::size_t close = match_close(masked, i);
       if (close == std::string::npos) break;
       if (prev == '(' || prev == ',') {
-        bool nonempty = false;
-        for (std::size_t q = i + 1; q + 1 < close; ++q) {
+        bool nonempty = typed;
+        for (std::size_t q = i + 1; q + 1 < close && !nonempty; ++q) {
           if (std::isspace(static_cast<unsigned char>(masked[q])) == 0) {
             nonempty = true;
-            break;
           }
         }
         if (nonempty) {

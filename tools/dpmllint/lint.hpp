@@ -33,9 +33,10 @@
 //                       order is implementation-defined; use std::map or an
 //                       explicitly sorted view when order can reach
 //                       simulated time)
-//   await-temporary     non-empty braced-init-list argument inside a
-//                       co_await expression; the temporary must live across
-//                       the suspension and gcc 12 double-destroys it (frame
+//   await-temporary     braced-init-list argument inside a co_await
+//                       expression, non-empty or after a type name (T{},
+//                       ns::T{...}); the temporary must live across the
+//                       suspension and gcc 12 double-destroys it (frame
 //                       slot reuse → bad free) — bind it to a named local
 //                       before the co_await
 //
