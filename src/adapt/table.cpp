@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/api.hpp"
+#include "util/args.hpp"
 #include "util/error.hpp"
 
 namespace dpml::adapt {
@@ -117,12 +118,16 @@ AdaptiveTable AdaptiveTable::parse(const std::string& text) {
   std::vector<Entry> entries;
   std::istringstream is(text);
   std::string line;
+  int lineno = 0;
   while (std::getline(is, line)) {
+    ++lineno;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
     std::istringstream ls(line);
     std::string tok;
     if (!(ls >> tok)) continue;  // blank line
+    // Numbers follow the util::Args rule; errors name the line and field.
+    const std::string where = "adaptive table line " + std::to_string(lineno);
     Entry e;
     // Optional leading collective kind (bare lines are allreduce, the
     // legacy convention).
@@ -134,12 +139,8 @@ AdaptiveTable AdaptiveTable::parse(const std::string& text) {
     // Optional contention-level qualifier; plain lines are level 0, so
     // legacy selection tables parse unchanged.
     if (tok.rfind("@c", 0) == 0) {
-      const std::string digits = tok.substr(2);
-      DPML_CHECK_MSG(!digits.empty() &&
-                         digits.find_first_not_of("0123456789") ==
-                             std::string::npos,
-                     "bad contention qualifier (want @c<level>): " + tok);
-      e.level = std::stoi(digits);
+      e.level = util::Args::parse_int(where + " contention level",
+                                      tok.substr(2));
       DPML_CHECK_MSG(static_cast<bool>(ls >> tok),
                      "adaptive entry missing size bound: " + line);
     }
@@ -149,17 +150,22 @@ AdaptiveTable AdaptiveTable::parse(const std::string& text) {
       DPML_CHECK_MSG(tok.rfind("<=", 0) == 0,
                      "adaptive entry must bound size with '<=' or '*': " +
                          tok);
-      e.max_bytes = std::stoull(tok.substr(2));
+      e.max_bytes = util::Args::parse_u64(where + " size bound", tok.substr(2));
     }
     std::string algo;
     DPML_CHECK_MSG(static_cast<bool>(ls >> algo),
                    "adaptive entry missing algorithm: " + line);
     e.spec.algo = coll::CollRegistry::instance().at(e.kind, algo).name;
-    int leaders = 0;
-    if (ls >> leaders) {
-      e.spec.leaders = leaders;
-      int k = 0;
-      if (ls >> k) e.spec.pipeline_k = k;
+    if (ls >> tok) {
+      e.spec.leaders = util::Args::parse_int(where + " leaders", tok);
+      if (ls >> tok) {
+        e.spec.pipeline_k = util::Args::parse_int(where + " pipeline depth",
+                                                  tok);
+      }
+    }
+    if (ls >> tok) {
+      throw util::InvariantError(where + ": unexpected '" + tok +
+                                 "' after the pipeline depth");
     }
     entries.push_back(e);
   }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "coll/registry.hpp"
+#include "coll/ring.hpp"
 #include "util/error.hpp"
 
 namespace dpml::coll {
@@ -41,15 +42,8 @@ sim::CoTask<void> alltoall_pairwise(CollArgs a) {
   const std::size_t bb = a.bytes();
 
   // Own block: local copy.
-  {
-    const auto& host = r.machine().config().host;
-    co_await r.engine().delay(host.copy_startup +
-                              sim::transfer_time(bb, host.copy_bw));
-    if (!a.send.empty() && !a.recv.empty()) {
-      std::memcpy(a.recv.data() + static_cast<std::size_t>(me) * bb,
-                  a.send.data() + static_cast<std::size_t>(me) * bb, bb);
-    }
-  }
+  const std::size_t mine = static_cast<std::size_t>(me) * bb;
+  co_await local_copy(r, bb, sub(a.recv, mine, bb), sub(a.send, mine, bb));
   // p-1 shifted exchanges.
   for (int s = 1; s < p; ++s) {
     const int dst = (me + s) % p;
@@ -74,20 +68,19 @@ sim::CoTask<void> alltoall_bruck(CollArgs a) {
   const std::size_t bb = a.bytes();
   const bool with_data = r.machine().with_data();
   const auto& host = r.machine().config().host;
+  const std::size_t total = static_cast<std::size_t>(p) * bb;
 
   // Phase 1: upward rotation — tmp[i] = send block for rank (me + i) % p.
   std::vector<std::byte> tmp;
   if (with_data && !a.send.empty()) {
-    tmp.resize(static_cast<std::size_t>(p) * bb);
+    tmp.resize(total);
     for (int i = 0; i < p; ++i) {
       const int blk = (me + i) % p;
       std::memcpy(tmp.data() + static_cast<std::size_t>(i) * bb,
                   a.send.data() + static_cast<std::size_t>(blk) * bb, bb);
     }
   }
-  co_await r.engine().delay(
-      host.copy_startup +
-      sim::transfer_time(static_cast<std::size_t>(p) * bb, host.copy_bw));
+  co_await local_copy(r, total);
 
   // Phase 2: lg(p) rounds; round k moves every block whose index has bit k.
   std::vector<std::byte> sbuf;
@@ -136,9 +129,7 @@ sim::CoTask<void> alltoall_bruck(CollArgs a) {
                   tmp.data() + static_cast<std::size_t>(i) * bb, bb);
     }
   }
-  co_await r.engine().delay(
-      host.copy_startup +
-      sim::transfer_time(static_cast<std::size_t>(p) * bb, host.copy_bw));
+  co_await local_copy(r, total);
 }
 
 // ---------------------------------------------------------------------------
@@ -184,13 +175,7 @@ sim::CoTask<void> gatherv(GathervArgs a) {
   const std::size_t mine = a.block_bytes[static_cast<std::size_t>(me)];
 
   if (me == a.root) {
-    // Own block.
-    const auto& host = r.machine().config().host;
-    co_await r.engine().delay(host.copy_startup +
-                              sim::transfer_time(mine, host.copy_bw));
-    if (!a.send.empty() && !a.recv.empty()) {
-      std::memcpy(a.recv.data() + a.offset_of(me), a.send.data(), mine);
-    }
+    co_await local_copy(r, mine, sub(a.recv, a.offset_of(me), mine), a.send);
     std::vector<std::shared_ptr<sim::Flag>> pending;
     for (int src = 0; src < p; ++src) {
       if (src == me) continue;
@@ -231,30 +216,14 @@ sim::CoTask<void> allgatherv_ring(AllgathervArgs a) {
   if (me < 0) co_return;
   const int p = c.size();
   // Own block into place.
-  {
-    const std::size_t mine = a.block_bytes[static_cast<std::size_t>(me)];
-    const auto& host = r.machine().config().host;
-    co_await r.engine().delay(host.copy_startup +
-                              sim::transfer_time(mine, host.copy_bw));
-    if (!a.send.empty() && !a.recv.empty()) {
-      std::memcpy(a.recv.data() + a.offset_of(me), a.send.data(), mine);
-    }
-  }
-  if (p == 1) co_return;
-  const int right = (me + 1) % p;
-  const int left = (me + p - 1) % p;
-  for (int s = 0; s < p - 1; ++s) {
-    const int give = (me - s + p) % p;
-    const int take = (me - s - 1 + 2 * p) % p;
-    const std::size_t gb = a.block_bytes[static_cast<std::size_t>(give)];
-    const std::size_t tb = a.block_bytes[static_cast<std::size_t>(take)];
-    auto sf = r.isend(c, right, a.tag_base, gb,
-                      sub(as_const(a.recv), a.offset_of(give),
-                          a.recv.empty() ? 0 : gb));
-    co_await r.recv(c, left, a.tag_base, tb,
-                    sub(a.recv, a.offset_of(take), a.recv.empty() ? 0 : tb));
-    co_await sf->wait();
-  }
+  const std::size_t mine = a.block_bytes[static_cast<std::size_t>(me)];
+  co_await local_copy(r, mine, sub(a.recv, a.offset_of(me), mine), a.send);
+  // Block i is rank i's, at its offset.
+  const auto blocks = [&a](int i) {
+    return Block{a.offset_of(i), a.block_bytes[static_cast<std::size_t>(i)]};
+  };
+  co_await ring_allgather(r, c, ring_pos(p, me, me), a.tag_base, a.recv,
+                          blocks);
 }
 
 std::size_t ScattervArgs::total_bytes() const { return sum_of(block_bytes); }
@@ -294,12 +263,7 @@ sim::CoTask<void> scatterv(ScattervArgs a) {
           c, dst, a.tag_base, bytes,
           sub(a.send, a.offset_of(dst), a.send.empty() ? 0 : bytes)));
     }
-    const auto& host = r.machine().config().host;
-    co_await r.engine().delay(host.copy_startup +
-                              sim::transfer_time(mine, host.copy_bw));
-    if (!a.send.empty() && !a.recv.empty()) {
-      std::memcpy(a.recv.data(), a.send.data() + a.offset_of(me), mine);
-    }
+    co_await local_copy(r, mine, a.recv, sub(a.send, a.offset_of(me), mine));
     co_await sim::wait_all(std::move(pending));
   } else {
     co_await r.recv(c, a.root, a.tag_base, mine, a.recv);

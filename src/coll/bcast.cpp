@@ -1,9 +1,11 @@
 #include "coll/bcast.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "coll/node.hpp"
 #include "coll/registry.hpp"
+#include "coll/ring.hpp"
 #include "sharp/sharp.hpp"
 #include "util/error.hpp"
 
@@ -70,62 +72,39 @@ sim::CoTask<void> bcast_scatter_allgather(CollArgs a) {
   if (me < 0) co_return;
   const int p = c.size();
   if (p == 1) co_return;
-  const std::size_t nbytes = a.bytes();
   const int vrank = (me - a.root + p) % p;
   auto actual = [&](int v) { return (v + a.root) % p; };
-  // Byte range of blocks [first, last).
-  auto range_begin = [&](int block) {
-    return partition(nbytes, p, block).offset;
-  };
-  auto range_end = [&](int block) {
-    const Part pb = partition(nbytes, p, block);
-    return pb.offset + pb.count;
+  const PartBlocks blocks{a.bytes(), p, 1};
+  // Byte extent of blocks [first, last).
+  auto extent = [&](int first, int last) {
+    const std::size_t lo = blocks(first).offset;
+    const Block end = blocks(last - 1);
+    return Block{lo, end.offset + end.bytes - lo};
   };
 
   // Binomial scatter: after this, vrank v holds block v.
-  {
-    int mask = 1;
-    while (mask < p) {
-      if (vrank & mask) {
-        const int first = vrank;
-        const int last = std::min(vrank + mask, p);
-        const std::size_t lo = range_begin(first);
-        const std::size_t hi = range_end(last - 1);
-        co_await r.recv(c, actual(vrank - mask), a.tag_base + 1, hi - lo,
-                        sub(a.recv, lo, hi - lo));
-        break;
-      }
-      mask <<= 1;
+  int mask = 1;
+  while (mask < p) {
+    if (vrank & mask) {
+      const Block in = extent(vrank, std::min(vrank + mask, p));
+      co_await r.recv(c, actual(vrank - mask), a.tag_base + 1, in.bytes,
+                      sub(a.recv, in.offset, in.bytes));
+      break;
     }
-    mask >>= 1;
-    while (mask > 0) {
-      if (vrank + mask < p) {
-        const int first = vrank + mask;
-        const int last = std::min(vrank + 2 * mask, p);
-        const std::size_t lo = range_begin(first);
-        const std::size_t hi = range_end(last - 1);
-        co_await r.send(c, actual(vrank + mask), a.tag_base + 1, hi - lo,
-                        sub(as_const(a.recv), lo, hi - lo));
-      }
-      mask >>= 1;
+    mask <<= 1;
+  }
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    if (vrank + mask < p) {
+      const Block out = extent(vrank + mask, std::min(vrank + 2 * mask, p));
+      co_await r.send(c, actual(vrank + mask), a.tag_base + 1, out.bytes,
+                      sub(as_const(a.recv), out.offset, out.bytes));
     }
   }
 
-  // Ring allgather of the p blocks (in vrank space).
-  const int next = actual((vrank + 1) % p);
-  const int prev = actual((vrank + p - 1) % p);
-  for (int s = 0; s < p - 1; ++s) {
-    const int give = (vrank - s + p) % p;
-    const int take = (vrank - s - 1 + p) % p;
-    const std::size_t glo = range_begin(give);
-    const std::size_t gbytes = range_end(give) - glo;
-    const std::size_t tlo = range_begin(take);
-    const std::size_t tbytes = range_end(take) - tlo;
-    auto sf = r.isend(c, next, a.tag_base + 2, gbytes,
-                      sub(as_const(a.recv), glo, gbytes));
-    co_await r.recv(c, prev, a.tag_base + 2, tbytes, sub(a.recv, tlo, tbytes));
-    co_await sf->wait();
-  }
+  // Ring allgather of the p blocks, on the ring of vranks.
+  const RingPos ring{p, actual((vrank + p - 1) % p), actual((vrank + 1) % p),
+                     vrank};
+  co_await ring_allgather(r, c, ring, a.tag_base + 2, a.recv, blocks);
 }
 
 sim::CoTask<void> bcast_single_leader(CollArgs a,

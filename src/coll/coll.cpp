@@ -44,14 +44,17 @@ Part partition(std::size_t count, int parts, int index) {
   return p;
 }
 
-sim::CoTask<void> copy_in(const CollArgs& a) {
-  if (a.inplace) co_return;
-  const auto& host = a.rank->machine().config().host;
-  co_await a.rank->engine().delay(
-      host.copy_startup + sim::transfer_time(a.bytes(), host.copy_bw));
-  if (!a.send.empty() && !a.recv.empty()) {
-    std::memcpy(a.recv.data(), a.send.data(), a.send.size());
-  }
+sim::Engine::DelayAwaiter local_copy(Rank& r, std::size_t bytes,
+                                     MutBytes dst, ConstBytes src) {
+  if (!dst.empty() && !src.empty()) std::memcpy(dst.data(), src.data(), bytes);
+  const auto& host = r.machine().config().host;
+  return r.engine().delay(host.copy_startup +
+                          sim::transfer_time(bytes, host.copy_bw));
+}
+
+sim::Engine::DelayAwaiter copy_in(const CollArgs& a, MutBytes to) {
+  if (a.inplace) return a.rank->engine().delay(0);
+  return local_copy(*a.rank, a.bytes(), to, a.send);
 }
 
 InterAlgo resolve_auto(std::size_t bytes, int comm_size) {
@@ -70,7 +73,7 @@ sim::CoTask<void> inter_allreduce(CollArgs a, InterAlgo algo) {
     case InterAlgo::reduce_scatter_allgather:
       return allreduce_reduce_scatter_allgather(std::move(a));
     case InterAlgo::ring:
-      return allreduce_ring(std::move(a));
+      return allreduce_ring_channels(std::move(a), 1);
     case InterAlgo::binomial:
       return allreduce_binomial(std::move(a));
     case InterAlgo::automatic:

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/datatype.hpp"
@@ -76,18 +77,34 @@ inline MutBytes sub(MutBytes b, std::size_t off, std::size_t len) {
 }
 inline ConstBytes as_const(MutBytes b) { return ConstBytes{b.data(), b.size()}; }
 
-// Charge (and in data mode perform) the initial sendbuf -> recvbuf copy.
-sim::CoTask<void> copy_in(const CollArgs& a);
+// The one local copy: charges the copy start-up plus `bytes` at the host's
+// copy bandwidth and, when both spans hold data, moves `bytes` from src to
+// dst (no spans: the caller moves them itself). The bytes move at once and
+// the returned delay ends the charge: the spans are the rank's own, so
+// nothing reads them before it resumes. Frame-free, so awaiting it costs
+// the one resume of the delay and no coroutine frame.
+sim::Engine::DelayAwaiter local_copy(Rank& r, std::size_t bytes,
+                                     MutBytes dst = {}, ConstBytes src = {});
+
+// Charge (and in data mode perform) the copy of this rank's input vector
+// into `to` (recv unless named). In place the input is already home and
+// nothing is charged.
+sim::Engine::DelayAwaiter copy_in(const CollArgs& a, MutBytes to);
+inline sim::Engine::DelayAwaiter copy_in(const CollArgs& a) {
+  return copy_in(a, a.recv);
+}
 
 // ---- Flat algorithms (any communicator; callers not in comm return) ----
 sim::CoTask<void> allreduce_recursive_doubling(CollArgs a);
 sim::CoTask<void> allreduce_reduce_scatter_allgather(CollArgs a);
-sim::CoTask<void> allreduce_ring(CollArgs a);
 // Ring with `channels` concurrent chunk-rings in lockstep (registered as
 // "cring"; CollSpec::leaders is the channel count). More channels buy a
 // larger aggregate max-min share on congested links at the cost of extra
 // per-message overheads — the adaptive re-planner's lever (docs/MODEL.md §12).
+// One channel is the plain ring (registered as "ring", and InterAlgo::ring):
+// the ring reduce-scatter, then the ring allgather (coll/ring.hpp).
 sim::CoTask<void> allreduce_ring_channels(CollArgs a, int channels);
+// Binomial reduce to comm rank 0, then binomial bcast from it.
 sim::CoTask<void> allreduce_binomial(CollArgs a);
 // Naive gather+reduce+bcast at comm rank 0 (reference baseline).
 sim::CoTask<void> allreduce_gather_bcast(CollArgs a);

@@ -12,8 +12,11 @@
 #include <utility>
 #include <vector>
 
+#include "coll/bcast.hpp"
 #include "coll/coll.hpp"
+#include "coll/reduce.hpp"
 #include "coll/registry.hpp"
+#include "coll/ring.hpp"
 #include "util/error.hpp"
 
 namespace dpml::coll {
@@ -239,7 +242,7 @@ sim::CoTask<void> allreduce_reduce_scatter_allgather(CollArgs a) {
   }
 }
 
-sim::CoTask<void> allreduce_ring(CollArgs a) {
+sim::CoTask<void> allreduce_ring_channels(CollArgs a, int channels) {
   a.check();
   // The ring's reduce-scatter folds each block in rotation order starting
   // from a different rank per block, which cannot preserve ascending
@@ -257,61 +260,21 @@ sim::CoTask<void> allreduce_ring(CollArgs a) {
   co_await copy_in(a);
   const int p = c.size();
   if (p == 1) co_return;
-  const std::size_t esize = simmpi::dtype_size(a.dt);
-  const Part max_part = partition(a.count, p, 0);
-  auto tmp_store = a.scratch(max_part.count * esize);
-  MutBytes tmp{tmp_store};
-
-  const int right = (me + 1) % p;
-  const int left = (me + p - 1) % p;
-
-  // Phase 1: reduce-scatter around the ring.
-  for (int s = 0; s < p - 1; ++s) {
-    const Part give = partition(a.count, p, (me - s + p) % p);
-    const Part take = partition(a.count, p, (me - s - 1 + p * 2) % p);
-    const std::size_t give_bytes = give.count * esize;
-    const std::size_t take_bytes = take.count * esize;
-    auto sf = r.isend(c, right, a.tag_base, give_bytes,
-                      sub(as_const(a.recv), give.offset * esize, give_bytes));
-    co_await r.recv(c, left, a.tag_base, take_bytes,
-                    sub(tmp, 0, take_bytes));
-    co_await sf->wait();
-    co_await r.reduce_compute(take_bytes);
-    a.op.apply(a.dt, take.count, sub(a.recv, take.offset * esize, take_bytes),
-               sub(as_const(tmp), 0, take_bytes));
-  }
-
-  // Phase 2: allgather around the ring.
-  for (int s = 0; s < p - 1; ++s) {
-    const Part give = partition(a.count, p, (me + 1 - s + p * 2) % p);
-    const Part take = partition(a.count, p, (me - s + p) % p);
-    const std::size_t give_bytes = give.count * esize;
-    const std::size_t take_bytes = take.count * esize;
-    auto sf = r.isend(c, right, a.tag_base + 1, give_bytes,
-                      sub(as_const(a.recv), give.offset * esize, give_bytes));
-    co_await r.recv(c, left, a.tag_base + 1, take_bytes,
-                    sub(a.recv, take.offset * esize, take_bytes));
-    co_await sf->wait();
-  }
-}
-
-sim::CoTask<void> allreduce_ring_channels(CollArgs a, int channels) {
-  a.check();
-  // Same operand-order limitation as the plain ring: fall back for
-  // non-commutative ops.
-  if (!a.op.commutative()) {
-    co_await allreduce_recursive_doubling(std::move(a));
-    co_return;
-  }
-  Rank& r = *a.rank;
-  const Comm& c = *a.comm;
-  const int me = c.rank_of_world(r.world_rank());
-  if (me < 0) co_return;
-  co_await copy_in(a);
-  const int p = c.size();
-  if (p == 1) co_return;
   const int nch = std::max(1, std::min(channels, kMaxRingChannels));
   const std::size_t esize = simmpi::dtype_size(a.dt);
+
+  if (nch == 1) {
+    // The plain ring: reduce-scatter, after which rank me holds block
+    // me+1 reduced, then allgather from there.
+    auto tmp_store = a.scratch(partition(a.count, p, 0).count * esize);
+    const MutBytes tmp{tmp_store};
+    const PartBlocks blocks{a.count, p, esize};
+    co_await ring_reduce_scatter(a, ring_pos(p, me, me), a.tag_base, a.recv,
+                                 tmp, blocks);
+    co_await ring_allgather(r, c, ring_pos(p, me, (me + 1) % p),
+                            a.tag_base + 1, a.recv, blocks);
+    co_return;
+  }
 
   // The vector splits into `nch` channel sub-vectors, each running its own
   // ring allreduce; every step posts all channel receives, then all channel
@@ -411,54 +374,19 @@ sim::CoTask<void> allreduce_ring_channels(CollArgs a, int channels) {
 
 sim::CoTask<void> allreduce_binomial(CollArgs a) {
   a.check();
-  Rank& r = *a.rank;
-  const Comm& c = *a.comm;
-  const int me = c.rank_of_world(r.world_rank());
+  const int me = a.comm->rank_of_world(a.rank->world_rank());
   if (me < 0) co_return;
   co_await copy_in(a);
-  const int p = c.size();
-  if (p == 1) co_return;
-  const std::size_t nbytes = a.bytes();
-  auto tmp_store = a.scratch(nbytes);
-  MutBytes tmp{tmp_store};
-
-  // Binomial reduce toward comm rank 0.
-  {
-    int step = 0;
-    for (int mask = 1; mask < p; mask <<= 1, ++step) {
-      if (me & mask) {
-        co_await r.send(c, me - mask, a.tag_base + step, nbytes,
-                        as_const(a.recv));
-        break;
-      }
-      const int src = me + mask;
-      if (src < p) {
-        co_await r.recv(c, src, a.tag_base + step, nbytes, tmp);
-        co_await r.reduce_compute(nbytes);
-        a.op.apply(a.dt, a.count, a.recv, as_const(tmp));
-      }
-    }
-  }
-
-  // Binomial broadcast from comm rank 0.
-  {
-    int mask = 1;
-    while (mask < p) {
-      if (me & mask) {
-        co_await r.recv(c, me - mask, a.tag_base + 64, nbytes, a.recv);
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    while (mask > 0) {
-      if (me + mask < p) {
-        co_await r.send(c, me + mask, a.tag_base + 64, nbytes,
-                        as_const(a.recv));
-      }
-      mask >>= 1;
-    }
-  }
+  // Binomial reduce toward comm rank 0, in place: with root 0 the tree
+  // folds in comm-rank order. Then a binomial bcast from rank 0 on tags
+  // clear of the reduce's steps.
+  CollArgs ta = a;
+  ta.send = {};
+  ta.inplace = true;
+  ta.root = 0;
+  co_await reduce_binomial(ta);
+  ta.tag_base = a.tag_base + 64;
+  co_await bcast_binomial(std::move(ta));
 }
 
 sim::CoTask<void> allreduce_gather_bcast(CollArgs a) {
@@ -501,8 +429,9 @@ const CollRegistration reg_rd{
     plain_desc("rd", CollKind::allreduce, allreduce_recursive_doubling)};
 const CollRegistration reg_rsa{
     plain_desc("rsa", CollKind::allreduce, allreduce_reduce_scatter_allgather)};
-const CollRegistration reg_ring{
-    plain_desc("ring", CollKind::allreduce, allreduce_ring)};
+const CollRegistration reg_ring{plain_desc(
+    "ring", CollKind::allreduce,
+    [](CollArgs a) { return allreduce_ring_channels(std::move(a), 1); })};
 // Multi-channel ring: `leaders` is the concurrent channel count. Works on
 // any sub-communicator (not world_only) and is deliberately not part of the
 // default tuning sweep — the adaptive re-planning layer (src/adapt/) selects

@@ -8,6 +8,7 @@
 #include "coll/node.hpp"
 #include "coll/reduce.hpp"
 #include "coll/registry.hpp"
+#include "coll/ring.hpp"
 #include "sharp/sharp.hpp"
 #include "util/error.hpp"
 
@@ -58,13 +59,9 @@ sim::CoTask<void> gather_linear(CollArgs a) {
                            a.recv.empty() ? 0 : bb));
       pending.push_back(h.done);
     }
-    const auto& host = r.machine().config().host;
-    co_await r.engine().delay(host.copy_startup +
-                              sim::transfer_time(bb, host.copy_bw));
-    if (!a.send.empty() && !a.recv.empty()) {
-      std::memcpy(a.recv.data() + static_cast<std::size_t>(me) * bb,
-                  a.send.data(), bb);
-    }
+    co_await local_copy(r, bb,
+                        sub(a.recv, static_cast<std::size_t>(me) * bb, bb),
+                        a.send);
     co_await sim::wait_all(std::move(pending));
   } else {
     co_await r.send(c, a.root, a.tag_base, bb, a.send);
@@ -177,13 +174,8 @@ sim::CoTask<void> scatter_linear(CollArgs a) {
                   sub(a.send, static_cast<std::size_t>(dst) * bb,
                       a.send.empty() ? 0 : bb)));
     }
-    const auto& host = r.machine().config().host;
-    co_await r.engine().delay(host.copy_startup +
-                              sim::transfer_time(bb, host.copy_bw));
-    if (!a.send.empty() && !a.recv.empty()) {
-      std::memcpy(a.recv.data(),
-                  a.send.data() + static_cast<std::size_t>(me) * bb, bb);
-    }
+    co_await local_copy(r, bb, a.recv,
+                        sub(a.send, static_cast<std::size_t>(me) * bb, bb));
     co_await sim::wait_all(std::move(pending));
   } else {
     co_await r.recv(c, a.root, a.tag_base, bb, a.recv);
@@ -269,16 +261,13 @@ void check_allgather(const CollArgs& a) {
   }
 }
 
-sim::CoTask<void> allgather_copy_own(const CollArgs& a, int me) {
+// Charge my block's copy into place in recv; in place it is already home
+// and only the charge stays.
+sim::Engine::DelayAwaiter allgather_copy_own(const CollArgs& a, int me) {
   const std::size_t bb = a.bytes();
-  const auto& host = a.rank->machine().config().host;
-  co_await a.rank->engine().delay(host.copy_startup +
-                                  sim::transfer_time(bb, host.copy_bw));
-  // In-place: my block is already home in recv.
-  if (!a.inplace && !a.send.empty() && !a.recv.empty()) {
-    std::memcpy(a.recv.data() + static_cast<std::size_t>(me) * bb,
-                a.send.data(), bb);
-  }
+  return local_copy(*a.rank, bb,
+                    sub(a.recv, static_cast<std::size_t>(me) * bb, bb),
+                    a.inplace ? ConstBytes{} : a.send);
 }
 
 }  // namespace
@@ -297,23 +286,11 @@ sim::CoTask<void> allgather_ring(CollArgs a) {
   const int me = c.rank_of_world(r.world_rank());
   if (me < 0) co_return;
   const int p = c.size();
-  const std::size_t bb = a.bytes();
   co_await allgather_copy_own(a, me);
-  if (p == 1) co_return;
-  const int right = (me + 1) % p;
-  const int left = (me + p - 1) % p;
-  for (int s = 0; s < p - 1; ++s) {
-    const int give = (me - s + p) % p;
-    const int take = (me - s - 1 + 2 * p) % p;
-    auto sf = r.isend(c, right, a.tag_base, bb,
-                      sub(as_const(a.recv),
-                          static_cast<std::size_t>(give) * bb,
-                          a.recv.empty() ? 0 : bb));
-    co_await r.recv(c, left, a.tag_base, bb,
-                    sub(a.recv, static_cast<std::size_t>(take) * bb,
-                        a.recv.empty() ? 0 : bb));
-    co_await sf->wait();
-  }
+  const PartBlocks blocks{a.count * static_cast<std::size_t>(p), p,
+                          simmpi::dtype_size(a.dt)};
+  co_await ring_allgather(r, c, ring_pos(p, me, me), a.tag_base, a.recv,
+                          blocks);
 }
 
 sim::CoTask<void> allgather_rd(CollArgs a) {
@@ -386,12 +363,7 @@ sim::CoTask<void> reduce_scatter_reduce_then_scatter(CollArgs a) {
   const std::size_t bbytes = a.bytes();
 
   if (p == 1) {
-    const auto& host = r.machine().config().host;
-    co_await r.engine().delay(host.copy_startup +
-                              sim::transfer_time(bbytes, host.copy_bw));
-    if (!a.send.empty() && !a.recv.empty()) {
-      std::memcpy(a.recv.data(), a.send.data(), bbytes);
-    }
+    co_await local_copy(r, bbytes, a.recv, a.send);
     co_return;
   }
 
@@ -430,59 +402,30 @@ sim::CoTask<void> reduce_scatter_ring(CollArgs a) {
   if (me < 0) co_return;
   const int p = c.size();
   const std::size_t bbytes = a.bytes();
-  const bool with_data = r.machine().with_data();
 
   if (p == 1) {
-    const auto& host = r.machine().config().host;
-    co_await r.engine().delay(host.copy_startup +
-                              sim::transfer_time(bbytes, host.copy_bw));
-    if (!a.send.empty() && !a.recv.empty()) {
-      std::memcpy(a.recv.data(), a.send.data(), bbytes);
-    }
+    co_await local_copy(r, bbytes, a.recv, a.send);
     co_return;
   }
 
-  // Work on a private copy of the input (the algorithm reduces in place).
-  std::vector<std::byte> work;
-  if (with_data) {
-    work.assign(a.send.begin(), a.send.end());
-  }
-  MutBytes workb{work};
-  const auto& host = r.machine().config().host;
-  co_await r.engine().delay(
-      host.copy_startup +
-      sim::transfer_time(static_cast<std::size_t>(p) * bbytes, host.copy_bw));
-
-  auto tmp_store = a.rank->machine().with_data()
-                       ? std::vector<std::byte>(bbytes)
-                       : std::vector<std::byte>{};
-  MutBytes tmp{tmp_store};
-  const int right = (me + 1) % p;
-  const int left = (me + p - 1) % p;
-  for (int s = 0; s < p - 1; ++s) {
-    const int give = (me - s + p) % p;
-    const int take = (me - s - 1 + 2 * p) % p;
-    auto sf = r.isend(c, right, a.tag_base, bbytes,
-                      sub(as_const(workb),
-                          static_cast<std::size_t>(give) * bbytes,
-                          workb.empty() ? 0 : bbytes));
-    co_await r.recv(c, left, a.tag_base, bbytes, tmp);
-    co_await sf->wait();
-    co_await r.reduce_compute(bbytes);
-    a.op.apply(a.dt, a.count,
-               sub(workb, static_cast<std::size_t>(take) * bbytes,
-                   workb.empty() ? 0 : bbytes),
-               as_const(tmp));
-  }
+  // Reduce in place on a private copy of the input's p blocks.
+  const std::size_t total = static_cast<std::size_t>(p) * bbytes;
+  auto work = a.scratch(total);
+  const MutBytes workb{work};
+  co_await local_copy(r, total, workb, a.send);
+  auto tmp_store = a.scratch(bbytes);
+  const MutBytes tmp{tmp_store};
+  const PartBlocks blocks{a.count * static_cast<std::size_t>(p), p,
+                          simmpi::dtype_size(a.dt)};
+  const RingPos ring = ring_pos(p, me, me);
+  co_await ring_reduce_scatter(a, ring, a.tag_base, workb, tmp, blocks);
   // After p-1 steps I hold the fully reduced block (me+1) mod p, which
   // belongs to my right neighbour; one final shift delivers block `me` to
   // rank `me` (keeps the MPI_Reduce_scatter_block block assignment).
-  const int owned = (me + 1) % p;
-  auto sf = r.isend(c, right, a.tag_base + 1, bbytes,
-                    sub(as_const(workb),
-                        static_cast<std::size_t>(owned) * bbytes,
-                        workb.empty() ? 0 : bbytes));
-  co_await r.recv(c, left, a.tag_base + 1, bbytes, a.recv);
+  const Block owned = blocks((me + 1) % p);
+  auto sf = r.isend(c, ring.right, a.tag_base + 1, bbytes,
+                    sub(as_const(workb), owned.offset, owned.bytes));
+  co_await r.recv(c, ring.left, a.tag_base + 1, bbytes, a.recv);
   co_await sf->wait();
 }
 

@@ -24,19 +24,6 @@ ConstBytes input_of(const CollArgs& a) {
   return a.inplace ? as_const(a.recv) : a.send;
 }
 
-// World ranks of every group's leader when groups span `span` local ranks.
-std::vector<int> group_leaders(Machine& m, int span) {
-  std::vector<int> members;
-  members.reserve(static_cast<std::size_t>(m.num_nodes()) *
-                  static_cast<std::size_t>(ceil_div(m.ppn(), span)));
-  for (int n = 0; n < m.num_nodes(); ++n) {
-    for (int lo = 0; lo < m.ppn(); lo += span) {
-      members.push_back(n * m.ppn() + lo);
-    }
-  }
-  return members;
-}
-
 }  // namespace
 
 void require_world(const CollArgs& a) {
@@ -160,10 +147,9 @@ sim::CoTask<void> leader_allreduce(CollArgs a, InterAlgo inter,
     }
     if (fabric != nullptr) {
       const sharp::Group& leaders =
-          per_socket
-              ? fabric->named_group("socket_leaders", group_leaders(m, span))
-              : fabric->named_group("node_leaders",
-                                    m.leader_comm(0, 1).ranks());
+          per_socket ? fabric->named_group("socket_leaders", m.socket_leaders())
+                     : fabric->named_group("node_leaders",
+                                           m.leader_comm(0, 1).ranks());
       co_await fabric->allreduce(r, leaders, a.count, a.dt, a.op,
                                  as_const(a.recv), a.recv);
     } else if (m.num_nodes() > 1) {

@@ -1,12 +1,12 @@
 #include "coll/reduce.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "coll/node.hpp"
+#include "coll/ring.hpp"
 #include "util/error.hpp"
 
 namespace dpml::coll {
@@ -41,30 +41,15 @@ void check_reduce(const CollArgs& a) {
   }
 }
 
-// Prepare the local accumulator. In-place: every rank's input already sits
-// in recv (the convention the hierarchical designs use internally), so recv
-// is the accumulator. Otherwise the root accumulates into recv and other
-// ranks into scratch; the initial copy is charged either way.
-sim::CoTask<MutBytes> prepare_acc(const CollArgs& a, bool am_root,
-                                  std::vector<std::byte>& store) {
-  Rank& r = *a.rank;
-  const std::size_t nbytes = a.bytes();
-  const auto& host = r.machine().config().host;
-  if (a.inplace) co_return a.recv;
-  co_await r.engine().delay(host.copy_startup +
-                            sim::transfer_time(nbytes, host.copy_bw));
-  if (am_root) {
-    if (!a.send.empty() && !a.recv.empty()) {
-      std::memcpy(a.recv.data(), a.send.data(), nbytes);
-    }
-    co_return a.recv;
-  }
-  store = a.scratch(nbytes);
-  MutBytes acc{store};
-  if (!store.empty() && !a.send.empty()) {
-    std::memcpy(store.data(), a.send.data(), nbytes);
-  }
-  co_return acc;
+// The local accumulator. In place every rank's input already sits in recv
+// (the convention the hierarchical designs use internally), so recv is the
+// accumulator. Otherwise the root accumulates into recv and other ranks
+// into `store`; copy_in(a, acc) then charges the initial copy.
+MutBytes accumulator(const CollArgs& a, bool am_root,
+                     std::vector<std::byte>& store) {
+  if (a.inplace || am_root) return a.recv;
+  store = a.scratch(a.bytes());
+  return MutBytes{store};
 }
 
 }  // namespace
@@ -84,7 +69,8 @@ sim::CoTask<void> reduce_binomial(CollArgs a) {
   const std::size_t nbytes = a.bytes();
   const bool am_root = me == a.root;
   std::vector<std::byte> acc_store;
-  MutBytes acc = co_await prepare_acc(a, am_root, acc_store);
+  const MutBytes acc = accumulator(a, am_root, acc_store);
+  co_await copy_in(a, acc);
   if (p == 1) co_return;
   auto tmp_store = a.scratch(nbytes);
   MutBytes tmp{tmp_store};
@@ -134,54 +120,31 @@ sim::CoTask<void> reduce_rsa_gather(CollArgs a) {
   const std::size_t esize = simmpi::dtype_size(a.dt);
   const bool am_root = me == a.root;
   std::vector<std::byte> acc_store;
-  MutBytes acc = co_await prepare_acc(a, am_root, acc_store);
+  const MutBytes acc = accumulator(a, am_root, acc_store);
+  co_await copy_in(a, acc);
   if (p == 1) co_return;
-  const Part block0 = partition(a.count, p, 0);
-  auto tmp_store = a.scratch(block0.count * esize);
-  MutBytes tmp{tmp_store};
+  auto tmp_store = a.scratch(partition(a.count, p, 0).count * esize);
+  const MutBytes tmp{tmp_store};
+  const PartBlocks blocks{a.count, p, esize};
+  co_await ring_reduce_scatter(a, ring_pos(p, me, me), a.tag_base, acc, tmp,
+                               blocks);
 
-  // Ring reduce-scatter over `acc`.
-  const int right = (me + 1) % p;
-  const int left = (me + p - 1) % p;
-  for (int s = 0; s < p - 1; ++s) {
-    const Part give = partition(a.count, p, (me - s + p) % p);
-    const Part take = partition(a.count, p, (me - s - 1 + 2 * p) % p);
-    const std::size_t gbytes = give.count * esize;
-    const std::size_t tbytes = take.count * esize;
-    auto sf = r.isend(c, right, a.tag_base, gbytes,
-                      sub(as_const(acc), give.offset * esize, gbytes));
-    co_await r.recv(c, left, a.tag_base, tbytes, sub(tmp, 0, tbytes));
-    co_await sf->wait();
-    co_await r.reduce_compute(tbytes);
-    a.op.apply(a.dt, take.count, sub(acc, take.offset * esize, tbytes),
-               sub(as_const(tmp), 0, tbytes));
-  }
-
-  // Gather the fully reduced segments at the root. Rank me owns block
-  // (me+1) mod p after the ring phase.
-  const int my_block = (me + 1) % p;
-  const Part mine = partition(a.count, p, my_block);
+  // Gather the reduced blocks at the root, which accumulated into recv:
+  // rank src holds block src+1 after the ring phase.
   if (am_root) {
     std::vector<std::shared_ptr<sim::Flag>> pending;
     for (int src = 0; src < p; ++src) {
       if (src == me) continue;
-      const Part pb = partition(a.count, p, (src + 1) % p);
-      auto h = r.irecv(c, src, a.tag_base + 1, pb.count * esize,
-                       sub(a.recv, pb.offset * esize, pb.count * esize));
+      const Block pb = blocks((src + 1) % p);
+      auto h = r.irecv(c, src, a.tag_base + 1, pb.bytes,
+                       sub(a.recv, pb.offset, pb.bytes));
       pending.push_back(h.done);
-    }
-    // The root's own block may live in scratch (non-in-place path already
-    // reduced into recv, so only the data copy is conceptually needed; the
-    // time was charged by the ring phase).
-    if (!acc.empty() && !a.recv.empty() && acc.data() != a.recv.data()) {
-      std::memcpy(a.recv.data() + mine.offset * esize,
-                  acc.data() + mine.offset * esize, mine.count * esize);
     }
     co_await sim::wait_all(std::move(pending));
   } else {
-    co_await r.send(c, a.root, a.tag_base + 1, mine.count * esize,
-                    sub(as_const(acc), mine.offset * esize,
-                        mine.count * esize));
+    const Block mine = blocks((me + 1) % p);
+    co_await r.send(c, a.root, a.tag_base + 1, mine.bytes,
+                    sub(as_const(acc), mine.offset, mine.bytes));
   }
 }
 
@@ -208,7 +171,8 @@ sim::CoTask<void> reduce_single_leader(CollArgs a) {
   if (is_leader) {
     std::vector<std::byte> acc_store;
     // The leader accumulates into recv only when it is also the root.
-    MutBytes acc = co_await prepare_acc(a, am_root, acc_store);
+    const MutBytes acc = accumulator(a, am_root, acc_store);
+    co_await copy_in(a, acc);
     co_await slot->latches[0].wait();
     co_await r.compute(m.collection_cost(0, 0, ppn));
     co_await r.reduce_compute(static_cast<std::size_t>(ppn - 1) * nbytes);
@@ -233,7 +197,7 @@ sim::CoTask<void> reduce_single_leader(CollArgs a) {
       co_await r.send(c, a.root, a.tag_base + 7, nbytes, as_const(acc));
     }
   } else {
-    // In-place input is in recv on EVERY rank (see prepare_acc), not just
+    // In-place input is in recv on EVERY rank (see accumulator), not just
     // the root; reading send here striped empty buffers in data mode.
     co_await r.shm_put(gather,
                        static_cast<std::size_t>(r.local_rank() - 1) * nbytes,

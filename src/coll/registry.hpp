@@ -101,7 +101,7 @@ class CollRegistry {
 // Registers a descriptor; declare as a namespace-scope static in the
 // algorithm's translation unit:
 //   static const CollRegistration reg{
-//       plain_desc("ring", CollKind::allreduce, allreduce_ring)};
+//       plain_desc("rd", CollKind::allreduce, allreduce_recursive_doubling)};
 struct CollRegistration {
   explicit CollRegistration(CollDescriptor d);
 };

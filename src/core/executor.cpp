@@ -46,7 +46,7 @@ void set_default_jobs(int jobs) {
 }
 
 int parse_jobs(const std::string& text) {
-  const int jobs = util::Args::parse_int("jobs", text);
+  const int jobs = util::Args::parse_int("--jobs", text);
   if (jobs < 1) {
     throw util::InvariantError("bad value '" + text +
                                "' for --jobs: expected an integer >= 1");

@@ -1,9 +1,8 @@
 #include "perturb/spec.hpp"
 
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
+#include "util/args.hpp"
 #include "util/error.hpp"
 
 namespace dpml::perturb {
@@ -38,22 +37,18 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-double parse_double(const std::string& key, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || text.empty()) {
-    bad_clause("parameter '" + key + "' needs a number, got '" + text + "'");
-  }
-  return v;
+// A number of injector `injector`'s field `key`, by the util::Args
+// number rule (the error names --perturb, the injector and the field).
+double number(const char* injector, const std::string& key,
+              const std::string& text) {
+  return util::Args::parse_double(
+      std::string("--perturb ") + injector + " " + key, text);
 }
 
-long long parse_int(const std::string& key, const std::string& text) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || text.empty()) {
-    bad_clause("parameter '" + key + "' needs an integer, got '" + text + "'");
-  }
-  return v;
+int integer(const char* injector, const std::string& key,
+            const std::string& text) {
+  return util::Args::parse_int(
+      std::string("--perturb ") + injector + " " + key, text);
 }
 
 // "a=1,b=2" -> [(a,"1"), (b,"2")]; bare tokens get an empty value.
@@ -90,13 +85,13 @@ JitterSpec parse_jitter(const std::string& value) {
   }
   for (const auto& [k, v] : params(rest)) {
     if (k == "frac") {
-      j.frac = parse_double(k, v);
+      j.frac = number("jitter", k, v);
     } else if (k == "sigma") {
-      j.sigma = parse_double(k, v);
+      j.sigma = number("jitter", k, v);
     } else if (k == "prob") {
-      j.prob = parse_double(k, v);
+      j.prob = number("jitter", k, v);
     } else if (k == "scale") {
-      j.scale = parse_double(k, v);
+      j.scale = number("jitter", k, v);
     } else {
       bad_clause("unknown jitter parameter '" + k +
                  "'; valid: frac, sigma, prob, scale");
@@ -124,10 +119,10 @@ SkewSpec parse_skew(const std::string& value) {
   }
   for (const auto& [k, v] : params(rest)) {
     if (k == "max_us") {
-      s.max = sim::us(parse_double(k, v));
+      s.max = sim::us(number("skew", k, v));
     } else if (k == "us") {
       for (const std::string& off : split(v, '/')) {
-        s.offsets.push_back(sim::us(parse_double(k, trim(off))));
+        s.offsets.push_back(sim::us(number("skew", k, trim(off))));
       }
     } else {
       bad_clause("unknown skew parameter '" + k + "'; valid: max_us, us");
@@ -146,17 +141,17 @@ LinkSpec parse_link(const std::string& value) {
   LinkSpec l;
   for (const auto& [k, v] : params(value)) {
     if (k == "bw") {
-      l.bw_scale = parse_double(k, v);
+      l.bw_scale = number("link", k, v);
     } else if (k == "lat_us") {
-      l.extra_latency = sim::us(parse_double(k, v));
+      l.extra_latency = sim::us(number("link", k, v));
     } else if (k == "src") {
-      l.src = static_cast<int>(parse_int(k, v));
+      l.src = integer("link", k, v);
     } else if (k == "dst") {
-      l.dst = static_cast<int>(parse_int(k, v));
+      l.dst = integer("link", k, v);
     } else if (k == "from_us") {
-      l.from = sim::us(parse_double(k, v));
+      l.from = sim::us(number("link", k, v));
     } else if (k == "until_us") {
-      l.until = sim::us(parse_double(k, v));
+      l.until = sim::us(number("link", k, v));
     } else {
       bad_clause("unknown link parameter '" + k +
                  "'; valid: bw, lat_us, src, dst, from_us, until_us");
@@ -174,9 +169,9 @@ StragglerSpec parse_stragglers(const std::string& value) {
   StragglerSpec s;
   for (const auto& [k, v] : params(value)) {
     if (k == "k") {
-      s.count = static_cast<int>(parse_int(k, v));
+      s.count = integer("stragglers", k, v);
     } else if (k == "scale") {
-      s.scale = parse_double(k, v);
+      s.scale = number("stragglers", k, v);
     } else {
       bad_clause("unknown stragglers parameter '" + k + "'; valid: k, scale");
     }
@@ -218,7 +213,7 @@ PerturbSpec PerturbSpec::parse(const std::string& text) {
     } else if (key == "stragglers") {
       spec.stragglers = parse_stragglers(value);
     } else if (key == "seed") {
-      spec.seed = static_cast<std::uint64_t>(parse_int(key, trim(value)));
+      spec.seed = util::Args::parse_u64("--perturb seed", trim(value));
     } else {
       bad_clause("unknown perturbation injector '" + key +
                  "'; valid injectors: " + kInjectors);

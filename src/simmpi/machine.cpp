@@ -471,6 +471,21 @@ const Comm& Machine::leader_comm(int leader_index, int num_leaders) {
   return ins->second;
 }
 
+const std::vector<int>& Machine::socket_leaders() {
+  if (socket_leaders_.empty()) {
+    const int per_socket = ceil_div(ppn_, cfg_.node.sockets);
+    const int sockets_used = ceil_div(ppn_, per_socket);
+    socket_leaders_.reserve(static_cast<std::size_t>(nodes_used_) *
+                            static_cast<std::size_t>(sockets_used));
+    for (int n = 0; n < nodes_used_; ++n) {
+      for (int lo = 0; lo < ppn_; lo += per_socket) {
+        socket_leaders_.push_back(n * ppn_ + lo);
+      }
+    }
+  }
+  return socket_leaders_;
+}
+
 const Comm& Machine::split_comm(const Comm& parent,
                                 const std::vector<int>& colors,
                                 const std::vector<int>& keys, int my_color) {

@@ -248,6 +248,9 @@ class Machine {
   // Communicator of the j-th leader (of `num_leaders`) on every node.
   // Cached; contexts are unique per (num_leaders, j).
   const Comm& leader_comm(int leader_index, int num_leaders);
+  // World ranks of the first local rank of every populated socket, node by
+  // node: the SHArP socket-leader design's leaders. Built once.
+  const std::vector<int>& socket_leaders();
 
   // Arbitrary sub-communicator over the given world ranks (fresh context).
   const Comm& make_comm(std::vector<int> world_ranks);
@@ -368,6 +371,7 @@ class Machine {
   Comm world_;
   int next_context_ = 1;
   std::unordered_map<std::int64_t, Comm> leader_comms_;
+  std::vector<int> socket_leaders_;  // empty until first asked for
   std::deque<Comm> extra_comms_;
   std::unordered_map<std::string, Comm> split_cache_;
   Comm null_comm_;

@@ -3,7 +3,6 @@
 #include "tenant/tenant.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/args.hpp"
@@ -41,26 +40,6 @@ std::string trim(const std::string& s) {
   if (b == std::string::npos) return "";
   std::size_t e = s.find_last_not_of(" \t");
   return s.substr(b, e - b + 1);
-}
-
-double parse_double(const std::string& key, const std::string& text,
-                    void (*bad)(const std::string&)) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || text.empty()) {
-    bad("parameter '" + key + "' needs a number, got '" + text + "'");
-  }
-  return v;
-}
-
-long long parse_int(const std::string& key, const std::string& text,
-                    void (*bad)(const std::string&)) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || text.empty()) {
-    bad("parameter '" + key + "' needs an integer, got '" + text + "'");
-  }
-  return v;
 }
 
 // "a=1,b=2" -> [(a,"1"), (b,"2")].
@@ -149,17 +128,17 @@ TrafficSpec TrafficSpec::parse(const std::string& text) {
   }
   for (const auto& [k, v] : params(rest)) {
     if (k == "load") {
-      t.load = parse_double(k, v, bad_traffic);
+      t.load = util::Args::parse_double("--bg-traffic " + k, v);
     } else if (k == "bytes") {
       t.bytes = util::Args::parse_bytes(v);
     } else if (k == "hot_frac") {
-      t.hot_frac = parse_double(k, v, bad_traffic);
+      t.hot_frac = util::Args::parse_double("--bg-traffic " + k, v);
     } else if (k == "hot_node") {
-      t.hot_node = static_cast<int>(parse_int(k, v, bad_traffic));
+      t.hot_node = util::Args::parse_int("--bg-traffic " + k, v);
     } else if (k == "shift") {
-      t.shift = static_cast<int>(parse_int(k, v, bad_traffic));
+      t.shift = util::Args::parse_int("--bg-traffic " + k, v);
     } else if (k == "seed") {
-      t.seed = static_cast<std::uint64_t>(parse_int(k, v, bad_traffic));
+      t.seed = util::Args::parse_u64("--bg-traffic " + k, v);
     } else {
       bad_traffic("unknown parameter '" + k +
                   "'; valid: load, bytes, hot_frac, hot_node, shift, seed");
@@ -198,14 +177,14 @@ FailSpec FailSpec::parse(const std::string& text) {
     bool have_way = false;
     for (const auto& [k, v] : params(clause)) {
       if (k == "way") {
-        e.way = static_cast<int>(parse_int(k, v, bad_fail));
+        e.way = util::Args::parse_int("--fail-links " + k, v);
         have_way = true;
       } else if (k == "leaf") {
-        e.leaf = static_cast<int>(parse_int(k, v, bad_fail));
+        e.leaf = util::Args::parse_int("--fail-links " + k, v);
       } else if (k == "at_us") {
-        e.at_us = parse_double(k, v, bad_fail);
+        e.at_us = util::Args::parse_double("--fail-links " + k, v);
       } else if (k == "recover_us") {
-        e.recover_us = parse_double(k, v, bad_fail);
+        e.recover_us = util::Args::parse_double("--fail-links " + k, v);
       } else {
         bad_fail("unknown parameter '" + k +
                  "'; valid: way, leaf, at_us, recover_us");

@@ -26,10 +26,10 @@ std::uint64_t parse_digits(const std::string& digits, const std::string& what,
   return n;
 }
 
-// The whole text of flag `key` as a number: an optional sign, then what
+// The whole text of field `what` as a number: an optional sign, then what
 // std::from_chars reads, and nothing after; doubles must be finite.
 template <typename T>
-T parse_number(const std::string& key, const std::string& text,
+T parse_number(const std::string& what, const std::string& text,
                const char* form) {
   T value{};
   const char* first = text.data();
@@ -41,7 +41,7 @@ T parse_number(const std::string& key, const std::string& text,
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
   if (!ok) {
     const bool range = end == last && ec == std::errc::result_out_of_range;
-    throw InvariantError("bad value '" + text + "' for --" + key +
+    throw InvariantError("bad value '" + text + "' for " + what +
                          ": expected " + form +
                          (range ? " (out of range)" : ""));
   }
@@ -107,16 +107,25 @@ std::string Args::get_dir(const std::string& key,
 
 int Args::get_int(const std::string& key, int def) const {
   const std::string v = get(key);
-  return v.empty() ? def : parse_int(key, v);
-}
-
-int Args::parse_int(const std::string& key, const std::string& text) {
-  return parse_number<int>(key, text, "an integer");
+  return v.empty() ? def : parse_int("--" + key, v);
 }
 
 double Args::get_double(const std::string& key, double def) const {
   const std::string v = get(key);
-  return v.empty() ? def : parse_number<double>(key, v, "a finite number");
+  return v.empty() ? def : parse_double("--" + key, v);
+}
+
+int Args::parse_int(const std::string& what, const std::string& text) {
+  return parse_number<int>(what, text, "an integer");
+}
+
+std::uint64_t Args::parse_u64(const std::string& what,
+                              const std::string& text) {
+  return parse_number<std::uint64_t>(what, text, "a non-negative integer");
+}
+
+double Args::parse_double(const std::string& what, const std::string& text) {
+  return parse_number<double>(what, text, "a finite number");
 }
 
 bool Args::get_bool(const std::string& key, bool def) const {

@@ -36,9 +36,16 @@ class Args {
   // finite, and booleans are true/false, 1/0, yes/no or on/off (a bare flag
   // reads true).
   int get_int(const std::string& key, int def) const;
-  // The get_int rule for a value read outside an Args (`text` of --key).
-  static int parse_int(const std::string& key, const std::string& text);
   double get_double(const std::string& key, double def) const;
+  // The same number rule for a number read outside an Args, such as a
+  // field of a spec flag or of a table line; `what` names the field in
+  // the error ("--fail-links way", "adaptive table line 2 size bound").
+  // parse_u64 takes no minus sign and anything up to 2^64 - 1.
+  static int parse_int(const std::string& what, const std::string& text);
+  static std::uint64_t parse_u64(const std::string& what,
+                                 const std::string& text);
+  static double parse_double(const std::string& what,
+                             const std::string& text);
   bool get_bool(const std::string& key, bool def = false) const;
 
   // Parse a byte size: digits with an optional K/M/G suffix ("64K" ->

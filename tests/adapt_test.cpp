@@ -143,6 +143,35 @@ TEST(AdaptTableTest, ValidatesShapeAndAlgorithms) {
       util::InvariantError);
 }
 
+TEST(AdaptTableTest, NumbersFollowTheArgsRule) {
+  // A number is its whole text and fits its field (an int, or a uint64
+  // size bound), and nothing follows the pipeline depth; the error names
+  // the table line and the field.
+  struct Probe {
+    const char* text;
+    const char* names;
+  };
+  const Probe probes[] = {
+      {"<=12x rd\n* rd\n", "adaptive table line 1 size bound"},
+      {"<=-5 rd\n* rd\n", "adaptive table line 1 size bound"},
+      {"<=abc rd\n* rd\n", "adaptive table line 1 size bound"},
+      {"* dpml 4294967297\n", "adaptive table line 1 leaders"},
+      {"* dpml 2 1.5\n", "adaptive table line 1 pipeline depth"},
+      {"# header\n* dpml 2 3 junk\n", "adaptive table line 2: unexpected"},
+      {"@c99999999999 * rd\n", "adaptive table line 1 contention level"},
+  };
+  for (const Probe& p : probes) {
+    try {
+      (void)adapt::AdaptiveTable::parse(p.text);
+      ADD_FAILURE() << p.text << " was accepted";
+    } catch (const util::InvariantError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(p.names), std::string::npos) << msg;
+      EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    }
+  }
+}
+
 TEST(AdaptTableTest, RecordReplacesTheCatchAllAndIsStable) {
   adapt::AdaptiveTable t = adapt::AdaptiveTable::defaults();
   coll::CollSpec spec;

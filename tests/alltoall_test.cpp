@@ -2,6 +2,8 @@
 // and the stencil kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <vector>
 
@@ -25,6 +27,14 @@ std::vector<std::byte> block_pattern(int from, int to, std::size_t bytes) {
     v[i] = static_cast<std::byte>((from * 37 + to * 11 + i) & 0xff);
   }
   return v;
+}
+
+// Bytes [off, off + n) of v, by value: a 0-byte block compares without a
+// pointer into an empty vector.
+std::vector<std::byte> block_at(const std::vector<std::byte>& v,
+                                std::size_t off, std::size_t n) {
+  const auto first = v.begin() + static_cast<std::ptrdiff_t>(off);
+  return {first, first + static_cast<std::ptrdiff_t>(n)};
 }
 
 void run_alltoall_case(const char* algo, int nodes, int ppn,
@@ -128,7 +138,7 @@ TEST(Vcoll, GathervIrregularBlocks) {
   });
   std::size_t off = 0;
   for (int w = 0; w < p; ++w) {
-    EXPECT_EQ(0, std::memcmp(out.data() + off, in[w].data(), sizes[w]));
+    EXPECT_EQ(block_at(out, off, sizes[w]), in[w]) << "block " << w;
     off += sizes[w];
   }
 }
@@ -141,7 +151,8 @@ TEST(Vcoll, ScattervIrregularBlocks) {
   std::size_t off = 0;
   for (int w = 0; w < p; ++w) {
     const auto b = block_pattern(0, w, sizes[w]);
-    std::memcpy(all.data() + off, b.data(), sizes[w]);
+    std::copy(b.begin(), b.end(),
+              all.begin() + static_cast<std::ptrdiff_t>(off));
     off += sizes[w];
   }
   std::vector<std::vector<std::byte>> outs(static_cast<std::size_t>(p));
@@ -185,7 +196,7 @@ TEST(Vcoll, AllgathervRingIrregularBlocks) {
   for (int w = 0; w < p; ++w) {
     std::size_t off = 0;
     for (int b = 0; b < p; ++b) {
-      EXPECT_EQ(0, std::memcmp(out[w].data() + off, in[b].data(), sizes[b]))
+      EXPECT_EQ(block_at(out[w], off, sizes[b]), in[b])
           << "rank " << w << " block " << b;
       off += sizes[b];
     }

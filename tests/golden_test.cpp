@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include "coll/alltoall.hpp"
 #include "coll/bcast.hpp"
 #include "coll/group_coll.hpp"
 #include "core/measure.hpp"
@@ -147,6 +148,87 @@ TEST(GoldenKinds, HierarchicalDesignLatenciesAreLockedIn) {
         << " k=" << g.pipeline_k << " " << g.bytes << "B root " << g.root
         << ": measured " << g17(r.avg_us);
   }
+}
+
+// The flat designs that run on the ring passes and the local copy, on
+// non-power-of-two p with ragged blocks: C 5x3 (p = 15) and D 7x4 (p = 28),
+// root 11 (neither 0 nor p-1), 1x1 machines (reduce_scatter is then one
+// local copy) and the linear gather and scatter at p = 4.
+TEST(GoldenKinds, FlatDesignLatenciesAreLockedIn) {
+  const KindGolden table[] = {
+      {"C", 5, 3, CollKind::allreduce, "ring", 1, 1, 4100ul, 0,
+       21.418499999999998},
+      {"C", 5, 3, CollKind::allreduce, "ring", 1, 1, 262148ul, 0,
+       277.42865599999999},
+      {"C", 5, 3, CollKind::allreduce, "cring", 1, 1, 262148ul, 0,
+       277.42865599999999},
+      {"C", 5, 3, CollKind::allreduce, "cring", 3, 1, 262148ul, 0,
+       168.79514900000001},
+      {"C", 5, 3, CollKind::allreduce, "binomial", 1, 1, 4100ul, 0, 14.63424},
+      {"D", 7, 4, CollKind::allreduce, "ring", 1, 1, 65540ul, 0, 184.106033},
+      {"D", 7, 4, CollKind::allreduce, "cring", 1, 1, 65540ul, 0, 184.106033},
+      {"D", 7, 4, CollKind::allreduce, "cring", 3, 1, 65540ul, 0,
+       152.75617800000001},
+      {"D", 7, 4, CollKind::allreduce, "binomial", 1, 1, 65540ul, 0,
+       473.22954099999998},
+      {"C", 5, 3, CollKind::reduce, "rsa-gather", 1, 1, 262148ul, 11,
+       205.769372},
+      {"D", 7, 4, CollKind::reduce, "rsa-gather", 1, 1, 65540ul, 11,
+       134.16889799999998},
+      {"C", 5, 3, CollKind::reduce, "binomial", 1, 1, 4100ul, 11,
+       9.0821199999999997},
+      {"C", 5, 3, CollKind::reduce_scatter, "ring", 1, 1, 1028ul, 0,
+       19.108066000000001},
+      {"D", 7, 4, CollKind::reduce_scatter, "ring", 1, 1, 1028ul, 0,
+       75.243757000000002},
+      {"C", 1, 1, CollKind::reduce_scatter, "ring", 1, 1, 4100ul, 0,
+       0.97000000000000008},
+      {"C", 1, 1, CollKind::reduce_scatter, "reduce-then-scatter", 1, 1,
+       4100ul, 0, 0.97000000000000008},
+      {"C", 5, 3, CollKind::allgather, "ring", 1, 1, 1028ul, 0, 12.5586},
+      {"C", 5, 3, CollKind::allgather, "rd", 1, 1, 1028ul, 0, 12.5586},
+      {"C", 5, 3, CollKind::bcast, "scatter-allgather", 1, 1, 65540ul, 11,
+       37.138277000000002},
+      {"test", 2, 2, CollKind::gather, "linear", 1, 1, 4100ul, 3,
+       3.3999999999999999},
+      {"test", 2, 2, CollKind::scatter, "linear", 1, 1, 4100ul, 3,
+       3.3999999999999999},
+      {"C", 5, 3, CollKind::alltoall, "pairwise", 1, 1, 1028ul, 0,
+       14.475833999999999},
+      {"C", 5, 3, CollKind::alltoall, "bruck", 1, 1, 64ul, 0,
+       5.0930410000000004},
+  };
+  for (const KindGolden& g : table) {
+    CollSpec spec;
+    spec.algo = g.algo;
+    spec.leaders = g.leaders;
+    spec.pipeline_k = g.pipeline_k;
+    MeasureOptions opt;
+    opt.iterations = 3;
+    opt.warmup = 1;
+    opt.root = g.root;
+    const auto r = measure_collective(g.kind, net::cluster_by_name(g.cluster),
+                                      g.nodes, g.ppn, g.bytes, spec, opt);
+    EXPECT_EQ(r.avg_us, g.expect_us)
+        << g.cluster << " " << g.nodes << "x" << g.ppn << " "
+        << coll_kind_name(g.kind) << "/" << g.algo << " l=" << g.leaders
+        << " " << g.bytes << "B root " << g.root << ": measured "
+        << g17(r.avg_us);
+  }
+
+  // allgatherv_ring has no registry entry: one call with the Vcoll tests'
+  // irregular block sizes on a metadata-only 3x2 test machine.
+  simmpi::Machine m(net::test_cluster(3), 3, 2,
+                    simmpi::RunOptions{.with_data = false, .seed = 1});
+  m.run([&](simmpi::Rank& r) -> sim::CoTask<void> {
+    coll::AllgathervArgs a;
+    a.rank = &r;
+    a.comm = &m.world();
+    a.block_bytes = {1, 9, 0, 13, 5, 2};
+    co_await coll::allgatherv_ring(a);
+  });
+  EXPECT_EQ(sim::to_us(m.now()), 4.551266)
+      << "allgatherv_ring: measured " << g17(sim::to_us(m.now()));
 }
 
 // The SHArP barrier and bcast are not registered: three back-to-back calls

@@ -12,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "adapt/adapt.hpp"
 #include "coll/registry.hpp"
@@ -109,6 +112,34 @@ TEST(PerturbSpec, BadParametersAreNamed) {
                util::InvariantError);
   EXPECT_THROW(PerturbSpec::parse("stragglers=k=-1"), util::InvariantError);
   EXPECT_THROW(PerturbSpec::parse("seed=abc"), util::InvariantError);
+}
+
+TEST(PerturbSpec, NumbersFollowTheArgsRule) {
+  // A number is its whole text, fits its field (an int, or a uint64 seed)
+  // and is finite; the error names --perturb, the injector and the field.
+  struct Probe {
+    const char* spec;
+    const char* names;
+  };
+  const Probe probes[] = {
+      {"stragglers=k=4294967297,scale=3", "--perturb stragglers k"},
+      {"jitter=lognormal:sigma=nan", "--perturb jitter sigma"},
+      {"link=bw=inf", "--perturb link bw"},
+      {"link=bw=0.5,src=2x", "--perturb link src"},
+      {"seed=-1", "--perturb seed"},
+  };
+  for (const Probe& p : probes) {
+    try {
+      (void)PerturbSpec::parse(p.spec);
+      ADD_FAILURE() << p.spec << " was accepted";
+    } catch (const util::InvariantError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(p.names), std::string::npos) << msg;
+      EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(PerturbSpec::parse("seed=18446744073709551615").seed,
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "coll/bcast.hpp"
 #include "coll/reduce.hpp"
 #include "coll/registry.hpp"
+#include "core/measure.hpp"
 #include "net/cluster.hpp"
 #include "simmpi/machine.hpp"
 
@@ -153,7 +154,7 @@ sim::Time direct_allreduce_time(const std::string& name, int leaders, int k) {
     } else if (name == "rsa") {
       co_await coll::allreduce_reduce_scatter_allgather(a);
     } else if (name == "ring") {
-      co_await coll::allreduce_ring(a);
+      co_await coll::allreduce_ring_channels(a, 1);
     } else if (name == "binomial") {
       co_await coll::allreduce_binomial(a);
     } else if (name == "gather-bcast") {
@@ -311,6 +312,39 @@ TEST(Equivalence, ReduceBcastAlltoallMatchDirectInvocation) {
       co_await coll::alltoall_pairwise(a);
     });
     EXPECT_EQ(m.now(), generic_time(CollKind::alltoall, "pairwise"));
+  }
+}
+
+TEST(Equivalence, RingIsCringsOneChannelPath) {
+  // `ring` is cring's one-channel path: the same simulated time and the
+  // same engine events on every shape and size.
+  struct Shape {
+    const char* cluster;
+    int nodes;
+    int ppn;
+  };
+  const Shape shapes[] = {
+      {"C", 5, 3}, {"test", 4, 4}, {"D", 7, 4}, {"A", 3, 5}};
+  for (const Shape& s : shapes) {
+    for (std::size_t bytes = 4; bytes <= (std::size_t{4} << 20); bytes *= 16) {
+      const auto run = [&](const char* algo) {
+        CollSpec spec;
+        spec.algo = algo;
+        spec.leaders = 1;
+        core::MeasureOptions opt;
+        opt.iterations = 2;
+        opt.warmup = 1;
+        return core::measure_collective(CollKind::allreduce,
+                                        net::cluster_by_name(s.cluster),
+                                        s.nodes, s.ppn, bytes, spec, opt);
+      };
+      const core::MeasureResult ring = run("ring");
+      const core::MeasureResult cring = run("cring");
+      EXPECT_EQ(ring.avg_us, cring.avg_us)
+          << s.cluster << " " << s.nodes << "x" << s.ppn << " " << bytes;
+      EXPECT_EQ(ring.events, cring.events)
+          << s.cluster << " " << s.nodes << "x" << s.ppn << " " << bytes;
+    }
   }
 }
 

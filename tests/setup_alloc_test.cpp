@@ -9,9 +9,11 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 
 #include "coll/registry.hpp"
 #include "net/cluster.hpp"
+#include "sharp/sharp.hpp"
 #include "simmpi/machine.hpp"
 
 namespace {
@@ -76,16 +78,21 @@ TEST(SetupAllocations, PerRankStateDoesNotAllocate) {
                            << " at 64x28";
 }
 
-// Allocations per node and invocation of a metadata-only allreduce on B
-// 4x28: the difference between runs of 6 and 2 back-to-back invocations,
-// so the Machine's set-up and the pools' first carving cancel out.
-double allocations_per_invocation(const coll::CollSpec& spec) {
+// Allocations per node and invocation of a metadata-only allreduce on a
+// 4x28 machine of `cfg` (B unless named): the difference between runs of 6
+// and 2 back-to-back invocations, so the Machine's set-up and the pools'
+// first carving cancel out. A design that needs a SharpFabric gets one.
+double allocations_per_invocation(coll::CollSpec spec,
+                                  const net::ClusterConfig& cfg =
+                                      net::cluster_b()) {
   const coll::CollDescriptor& d =
       coll::CollRegistry::instance().at(coll::CollKind::allreduce, spec.algo);
   const auto run = [&](int invocations) {
     RunOptions opt;
     opt.with_data = false;
-    Machine m(net::cluster_b(), 4, 28, opt);
+    Machine m(cfg, 4, 28, opt);
+    std::optional<sharp::SharpFabric> fabric;
+    if (d.caps.needs_fabric) spec.fabric = &fabric.emplace(m);
     const std::uint64_t before = g_allocations;
     m.run([&](Rank& r) -> sim::CoTask<void> {
       coll::CollArgs a;
@@ -107,6 +114,16 @@ TEST(SetupAllocations, CollectiveSlotAllocatesOnlyWhatItsDesignUses) {
   // One hash node and one vector each of windows, latches and flags,
   // however many leaders share the slot.
   EXPECT_LE(allocations_per_invocation(spec), 4.0);
+}
+
+TEST(SetupAllocations, SharpLeadersDoNotRebuildTheirGroup) {
+  // The socket leaders' member list is built once per machine, as the node
+  // leaders' is: 8.5 allocations per node and invocation on A 4x28
+  // (sharp-node-leader makes 6.5). One list per socket leader and
+  // invocation would make it 10.5.
+  coll::CollSpec spec;
+  spec.algo = "sharp-socket-leader";
+  EXPECT_LT(allocations_per_invocation(spec, net::cluster_a()), 9.0);
 }
 
 TEST(SetupAllocations, CountsThisBinarysAllocations) {

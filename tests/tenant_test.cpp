@@ -292,6 +292,39 @@ TEST(TenantSpecTest, FailSpecRoundTripsAndValidates) {
                util::InvariantError);
 }
 
+TEST(TenantSpecTest, NumbersFollowTheArgsRule) {
+  // A number is its whole text, fits its field (an int, or a uint64 seed)
+  // and is finite; the error names the flag and the field.
+  struct Probe {
+    const char* spec;
+    bool fail;  // a --fail-links spec, else a --bg-traffic one
+    const char* names;
+  };
+  const Probe probes[] = {
+      {"way=4294967296,at_us=30", true, "--fail-links way"},
+      {"way=0,leaf=1.5,at_us=30", true, "--fail-links leaf"},
+      {"way=0,at_us=nan", true, "--fail-links at_us"},
+      {"uniform:load=0.5x", false, "--bg-traffic load"},
+      {"hotspot:hot_node=4294967296", false, "--bg-traffic hot_node"},
+      {"permutation:shift=inf", false, "--bg-traffic shift"},
+      {"uniform:seed=-3", false, "--bg-traffic seed"},
+  };
+  for (const Probe& p : probes) {
+    try {
+      if (p.fail) {
+        (void)tenant::FailSpec::parse(p.spec);
+      } else {
+        (void)tenant::TrafficSpec::parse(p.spec);
+      }
+      ADD_FAILURE() << p.spec << " was accepted";
+    } catch (const util::InvariantError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(p.names), std::string::npos) << msg;
+      EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shape validation.
 
