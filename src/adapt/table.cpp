@@ -128,40 +128,45 @@ AdaptiveTable AdaptiveTable::parse(const std::string& text) {
     if (!(ls >> tok)) continue;  // blank line
     // Numbers follow the util::Args rule; errors name the line and field.
     const std::string where = "adaptive table line " + std::to_string(lineno);
+    const auto bad = [&](const std::string& what) {
+      return util::InvariantError(where + ": " + what + " in '" + line + "'");
+    };
+    // A leader count or pipeline depth: an int of at least 1.
+    const auto positive = [&](const char* field, const std::string& text) {
+      const int n = util::Args::parse_int(where + " " + field, text);
+      if (n < 1) {
+        throw util::InvariantError("bad value '" + text + "' for " + where +
+                                   " " + field + ": expected at least 1");
+      }
+      return n;
+    };
     Entry e;
     // Optional leading collective kind (bare lines are allreduce, the
     // legacy convention).
     if (coll::is_coll_kind_name(tok)) {
       e.kind = coll::coll_kind_by_name(tok);
-      DPML_CHECK_MSG(static_cast<bool>(ls >> tok),
-                     "adaptive entry missing size bound: " + line);
+      if (!(ls >> tok)) throw bad("missing size bound");
     }
     // Optional contention-level qualifier; plain lines are level 0, so
     // legacy selection tables parse unchanged.
     if (tok.rfind("@c", 0) == 0) {
       e.level = util::Args::parse_int(where + " contention level",
                                       tok.substr(2));
-      DPML_CHECK_MSG(static_cast<bool>(ls >> tok),
-                     "adaptive entry missing size bound: " + line);
+      if (!(ls >> tok)) throw bad("missing size bound");
     }
     if (tok == "*") {
       e.max_bytes = kCatchAll;
-    } else {
-      DPML_CHECK_MSG(tok.rfind("<=", 0) == 0,
-                     "adaptive entry must bound size with '<=' or '*': " +
-                         tok);
+    } else if (tok.rfind("<=", 0) == 0) {
       e.max_bytes = util::Args::parse_u64(where + " size bound", tok.substr(2));
+    } else {
+      throw bad("size bound '" + tok + "' must be '<=N' or '*'");
     }
     std::string algo;
-    DPML_CHECK_MSG(static_cast<bool>(ls >> algo),
-                   "adaptive entry missing algorithm: " + line);
+    if (!(ls >> algo)) throw bad("missing algorithm");
     e.spec.algo = coll::CollRegistry::instance().at(e.kind, algo).name;
     if (ls >> tok) {
-      e.spec.leaders = util::Args::parse_int(where + " leaders", tok);
-      if (ls >> tok) {
-        e.spec.pipeline_k = util::Args::parse_int(where + " pipeline depth",
-                                                  tok);
-      }
+      e.spec.leaders = positive("leaders", tok);
+      if (ls >> tok) e.spec.pipeline_k = positive("pipeline depth", tok);
     }
     if (ls >> tok) {
       throw util::InvariantError(where + ": unexpected '" + tok +

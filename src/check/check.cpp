@@ -53,8 +53,7 @@ std::string build_report(const std::vector<Violation>& vs) {
 }
 
 // Render element `idx` of a raw buffer for mismatch messages.
-std::string format_element(Dtype dt, const std::vector<std::byte>& buf,
-                           std::size_t idx) {
+std::string format_element(Dtype dt, ConstBytes buf, std::size_t idx) {
   const std::size_t esize = simmpi::dtype_size(dt);
   if ((idx + 1) * esize > buf.size()) return "?";
   const std::byte* p = buf.data() + idx * esize;
@@ -92,19 +91,6 @@ std::string format_element(Dtype dt, const std::vector<std::byte>& buf,
   return os.str();
 }
 
-// First differing element index between two equally-sized buffers, or
-// npos when bit-identical.
-std::size_t first_mismatch(const std::vector<std::byte>& a,
-                           const std::vector<std::byte>& b,
-                           std::size_t esize) {
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] != b[i]) return i / esize;
-  }
-  if (a.size() != b.size()) return n / esize;
-  return static_cast<std::size_t>(-1);
-}
-
 }  // namespace
 
 CheckError::CheckError(std::string report, std::vector<Violation> violations,
@@ -112,6 +98,78 @@ CheckError::CheckError(std::string report, std::vector<Violation> violations,
     : std::runtime_error(std::move(report)),
       violations_(std::move(violations)),
       deadlock_json_(std::move(deadlock_json)) {}
+
+std::optional<ResultMismatch> reference_mismatch(
+    const CollCall& call, std::span<const ConstBytes> inputs,
+    std::span<const ConstBytes> outputs) {
+  const int p = call.parties;
+  DPML_CHECK(inputs.size() == static_cast<std::size_t>(p) &&
+             outputs.size() == static_cast<std::size_t>(p));
+  const std::size_t esize = simmpi::dtype_size(call.dt);
+  const std::size_t block = call.count * esize;
+  for (int cr = 0; cr < p; ++cr) {
+    DPML_CHECK_MSG(inputs[static_cast<std::size_t>(cr)].size() ==
+                       coll::input_blocks(call.kind, p, cr == call.root) *
+                           block,
+                   "reference input of comm rank " + std::to_string(cr) +
+                       " does not span its extent");
+  }
+  const auto input = [&](int cr) {
+    return inputs[static_cast<std::size_t>(cr)];
+  };
+  const coll::KindContract c = coll::contract_of(call.kind);
+  std::vector<std::byte> fold;
+  if (c.reduces) {
+    fold.assign(input(0).begin(), input(0).end());
+    for (int cr = 1; cr < p; ++cr) {
+      call.op.apply(call.dt, fold.size() / esize, MutBytes{fold}, input(cr));
+    }
+  }
+  // Block b of comm rank cr's result.
+  const auto expected = [&](int cr, std::size_t b) -> ConstBytes {
+    const std::size_t mine = static_cast<std::size_t>(cr) * block;
+    switch (call.kind) {
+      case CollKind::allreduce:
+      case CollKind::reduce: return fold;
+      case CollKind::reduce_scatter:
+        return ConstBytes{fold}.subspan(mine, block);
+      case CollKind::bcast: return input(call.root);
+      case CollKind::scatter: return input(call.root).subspan(mine, block);
+      case CollKind::allgather:
+      case CollKind::gather: return input(static_cast<int>(b));
+      case CollKind::alltoall:
+        return input(static_cast<int>(b)).subspan(mine, block);
+      case CollKind::barrier: break;
+    }
+    return {};
+  };
+  const std::size_t blocks = coll::extent_blocks(c.recv, p, true);
+  for (int cr = 0; cr < p; ++cr) {
+    if (!coll::holds_result(call.kind, cr == call.root)) continue;
+    const ConstBytes out = outputs[static_cast<std::size_t>(cr)];
+    const auto mismatch = [&](std::size_t element, ConstBytes want,
+                              std::size_t want_element) {
+      return ResultMismatch{cr, element, format_element(call.dt, out, element),
+                            format_element(call.dt, want, want_element)};
+    };
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const ConstBytes want = expected(cr, b);
+      const std::size_t off = std::min(b * block, out.size());
+      const ConstBytes got =
+          out.subspan(off, std::min(block, out.size() - off));
+      const auto diff =
+          std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+      if (diff.first == got.end() && diff.second == want.end()) continue;
+      const std::size_t at =
+          static_cast<std::size_t>(diff.second - want.begin()) / esize;
+      return mismatch(b * call.count + at, want, at);
+    }
+    if (out.size() > blocks * block) {
+      return mismatch(blocks * call.count, {}, 0);
+    }
+  }
+  return std::nullopt;
+}
 
 std::string deadlock_report_json(const std::vector<BlockedEdge>& edges) {
   std::ostringstream os;
@@ -322,18 +380,14 @@ std::uint64_t Checker::begin_collective(CollKind op_kind, int world_rank,
   CollRecord& rec = records_[{ctx, seq}];
   const std::string where =
       std::string(coll_kind_name(op_kind)) + "/" + label;
+  const CollCall& was = rec.call;
   if (rec.entered == 0) {
-    rec.op_kind = op_kind;
+    rec.call = CollCall{op_kind, parties, root, count, dt, op};
     rec.label = label;
-    rec.parties = parties;
-    rec.root = root;
-    rec.count = count;
-    rec.dt = dt;
-    rec.op = op;
     rec.party.resize(static_cast<std::size_t>(parties));
-  } else if (rec.op_kind != op_kind || rec.label != label ||
-             rec.parties != parties || rec.root != root ||
-             rec.count != count || rec.dt != dt) {
+  } else if (was.kind != op_kind || rec.label != label ||
+             was.parties != parties || was.root != root ||
+             was.count != count || was.dt != dt) {
     fail(Violation{
         "collective-argument-mismatch", world_rank, where,
         "entered invocation #" + std::to_string(seq) + " on context " +
@@ -342,11 +396,11 @@ std::uint64_t Checker::begin_collective(CollKind op_kind, int world_rank,
             ", root=" + std::to_string(root) + ", count=" +
             std::to_string(count) + ", dtype=" + simmpi::dtype_name(dt) +
             ") but an earlier rank entered with (kind=" +
-            coll_kind_name(rec.op_kind) + ", label=" +
-            rec.label + ", parties=" + std::to_string(rec.parties) +
-            ", root=" + std::to_string(rec.root) + ", count=" +
-            std::to_string(rec.count) + ", dtype=" +
-            simmpi::dtype_name(rec.dt) + "); SPMD ranks must agree"});
+            coll_kind_name(was.kind) + ", label=" +
+            rec.label + ", parties=" + std::to_string(was.parties) +
+            ", root=" + std::to_string(was.root) + ", count=" +
+            std::to_string(was.count) + ", dtype=" +
+            simmpi::dtype_name(was.dt) + "); SPMD ranks must agree"});
   }
   Party& p = rec.party[static_cast<std::size_t>(comm_rank)];
   if (p.entered) {
@@ -365,9 +419,7 @@ std::uint64_t Checker::begin_collective(CollKind op_kind, int world_rank,
   // Annotate this rank's p2p traffic with the reduction dtype; the pure
   // data-movement kinds (bcast, alltoall, allgather, gather, scatter) move
   // byte ranges that need not be element-aligned, so they stay unannotated.
-  const bool reduction = op_kind == CollKind::allreduce ||
-                         op_kind == CollKind::reduce ||
-                         op_kind == CollKind::reduce_scatter;
+  const bool reduction = coll::contract_of(op_kind).reduces;
   open_[static_cast<std::size_t>(world_rank)].push_back(
       OpenColl{ctx, seq, reduction ? static_cast<int>(dt) : -1});
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ctx)) << 32) |
@@ -402,48 +454,26 @@ void Checker::end_collective(int world_rank, std::uint64_t token,
     party->output.assign(output.begin(), output.end());
   }
   rec.exited += 1;
-  if (rec.exited == rec.parties) {
-    verify_collective(ctx, seq, rec);
+  if (rec.exited == rec.call.parties) {
+    verify_collective(rec);
     records_.erase(rit);
   }
 }
 
-void Checker::verify_collective(int ctx, std::uint64_t seq,
-                                const CollRecord& rec) {
-  (void)ctx;
-  (void)seq;
+void Checker::verify_collective(const CollRecord& rec) {
+  const CollCall& call = rec.call;
   // Barrier has arrival semantics only (count == 0); nothing to verify.
-  if (!with_data_ || rec.count == 0) return;
-  const std::size_t esize = simmpi::dtype_size(rec.dt);
-  const std::size_t vec_bytes = rec.count * esize;
-  const std::size_t all_bytes =
-      vec_bytes * static_cast<std::size_t>(rec.parties);
-  // Expected input-snapshot size per comm rank (`count` is the per-block
-  // element count for the blocked kinds, see coll/registry.hpp); 0 means the
-  // rank contributes no data (e.g. scatter non-roots).
-  auto in_bytes_of = [&](int cr) -> std::size_t {
-    switch (rec.op_kind) {
-      case CollKind::alltoall:
-      case CollKind::reduce_scatter:
-        return all_bytes;
-      case CollKind::scatter:
-        return cr == rec.root ? all_bytes : 0;
-      case CollKind::barrier:
-        return 0;
-      case CollKind::allreduce:
-      case CollKind::reduce:
-      case CollKind::bcast:
-      case CollKind::allgather:
-      case CollKind::gather:
-        break;
-    }
-    return vec_bytes;
-  };
+  if (!with_data_ || call.count == 0) return;
+  const std::size_t block = call.count * simmpi::dtype_size(call.dt);
   const std::string where =
-      std::string(coll_kind_name(rec.op_kind)) + "/" + rec.label;
-  for (int cr = 0; cr < rec.parties; ++cr) {
+      std::string(coll_kind_name(call.kind)) + "/" + rec.label;
+  std::vector<ConstBytes> inputs(rec.party.size());
+  std::vector<ConstBytes> outputs(rec.party.size());
+  for (int cr = 0; cr < call.parties; ++cr) {
     const Party& p = rec.party[static_cast<std::size_t>(cr)];
-    const std::size_t expect_in = in_bytes_of(cr);
+    outputs[static_cast<std::size_t>(cr)] = p.output;
+    const std::size_t expect_in =
+        coll::input_blocks(call.kind, call.parties, cr == call.root) * block;
     if (expect_in == 0) continue;  // this rank contributes no data
     if (p.input.empty()) return;  // metadata-only participant: nothing to fold
     if (p.input.size() != expect_in) {
@@ -451,105 +481,19 @@ void Checker::verify_collective(int ctx, std::uint64_t seq,
                      "input buffer holds " + std::to_string(p.input.size()) +
                          " bytes; expected " + std::to_string(expect_in)});
     }
+    inputs[static_cast<std::size_t>(cr)] = p.input;
   }
-
-  // Serial reference in ascending comm-rank order — the fold order MPI
-  // guarantees for non-commutative ops (associativity may be exploited, the
-  // operand sequence may not be reordered). The data-movement kinds use a
-  // placement reference (blocks concatenated in comm-rank order) instead.
-  std::vector<std::byte> ref;
-  switch (rec.op_kind) {
-    case CollKind::allreduce:
-    case CollKind::reduce: {
-      ref = rec.party[0].input;
-      for (int cr = 1; cr < rec.parties; ++cr) {
-        rec.op.apply(rec.dt, rec.count, MutBytes{ref},
-                     ConstBytes{rec.party[static_cast<std::size_t>(cr)].input});
-      }
-      break;
-    }
-    case CollKind::reduce_scatter: {
-      // Fold the full p-block vectors; comm rank cr receives block cr.
-      ref = rec.party[0].input;
-      for (int cr = 1; cr < rec.parties; ++cr) {
-        rec.op.apply(rec.dt,
-                     rec.count * static_cast<std::size_t>(rec.parties),
-                     MutBytes{ref},
-                     ConstBytes{rec.party[static_cast<std::size_t>(cr)].input});
-      }
-      break;
-    }
-    case CollKind::bcast:
-    case CollKind::scatter:
-      ref = rec.party[static_cast<std::size_t>(rec.root)].input;
-      break;
-    case CollKind::allgather:
-    case CollKind::gather:
-      ref.resize(all_bytes);
-      for (int cr = 0; cr < rec.parties; ++cr) {
-        std::memcpy(ref.data() + static_cast<std::size_t>(cr) * vec_bytes,
-                    rec.party[static_cast<std::size_t>(cr)].input.data(),
-                    vec_bytes);
-      }
-      break;
-    case CollKind::alltoall:
-    case CollKind::barrier:
-      break;  // alltoall: per-receiver expectation computed below
-  }
-
-  auto check_output = [&](int cr, const std::vector<std::byte>& expect) {
-    const Party& p = rec.party[static_cast<std::size_t>(cr)];
-    if (p.output == expect) return;
-    const std::size_t idx = first_mismatch(p.output, expect, esize);
-    fail(Violation{
-        "result-mismatch", p.world_rank, where,
-        "comm rank " + std::to_string(cr) + " finished with a wrong result: "
-            "element " + std::to_string(idx) + " (" +
-            simmpi::dtype_name(rec.dt) + ", op=" + rec.op.name() + ") is " +
-            format_element(rec.dt, p.output, idx) + ", serial reference says " +
-            format_element(rec.dt, expect, idx)});
-  };
-
-  // One block of `ref` for the kinds that scatter it per receiver.
-  auto block_of = [&](int cr) {
-    const auto lo = static_cast<std::ptrdiff_t>(
-        static_cast<std::size_t>(cr) * vec_bytes);
-    return std::vector<std::byte>(
-        ref.begin() + lo, ref.begin() + lo + static_cast<std::ptrdiff_t>(
-                                                 vec_bytes));
-  };
-
-  switch (rec.op_kind) {
-    case CollKind::allreduce:
-    case CollKind::bcast:
-    case CollKind::allgather:
-      for (int cr = 0; cr < rec.parties; ++cr) check_output(cr, ref);
-      break;
-    case CollKind::reduce:
-    case CollKind::gather:
-      check_output(rec.root, ref);
-      break;
-    case CollKind::reduce_scatter:
-    case CollKind::scatter:
-      for (int cr = 0; cr < rec.parties; ++cr) check_output(cr, block_of(cr));
-      break;
-    case CollKind::alltoall: {
-      std::vector<std::byte> expect(all_bytes);
-      for (int cr = 0; cr < rec.parties; ++cr) {
-        for (int src = 0; src < rec.parties; ++src) {
-          const std::byte* blk =
-              rec.party[static_cast<std::size_t>(src)].input.data() +
-              static_cast<std::size_t>(cr) * vec_bytes;
-          std::memcpy(expect.data() + static_cast<std::size_t>(src) * vec_bytes,
-                      blk, vec_bytes);
-        }
-        check_output(cr, expect);
-      }
-      break;
-    }
-    case CollKind::barrier:
-      break;
-  }
+  const std::optional<ResultMismatch> m =
+      reference_mismatch(call, inputs, outputs);
+  if (!m) return;
+  fail(Violation{
+      "result-mismatch",
+      rec.party[static_cast<std::size_t>(m->comm_rank)].world_rank, where,
+      "comm rank " + std::to_string(m->comm_rank) +
+          " finished with a wrong result: element " +
+          std::to_string(m->element) + " (" + simmpi::dtype_name(call.dt) +
+          ", op=" + call.op.name() + ") is " + m->got +
+          ", serial reference says " + m->expected});
 }
 
 void Checker::note_endpoint_state(int rank, const simmpi::Matcher& matcher) {
@@ -604,7 +548,7 @@ void Checker::finalize(bool deadlocked, const std::string& deadlock_what,
     if (!inside.empty()) msg += "; world ranks still inside: " + inside;
     if (missing_n > 0) msg += "; comm ranks that never entered: " + missing;
     deferred_.push_back(Violation{"unbalanced-collective", -1,
-                                  std::string(coll_kind_name(rec.op_kind)) +
+                                  std::string(coll_kind_name(rec.call.kind)) +
                                       "/" + rec.label,
                                   std::move(msg)});
   }

@@ -14,8 +14,10 @@
 //     of every blocked request and every queued-but-unreceived message
 //   - send/recv count- and datatype-mismatches inside reduction collectives
 //   - overlapping live communication buffers (send/recv/shm aliasing)
-//   - per-collective result verification against a serial reference fold in
-//     ascending comm-rank order — including non-commutative user ops
+//   - per-collective result verification against the one serial reference
+//     (reference_mismatch, shared with core::measure_collective): a fold in
+//     ascending comm-rank order — including non-commutative user ops — or a
+//     placement of the inputs
 //   - SPMD argument divergence across the ranks of one collective
 //   - (strict) capacity/bytes exactness, leaked collective slots, and
 //     unbalanced tracer begin/end spans
@@ -24,6 +26,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -80,6 +84,40 @@ class CheckError : public std::runtime_error {
   std::vector<Violation> violations_;
   std::string deadlock_json_;
 };
+
+// ---- the serial reference ----
+
+// One collective invocation as the serial reference reads it.
+struct CollCall {
+  coll::CollKind kind = coll::CollKind::allreduce;
+  int parties = 0;  // comm size p
+  int root = 0;
+  std::size_t count = 0;  // per kind, as coll/registry.hpp defines it
+  simmpi::Dtype dt = simmpi::Dtype::f32;
+  simmpi::Op op = simmpi::ReduceOp::sum;
+};
+
+// The first output element that differs from the serial reference.
+struct ResultMismatch {
+  int comm_rank = -1;
+  std::size_t element = 0;  // element index into that rank's recv
+  std::string got;          // the element as the rank holds it ("?": none)
+  std::string expected;     // the element the reference computes
+};
+
+// The one serial reference of every kind. The reducing kinds fold the
+// inputs in ascending comm-rank order, the order MPI guarantees for
+// non-commutative ops (associativity may be exploited, the operand
+// sequence may not be reordered); bcast and scatter copy the root's input,
+// allgather and gather place the inputs in comm-rank order, and alltoall
+// transposes the blocks. inputs[cr] is comm rank cr's input over its
+// extent (coll::input_blocks; empty where it contributes none) and
+// outputs[cr] its recv; only the ranks that hold a result
+// (coll::holds_result) are compared. Allocates the reducing kinds' fold
+// only.
+std::optional<ResultMismatch> reference_mismatch(
+    const CollCall& call, std::span<const simmpi::ConstBytes> inputs,
+    std::span<const simmpi::ConstBytes> outputs);
 
 // RAII registration of a live communication buffer (the span a send is
 // reading or a receive is writing). Released on destruction, so coroutine
@@ -146,7 +184,7 @@ class Checker {
                                  const simmpi::Op& op,
                                  simmpi::ConstBytes input);
   // Registers exit; when the last party exits, the invocation's outputs are
-  // verified against a serial reference computed from the entry snapshots.
+  // verified against reference_mismatch over the entry snapshots.
   void end_collective(int world_rank, std::uint64_t token,
                       simmpi::ConstBytes output);
 
@@ -197,13 +235,8 @@ class Checker {
   };
 
   struct CollRecord {
-    coll::CollKind op_kind = coll::CollKind::allreduce;
+    CollCall call;
     std::string label;
-    int parties = 0;
-    int root = 0;
-    std::size_t count = 0;
-    simmpi::Dtype dt = simmpi::Dtype::f32;
-    simmpi::Op op = simmpi::ReduceOp::sum;
     std::vector<Party> party;
     int entered = 0;
     int exited = 0;
@@ -215,7 +248,7 @@ class Checker {
   BufferLease acquire(int rank, const std::byte* data, std::size_t size,
                       bool writable, const char* what, int ctx, int tag);
   std::string label_of(int rank) const;  // innermost collective label or ""
-  void verify_collective(int ctx, std::uint64_t seq, const CollRecord& rec);
+  void verify_collective(const CollRecord& rec);
 
   CheckLevel level_;
   bool with_data_;

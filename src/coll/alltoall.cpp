@@ -15,25 +15,13 @@ namespace dpml::coll {
 // ---------------------------------------------------------------------------
 // Alltoall
 
-namespace {
-
-void check_alltoall(const CollArgs& a) {
-  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
-                 "alltoall CollArgs missing rank/comm");
-  const auto p = static_cast<std::size_t>(a.comm->size());
-  DPML_CHECK(a.send.empty() || a.send.size() == p * a.bytes());
-  DPML_CHECK(a.recv.empty() || a.recv.size() == p * a.bytes());
-}
-
-}  // namespace
-
 sim::CoTask<void> alltoall(CollArgs a) {
   if (a.bytes() <= 1024) return alltoall_bruck(std::move(a));
   return alltoall_pairwise(std::move(a));
 }
 
 sim::CoTask<void> alltoall_pairwise(CollArgs a) {
-  check_alltoall(a);
+  check_args(CollKind::alltoall, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -59,7 +47,7 @@ sim::CoTask<void> alltoall_pairwise(CollArgs a) {
 }
 
 sim::CoTask<void> alltoall_bruck(CollArgs a) {
-  check_alltoall(a);
+  check_args(CollKind::alltoall, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());

@@ -7,27 +7,10 @@
 #include "coll/registry.hpp"
 #include "coll/ring.hpp"
 #include "sharp/sharp.hpp"
-#include "util/error.hpp"
 
 namespace dpml::coll {
 
 using simmpi::Machine;
-
-namespace {
-
-void check_bcast(const CollArgs& a) {
-  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
-                 "bcast CollArgs missing rank/comm");
-  DPML_CHECK(a.root >= 0 && a.root < a.comm->size());
-  DPML_CHECK_MSG(a.recv.empty() || a.recv.size() == a.bytes(),
-                 "bcast buffer size mismatch");
-  if (a.rank->machine().with_data()) {
-    DPML_CHECK_MSG(!a.recv.empty() || a.bytes() == 0,
-                   "data-mode bcast requires a buffer");
-  }
-}
-
-}  // namespace
 
 sim::CoTask<void> bcast(CollArgs a) {
   if (a.bytes() <= 8 * 1024) return bcast_binomial(std::move(a));
@@ -35,7 +18,7 @@ sim::CoTask<void> bcast(CollArgs a) {
 }
 
 sim::CoTask<void> bcast_binomial(CollArgs a) {
-  check_bcast(a);
+  check_args(CollKind::bcast, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -65,7 +48,7 @@ sim::CoTask<void> bcast_binomial(CollArgs a) {
 }
 
 sim::CoTask<void> bcast_scatter_allgather(CollArgs a) {
-  check_bcast(a);
+  check_args(CollKind::bcast, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -109,7 +92,7 @@ sim::CoTask<void> bcast_scatter_allgather(CollArgs a) {
 
 sim::CoTask<void> bcast_single_leader(CollArgs a,
                                       sharp::SharpFabric* fabric) {
-  check_bcast(a);
+  check_args(CollKind::bcast, a);
   require_world(a);
   Rank& r = *a.rank;
   Machine& m = r.machine();

@@ -1,6 +1,7 @@
 #include "coll/coll.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -12,23 +13,56 @@ std::vector<std::byte> CollArgs::scratch(std::size_t nbytes) const {
   return std::vector<std::byte>(nbytes);
 }
 
-void CollArgs::check() const {
-  DPML_CHECK_MSG(rank != nullptr && comm != nullptr,
-                 "CollArgs missing rank/comm");
-  const std::size_t nbytes = bytes();
-  DPML_CHECK_MSG(recv.empty() || recv.size() == nbytes,
-                 "recv buffer size mismatch");
-  if (inplace) {
-    DPML_CHECK_MSG(send.empty(), "in-place collective must not pass sendbuf");
-  } else {
-    DPML_CHECK_MSG(send.empty() || send.size() == nbytes,
-                   "send buffer size mismatch");
+namespace {
+
+[[noreturn]] void reject(CollKind kind, const std::string& msg) {
+  throw util::InvariantError(std::string(coll_kind_name(kind)) + ": " + msg);
+}
+
+void check_extent(CollKind kind, const char* name, std::size_t have,
+                  std::size_t want) {
+  if (have == 0 || have == want) return;
+  reject(kind, std::string(name) + " buffer holds " + std::to_string(have) +
+                   " bytes; expected " +
+                   (want == 0 ? std::string("none")
+                              : "0 or " + std::to_string(want)));
+}
+
+}  // namespace
+
+void check_args(CollKind kind, const CollArgs& a) {
+  if (a.rank == nullptr || a.comm == nullptr) {
+    reject(kind, "CollArgs missing rank/comm");
   }
-  if (rank->machine().with_data()) {
-    DPML_CHECK_MSG(!recv.empty() || nbytes == 0,
-                   "data-mode collective requires a recv buffer");
-    DPML_CHECK_MSG(inplace || !send.empty() || nbytes == 0,
-                   "data-mode collective requires a send buffer");
+  const KindContract c = contract_of(kind);
+  const int p = a.comm->size();
+  if (c.rooted && (a.root < 0 || a.root >= p)) {
+    reject(kind, "root " + std::to_string(a.root) + " out of range for " +
+                     std::to_string(p) + " ranks");
+  }
+  if (a.inplace && c.in_place == InPlace::no) {
+    reject(kind, "does not run in place; pass the input in send");
+  }
+  const bool in_recv = input_in_recv(kind, a.inplace);
+  if (a.inplace && in_recv && !a.send.empty()) {
+    reject(kind, "an in-place call passes no send buffer");
+  }
+  // Any rank may pass an at_root buffer; only the root's is read.
+  const std::size_t block = a.bytes();
+  check_extent(kind, "send", a.send.size(),
+               extent_blocks(c.send, p, true) * block);
+  check_extent(kind, "recv", a.recv.size(),
+               extent_blocks(c.recv, p, true) * block);
+  if (block == 0 || !a.rank->machine().with_data()) return;
+  const bool at_root =
+      c.rooted && a.comm->rank_of_world(a.rank->world_rank()) == a.root;
+  if (input_blocks(kind, p, at_root) > 0 &&
+      (in_recv ? a.recv.empty() : a.send.empty())) {
+    reject(kind, std::string("a data-mode call needs its input in ") +
+                     (in_recv ? "recv" : "send"));
+  }
+  if (holds_result(kind, at_root) && a.recv.empty()) {
+    reject(kind, "a data-mode call needs a recv buffer for its result");
   }
 }
 

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "coll/kind.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "simmpi/comm.hpp"
@@ -29,7 +30,8 @@ using simmpi::Op;
 using simmpi::Rank;
 
 // The one argument type of every algorithm of every kind; `count` is read
-// per kind as coll/registry.hpp documents (a bcast payload is in recv).
+// per kind as coll/registry.hpp documents, and the buffers follow the
+// kind's contract in coll/kind.hpp (a bcast payload is in recv).
 struct CollArgs {
   Rank* rank = nullptr;
   const Comm* comm = nullptr;
@@ -45,10 +47,15 @@ struct CollArgs {
   std::size_t bytes() const { return count * simmpi::dtype_size(dt); }
   // Allocate a scratch buffer honouring the machine's data mode.
   std::vector<std::byte> scratch(std::size_t nbytes) const;
-  // Validate the allreduce SPMD invariants; called at algorithm entry (the
-  // other kinds check their own buffer shapes).
-  void check() const;
 };
+
+// Validates `a` against the kind's buffer contract (coll/kind.hpp): rank
+// and comm set, a rooted kind's root in range, in place only where the
+// kind allows it and then with an empty send, every buffer empty or exactly
+// its extent, and in data mode the rank's input and result buffers present.
+// Throws util::InvariantError naming the kind and the buffer. Every design
+// calls it at entry; on the passing path it builds no string.
+void check_args(CollKind kind, const CollArgs& a);
 
 // Block partition of `count` elements into `parts` pieces; the remainder is
 // spread over the first `count % parts` pieces (ragged partitions).

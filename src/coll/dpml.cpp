@@ -111,13 +111,13 @@ sim::CoTask<void> allgather_partitioned(CollArgs a, int l) {
 }  // namespace
 
 sim::CoTask<void> allreduce_single_leader(CollArgs a, InterAlgo inter) {
-  a.check();
+  check_args(CollKind::allreduce, a);
   require_world(a);
   return leader_allreduce(std::move(a), inter, nullptr, false);
 }
 
 sim::CoTask<void> allreduce_dpml(CollArgs a, CollSpec spec) {
-  a.check();
+  check_args(CollKind::allreduce, a);
   require_world(a);
   DPML_CHECK_MSG(spec.pipeline_k >= 1, "pipeline_k must be >= 1");
   const int ppn = a.rank->machine().ppn();
@@ -131,18 +131,12 @@ sim::CoTask<void> allreduce_dpml(CollArgs a, CollSpec spec) {
 }
 
 sim::CoTask<void> reduce_scatter_dpml(CollArgs a, CollSpec spec) {
+  check_args(CollKind::reduce_scatter, a);
   require_world(a);
   DPML_CHECK_MSG(spec.pipeline_k >= 1, "pipeline_k must be >= 1");
-  DPML_CHECK_MSG(!a.inplace,
-                 "reduce_scatter/dpml does not support in-place");
   const int ppn = a.rank->machine().ppn();
   const std::size_t block = a.count;
   const std::size_t total = block * static_cast<std::size_t>(a.comm->size());
-  DPML_CHECK_MSG(
-      a.send.empty() || a.send.size() == total * simmpi::dtype_size(a.dt),
-      "reduce_scatter send buffer must span p blocks");
-  DPML_CHECK_MSG(a.recv.empty() || a.recv.size() == a.bytes(),
-                 "reduce_scatter recv buffer must span one block");
   // Degenerate hierarchy: flat order-aware dispatch.
   if (ppn == 1) return reduce_scatter(std::move(a));
   // View the p per-rank blocks as one contiguous total-element vector for
@@ -156,6 +150,7 @@ sim::CoTask<void> reduce_scatter_dpml(CollArgs a, CollSpec spec) {
 }
 
 sim::CoTask<void> allgather_dpml(CollArgs a, CollSpec spec) {
+  check_args(CollKind::allgather, a);
   require_world(a);
   const int ppn = a.rank->machine().ppn();
   // Degenerate hierarchy: flat dispatch.

@@ -60,7 +60,7 @@ sim::CoTask<void> exchange_reduce(const CollArgs& a, int partner, int tag,
 }  // namespace
 
 sim::CoTask<void> allreduce_recursive_doubling(CollArgs a) {
-  a.check();
+  check_args(CollKind::allreduce, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -114,7 +114,7 @@ sim::CoTask<void> allreduce_recursive_doubling(CollArgs a) {
 }
 
 sim::CoTask<void> allreduce_reduce_scatter_allgather(CollArgs a) {
-  a.check();
+  check_args(CollKind::allreduce, a);
   // Recursive vector halving pairs ranks at distance pof2/2 *first*, so
   // after the very first exchange a rank's accumulated operand set is
   // non-contiguous in comm-rank order ({me, me + pof2/2}); no left/right
@@ -243,7 +243,7 @@ sim::CoTask<void> allreduce_reduce_scatter_allgather(CollArgs a) {
 }
 
 sim::CoTask<void> allreduce_ring_channels(CollArgs a, int channels) {
-  a.check();
+  check_args(CollKind::allreduce, a);
   // The ring's reduce-scatter folds each block in rotation order starting
   // from a different rank per block, which cannot preserve ascending
   // comm-rank operand order. Fall back the way MPICH does for
@@ -373,7 +373,7 @@ sim::CoTask<void> allreduce_ring_channels(CollArgs a, int channels) {
 }
 
 sim::CoTask<void> allreduce_binomial(CollArgs a) {
-  a.check();
+  check_args(CollKind::allreduce, a);
   const int me = a.comm->rank_of_world(a.rank->world_rank());
   if (me < 0) co_return;
   co_await copy_in(a);
@@ -390,7 +390,7 @@ sim::CoTask<void> allreduce_binomial(CollArgs a) {
 }
 
 sim::CoTask<void> allreduce_gather_bcast(CollArgs a) {
-  a.check();
+  check_args(CollKind::allreduce, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());

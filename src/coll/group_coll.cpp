@@ -19,22 +19,6 @@ using simmpi::Machine;
 // ---------------------------------------------------------------------------
 // Gather
 
-namespace {
-
-void check_gather(const CollArgs& a) {
-  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
-                 "gather CollArgs missing rank/comm");
-  DPML_CHECK_MSG(!a.inplace, "gather does not take MPI_IN_PLACE here; pass "
-                             "the root's contribution in send like every "
-                             "other rank");
-  DPML_CHECK(a.root >= 0 && a.root < a.comm->size());
-  DPML_CHECK(a.send.empty() || a.send.size() == a.bytes());
-  const auto p = static_cast<std::size_t>(a.comm->size());
-  DPML_CHECK(a.recv.empty() || a.recv.size() == p * a.bytes());
-}
-
-}  // namespace
-
 sim::CoTask<void> gather(CollArgs a) {
   // Small trees gain nothing from forwarding; the root link is the
   // bottleneck either way, and linear saves the intermediate hops.
@@ -43,7 +27,7 @@ sim::CoTask<void> gather(CollArgs a) {
 }
 
 sim::CoTask<void> gather_linear(CollArgs a) {
-  check_gather(a);
+  check_args(CollKind::gather, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -69,7 +53,7 @@ sim::CoTask<void> gather_linear(CollArgs a) {
 }
 
 sim::CoTask<void> gather_binomial(CollArgs a) {
-  check_gather(a);
+  check_args(CollKind::gather, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -136,29 +120,13 @@ sim::CoTask<void> gather_binomial(CollArgs a) {
 // ---------------------------------------------------------------------------
 // Scatter
 
-namespace {
-
-void check_scatter(const CollArgs& a) {
-  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
-                 "scatter CollArgs missing rank/comm");
-  DPML_CHECK_MSG(!a.inplace, "scatter does not take MPI_IN_PLACE here; the "
-                             "root receives its own block in recv like every "
-                             "other rank");
-  DPML_CHECK(a.root >= 0 && a.root < a.comm->size());
-  DPML_CHECK(a.recv.empty() || a.recv.size() == a.bytes());
-  const auto p = static_cast<std::size_t>(a.comm->size());
-  DPML_CHECK(a.send.empty() || a.send.size() == p * a.bytes());
-}
-
-}  // namespace
-
 sim::CoTask<void> scatter(CollArgs a) {
   if (a.comm->size() <= 4) return scatter_linear(std::move(a));
   return scatter_binomial(std::move(a));
 }
 
 sim::CoTask<void> scatter_linear(CollArgs a) {
-  check_scatter(a);
+  check_args(CollKind::scatter, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -183,7 +151,7 @@ sim::CoTask<void> scatter_linear(CollArgs a) {
 }
 
 sim::CoTask<void> scatter_binomial(CollArgs a) {
-  check_scatter(a);
+  check_args(CollKind::scatter, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -250,17 +218,6 @@ sim::CoTask<void> scatter_binomial(CollArgs a) {
 
 namespace {
 
-void check_allgather(const CollArgs& a) {
-  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
-                 "allgather CollArgs missing rank/comm");
-  DPML_CHECK(a.send.empty() || a.send.size() == a.bytes());
-  const auto p = static_cast<std::size_t>(a.comm->size());
-  DPML_CHECK(a.recv.empty() || a.recv.size() == p * a.bytes());
-  if (a.rank->machine().with_data() && a.bytes() > 0) {
-    DPML_CHECK_MSG(!a.recv.empty(), "data-mode allgather requires recv buffer");
-  }
-}
-
 // Charge my block's copy into place in recv; in place it is already home
 // and only the charge stays.
 sim::Engine::DelayAwaiter allgather_copy_own(const CollArgs& a, int me) {
@@ -280,7 +237,7 @@ sim::CoTask<void> allgather(CollArgs a) {
 }
 
 sim::CoTask<void> allgather_ring(CollArgs a) {
-  check_allgather(a);
+  check_args(CollKind::allgather, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -294,7 +251,7 @@ sim::CoTask<void> allgather_ring(CollArgs a) {
 }
 
 sim::CoTask<void> allgather_rd(CollArgs a) {
-  check_allgather(a);
+  check_args(CollKind::allgather, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -333,28 +290,13 @@ sim::CoTask<void> allgather_rd(CollArgs a) {
 // ---------------------------------------------------------------------------
 // Reduce-scatter
 
-namespace {
-
-void check_reduce_scatter(const CollArgs& a) {
-  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
-                 "reduce_scatter CollArgs missing rank/comm");
-  DPML_CHECK_MSG(!a.inplace,
-                 "reduce_scatter does not take MPI_IN_PLACE here; recv is "
-                 "one block, send spans the p input blocks");
-  const auto p = static_cast<std::size_t>(a.comm->size());
-  DPML_CHECK(a.send.empty() || a.send.size() == p * a.bytes());
-  DPML_CHECK(a.recv.empty() || a.recv.size() == a.bytes());
-}
-
-}  // namespace
-
 sim::CoTask<void> reduce_scatter(CollArgs a) {
   if (a.op.commutative()) return reduce_scatter_ring(std::move(a));
   return reduce_scatter_reduce_then_scatter(std::move(a));
 }
 
 sim::CoTask<void> reduce_scatter_reduce_then_scatter(CollArgs a) {
-  check_reduce_scatter(a);
+  check_args(CollKind::reduce_scatter, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -389,7 +331,7 @@ sim::CoTask<void> reduce_scatter_reduce_then_scatter(CollArgs a) {
 }
 
 sim::CoTask<void> reduce_scatter_ring(CollArgs a) {
-  check_reduce_scatter(a);
+  check_args(CollKind::reduce_scatter, a);
   // The ring folds each block in rotation order, which cannot preserve
   // ascending comm-rank operand order. MPICH-style fallback.
   if (!a.op.commutative()) {

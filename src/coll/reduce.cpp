@@ -7,7 +7,6 @@
 
 #include "coll/node.hpp"
 #include "coll/ring.hpp"
-#include "util/error.hpp"
 
 namespace dpml::coll {
 
@@ -15,31 +14,6 @@ using simmpi::Machine;
 using simmpi::ShmWindow;
 
 namespace {
-
-void check_reduce(const CollArgs& a) {
-  DPML_CHECK_MSG(a.rank != nullptr && a.comm != nullptr,
-                 "reduce CollArgs missing rank/comm");
-  DPML_CHECK(a.root >= 0 && a.root < a.comm->size());
-  const std::size_t nbytes = a.bytes();
-  DPML_CHECK_MSG(a.recv.empty() || a.recv.size() == nbytes,
-                 "recv buffer size mismatch");
-  DPML_CHECK_MSG(a.send.empty() || a.send.size() == nbytes,
-                 "send buffer size mismatch");
-  const bool am_root = a.comm->rank_of_world(a.rank->world_rank()) == a.root;
-  if (a.rank->machine().with_data() && nbytes > 0) {
-    if (a.inplace) {
-      // In-place: this rank's input (and, at the root, output) is in recv.
-      DPML_CHECK_MSG(!a.recv.empty(), "in-place reduce needs recv buffer");
-    } else if (am_root) {
-      DPML_CHECK_MSG(!a.recv.empty(),
-                     "data-mode reduce root needs recv buffer");
-      DPML_CHECK_MSG(!a.send.empty(),
-                     "data-mode reduce root needs send buffer");
-    } else {
-      DPML_CHECK_MSG(!a.send.empty(), "data-mode reduce needs send buffer");
-    }
-  }
-}
 
 // The local accumulator. In place every rank's input already sits in recv
 // (the convention the hierarchical designs use internally), so recv is the
@@ -60,7 +34,7 @@ sim::CoTask<void> reduce(CollArgs a) {
 }
 
 sim::CoTask<void> reduce_binomial(CollArgs a) {
-  check_reduce(a);
+  check_args(CollKind::reduce, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());
@@ -105,7 +79,7 @@ sim::CoTask<void> reduce_binomial(CollArgs a) {
 }
 
 sim::CoTask<void> reduce_rsa_gather(CollArgs a) {
-  check_reduce(a);
+  check_args(CollKind::reduce, a);
   // The ring reduce-scatter folds each block in rotation order, which cannot
   // preserve ascending comm-rank operand order. MPICH-style fallback.
   if (!a.op.commutative()) {
@@ -149,7 +123,7 @@ sim::CoTask<void> reduce_rsa_gather(CollArgs a) {
 }
 
 sim::CoTask<void> reduce_single_leader(CollArgs a) {
-  check_reduce(a);
+  check_args(CollKind::reduce, a);
   require_world(a);
   Rank& r = *a.rank;
   Machine& m = r.machine();
@@ -212,7 +186,7 @@ sim::CoTask<void> reduce_single_leader(CollArgs a) {
 }
 
 sim::CoTask<void> reduce_dpml(CollArgs a, CollSpec spec) {
-  check_reduce(a);
+  check_args(CollKind::reduce, a);
   require_world(a);
   const int ppn = a.rank->machine().ppn();
   if (ppn == 1) return reduce_binomial(std::move(a));

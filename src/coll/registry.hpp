@@ -13,7 +13,10 @@
 // length, dtype, op, buffers, root) plus a CollSpec naming the algorithm and
 // its runtime parameters. `count` is interpreted per kind: the full vector
 // for allreduce/reduce/bcast, the per-block element count for
-// alltoall/allgather/reduce_scatter/gather/scatter, and 0 for barrier.
+// alltoall/allgather/reduce_scatter/gather/scatter, and 0 for barrier. The
+// per-kind contract in coll/kind.hpp (contract_of) says which buffers a
+// rank passes, how many such blocks each holds and where the input sits;
+// coll::check_args enforces it at every design's entry.
 // Every algorithm takes CollArgs itself, so a factory only reads whichever
 // CollSpec fields its design honours (plain_desc: none).
 #pragma once

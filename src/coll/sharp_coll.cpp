@@ -19,7 +19,7 @@ const char* sharp_design_name(SharpDesign d) {
 
 sim::CoTask<void> allreduce_sharp(CollArgs a, sharp::SharpFabric& fabric,
                                   SharpDesign design) {
-  a.check();
+  check_args(CollKind::allreduce, a);
   require_world(a);
   // Payloads beyond the aggregation hardware's limit fall back to the
   // host-based path (the paper only uses SHArP for small messages). The

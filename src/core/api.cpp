@@ -85,37 +85,22 @@ void warn_leader_clamp(CollKind kind, const std::string& algo, int requested,
                         << " leaders from " << requested << " to ppn=" << ppn);
 }
 
-// The span a rank contributes to a collective (what a serial reference
-// reduction folds or a placement reference concatenates): allreduce/reduce
-// read send (or recv when in-place), bcast reads the root's buffer,
-// alltoall/reduce_scatter read the p send blocks, allgather/gather read the
-// rank's one block (in-place allgather reads it out of recv), scatter reads
-// the root's p blocks, barrier moves no data.
+// The span a rank contributes to a collective (what the serial reference
+// folds or places), where the kind's contract (coll/kind.hpp) puts it:
+// empty where the rank contributes none, recv when the input sits there
+// (the bcast root; in place, block `me` of a p-block recv), else send.
 coll::ConstBytes check_input_of(CollKind kind, const coll::CollArgs& args,
                                 int comm_rank) {
-  switch (kind) {
-    case CollKind::allreduce:
-    case CollKind::reduce:
-      return args.inplace ? coll::as_const(args.recv) : args.send;
-    case CollKind::bcast:
-      return coll::as_const(args.recv);
-    case CollKind::alltoall:
-    case CollKind::reduce_scatter:
-      return args.send;
-    case CollKind::gather:
-      return args.send;
-    case CollKind::allgather:
-      if (!args.inplace) return args.send;
-      if (comm_rank < 0 || args.recv.empty()) return {};
-      return coll::sub(coll::as_const(args.recv),
-                       static_cast<std::size_t>(comm_rank) * args.bytes(),
-                       args.bytes());
-    case CollKind::scatter:
-      return comm_rank == args.root ? args.send : coll::ConstBytes{};
-    case CollKind::barrier:
-      return {};
-  }
-  return {};
+  const coll::KindContract c = coll::contract_of(kind);
+  const int p = args.comm->size();
+  const std::size_t blocks =
+      coll::input_blocks(kind, p, comm_rank == args.root);
+  if (comm_rank < 0 || blocks == 0) return {};
+  if (!coll::input_in_recv(kind, args.inplace)) return args.send;
+  const coll::ConstBytes recv = coll::as_const(args.recv);
+  if (coll::extent_blocks(c.recv, p, true) == blocks) return recv;
+  return coll::sub(recv, static_cast<std::size_t>(comm_rank) * args.bytes(),
+                   args.bytes());
 }
 
 // Tracing/perturbation/checking wrapper: applies arrival skew before the
@@ -186,8 +171,7 @@ sim::CoTask<void> run_collective(CollKind kind, coll::CollArgs args,
                  "spec.leaders must be >= 1 for " + d.name);
   DPML_CHECK_MSG(spec.pipeline_k >= 1,
                  "spec.pipeline_k must be >= 1 for " + d.name);
-  if (kind == CollKind::reduce || kind == CollKind::bcast ||
-      kind == CollKind::gather || kind == CollKind::scatter) {
+  if (coll::contract_of(kind).rooted) {
     DPML_CHECK_MSG(args.root >= 0 && args.root < args.comm->size(),
                    "root out of range for " + d.name);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -50,10 +49,6 @@ sim::CoTask<void> bench_rank(CollKind kind, simmpi::Rank& r,
     }
   }
 }
-
-// Per-destination operand index for alltoall block (src -> dst): every block
-// carries a distinct deterministic pattern so misrouted blocks are caught.
-int alltoall_block_id(int src, int dst, int world) { return src * world + dst; }
 
 }  // namespace
 
@@ -119,76 +114,30 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
   const int world = machine.world_size();
   DPML_CHECK_MSG(opt.root >= 0 && opt.root < world, "measure root out of range");
 
-  // Data-mode buffers, shaped per collective kind. `bytes` is the per-rank
-  // payload; alltoall moves one `bytes` block per (src, dst) pair.
+  // Data-mode buffers sized from the kind's contract (coll/kind.hpp): one
+  // operand per rank over its input extent, where the contract puts it;
+  // every other buffer starts zeroed. The bcast root's input sits in its
+  // recv, which the run overwrites, so the reference keeps a copy of it.
+  const coll::KindContract contract = coll::contract_of(kind);
+  const bool in_recv = coll::input_in_recv(kind, false);
+  const std::size_t block = count * esize;
   std::vector<std::vector<std::byte>> sendbufs;
   std::vector<std::vector<std::byte>> recvbufs(
       static_cast<std::size_t>(world));
+  std::vector<std::byte> root_input;
   if (opt.with_data) {
     sendbufs.resize(static_cast<std::size_t>(world));
     for (int w = 0; w < world; ++w) {
+      const bool at_root = w == opt.root;
       auto& sb = sendbufs[static_cast<std::size_t>(w)];
       auto& rb = recvbufs[static_cast<std::size_t>(w)];
-      switch (kind) {
-        case CollKind::allreduce:
-        case CollKind::reduce:
-          sb = simmpi::make_operand(opt.dt, count, w, opt.op, opt.seed);
-          rb.resize(bytes);
-          break;
-        case CollKind::bcast:
-          // In-place payload buffer: the root starts with the operand, the
-          // others start zeroed and must end with a bit-exact copy.
-          rb.resize(bytes);
-          if (w == opt.root) {
-            rb = simmpi::make_operand(opt.dt, count, opt.root, opt.op,
-                                      opt.seed);
-          }
-          break;
-        case CollKind::alltoall:
-          sb.reserve(static_cast<std::size_t>(world) * bytes);
-          for (int dst = 0; dst < world; ++dst) {
-            auto block = simmpi::make_operand(
-                opt.dt, count, alltoall_block_id(w, dst, world), opt.op,
-                opt.seed);
-            sb.insert(sb.end(), block.begin(), block.end());
-          }
-          rb.resize(static_cast<std::size_t>(world) * bytes);
-          break;
-        case CollKind::allgather:
-          sb = simmpi::make_operand(opt.dt, count, w, opt.op, opt.seed);
-          rb.resize(static_cast<std::size_t>(world) * bytes);
-          break;
-        case CollKind::reduce_scatter:
-          // Per-(owner, block) operands, like alltoall: rank w sends world
-          // blocks, block dst is folded into rank dst's result.
-          sb.reserve(static_cast<std::size_t>(world) * bytes);
-          for (int dst = 0; dst < world; ++dst) {
-            auto block = simmpi::make_operand(
-                opt.dt, count, alltoall_block_id(w, dst, world), opt.op,
-                opt.seed);
-            sb.insert(sb.end(), block.begin(), block.end());
-          }
-          rb.resize(bytes);
-          break;
-        case CollKind::gather:
-          sb = simmpi::make_operand(opt.dt, count, w, opt.op, opt.seed);
-          if (w == opt.root) rb.resize(static_cast<std::size_t>(world) * bytes);
-          break;
-        case CollKind::scatter:
-          if (w == opt.root) {
-            sb.reserve(static_cast<std::size_t>(world) * bytes);
-            for (int dst = 0; dst < world; ++dst) {
-              auto block = simmpi::make_operand(
-                  opt.dt, count, alltoall_block_id(opt.root, dst, world),
-                  opt.op, opt.seed);
-              sb.insert(sb.end(), block.begin(), block.end());
-            }
-          }
-          rb.resize(bytes);
-          break;
-        case CollKind::barrier:
-          break;  // no payload
-      }
+      sb.resize(coll::extent_blocks(contract.send, world, at_root) * block);
+      rb.resize(coll::extent_blocks(contract.recv, world, at_root) * block);
+      const std::size_t in = coll::input_blocks(kind, world, at_root);
+      if (in == 0) continue;
+      (in_recv ? rb : sb) =
+          simmpi::make_operand(opt.dt, in * count, w, opt.op, opt.seed);
+      if (in_recv) root_input = rb;
     }
   }
 
@@ -224,103 +173,17 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
   }
 
   if (opt.with_data) {
-    switch (kind) {
-      case CollKind::allreduce: {
-        const auto ref = simmpi::reference_allreduce(opt.dt, count, world,
-                                                     opt.op, opt.seed);
-        for (int w = 0; w < world; ++w) {
-          if (recvbufs[static_cast<std::size_t>(w)] != ref) {
-            out.verified = false;
-            break;
-          }
-        }
-        break;
-      }
-      case CollKind::reduce: {
-        const auto ref = simmpi::reference_allreduce(opt.dt, count, world,
-                                                     opt.op, opt.seed);
-        out.verified = recvbufs[static_cast<std::size_t>(opt.root)] == ref;
-        break;
-      }
-      case CollKind::bcast: {
-        const auto payload =
-            simmpi::make_operand(opt.dt, count, opt.root, opt.op, opt.seed);
-        for (int w = 0; w < world; ++w) {
-          if (recvbufs[static_cast<std::size_t>(w)] != payload) {
-            out.verified = false;
-            break;
-          }
-        }
-        break;
-      }
-      case CollKind::alltoall: {
-        for (int w = 0; w < world && out.verified; ++w) {
-          const auto& rb = recvbufs[static_cast<std::size_t>(w)];
-          for (int src = 0; src < world; ++src) {
-            const auto block = simmpi::make_operand(
-                opt.dt, count, alltoall_block_id(src, w, world), opt.op,
-                opt.seed);
-            if (std::memcmp(rb.data() + static_cast<std::size_t>(src) * bytes,
-                            block.data(), bytes) != 0) {
-              out.verified = false;
-              break;
-            }
-          }
-        }
-        break;
-      }
-      case CollKind::allgather:
-      case CollKind::gather: {
-        // Placement reference: the per-rank operands in rank order.
-        std::vector<std::byte> expect;
-        expect.reserve(static_cast<std::size_t>(world) * bytes);
-        for (int src = 0; src < world; ++src) {
-          const auto block =
-              simmpi::make_operand(opt.dt, count, src, opt.op, opt.seed);
-          expect.insert(expect.end(), block.begin(), block.end());
-        }
-        if (kind == CollKind::gather) {
-          out.verified = recvbufs[static_cast<std::size_t>(opt.root)] == expect;
-        } else {
-          for (int w = 0; w < world; ++w) {
-            if (recvbufs[static_cast<std::size_t>(w)] != expect) {
-              out.verified = false;
-              break;
-            }
-          }
-        }
-        break;
-      }
-      case CollKind::reduce_scatter: {
-        // Rank w's block: fold block w of every rank's send vector in
-        // ascending rank order (exact for make_operand values).
-        const simmpi::Op fold{opt.op};
-        for (int w = 0; w < world && out.verified; ++w) {
-          auto ref = simmpi::make_operand(
-              opt.dt, count, alltoall_block_id(0, w, world), opt.op, opt.seed);
-          for (int src = 1; src < world; ++src) {
-            const auto block = simmpi::make_operand(
-                opt.dt, count, alltoall_block_id(src, w, world), opt.op,
-                opt.seed);
-            fold.apply(opt.dt, count, simmpi::MutBytes{ref},
-                       simmpi::ConstBytes{block});
-          }
-          out.verified = recvbufs[static_cast<std::size_t>(w)] == ref;
-        }
-        break;
-      }
-      case CollKind::scatter: {
-        for (int w = 0; w < world && out.verified; ++w) {
-          const auto block = simmpi::make_operand(
-              opt.dt, count, alltoall_block_id(opt.root, w, world), opt.op,
-              opt.seed);
-          out.verified = recvbufs[static_cast<std::size_t>(w)] == block;
-        }
-        break;
-      }
-      case CollKind::barrier:
-        break;  // arrival semantics only; nothing to verify
+    std::vector<simmpi::ConstBytes> inputs(static_cast<std::size_t>(world));
+    std::vector<simmpi::ConstBytes> outputs(static_cast<std::size_t>(world));
+    for (int w = 0; w < world; ++w) {
+      const auto uw = static_cast<std::size_t>(w);
+      outputs[uw] = recvbufs[uw];
+      if (coll::input_blocks(kind, world, w == opt.root) == 0) continue;
+      inputs[uw] = in_recv ? simmpi::ConstBytes{root_input}
+                                 : simmpi::ConstBytes{sendbufs[uw]};
     }
+    const check::CollCall call{kind, world, opt.root, count, opt.dt, opt.op};
+    out.verified = !check::reference_mismatch(call, inputs, outputs);
   }
   return out;
 }

@@ -2,12 +2,16 @@
 //
 // Builds a Machine for the requested (cluster, nodes, ppn), runs warmup +
 // measured iterations of one collective spec on every rank, and reports the
-// per-iteration simulated latency. In data mode every rank's result is
-// verified bit-for-bit against a serial reference for the collective's
-// semantics (allreduce/reduce: the reference reduction; bcast: the root's
-// payload; alltoall: the transposed block pattern). PerfReport folds the
-// host-side counters of many points into the one report dpmlsim and the
-// benches print.
+// per-iteration simulated latency. In data mode the buffers follow the
+// kind's contract (coll/kind.hpp), each rank's input one deterministic
+// operand over its input extent, and MeasureResult::verified compares every
+// result-holding rank's recv bit-for-bit with check::reference_mismatch,
+// the serial reference the checker uses too: the ascending comm-rank fold
+// for allreduce, reduce and reduce_scatter, the root's input for bcast and
+// scatter, the inputs in rank order for allgather and gather, and the
+// transposed blocks for alltoall (barrier has nothing to verify).
+// PerfReport folds the host-side counters of many points into the one
+// report dpmlsim and the benches print.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +47,7 @@ struct MeasureOptions {
   perturb::PerturbSpec perturb;
   simmpi::Dtype dt = simmpi::Dtype::f32;   // paper: MPI_FLOAT
   simmpi::ReduceOp op = simmpi::ReduceOp::sum;  // paper: MPI_SUM
-  int root = 0;  // rooted kinds (reduce/bcast) only
+  int root = 0;  // rooted kinds (reduce/bcast/gather/scatter) only
   // MPI-semantics verification for every repetition's machine (simcheck).
   // A checked run's simulated times are identical to an unchecked one.
   check::CheckLevel check = check::CheckLevel::off;

@@ -123,74 +123,30 @@ RunResult run_one(const McConfig& cfg, const std::vector<int>& prefix,
     std::optional<sharp::SharpFabric> fabric;
     core::attach_fabric(m, cfg.kind, spec, fabric);
 
-    // Buffers, shaped per kind (mirrors core/measure): the reduction kinds
-    // carry the affine non-commutative operands, everything else the
-    // deterministic builtin pattern. Barrier moves no data.
+    // Buffers sized from the kind's contract (coll/kind.hpp), each rank's
+    // input where the contract puts it: the reducing kinds carry the affine
+    // non-commutative operands, the others the deterministic builtin
+    // pattern. Barrier moves no data.
+    const coll::KindContract contract = coll::contract_of(cfg.kind);
     const std::size_t count = cfg.kind == CollKind::barrier ? 0 : cfg.count;
-    const std::size_t esize = simmpi::dtype_size(cfg.dt);
-    const std::size_t bytes = count * esize;
+    const std::size_t block = count * simmpi::dtype_size(cfg.dt);
     const auto uworld = static_cast<std::size_t>(world);
     std::vector<std::vector<std::byte>> sendb(uworld), recvb(uworld);
     for (int w = 0; w < world; ++w) {
+      const bool at_root = w == cfg.root;
       auto& sb = sendb[static_cast<std::size_t>(w)];
       auto& rb = recvb[static_cast<std::size_t>(w)];
-      switch (cfg.kind) {
-        case CollKind::allreduce:
-        case CollKind::reduce:
-          sb = affine_operand(cfg.dt, count, w);
-          rb.resize(bytes);
-          break;
-        case CollKind::reduce_scatter:
-          // Full count*world input per rank; each keeps its own block.
-          sb = affine_operand(cfg.dt, count * uworld, w);
-          rb.resize(bytes);
-          break;
-        case CollKind::bcast:
-          rb.resize(bytes);
-          if (w == cfg.root) {
-            rb = simmpi::make_operand(cfg.dt, count, cfg.root,
-                                      simmpi::ReduceOp::sum, 1);
-          }
-          break;
-        case CollKind::alltoall:
-          sb.reserve(uworld * bytes);
-          for (int dst = 0; dst < world; ++dst) {
-            const auto block = simmpi::make_operand(
-                cfg.dt, count, w * world + dst, simmpi::ReduceOp::sum, 1);
-            sb.insert(sb.end(), block.begin(), block.end());
-          }
-          rb.resize(uworld * bytes);
-          break;
-        case CollKind::allgather:
-          sb = simmpi::make_operand(cfg.dt, count, w, simmpi::ReduceOp::sum,
-                                    1);
-          rb.resize(uworld * bytes);
-          break;
-        case CollKind::gather:
-          sb = simmpi::make_operand(cfg.dt, count, w, simmpi::ReduceOp::sum,
-                                    1);
-          if (w == cfg.root) rb.resize(uworld * bytes);
-          break;
-        case CollKind::scatter:
-          if (w == cfg.root) {
-            sb.reserve(uworld * bytes);
-            for (int dst = 0; dst < world; ++dst) {
-              const auto block = simmpi::make_operand(
-                  cfg.dt, count, cfg.root * world + dst,
-                  simmpi::ReduceOp::sum, 1);
-              sb.insert(sb.end(), block.begin(), block.end());
-            }
-          }
-          rb.resize(bytes);
-          break;
-        case CollKind::barrier:
-          break;
-      }
+      sb.resize(coll::extent_blocks(contract.send, world, at_root) * block);
+      rb.resize(coll::extent_blocks(contract.recv, world, at_root) * block);
+      const std::size_t in =
+          coll::input_blocks(cfg.kind, world, at_root) * count;
+      if (in == 0) continue;
+      (coll::input_in_recv(cfg.kind, false) ? rb : sb) =
+          contract.reduces
+              ? affine_operand(cfg.dt, in, w)
+              : simmpi::make_operand(cfg.dt, in, w, simmpi::ReduceOp::sum, 1);
     }
 
-    const bool reduction = cfg.kind == CollKind::allreduce ||
-                           cfg.kind == CollKind::reduce ||
-                           cfg.kind == CollKind::reduce_scatter;
     m.run([&](simmpi::Rank& r) {
       const auto w = static_cast<std::size_t>(r.world_rank());
       coll::CollArgs a;
@@ -198,7 +154,7 @@ RunResult run_one(const McConfig& cfg, const std::vector<int>& prefix,
       a.comm = &m.world();
       a.count = count;
       a.dt = cfg.dt;
-      a.op = reduction ? affine_op() : simmpi::Op(simmpi::ReduceOp::sum);
+      a.op = contract.reduces ? affine_op() : simmpi::Op(simmpi::ReduceOp::sum);
       a.root = cfg.root;
       a.send = sendb[w];
       a.recv = recvb[w];

@@ -27,7 +27,7 @@ using simmpi::RecvResult;
 // variant folds each contribution as it matches — the planted
 // schedule-sensitive bug (see probes.hpp).
 sim::CoTask<void> allreduce_probe(CollArgs a, bool sorted) {
-  a.check();
+  coll::check_args(coll::CollKind::allreduce, a);
   Rank& r = *a.rank;
   const Comm& c = *a.comm;
   const int me = c.rank_of_world(r.world_rank());

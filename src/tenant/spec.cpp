@@ -130,7 +130,7 @@ TrafficSpec TrafficSpec::parse(const std::string& text) {
     if (k == "load") {
       t.load = util::Args::parse_double("--bg-traffic " + k, v);
     } else if (k == "bytes") {
-      t.bytes = util::Args::parse_bytes(v);
+      t.bytes = util::Args::parse_bytes("--bg-traffic " + k, v);
     } else if (k == "hot_frac") {
       t.hot_frac = util::Args::parse_double("--bg-traffic " + k, v);
     } else if (k == "hot_node") {

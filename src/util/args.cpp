@@ -13,16 +13,19 @@ namespace dpml::util {
 namespace {
 
 // A non-negative integer written as digits only: no sign, no fraction, no
-// trailing text, no wrap-around. The error names the field (`what`) and the
-// form it expects.
+// trailing text, no wrap-around. The error names the value and its field
+// (`what`, e.g. "size '12x' for --sizes") and the form it expects.
 std::uint64_t parse_digits(const std::string& digits, const std::string& what,
                            const std::string& form) {
   std::uint64_t n = 0;
   const char* last = digits.data() + digits.size();
   const auto [end, ec] = std::from_chars(digits.data(), last, n);
-  DPML_CHECK_MSG(end == last && ec != std::errc::invalid_argument,
-                 "bad " + what + ": expected " + form);
-  DPML_CHECK_MSG(ec == std::errc{}, "bad " + what + ": does not fit in 64 bits");
+  if (end != last || ec == std::errc::invalid_argument) {
+    throw InvariantError("bad " + what + ": expected " + form);
+  }
+  if (ec != std::errc{}) {
+    throw InvariantError("bad " + what + ": does not fit in 64 bits");
+  }
   return n;
 }
 
@@ -137,8 +140,9 @@ bool Args::get_bool(const std::string& key, bool def) const {
                        ": expected true/false, 1/0, yes/no or on/off");
 }
 
-std::size_t Args::parse_bytes(const std::string& text) {
-  const std::string what = "size '" + text + "'";
+std::size_t Args::parse_bytes(const std::string& what,
+                              const std::string& text) {
+  const std::string field = "size '" + text + "' for " + what;
   std::size_t mult = 1;
   std::string digits = text;
   if (!digits.empty()) {
@@ -151,18 +155,20 @@ std::size_t Args::parse_bytes(const std::string& text) {
     if (mult != 1) digits.pop_back();
   }
   const std::uint64_t n =
-      parse_digits(digits, what, "digits with an optional K/M/G suffix");
-  DPML_CHECK_MSG(n <= std::numeric_limits<std::size_t>::max() / mult,
-                 "bad " + what + ": does not fit in 64 bits");
+      parse_digits(digits, field, "digits with an optional K/M/G suffix");
+  if (n > std::numeric_limits<std::size_t>::max() / mult) {
+    throw InvariantError("bad " + field + ": does not fit in 64 bits");
+  }
   return static_cast<std::size_t>(n) * mult;
 }
 
 std::size_t Args::get_bytes(const std::string& key, std::size_t def) const {
   const std::string v = get(key);
-  return v.empty() ? def : parse_bytes(v);
+  return v.empty() ? def : parse_bytes("--" + key, v);
 }
 
-std::vector<std::size_t> Args::parse_size_range(const std::string& text) {
+std::vector<std::size_t> Args::parse_size_range(const std::string& what,
+                                                const std::string& text) {
   std::vector<std::string> parts;
   std::string cur;
   for (char ch : text) {
@@ -174,16 +180,22 @@ std::vector<std::size_t> Args::parse_size_range(const std::string& text) {
     }
   }
   parts.push_back(cur);
-  DPML_CHECK_MSG(parts.size() == 2 || parts.size() == 3,
-                 "size range must be lo:hi[:factor]: " + text);
-  const std::size_t lo = parse_bytes(parts[0]);
-  const std::size_t hi = parse_bytes(parts[1]);
+  const std::string range = "size range '" + text + "' for " + what;
+  if (parts.size() != 2 && parts.size() != 3) {
+    throw InvariantError("bad " + range + ": expected lo:hi[:factor]");
+  }
+  const std::size_t lo = parse_bytes(what, parts[0]);
+  const std::size_t hi = parse_bytes(what, parts[1]);
   const std::uint64_t factor =
       parts.size() == 3
-          ? parse_digits(parts[2], "size range factor '" + parts[2] + "'",
+          ? parse_digits(parts[2],
+                         "size range factor '" + parts[2] + "' for " + what,
                          "digits")
           : 4;
-  DPML_CHECK_MSG(lo >= 1 && hi >= lo && factor >= 2, "bad size range: " + text);
+  if (lo < 1 || hi < lo || factor < 2) {
+    throw InvariantError("bad " + range +
+                         ": expected 1 <= lo <= hi and a factor of at least 2");
+  }
   std::vector<std::size_t> out;
   for (std::size_t b = lo;; b *= factor) {
     out.push_back(b);

@@ -50,13 +50,16 @@ class Args {
 
   // Parse a byte size: digits with an optional K/M/G suffix ("64K" ->
   // 65536). Anything else ("16KB", "1.5K", "-8") or a size past 64 bits
-  // throws util::InvariantError naming the text.
-  static std::size_t parse_bytes(const std::string& text);
+  // throws util::InvariantError naming the text and, like the number rule
+  // above, the field `what` ("bad size '12x' for --bucket: ...").
+  static std::size_t parse_bytes(const std::string& what,
+                                 const std::string& text);
   std::size_t get_bytes(const std::string& key, std::size_t def) const;
 
   // Parse a size range "4:1M[:4]" (lo:hi[:factor]) into a geometric sweep;
-  // the factor is digits only and at least 2.
-  static std::vector<std::size_t> parse_size_range(const std::string& text);
+  // the factor is digits only and at least 2. Errors name `what`.
+  static std::vector<std::size_t> parse_size_range(const std::string& what,
+                                                   const std::string& text);
 
   // Keys that were provided but never queried (typo detection).
   std::vector<std::string> unused() const;

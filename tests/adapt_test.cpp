@@ -172,6 +172,36 @@ TEST(AdaptTableTest, NumbersFollowTheArgsRule) {
   }
 }
 
+TEST(AdaptTableTest, LineErrorsNameTheLineAndNoSourcePath) {
+  // Leaders and pipeline depths below 1 fail at parse time, and a line
+  // missing its size bound or algorithm names the line, not a source file.
+  struct Probe {
+    const char* text;
+    const char* names;
+  };
+  const Probe probes[] = {
+      {"* dpml 2 0\n", "adaptive table line 1 pipeline depth"},
+      {"* dpml -3\n", "adaptive table line 1 leaders"},
+      {"* dpml 0 2\n", "adaptive table line 1 leaders"},
+      {"*\n", "adaptive table line 1: missing algorithm"},
+      {"# header\nallreduce\n", "adaptive table line 2: missing size bound"},
+      {"bcast @c1\n", "adaptive table line 1: missing size bound"},
+      {"100 rd\n", "adaptive table line 1: size bound '100'"},
+  };
+  for (const Probe& p : probes) {
+    try {
+      (void)adapt::AdaptiveTable::parse(p.text);
+      ADD_FAILURE() << p.text << " was accepted";
+    } catch (const util::InvariantError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(p.names), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("check failed"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find(".cpp"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    }
+  }
+}
+
 TEST(AdaptTableTest, RecordReplacesTheCatchAllAndIsStable) {
   adapt::AdaptiveTable t = adapt::AdaptiveTable::defaults();
   coll::CollSpec spec;

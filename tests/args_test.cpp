@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "util/args.hpp"
 #include "util/error.hpp"
 
@@ -158,26 +160,27 @@ TEST(Args, TypedGetters) {
 }
 
 TEST(Args, ParseBytes) {
-  EXPECT_EQ(Args::parse_bytes("17"), 17u);
-  EXPECT_EQ(Args::parse_bytes("4K"), 4096u);
-  EXPECT_EQ(Args::parse_bytes("4k"), 4096u);
-  EXPECT_EQ(Args::parse_bytes("2M"), 2u << 20);
-  EXPECT_EQ(Args::parse_bytes("1G"), 1u << 30);
-  EXPECT_THROW(Args::parse_bytes(""), InvariantError);
-  EXPECT_THROW(Args::parse_bytes("K"), InvariantError);
+  EXPECT_EQ(Args::parse_bytes("--bytes", "17"), 17u);
+  EXPECT_EQ(Args::parse_bytes("--bytes", "4K"), 4096u);
+  EXPECT_EQ(Args::parse_bytes("--bytes", "4k"), 4096u);
+  EXPECT_EQ(Args::parse_bytes("--bytes", "2M"), 2u << 20);
+  EXPECT_EQ(Args::parse_bytes("--bytes", "1G"), 1u << 30);
+  EXPECT_THROW(Args::parse_bytes("--bytes", ""), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("--bytes", "K"), InvariantError);
   // Only digits with an optional suffix: no unit tails, fractions, signs or
   // wrap-around.
-  EXPECT_THROW(Args::parse_bytes("16KB"), InvariantError);
-  EXPECT_THROW(Args::parse_bytes("1.5K"), InvariantError);
-  EXPECT_THROW(Args::parse_bytes("-8"), InvariantError);
-  EXPECT_THROW(Args::parse_bytes("+8"), InvariantError);
-  EXPECT_THROW(Args::parse_bytes(" 8"), InvariantError);
-  EXPECT_THROW(Args::parse_bytes("18446744073709551616"), InvariantError);
-  EXPECT_THROW(Args::parse_bytes("17179869184G"), InvariantError);
-  EXPECT_EQ(Args::parse_bytes("18446744073709551615"),
+  EXPECT_THROW(Args::parse_bytes("--bytes", "16KB"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("--bytes", "1.5K"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("--bytes", "-8"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("--bytes", "+8"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("--bytes", " 8"), InvariantError);
+  EXPECT_THROW(Args::parse_bytes("--bytes", "18446744073709551616"),
+               InvariantError);
+  EXPECT_THROW(Args::parse_bytes("--bytes", "17179869184G"), InvariantError);
+  EXPECT_EQ(Args::parse_bytes("--bytes", "18446744073709551615"),
             18446744073709551615ull);
   try {
-    Args::parse_bytes("16KB");
+    Args::parse_bytes("--bytes", "16KB");
   } catch (const InvariantError& e) {
     EXPECT_NE(std::string(e.what()).find("size '16KB'"), std::string::npos)
         << e.what();
@@ -185,21 +188,60 @@ TEST(Args, ParseBytes) {
 }
 
 TEST(Args, ParseSizeRange) {
-  const auto r = Args::parse_size_range("4:1K");
+  const auto r = Args::parse_size_range("--sizes", "4:1K");
   ASSERT_EQ(r.size(), 5u);  // 4, 16, 64, 256, 1024
   EXPECT_EQ(r.front(), 4u);
   EXPECT_EQ(r.back(), 1024u);
-  const auto r2 = Args::parse_size_range("8:64:2");
+  const auto r2 = Args::parse_size_range("--sizes", "8:64:2");
   ASSERT_EQ(r2.size(), 4u);  // 8, 16, 32, 64
-  EXPECT_THROW(Args::parse_size_range("bad"), std::exception);
-  EXPECT_THROW(Args::parse_size_range("16:4"), InvariantError);
+  EXPECT_THROW(Args::parse_size_range("--sizes", "bad"), std::exception);
+  EXPECT_THROW(Args::parse_size_range("--sizes", "16:4"), InvariantError);
   // The factor is digits only and at least 2.
-  EXPECT_THROW(Args::parse_size_range("4:16:-2"), InvariantError);
-  EXPECT_THROW(Args::parse_size_range("4:16:2.5"), InvariantError);
-  EXPECT_THROW(Args::parse_size_range("4:16:1"), InvariantError);
-  EXPECT_THROW(Args::parse_size_range("4:16KB"), InvariantError);
-  const auto r3 = Args::parse_size_range("4:16:2");
+  EXPECT_THROW(Args::parse_size_range("--sizes", "4:16:-2"), InvariantError);
+  EXPECT_THROW(Args::parse_size_range("--sizes", "4:16:2.5"), InvariantError);
+  EXPECT_THROW(Args::parse_size_range("--sizes", "4:16:1"), InvariantError);
+  EXPECT_THROW(Args::parse_size_range("--sizes", "4:16KB"), InvariantError);
+  const auto r3 = Args::parse_size_range("--sizes", "4:16:2");
   EXPECT_EQ(r3, (std::vector<std::size_t>{4, 8, 16}));
+}
+
+TEST(Args, ByteSizesNameTheirFlag) {
+  // A bad byte size names its text and its field, with no source path, in
+  // a size, in either end of a size range and in a --flag read as bytes.
+  struct Probe {
+    std::function<void()> parse;
+    const char* says;
+  };
+  const auto a = make({"prog", "--bucket", "12x"});
+  const Probe probes[] = {
+      {[] { Args::parse_bytes("--bg-traffic bytes", "12x"); },
+       "bad size '12x' for --bg-traffic bytes: expected digits with an "
+       "optional K/M/G suffix"},
+      {[&] { a.get_bytes("bucket", 1); }, "bad size '12x' for --bucket"},
+      {[] { Args::parse_size_range("--sizes", "4:12x"); },
+       "bad size '12x' for --sizes"},
+      {[] { Args::parse_size_range("--sizes", "12x:4K"); },
+       "bad size '12x' for --sizes"},
+      {[] { Args::parse_size_range("--sizes", "4:16:2.5"); },
+       "bad size range factor '2.5' for --sizes"},
+      {[] { Args::parse_size_range("--sizes", "16:4"); },
+       "bad size range '16:4' for --sizes"},
+      {[] { Args::parse_size_range("--sizes", "4"); },
+       "bad size range '4' for --sizes: expected lo:hi[:factor]"},
+      {[] { Args::parse_bytes("--bytes", "18446744073709551616"); },
+       "for --bytes: does not fit in 64 bits"},
+  };
+  for (const Probe& p : probes) {
+    try {
+      p.parse();
+      ADD_FAILURE() << p.says << ": accepted";
+    } catch (const InvariantError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(p.says), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("check failed"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find(".cpp"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(Args, UnusedDetection) {

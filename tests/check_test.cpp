@@ -3,6 +3,7 @@
 // class directly and end-to-end through a checked Machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "check/check.hpp"
 #include "coll/registry.hpp"
 #include "core/api.hpp"
+#include "core/measure.hpp"
 #include "net/cluster.hpp"
 #include "simmpi/machine.hpp"
 #include "simmpi/trace.hpp"
@@ -353,6 +355,92 @@ const coll::CollRegistration reg_broken{{
     [](coll::CollArgs a, const coll::CollSpec&) {
       return broken_allreduce(std::move(a));
     }}};
+
+// Deliberately wrong designs, one per kind but barrier: each runs the
+// kind's `auto` rule (`rd` for allreduce) and then damages the output of
+// one rank (the root for reduce and gather, comm rank 1 otherwise), or of
+// every rank for `broken-flip-all`. Both references, MeasureResult::verified
+// and the checker's, must catch each of them.
+enum class Damage { flip_one, flip_all, swap_blocks };
+
+sim::CoTask<void> broken_design(CollKind kind, Damage damage,
+                                coll::CollArgs a) {
+  const coll::CollSpec spec{kind == CollKind::allreduce ? "rd" : "auto"};
+  const coll::CollDescriptor& d =
+      coll::CollRegistry::instance().at(kind, spec.algo);
+  co_await d.make(a, spec);
+  const int me = a.comm->rank_of_world(a.rank->world_rank());
+  const bool at_root_only =
+      kind == CollKind::reduce || kind == CollKind::gather;
+  const int victim = at_root_only ? a.root : 1;
+  if (a.recv.empty() || (damage != Damage::flip_all && me != victim)) {
+    co_return;
+  }
+  if (damage == Damage::swap_blocks) {
+    std::swap_ranges(a.recv.begin(), a.recv.begin() + a.bytes(),
+                     a.recv.begin() + a.bytes());
+  } else {
+    a.recv.back() ^= std::byte{1};
+  }
+}
+
+coll::CollDescriptor broken_desc(const char* name, CollKind kind,
+                                 Damage damage) {
+  return {name, kind, coll::CollCaps{},
+          [kind, damage](coll::CollArgs a, const coll::CollSpec&) {
+            return broken_design(kind, damage, std::move(a));
+          }};
+}
+
+const coll::CollRegistration reg_broken_kinds[] = {
+    coll::CollRegistration{
+        broken_desc("broken-flip", CollKind::allreduce, Damage::flip_one)},
+    coll::CollRegistration{
+        broken_desc("broken-flip", CollKind::reduce, Damage::flip_one)},
+    coll::CollRegistration{
+        broken_desc("broken-flip", CollKind::bcast, Damage::flip_one)},
+    coll::CollRegistration{
+        broken_desc("broken-flip-all", CollKind::bcast, Damage::flip_all)},
+    coll::CollRegistration{
+        broken_desc("broken-flip", CollKind::alltoall, Damage::flip_one)},
+    coll::CollRegistration{
+        broken_desc("broken-swap", CollKind::alltoall, Damage::swap_blocks)},
+    coll::CollRegistration{
+        broken_desc("broken-flip", CollKind::allgather, Damage::flip_one)},
+    coll::CollRegistration{
+        broken_desc("broken-swap", CollKind::allgather, Damage::swap_blocks)},
+    coll::CollRegistration{broken_desc("broken-flip", CollKind::reduce_scatter,
+                                       Damage::flip_one)},
+    coll::CollRegistration{
+        broken_desc("broken-flip", CollKind::gather, Damage::flip_one)},
+    coll::CollRegistration{
+        broken_desc("broken-swap", CollKind::gather, Damage::swap_blocks)},
+    coll::CollRegistration{
+        broken_desc("broken-flip", CollKind::scatter, Damage::flip_one)},
+};
+
+TEST(CheckMachine, BrokenDesignOfEveryKindFailsBothReferences) {
+  int broken = 0;
+  for (CollKind kind : coll::kAllCollKinds) {
+    for (const coll::CollDescriptor* d :
+         coll::CollRegistry::instance().list(kind)) {
+      if (d->name.rfind("broken-", 0) != 0) continue;
+      SCOPED_TRACE(std::string(coll::coll_kind_name(kind)) + "/" + d->name);
+      ++broken;
+      core::MeasureOptions opt;
+      opt.with_data = true;
+      const coll::CollSpec spec{d->name};
+      EXPECT_FALSE(core::measure_collective(kind, net::cluster_c(), 5, 3, 256,
+                                            spec, opt)
+                       .verified);
+      opt.check = CheckLevel::basic;
+      expect_violation("result-mismatch", [&] {
+        core::measure_collective(kind, net::cluster_c(), 5, 3, 256, spec, opt);
+      });
+    }
+  }
+  EXPECT_EQ(broken, 13);  // broken-allreduce and the twelve above
+}
 
 TEST(CheckMachine, BrokenAlgorithmCaughtByResultVerification) {
   simmpi::RunOptions ropt;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,9 @@
 #include "coll/registry.hpp"
 #include "core/measure.hpp"
 #include "net/cluster.hpp"
+#include "sharp/sharp.hpp"
 #include "simmpi/machine.hpp"
+#include "simmpi/verify.hpp"
 
 namespace dpml {
 namespace {
@@ -616,6 +619,140 @@ TEST(TunerRegistry, TuneCollectivePicksAReduceWinner) {
   EXPECT_EQ(r.best.avg_us, r.all.front().avg_us);
   for (std::size_t i = 1; i < r.all.size(); ++i) {
     EXPECT_LE(r.all[i - 1].avg_us, r.all[i].avg_us);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The per-kind buffer contract, stated here independently of the library:
+// every design validates its buffers at entry.
+
+TEST(BufferContract, EveryDesignRejectsAWrongSizedBuffer) {
+  // Extents in blocks of `count` elements; kP stands for p blocks and 0
+  // for no buffer (bcast's send). Scatter's send and gather's recv matter
+  // at the root only, but every rank may pass them.
+  constexpr std::size_t kP = ~std::size_t{0};
+  struct Shape {
+    CollKind kind;
+    std::size_t send_blocks;
+    std::size_t recv_blocks;
+  };
+  const Shape shapes[] = {
+      {CollKind::allreduce, 1, 1},  {CollKind::reduce, 1, 1},
+      {CollKind::bcast, 0, 1},      {CollKind::alltoall, kP, kP},
+      {CollKind::allgather, 1, kP}, {CollKind::reduce_scatter, kP, 1},
+      {CollKind::gather, 1, kP},    {CollKind::scatter, kP, 1},
+  };
+  const std::size_t count = 16;
+  const std::size_t esize = sizeof(float);
+  for (const Shape& sh : shapes) {
+    for (const coll::CollDescriptor* d :
+         CollRegistry::instance().list(sh.kind)) {
+      for (const bool grow_send : {true, false}) {
+        if (grow_send && sh.send_blocks == 0) continue;
+        simmpi::RunOptions opt;
+        opt.with_data = true;
+        Machine m(net::test_cluster(2), 2, 2, opt);
+        const auto p = static_cast<std::size_t>(m.world_size());
+        auto extent = [&](std::size_t blocks) {
+          return (blocks == kP ? p : blocks) * count * esize;
+        };
+        const std::size_t send_bytes =
+            extent(sh.send_blocks) + (grow_send ? esize : 0);
+        const std::size_t recv_bytes =
+            extent(sh.recv_blocks) + (grow_send ? 0 : esize);
+        std::vector<std::vector<std::byte>> sendb(p), recvb(p);
+        const auto operand = [&](std::size_t bytes, std::size_t w) {
+          return simmpi::make_operand(simmpi::Dtype::f32, bytes / esize,
+                                      static_cast<int>(w),
+                                      simmpi::ReduceOp::sum);
+        };
+        for (std::size_t w = 0; w < p; ++w) {
+          sendb[w] = operand(send_bytes, w);
+          recvb[w] = operand(recv_bytes, w);
+        }
+        CollSpec spec;
+        spec.algo = d->name;
+        spec.leaders = 2;
+        std::optional<sharp::SharpFabric> fabric;
+        core::attach_fabric(m, sh.kind, spec, fabric);
+        auto run = [&] {
+          m.run([&](Rank& r) -> sim::CoTask<void> {
+            const auto w = static_cast<std::size_t>(r.world_rank());
+            coll::CollArgs a;
+            a.rank = &r;
+            a.comm = &m.world();
+            a.count = count;
+            a.send = sendb[w];
+            a.recv = recvb[w];
+            co_await core::run_collective(sh.kind, a, spec);
+          });
+        };
+        EXPECT_THROW(run(), util::InvariantError)
+            << coll::coll_kind_name(sh.kind) << "/" << d->name << ": a "
+            << (grow_send ? "send" : "recv")
+            << " one element larger than its extent";
+      }
+    }
+  }
+}
+
+// The rules that not every per-kind validator enforced before the one
+// contract: an in-place call passes no send, and with payload each rank
+// passes its input and its result buffer (coll::check_args).
+TEST(BufferContract, EveryDesignNeedsItsInputAndResultWithPayload) {
+  enum class Drop { input, result, inplace_send };
+  for (CollKind kind : coll::kAllCollKinds) {
+    if (kind == CollKind::barrier) continue;
+    const coll::KindContract c = coll::contract_of(kind);
+    for (const coll::CollDescriptor* d : CollRegistry::instance().list(kind)) {
+      for (const Drop drop : {Drop::input, Drop::result, Drop::inplace_send}) {
+        const bool send_in_place =
+            c.in_place == coll::InPlace::recv && c.send != coll::Extent::none;
+        if (drop == Drop::inplace_send && !send_in_place) continue;
+        simmpi::RunOptions opt;
+        opt.with_data = true;
+        Machine m(net::test_cluster(2), 2, 2, opt);
+        const int p = m.world_size();
+        const std::size_t count = 16;
+        const std::size_t block = count * sizeof(float);
+        std::vector<std::vector<std::byte>> sendb(p), recvb(p);
+        for (int w = 0; w < p; ++w) {
+          const bool at_root = w == 0;
+          auto& sb = sendb[static_cast<std::size_t>(w)];
+          auto& rb = recvb[static_cast<std::size_t>(w)];
+          sb.resize(coll::extent_blocks(c.send, p, at_root) * block);
+          rb.resize(coll::extent_blocks(c.recv, p, at_root) * block);
+          if (drop == Drop::input &&
+              coll::input_blocks(kind, p, at_root) > 0) {
+            (coll::input_in_recv(kind, false) ? rb : sb).clear();
+          }
+          if (drop == Drop::result && coll::holds_result(kind, at_root)) {
+            rb.clear();
+          }
+        }
+        CollSpec spec;
+        spec.algo = d->name;
+        spec.leaders = 2;
+        std::optional<sharp::SharpFabric> fabric;
+        core::attach_fabric(m, kind, spec, fabric);
+        auto run = [&] {
+          m.run([&](Rank& r) -> sim::CoTask<void> {
+            const auto w = static_cast<std::size_t>(r.world_rank());
+            coll::CollArgs a;
+            a.rank = &r;
+            a.comm = &m.world();
+            a.count = count;
+            a.send = sendb[w];
+            a.recv = recvb[w];
+            a.inplace = drop == Drop::inplace_send;
+            co_await core::run_collective(kind, a, spec);
+          });
+        };
+        EXPECT_THROW(run(), util::InvariantError)
+            << coll::coll_kind_name(kind) << "/" << d->name << " drop "
+            << static_cast<int>(drop);
+      }
+    }
   }
 }
 

@@ -325,6 +325,20 @@ TEST(TenantSpecTest, NumbersFollowTheArgsRule) {
   }
 }
 
+TEST(TenantSpecTest, ByteSizesNameTheirField) {
+  try {
+    (void)tenant::TrafficSpec::parse("uniform:bytes=12x");
+    ADD_FAILURE() << "bytes=12x was accepted";
+  } catch (const util::InvariantError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("bad size '12x' for --bg-traffic bytes"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(msg.find("check failed"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(tenant::TrafficSpec::parse("uniform:bytes=4K").bytes, 4096u);
+}
+
 // ---------------------------------------------------------------------------
 // Shape validation.
 

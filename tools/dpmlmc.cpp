@@ -136,10 +136,7 @@ int main(int argc, char** argv) {
           cfg.kind = kind;
           cfg.algo = d->name;
           shape_for(np, &cfg.nodes, &cfg.ppn);
-          const bool rooted =
-              kind == CollKind::reduce || kind == CollKind::bcast ||
-              kind == CollKind::gather || kind == CollKind::scatter;
-          cfg.root = rooted && np > 1 ? 1 : 0;
+          cfg.root = dpml::coll::contract_of(kind).rooted && np > 1 ? 1 : 0;
 
           ++configs;
           const dpml::mc::McOutcome out = dpml::mc::explore(cfg, budget);

@@ -230,6 +230,11 @@ int write_perf_snapshot(
   return 0;
 }
 
+// The --sizes sweep (lo:hi[:factor]) of the latency-style commands.
+std::vector<std::size_t> sweep_sizes(const util::Args& args) {
+  return util::Args::parse_size_range("--sizes", args.get("sizes", "4:1M"));
+}
+
 core::MeasureOptions measure_opts(const util::Args& args) {
   core::MeasureOptions opt;
   opt.iterations = args.get_int("iterations", 3);
@@ -280,7 +285,7 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
     ss << is.rdbuf();
     table = adapt::AdaptiveTable::parse(ss.str());
   }
-  const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const auto sizes = sweep_sizes(args);
   const core::MeasureOptions opt = measure_opts(args);
   // Under perturbations (or multi-repetition runs) the latency is a
   // distribution, so the table widens to median/p99 plus the measured
@@ -379,7 +384,7 @@ int cmd_verify(const util::Args& args, const net::ClusterConfig& cfg) {
 
 int cmd_sweep(const util::Args& args, const net::ClusterConfig& cfg,
               int nodes, int ppn) {
-  const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const auto sizes = sweep_sizes(args);
   std::vector<std::string> header{"msg size"};
   for (int l : {1, 2, 4, 8, 16}) header.push_back("l=" + std::to_string(l));
   util::Table t(header);
@@ -403,7 +408,7 @@ int cmd_sweep(const util::Args& args, const net::ClusterConfig& cfg,
 
 int cmd_tune(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
              int ppn) {
-  const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const auto sizes = sweep_sizes(args);
   const std::string out = args.get_path("out");
   const auto table = adapt::AdaptiveTable::tune(
       collective_kind(args), cfg, nodes, ppn, sizes, measure_opts(args));
@@ -424,7 +429,7 @@ int cmd_tune(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
 
 int cmd_pingpong(const util::Args& args, const net::ClusterConfig& cfg) {
   const bool intra = args.get_bool("intra", false);
-  const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const auto sizes = sweep_sizes(args);
   util::Table t({"msg size", "one-way latency"});
   for (std::size_t bytes : sizes) {
     t.row()
@@ -441,7 +446,7 @@ int cmd_throughput(const util::Args& args, const net::ClusterConfig& cfg,
                    int /*nodes*/, int /*ppn*/) {
   const int pairs = args.get_int("pairs", 8);
   const bool intra = args.get_bool("intra", false);
-  const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const auto sizes = sweep_sizes(args);
   util::Table t({"msg size", "1 pair (MB/s)", "aggregate (MB/s)", "relative"});
   for (std::size_t bytes : sizes) {
     apps::MbwMrOptions one;
