@@ -2,14 +2,16 @@
 """Host-perf trajectory tooling for BENCH_perf.json.
 
 BENCH_perf.json is an append-only array of --perf-json snapshots (one or
-more per PR), each tagged by (tool, data_mode, placement, adapt); current
-tools emit no data_mode, which reads as "payload". Three commands:
+more per PR), each tagged by (tool, data_mode, placement, adapt, check);
+current tools emit no data_mode, which reads as "payload", and only a
+checked `dpmlsim latency` sweep emits check (absent reads as "off").
+Three commands:
 
   delta  BENCH_perf.json NEW.json [NEW2.json ...]
       Compare each new snapshot against the latest checked-in entry with
-      the same (tool, data_mode, placement, adapt); snapshots without the
-      tenant-only keys default to (block, static), so legacy entries keep
-      their identity. Flags events/sec regressions beyond
+      the same (tool, data_mode, placement, adapt, check); snapshots without
+      the tenant-only keys default to (block, static) and without check to
+      off, so legacy entries keep their identity. Flags events/sec regressions beyond
       --threshold (default 10%). NEVER gates: wall-clock throughput varies
       wildly across runners, so the exit code is always 0 — the output is
       for humans reading the CI log. Every snapshot now comes from one
@@ -18,7 +20,9 @@ tools emit no data_mode, which reads as "payload". Three commands:
       written before that) are listed and skipped, never treated as a
       -100% regression; unknown extra fields are ignored. The matcher
       counters (matches at post and at delivery, entries scanned, deepest
-      queues) print when either side carries them.
+      queues) and the verification counters (invocations verified, bytes
+      snapshotted, compared, folded and copied) print when either side
+      carries them.
 
   exact  BENCH_perf.json NEW.json [NEW2.json ...]
       Compare the deterministic members of each new snapshot with the
@@ -26,7 +30,8 @@ tools emit no data_mode, which reads as "payload". Three commands:
       or a snapshot has no baseline. Compared: points, events, resumes,
       callbacks, instants, peak_instants, peak_queue_depth, elided_bytes,
       max_link_util, bg_flows and the fabric_* counts (a member either side
-      carries), and the matcher counters when both sides carry them. The
+      carries), and the matcher and verification counters when both sides
+      carry them. The
       frame-pool counters are left out: they follow what the pool serves,
       which a change may move without changing one simulated event.
 
@@ -58,8 +63,15 @@ def key(entry):
     # Legacy "timeonly" entries keep their own key. Tenant snapshots additionally carry placement/adapt: a round-robin
     # adaptive run is a different workload from a block static one, so only
     # like-keyed snapshots are comparable.
+    # A checked dpmlsim sweep (check tag) is keyed apart from unchecked ones.
     return (entry.get("tool", "?"), entry.get("data_mode", "payload"),
-            entry.get("placement", "block"), bool(entry.get("adapt", False)))
+            entry.get("placement", "block"), bool(entry.get("adapt", False)),
+            entry.get("check", "off"))
+
+
+def label(k):
+    tag = f"{k[0]}/{k[1]}/{k[2]}/{'adapt' if k[3] else 'static'}"
+    return tag if k[4] == "off" else f"{tag}/check={k[4]}"
 
 
 def cmd_delta(args):
@@ -69,10 +81,11 @@ def cmd_delta(args):
         new = load(path)
         k = key(new)
         old = baseline.get(k)
-        tag = f"{k[0]}/{k[1]}/{k[2]}/{'adapt' if k[3] else 'static'}"
+        tag = label(k)
         if old is None:
             print(f"[perf-delta] {tag}: no checked-in baseline ({path}); "
-                  "first entry for this (tool, data_mode, placement, adapt)")
+                  "first entry for this (tool, data_mode, placement, adapt, "
+                  "check)")
             continue
         old_eps = old.get("events_per_sec", 0)
         new_eps = new.get("events_per_sec", 0)
@@ -90,6 +103,7 @@ def cmd_delta(args):
                       "elided_bytes", "frame_pool_hit_rate",
                       "posted_matches", "delivered_matches", "match_scanned",
                       "peak_posted_queue", "peak_unexpected_queue",
+                      *CHECK_MEMBERS,
                       "fabric_flows", "max_link_util",
                       "fabric_wakes", "fabric_stale_wakes"):
             if field in new or field in old:
@@ -107,6 +121,8 @@ EXACT_MEMBERS = ("points", "events", "resumes", "callbacks", "instants",
                  "max_link_util", "bg_flows")
 MATCHER_MEMBERS = ("posted_matches", "delivered_matches", "match_scanned",
                    "peak_posted_queue", "peak_unexpected_queue")
+CHECK_MEMBERS = ("verified_invocations", "snapshot_bytes", "compared_bytes",
+                 "folded_bytes", "copied_bytes")
 
 
 def latest_baselines(path):
@@ -123,14 +139,15 @@ def cmd_exact(args):
         new = load(path)
         k = key(new)
         old = baseline.get(k)
-        tag = f"{k[0]}/{k[1]}/{k[2]}/{'adapt' if k[3] else 'static'}"
+        tag = label(k)
         if old is None:
             print(f"[perf-exact] {tag}: no checked-in baseline ({path})")
             failed += 1
             continue
         members = set(EXACT_MEMBERS) | {
             m for m in set(old) | set(new) if m.startswith("fabric_")}
-        members |= {m for m in MATCHER_MEMBERS if m in old and m in new}
+        members |= {m for m in MATCHER_MEMBERS + CHECK_MEMBERS
+                    if m in old and m in new}
         diffs = [m for m in sorted(members)
                  if (m in old or m in new) and old.get(m) != new.get(m)]
         for m in diffs:

@@ -80,6 +80,8 @@ class AdaptiveTable {
   };
 
   AdaptiveTable() = default;
+  // Throws util::InvariantError naming the broken rule, the (kind, level)
+  // and the entry's position when the entries break a whole-table rule.
   explicit AdaptiveTable(std::vector<Entry> entries);
 
   // The built-in ladder: no level-0 entries (the job's static plan stays in
@@ -97,7 +99,8 @@ class AdaptiveTable {
                             const core::MeasureOptions& opt = {});
 
   // Parse / serialize the text format above. parse() throws
-  // util::InvariantError on malformed input or unregistered algorithms.
+  // util::InvariantError on malformed input, unregistered algorithms or a
+  // broken whole-table rule, naming the table line.
   static AdaptiveTable parse(const std::string& text);
   std::string serialize() const;
 
@@ -122,7 +125,10 @@ class AdaptiveTable {
   bool empty() const { return entries_.empty(); }
 
  private:
-  void validate() const;
+  // lines[i] is entry i's line in a parsed text; empty for tables built in
+  // code, whose errors name the entry's position instead.
+  AdaptiveTable(std::vector<Entry> entries, const std::vector<int>& lines);
+  void validate(const std::vector<int>& lines) const;
   std::vector<Entry> entries_;
 };
 

@@ -3,6 +3,7 @@
 #include "adapt/adapt.hpp"
 
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -27,41 +28,62 @@ bool persists_params(coll::CollKind kind, const std::string& algo) {
 }  // namespace
 
 AdaptiveTable::AdaptiveTable(std::vector<Entry> entries)
+    : AdaptiveTable(std::move(entries), {}) {}
+
+AdaptiveTable::AdaptiveTable(std::vector<Entry> entries,
+                             const std::vector<int>& lines)
     : entries_(std::move(entries)) {
-  validate();
+  validate(lines);
 }
 
-void AdaptiveTable::validate() const {
-  // Per (kind, level): thresholds strictly ascending, catch-all present and
-  // last. Pairs may interleave freely in the entry list.
-  for (const Entry& probe : entries_) {
-    DPML_CHECK_MSG(probe.level >= 0 && probe.level < kLevels,
-                   "adaptive table level out of range [0, " +
-                       std::to_string(kLevels) + "): " +
-                       std::to_string(probe.level));
+void AdaptiveTable::validate(const std::vector<int>& lines) const {
+  const auto where = [&](std::size_t i) {
+    return lines.empty() ? "adaptive table entry " + std::to_string(i + 1)
+                         : "adaptive table line " + std::to_string(lines[i]);
+  };
+  const auto bound = [](const Entry& e) {
+    return e.max_bytes == kCatchAll ? std::string("*")
+                                    : "<=" + std::to_string(e.max_bytes);
+  };
+  // One line: where, the (kind, level), then the broken rule.
+  const auto broken = [&](std::size_t i, const std::string& rule) {
+    const Entry& e = entries_[i];
+    return util::InvariantError(where(i) + ": " +
+                                coll::coll_kind_name(e.kind) + " level " +
+                                std::to_string(e.level) + ": " + rule);
+  };
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const int level = entries_[i].level;
+    if (level < 0 || level >= kLevels) {
+      throw broken(i, "level out of range [0, " + std::to_string(kLevels) +
+                          ")");
+    }
   }
+  // Per (kind, level): bounds strictly ascending, catch-all present and
+  // last. Pairs may interleave freely in the entry list.
   for (coll::CollKind kind : coll::kAllCollKinds) {
     for (int level = 0; level < kLevels; ++level) {
-      const Entry* last = nullptr;
-      std::size_t prev = 0;
-      bool first = true;
-      for (const Entry& e : entries_) {
+      std::optional<std::size_t> last;  // previous entry of this pair
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        const Entry& e = entries_[i];
         if (e.kind != kind || e.level != level) continue;
-        if (last != nullptr) {
-          DPML_CHECK_MSG(last->max_bytes != kCatchAll,
-                         "catch-all entry must be last per (kind, level)");
-          DPML_CHECK_MSG(first || last->max_bytes > prev,
-                         "adaptive thresholds must be strictly ascending "
-                         "per (kind, level)");
-          prev = last->max_bytes;
-          first = false;
+        if (last) {
+          const Entry& prev = entries_[*last];
+          if (prev.max_bytes == kCatchAll) {
+            throw broken(i, "the catch-all must be last, but this entry "
+                            "follows the catch-all of " + where(*last));
+          }
+          if (e.max_bytes <= prev.max_bytes) {
+            throw broken(i, "size bounds must ascend strictly, but " +
+                                bound(e) + " follows " + bound(prev) +
+                                " of " + where(*last));
+          }
         }
-        last = &e;
+        last = i;
       }
-      if (last != nullptr) {
-        DPML_CHECK_MSG(last->max_bytes == kCatchAll,
-                       "every populated (kind, level) needs a catch-all "
-                       "entry");
+      if (last && entries_[*last].max_bytes != kCatchAll) {
+        throw broken(*last, "a catch-all '*' entry must follow the last "
+                            "size bound " + bound(entries_[*last]));
       }
     }
   }
@@ -116,6 +138,7 @@ AdaptiveTable AdaptiveTable::tune(coll::CollKind kind,
 
 AdaptiveTable AdaptiveTable::parse(const std::string& text) {
   std::vector<Entry> entries;
+  std::vector<int> lines;
   std::istringstream is(text);
   std::string line;
   int lineno = 0;
@@ -173,8 +196,9 @@ AdaptiveTable AdaptiveTable::parse(const std::string& text) {
                                  "' after the pipeline depth");
     }
     entries.push_back(e);
+    lines.push_back(lineno);
   }
-  return AdaptiveTable(std::move(entries));
+  return AdaptiveTable(std::move(entries), lines);
 }
 
 std::string AdaptiveTable::serialize() const {

@@ -101,7 +101,7 @@ CheckError::CheckError(std::string report, std::vector<Violation> violations,
 
 std::optional<ResultMismatch> reference_mismatch(
     const CollCall& call, std::span<const ConstBytes> inputs,
-    std::span<const ConstBytes> outputs) {
+    std::span<const ConstBytes> outputs, VerifyStats* stats) {
   const int p = call.parties;
   DPML_CHECK(inputs.size() == static_cast<std::size_t>(p) &&
              outputs.size() == static_cast<std::size_t>(p));
@@ -124,7 +124,11 @@ std::optional<ResultMismatch> reference_mismatch(
     for (int cr = 1; cr < p; ++cr) {
       call.op.apply(call.dt, fold.size() / esize, MutBytes{fold}, input(cr));
     }
+    if (stats != nullptr) {
+      stats->folded_bytes += static_cast<std::uint64_t>(p - 1) * fold.size();
+    }
   }
+  if (stats != nullptr) stats->invocations += 1;
   // Block b of comm rank cr's result.
   const auto expected = [&](int cr, std::size_t b) -> ConstBytes {
     const std::size_t mine = static_cast<std::size_t>(cr) * block;
@@ -157,9 +161,17 @@ std::optional<ResultMismatch> reference_mismatch(
       const std::size_t off = std::min(b * block, out.size());
       const ConstBytes got =
           out.subspan(off, std::min(block, out.size() - off));
-      const auto diff =
-          std::mismatch(got.begin(), got.end(), want.begin(), want.end());
-      if (diff.first == got.end() && diff.second == want.end()) continue;
+      const std::size_t common = std::min(got.size(), want.size());
+      if (stats != nullptr) stats->compared_bytes += common;
+      if (got.size() == want.size() &&
+          (common == 0 ||
+           std::memcmp(got.data(), want.data(), common) == 0)) {
+        continue;
+      }
+      // The block differs (or is cut short): its first wrong element.
+      const auto diff = std::mismatch(
+          got.begin(), got.begin() + static_cast<std::ptrdiff_t>(common),
+          want.begin());
       const std::size_t at =
           static_cast<std::size_t>(diff.second - want.begin()) / esize;
       return mismatch(b * call.count + at, want, at);
@@ -411,9 +423,7 @@ std::uint64_t Checker::begin_collective(CollKind op_kind, int world_rank,
   }
   p.entered = true;
   p.world_rank = world_rank;
-  if (with_data_ && !input.empty()) {
-    p.input.assign(input.begin(), input.end());
-  }
+  if (with_data_ && !input.empty()) snapshot(p.input, input);
   rec.entered += 1;
 
   // Annotate this rank's p2p traffic with the reduction dtype; the pure
@@ -450,14 +460,40 @@ void Checker::end_collective(int world_rank, std::uint64_t token,
   }
   DPML_CHECK_MSG(party != nullptr, "end_collective from a non-member rank");
   party->exited = true;
-  if (with_data_ && !output.empty()) {
-    party->output.assign(output.begin(), output.end());
-  }
+  if (with_data_ && !output.empty()) snapshot(party->output, output);
   rec.exited += 1;
   if (rec.exited == rec.call.parties) {
     verify_collective(rec);
+    for (Party& p : rec.party) {
+      recycle(std::move(p.input));
+      recycle(std::move(p.output));
+    }
     records_.erase(rit);
   }
+}
+
+void Checker::snapshot(std::vector<std::byte>& into, ConstBytes bytes) {
+  for (SpareSnapshots& s : spare_) {
+    if (s.bytes == bytes.size() && !s.free.empty()) {
+      into = std::move(s.free.back());
+      s.free.pop_back();
+      break;
+    }
+  }
+  into.assign(bytes.begin(), bytes.end());
+  stats_.snapshot_bytes += bytes.size();
+}
+
+void Checker::recycle(std::vector<std::byte>&& buf) {
+  if (buf.empty()) return;
+  for (SpareSnapshots& s : spare_) {
+    if (s.bytes == buf.size()) {
+      s.free.push_back(std::move(buf));
+      return;
+    }
+  }
+  spare_.push_back(SpareSnapshots{buf.size(), {}});
+  spare_.back().free.push_back(std::move(buf));
 }
 
 void Checker::verify_collective(const CollRecord& rec) {
@@ -484,7 +520,7 @@ void Checker::verify_collective(const CollRecord& rec) {
     inputs[static_cast<std::size_t>(cr)] = p.input;
   }
   const std::optional<ResultMismatch> m =
-      reference_mismatch(call, inputs, outputs);
+      reference_mismatch(call, inputs, outputs, &stats_);
   if (!m) return;
   fail(Violation{
       "result-mismatch",

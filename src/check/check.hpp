@@ -105,6 +105,24 @@ struct ResultMismatch {
   std::string expected;     // the element the reference computes
 };
 
+// Deterministic counts of verification work (docs/CHECKING.md): the
+// serial reference's (invocations verified, result bytes compared, operand
+// bytes folded) and the checker's entry and exit snapshots.
+struct VerifyStats {
+  std::uint64_t invocations = 0;     // results compared with the reference
+  std::uint64_t snapshot_bytes = 0;  // input and output bytes snapshotted
+  std::uint64_t compared_bytes = 0;  // result bytes compared
+  std::uint64_t folded_bytes = 0;    // operand bytes folded (reducing kinds)
+
+  void merge(const VerifyStats& o) {
+    invocations += o.invocations;
+    snapshot_bytes += o.snapshot_bytes;
+    compared_bytes += o.compared_bytes;
+    folded_bytes += o.folded_bytes;
+  }
+  bool operator==(const VerifyStats&) const = default;
+};
+
 // The one serial reference of every kind. The reducing kinds fold the
 // inputs in ascending comm-rank order, the order MPI guarantees for
 // non-commutative ops (associativity may be exploited, the operand
@@ -113,11 +131,13 @@ struct ResultMismatch {
 // transposes the blocks. inputs[cr] is comm rank cr's input over its
 // extent (coll::input_blocks; empty where it contributes none) and
 // outputs[cr] its recv; only the ranks that hold a result
-// (coll::holds_result) are compared. Allocates the reducing kinds' fold
-// only.
+// (coll::holds_result) are compared, each block with memcmp and, only
+// when it differs, byte by byte for the first wrong element. Allocates the
+// reducing kinds' fold only. Adds its work to `stats` when given.
 std::optional<ResultMismatch> reference_mismatch(
     const CollCall& call, std::span<const simmpi::ConstBytes> inputs,
-    std::span<const simmpi::ConstBytes> outputs);
+    std::span<const simmpi::ConstBytes> outputs,
+    VerifyStats* stats = nullptr);
 
 // RAII registration of a live communication buffer (the span a send is
 // reading or a receive is writing). Released on destruction, so coroutine
@@ -209,6 +229,9 @@ class Checker {
   // Immediately fail the run with one violation (fail-fast path).
   [[noreturn]] void fail(Violation v) const;
 
+  // The verification work done so far (snapshots and reference runs).
+  const VerifyStats& stats() const { return stats_; }
+
  private:
   struct LiveBuffer {
     const std::byte* lo = nullptr;
@@ -242,8 +265,19 @@ class Checker {
     int exited = 0;
   };
 
+  // Snapshot storage of one byte size, recycled across invocations.
+  struct SpareSnapshots {
+    std::size_t bytes = 0;
+    std::vector<std::vector<std::byte>> free;
+  };
+
   friend class BufferLease;
   void release_buffer(int rank, int id);
+
+  // Copies `bytes` into `into`, reusing spare storage of that size.
+  void snapshot(std::vector<std::byte>& into, simmpi::ConstBytes bytes);
+  // Returns a finished invocation's snapshot storage to the spares.
+  void recycle(std::vector<std::byte>&& buf);
 
   BufferLease acquire(int rank, const std::byte* data, std::size_t size,
                       bool writable, const char* what, int ctx, int tag);
@@ -260,6 +294,10 @@ class Checker {
   std::map<std::pair<int, std::uint64_t>, CollRecord> records_;
   std::vector<Violation> deferred_;  // finalize-time accumulation
   std::vector<BlockedEdge> blocked_edges_;
+  // Per byte size, so invocations of one shape reuse their predecessors'
+  // snapshots: a steady state allocates no snapshot storage.
+  std::vector<SpareSnapshots> spare_;
+  VerifyStats stats_;
 };
 
 }  // namespace dpml::check

@@ -59,9 +59,9 @@ sim::CoTask<void> alltoall_bruck(CollArgs a) {
   const std::size_t total = static_cast<std::size_t>(p) * bb;
 
   // Phase 1: upward rotation — tmp[i] = send block for rank (me + i) % p.
-  std::vector<std::byte> tmp;
+  sim::ScratchBuffer tmp;
   if (with_data && !a.send.empty()) {
-    tmp.resize(total);
+    tmp = a.scratch(total);
     for (int i = 0; i < p; ++i) {
       const int blk = (me + i) % p;
       std::memcpy(tmp.data() + static_cast<std::size_t>(i) * bb,
@@ -71,8 +71,8 @@ sim::CoTask<void> alltoall_bruck(CollArgs a) {
   co_await local_copy(r, total);
 
   // Phase 2: lg(p) rounds; round k moves every block whose index has bit k.
-  std::vector<std::byte> sbuf;
-  std::vector<std::byte> rbuf;
+  sim::ScratchBuffer sbuf;
+  sim::ScratchBuffer rbuf;
   int step = 0;
   for (int k = 1; k < p; k <<= 1, ++step) {
     std::vector<int> idx;
@@ -81,8 +81,8 @@ sim::CoTask<void> alltoall_bruck(CollArgs a) {
     }
     const std::size_t nbytes = idx.size() * bb;
     if (with_data && !tmp.empty()) {
-      sbuf.resize(nbytes);
-      rbuf.resize(nbytes);
+      sbuf = a.scratch(nbytes);
+      rbuf = a.scratch(nbytes);
       for (std::size_t j = 0; j < idx.size(); ++j) {
         std::memcpy(sbuf.data() + j * bb,
                     tmp.data() + static_cast<std::size_t>(idx[j]) * bb, bb);

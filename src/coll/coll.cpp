@@ -7,10 +7,9 @@
 
 namespace dpml::coll {
 
-std::vector<std::byte> CollArgs::scratch(std::size_t nbytes) const {
+sim::ScratchBuffer CollArgs::scratch(std::size_t nbytes) const {
   DPML_CHECK(rank != nullptr);
-  if (!rank->machine().with_data()) return {};
-  return std::vector<std::byte>(nbytes);
+  return rank->machine().data_plane().scratch(nbytes);
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "coll/kind.hpp"
+#include "sim/dataplane.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "simmpi/comm.hpp"
@@ -45,8 +46,9 @@ struct CollArgs {
   int root = 0;  // rooted kinds (reduce/bcast/gather/scatter) only
 
   std::size_t bytes() const { return count * simmpi::dtype_size(dt); }
-  // Allocate a scratch buffer honouring the machine's data mode.
-  std::vector<std::byte> scratch(std::size_t nbytes) const;
+  // A pooled scratch buffer of `nbytes` unwritten bytes from the machine's
+  // data plane (sim::PayloadPlane::scratch): empty in metadata-only runs.
+  sim::ScratchBuffer scratch(std::size_t nbytes) const;
 };
 
 // Validates `a` against the kind's buffer contract (coll/kind.hpp): rank

@@ -56,8 +56,8 @@ sim::CoTask<void> allgather_partitioned(CollArgs a, int l) {
   // the other leaders (one inter-node stream per leader, as in the
   // reduction design).
   const int my_leader = m.leader_index_of_local(r.local_rank(), l);
-  std::vector<std::byte> stripe_store;
-  std::vector<std::byte> result_store;
+  sim::ScratchBuffer stripe_store;
+  sim::ScratchBuffer result_store;
   if (my_leader >= 0) {
     const int j = my_leader;
     const Part pj = partition(node_count, l, j);

@@ -195,7 +195,7 @@ sim::CoTask<void> dpml_reduce(CollArgs a, int l, int k, InterAlgo inter,
   co_await r.signal(staged);
 
   const int j = m.leader_index_of_local(r.local_rank(), l);
-  std::vector<std::byte> part_store;
+  sim::ScratchBuffer part_store;
   if (j >= 0) {
     const Part pj = partition(a.count, l, j);
     const std::size_t pbytes = pj.count * esize;

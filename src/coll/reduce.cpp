@@ -20,7 +20,7 @@ namespace {
 // accumulator. Otherwise the root accumulates into recv and other ranks
 // into `store`; copy_in(a, acc) then charges the initial copy.
 MutBytes accumulator(const CollArgs& a, bool am_root,
-                     std::vector<std::byte>& store) {
+                     sim::ScratchBuffer& store) {
   if (a.inplace || am_root) return a.recv;
   store = a.scratch(a.bytes());
   return MutBytes{store};
@@ -42,7 +42,7 @@ sim::CoTask<void> reduce_binomial(CollArgs a) {
   const int p = c.size();
   const std::size_t nbytes = a.bytes();
   const bool am_root = me == a.root;
-  std::vector<std::byte> acc_store;
+  sim::ScratchBuffer acc_store;
   const MutBytes acc = accumulator(a, am_root, acc_store);
   co_await copy_in(a, acc);
   if (p == 1) co_return;
@@ -93,7 +93,7 @@ sim::CoTask<void> reduce_rsa_gather(CollArgs a) {
   const int p = c.size();
   const std::size_t esize = simmpi::dtype_size(a.dt);
   const bool am_root = me == a.root;
-  std::vector<std::byte> acc_store;
+  sim::ScratchBuffer acc_store;
   const MutBytes acc = accumulator(a, am_root, acc_store);
   co_await copy_in(a, acc);
   if (p == 1) co_return;
@@ -143,7 +143,7 @@ sim::CoTask<void> reduce_single_leader(CollArgs a) {
   ShmWindow& gather = slot->windows[0];
 
   if (is_leader) {
-    std::vector<std::byte> acc_store;
+    sim::ScratchBuffer acc_store;
     // The leader accumulates into recv only when it is also the root.
     const MutBytes acc = accumulator(a, am_root, acc_store);
     co_await copy_in(a, acc);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/executor.hpp"
+#include "sim/pool.hpp"
 #include "simmpi/verify.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -74,6 +75,7 @@ struct RepOutcome {
   sim::EnginePerf engine_perf;
   simmpi::MatchStats match;
   std::uint64_t elided_bytes = 0;  // payload bytes elided (metadata-only)
+  std::optional<CheckCounters> check;  // data or checked runs only
 };
 
 // One repetition: fresh machine (perturbation seed shifted by `rep`), warmup
@@ -89,8 +91,6 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
   // Barrier moves no data: count is 0 by convention (`bytes` only names the
   // sweep point it rode in on).
   const std::size_t count = kind == CollKind::barrier ? 0 : bytes / esize;
-  const coll::CollDescriptor& desc =
-      coll::CollRegistry::instance().at(kind, spec.algo);
 
   simmpi::RunOptions ropt;
   ropt.with_data = opt.with_data;
@@ -106,22 +106,19 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
   std::optional<sharp::SharpFabric> fabric;
   coll::CollSpec used = spec;
   attach_fabric(machine, kind, used, fabric);
-  if (desc.caps.needs_fabric) {
-    DPML_CHECK_MSG(used.fabric != nullptr,
-                   "SHArP design requested on a fabric-less cluster");
-  }
 
   const int world = machine.world_size();
   DPML_CHECK_MSG(opt.root >= 0 && opt.root < world, "measure root out of range");
 
   // Data-mode buffers sized from the kind's contract (coll/kind.hpp): one
-  // operand per rank over its input extent, where the contract puts it;
-  // every other buffer starts zeroed. The bcast root's input sits in its
+  // operand per rank, written in place over its input extent where the
+  // contract puts it. A send buffer is all input, so it is never zeroed
+  // first; recv buffers start zeroed. The bcast root's input sits in its
   // recv, which the run overwrites, so the reference keeps a copy of it.
   const coll::KindContract contract = coll::contract_of(kind);
   const bool in_recv = coll::input_in_recv(kind, false);
   const std::size_t block = count * esize;
-  std::vector<std::vector<std::byte>> sendbufs;
+  std::vector<sim::ByteBuffer> sendbufs;
   std::vector<std::vector<std::byte>> recvbufs(
       static_cast<std::size_t>(world));
   std::vector<std::byte> root_input;
@@ -135,8 +132,9 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
       rb.resize(coll::extent_blocks(contract.recv, world, at_root) * block);
       const std::size_t in = coll::input_blocks(kind, world, at_root);
       if (in == 0) continue;
-      (in_recv ? rb : sb) =
-          simmpi::make_operand(opt.dt, in * count, w, opt.op, opt.seed);
+      const simmpi::MutBytes input =
+          in_recv ? simmpi::MutBytes{rb} : simmpi::MutBytes{sb};
+      simmpi::fill_operand(input, opt.dt, in * count, w, opt.op, opt.seed);
       if (in_recv) root_input = rb;
     }
   }
@@ -158,6 +156,11 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
   out.engine_perf = machine.engine().perf();
   out.match = machine.match_stats();
   out.elided_bytes = machine.data_plane().elided_bytes();
+  if (opt.with_data || machine.checker() != nullptr) {
+    CheckCounters& cc = out.check.emplace();
+    if (const check::Checker* ck = machine.checker()) cc.verify = ck->stats();
+    cc.copied_bytes = machine.data_plane().copied_bytes();
+  }
   if (const fabric::FlowFabric* ff = machine.flow_fabric()) {
     out.fabric_links = true;
     out.max_link_util = ff->max_avg_link_utilization(machine.engine().now());
@@ -183,7 +186,8 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
                                  : simmpi::ConstBytes{sendbufs[uw]};
     }
     const check::CollCall call{kind, world, opt.root, count, opt.dt, opt.op};
-    out.verified = !check::reference_mismatch(call, inputs, outputs);
+    out.verified =
+        !check::reference_mismatch(call, inputs, outputs, &out.check->verify);
   }
   return out;
 }
@@ -199,6 +203,13 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
                  "message size must be a multiple of the datatype size");
   DPML_CHECK(opt.iterations >= 1 && opt.warmup >= 0);
   DPML_CHECK_MSG(opt.repetitions >= 1, "measure needs at least one repetition");
+  const coll::CollDescriptor& desc =
+      coll::CollRegistry::instance().at(kind, spec.algo);
+  if (desc.caps.needs_fabric && spec.fabric == nullptr && !cfg.has_sharp()) {
+    throw util::InvariantError(std::string(coll::coll_kind_name(kind)) + "/" +
+                               desc.name + " needs a SHArP fabric; cluster " +
+                               cfg.name + " has none");
+  }
 
   MeasureResult res;
 
@@ -241,6 +252,10 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
     engine.merge(rep.engine_perf);
     res.perf.match.merge(rep.match);
     res.perf.elided_bytes += rep.elided_bytes;
+    if (rep.check) {
+      if (!res.perf.check) res.perf.check.emplace();
+      res.perf.check->merge(*rep.check);
+    }
   }
   res.perf.events = res.events;
   res.perf.resumes = engine.resumes;
@@ -303,6 +318,7 @@ void PerfReport::add(const MeasureResult& r) {
   p.frame_pool_hits = r.perf.frame_pool.hit_rate();
   p.frame_pool_misses = r.perf.frame_pool.misses;
   p.match = r.perf.match;
+  p.check = r.perf.check;
   if (r.fabric_links) {
     p.fabric = FabricCounters{r.max_link_util, r.fabric_flows, 0,
                               r.fabric_perf};
@@ -344,6 +360,10 @@ void PerfReport::add(const PerfReport& o) {
   frame_pool_hits += o.frame_pool_hits;
   frame_pool_misses += o.frame_pool_misses;
   match.merge(o.match);
+  if (o.check) {
+    if (!check) check.emplace();
+    check->merge(*o.check);
+  }
   if (o.fabric) {
     if (!fabric) fabric = FabricCounters{};
     fabric->max_link_util =
@@ -400,6 +420,14 @@ std::string PerfReport::line() const {
        << " entries scanned, deepest queues posted " << match.peak_posted
        << " unexpected " << match.peak_unexpected;
   }
+  if (check) {
+    const check::VerifyStats& v = check->verify;
+    os << ", check: " << v.invocations << " invocations verified, "
+       << util::format_bytes(v.snapshot_bytes) << " snapshotted, "
+       << util::format_bytes(v.compared_bytes) << " compared, "
+       << util::format_bytes(v.folded_bytes) << " folded, "
+       << util::format_bytes(check->copied_bytes) << " payload copied";
+  }
   os << ", peak RSS " << sim::peak_rss_kb() << " KB";
   if (fabric) {
     const fabric::FabricPerf& f = fabric->perf;
@@ -442,6 +470,13 @@ std::string PerfReport::json(
     member("match_scanned", match.scanned);
     member("peak_posted_queue", match.peak_posted);
     member("peak_unexpected_queue", match.peak_unexpected);
+  }
+  if (check) {
+    member("verified_invocations", check->verify.invocations);
+    member("snapshot_bytes", check->verify.snapshot_bytes);
+    member("compared_bytes", check->verify.compared_bytes);
+    member("folded_bytes", check->verify.folded_bytes);
+    member("copied_bytes", check->copied_bytes);
   }
   if (fabric) {
     member("fabric", "true");

@@ -68,6 +68,21 @@ struct MeasureOptions {
   sim::SchedulerKind scheduler = sim::SchedulerKind::automatic;
 };
 
+// The verification and data-plane counters of a point that ran with payload
+// or a checker (docs/CHECKING.md "Result verification"): the checker's
+// snapshots and every serial-reference run, the checker's and
+// measure_collective's own, and the payload bytes sim::PayloadPlane copied.
+struct CheckCounters {
+  check::VerifyStats verify;
+  std::uint64_t copied_bytes = 0;
+
+  void merge(const CheckCounters& o) {
+    verify.merge(o.verify);
+    copied_bytes += o.copied_bytes;
+  }
+  bool operator==(const CheckCounters&) const = default;
+};
+
 // Host-side performance counters for one measure_collective call, aggregated
 // over all repetitions. Every field except the wall-clock-derived ones
 // (wall_ms, events_per_sec, wall_ms_per_sim_ms, jobs) is a deterministic
@@ -84,6 +99,7 @@ struct MeasurePerf {
   double payload_pool_hit_rate = 0.0;  // recycled message payload buffers
   sim::PoolStats frame_pool;           // coroutine frames (merged over reps)
   simmpi::MatchStats match;            // matcher work (sums; depth maxima)
+  std::optional<CheckCounters> check;  // data or checked points (sums)
   double sim_ms = 0.0;                 // simulated time, summed over reps
   // Host wall clock for the whole repetition sweep (not deterministic).
   double wall_ms = 0.0;
@@ -139,8 +155,9 @@ struct FabricCounters {
 // Folding sums the counters, takes the maxima of the peaks and of
 // max_link_util, and averages the pool hit rates over the points; the
 // fabric block is present once a point on the link fabric is folded, and
-// the matcher block once a measure_collective point matched a message (app
-// and tenant points fold engine counters only).
+// the matcher block once a measure_collective point matched a message, and
+// the check block once a measure_collective point ran with payload or a
+// checker (app and tenant points fold engine counters only).
 // Everything but wall_ms and the process's peak RSS is deterministic for a
 // fixed fold order.
 struct PerfReport {
@@ -157,6 +174,7 @@ struct PerfReport {
   double frame_pool_hits = 0.0;
   std::uint64_t frame_pool_misses = 0; // frames not served warm (sum)
   simmpi::MatchStats match;            // matcher work (sums; depth maxima)
+  std::optional<CheckCounters> check;  // verification work (sums)
   std::optional<FabricCounters> fabric;
   double wall_ms = 0.0;  // host wall clock of the sweep (time_sweep)
 
@@ -176,7 +194,8 @@ struct PerfReport {
   void time_sweep(const std::function<void()>& sweep);
 
   // `[perf] N points, jobs=J, wall W ms, ...`, one line without a newline;
-  // on fabric runs it ends with the fabric-allocator clause.
+  // data or checked points add a `check:` clause, and on fabric runs it
+  // ends with the fabric-allocator clause.
   std::string line() const;
   // The --perf-json snapshot that scripts/perf_delta.py diffs against
   // BENCH_perf.json: "tool", then `tags` (member name, JSON value) in

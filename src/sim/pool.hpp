@@ -25,10 +25,11 @@
 //               the pool hands its slabs back to the system allocator (if
 //               a frame is still alive, once it dies).
 //
-//   BufferPool  recycler for std::vector<std::byte> payload buffers,
+//   BufferPool  recycler for ByteBuffer payload and scratch buffers,
 //               bucketed by power-of-two capacity class. acquire() resizes
-//               a recycled vector (no reallocation when the class matches);
-//               release() returns the storage for the next message.
+//               a recycled buffer (no reallocation when the class matches,
+//               and no zero fill: its holder overwrites it); release()
+//               returns the storage for the next message.
 //
 // None of the pools is thread-safe: each Engine owns its SlabPool and
 // BufferPool, the FramePool is per thread, and one engine is only ever
@@ -49,6 +50,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -341,10 +343,33 @@ std::shared_ptr<T> make_pooled(Args&&... args) {
                                  std::forward<Args>(args)...);
 }
 
+// An allocator that default-initialises: resizing a vector leaves the new
+// elements unwritten instead of value-initialising (zero-filling) them.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  UninitAllocator() = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+// Byte storage whose holder writes every byte before reading it (payload
+// copies, collective scratch): resize() does not zero-fill.
+using ByteBuffer = std::vector<std::byte, UninitAllocator<std::byte>>;
+
 // Power-of-two-bucketed recycler for payload byte buffers. The transport
-// copies each in-flight message's bytes into an owned buffer; recycling the
-// storage turns that per-message allocation into a bucket pop once the
-// working set is warm.
+// copies each in-flight message's bytes into an owned buffer and the
+// collectives draw their scratch from it (sim::PayloadPlane); recycling the
+// storage turns that per-use allocation into a bucket pop once the working
+// set is warm.
 class BufferPool {
  public:
   BufferPool() = default;
@@ -353,11 +378,11 @@ class BufferPool {
 
   const PoolStats& stats() const { return stats_; }
 
-  // A buffer of exactly `size` bytes (contents unspecified: callers
-  // overwrite the full span). Capacity comes from the size-class bucket
-  // when one is warm.
-  std::vector<std::byte> acquire(std::size_t size) {
-    std::vector<std::byte> buf;
+  // A buffer of exactly `size` bytes, not initialised: callers overwrite
+  // the full span. Capacity comes from the size-class bucket when one is
+  // warm.
+  ByteBuffer acquire(std::size_t size) {
+    ByteBuffer buf;
     auto& bucket = buckets_[class_of(size)];
     if (!bucket.empty()) {
       buf = std::move(bucket.back());
@@ -374,7 +399,7 @@ class BufferPool {
 
   // Return a buffer's storage for reuse. Empty vectors are ignored (the
   // metadata-only path never owns payload storage).
-  void release(std::vector<std::byte>&& buf) {
+  void release(ByteBuffer&& buf) {
     if (buf.capacity() == 0) return;
     stats_.note_free();
     buf.clear();
@@ -395,7 +420,7 @@ class BufferPool {
     return cls;
   }
 
-  std::vector<std::vector<std::byte>> buckets_[kClasses];
+  std::vector<ByteBuffer> buckets_[kClasses];
   PoolStats stats_;
 };
 

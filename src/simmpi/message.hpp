@@ -38,7 +38,7 @@ struct Envelope {
   int src = 0;  // world rank of the sender
   int tag = 0;
   std::size_t bytes = 0;
-  std::vector<std::byte> data;  // payload (empty in metadata-only runs)
+  sim::ByteBuffer data;         // payload (empty in metadata-only runs)
   sim::Time recv_cost = 0;      // receiver-side overhead charged after match
   bool rendezvous = false;
   // simcheck annotation: the sender's reduction dtype at send time (a

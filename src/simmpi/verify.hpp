@@ -14,8 +14,14 @@
 
 namespace dpml::simmpi {
 
-// Deterministic operand for `rank`; values are chosen per-op so the global
-// reduction is exactly representable (see file comment).
+// Writes the deterministic operand of `rank` into `out`, which holds
+// exactly count * dtype_size(dt) bytes; values are chosen per-op so the
+// global reduction is exactly representable (see file comment). Every byte
+// is written, so `out` may start uninitialised.
+void fill_operand(MutBytes out, Dtype dt, std::size_t count, int rank,
+                  ReduceOp op, std::uint64_t seed = 1);
+
+// fill_operand into a new buffer.
 std::vector<std::byte> make_operand(Dtype dt, std::size_t count, int rank,
                                     ReduceOp op, std::uint64_t seed = 1);
 

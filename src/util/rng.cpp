@@ -4,13 +4,6 @@
 
 namespace dpml::util {
 
-std::uint64_t SplitMix64::next_u64() {
-  std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t SplitMix64::next_below(std::uint64_t bound) {
   if (bound == 0) return 0;
   // Rejection sampling to avoid modulo bias.

@@ -34,7 +34,12 @@ class SplitMix64 {
   SplitMix64(std::uint64_t seed, std::uint64_t stream)
       : SplitMix64(seed ^ (0xbf58476d1ce4e5b9ull * (stream + 1))) {}
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
 
   // Uniform in [0, bound). bound == 0 returns 0.
   std::uint64_t next_below(std::uint64_t bound);

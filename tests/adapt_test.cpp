@@ -202,6 +202,52 @@ TEST(AdaptTableTest, LineErrorsNameTheLineAndNoSourcePath) {
   }
 }
 
+TEST(AdaptTableTest, WholeTableRulesNameTheRuleKindLevelAndLine) {
+  // Each broken whole-table rule is one line naming the table line, the
+  // (kind, level) and the rule, with no source path.
+  struct Probe {
+    const char* text;
+    const char* says;
+  };
+  const Probe probes[] = {
+      {"@c9 * ring\n",
+       "adaptive table line 1: allreduce level 9: level out of range [0, 4)"},
+      {"# header\n<=4096 rd\n<=1024 ring\n* ring\n",
+       "adaptive table line 3: allreduce level 0: size bounds must ascend "
+       "strictly, but <=1024 follows <=4096 of adaptive table line 2"},
+      {"bcast @c1 * binomial\nbcast @c1 <=64 binomial\n",
+       "adaptive table line 2: bcast level 1: the catch-all must be last, but "
+       "this entry follows the catch-all of adaptive table line 1"},
+      {"<=100 rd\n",
+       "adaptive table line 1: allreduce level 0: a catch-all '*' entry must "
+       "follow the last size bound <=100"},
+  };
+  for (const Probe& p : probes) {
+    try {
+      (void)adapt::AdaptiveTable::parse(p.text);
+      ADD_FAILURE() << p.text << " was accepted";
+    } catch (const util::InvariantError& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg, p.says);
+      EXPECT_EQ(msg.find("check failed"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find(".cpp"), std::string::npos) << msg;
+    }
+  }
+  // A table built in code names the entry's position instead of a line.
+  adapt::AdaptiveTable::Entry e;
+  e.level = 7;
+  e.max_bytes = std::numeric_limits<std::size_t>::max();
+  e.spec.algo = "rd";
+  try {
+    (void)adapt::AdaptiveTable({e});
+    ADD_FAILURE() << "level 7 was accepted";
+  } catch (const util::InvariantError& err) {
+    EXPECT_EQ(std::string(err.what()),
+              "adaptive table entry 1: allreduce level 7: level out of range "
+              "[0, 4)");
+  }
+}
+
 TEST(AdaptTableTest, RecordReplacesTheCatchAllAndIsStable) {
   adapt::AdaptiveTable t = adapt::AdaptiveTable::defaults();
   coll::CollSpec spec;

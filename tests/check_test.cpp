@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -470,6 +473,142 @@ TEST(CheckMachine, BrokenAlgorithmCaughtByResultVerification) {
       co_await core::run_collective(coll::CollKind::allreduce, a, spec);
     });
   });
+}
+
+// ---------------------------------------------------------------------------
+// The serial reference's verdicts, locked per kind on 3 ranks (root 1, 5
+// i32 elements per block): one wrong element at a block's first element,
+// at a block's last element and in the last block, the first of two wrong
+// elements, and (allreduce) a result one element short or long. Each
+// verdict names the comm rank, the element and both values.
+
+constexpr int kRefRanks = 3;
+constexpr int kRefRoot = 1;
+constexpr std::size_t kRefCount = 5;
+
+struct RefBuffers {
+  std::vector<std::vector<std::int32_t>> in;
+  std::vector<std::vector<std::int32_t>> out;
+};
+
+// Every rank's input and the outputs a correct design leaves.
+RefBuffers correct_buffers(CollKind kind) {
+  const coll::KindContract c = coll::contract_of(kind);
+  const auto p = static_cast<std::size_t>(kRefRanks);
+  const std::size_t n = kRefCount;
+  RefBuffers b;
+  b.in.resize(p);
+  b.out.resize(p);
+  for (std::size_t cr = 0; cr < p; ++cr) {
+    const bool root = static_cast<int>(cr) == kRefRoot;
+    b.in[cr].resize(coll::input_blocks(kind, kRefRanks, root) * n);
+    for (std::size_t j = 0; j < b.in[cr].size(); ++j) {
+      b.in[cr][j] = static_cast<std::int32_t>(7 * (cr + 1) + 3 * j) - 20;
+    }
+    b.out[cr].resize(coll::extent_blocks(c.recv, kRefRanks, root) * n);
+  }
+  const auto& in = b.in;
+  const auto& root_in = in[static_cast<std::size_t>(kRefRoot)];
+  for (std::size_t cr = 0; cr < p; ++cr) {
+    if (!coll::holds_result(kind, static_cast<int>(cr) == kRefRoot)) continue;
+    auto& out = b.out[cr];
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      const std::size_t blk = j / n;
+      const std::size_t e = j % n;
+      std::int32_t v = 0;
+      switch (kind) {
+        case CollKind::allreduce:
+        case CollKind::reduce:
+          for (const auto& x : in) v += x[j];
+          break;
+        case CollKind::reduce_scatter:
+          for (const auto& x : in) v += x[cr * n + j];
+          break;
+        case CollKind::bcast: v = root_in[j]; break;
+        case CollKind::scatter: v = root_in[cr * n + j]; break;
+        case CollKind::allgather:
+        case CollKind::gather: v = in[blk][e]; break;
+        case CollKind::alltoall: v = in[blk][cr * n + e]; break;
+        case CollKind::barrier: break;
+      }
+      out[j] = v;
+    }
+  }
+  return b;
+}
+
+std::optional<check::ResultMismatch> reference_verdict(CollKind kind,
+                                                       const RefBuffers& b) {
+  std::vector<simmpi::ConstBytes> in;
+  std::vector<simmpi::ConstBytes> out;
+  for (const auto& v : b.in) in.push_back(std::as_bytes(std::span{v}));
+  for (const auto& v : b.out) out.push_back(std::as_bytes(std::span{v}));
+  const check::CollCall call{kind,       kRefRanks, kRefRoot, kRefCount,
+                             Dtype::i32, simmpi::ReduceOp::sum};
+  return check::reference_mismatch(call, in, out);
+}
+
+void expect_verdict(const std::optional<check::ResultMismatch>& got, int rank,
+                    std::size_t element, const std::string& value,
+                    const std::string& expected) {
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->comm_rank, rank);
+  EXPECT_EQ(got->element, element);
+  EXPECT_EQ(got->got, value);
+  EXPECT_EQ(got->expected, expected);
+}
+
+TEST(ReferenceLock, PlantedWrongElementOfEveryKind) {
+  int kinds = 0;
+  for (CollKind kind : coll::kAllCollKinds) {
+    if (kind == CollKind::barrier) continue;
+    SCOPED_TRACE(coll::coll_kind_name(kind));
+    ++kinds;
+    const RefBuffers good = correct_buffers(kind);
+    EXPECT_FALSE(reference_verdict(kind, good).has_value());
+    const bool root_only =
+        !coll::holds_result(kind, false) && coll::holds_result(kind, true);
+    const int victim = root_only ? kRefRoot : kRefRanks - 1;
+    const auto uv = static_cast<std::size_t>(victim);
+    const std::size_t blocks = good.out[uv].size() / kRefCount;
+    const std::size_t planted[] = {
+        blocks > 1 ? kRefCount : 0,         // a block's first element
+        kRefCount - 1,                      // a block's last element
+        (blocks - 1) * kRefCount + 2};      // inside the last block
+    for (std::size_t element : planted) {
+      SCOPED_TRACE("element " + std::to_string(element));
+      RefBuffers bad = good;
+      const std::int32_t want = good.out[uv][element];
+      bad.out[uv][element] = want + 100;
+      expect_verdict(reference_verdict(kind, bad), victim, element,
+                     std::to_string(want + 100), std::to_string(want));
+    }
+    // Two wrong elements: the verdict names the first in (rank, element)
+    // order.
+    RefBuffers two = good;
+    const std::size_t last = (blocks - 1) * kRefCount + 2;
+    two.out[uv][last] += 100;
+    const int first_rank = root_only ? victim : 0;
+    const std::size_t first_element = root_only ? 1 : last;
+    auto& first = two.out[static_cast<std::size_t>(first_rank)];
+    const std::int32_t want = first[first_element];
+    first[first_element] = want - 50;
+    expect_verdict(reference_verdict(kind, two), first_rank, first_element,
+                   std::to_string(want - 50), std::to_string(want));
+  }
+  EXPECT_EQ(kinds, 8);
+}
+
+TEST(ReferenceLock, ShortAndLongResults) {
+  const RefBuffers good = correct_buffers(CollKind::allreduce);
+  RefBuffers short_out = good;
+  short_out.out[2].pop_back();
+  expect_verdict(reference_verdict(CollKind::allreduce, short_out), 2,
+                 kRefCount - 1, "?", std::to_string(good.out[2].back()));
+  RefBuffers long_out = good;
+  long_out.out[2].push_back(42);
+  expect_verdict(reference_verdict(CollKind::allreduce, long_out), 2,
+                 kRefCount, "42", "?");
 }
 
 }  // namespace

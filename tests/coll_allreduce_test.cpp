@@ -267,5 +267,20 @@ TEST(Measure, SharpOnFabriclessClusterThrows) {
                util::InvariantError);
 }
 
+TEST(Measure, SharpOnFabriclessClusterNamesDesignAndCluster) {
+  // One line naming the design and the cluster, not a source location.
+  CollSpec spec;
+  spec.algo = "sharp-node-leader";
+  try {
+    (void)measure_collective(kAllreduce, net::cluster_c(), 5, 3, 64, spec);
+    ADD_FAILURE() << "a SHArP design ran on cluster C";
+  } catch (const util::InvariantError& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg, "allreduce/sharp-node-leader needs a SHArP fabric; "
+                   "cluster C has none");
+    EXPECT_EQ(msg.find(".cpp"), std::string::npos) << msg;
+  }
+}
+
 }  // namespace
 }  // namespace dpml::core

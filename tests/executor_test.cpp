@@ -250,6 +250,7 @@ void expect_identical(const core::MeasureResult& a,
   EXPECT_EQ(a.perf.payload_pool_hit_rate, b.perf.payload_pool_hit_rate)
       << what;
   EXPECT_TRUE(a.perf.match == b.perf.match) << what;
+  EXPECT_TRUE(a.perf.check == b.perf.check) << what;
   EXPECT_EQ(a.perf.sim_ms, b.perf.sim_ms) << what;
 }
 
@@ -283,6 +284,10 @@ TEST(ExecutorMatrix, EveryAlgorithmByteIdenticalAcrossJobCounts) {
       const auto serial = measure_with_jobs(kind, cfg, spec, opt, 1);
       EXPECT_TRUE(serial.verified) << what;
       EXPECT_EQ(serial.perf.jobs, 1) << what;
+      ASSERT_TRUE(serial.perf.check.has_value()) << what;
+      if (kind != CollKind::barrier) {
+        EXPECT_GT(serial.perf.check->verify.snapshot_bytes, 0u) << what;
+      }
       const auto wide = measure_with_jobs(kind, cfg, spec, opt, 4);
       EXPECT_EQ(wide.perf.jobs, 4) << what;
       expect_identical(serial, wide, what + " jobs=4");
@@ -469,6 +474,76 @@ TEST(PerfReport, FabricBlockAppearsOnlyAfterALinkFabricPoint) {
             std::string::npos);
   EXPECT_NE(rep.line().find("; fabric allocator: " +
                             std::to_string(sum.recomputes) + " recomputes"),
+            std::string::npos);
+}
+
+// The verification counters of one checked data point, pinned: alltoall
+// pairwise on A 4x8 with 17,408-byte blocks, 2 iterations. Each rank's send
+// and recv hold 32 blocks (557,056 bytes), and the checker snapshots both
+// per invocation.
+TEST(PerfReport, CheckCountersPinOneCheckedDataPoint) {
+  core::MeasureOptions opt;
+  opt.iterations = 2;
+  opt.warmup = 0;
+  opt.with_data = true;
+  opt.check = check::CheckLevel::strict;
+  CollSpec spec;
+  spec.algo = "pairwise";
+  const auto run = [&] {
+    return core::measure_collective(CollKind::alltoall, net::cluster_a(), 4,
+                                    8, 17408, spec, opt);
+  };
+  const auto r = run();
+  ASSERT_TRUE(r.verified);
+  ASSERT_TRUE(r.perf.check.has_value());
+  const check::VerifyStats& v = r.perf.check->verify;
+  constexpr std::uint64_t kRanks = 32;
+  constexpr std::uint64_t kBuffer = 32 * 17408;  // 557,056 bytes
+  // Two invocations by the checker, the last one again by measure.
+  EXPECT_EQ(v.invocations, 3u);
+  EXPECT_EQ(v.snapshot_bytes, 2 * kRanks * 2 * kBuffer);  // 71,303,168
+  EXPECT_EQ(v.compared_bytes, 3 * kRanks * kBuffer);
+  EXPECT_EQ(v.folded_bytes, 0u);  // alltoall reduces nothing
+  // Every block but a rank's own travels as a message, and the plane
+  // copies each once.
+  EXPECT_EQ(r.perf.check->copied_bytes, 2 * kRanks * (kRanks - 1) * 17408);
+  // A rerun counts the same.
+  EXPECT_TRUE(run().perf.check == r.perf.check);
+
+  core::PerfReport rep;
+  rep.add(r);
+  const std::string json = rep.json("t");
+  EXPECT_NE(json.find("\"snapshot_bytes\": 71303168,\n"), std::string::npos);
+  EXPECT_NE(json.find("\"verified_invocations\": 3,\n"), std::string::npos);
+  EXPECT_NE(rep.line().find(", check: 3 invocations verified, 68M "
+                            "snapshotted, 51M compared, 0 folded, "),
+            std::string::npos)
+      << rep.line();
+}
+
+TEST(PerfReport, CheckBlockAppearsOnlyOnDataOrCheckedPoints) {
+  core::PerfReport rep;
+  rep.add(perf_point(CollKind::allreduce, 4, 65536,
+                     fabric::FabricLevel::none));
+  EXPECT_FALSE(rep.check.has_value());
+  EXPECT_EQ(rep.json("t").find("snapshot_bytes"), std::string::npos);
+  EXPECT_EQ(rep.line().find("check:"), std::string::npos);
+
+  // A checked metadata-only point carries the block, with no data work.
+  core::MeasureOptions opt;
+  opt.iterations = 1;
+  opt.warmup = 0;
+  opt.check = check::CheckLevel::basic;
+  CollSpec spec;
+  spec.algo = "rd";
+  rep.add(core::measure_collective(CollKind::allreduce,
+                                   net::cluster_by_name("test"), 2, 2, 1024,
+                                   spec, opt));
+  ASSERT_TRUE(rep.check.has_value());
+  EXPECT_TRUE(*rep.check == core::CheckCounters{});
+  EXPECT_NE(rep.json("t").find("\"snapshot_bytes\": 0,\n"),
+            std::string::npos);
+  EXPECT_NE(rep.line().find(", check: 0 invocations verified"),
             std::string::npos);
 }
 

@@ -1,26 +1,33 @@
 // Heap allocations made while building a Machine: per-rank state (each
 // rank's Matcher, its collective counters, the world communicator's index)
-// must not allocate per rank; and a collective's per-node slot allocates
-// only what its design uses. A binary of its own, because it replaces the
-// global operator new to count calls.
+// must not allocate per rank; a collective's per-node slot allocates only
+// what its design uses; and the checker's snapshots of an invocation reuse
+// the storage of the one before. A binary of its own, because it replaces
+// the global operator new to count calls.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <optional>
+#include <vector>
 
+#include "check/check.hpp"
 #include "coll/registry.hpp"
 #include "net/cluster.hpp"
 #include "sharp/sharp.hpp"
 #include "simmpi/machine.hpp"
+#include "simmpi/verify.hpp"
 
 namespace {
 std::uint64_t g_allocations = 0;  // the test runs on one thread
+std::uint64_t g_allocated_bytes = 0;
 
 void* counted_alloc(std::size_t n, std::size_t align) {
   ++g_allocations;
+  g_allocated_bytes += n;
   if (n == 0) n = 1;
   void* p = align <= alignof(std::max_align_t)
                 ? std::malloc(n)
@@ -124,6 +131,59 @@ TEST(SetupAllocations, SharpLeadersDoNotRebuildTheirGroup) {
   coll::CollSpec spec;
   spec.algo = "sharp-socket-leader";
   EXPECT_LT(allocations_per_invocation(spec, net::cluster_a()), 9.0);
+}
+
+// Two identical checked alltoall invocations on 4 parties with 64 KiB
+// buffers, driven straight through a Checker: the first snapshots into new
+// storage, the second into the first's, so it allocates no snapshot
+// storage (alltoall's reference folds nothing, so the reference allocates
+// nothing either).
+TEST(CheckerSnapshots, SecondIdenticalInvocationAllocatesNoSnapshotStorage) {
+  constexpr int kParties = 4;
+  constexpr std::size_t kCount = 4096;  // f32 per block
+  constexpr std::size_t kBlock = kCount * sizeof(float);
+  constexpr std::size_t kBuffer = kParties * kBlock;
+  std::vector<std::vector<std::byte>> in(kParties);
+  std::vector<std::vector<std::byte>> out(kParties,
+                                          std::vector<std::byte>(kBuffer));
+  for (int r = 0; r < kParties; ++r) {
+    in[static_cast<std::size_t>(r)] = make_operand(
+        Dtype::f32, kParties * kCount, r, ReduceOp::sum);
+  }
+  for (std::size_t r = 0; r < kParties; ++r) {
+    for (std::size_t b = 0; b < kParties; ++b) {
+      std::memcpy(out[r].data() + b * kBlock, in[b].data() + r * kBlock,
+                  kBlock);
+    }
+  }
+  check::Checker ck(check::CheckLevel::strict, /*with_data=*/true, kParties);
+  struct Counts {
+    std::uint64_t bytes = 0;
+    std::uint64_t allocations = 0;
+  };
+  const auto invocation = [&] {
+    const std::uint64_t bytes = g_allocated_bytes;
+    const std::uint64_t allocations = g_allocations;
+    std::uint64_t token[kParties];
+    for (int r = 0; r < kParties; ++r) {
+      token[r] = ck.begin_collective(
+          coll::CollKind::alltoall, r, 1, "pairwise", kParties, r, 0, kCount,
+          Dtype::f32, ReduceOp::sum, in[static_cast<std::size_t>(r)]);
+    }
+    for (int r = 0; r < kParties; ++r) {
+      ck.end_collective(r, token[r], out[static_cast<std::size_t>(r)]);
+    }
+    return Counts{g_allocated_bytes - bytes, g_allocations - allocations};
+  };
+  const Counts first = invocation();
+  const Counts second = invocation();
+  EXPECT_EQ(ck.stats().snapshot_bytes, 2u * 2 * kParties * kBuffer);
+  EXPECT_EQ(ck.stats().invocations, 2u);
+  EXPECT_GE(first.bytes, 2u * kParties * kBuffer);
+  // What is left is the invocation's bookkeeping (its record and label),
+  // well under one buffer.
+  EXPECT_LT(second.bytes, kBlock) << second.allocations << " allocations";
+  ck.finalize(false, "", 0, 0);
 }
 
 TEST(SetupAllocations, CountsThisBinarysAllocations) {

@@ -102,14 +102,14 @@ TEST(SlabPoolDeathTest, DestructionWithLiveAllocationsAborts) {
 
 TEST(BufferPool, RecyclesStorageWithinASizeClass) {
   BufferPool pool;
-  std::vector<std::byte> a = pool.acquire(100);
+  ByteBuffer a = pool.acquire(100);
   EXPECT_EQ(a.size(), 100u);
   EXPECT_EQ(pool.stats().misses, 1u);
   const std::byte* storage = a.data();
   pool.release(std::move(a));
   EXPECT_EQ(pool.live(), 0u);
   // Same power-of-two class (65..128): the exact storage comes back.
-  std::vector<std::byte> b = pool.acquire(128);
+  ByteBuffer b = pool.acquire(128);
   EXPECT_EQ(b.size(), 128u);
   EXPECT_EQ(b.data(), storage);
   EXPECT_EQ(pool.stats().hits, 1u);
@@ -120,7 +120,7 @@ TEST(BufferPool, EmptyReleaseIsIgnored) {
   // Metadata-only runs release empty spans that never hit the pool; the
   // live count must not underflow.
   BufferPool pool;
-  pool.release(std::vector<std::byte>{});
+  pool.release(ByteBuffer{});
   EXPECT_EQ(pool.live(), 0u);
   EXPECT_EQ(pool.stats().hits + pool.stats().misses, 0u);
 }

@@ -8,6 +8,7 @@
 // for metadata-only batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -135,13 +136,15 @@ TEST(TimeOnlyPlane, CapturesMetadataOnly) {
   EXPECT_TRUE(meta.capture(4096, {}).empty());
   EXPECT_TRUE(meta.capture(512, {}).empty());
   EXPECT_EQ(meta.elided_bytes(), 4608u);
+  EXPECT_EQ(meta.copied_bytes(), 0u);
 
   // A payload machine's plane copies the bytes and elides nothing.
   sim::PayloadPlane payload(engine, /*with_data=*/true);
   const std::vector<std::byte> data(8, std::byte{7});
-  std::vector<std::byte> got = payload.capture(data.size(), data);
-  EXPECT_EQ(got, data);
+  sim::ByteBuffer got = payload.capture(data.size(), data);
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin(), data.end()));
   EXPECT_EQ(payload.elided_bytes(), 0u);
+  EXPECT_EQ(payload.copied_bytes(), 8u);
   payload.reclaim(std::move(got));
 }
 

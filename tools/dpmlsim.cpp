@@ -342,9 +342,15 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   std::cout << "\n";
   t.print(std::cout);
   if (perf_on) std::cout << "\n" << report.line() << "\n";
-  return perf_json.empty()
-             ? 0
-             : write_perf_snapshot(perf_json, report, "dpmlsim latency");
+  if (perf_json.empty()) return 0;
+  // A checked sweep is its own baseline key in BENCH_perf.json
+  // (scripts/perf_delta.py): its snapshot names the check level.
+  std::vector<std::pair<std::string, std::string>> tags;
+  if (opt.check != check::CheckLevel::off) {
+    tags.emplace_back("check", std::string("\"") +
+                                   check::check_level_name(opt.check) + "\"");
+  }
+  return write_perf_snapshot(perf_json, report, "dpmlsim latency", tags);
 }
 
 int cmd_verify(const util::Args& args, const net::ClusterConfig& cfg) {
