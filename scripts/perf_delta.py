@@ -2,16 +2,20 @@
 """Host-perf trajectory tooling for BENCH_perf.json.
 
 BENCH_perf.json is an append-only array of --perf-json snapshots (one or
-more per PR), each tagged by (tool, data_mode, placement, adapt, check);
-current tools emit no data_mode, which reads as "payload", and only a
-checked `dpmlsim latency` sweep emits check (absent reads as "off").
+more per PR), each tagged by (tool, data_mode, placement, adapt, check,
+cluster, shape, design); current tools emit no data_mode, which reads as
+"payload", only a checked `dpmlsim latency` sweep emits check (absent reads
+as "off"), and only `dpmlsim latency` emits cluster, shape and design.
+A snapshot whose cluster, shape and design no entry carries takes the
+legacy baseline of its other members: the latest entry that names none of
+the three (written before the latency snapshot named them).
 Three commands:
 
   delta  BENCH_perf.json NEW.json [NEW2.json ...]
       Compare each new snapshot against the latest checked-in entry with
-      the same (tool, data_mode, placement, adapt, check); snapshots without
-      the tenant-only keys default to (block, static) and without check to
-      off, so legacy entries keep their identity. Flags events/sec regressions beyond
+      the same key; snapshots without the tenant-only keys default to
+      (block, static) and without check to off, so legacy entries keep
+      their identity. Flags events/sec regressions beyond
       --threshold (default 10%). NEVER gates: wall-clock throughput varies
       wildly across runners, so the exit code is always 0 — the output is
       for humans reading the CI log. Every snapshot now comes from one
@@ -57,21 +61,40 @@ def as_array(doc):
     return doc if isinstance(doc, list) else [doc]
 
 
+# The members that tell one dpmlsim latency sweep from another.
+SWEEP_MEMBERS = ("cluster", "shape", "design")
+
+
 def key(entry):
     # Snapshots without data_mode are payload-plane runs: entries that
     # predate the time-only plane, and every snapshot since it was removed.
     # Legacy "timeonly" entries keep their own key. Tenant snapshots additionally carry placement/adapt: a round-robin
     # adaptive run is a different workload from a block static one, so only
     # like-keyed snapshots are comparable.
-    # A checked dpmlsim sweep (check tag) is keyed apart from unchecked ones.
+    # A checked dpmlsim sweep (check tag) is keyed apart from unchecked ones,
+    # and a latency sweep by its cluster, shape and design (None if absent).
     return (entry.get("tool", "?"), entry.get("data_mode", "payload"),
             entry.get("placement", "block"), bool(entry.get("adapt", False)),
-            entry.get("check", "off"))
+            entry.get("check", "off"),
+            *(entry.get(m) for m in SWEEP_MEMBERS))
+
+
+def legacy(k):
+    """The key k had before snapshots named their cluster, shape and
+    design."""
+    return k[:5] + (None,) * len(SWEEP_MEMBERS)
+
+
+def baseline_for(baseline, k):
+    return baseline.get(k) or baseline.get(legacy(k))
 
 
 def label(k):
     tag = f"{k[0]}/{k[1]}/{k[2]}/{'adapt' if k[3] else 'static'}"
-    return tag if k[4] == "off" else f"{tag}/check={k[4]}"
+    if k[4] != "off":
+        tag += f"/check={k[4]}"
+    sweep = [v for v in k[5:] if v is not None]
+    return "/".join([tag, *sweep])
 
 
 def cmd_delta(args):
@@ -80,12 +103,11 @@ def cmd_delta(args):
     for path in args.snapshots:
         new = load(path)
         k = key(new)
-        old = baseline.get(k)
+        old = baseline_for(baseline, k)
         tag = label(k)
         if old is None:
             print(f"[perf-delta] {tag}: no checked-in baseline ({path}); "
-                  "first entry for this (tool, data_mode, placement, adapt, "
-                  "check)")
+                  "first entry for this key")
             continue
         old_eps = old.get("events_per_sec", 0)
         new_eps = new.get("events_per_sec", 0)
@@ -101,6 +123,7 @@ def cmd_delta(args):
         for field in ("events", "wall_ms", "instants", "peak_instants",
                       "peak_queue_depth", "peak_rss_kb",
                       "elided_bytes", "frame_pool_hit_rate",
+                      "frame_pool_hits", "frame_pool_misses",
                       "posted_matches", "delivered_matches", "match_scanned",
                       "peak_posted_queue", "peak_unexpected_queue",
                       *CHECK_MEMBERS,
@@ -138,7 +161,7 @@ def cmd_exact(args):
     for path in args.snapshots:
         new = load(path)
         k = key(new)
-        old = baseline.get(k)
+        old = baseline_for(baseline, k)
         tag = label(k)
         if old is None:
             print(f"[perf-exact] {tag}: no checked-in baseline ({path})")

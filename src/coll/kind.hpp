@@ -61,10 +61,9 @@ enum class InputAt : unsigned char {
 
 // What an in-place call (CollArgs::inplace, MPI_IN_PLACE) means.
 enum class InPlace : unsigned char {
-  no,       // rejected
-  recv,     // the input sits in recv (in block `me` when recv spans p
-            // blocks: allgather) and send stays empty
-  ignored,  // accepted and ignored: the input stays in send (alltoall)
+  no,    // rejected
+  recv,  // the input sits in recv (in block `me` when recv spans p blocks:
+         // allgather) and send stays empty
 };
 
 // One kind's buffer contract. check::reference_mismatch says what the
@@ -89,7 +88,7 @@ constexpr KindContract contract_of(CollKind k) {
     case CollKind::bcast:
       return {true, false, E::none, E::one, I::root_recv, InPlace::recv};
     case CollKind::alltoall:
-      return {false, false, E::all, E::all, I::send, InPlace::ignored};
+      return {false, false, E::all, E::all, I::send, InPlace::no};
     case CollKind::allgather:
       return {false, false, E::one, E::all, I::send, InPlace::recv};
     case CollKind::reduce_scatter:

@@ -316,6 +316,7 @@ void PerfReport::add(const MeasureResult& r) {
   p.callback_pool_hits = r.perf.callback_pool_hit_rate;
   p.payload_pool_hits = r.perf.payload_pool_hit_rate;
   p.frame_pool_hits = r.perf.frame_pool.hit_rate();
+  p.frame_pool_hit_count = r.perf.frame_pool.hits;
   p.frame_pool_misses = r.perf.frame_pool.misses;
   p.match = r.perf.match;
   p.check = r.perf.check;
@@ -341,6 +342,7 @@ void PerfReport::add(const sim::EnginePerf& engine,
   p.callback_pool_hits = engine.callback_pool.hit_rate();
   p.payload_pool_hits = engine.payload_pool.hit_rate();
   p.frame_pool_hits = engine.frame_pool.hit_rate();
+  p.frame_pool_hit_count = engine.frame_pool.hits;
   p.frame_pool_misses = engine.frame_pool.misses;
   p.fabric = fabric;
   add(p);
@@ -358,6 +360,7 @@ void PerfReport::add(const PerfReport& o) {
   callback_pool_hits += o.callback_pool_hits;
   payload_pool_hits += o.payload_pool_hits;
   frame_pool_hits += o.frame_pool_hits;
+  frame_pool_hit_count += o.frame_pool_hit_count;
   frame_pool_misses += o.frame_pool_misses;
   match.merge(o.match);
   if (o.check) {
@@ -463,6 +466,7 @@ std::string PerfReport::json(
   member("callback_pool_hit_rate", mean(callback_pool_hits, points));
   member("payload_pool_hit_rate", mean(payload_pool_hits, points));
   member("frame_pool_hit_rate", mean(frame_pool_hits, points));
+  member("frame_pool_hits", frame_pool_hit_count);
   member("frame_pool_misses", frame_pool_misses);
   if (match.posted_matches + match.delivered_matches > 0) {
     member("posted_matches", match.posted_matches);

@@ -172,7 +172,8 @@ struct PerfReport {
   double callback_pool_hits = 0.0;     // per-point hit rates (sum)
   double payload_pool_hits = 0.0;
   double frame_pool_hits = 0.0;
-  std::uint64_t frame_pool_misses = 0; // frames not served warm (sum)
+  std::uint64_t frame_pool_hit_count = 0;  // frames served warm (sum)
+  std::uint64_t frame_pool_misses = 0;     // frames not served warm (sum)
   simmpi::MatchStats match;            // matcher work (sums; depth maxima)
   std::optional<CheckCounters> check;  // verification work (sums)
   std::optional<FabricCounters> fabric;

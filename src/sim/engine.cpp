@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/sync.hpp"
@@ -37,6 +38,7 @@ void Engine::check_reserved(std::uint64_t seq) const {
 
 Engine::Engine()
     : table_(std::size_t{1} << kInitialTableBits, Instant{0, kNil}) {
+  buckets_.fill(kNil);
   FramePool::local().attach();
   frame_base_ = FramePool::local().stats();
 }
@@ -45,9 +47,11 @@ Engine::~Engine() {
   destroy_suspended();
   // Drop callback records still queued (a run abandoned by an error or a
   // machine torn down mid-simulation) without invoking them.
-  for (const Instant& in : heap_) {
-    for (std::uint32_t i = runs_[in.run].head; i != kNil; i = items_[i].next) {
-      if (items_[i].cb != nullptr) destroy_callback(items_[i].cb);
+  for (const std::uint32_t head : buckets_) {
+    for (std::uint32_t r = head; r != kNil; r = runs_[r].link) {
+      for (std::uint32_t i = runs_[r].head; i != kNil; i = items_[i].next) {
+        if (items_[i].cb != nullptr) destroy_callback(items_[i].cb);
+      }
     }
   }
   // Every pooled block this engine's run held is back: the last engine on
@@ -68,8 +72,15 @@ void Engine::push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
                         CallbackBase* cb) {
   std::uint32_t i = free_item_;
   if (i != kNil) {
-    free_item_ = items_[i].next;
-    items_[i] = Item{seq, h, cb, kNil};
+    // Field by field: an Item built on the stack and copied in is reloaded
+    // with wide loads that straddle its narrower stores, and each such
+    // load waits for the stores to retire.
+    Item& it = items_[i];
+    free_item_ = it.next;
+    it.seq = seq;
+    it.handle = h;
+    it.cb = cb;
+    it.next = kNil;
   } else {
     i = static_cast<std::uint32_t>(items_.size());
     items_.push_back(Item{seq, h, cb, kNil});
@@ -100,10 +111,8 @@ std::uint32_t Engine::run_at(Time t) {
   if (t == cached_t_) return cached_run_;
   cached_t_ = t;
   // A post at now(): the run being drained.
-  if (!heap_.empty() && heap_.front().t == t) {
-    return cached_run_ = heap_.front().run;
-  }
-  if (2 * (heap_.size() + 1) > table_.size()) grow_table();
+  if (t == last_ && buckets_[0] != kNil) return cached_run_ = buckets_[0];
+  if (2 * (open_runs_ + 1) > table_.size()) grow_table();
   const std::size_t mask = table_.size() - 1;
   std::size_t s = home_slot(t);
   while (table_[s].run != kNil && table_[s].t != t) s = (s + 1) & mask;
@@ -111,46 +120,59 @@ std::uint32_t Engine::run_at(Time t) {
   return cached_run_ = table_[s].run;
 }
 
-// A new empty run for `t`, pushed onto the heap (the caller files it in
-// the table).
+// A new empty run for `t`, filed in its bucket (the caller files it in the
+// table).
 std::uint32_t Engine::open_run(Time t) {
   std::uint32_t r = free_run_;
   if (r != kNil) {
     free_run_ = runs_[r].head;
-    runs_[r] = Run{kNil, kNil};
+    runs_[r] = Run{t, kNil, kNil, kNil};
   } else {
     r = static_cast<std::uint32_t>(runs_.size());
-    runs_.push_back(Run{kNil, kNil});
+    runs_.push_back(Run{t, kNil, kNil, kNil});
   }
-  heap_.push_back(Instant{t, r});
-  std::push_heap(heap_.begin(), heap_.end(), later);
+  file(r);
   ++instants_;
-  peak_instants_ = std::max<std::uint64_t>(peak_instants_, heap_.size());
+  peak_instants_ = std::max<std::uint64_t>(peak_instants_, ++open_runs_);
   return r;
 }
 
-// Double the table and re-insert every open instant (heap_ lists them).
+// t ^ last_ < 2^63 for t >= last_ >= 0, so the bucket is at most 63.
+void Engine::file(std::uint32_t r) {
+  const int b =
+      std::bit_width(static_cast<std::uint64_t>(runs_[r].t ^ last_));
+  runs_[r].link = buckets_[b];
+  buckets_[b] = r;
+  occupied_ |= std::uint64_t{1} << b;
+}
+
+// Double the table and re-insert every open instant (the buckets list
+// them).
 void Engine::grow_table() {
   table_.assign(table_.size() * 2, Instant{0, kNil});
   --table_shift_;
   const std::size_t mask = table_.size() - 1;
-  for (const Instant& in : heap_) {
-    std::size_t s = home_slot(in.t);
-    while (table_[s].run != kNil) s = (s + 1) & mask;
-    table_[s] = in;
+  for (const std::uint32_t head : buckets_) {
+    for (std::uint32_t r = head; r != kNil; r = runs_[r].link) {
+      std::size_t s = home_slot(runs_[r].t);
+      while (table_[s].run != kNil) s = (s + 1) & mask;
+      table_[s] = Instant{runs_[r].t, r};
+    }
   }
 }
 
 void Engine::close_front() {
-  const Instant front = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  heap_.pop_back();
+  const std::uint32_t r = buckets_[0];
+  const Time t = runs_[r].t;
+  buckets_[0] = kNil;
+  occupied_ &= ~std::uint64_t{1};
+  --open_runs_;
   // Backward-shift deletion: pull each later entry of the probe cluster
   // into the hole unless the hole lies before that entry's home slot, so
   // every entry stays reachable from its home without tombstones.
   const std::size_t mask = table_.size() - 1;
-  std::size_t hole = home_slot(front.t);
-  while (table_[hole].run != front.run) hole = (hole + 1) & mask;
+  std::size_t hole = home_slot(t);
+  while (table_[hole].run != r) hole = (hole + 1) & mask;
   for (std::size_t j = (hole + 1) & mask; table_[j].run != kNil;
        j = (j + 1) & mask) {
     if (((j - home_slot(table_[j].t)) & mask) >= ((j - hole) & mask)) {
@@ -160,17 +182,43 @@ void Engine::close_front() {
   }
   table_[hole].run = kNil;
   // The cache may still name this run, but never matches again: the next
-  // pop moves now() past front.t, so no later push is at front.t.
-  runs_[front.run].head = free_run_;
-  free_run_ = front.run;
+  // pop moves now() past t, so no later push is at t.
+  runs_[r].head = free_run_;
+  free_run_ = r;
+}
+
+std::uint32_t Engine::front() {
+  if (buckets_[0] != kNil) {
+    if (runs_[buckets_[0]].head != kNil) return buckets_[0];
+    close_front();
+  }
+  // The least non-empty bucket holds the earliest instant, which becomes
+  // last_. Its runs all move to lower buckets, the earliest to bucket 0.
+  // A run of a higher bucket keeps its bucket: last_ changed only in bits
+  // below that run's top bit of difference from it.
+  const int b = std::countr_zero(occupied_);
+  std::uint32_t list = buckets_[b];
+  buckets_[b] = kNil;
+  occupied_ &= occupied_ - 1;
+  Time least = runs_[list].t;
+  for (std::uint32_t r = runs_[list].link; r != kNil; r = runs_[r].link) {
+    least = std::min(least, runs_[r].t);
+  }
+  last_ = least;
+  while (list != kNil) {
+    const std::uint32_t next = runs_[list].link;
+    file(list);
+    list = next;
+  }
+  return buckets_[0];
 }
 
 Engine::Event Engine::take(std::uint32_t prev, std::uint32_t i) {
-  Run& run = runs_[heap_.front().run];
+  Run& run = runs_[buckets_[0]];
   Item& it = items_[i];
   (prev == kNil ? run.head : items_[prev].next) = it.next;
   if (run.tail == i) run.tail = prev;
-  const Event ev{heap_.front().t, it.handle, it.cb};
+  const Event ev{last_, it.handle, it.cb};
   it.next = free_item_;
   free_item_ = i;
   --queued_;
@@ -181,9 +229,9 @@ Engine::Event Engine::take(std::uint32_t prev, std::uint32_t i) {
 // order, so its head is the (t, seq) minimum. A drained front run closes
 // only here: until the next pop, a push at now() joins it.
 Engine::Event Engine::pop_event() {
-  while (runs_[heap_.front().run].head == kNil) close_front();
+  const std::uint32_t r = front();
   if (oracle_ != nullptr) return pop_event_mc();
-  return take(kNil, runs_[heap_.front().run].head);
+  return take(kNil, runs_[r].head);
 }
 
 // Oracle-attached pop. If the canonical next event is a tagged message
@@ -192,7 +240,7 @@ Engine::Event Engine::pop_event() {
 // events (coroutine resumes, timers, transport-internal hops) are never
 // reordered — only message delivery order is a real-MPI degree of freedom.
 Engine::Event Engine::pop_event_mc() {
-  const std::uint32_t head = runs_[heap_.front().run].head;
+  const std::uint32_t head = runs_[buckets_[0]].head;
   if (mc_meta_.find(items_[head].seq) == mc_meta_.end()) {
     return take(kNil, head);
   }

@@ -24,14 +24,19 @@
 // The event queue is an instant queue. Ranks of a collective run in
 // lockstep, so many queued events share a timestamp: the queue keeps one
 // FIFO run of events per distinct timestamp (pooled items linked by index)
-// and a binary heap over the timestamps only. A flat open-addressing
-// table maps a timestamp to its run, and the last-pushed instant is
-// cached. Pops drain the earliest run from its head; only opening and
-// closing a run touches the heap. Events drain in strict (t, seq) order
-// (docs/MODEL.md §10 gives the argument).
+// and a flat open-addressing table that maps a timestamp to its run (the
+// last-pushed instant is cached). The earliest run is found by a monotone
+// radix queue over the runs' timestamps: no push is earlier than the front
+// instant `last_`, so a run sits in bucket bit_width(t ^ last_), bucket 0
+// holds exactly the front run, and only when the front run closes does the
+// least non-empty bucket redistribute. The buckets are lists linked through
+// the run records, so the queue allocates nothing beyond its items and runs.
+// Pops drain the front run from its head. Events drain in strict (t, seq)
+// order (docs/MODEL.md §10 gives the argument).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -280,18 +285,19 @@ class Engine {
     CallbackBase* cb;                // pooled callback otherwise
     std::uint32_t next;              // next item of the run or free list
   };
-  // The events queued at one timestamp, ascending in seq.
+  // The events queued at one timestamp, ascending in seq, and the link of
+  // its radix bucket.
   struct Run {
+    Time t;
     std::uint32_t head;  // kNil when drained; free-list link once closed
     std::uint32_t tail;
+    std::uint32_t link;  // next run of the same bucket
   };
-  // A queued timestamp and its run: the entry of both the heap and the
-  // timestamp table (where run == kNil marks an empty slot).
+  // An entry of the timestamp table (run == kNil marks an empty slot).
   struct Instant {
     Time t;
     std::uint32_t run;
   };
-  static bool later(const Instant& a, const Instant& b) { return a.t > b.t; }
   // What run() needs of a popped event.
   struct Event {
     Time t;
@@ -306,13 +312,18 @@ class Engine {
   // The run of instant `t`, opened if no event at `t` is queued.
   std::uint32_t run_at(Time t);
   std::uint32_t open_run(Time t);
+  // Put run `r` in its bucket for the current last_.
+  void file(std::uint32_t r);
+  // The front run, holding the earliest queued events: a drained front
+  // closes here, and the next instant's run moves into bucket 0.
+  std::uint32_t front();
   Event pop_event();
   // Oracle-attached pop: may redirect which same-instant tagged deliver
   // event leaves the front run first (engine.cpp).
   Event pop_event_mc();
   // Unlink item `i` (after `prev`, kNil at the head) from the front run.
   Event take(std::uint32_t prev, std::uint32_t i);
-  // Drop the drained front run from the heap and the table.
+  // Drop the drained front run from bucket 0 and the table.
   void close_front();
   std::size_t home_slot(Time t) const {
     return static_cast<std::size_t>(
@@ -355,14 +366,18 @@ class Engine {
   };
   Detached run_detached(CoTask<void> task, std::shared_ptr<Flag> done);
 
-  // Invariants: every queued timestamp has exactly one open run, listed
-  // once in heap_ and once in table_; only the front run may be empty
-  // (it closes on the next pop, so pushes at now() keep joining it).
+  // Invariants: every queued timestamp t >= last_ has exactly one open
+  // run, listed once in buckets_[bit_width(t ^ last_)] and once in table_;
+  // only the front run (bucket 0) may be empty (it closes on the next pop,
+  // so pushes at now() keep joining it).
   std::vector<Item> items_;
   std::uint32_t free_item_ = kNil;
   std::vector<Run> runs_;
   std::uint32_t free_run_ = kNil;
-  std::vector<Instant> heap_;   // min-heap on t
+  std::uint32_t open_runs_ = 0;
+  std::array<std::uint32_t, 64> buckets_;  // list heads, kNil when empty
+  std::uint64_t occupied_ = 0;  // bit b set while bucket b holds a run
+  Time last_ = 0;               // the front instant; no push is earlier
   std::vector<Instant> table_;  // linear probing, at most half full
   int table_shift_ = 64 - kInitialTableBits;
   Time cached_t_ = -1;  // the last-pushed instant (none: no push is < 0)

@@ -64,14 +64,14 @@ Rank::Rank(Machine& m, int world_rank)
 sim::Engine& Rank::engine() { return machine_->engine(); }
 Node& Rank::node() { return machine_->node(node_id_); }
 
-sim::CoTask<void> Rank::busy(Time t) {
+sim::Engine::DelayAwaiter Rank::compute(Time t) {
   // Compute charges carry the per-rank jitter/straggler factor; everything
   // routed through compute() (application phases, leader collection costs)
   // is noise-bearing work.
   if (perturb::Perturbation* pt = machine_->perturbation()) {
     t = scale_time(t, pt->compute_factor(world_rank_));
   }
-  co_await engine().delay(t);
+  return engine().delay(t);
 }
 
 Time Rank::reduce_cost(std::size_t bytes) const {
@@ -80,7 +80,7 @@ Time Rank::reduce_cost(std::size_t bytes) const {
                            static_cast<double>(sim::kNanosecond));
 }
 
-sim::CoTask<void> Rank::reduce_compute(std::size_t bytes) {
+sim::Engine::DelayAwaiter Rank::reduce_compute(std::size_t bytes) {
   // A reduction streams its operands through the node's memory system, so
   // concurrent reducers (multiple DPML leaders, or a full node of flat-
   // algorithm ranks) share the aggregate memory pipe. This is the physical
@@ -99,7 +99,7 @@ sim::CoTask<void> Rank::reduce_compute(std::size_t bytes) {
       t0, transfer_time(bytes, machine_->config().host.mem_agg_bw));
   const Time done = std::max(proc_done, mem_done);
   machine_->trace("reduce", "compute", world_rank_, t0, done);
-  co_await engine().until(done);
+  return engine().until(done);
 }
 
 sim::CoTask<void> Rank::send(const Comm& comm, int dst, int tag,
@@ -170,24 +170,26 @@ sim::CoTask<RecvResult> Rank::probe(const Comm& comm, int src, int tag) {
   co_return info;
 }
 
-sim::CoTask<void> Rank::shm_put(ShmWindow& w, std::size_t offset,
-                                std::size_t bytes, ConstBytes src) {
+ShmCopy Rank::shm_put(ShmWindow& w, std::size_t offset, std::size_t bytes,
+                      ConstBytes src) {
   return machine_->do_shm_copy(*this, w, offset, bytes, src, {}, /*is_put=*/true);
 }
 
-sim::CoTask<void> Rank::shm_get(ShmWindow& w, std::size_t offset,
-                                std::size_t bytes, MutBytes dst) {
+ShmCopy Rank::shm_get(ShmWindow& w, std::size_t offset, std::size_t bytes,
+                      MutBytes dst) {
   return machine_->do_shm_copy(*this, w, offset, bytes, {}, dst, /*is_put=*/false);
 }
 
-sim::CoTask<void> Rank::signal(sim::Flag& f) {
-  co_await engine().delay(machine_->config().host.flag_latency);
-  f.post();
+Signal<sim::Flag> Rank::signal(sim::Flag& f) {
+  return {engine().delay(machine_->config().host.flag_latency), f};
 }
 
-sim::CoTask<void> Rank::signal(sim::Latch& l) {
-  co_await engine().delay(machine_->config().host.flag_latency);
-  l.arrive();
+Signal<sim::Latch> Rank::signal(sim::Latch& l) {
+  return {engine().delay(machine_->config().host.flag_latency), l};
+}
+
+void ShmCopy::await_resume() const {
+  if (to != nullptr) std::memcpy(to, from, bytes);
 }
 
 std::int64_t Rank::next_coll_key(int context) {
@@ -889,14 +891,13 @@ sim::CoTask<RecvResult> Machine::do_recv(Rank& receiver, int src_world,
   co_return RecvResult{pr.recv_bytes, pr.recv_src, pr.recv_tag};
 }
 
-sim::CoTask<void> Machine::do_shm_copy(Rank& r, ShmWindow& w,
-                                       std::size_t offset, std::size_t bytes,
-                                       ConstBytes src, MutBytes dst,
-                                       bool is_put) {
+ShmCopy Machine::do_shm_copy(Rank& r, ShmWindow& w, std::size_t offset,
+                             std::size_t bytes, ConstBytes src, MutBytes dst,
+                             bool is_put) {
   DPML_CHECK_MSG(offset + bytes <= w.size(), "window copy out of range");
   DPML_CHECK(src.empty() || src.size() == bytes);
   DPML_CHECK(dst.empty() || dst.size() == bytes);
-  // simcheck: the user-side span is live for the duration of the copy.
+  // simcheck: the user-side span is live until the copy's awaiter goes.
   check::BufferLease shm_lease;
   if (checker_ != nullptr) {
     shm_lease = is_put ? checker_->acquire_read(r.world_rank(), src, "shm-put",
@@ -918,16 +919,21 @@ sim::CoTask<void> Machine::do_shm_copy(Rank& r, ShmWindow& w,
       r.node().mem().acquire(t0, transfer_time(bytes, host.mem_agg_bw));
   stats_.window_copies += 1;
   stats_.shm_bytes += bytes;
-  trace(is_put ? "shm-put" : "shm-get", "shm", r.world_rank(), t0,
-        std::max(proc_done, mem_done));
-  co_await engine_.until(std::max(proc_done, mem_done));
+  const Time done = std::max(proc_done, mem_done);
+  trace(is_put ? "shm-put" : "shm-get", "shm", r.world_rank(), t0, done);
+  std::byte* to = nullptr;
+  const std::byte* from = nullptr;
   if (w.has_data() && bytes > 0) {
+    std::byte* window = w.data().data() + offset;
     if (!src.empty()) {
-      std::memcpy(w.data().data() + offset, src.data(), bytes);
+      to = window;
+      from = src.data();
     } else if (!dst.empty()) {
-      std::memcpy(dst.data(), w.data().data() + offset, bytes);
+      to = dst.data();
+      from = window;
     }
   }
+  return {engine_.until(done), to, from, bytes, std::move(shm_lease)};
 }
 
 }  // namespace dpml::simmpi

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -114,6 +115,37 @@ struct CollSlot {
   int released = 0;
 };
 
+// The awaitables of the one-wake primitives. Each wakes its caller once:
+// the primitive computes its charge at the call and schedules the one wake
+// when awaited, and what the wake completes runs as the caller resumes. So
+// a one-wake primitive takes no coroutine frame and no second resume.
+//
+// A shared-memory copy (Rank::shm_put / shm_get) moves its bytes as the
+// caller resumes. On a checked machine it holds the checker's lease on the
+// user-side span until it is destroyed, so the span stays checked across
+// the wake.
+struct [[nodiscard]] ShmCopy : sim::Engine::DelayAwaiter {
+  std::byte* to = nullptr;  // null: no bytes move (metadata-only)
+  const std::byte* from = nullptr;
+  std::size_t bytes = 0;
+  check::BufferLease lease;
+  void await_resume() const;
+};
+
+// A signal (Rank::signal) posts its flag or arrives at its latch as the
+// caller resumes.
+template <typename Sync>
+struct [[nodiscard]] Signal : sim::Engine::DelayAwaiter {
+  Sync& target;
+  void await_resume() const {
+    if constexpr (std::is_same_v<Sync, sim::Flag>) {
+      target.post();
+    } else {
+      target.arrive();
+    }
+  }
+};
+
 class Node {
  public:
   Node(Machine& m, int id);
@@ -182,21 +214,24 @@ class Rank {
   sim::CoTask<RecvResult> probe(const Comm& comm, int src, int tag);
 
   // ---- Compute ----
-  sim::CoTask<void> compute(sim::Time t) { return busy(t); }
+  // compute, reduce_compute, shm_put, shm_get and signal return the
+  // frame-free awaitables above: co_await them where they are called
+  // (they are not CoTasks, so they cannot be spawned).
+  [[nodiscard]] sim::Engine::DelayAwaiter compute(sim::Time t);
   // Charge the cost of combining `bytes` of reduction operands once.
-  sim::CoTask<void> reduce_compute(std::size_t bytes);
+  [[nodiscard]] sim::Engine::DelayAwaiter reduce_compute(std::size_t bytes);
   sim::Time reduce_cost(std::size_t bytes) const;
 
   // ---- Shared memory ----
   // Copy into / out of a node-shared window, charging copy costs (socket
   // aware) and the node memory pipe.
-  sim::CoTask<void> shm_put(ShmWindow& w, std::size_t offset,
-                            std::size_t bytes, ConstBytes src = {});
-  sim::CoTask<void> shm_get(ShmWindow& w, std::size_t offset,
-                            std::size_t bytes, MutBytes dst = {});
+  ShmCopy shm_put(ShmWindow& w, std::size_t offset, std::size_t bytes,
+                  ConstBytes src = {});
+  ShmCopy shm_get(ShmWindow& w, std::size_t offset, std::size_t bytes,
+                  MutBytes dst = {});
   // Signal a node-shared flag/latch, charging the shared-memory flag cost.
-  sim::CoTask<void> signal(sim::Flag& f);
-  sim::CoTask<void> signal(sim::Latch& l);
+  Signal<sim::Flag> signal(sim::Flag& f);
+  Signal<sim::Latch> signal(sim::Latch& l);
 
   // Per-(context) invocation counter used to key collective slots; every
   // rank of a node calls the same collective sequence on a context, so the
@@ -206,8 +241,6 @@ class Rank {
   Matcher& matcher() { return matcher_; }
 
  private:
-  sim::CoTask<void> busy(sim::Time t);
-
   Machine* machine_;
   int world_rank_;
   int node_id_;
@@ -434,9 +467,9 @@ class Machine {
                  sim::Time& extra) const;
   sim::CoTask<RecvResult> do_recv(Rank& receiver, int src_world, int ctx,
                                   int tag, std::size_t capacity, MutBytes out);
-  sim::CoTask<void> do_shm_copy(Rank& r, ShmWindow& w, std::size_t offset,
-                                std::size_t bytes, ConstBytes src, MutBytes dst,
-                                bool is_put);
+  ShmCopy do_shm_copy(Rank& r, ShmWindow& w, std::size_t offset,
+                      std::size_t bytes, ConstBytes src, MutBytes dst,
+                      bool is_put);
 };
 
 }  // namespace dpml::simmpi

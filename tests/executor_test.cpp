@@ -402,6 +402,8 @@ TEST(PerfReport, FoldSumsCountersAndTakesThePeakMaxima) {
             std::max(a.perf.peak_queue_depth, b.perf.peak_queue_depth));
   EXPECT_EQ(rep.callback_pool_hits,
             a.perf.callback_pool_hit_rate + b.perf.callback_pool_hit_rate);
+  EXPECT_EQ(rep.frame_pool_hit_count,
+            a.perf.frame_pool.hits + b.perf.frame_pool.hits);
   ASSERT_GT(a.perf.match.delivered_matches, 0u);
   EXPECT_EQ(rep.match.posted_matches,
             a.perf.match.posted_matches + b.perf.match.posted_matches);
@@ -429,6 +431,9 @@ TEST(PerfReport, FoldSumsCountersAndTakesThePeakMaxima) {
   EXPECT_TRUE(folded.match == rep.match);
   const std::string json = rep.json("t");
   EXPECT_NE(json.find("\"events\": " + std::to_string(rep.events) + ",\n"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"frame_pool_hits\": " +
+                      std::to_string(rep.frame_pool_hit_count) + ",\n"),
             std::string::npos);
   EXPECT_NE(json.find("\"match_scanned\": " +
                       std::to_string(rep.match.scanned) + ",\n"),

@@ -113,9 +113,10 @@ TEST(Registry, RejectsDuplicateRegistration) {
 
 TEST(Registry, GatherScatterReduceScatterRejectInPlace) {
   // recv holds the root's p blocks (gather) or one block (scatter,
-  // reduce_scatter), so none of these kinds has an MPI_IN_PLACE form here.
-  for (CollKind kind :
-       {CollKind::gather, CollKind::scatter, CollKind::reduce_scatter}) {
+  // reduce_scatter), and alltoall's send and recv both hold p blocks, so
+  // none of these kinds has an MPI_IN_PLACE form here.
+  for (CollKind kind : {CollKind::gather, CollKind::scatter,
+                        CollKind::reduce_scatter, CollKind::alltoall}) {
     for (const coll::CollDescriptor* d : CollRegistry::instance().list(kind)) {
       simmpi::RunOptions opt;
       opt.with_data = false;
@@ -266,7 +267,7 @@ TEST(Equivalence, ReduceBcastAlltoallMatchDirectInvocation) {
       a.rank = &r;
       a.comm = &m.world();
       a.count = 2048;
-      a.inplace = true;
+      a.inplace = coll::contract_of(kind).in_place != coll::InPlace::no;
       co_await core::run_collective(kind, a, spec);
     });
     return m.now();

@@ -249,13 +249,25 @@ class QueueScript {
 
  private:
   static constexpr Time kGrid = 500;
+  static constexpr Time kHorizon = Time{1} << 62;
 
   Time delta() {
-    switch (rng_.next_below(4)) {
+    switch (rng_.next_below(5)) {
       case 0: return 0;
       case 1: return static_cast<Time>(1 + rng_.next_below(4)) * kGrid;
       case 2: return static_cast<Time>(rng_.next_below(1000)) * kGrid;
-      default: return static_cast<Time>(1 + rng_.next_below(100000));
+      case 3: return static_cast<Time>(1 + rng_.next_below(100000));
+      default: {
+        // Far future, up to 2^k ps ahead for k from 26 to 61: the run sits
+        // in a high radix bucket and moves down as earlier instants drain.
+        // The clock stays below kHorizon, so times never overflow.
+        const Time room = kHorizon - q_.now();
+        if (room <= 1) return 0;
+        const std::uint64_t span = std::uint64_t{1}
+                                   << (26 + rng_.next_below(36));
+        return static_cast<Time>(rng_.next_below(
+            std::min(span, static_cast<std::uint64_t>(room))));
+      }
     }
   }
 
@@ -319,6 +331,8 @@ TEST(InstantQueue, FiresInReferenceOrder) {
             << "seed " << seed << " round " << round << " pop " << i;
       }
       EXPECT_EQ(eng.now(), ref.now()) << "seed " << seed;
+      // The far-future runs drained through the high radix buckets.
+      EXPECT_GE(eng.now(), Time{1} << 60) << "seed " << seed;
     }
     const EnginePerf p = eng.e.perf();
     EXPECT_EQ(p.events, eng_script.log.size());
@@ -341,7 +355,12 @@ TEST(InstantQueue, TeardownDisposesEveryQueuedCallback) {
     // every later instant stay queued.
     e.schedule_call(150 * 1000, [] { throw std::runtime_error("abandon"); });
     for (int i = 0; i < 5000; ++i) {
-      const Time t = static_cast<Time>(rng.next_below(300)) * 1000;
+      // Half near the abandoning instant, half from 2^10 to 2^59 ps, so the
+      // queued runs sit in many radix buckets.
+      const Time t =
+          i % 2 == 0 ? static_cast<Time>(rng.next_below(300)) * 1000
+                     : (Time{1} << (10 + rng.next_below(50))) +
+                           static_cast<Time>(rng.next_below(1000));
       if (i < 100) {
         e.schedule_call_at_seq(t, base + static_cast<std::uint64_t>(i),
                                [token] {});

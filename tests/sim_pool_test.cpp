@@ -13,12 +13,14 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "net/cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/pool.hpp"
 #include "sim/sync.hpp"
+#include "check/check.hpp"
 #include "simmpi/machine.hpp"
 #include "util/error.hpp"
 
@@ -405,6 +407,120 @@ TEST(FramePool, DeliveryRecordsFitTheCallbackChunk) {
   const PoolStats cb = m.engine().perf().callback_pool;
   EXPECT_GT(cb.hits, 0u);
   EXPECT_EQ(cb.misses, (cb.peak_live + 255) / 256);
+}
+
+// ---------------------------------------------------------------------------
+// One-wake primitives: compute, reduce_compute, shm_put, shm_get and both
+// signals are awaitables, so awaiting one takes no frame from the pool.
+
+std::uint64_t frames_served() {
+  const PoolStats s = FramePool::local().stats();
+  return s.hits + s.misses;
+}
+
+TEST(OneWake, PrimitivesTakeNoFrameAndChargeTheirCost) {
+  simmpi::Machine m(net::test_cluster(1), 1, 1);
+  const net::HostModel& host = m.config().host;
+  constexpr std::size_t kBytes = 4096;
+  simmpi::ShmWindow w(kBytes, m.rank(0).socket(), /*with_data=*/true);
+  Flag flag(m.engine());
+  Latch latch(m.engine(), 2);
+  const std::vector<std::byte> src(kBytes, std::byte{5});
+  std::vector<std::byte> dst(kBytes);
+  std::vector<Time> at;  // the clock after each await
+  std::uint64_t frames = 0;
+  m.run([&](simmpi::Rank& r) -> CoTask<void> {
+    const std::uint64_t before = frames_served();
+    co_await r.compute(us(1.0));
+    at.push_back(r.engine().now());
+    co_await r.reduce_compute(kBytes);
+    at.push_back(r.engine().now());
+    co_await r.shm_put(w, 0, kBytes, src);
+    at.push_back(r.engine().now());
+    co_await r.shm_get(w, 0, kBytes, dst);
+    at.push_back(r.engine().now());
+    co_await r.signal(flag);
+    at.push_back(r.engine().now());
+    co_await r.signal(latch);
+    at.push_back(r.engine().now());
+    frames = frames_served() - before;
+  });
+  EXPECT_EQ(frames, 0u);
+  EXPECT_EQ(dst, src);
+  EXPECT_TRUE(flag.posted());
+  EXPECT_EQ(latch.pending(), 1);
+  // Each charge as the model states it (docs/MODEL.md §3): the node's
+  // memory pipe is idle at each call, and the window is on the rank's
+  // socket.
+  ASSERT_GT(host.flag_latency, 0);
+  const Time mem = transfer_time(kBytes, host.mem_agg_bw);
+  const Time copy = host.copy_startup + transfer_time(kBytes, host.copy_bw);
+  std::vector<Time> want;
+  Time t = us(1.0);
+  want.push_back(t);
+  t += std::max(m.rank(0).reduce_cost(kBytes), mem);
+  want.push_back(t);
+  t += std::max(copy, mem);
+  want.push_back(t);
+  t += std::max(copy, mem);
+  want.push_back(t);
+  t += host.flag_latency;
+  want.push_back(t);
+  t += host.flag_latency;
+  want.push_back(t);
+  EXPECT_EQ(at, want);
+  // One wake per primitive, and nothing else.
+  EXPECT_EQ(m.engine().perf().events, 6u);
+  EXPECT_EQ(m.engine().perf().resumes, 6u);
+}
+
+// Writes `span` through a shm_get once `ready` is posted.
+CoTask<void> overwrite(simmpi::Rank& r, simmpi::ShmWindow& w,
+                       simmpi::MutBytes span, Flag& ready) {
+  co_await ready.wait();
+  co_await r.shm_get(w, 0, span.size(), span);
+}
+
+TEST(OneWake, ShmPutLeaseSpansTheWake) {
+  // A shm_put's read lease on its source lives until its awaiter goes:
+  // another operation of the rank that writes the source while the put is
+  // suspended is an overlap, and the same write after the wake is not.
+  for (const bool during : {true, false}) {
+    simmpi::RunOptions opt;
+    opt.check_level = check::CheckLevel::basic;
+    simmpi::Machine m(net::test_cluster(1), 1, 1, opt);
+    constexpr std::size_t kBytes = 4096;
+    simmpi::ShmWindow w(kBytes, m.rank(0).socket(), /*with_data=*/true);
+    std::vector<std::byte> buf(kBytes, std::byte{3});
+    Flag ready(m.engine());
+    Time put_done = 0;
+    auto run = [&] {
+      m.run([&](simmpi::Rank& r) -> CoTask<void> {
+        auto writer = r.engine().spawn_sub(
+            overwrite(r, w, simmpi::MutBytes{buf}, ready));
+        if (during) r.engine().schedule_call(1, [&ready] { ready.post(); });
+        co_await r.shm_put(w, 0, kBytes, buf);
+        put_done = r.engine().now();
+        if (!during) ready.post();
+        co_await writer->wait();
+      });
+    };
+    if (during) {
+      try {
+        run();
+        ADD_FAILURE() << "a write into a suspended shm_put's source passed";
+      } catch (const check::CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("buffer-overlap"), std::string::npos) << what;
+        EXPECT_NE(what.find("shm-get buffer"), std::string::npos) << what;
+        EXPECT_NE(what.find("live shm-put buffer"), std::string::npos) << what;
+      }
+      EXPECT_EQ(put_done, 0);  // the overlap was found while it slept
+    } else {
+      EXPECT_NO_THROW(run());
+      EXPECT_GT(put_done, 1);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

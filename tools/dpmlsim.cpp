@@ -343,12 +343,17 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   t.print(std::cout);
   if (perf_on) std::cout << "\n" << report.line() << "\n";
   if (perf_json.empty()) return 0;
-  // A checked sweep is its own baseline key in BENCH_perf.json
-  // (scripts/perf_delta.py): its snapshot names the check level.
-  std::vector<std::pair<std::string, std::string>> tags;
+  // A sweep's cluster, shape, design and check level key its baseline in
+  // BENCH_perf.json (scripts/perf_delta.py); unchecked sweeps name no check
+  // level.
+  const auto quoted = [](const std::string& v) { return "\"" + v + "\""; };
+  std::vector<std::pair<std::string, std::string>> tags{
+      {"cluster", quoted(cfg.name)},
+      {"shape", quoted(std::to_string(nodes) + "x" + std::to_string(ppn))},
+      {"design", quoted(std::string(coll::coll_kind_name(kind)) + "/" +
+                        (table ? "table-driven" : spec.label(kind)))}};
   if (opt.check != check::CheckLevel::off) {
-    tags.emplace_back("check", std::string("\"") +
-                                   check::check_level_name(opt.check) + "\"");
+    tags.emplace_back("check", quoted(check::check_level_name(opt.check)));
   }
   return write_perf_snapshot(perf_json, report, "dpmlsim latency", tags);
 }
