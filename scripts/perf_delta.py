@@ -5,10 +5,9 @@ BENCH_perf.json is an append-only array of --perf-json snapshots (one or
 more per PR), each tagged by (tool, data_mode, placement, adapt, check,
 cluster, shape, design); current tools emit no data_mode, which reads as
 "payload", only a checked `dpmlsim latency` sweep emits check (absent reads
-as "off"), and only `dpmlsim latency` emits cluster, shape and design.
-A snapshot whose cluster, shape and design no entry carries takes the
-legacy baseline of its other members: the latest entry that names none of
-the three (written before the latency snapshot named them).
+as "off"), and only `dpmlsim latency` emits cluster, shape and design. A
+snapshot is compared only with entries of its own key: a latency sweep
+whose cluster, shape and design no entry carries has no baseline.
 Three commands:
 
   delta  BENCH_perf.json NEW.json [NEW2.json ...]
@@ -79,16 +78,6 @@ def key(entry):
             *(entry.get(m) for m in SWEEP_MEMBERS))
 
 
-def legacy(k):
-    """The key k had before snapshots named their cluster, shape and
-    design."""
-    return k[:5] + (None,) * len(SWEEP_MEMBERS)
-
-
-def baseline_for(baseline, k):
-    return baseline.get(k) or baseline.get(legacy(k))
-
-
 def label(k):
     tag = f"{k[0]}/{k[1]}/{k[2]}/{'adapt' if k[3] else 'static'}"
     if k[4] != "off":
@@ -103,7 +92,7 @@ def cmd_delta(args):
     for path in args.snapshots:
         new = load(path)
         k = key(new)
-        old = baseline_for(baseline, k)
+        old = baseline.get(k)
         tag = label(k)
         if old is None:
             print(f"[perf-delta] {tag}: no checked-in baseline ({path}); "
@@ -161,7 +150,7 @@ def cmd_exact(args):
     for path in args.snapshots:
         new = load(path)
         k = key(new)
-        old = baseline_for(baseline, k)
+        old = baseline.get(k)
         tag = label(k)
         if old is None:
             print(f"[perf-exact] {tag}: no checked-in baseline ({path})")

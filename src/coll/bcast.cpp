@@ -1,11 +1,11 @@
 #include "coll/bcast.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "coll/node.hpp"
 #include "coll/registry.hpp"
 #include "coll/ring.hpp"
+#include "coll/tree.hpp"
 #include "sharp/sharp.hpp"
 
 namespace dpml::coll {
@@ -25,26 +25,8 @@ sim::CoTask<void> bcast_binomial(CollArgs a) {
   if (me < 0) co_return;
   const int p = c.size();
   if (p == 1) co_return;
-  const std::size_t nbytes = a.bytes();
-  const int vrank = (me - a.root + p) % p;
-  auto actual = [&](int v) { return (v + a.root) % p; };
-
-  int mask = 1;
-  while (mask < p) {
-    if (vrank & mask) {
-      co_await r.recv(c, actual(vrank - mask), a.tag_base, nbytes, a.recv);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < p) {
-      co_await r.send(c, actual(vrank + mask), a.tag_base, nbytes,
-                      as_const(a.recv));
-    }
-    mask >>= 1;
-  }
+  const WholeBlocks whole{a.bytes()};
+  co_await tree_down(r, c, tree_pos(p, me, a.root), a.tag_base, a.recv, whole);
 }
 
 sim::CoTask<void> bcast_scatter_allgather(CollArgs a) {
@@ -55,38 +37,13 @@ sim::CoTask<void> bcast_scatter_allgather(CollArgs a) {
   if (me < 0) co_return;
   const int p = c.size();
   if (p == 1) co_return;
-  const int vrank = (me - a.root + p) % p;
-  auto actual = [&](int v) { return (v + a.root) % p; };
+  const TreePos t = tree_pos(p, me, a.root);
   const PartBlocks blocks{a.bytes(), p, 1};
-  // Byte extent of blocks [first, last).
-  auto extent = [&](int first, int last) {
-    const std::size_t lo = blocks(first).offset;
-    const Block end = blocks(last - 1);
-    return Block{lo, end.offset + end.bytes - lo};
-  };
-
   // Binomial scatter: after this, vrank v holds block v.
-  int mask = 1;
-  while (mask < p) {
-    if (vrank & mask) {
-      const Block in = extent(vrank, std::min(vrank + mask, p));
-      co_await r.recv(c, actual(vrank - mask), a.tag_base + 1, in.bytes,
-                      sub(a.recv, in.offset, in.bytes));
-      break;
-    }
-    mask <<= 1;
-  }
-  for (mask >>= 1; mask > 0; mask >>= 1) {
-    if (vrank + mask < p) {
-      const Block out = extent(vrank + mask, std::min(vrank + 2 * mask, p));
-      co_await r.send(c, actual(vrank + mask), a.tag_base + 1, out.bytes,
-                      sub(as_const(a.recv), out.offset, out.bytes));
-    }
-  }
-
+  co_await tree_down(r, c, t, a.tag_base + 1, a.recv, blocks);
   // Ring allgather of the p blocks, on the ring of vranks.
-  const RingPos ring{p, actual((vrank + p - 1) % p), actual((vrank + 1) % p),
-                     vrank};
+  const RingPos ring{p, t.rank((t.vrank + p - 1) % p),
+                     t.rank((t.vrank + 1) % p), t.vrank};
   co_await ring_allgather(r, c, ring, a.tag_base + 2, a.recv, blocks);
 }
 

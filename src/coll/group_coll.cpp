@@ -9,6 +9,7 @@
 #include "coll/reduce.hpp"
 #include "coll/registry.hpp"
 #include "coll/ring.hpp"
+#include "coll/tree.hpp"
 #include "sharp/sharp.hpp"
 #include "util/error.hpp"
 
@@ -60,58 +61,21 @@ sim::CoTask<void> gather_binomial(CollArgs a) {
   if (me < 0) co_return;
   const int p = c.size();
   const std::size_t bb = a.bytes();
-  const int vrank = (me - a.root + p) % p;
-  auto actual = [&](int v) { return (v + a.root) % p; };
-
-  // Each vrank accumulates blocks [vrank, vrank + extent) in vrank space
-  // into a staging buffer, then forwards the run to its parent.
-  std::vector<std::byte> stage;
-  const bool with_data = r.machine().with_data();
-  // Worst-case run length for my subtree.
-  int extent = 1;
-  {
-    int mask = 1;
-    while (mask < p && !(vrank & mask)) {
-      extent = std::min(2 * mask, p - vrank);
-      mask <<= 1;
-    }
+  const TreePos t = tree_pos(p, me, a.root);
+  // Stage my subtree's blocks in vrank order, my own first, and forward
+  // them to my parent.
+  const HeldBlocks held{t.vrank, bb};
+  auto stage = a.scratch(t.subtree(held, t.vrank, t.level).bytes);
+  const MutBytes stageb{stage};
+  if (!stage.empty() && !a.send.empty()) {
+    std::memcpy(stage.data(), a.send.data(), bb);
   }
-  if (with_data) {
-    stage.resize(static_cast<std::size_t>(extent) * bb);
-    if (!a.send.empty()) {
-      std::memcpy(stage.data(), a.send.data(), bb);
-    }
-  }
-  MutBytes stageb{stage};
+  co_await tree_up(a, t, a.tag_base, stageb, held);
 
-  int filled = 1;  // blocks currently held (starting with my own)
-  int step = 0;
-  int mask = 1;
-  while (mask < p) {
-    if (vrank & mask) {
-      const std::size_t nbytes = static_cast<std::size_t>(filled) * bb;
-      co_await r.send(c, actual(vrank - mask), a.tag_base + step, nbytes,
-                      sub(as_const(stageb), 0, with_data ? nbytes : 0));
-      break;
-    }
-    const int src = vrank + mask;
-    if (src < p) {
-      const int incoming = std::min(mask, p - src);
-      const std::size_t nbytes = static_cast<std::size_t>(incoming) * bb;
-      co_await r.recv(c, actual(src), a.tag_base + step, nbytes,
-                      sub(stageb, static_cast<std::size_t>(filled) * bb,
-                          with_data ? nbytes : 0));
-      filled += incoming;
-    }
-    mask <<= 1;
-    ++step;
-  }
-
-  if (vrank == 0 && !a.recv.empty() && with_data) {
+  if (t.vrank == 0 && !a.recv.empty() && !stage.empty()) {
     // Unrotate from vrank space into comm-rank order.
     for (int v = 0; v < p; ++v) {
-      const int rank_of_block = actual(v);
-      std::memcpy(a.recv.data() + static_cast<std::size_t>(rank_of_block) * bb,
+      std::memcpy(a.recv.data() + static_cast<std::size_t>(t.rank(v)) * bb,
                   stage.data() + static_cast<std::size_t>(v) * bb, bb);
     }
   }
@@ -158,57 +122,21 @@ sim::CoTask<void> scatter_binomial(CollArgs a) {
   if (me < 0) co_return;
   const int p = c.size();
   const std::size_t bb = a.bytes();
-  const int vrank = (me - a.root + p) % p;
-  auto actual = [&](int v) { return (v + a.root) % p; };
-  const bool with_data = r.machine().with_data();
-
-  // Staging holds blocks [vrank, vrank+run) in vrank space.
-  std::vector<std::byte> stage;
-  MutBytes stageb{};
-  int run = 0;
-
-  if (vrank == 0) {
-    run = p;
-    if (with_data && !a.send.empty()) {
-      stage.resize(static_cast<std::size_t>(p) * bb);
-      for (int v = 0; v < p; ++v) {
-        std::memcpy(stage.data() + static_cast<std::size_t>(v) * bb,
-                    a.send.data() + static_cast<std::size_t>(actual(v)) * bb,
-                    bb);
-      }
-      stageb = MutBytes{stage};
+  const TreePos t = tree_pos(p, me, a.root);
+  // Stage my subtree's blocks in vrank order, my own first: the root
+  // rotates the whole send buffer in.
+  const HeldBlocks held{t.vrank, bb};
+  auto stage = a.scratch(t.subtree(held, t.vrank, t.level).bytes);
+  const MutBytes stageb{stage};
+  if (t.vrank == 0 && !stage.empty() && !a.send.empty()) {
+    for (int v = 0; v < p; ++v) {
+      std::memcpy(stage.data() + static_cast<std::size_t>(v) * bb,
+                  a.send.data() + static_cast<std::size_t>(t.rank(v)) * bb,
+                  bb);
     }
   }
-
-  int mask = 1;
-  while (mask < p) {
-    if (vrank & mask) {
-      run = std::min(mask, p - vrank);
-      if (with_data) {
-        stage.resize(static_cast<std::size_t>(run) * bb);
-        stageb = MutBytes{stage};
-      }
-      co_await r.recv(c, actual(vrank - mask), a.tag_base,
-                      static_cast<std::size_t>(run) * bb, stageb);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < p && mask < run) {
-      const int nblocks = std::min(run - mask, std::min(mask, p - vrank - mask));
-      const std::size_t nbytes =
-          static_cast<std::size_t>(nblocks) * bb;
-      co_await r.send(c, actual(vrank + mask), a.tag_base, nbytes,
-                      sub(as_const(stageb),
-                          static_cast<std::size_t>(mask) * bb,
-                          with_data && !stageb.empty() ? nbytes : 0));
-      run = mask;
-    }
-    mask >>= 1;
-  }
-  if (!a.recv.empty() && with_data && !stage.empty()) {
+  co_await tree_down(r, c, t, a.tag_base, stageb, held);
+  if (!a.recv.empty() && !stage.empty()) {
     std::memcpy(a.recv.data(), stage.data(), bb);
   }
 }
@@ -313,10 +241,8 @@ sim::CoTask<void> reduce_scatter_reduce_then_scatter(CollArgs a) {
   // the tree folds in natural comm-rank order, so non-commutative ops are
   // safe — then a binomial scatter of the reduced blocks. The scatter tag
   // space (+64) stays clear of the reduce's step tags.
-  std::vector<std::byte> full;
-  if (me == 0 && r.machine().with_data()) {
-    full.resize(static_cast<std::size_t>(p) * bbytes);
-  }
+  sim::ScratchBuffer full;
+  if (me == 0) full = a.scratch(static_cast<std::size_t>(p) * bbytes);
   CollArgs ra = a;
   ra.root = 0;
   ra.count = a.count * static_cast<std::size_t>(p);

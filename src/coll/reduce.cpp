@@ -7,6 +7,7 @@
 
 #include "coll/node.hpp"
 #include "coll/ring.hpp"
+#include "coll/tree.hpp"
 
 namespace dpml::coll {
 
@@ -47,28 +48,15 @@ sim::CoTask<void> reduce_binomial(CollArgs a) {
   co_await copy_in(a, acc);
   if (p == 1) co_return;
   auto tmp_store = a.scratch(nbytes);
-  MutBytes tmp{tmp_store};
+  const MutBytes tmp{tmp_store};
   // The usual vrank rotation makes the root the tree head but folds wrapped
   // rank blocks out of order. Non-commutative ops with root != 0 instead run
   // the tree in natural comm-rank order toward rank 0 (every fold is then
   // acc (op) later-block) and forward the result to the root afterwards.
   const bool rotate = a.op.commutative() || a.root == 0;
-  const int vrank = rotate ? (me - a.root + p) % p : me;
-  auto actual = [&](int v) { return rotate ? (v + a.root) % p : v; };
-
-  int step = 0;
-  for (int mask = 1; mask < p; mask <<= 1, ++step) {
-    if (vrank & mask) {
-      co_await r.send(c, actual(vrank - mask), a.tag_base + step, nbytes,
-                      as_const(acc));
-      break;
-    }
-    if (vrank + mask < p) {
-      co_await r.recv(c, actual(vrank + mask), a.tag_base + step, nbytes, tmp);
-      co_await r.reduce_compute(nbytes);
-      a.op.apply(a.dt, a.count, acc, as_const(tmp));
-    }
-  }
+  const WholeBlocks whole{nbytes};
+  co_await tree_up(a, tree_pos(p, me, rotate ? a.root : 0), a.tag_base, acc,
+                   whole, Incoming::fold, tmp);
   if (!rotate) {
     if (me == 0) {
       co_await r.send(c, a.root, a.tag_base + 60, nbytes, as_const(acc));

@@ -8,7 +8,8 @@
 //    reduce-scatter, then allgather;
 //  * reduce rsa-gather: reduce-scatter, then a gather at the root;
 //  * reduce_scatter ring: reduce-scatter, then one shift home;
-//  * bcast scatter-allgather: a binomial scatter, then allgather;
+//  * bcast scatter-allgather: the binomial scatter (coll/tree.hpp), then
+//    allgather;
 //  * allgather ring and allgatherv ring: allgather.
 //
 // A pass holds the step schedule and nothing else: at step s of p-1 a rank

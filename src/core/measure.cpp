@@ -315,8 +315,7 @@ void PerfReport::add(const MeasureResult& r) {
   p.elided_bytes = r.perf.elided_bytes;
   p.callback_pool_hits = r.perf.callback_pool_hit_rate;
   p.payload_pool_hits = r.perf.payload_pool_hit_rate;
-  p.frame_pool_hits = r.perf.frame_pool.hit_rate();
-  p.frame_pool_hit_count = r.perf.frame_pool.hits;
+  p.frame_pool_hits = r.perf.frame_pool.hits;
   p.frame_pool_misses = r.perf.frame_pool.misses;
   p.match = r.perf.match;
   p.check = r.perf.check;
@@ -341,8 +340,7 @@ void PerfReport::add(const sim::EnginePerf& engine,
   p.elided_bytes = elided_bytes;
   p.callback_pool_hits = engine.callback_pool.hit_rate();
   p.payload_pool_hits = engine.payload_pool.hit_rate();
-  p.frame_pool_hits = engine.frame_pool.hit_rate();
-  p.frame_pool_hit_count = engine.frame_pool.hits;
+  p.frame_pool_hits = engine.frame_pool.hits;
   p.frame_pool_misses = engine.frame_pool.misses;
   p.fabric = fabric;
   add(p);
@@ -360,7 +358,6 @@ void PerfReport::add(const PerfReport& o) {
   callback_pool_hits += o.callback_pool_hits;
   payload_pool_hits += o.payload_pool_hits;
   frame_pool_hits += o.frame_pool_hits;
-  frame_pool_hit_count += o.frame_pool_hit_count;
   frame_pool_misses += o.frame_pool_misses;
   match.merge(o.match);
   if (o.check) {
@@ -397,6 +394,11 @@ double mean(double sum, int points) {
   return points > 0 ? sum / static_cast<double>(points) : 0.0;
 }
 
+// The frame pool's hit rate over every frame the folded points allocated.
+double frame_hit_rate(const PerfReport& r) {
+  return sim::PoolStats{r.frame_pool_hits, r.frame_pool_misses}.hit_rate();
+}
+
 }  // namespace
 
 std::string PerfReport::line() const {
@@ -412,7 +414,7 @@ std::string PerfReport::line() const {
        << peak_queue_depth << ", pool hit rates cb="
        << mean(callback_pool_hits, points)
        << " payload=" << mean(payload_pool_hits, points)
-       << " frame=" << mean(frame_pool_hits, points);
+       << " frame=" << frame_hit_rate(*this);
     if (elided_bytes > 0) {
       os << ", elided " << util::format_bytes(elided_bytes) << " of payload";
     }
@@ -465,8 +467,8 @@ std::string PerfReport::json(
   member("elided_bytes", elided_bytes);
   member("callback_pool_hit_rate", mean(callback_pool_hits, points));
   member("payload_pool_hit_rate", mean(payload_pool_hits, points));
-  member("frame_pool_hit_rate", mean(frame_pool_hits, points));
-  member("frame_pool_hits", frame_pool_hit_count);
+  member("frame_pool_hit_rate", frame_hit_rate(*this));
+  member("frame_pool_hits", frame_pool_hits);
   member("frame_pool_misses", frame_pool_misses);
   if (match.posted_matches + match.delivered_matches > 0) {
     member("posted_matches", match.posted_matches);

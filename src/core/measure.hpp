@@ -153,7 +153,8 @@ struct FabricCounters {
 // The host-cost report of a sweep: the one `[perf]` line and the one
 // --perf-json snapshot of dpmlsim and every bench (docs/MODEL.md §8).
 // Folding sums the counters, takes the maxima of the peaks and of
-// max_link_util, and averages the pool hit rates over the points; the
+// max_link_util, and averages the callback and payload pool hit rates over
+// the points (the frame pool's is its summed hits over hits + misses); the
 // fabric block is present once a point on the link fabric is folded, and
 // the matcher block once a measure_collective point matched a message, and
 // the check block once a measure_collective point ran with payload or a
@@ -171,9 +172,8 @@ struct PerfReport {
   std::uint64_t elided_bytes = 0;      // payload bytes elided (sum)
   double callback_pool_hits = 0.0;     // per-point hit rates (sum)
   double payload_pool_hits = 0.0;
-  double frame_pool_hits = 0.0;
-  std::uint64_t frame_pool_hit_count = 0;  // frames served warm (sum)
-  std::uint64_t frame_pool_misses = 0;     // frames not served warm (sum)
+  std::uint64_t frame_pool_hits = 0;    // frames served warm (sum)
+  std::uint64_t frame_pool_misses = 0;  // frames not served warm (sum)
   simmpi::MatchStats match;            // matcher work (sums; depth maxima)
   std::optional<CheckCounters> check;  // verification work (sums)
   std::optional<FabricCounters> fabric;

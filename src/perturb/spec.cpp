@@ -1,5 +1,6 @@
 #include "perturb/spec.hpp"
 
+#include <set>
 #include <sstream>
 
 #include "util/args.hpp"
@@ -13,28 +14,6 @@ constexpr const char* kInjectors = "jitter, skew, link, stragglers, seed";
 
 [[noreturn]] void bad_clause(const std::string& what) {
   throw util::InvariantError("bad --perturb spec: " + what);
-}
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char ch : text) {
-    if (ch == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += ch;
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-std::string trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t");
-  if (b == std::string::npos) return "";
-  std::size_t e = s.find_last_not_of(" \t");
-  return s.substr(b, e - b + 1);
 }
 
 // A number of injector `injector`'s field `key`, by the util::Args
@@ -51,26 +30,10 @@ int integer(const char* injector, const std::string& key,
       std::string("--perturb ") + injector + " " + key, text);
 }
 
-// "a=1,b=2" -> [(a,"1"), (b,"2")]; bare tokens get an empty value.
-std::vector<std::pair<std::string, std::string>> params(
-    const std::string& text) {
-  std::vector<std::pair<std::string, std::string>> out;
-  if (trim(text).empty()) return out;
-  for (const std::string& tok : split(text, ',')) {
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      out.emplace_back(trim(tok), "");
-    } else {
-      out.emplace_back(trim(tok.substr(0, eq)), trim(tok.substr(eq + 1)));
-    }
-  }
-  return out;
-}
-
 JitterSpec parse_jitter(const std::string& value) {
   JitterSpec j;
   const std::size_t colon = value.find(':');
-  const std::string kind = trim(value.substr(0, colon));
+  const std::string kind = util::trim(value.substr(0, colon));
   const std::string rest =
       colon == std::string::npos ? "" : value.substr(colon + 1);
   if (kind == "uniform") {
@@ -83,7 +46,7 @@ JitterSpec parse_jitter(const std::string& value) {
     bad_clause("unknown jitter distribution '" + kind +
                "'; valid: uniform, lognormal, spike");
   }
-  for (const auto& [k, v] : params(rest)) {
+  for (const auto& [k, v] : util::spec_params("--perturb", rest)) {
     if (k == "frac") {
       j.frac = number("jitter", k, v);
     } else if (k == "sigma") {
@@ -107,7 +70,7 @@ JitterSpec parse_jitter(const std::string& value) {
 SkewSpec parse_skew(const std::string& value) {
   SkewSpec s;
   const std::size_t colon = value.find(':');
-  const std::string kind = trim(value.substr(0, colon));
+  const std::string kind = util::trim(value.substr(0, colon));
   const std::string rest =
       colon == std::string::npos ? "" : value.substr(colon + 1);
   if (kind == "uniform") {
@@ -117,12 +80,12 @@ SkewSpec parse_skew(const std::string& value) {
   } else {
     bad_clause("unknown skew kind '" + kind + "'; valid: uniform, fixed");
   }
-  for (const auto& [k, v] : params(rest)) {
+  for (const auto& [k, v] : util::spec_params("--perturb", rest)) {
     if (k == "max_us") {
       s.max = sim::us(number("skew", k, v));
     } else if (k == "us") {
-      for (const std::string& off : split(v, '/')) {
-        s.offsets.push_back(sim::us(number("skew", k, trim(off))));
+      for (const std::string& off : util::split(v, '/')) {
+        s.offsets.push_back(sim::us(number("skew", k, util::trim(off))));
       }
     } else {
       bad_clause("unknown skew parameter '" + k + "'; valid: max_us, us");
@@ -139,7 +102,7 @@ SkewSpec parse_skew(const std::string& value) {
 
 LinkSpec parse_link(const std::string& value) {
   LinkSpec l;
-  for (const auto& [k, v] : params(value)) {
+  for (const auto& [k, v] : util::spec_params("--perturb", value)) {
     if (k == "bw") {
       l.bw_scale = number("link", k, v);
     } else if (k == "lat_us") {
@@ -167,7 +130,7 @@ LinkSpec parse_link(const std::string& value) {
 
 StragglerSpec parse_stragglers(const std::string& value) {
   StragglerSpec s;
-  for (const auto& [k, v] : params(value)) {
+  for (const auto& [k, v] : util::spec_params("--perturb", value)) {
     if (k == "k") {
       s.count = integer("stragglers", k, v);
     } else if (k == "scale") {
@@ -196,14 +159,20 @@ bool PerturbSpec::empty() const {
 
 PerturbSpec PerturbSpec::parse(const std::string& text) {
   PerturbSpec spec;
-  if (trim(text).empty()) return spec;
-  for (const std::string& raw : split(text, ';')) {
-    const std::string clause = trim(raw);
+  if (util::trim(text).empty()) return spec;
+  std::set<std::string> seen;
+  for (const std::string& raw : util::split(text, ';')) {
+    const std::string clause = util::trim(raw);
     if (clause.empty()) continue;
     const std::size_t eq = clause.find('=');
-    const std::string key = trim(clause.substr(0, eq));
+    const std::string key = util::trim(clause.substr(0, eq));
     const std::string value =
         eq == std::string::npos ? "" : clause.substr(eq + 1);
+    // Only link rules compose; a second jitter, skew, stragglers or seed
+    // would silently replace the first.
+    if (key != "link" && !seen.insert(key).second) {
+      bad_clause("injector '" + key + "' given twice");
+    }
     if (key == "jitter") {
       spec.jitter = parse_jitter(value);
     } else if (key == "skew") {
@@ -213,7 +182,7 @@ PerturbSpec PerturbSpec::parse(const std::string& text) {
     } else if (key == "stragglers") {
       spec.stragglers = parse_stragglers(value);
     } else if (key == "seed") {
-      spec.seed = util::Args::parse_u64("--perturb seed", trim(value));
+      spec.seed = util::Args::parse_u64("--perturb seed", util::trim(value));
     } else {
       bad_clause("unknown perturbation injector '" + key +
                  "'; valid injectors: " + kInjectors);

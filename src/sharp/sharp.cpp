@@ -86,11 +86,11 @@ SharpFabric::OpState& SharpFabric::op_state(std::int64_t key, int members) {
   return *it->second;
 }
 
-sim::CoTask<void> SharpFabric::allreduce(simmpi::Rank& r, const Group& g,
-                                         std::size_t count, simmpi::Dtype dt,
-                                         const simmpi::Op& op,
-                                         simmpi::ConstBytes in,
-                                         simmpi::MutBytes out) {
+sim::CoTask<void> SharpFabric::tree_op(simmpi::Rank& r, const Group& g,
+                                       std::size_t count, simmpi::Dtype dt,
+                                       simmpi::Op op, simmpi::ConstBytes in,
+                                       simmpi::MutBytes out, int uploader,
+                                       bool fold) {
   const std::size_t bytes = count * simmpi::dtype_size(dt);
   if (!supports(bytes)) {
     throw SharpError("SHArP payload of " + std::to_string(bytes) +
@@ -100,6 +100,11 @@ sim::CoTask<void> SharpFabric::allreduce(simmpi::Rank& r, const Group& g,
   DPML_CHECK_MSG(groups_.count(g.id) != 0, "operation on destroyed group");
   DPML_CHECK(in.empty() || in.size() == bytes);
   DPML_CHECK(out.empty() || out.size() == bytes);
+  if (uploader != kEveryMember) {
+    DPML_CHECK_MSG(std::find(g.members.begin(), g.members.end(), uploader) !=
+                       g.members.end(),
+                   "bcast root must be a group member");
+  }
 
   sim::Engine& eng = machine_.engine();
   const net::NicModel& nic = machine_.config().nic;
@@ -108,83 +113,89 @@ sim::CoTask<void> SharpFabric::allreduce(simmpi::Rank& r, const Group& g,
   OpState& st = op_state(key, members);
 
   // The whole operation occupies one of the fabric's outstanding-op slots
-  // from first member arrival to aggregation finish.
+  // from first member arrival to the tree's finish.
   if (!st.slot_requested) {
     st.slot_requested = true;
     eng.spawn(grab_slot(st));
   }
   co_await st.slot_held.wait();
 
-  // Upload my contribution to the leaf switch (standard NIC injection path;
-  // one wire hop plus the leaf switch's ingress).
-  co_await eng.delay(nic.o_send);
-  const Time t0 = eng.now();
-  const Time inj_done = t0 + transfer_time(bytes, nic.proc_bw);
   const Time occupancy =
       std::max<Time>(nic.per_msg_tx, transfer_time(bytes, nic.link_bw));
   const int my_hca = machine_.hca_of_local(r.local_rank());
-  // Contribution materializes at the switch once the upload leg completes.
-  std::vector<std::byte> payload(in.begin(), in.end());
-  OpState* stp = &st;
-  std::function<void()> contribute = [this, stp, count, dt, op,
-                                      payload = std::move(payload)]() {
-    stp->max_arrival = std::max(stp->max_arrival, machine_.engine().now());
-    if (!payload.empty()) {
-      if (!stp->acc_init) {
-        stp->acc = payload;
-        stp->acc_init = true;
-      } else {
-        op.apply(dt, count, simmpi::MutBytes{stp->acc},
-                 simmpi::ConstBytes{payload});
-      }
-    }
-    stp->arrivals.arrive();
-  };
   fabric::FlowFabric* ff = machine_.flow_fabric();
-  if (ff != nullptr) {
-    // Flow-fabric upload: the TX engine charges its per-message cost, the
-    // payload drains as a node->leaf flow sharing the uplink fairly, and
-    // the contribution lands one wire+switch hop after the slower of the
-    // injection pipe and the flow.
-    const auto tx = r.node().tx(my_hca).acquire_grant(t0, nic.per_msg_tx);
-    const int my_node = r.node_id();
-    eng.schedule_call(tx.start, [this, ff, my_node, bytes, inj_done,
-                               contribute = std::move(contribute)]() mutable {
-      ff->start_uplink_flow(
-          my_node, bytes, machine_.config().nic.link_bw,
-          [this, inj_done,
-           contribute = std::move(contribute)](Time flow_done) mutable {
-            const net::NicModel& n = machine_.config().nic;
-            const Time at_switch = std::max(inj_done, flow_done) +
-                                   n.wire_latency + n.switch_latency;
-            machine_.engine().schedule_call(at_switch, std::move(contribute));
-          });
-    });
-  } else {
-    const auto tx = r.node().tx(my_hca).acquire_grant(t0, occupancy);
-    const Time at_switch = std::max(inj_done, tx.done) + nic.wire_latency +
-                           nic.switch_latency;
-    eng.schedule_call(at_switch, std::move(contribute));
+  if (uploader == kEveryMember || r.world_rank() == uploader) {
+    // Upload my payload to the leaf switch (standard NIC injection path;
+    // one wire hop plus the leaf switch's ingress).
+    co_await eng.delay(nic.o_send);
+    const Time t0 = eng.now();
+    const Time inj_done = t0 + transfer_time(bytes, nic.proc_bw);
+    // The payload materializes at the switch once the upload leg completes:
+    // the first one seeds the result, later ones fold into it. A lone
+    // uploader's arrival opens the gate for every member.
+    std::vector<std::byte> payload(in.begin(), in.end());
+    OpState* stp = &st;
+    const bool lone = uploader != kEveryMember;
+    std::function<void()> arrive = [this, stp, count, dt, op, lone,
+                                    payload = std::move(payload)]() mutable {
+      stp->max_arrival = std::max(stp->max_arrival, machine_.engine().now());
+      if (!payload.empty()) {
+        if (!stp->acc_init) {
+          stp->acc = std::move(payload);
+          stp->acc_init = true;
+        } else {
+          op.apply(dt, count, simmpi::MutBytes{stp->acc},
+                   simmpi::ConstBytes{payload});
+        }
+      }
+      stp->arrivals.arrive(lone ? stp->arrivals.pending() : 1);
+    };
+    if (ff != nullptr) {
+      // Flow-fabric upload: the TX engine charges its per-message cost, the
+      // payload drains as a node->leaf flow sharing the uplink fairly, and
+      // it lands one wire+switch hop after the slower of the injection pipe
+      // and the flow.
+      const auto tx = r.node().tx(my_hca).acquire_grant(t0, nic.per_msg_tx);
+      const int my_node = r.node_id();
+      eng.schedule_call(tx.start, [this, ff, my_node, bytes, inj_done,
+                                 arrive = std::move(arrive)]() mutable {
+        ff->start_uplink_flow(
+            my_node, bytes, machine_.config().nic.link_bw,
+            [this, inj_done,
+             arrive = std::move(arrive)](Time flow_done) mutable {
+              const net::NicModel& n = machine_.config().nic;
+              const Time at_switch = std::max(inj_done, flow_done) +
+                                     n.wire_latency + n.switch_latency;
+              machine_.engine().schedule_call(at_switch, std::move(arrive));
+            });
+      });
+    } else {
+      const auto tx = r.node().tx(my_hca).acquire_grant(t0, occupancy);
+      const Time at_switch = std::max(inj_done, tx.done) + nic.wire_latency +
+                             nic.switch_latency;
+      eng.schedule_call(at_switch, std::move(arrive));
+    }
   }
   co_await st.arrivals.wait();
 
-  // All contributions are in the tree: aggregation proceeds level by level.
+  // Every payload is in the tree: it folds level by level (a bcast only
+  // forwards) and reaches the top switch.
+  const Time hop = nic.wire_latency + nic.switch_latency;
   if (!st.finish_computed) {
     st.finish_computed = true;
     const Time per_level =
-        model_.level_overhead +
-        static_cast<Time>(model_.agg_ns_per_byte * static_cast<double>(bytes) *
-                          static_cast<double>(sim::kNanosecond));
-    const Time inter_level =
-        (g.levels - 1) * (nic.wire_latency + nic.switch_latency);
-    st.finish = st.max_arrival + g.levels * per_level + inter_level;
+        fold ? model_.level_overhead +
+                   static_cast<Time>(model_.agg_ns_per_byte *
+                                     static_cast<double>(bytes) *
+                                     static_cast<double>(sim::kNanosecond))
+             : 0;
+    st.finish = st.max_arrival + g.levels * per_level + (g.levels - 1) * hop;
     // The op slot frees once the tree has produced the result.
     eng.schedule_call(st.finish, [this]() { op_slots_.release(); });
   }
 
   // Multicast down: top switch -> my leaf -> my node, then normal RX path.
-  const Time down_latency = (g.levels - 1) * (nic.wire_latency + nic.switch_latency) +
-                            nic.wire_latency;
+  const Time down_latency = (g.levels - 1) * hop + nic.wire_latency;
   auto delivered = std::make_shared<sim::Flag>(eng);
   const int my_node = r.node_id();
   if (ff != nullptr) {
@@ -215,133 +226,33 @@ sim::CoTask<void> SharpFabric::allreduce(simmpi::Rank& r, const Group& g,
   }
   co_await delivered->wait();
   co_await eng.delay(nic.o_recv);
-  if (!out.empty() && st.acc_init) {
+  // A lone uploader already holds the result.
+  if (!out.empty() && st.acc_init && r.world_rank() != uploader) {
     std::memcpy(out.data(), st.acc.data(), bytes);
   }
-
   if (++st.delivered == members) {
     ops_.erase(key);
   }
 }
 
+sim::CoTask<void> SharpFabric::allreduce(simmpi::Rank& r, const Group& g,
+                                         std::size_t count, simmpi::Dtype dt,
+                                         const simmpi::Op& op,
+                                         simmpi::ConstBytes in,
+                                         simmpi::MutBytes out) {
+  return tree_op(r, g, count, dt, op, in, out, kEveryMember, true);
+}
+
 sim::CoTask<void> SharpFabric::barrier(simmpi::Rank& r, const Group& g) {
-  co_await allreduce(r, g, 0, simmpi::Dtype::u8, simmpi::ReduceOp::bor, {},
-                     {});
+  return tree_op(r, g, 0, simmpi::Dtype::u8, simmpi::ReduceOp::bor, {}, {},
+                 kEveryMember, true);
 }
 
 sim::CoTask<void> SharpFabric::bcast(simmpi::Rank& r, const Group& g,
                                      int root_world, std::size_t bytes,
                                      simmpi::MutBytes buf) {
-  if (!supports(bytes)) {
-    throw SharpError("SHArP bcast payload of " + std::to_string(bytes) +
-                     " bytes exceeds max_payload");
-  }
-  DPML_CHECK_MSG(groups_.count(g.id) != 0, "operation on destroyed group");
-  DPML_CHECK(buf.empty() || buf.size() == bytes);
-  bool is_member = false;
-  for (int w : g.members) is_member |= w == root_world;
-  DPML_CHECK_MSG(is_member, "bcast root must be a group member");
-
-  sim::Engine& eng = machine_.engine();
-  const net::NicModel& nic = machine_.config().nic;
-  const int members = static_cast<int>(g.members.size());
-  const std::int64_t key = r.next_coll_key(g.context);
-  OpState& st = op_state(key, members);
-  if (!st.slot_requested) {
-    st.slot_requested = true;
-    eng.spawn(grab_slot(st));
-  }
-  co_await st.slot_held.wait();
-
-  const Time occupancy =
-      std::max<Time>(nic.per_msg_tx, transfer_time(bytes, nic.link_bw));
-  const int my_hca = machine_.hca_of_local(r.local_rank());
-  fabric::FlowFabric* ff = machine_.flow_fabric();
-  if (r.world_rank() == root_world) {
-    // Root uploads the payload to its leaf switch.
-    co_await eng.delay(nic.o_send);
-    const Time t0 = eng.now();
-    const Time inj_done = t0 + transfer_time(bytes, nic.proc_bw);
-    std::vector<std::byte> payload(buf.begin(), buf.end());
-    OpState* stp = &st;
-    std::function<void()> arrive = [this, stp,
-                                    payload = std::move(payload)]() mutable {
-      stp->max_arrival = std::max(stp->max_arrival, machine_.engine().now());
-      if (!payload.empty()) {
-        stp->acc = std::move(payload);
-        stp->acc_init = true;
-      }
-      // The root's arrival opens the gate for everyone.
-      stp->arrivals.arrive(static_cast<int>(stp->arrivals.pending()));
-    };
-    if (ff != nullptr) {
-      const auto tx = r.node().tx(my_hca).acquire_grant(t0, nic.per_msg_tx);
-      const int my_node = r.node_id();
-      eng.schedule_call(tx.start, [this, ff, my_node, bytes, inj_done,
-                                 arrive = std::move(arrive)]() mutable {
-        ff->start_uplink_flow(
-            my_node, bytes, machine_.config().nic.link_bw,
-            [this, inj_done,
-             arrive = std::move(arrive)](Time flow_done) mutable {
-              const net::NicModel& n = machine_.config().nic;
-              const Time at_switch = std::max(inj_done, flow_done) +
-                                     n.wire_latency + n.switch_latency;
-              machine_.engine().schedule_call(at_switch, std::move(arrive));
-            });
-      });
-    } else {
-      const auto tx = r.node().tx(my_hca).acquire_grant(t0, occupancy);
-      const Time at_switch = std::max(inj_done, tx.done) + nic.wire_latency +
-                             nic.switch_latency;
-      eng.schedule_call(at_switch, std::move(arrive));
-    }
-  }
-  co_await st.arrivals.wait();
-
-  if (!st.finish_computed) {
-    st.finish_computed = true;
-    // Multicast needs only forwarding, no per-level aggregation compute.
-    st.finish = st.max_arrival +
-                (g.levels - 1) * (nic.wire_latency + nic.switch_latency);
-    eng.schedule_call(st.finish, [this]() { op_slots_.release(); });
-  }
-
-  const Time down_latency = (g.levels - 1) * (nic.wire_latency +
-                                              nic.switch_latency) +
-                            nic.wire_latency;
-  auto delivered = std::make_shared<sim::Flag>(eng);
-  const int my_node = r.node_id();
-  if (ff != nullptr) {
-    eng.schedule_call(st.finish, [this, ff, my_node, my_hca, bytes, down_latency,
-                                delivered]() {
-      ff->start_downlink_flow(
-          my_node, bytes, machine_.config().nic.link_bw,
-          [this, my_node, my_hca, down_latency, delivered](Time flow_done) {
-            machine_.engine().schedule_call(
-                flow_done + down_latency, [this, my_node, my_hca, delivered]() {
-                  const Time rx_done = machine_.node(my_node).rx(my_hca).acquire(
-                      machine_.engine().now(), machine_.config().nic.per_msg_tx);
-                  machine_.engine().schedule_call(rx_done,
-                                                [delivered]() { delivered->post(); });
-                });
-          });
-    });
-  } else {
-    const Time down_head = st.finish + down_latency;
-    eng.schedule_call(down_head, [this, my_node, my_hca, occupancy, delivered]() {
-      const Time rx_done = machine_.node(my_node).rx(my_hca).acquire(
-          machine_.engine().now(), occupancy);
-      machine_.engine().schedule_call(rx_done, [delivered]() { delivered->post(); });
-    });
-  }
-  co_await delivered->wait();
-  co_await eng.delay(nic.o_recv);
-  if (r.world_rank() != root_world && !buf.empty() && st.acc_init) {
-    std::memcpy(buf.data(), st.acc.data(), bytes);
-  }
-  if (++st.delivered == members) {
-    ops_.erase(key);
-  }
+  return tree_op(r, g, bytes, simmpi::Dtype::u8, simmpi::ReduceOp::bor,
+                 simmpi::ConstBytes{buf}, buf, root_world, false);
 }
 
 }  // namespace dpml::sharp

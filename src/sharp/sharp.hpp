@@ -101,6 +101,20 @@ class SharpFabric {
     int delivered = 0;
   };
 
+  // `uploader` for an operation every member uploads to.
+  static constexpr int kEveryMember = -1;
+
+  // The one switch-tree operation; every member of `g` calls it (SPMD).
+  // The members upload their `in` (`uploader` kEveryMember), or the member
+  // with world rank `uploader` alone does; the switches fold the uploads
+  // with `op` level by level if `fold`, or only forward them; the result
+  // is multicast to every member and copied into its `out` (the lone
+  // uploader's excepted). `op` is taken by value: a caller may pass a
+  // temporary and return the task.
+  sim::CoTask<void> tree_op(simmpi::Rank& r, const Group& g,
+                            std::size_t count, simmpi::Dtype dt, simmpi::Op op,
+                            simmpi::ConstBytes in, simmpi::MutBytes out,
+                            int uploader, bool fold);
   sim::CoTask<void> grab_slot(OpState& op);
   OpState& op_state(std::int64_t key, int members);
 

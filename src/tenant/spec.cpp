@@ -20,44 +20,6 @@ namespace {
   throw util::InvariantError("bad --fail-links spec: " + what);
 }
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char ch : text) {
-    if (ch == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += ch;
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-std::string trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t");
-  if (b == std::string::npos) return "";
-  std::size_t e = s.find_last_not_of(" \t");
-  return s.substr(b, e - b + 1);
-}
-
-// "a=1,b=2" -> [(a,"1"), (b,"2")].
-std::vector<std::pair<std::string, std::string>> params(
-    const std::string& text) {
-  std::vector<std::pair<std::string, std::string>> out;
-  if (trim(text).empty()) return out;
-  for (const std::string& tok : split(text, ',')) {
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      out.emplace_back(trim(tok), "");
-    } else {
-      out.emplace_back(trim(tok.substr(0, eq)), trim(tok.substr(eq + 1)));
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* placement_name(Placement p) {
@@ -108,10 +70,10 @@ std::string TrafficSpec::to_string() const {
 
 TrafficSpec TrafficSpec::parse(const std::string& text) {
   TrafficSpec t;
-  const std::string body = trim(text);
+  const std::string body = util::trim(text);
   if (body.empty()) return t;
   const std::size_t colon = body.find(':');
-  const std::string kind = trim(body.substr(0, colon));
+  const std::string kind = util::trim(body.substr(0, colon));
   const std::string rest =
       colon == std::string::npos ? "" : body.substr(colon + 1);
   if (kind == "uniform") {
@@ -126,7 +88,7 @@ TrafficSpec TrafficSpec::parse(const std::string& text) {
     bad_traffic("unknown matrix '" + kind +
                 "'; valid: uniform, permutation, hotspot, none");
   }
-  for (const auto& [k, v] : params(rest)) {
+  for (const auto& [k, v] : util::spec_params("--bg-traffic", rest)) {
     if (k == "load") {
       t.load = util::Args::parse_double("--bg-traffic " + k, v);
     } else if (k == "bytes") {
@@ -169,13 +131,13 @@ std::string FailSpec::to_string() const {
 
 FailSpec FailSpec::parse(const std::string& text) {
   FailSpec f;
-  const std::string body = trim(text);
+  const std::string body = util::trim(text);
   if (body.empty()) return f;
-  for (const std::string& clause : split(body, ';')) {
-    if (trim(clause).empty()) continue;
+  for (const std::string& clause : util::split(body, ';')) {
+    if (util::trim(clause).empty()) continue;
     Event e;
     bool have_way = false;
-    for (const auto& [k, v] : params(clause)) {
+    for (const auto& [k, v] : util::spec_params("--fail-links", clause)) {
       if (k == "way") {
         e.way = util::Args::parse_int("--fail-links " + k, v);
         have_way = true;
@@ -215,9 +177,16 @@ FailSpec FailSpec::default_spec() {
 
 std::vector<JobSpec> default_jobs(int count, const net::ClusterConfig& cfg,
                                   int nodes_available) {
-  DPML_CHECK_MSG(count >= 1, "tenant job count must be >= 1");
-  DPML_CHECK_MSG(nodes_available >= count,
-                 "tenant mix needs at least one node per job");
+  if (count < 1) {
+    throw util::InvariantError("--tenants must be >= 1 (got " +
+                               std::to_string(count) + ")");
+  }
+  if (nodes_available < count) {
+    throw util::InvariantError(
+        "--tenants " + std::to_string(count) +
+        " needs at least one node per job; --nodes gives " +
+        std::to_string(nodes_available));
+  }
   // Sub-communicator-safe patterns only: the world_only hierarchical
   // designs (dpml, single-leader, ...) assume they own the whole machine.
   struct Mix {

@@ -668,6 +668,12 @@ RunOut simulate(const net::ClusterConfig& cfg, int ppn,
   return out;
 }
 
+// A tenant input error: one line naming the flag or job field, no source
+// path.
+[[noreturn]] void bad_input(const std::string& what) {
+  throw util::InvariantError(what);
+}
+
 // Replays the failure schedule in engine order — by instant, then in
 // schedule order (each clause's failure before its recovery) — and rejects
 // the first failure after which some pair of leaves (or one leaf with
@@ -710,13 +716,13 @@ void check_failure_schedule(const FailSpec& spec,
         if (shared) continue;
         FailSpec clause;
         clause.events.push_back(e);
-        DPML_CHECK_MSG(
-            false, "--fail-links clause '" + clause.to_string() + "' leaves " +
-                       (a == b ? "leaf " + std::to_string(a) +
-                                     " with every ECMP way down"
-                               : "leaves " + std::to_string(a) + " and " +
-                                     std::to_string(b) +
-                                     " with no common live ECMP way"));
+        bad_input("bad --fail-links spec: clause '" + clause.to_string() +
+                  "' leaves " +
+                  (a == b ? "leaf " + std::to_string(a) +
+                                " with every ECMP way down"
+                          : "leaves " + std::to_string(a) + " and " +
+                                std::to_string(b) +
+                                " with no common live ECMP way"));
       }
     }
   }
@@ -724,53 +730,71 @@ void check_failure_schedule(const FailSpec& spec,
 
 void validate(const net::ClusterConfig& cfg, int ppn,
               const std::vector<JobSpec>& jobs, const TenantOptions& opt) {
-  DPML_CHECK_MSG(!jobs.empty(), "tenant mix needs at least one job");
-  DPML_CHECK_MSG(ppn >= 1, "tenant ppn must be >= 1");
+  if (jobs.empty()) bad_input("tenant mix needs at least one job");
+  if (ppn < 1) {
+    bad_input("--ppn must be >= 1 for a tenant run (got " +
+              std::to_string(ppn) + ")");
+  }
   int total_nodes = 0;
   for (const JobSpec& j : jobs) {
-    DPML_CHECK_MSG(j.nodes >= 1, "job '" + j.name + "' needs >= 1 node");
-    DPML_CHECK_MSG(j.iterations >= 1,
-                   "job '" + j.name + "' needs >= 1 iteration");
+    if (j.nodes < 1) bad_input("job '" + j.name + "' nodes must be >= 1");
+    if (j.iterations < 1) {
+      bad_input("job '" + j.name + "' iterations must be >= 1 (got " +
+                std::to_string(j.iterations) + "; --tenant-iters)");
+    }
     total_nodes += j.nodes;
   }
-  DPML_CHECK_MSG(total_nodes <= cfg.total_nodes,
-                 "tenant mix wants " + std::to_string(total_nodes) +
-                     " nodes; cluster '" + cfg.name + "' has " +
-                     std::to_string(cfg.total_nodes));
+  if (total_nodes > cfg.total_nodes) {
+    bad_input("tenant mix wants " + std::to_string(total_nodes) +
+              " nodes; cluster '" + cfg.name + "' has " +
+              std::to_string(cfg.total_nodes) + " (--nodes)");
+  }
   for (const JobSpec& j : jobs) {
     if (j.sharp) {
-      DPML_CHECK_MSG(cfg.sharp.has_value(),
-                     "job '" + j.name + "' wants SHArP but cluster '" +
-                         cfg.name + "' has no switch aggregation");
-      DPML_CHECK_MSG(j.kind == coll::CollKind::allreduce,
-                     "SHArP tenant jobs support allreduce only");
-      DPML_CHECK_MSG(j.bytes <= cfg.sharp->max_payload,
-                     "job '" + j.name + "' payload exceeds the SHArP limit");
+      if (!cfg.sharp.has_value()) {
+        bad_input("job '" + j.name + "' wants SHArP but cluster '" +
+                  cfg.name + "' has no switch aggregation");
+      }
+      if (j.kind != coll::CollKind::allreduce) {
+        bad_input("job '" + j.name + "': SHArP tenant jobs support "
+                  "allreduce only");
+      }
+      if (j.bytes > cfg.sharp->max_payload) {
+        bad_input("job '" + j.name + "' bytes " + std::to_string(j.bytes) +
+                  " exceed the SHArP limit " +
+                  std::to_string(cfg.sharp->max_payload));
+      }
       continue;
     }
     const coll::CollDescriptor& d =
         coll::CollRegistry::instance().at(j.kind, j.algo);
-    DPML_CHECK_MSG(!d.caps.world_only,
-                   "job '" + j.name + "': algorithm '" + j.algo +
-                       "' is world-only (hierarchical designs assume they "
-                       "own the machine); pick a flat algorithm");
-    DPML_CHECK_MSG(!d.caps.needs_fabric,
-                   "job '" + j.name + "': use sharp=true for in-network "
-                       "aggregation jobs");
-    DPML_CHECK_MSG(j.nodes * ppn >= d.caps.min_comm_size,
-                   "job '" + j.name + "' is too small for '" + j.algo + "'");
-    DPML_CHECK_MSG(j.bytes > 0 || j.kind == coll::CollKind::barrier,
-                   "job '" + j.name + "' needs a payload");
+    if (d.caps.world_only) {
+      bad_input("job '" + j.name + "': algorithm '" + j.algo +
+                "' is world-only (hierarchical designs assume they own the "
+                "machine); pick a flat algorithm");
+    }
+    if (d.caps.needs_fabric) {
+      bad_input("job '" + j.name + "': use sharp=true for in-network "
+                "aggregation jobs");
+    }
+    if (j.nodes * ppn < d.caps.min_comm_size) {
+      bad_input("job '" + j.name + "' has " + std::to_string(j.nodes * ppn) +
+                " ranks; '" + j.algo + "' needs " +
+                std::to_string(d.caps.min_comm_size) + " (--nodes, --ppn)");
+    }
+    if (j.bytes == 0 && j.kind != coll::CollKind::barrier) {
+      bad_input("job '" + j.name + "' bytes must be > 0");
+    }
   }
-  const bool wants_fabric_features =
-      !opt.traffic.empty() || !opt.failures.empty();
-  DPML_CHECK_MSG(!wants_fabric_features ||
-                     opt.fabric == fabric::FabricLevel::links,
-                 "--bg-traffic and --fail-links need the flow fabric "
-                 "(--fabric)");
-  DPML_CHECK_MSG(!opt.adapt || opt.fabric == fabric::FabricLevel::links,
-                 "--adapt consumes fabric congestion signals and needs the "
-                 "flow fabric (--fabric)");
+  if ((!opt.traffic.empty() || !opt.failures.empty()) &&
+      opt.fabric != fabric::FabricLevel::links) {
+    bad_input("--bg-traffic and --fail-links need the flow fabric "
+              "(--fabric)");
+  }
+  if (opt.adapt && opt.fabric != fabric::FabricLevel::links) {
+    bad_input("--adapt consumes fabric congestion signals and needs the "
+              "flow fabric (--fabric)");
+  }
   if (opt.adapt) {
     // Every plan the table could hand a job must be runnable on that job's
     // sub-communicator; failing here beats an InvariantError deep inside a
@@ -781,24 +805,22 @@ void validate(const net::ClusterConfig& cfg, int ppn,
         const adapt::AdaptiveTable::Entry* e =
             opt.table.select(j.kind, j.bytes, level);
         if (e == nullptr) continue;
+        const std::string entry = "--adapt-table entry '" + e->spec.algo +
+                                  "' (level " + std::to_string(level) + ")";
         const coll::CollDescriptor& d =
             coll::CollRegistry::instance().at(j.kind, e->spec.algo);
-        DPML_CHECK_MSG(!d.caps.world_only && !d.caps.needs_fabric,
-                       "adaptive table entry '" + e->spec.algo + "' (level " +
-                           std::to_string(level) +
-                           ") is not sub-communicator-safe");
-        DPML_CHECK_MSG(j.nodes * ppn >= d.caps.min_comm_size,
-                       "job '" + j.name + "' is too small for adaptive "
-                           "table entry '" + e->spec.algo + "'");
-        DPML_CHECK_MSG(e->spec.leaders >= 1,
-                       "adaptive table entry '" + e->spec.algo +
-                           "' needs leaders >= 1");
+        if (d.caps.world_only || d.caps.needs_fabric) {
+          bad_input(entry + " is not sub-communicator-safe");
+        }
+        if (j.nodes * ppn < d.caps.min_comm_size) {
+          bad_input("job '" + j.name + "' is too small for " + entry);
+        }
+        if (e->spec.leaders < 1) bad_input(entry + " needs leaders >= 1");
       }
     }
   }
   if (!opt.traffic.empty()) {
-    DPML_CHECK_MSG(total_nodes >= 2,
-                   "background traffic needs at least two nodes");
+    if (total_nodes < 2) bad_input("--bg-traffic needs at least two nodes");
     if (opt.traffic.matrix == Matrix::hotspot) {
       // The generator is open-loop: if the aggregate demand aimed at the
       // hot node exceeds its edge link, the backlog grows without bound and
@@ -808,30 +830,38 @@ void validate(const net::ClusterConfig& cfg, int ppn,
       // Demand exactly at capacity is marginally stable (the open-loop
       // arrival rate equals the drain rate), so equality is accepted; only
       // strictly oversubscribed hot links diverge.
-      DPML_CHECK_MSG(
-          hot_demand <= 1.0,
-          "hotspot background overloads the hot node's edge link: load * "
-          "hot_frac * (nodes - 1) = " + std::to_string(hot_demand) +
-              " > 1; lower load or hot_frac");
-      DPML_CHECK_MSG(opt.traffic.hot_node < total_nodes,
-                     "hotspot hot_node out of range");
+      if (hot_demand > 1.0) {
+        bad_input("bad --bg-traffic spec: hotspot load * hot_frac * "
+                  "(nodes - 1) = " + std::to_string(hot_demand) +
+                  " > 1 overloads the hot node's edge link; lower load or "
+                  "hot_frac");
+      }
+      if (opt.traffic.hot_node >= total_nodes) {
+        bad_input("bad --bg-traffic spec: hot_node " +
+                  std::to_string(opt.traffic.hot_node) +
+                  " out of range (the mix has " +
+                  std::to_string(total_nodes) + " nodes)");
+      }
     }
   }
   if (!opt.failures.empty()) {
     const fabric::FabricTopo topo = fabric::FabricTopo::derive(cfg,
                                                                total_nodes);
-    DPML_CHECK_MSG(topo.ecmp_ways >= 2,
-                   "cannot fail an ECMP way: the derived fabric has only "
-                   "one way per leaf");
+    if (topo.ecmp_ways < 2) {
+      bad_input("--fail-links: the derived fabric has one ECMP way per "
+                "leaf, so no way can fail");
+    }
     for (const FailSpec::Event& e : opt.failures.events) {
-      DPML_CHECK_MSG(e.way < topo.ecmp_ways,
-                     "--fail-links way " + std::to_string(e.way) +
-                         " out of range (fabric has " +
-                         std::to_string(topo.ecmp_ways) + " ways)");
-      DPML_CHECK_MSG(e.leaf < topo.leaves,
-                     "--fail-links leaf " + std::to_string(e.leaf) +
-                         " out of range (fabric has " +
-                         std::to_string(topo.leaves) + " leaves)");
+      if (e.way >= topo.ecmp_ways) {
+        bad_input("bad --fail-links spec: way " + std::to_string(e.way) +
+                  " out of range (fabric has " +
+                  std::to_string(topo.ecmp_ways) + " ways)");
+      }
+      if (e.leaf >= topo.leaves) {
+        bad_input("bad --fail-links spec: leaf " + std::to_string(e.leaf) +
+                  " out of range (fabric has " +
+                  std::to_string(topo.leaves) + " leaves)");
+      }
     }
     check_failure_schedule(opt.failures, topo);
   }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <type_traits>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -200,6 +201,46 @@ std::vector<std::size_t> Args::parse_size_range(const std::string& what,
   for (std::size_t b = lo;; b *= factor) {
     out.push_back(b);
     if (b > hi / factor) break;  // the next step passes hi (or would wrap)
+  }
+  return out;
+}
+
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> out(1);
+  for (char ch : text) {
+    if (ch == sep) {
+      out.emplace_back();
+    } else {
+      out.back() += ch;
+    }
+  }
+  return out;
+}
+
+std::string trim(const std::string& s) {
+  const std::size_t b = s.find_first_not_of(" \t");
+  if (b == std::string::npos) return "";
+  return s.substr(b, s.find_last_not_of(" \t") - b + 1);
+}
+
+std::vector<std::pair<std::string, std::string>> spec_params(
+    const std::string& flag, const std::string& text) {
+  std::vector<std::pair<std::string, std::string>> out;
+  if (trim(text).empty()) return out;
+  const auto bad = [&](const std::string& what) {
+    throw InvariantError("bad " + flag + " spec: " + what + " in '" +
+                         trim(text) + "'");
+  };
+  for (const std::string& tok : split(text, ',')) {
+    const std::size_t eq = tok.find('=');
+    std::string key = trim(tok.substr(0, eq));
+    std::string value = eq == std::string::npos ? "" : trim(tok.substr(eq + 1));
+    if (key.empty()) bad("empty key");
+    if (value.empty()) bad("key '" + key + "' has no value");
+    for (const auto& [k, v] : out) {
+      if (k == key) bad("key '" + key + "' given twice");
+    }
+    out.emplace_back(std::move(key), std::move(value));
   }
   return out;
 }

@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dpml::util {
@@ -76,5 +77,17 @@ class Args {
   mutable std::map<std::string, bool> used_;
   std::vector<std::string> positional_;
 };
+
+// The tokenizer of the spec flags (--perturb, --bg-traffic, --fail-links).
+// `text` cut at every `sep`: n separators give n + 1 pieces.
+std::vector<std::string> split(const std::string& text, char sep);
+// `s` without its leading and trailing blanks and tabs.
+std::string trim(const std::string& s);
+// The trimmed key=value pairs of a "k1=v1,k2=v2" clause of spec flag
+// `flag`, in order; a blank clause has none. An empty key, a key without
+// a value or a key given twice throws util::InvariantError
+// "bad <flag> spec: ..." naming the key and the clause.
+std::vector<std::pair<std::string, std::string>> spec_params(
+    const std::string& flag, const std::string& text);
 
 }  // namespace dpml::util

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -402,7 +403,7 @@ TEST(PerfReport, FoldSumsCountersAndTakesThePeakMaxima) {
             std::max(a.perf.peak_queue_depth, b.perf.peak_queue_depth));
   EXPECT_EQ(rep.callback_pool_hits,
             a.perf.callback_pool_hit_rate + b.perf.callback_pool_hit_rate);
-  EXPECT_EQ(rep.frame_pool_hit_count,
+  EXPECT_EQ(rep.frame_pool_hits,
             a.perf.frame_pool.hits + b.perf.frame_pool.hits);
   ASSERT_GT(a.perf.match.delivered_matches, 0u);
   EXPECT_EQ(rep.match.posted_matches,
@@ -433,7 +434,7 @@ TEST(PerfReport, FoldSumsCountersAndTakesThePeakMaxima) {
   EXPECT_NE(json.find("\"events\": " + std::to_string(rep.events) + ",\n"),
             std::string::npos);
   EXPECT_NE(json.find("\"frame_pool_hits\": " +
-                      std::to_string(rep.frame_pool_hit_count) + ",\n"),
+                      std::to_string(rep.frame_pool_hits) + ",\n"),
             std::string::npos);
   EXPECT_NE(json.find("\"match_scanned\": " +
                       std::to_string(rep.match.scanned) + ",\n"),
@@ -442,6 +443,34 @@ TEST(PerfReport, FoldSumsCountersAndTakesThePeakMaxima) {
   EXPECT_NE(rep.line().find(", matcher: " +
                             std::to_string(rep.match.posted_matches) +
                             " matched at post, "),
+            std::string::npos);
+}
+
+TEST(PerfReport, FramePoolHitRateWeighsEveryFrame) {
+  // Two points with different frame counts: 90 of 100 frames warm, then
+  // 1 of 10. The rate is over all 110 frames (91 / 110), not the mean of
+  // the two points' rates (0.5).
+  sim::EnginePerf big;
+  big.frame_pool.hits = 90;
+  big.frame_pool.misses = 10;
+  sim::EnginePerf small;
+  small.frame_pool.hits = 1;
+  small.frame_pool.misses = 9;
+  core::PerfReport rep;
+  rep.add(big, 0);
+  rep.add(small, 0);
+  EXPECT_EQ(rep.frame_pool_hits, 91u);
+  EXPECT_EQ(rep.frame_pool_misses, 19u);
+  std::ostringstream rate;
+  rate << 91.0 / 110.0;
+  EXPECT_NE(rep.line().find(" frame=" + rate.str()), std::string::npos)
+      << rep.line();
+  EXPECT_NE(rep.json("t").find("\"frame_pool_hit_rate\": " + rate.str() +
+                               ",\n"),
+            std::string::npos)
+      << rep.json("t");
+  // A report with no frames reads 0.
+  EXPECT_NE(core::PerfReport{}.json("t").find("\"frame_pool_hit_rate\": 0,"),
             std::string::npos);
 }
 

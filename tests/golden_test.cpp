@@ -95,6 +95,7 @@ struct KindGolden {
   std::size_t bytes;
   int root;
   double expect_us;
+  bool links = false;  // run on the link fabric (MeasureOptions::fabric)
 };
 
 TEST(GoldenKinds, HierarchicalDesignLatenciesAreLockedIn) {
@@ -130,6 +131,15 @@ TEST(GoldenKinds, HierarchicalDesignLatenciesAreLockedIn) {
        5.3333319999999995},
       {"A", 4, 1, CollKind::allreduce, "sharp-socket-leader", 1, 1, 64ul, 0,
        1.8464},
+      // The SHArP upload and multicast legs as link-fabric flows.
+      {"A", 4, 7, CollKind::allreduce, "sharp-node-leader", 1, 1, 64ul, 0,
+       3.6712030000000002, true},
+      {"A", 4, 7, CollKind::allreduce, "sharp-node-leader", 1, 1, 4100ul, 0,
+       22.035002000000002, true},
+      {"A", 4, 7, CollKind::allreduce, "sharp-socket-leader", 1, 1, 64ul, 0,
+       2.58107, true},
+      {"A", 4, 7, CollKind::allreduce, "sharp-socket-leader", 1, 1, 4100ul,
+       0, 17.783337, true},
   };
   for (const KindGolden& g : table) {
     CollSpec spec;
@@ -140,20 +150,22 @@ TEST(GoldenKinds, HierarchicalDesignLatenciesAreLockedIn) {
     opt.iterations = 3;
     opt.warmup = 1;
     opt.root = g.root;
+    if (g.links) opt.fabric = fabric::FabricLevel::links;
     const auto r = measure_collective(g.kind, net::cluster_by_name(g.cluster),
                                       g.nodes, g.ppn, g.bytes, spec, opt);
     EXPECT_EQ(r.avg_us, g.expect_us)
         << g.cluster << " " << g.nodes << "x" << g.ppn << " "
         << coll_kind_name(g.kind) << "/" << g.algo << " l=" << g.leaders
         << " k=" << g.pipeline_k << " " << g.bytes << "B root " << g.root
-        << ": measured " << g17(r.avg_us);
+        << (g.links ? " links" : "") << ": measured " << g17(r.avg_us);
   }
 }
 
-// The flat designs that run on the ring passes and the local copy, on
-// non-power-of-two p with ragged blocks: C 5x3 (p = 15) and D 7x4 (p = 28),
-// root 11 (neither 0 nor p-1), 1x1 machines (reduce_scatter is then one
-// local copy) and the linear gather and scatter at p = 4.
+// The flat designs that run on the ring passes, the tree passes and the
+// local copy, on non-power-of-two p with ragged blocks: C 5x3 (p = 15) and
+// D 7x4 (p = 28), root 11 (neither 0 nor p-1), 1x1 machines
+// (reduce_scatter is then one local copy) and the linear gather and
+// scatter at p = 4.
 TEST(GoldenKinds, FlatDesignLatenciesAreLockedIn) {
   const KindGolden table[] = {
       {"C", 5, 3, CollKind::allreduce, "ring", 1, 1, 4100ul, 0,
@@ -197,6 +209,37 @@ TEST(GoldenKinds, FlatDesignLatenciesAreLockedIn) {
        14.475833999999999},
       {"C", 5, 3, CollKind::alltoall, "bruck", 1, 1, 64ul, 0,
        5.0930410000000004},
+      // The binomial tree's two passes (coll/tree.hpp).
+      {"C", 5, 3, CollKind::bcast, "binomial", 1, 1, 4100ul, 11,
+       5.2225960000000002},
+      {"C", 5, 3, CollKind::bcast, "binomial", 1, 1, 65540ul, 11,
+       51.784751},
+      {"D", 7, 4, CollKind::bcast, "binomial", 1, 1, 4100ul, 11,
+       12.904845999999999},
+      {"D", 7, 4, CollKind::bcast, "binomial", 1, 1, 65540ul, 11,
+       127.18833000000001},
+      {"C", 5, 3, CollKind::gather, "binomial", 1, 1, 4100ul, 11,
+       9.2036339999999992},
+      {"C", 5, 3, CollKind::gather, "binomial", 1, 1, 65540ul, 11,
+       123.227574},
+      {"D", 7, 4, CollKind::gather, "binomial", 1, 1, 4100ul, 11,
+       28.167270000000002},
+      {"D", 7, 4, CollKind::gather, "binomial", 1, 1, 65540ul, 11,
+       397.52954399999999},
+      {"C", 5, 3, CollKind::scatter, "binomial", 1, 1, 4100ul, 11,
+       10.050302},
+      {"C", 5, 3, CollKind::scatter, "binomial", 1, 1, 65540ul, 11,
+       128.957393},
+      {"D", 7, 4, CollKind::scatter, "binomial", 1, 1, 4100ul, 11,
+       41.116058000000002},
+      {"D", 7, 4, CollKind::scatter, "binomial", 1, 1, 65540ul, 11,
+       607.81499799999995},
+      {"D", 7, 4, CollKind::reduce, "binomial", 1, 1, 4100ul, 11,
+       26.288179},
+      {"D", 7, 4, CollKind::reduce, "binomial", 1, 1, 65540ul, 11,
+       307.15772399999997},
+      {"C", 5, 3, CollKind::reduce_scatter, "reduce-then-scatter", 1, 1,
+       1028ul, 0, 30.431106},
   };
   for (const KindGolden& g : table) {
     CollSpec spec;
@@ -207,13 +250,14 @@ TEST(GoldenKinds, FlatDesignLatenciesAreLockedIn) {
     opt.iterations = 3;
     opt.warmup = 1;
     opt.root = g.root;
+    if (g.links) opt.fabric = fabric::FabricLevel::links;
     const auto r = measure_collective(g.kind, net::cluster_by_name(g.cluster),
                                       g.nodes, g.ppn, g.bytes, spec, opt);
     EXPECT_EQ(r.avg_us, g.expect_us)
         << g.cluster << " " << g.nodes << "x" << g.ppn << " "
         << coll_kind_name(g.kind) << "/" << g.algo << " l=" << g.leaders
-        << " " << g.bytes << "B root " << g.root << ": measured "
-        << g17(r.avg_us);
+        << " " << g.bytes << "B root " << g.root
+        << (g.links ? " links" : "") << ": measured " << g17(r.avg_us);
   }
 
   // allgatherv_ring has no registry entry: one call with the Vcoll tests'
@@ -232,11 +276,13 @@ TEST(GoldenKinds, FlatDesignLatenciesAreLockedIn) {
 }
 
 // The SHArP barrier and bcast are not registered: three back-to-back calls
-// on a metadata-only A machine, the total simulated time.
+// on a metadata-only A machine (on the link fabric if `links`), the total
+// simulated time.
 double sharp_node_phase_us(CollKind kind, int nodes, int ppn,
-                           std::size_t bytes, int root) {
-  simmpi::Machine m(net::cluster_a(), nodes, ppn,
-                    simmpi::RunOptions{.with_data = false, .seed = 1});
+                           std::size_t bytes, int root, bool links) {
+  simmpi::RunOptions ro{.with_data = false, .seed = 1};
+  if (links) ro.fabric_level = fabric::FabricLevel::links;
+  simmpi::Machine m(net::cluster_a(), nodes, ppn, ro);
   sharp::SharpFabric f(m);
   m.run([&](simmpi::Rank& r) -> sim::CoTask<void> {
     coll::CollArgs a;
@@ -264,6 +310,7 @@ TEST(GoldenKinds, SharpBarrierAndBcastAreLockedIn) {
     std::size_t bytes;
     int root;
     double expect_us;
+    bool links = false;
   };
   const Row table[] = {
       {CollKind::barrier, 4, 7, 0ul, 0, 5.5199999999999996},
@@ -273,13 +320,19 @@ TEST(GoldenKinds, SharpBarrierAndBcastAreLockedIn) {
       {CollKind::bcast, 4, 7, 65536ul, 12, 227.94013100000001},
       {CollKind::bcast, 4, 7, 2097152ul, 12, 9101.3086640000001},
       {CollKind::bcast, 4, 1, 256ul, 2, 3.4311989999999999},
+      {CollKind::barrier, 4, 7, 0ul, 0, 5.4900000000000002, true},
+      {CollKind::barrier, 4, 1, 0ul, 0, 4.5899999999999999, true},
+      {CollKind::bcast, 4, 7, 256ul, 12, 7.1061430000000003, true},
+      {CollKind::bcast, 4, 7, 65536ul, 12, 227.97014300000001, true},
+      {CollKind::bcast, 4, 1, 256ul, 2, 3.461211, true},
   };
   for (const Row& g : table) {
-    const double us =
-        sharp_node_phase_us(g.kind, g.nodes, g.ppn, g.bytes, g.root);
+    const double us = sharp_node_phase_us(g.kind, g.nodes, g.ppn, g.bytes,
+                                          g.root, g.links);
     EXPECT_EQ(us, g.expect_us)
         << coll_kind_name(g.kind) << " A " << g.nodes << "x" << g.ppn << " "
-        << g.bytes << "B root " << g.root << ": measured " << g17(us);
+        << g.bytes << "B root " << g.root << (g.links ? " links" : "")
+        << ": measured " << g17(us);
   }
 }
 

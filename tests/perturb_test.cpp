@@ -114,6 +114,42 @@ TEST(PerturbSpec, BadParametersAreNamed) {
   EXPECT_THROW(PerturbSpec::parse("seed=abc"), util::InvariantError);
 }
 
+TEST(PerturbSpec, StructuralErrorsNameTheFlagAndKey) {
+  // A repeated key or injector used to win silently (frac 0.2, the second
+  // jitter); an empty key or a key without a value is rejected the same
+  // way, in one line.
+  struct Probe {
+    const char* spec;
+    const char* names;
+  };
+  const Probe probes[] = {
+      {"jitter=uniform:frac=0.1,frac=0.2",
+       "bad --perturb spec: key 'frac' given twice"},
+      {"jitter=uniform:frac=0.1;jitter=lognormal:sigma=0.2",
+       "bad --perturb spec: injector 'jitter' given twice"},
+      {"seed=1;skew=uniform:max_us=5;seed=2",
+       "bad --perturb spec: injector 'seed' given twice"},
+      {"link=bw=0.5,,src=1", "bad --perturb spec: empty key"},
+      {"link=bw", "bad --perturb spec: key 'bw' has no value"},
+      {"stragglers=k=2,scale=", "bad --perturb spec: key 'scale' has no value"},
+  };
+  for (const Probe& p : probes) {
+    try {
+      (void)PerturbSpec::parse(p.spec);
+      ADD_FAILURE() << p.spec << " was accepted";
+    } catch (const util::InvariantError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(p.names), std::string::npos) << msg;
+      EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("check failed"), std::string::npos) << msg;
+    }
+  }
+  // Link rules compose, so a second link= is a second rule.
+  EXPECT_EQ(PerturbSpec::parse("link=bw=0.5,src=0;link=bw=0.25,src=1")
+                .links.size(),
+            2u);
+}
+
 TEST(PerturbSpec, NumbersFollowTheArgsRule) {
   // A number is its whole text, fits its field (an int, or a uint64 seed)
   // and is finite; the error names --perturb, the injector and the field.

@@ -339,6 +339,41 @@ TEST(TenantSpecTest, ByteSizesNameTheirField) {
   EXPECT_EQ(tenant::TrafficSpec::parse("uniform:bytes=4K").bytes, 4096u);
 }
 
+TEST(TenantSpecTest, StructuralErrorsNameTheFlagAndKey) {
+  // A repeated key used to win silently (load 0.5, way 1 only); an empty
+  // key or a key without a value is rejected the same way, in one line.
+  struct Probe {
+    const char* spec;
+    bool fail;  // a --fail-links spec, else a --bg-traffic one
+    const char* names;
+  };
+  const Probe probes[] = {
+      {"uniform:load=0.1,load=0.5", false,
+       "bad --bg-traffic spec: key 'load' given twice"},
+      {"way=0,way=1", true, "bad --fail-links spec: key 'way' given twice"},
+      {"uniform:load=0.1,,seed=2", false, "bad --bg-traffic spec: empty key"},
+      {"way=0,=3", true, "bad --fail-links spec: empty key"},
+      {"hotspot:hot_frac", false,
+       "bad --bg-traffic spec: key 'hot_frac' has no value"},
+      {"way=0,at_us=", true, "bad --fail-links spec: key 'at_us' has no value"},
+  };
+  for (const Probe& p : probes) {
+    try {
+      if (p.fail) {
+        (void)tenant::FailSpec::parse(p.spec);
+      } else {
+        (void)tenant::TrafficSpec::parse(p.spec);
+      }
+      ADD_FAILURE() << p.spec << " was accepted";
+    } catch (const util::InvariantError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(p.names), std::string::npos) << msg;
+      EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("check failed"), std::string::npos) << msg;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shape validation.
 
@@ -452,6 +487,46 @@ TEST(TenantValidateTest, FailureScheduleMustKeepEveryLeafPairRoutable) {
                      "recover_us=35;way=1,leaf=0,at_us=20;way=2,leaf=0,"
                      "at_us=30,recover_us=80");
   EXPECT_GT(r.makespan_us, 40.0);
+}
+
+TEST(TenantValidateTest, InputErrorsAreOneLineWithoutASourcePath) {
+  // Each used to surface as "src/tenant/...cpp:N: check failed: ...".
+  const auto cfg = net::test_cluster(8);
+  auto message = [](const auto& run) {
+    try {
+      run();
+    } catch (const util::InvariantError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const auto jobs = tenant::default_jobs(2, cfg, 8);
+  auto run_with = [&](tenant::TenantOptions opt) {
+    opt.solo_baseline = false;
+    (void)tenant::run_tenants(cfg, 2, jobs, opt);
+  };
+  tenant::TenantOptions hot;
+  hot.traffic = tenant::TrafficSpec::parse("hotspot:load=0.9,hot_frac=0.9");
+  tenant::TenantOptions way;
+  way.failures = tenant::FailSpec::parse("way=7");
+  struct Case {
+    std::string msg;
+    const char* names;
+  };
+  const Case cases[] = {
+      {message([&] { (void)tenant::default_jobs(3, cfg, 2); }),
+       "--tenants 3 needs at least one node per job; --nodes gives 2"},
+      {message([&] { run_with(hot); }),
+       "bad --bg-traffic spec: hotspot load * hot_frac"},
+      {message([&] { run_with(way); }),
+       "bad --fail-links spec: way 7 out of range (fabric has 4 ways)"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_NE(c.msg.find(c.names), std::string::npos) << c.msg;
+    EXPECT_EQ(c.msg.find("check failed"), std::string::npos) << c.msg;
+    EXPECT_EQ(c.msg.find(".cpp"), std::string::npos) << c.msg;
+    EXPECT_EQ(c.msg.find('\n'), std::string::npos) << c.msg;
+  }
 }
 
 TEST(TenantValidateTest, DefaultJobsFitTheClusterAndPassValidation) {
