@@ -85,6 +85,7 @@ sim::CoTask<void> run_rank(simmpi::Rank& r, const Program& program,
       case K::irecv:
         pending.push_back(r.irecv(world, op.peer, op.tag, op.count).done);
         break;
+      case K::reduce_compute: co_await r.reduce_compute(op.count); break;
     }
   }
 }
@@ -93,10 +94,12 @@ sim::CoTask<void> run_rank(simmpi::Rank& r, const Program& program,
 
 ProgramResult run_program(const net::ClusterConfig& cfg, int nodes, int ppn,
                           const core::CollSpec& spec, std::uint64_t seed,
-                          const std::vector<Program>& programs, int timers) {
+                          const std::vector<Program>& programs, int timers,
+                          fabric::FabricLevel level) {
   simmpi::RunOptions ropt;
   ropt.with_data = false;
   ropt.seed = seed;
+  ropt.fabric_level = level;
   simmpi::Machine m(cfg, nodes, ppn, ropt);
   const bool shared = programs.size() == 1;
   DPML_CHECK_MSG(shared || programs.size() ==

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "fabric/fabric.hpp"
 #include "net/cluster.hpp"
 
 namespace dpml::apps {
@@ -29,6 +30,7 @@ struct Op {
     bcast,                  // `count` bytes from rank 0
     barrier,                // message-passing barrier (coll::barrier)
     send, recv, isend, irecv,  // `count` bytes with `peer` under `tag`
+    reduce_compute,         // the local reduction of `count` bytes
   };
   Kind kind = Kind::compute;
   simmpi::Dtype dt = simmpi::Dtype::f32;
@@ -55,12 +57,14 @@ struct ProgramResult {
 };
 
 // Runs `programs[w]` on world rank w (or `programs[0]` on every rank) of a
-// metadata-only `nodes` x `ppn` machine of `cfg`. Every allreduce runs
-// `spec`, with a SHArP fabric attached when it takes one; `timers` is the
-// number of timer indices the programs use.
-ProgramResult run_program(const net::ClusterConfig& cfg, int nodes, int ppn,
-                          const core::CollSpec& spec, std::uint64_t seed,
-                          const std::vector<Program>& programs, int timers);
+// metadata-only `nodes` x `ppn` machine of `cfg` at fabric level `level`.
+// Every allreduce runs `spec`, with a SHArP fabric attached when it takes
+// one; `timers` is the number of timer indices the programs use.
+ProgramResult run_program(
+    const net::ClusterConfig& cfg, int nodes, int ppn,
+    const core::CollSpec& spec, std::uint64_t seed,
+    const std::vector<Program>& programs, int timers,
+    fabric::FabricLevel level = fabric::FabricLevel::none);
 
 // Unless `ok`, throws util::InvariantError "<app>: <field> must be <rule>,
 // got <value>": the one message of every kernel's option checks.

@@ -5,14 +5,16 @@
 // halving/doubling), ring, binomial reduce+bcast, and a naive gather+bcast
 // reference. They serve three roles in this reproduction: (1) the paper's
 // baselines, (2) the inter-node phase-3 building block of DPML, and (3)
-// correctness cross-checks for each other.
+// correctness cross-checks for each other. rd and rsa run on the hypercube
+// passes (coll/butterfly.hpp), the one-channel ring on the ring passes
+// (coll/ring.hpp).
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "coll/bcast.hpp"
+#include "coll/butterfly.hpp"
 #include "coll/coll.hpp"
 #include "coll/reduce.hpp"
 #include "coll/registry.hpp"
@@ -23,12 +25,6 @@ namespace dpml::coll {
 
 namespace {
 
-int floor_pow2(int p) {
-  int v = 1;
-  while (v * 2 <= p) v *= 2;
-  return v;
-}
-
 // Tag layout within one collective invocation: each algorithm uses
 // [tag_base, tag_base + 128) and steps stay well below 128.
 constexpr int kEpilogueTag = 120;
@@ -38,208 +34,69 @@ constexpr int kEpilogueTag = 120;
 // inside the tag budget.
 constexpr int kMaxRingChannels = 16;
 
-// Exchange full vectors with `partner` and fold the incoming one into
-// a.recv. `partner_left` says the partner's contribution covers comm ranks
-// *preceding* mine, so non-commutative ops fold it on the left. Uses
-// isend+recv to avoid rendezvous deadlock on symmetric exchanges.
-sim::CoTask<void> exchange_reduce(const CollArgs& a, int partner, int tag,
-                                  MutBytes tmp, bool partner_left) {
+// rd, or rsa when `halving`: fold the first 2·rem ranks pairwise onto the
+// hypercube, run the passes and send the result back out. The halving pass
+// pairs ranks at distance pof2/2 first, after which a rank's operand set is
+// not contiguous in comm-rank order and no left/right fold recovers the
+// serial order; so, as in MPICH, only commutative ops take it and every
+// other op runs rd, whose groups stay contiguous at every step.
+sim::CoTask<void> allreduce_cube(CollArgs a, bool halving) {
+  check_args(CollKind::allreduce, a);
   Rank& r = *a.rank;
+  const Comm& c = *a.comm;
+  const int me = c.rank_of_world(r.world_rank());
+  if (me < 0) co_return;
+  co_await copy_in(a);
+  const int p = c.size();
+  if (p == 1) co_return;
+  halving = halving && a.op.commutative();
   const std::size_t nbytes = a.bytes();
-  auto sf = r.isend(*a.comm, partner, tag, nbytes, as_const(a.recv));
-  co_await r.recv(*a.comm, partner, tag, nbytes, tmp);
-  co_await sf->wait();
-  co_await r.reduce_compute(nbytes);
-  if (partner_left) {
-    a.op.apply_left(a.dt, a.count, a.recv, as_const(MutBytes{tmp}));
-  } else {
-    a.op.apply(a.dt, a.count, a.recv, as_const(MutBytes{tmp}));
+  auto tmp_store = a.scratch(nbytes);
+  const MutBytes tmp{tmp_store};
+  const CubePos cube = cube_pos(p, me);
+  const bool folded = me < 2 * cube.rem;
+
+  if (folded && cube.vrank < 0) {
+    // Fold my vector into my odd neighbour and sit the passes out.
+    co_await r.send(c, me + 1, a.tag_base, nbytes, as_const(a.recv));
+  } else if (folded) {
+    co_await r.recv(c, me - 1, a.tag_base, nbytes, tmp);
+    co_await r.reduce_compute(nbytes);
+    // The neighbour's vector covers comm rank me-1 < me: rd folds it on the
+    // left (rsa's ops commute).
+    if (halving) {
+      a.op.apply(a.dt, a.count, a.recv, as_const(tmp));
+    } else {
+      a.op.apply_left(a.dt, a.count, a.recv, as_const(tmp));
+    }
+  }
+
+  if (cube.vrank >= 0 && halving) {
+    const HalvingBlocks blocks{a.count, cube.pof2, simmpi::dtype_size(a.dt)};
+    co_await cube_halving(a, cube, a.tag_base + 1, a.recv, tmp, blocks);
+    co_await cube_doubling(a, cube, a.tag_base + 64, a.recv, blocks);
+  } else if (cube.vrank >= 0) {
+    const WholeBlocks whole{nbytes};
+    co_await cube_doubling(a, cube, a.tag_base + 1, a.recv, whole,
+                           Incoming::fold, tmp);
+  }
+
+  if (folded && cube.vrank >= 0) {
+    co_await r.send(c, me - 1, a.tag_base + kEpilogueTag, nbytes,
+                    as_const(a.recv));
+  } else if (folded) {
+    co_await r.recv(c, me + 1, a.tag_base + kEpilogueTag, nbytes, a.recv);
   }
 }
 
 }  // namespace
 
 sim::CoTask<void> allreduce_recursive_doubling(CollArgs a) {
-  check_args(CollKind::allreduce, a);
-  Rank& r = *a.rank;
-  const Comm& c = *a.comm;
-  const int me = c.rank_of_world(r.world_rank());
-  if (me < 0) co_return;
-  co_await copy_in(a);
-  const int p = c.size();
-  if (p == 1) co_return;
-  const std::size_t nbytes = a.bytes();
-  auto tmp_store = a.scratch(nbytes);
-  MutBytes tmp{tmp_store};
-
-  const int pof2 = floor_pow2(p);
-  const int rem = p - pof2;
-  int newrank;
-  if (me < 2 * rem) {
-    if (me % 2 == 0) {
-      // Fold my vector into my odd neighbour and sit out the core loop.
-      co_await r.send(c, me + 1, a.tag_base, nbytes, as_const(a.recv));
-      newrank = -1;
-    } else {
-      co_await r.recv(c, me - 1, a.tag_base, nbytes, tmp);
-      co_await r.reduce_compute(nbytes);
-      // The neighbour's vector covers comm rank me-1 < me: fold on the left.
-      a.op.apply_left(a.dt, a.count, a.recv, as_const(tmp));
-      newrank = me / 2;
-    }
-  } else {
-    newrank = me - rem;
-  }
-
-  if (newrank != -1) {
-    int step = 1;
-    for (int mask = 1; mask < pof2; mask <<= 1, ++step) {
-      const int npartner = newrank ^ mask;
-      const int partner = npartner < rem ? npartner * 2 + 1 : npartner + rem;
-      // newrank order preserves comm-rank block order, so the partner's
-      // accumulated block precedes mine iff npartner < newrank.
-      co_await exchange_reduce(a, partner, a.tag_base + step, tmp,
-                               npartner < newrank);
-    }
-  }
-
-  if (me < 2 * rem) {
-    if (me % 2 == 1) {
-      co_await r.send(c, me - 1, a.tag_base + kEpilogueTag, nbytes,
-                      as_const(a.recv));
-    } else {
-      co_await r.recv(c, me + 1, a.tag_base + kEpilogueTag, nbytes, a.recv);
-    }
-  }
+  return allreduce_cube(std::move(a), false);
 }
 
 sim::CoTask<void> allreduce_reduce_scatter_allgather(CollArgs a) {
-  check_args(CollKind::allreduce, a);
-  // Recursive vector halving pairs ranks at distance pof2/2 *first*, so
-  // after the very first exchange a rank's accumulated operand set is
-  // non-contiguous in comm-rank order ({me, me + pof2/2}); no left/right
-  // fold discipline can recover the serial order from there. MPICH draws
-  // the same line: reduce-scatter + allgather only for commutative ops,
-  // recursive doubling (contiguous blocks at every step) otherwise.
-  if (!a.op.commutative()) {
-    co_await allreduce_recursive_doubling(std::move(a));
-    co_return;
-  }
-  Rank& r = *a.rank;
-  const Comm& c = *a.comm;
-  const int me = c.rank_of_world(r.world_rank());
-  if (me < 0) co_return;
-  co_await copy_in(a);
-  const int p = c.size();
-  if (p == 1) co_return;
-  const std::size_t esize = simmpi::dtype_size(a.dt);
-  const std::size_t nbytes = a.bytes();
-  auto tmp_store = a.scratch(nbytes);
-  MutBytes tmp{tmp_store};
-
-  const int pof2 = floor_pow2(p);
-  const int rem = p - pof2;
-  int newrank;
-  if (me < 2 * rem) {
-    if (me % 2 == 0) {
-      co_await r.send(c, me + 1, a.tag_base, nbytes, as_const(a.recv));
-      newrank = -1;
-    } else {
-      co_await r.recv(c, me - 1, a.tag_base, nbytes, tmp);
-      co_await r.reduce_compute(nbytes);
-      // Only commutative ops reach here (non-commutative forwarded above),
-      // so operand order is free.
-      a.op.apply(a.dt, a.count, a.recv, as_const(tmp));
-      newrank = me / 2;
-    }
-  } else {
-    newrank = me - rem;
-  }
-
-  auto old_rank_of = [&](int nr) {
-    return nr < rem ? nr * 2 + 1 : nr + rem;
-  };
-
-  if (newrank != -1) {
-    // Reduce-scatter by recursive vector halving; the rank with the mask
-    // bit clear keeps the lower half of the current range.
-    std::size_t lo = 0;
-    std::size_t hi = a.count;
-    struct Level {
-      std::size_t lo, hi;
-      int partner;
-    };
-    std::vector<Level> levels;
-    levels.reserve(static_cast<std::size_t>(std::bit_width(
-        static_cast<unsigned>(pof2))));
-    int step = 1;
-    for (int mask = pof2 >> 1; mask > 0; mask >>= 1, ++step) {
-      const int partner = old_rank_of(newrank ^ mask);
-      const std::size_t mid = lo + (hi - lo) / 2;
-      std::size_t keep_lo;
-      std::size_t keep_hi;
-      std::size_t give_lo;
-      std::size_t give_hi;
-      if ((newrank & mask) == 0) {
-        keep_lo = lo;
-        keep_hi = mid;
-        give_lo = mid;
-        give_hi = hi;
-      } else {
-        keep_lo = mid;
-        keep_hi = hi;
-        give_lo = lo;
-        give_hi = mid;
-      }
-      const std::size_t keep_bytes = (keep_hi - keep_lo) * esize;
-      const std::size_t give_bytes = (give_hi - give_lo) * esize;
-      auto sf = r.isend(c, partner, a.tag_base + step, give_bytes,
-                        sub(as_const(a.recv), give_lo * esize, give_bytes));
-      co_await r.recv(c, partner, a.tag_base + step, keep_bytes,
-                      sub(tmp, 0, keep_bytes));
-      co_await sf->wait();
-      co_await r.reduce_compute(keep_bytes);
-      a.op.apply(a.dt, keep_hi - keep_lo,
-                 sub(a.recv, keep_lo * esize, keep_bytes),
-                 sub(as_const(tmp), 0, keep_bytes));
-      levels.push_back(Level{lo, hi, partner});
-      lo = keep_lo;
-      hi = keep_hi;
-    }
-
-    // Allgather by recursive doubling, replaying the halving in reverse.
-    int ag_step = 64;
-    for (auto it = levels.rbegin(); it != levels.rend(); ++it, ++ag_step) {
-      const std::size_t my_bytes = (hi - lo) * esize;
-      // Partner holds the complement of my range within [it->lo, it->hi).
-      std::size_t plo;
-      std::size_t phi;
-      if (lo == it->lo) {
-        plo = hi;
-        phi = it->hi;
-      } else {
-        plo = it->lo;
-        phi = lo;
-      }
-      const std::size_t p_bytes = (phi - plo) * esize;
-      auto sf = r.isend(c, it->partner, a.tag_base + ag_step, my_bytes,
-                        sub(as_const(a.recv), lo * esize, my_bytes));
-      co_await r.recv(c, it->partner, a.tag_base + ag_step, p_bytes,
-                      sub(a.recv, plo * esize, p_bytes));
-      co_await sf->wait();
-      lo = it->lo;
-      hi = it->hi;
-    }
-  }
-
-  if (me < 2 * rem) {
-    if (me % 2 == 1) {
-      co_await r.send(c, me - 1, a.tag_base + kEpilogueTag, nbytes,
-                      as_const(a.recv));
-    } else {
-      co_await r.recv(c, me + 1, a.tag_base + kEpilogueTag, nbytes, a.recv);
-    }
-  }
+  return allreduce_cube(std::move(a), true);
 }
 
 sim::CoTask<void> allreduce_ring_channels(CollArgs a, int channels) {

@@ -1,3 +1,7 @@
+// Gather, scatter, allgather, reduce_scatter and barrier designs. The
+// binomial gather and scatter run on the tree passes (coll/tree.hpp), the
+// ring allgather and reduce_scatter on the ring passes (coll/ring.hpp) and
+// the rd allgather on the hypercube's doubling pass (coll/butterfly.hpp).
 #include "coll/group_coll.hpp"
 
 #include <cstring>
@@ -5,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "coll/butterfly.hpp"
 #include "coll/node.hpp"
 #include "coll/reduce.hpp"
 #include "coll/registry.hpp"
@@ -180,39 +185,17 @@ sim::CoTask<void> allgather_ring(CollArgs a) {
 
 sim::CoTask<void> allgather_rd(CollArgs a) {
   check_args(CollKind::allgather, a);
-  Rank& r = *a.rank;
-  const Comm& c = *a.comm;
-  const int me = c.rank_of_world(r.world_rank());
+  const int me = a.comm->rank_of_world(a.rank->world_rank());
   if (me < 0) co_return;
-  const int p = c.size();
-  const std::size_t bb = a.bytes();
-  if ((p & (p - 1)) != 0) {
+  const CubePos cube = cube_pos(a.comm->size(), me);
+  if (cube.rem != 0) {
     // Non-power-of-two: fall back to the ring (documented behaviour).
     co_await allgather_ring(std::move(a));
     co_return;
   }
   co_await allgather_copy_own(a, me);
-  if (p == 1) co_return;
-
-  // At step k, I hold the blocks of my 2^k-aligned group and exchange the
-  // whole run with the partner group.
-  int step = 0;
-  for (int mask = 1; mask < p; mask <<= 1, ++step) {
-    const int partner = me ^ mask;
-    const int my_base = me & ~(mask - 1);
-    const int partner_base = partner & ~(mask - 1);
-    const std::size_t nbytes =
-        static_cast<std::size_t>(mask) * bb;
-    auto sf = r.isend(c, partner, a.tag_base + 1 + step, nbytes,
-                      sub(as_const(a.recv),
-                          static_cast<std::size_t>(my_base) * bb,
-                          a.recv.empty() ? 0 : nbytes));
-    co_await r.recv(c, partner, a.tag_base + 1 + step, nbytes,
-                    sub(a.recv,
-                        static_cast<std::size_t>(partner_base) * bb,
-                        a.recv.empty() ? 0 : nbytes));
-    co_await sf->wait();
-  }
+  const HeldBlocks blocks{0, a.bytes()};
+  co_await cube_doubling(a, cube, a.tag_base + 1, a.recv, blocks);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 #include "mc/trace.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
+#include "net/cluster.hpp"
 #include "util/error.hpp"
 
 namespace dpml::mc {
@@ -40,6 +43,12 @@ std::string escape(const std::string& s) {
   return out;
 }
 
+// A malformed trace: one line naming the field or the offset, no source
+// path.
+[[noreturn]] void bad_trace(const std::string& what) {
+  throw util::InvariantError("mc trace: " + what);
+}
+
 // ---------------------------------------------------------------------------
 // Minimal recursive-descent JSON reader — just enough for trace files.
 
@@ -48,7 +57,7 @@ struct JsonValue {
   Type type = Type::null;
   bool b = false;
   double num = 0.0;
-  std::string str;
+  std::string str;  // a string's text, or a number as written
   std::vector<JsonValue> arr;
   std::vector<std::pair<std::string, JsonValue>> obj;
 
@@ -67,7 +76,7 @@ class JsonParser {
   JsonValue parse() {
     JsonValue v = value();
     ws();
-    DPML_CHECK_MSG(pos_ == text_.size(), "mc trace: trailing JSON content");
+    if (pos_ != text_.size()) bad_trace("trailing JSON content");
     return v;
   }
 
@@ -81,13 +90,15 @@ class JsonParser {
 
   char peek() {
     ws();
-    DPML_CHECK_MSG(pos_ < text_.size(), "mc trace: truncated JSON");
+    if (pos_ >= text_.size()) bad_trace("truncated JSON");
     return text_[pos_];
   }
 
   void expect(char c) {
-    DPML_CHECK_MSG(peek() == c, std::string("mc trace: expected '") + c +
-                                    "' at offset " + std::to_string(pos_));
+    if (peek() != c) {
+      bad_trace(std::string("expected '") + c + "' at offset " +
+                std::to_string(pos_));
+    }
     ++pos_;
   }
 
@@ -111,8 +122,9 @@ class JsonParser {
         }
         for (;;) {
           JsonValue key = value();
-          DPML_CHECK_MSG(key.type == JsonValue::Type::string,
-                         "mc trace: object key must be a string");
+          if (key.type != JsonValue::Type::string) {
+            bad_trace("object key must be a string");
+          }
           expect(':');
           v.obj.emplace_back(key.str, value());
           if (peek() == ',') {
@@ -146,15 +158,14 @@ class JsonParser {
         while (pos_ < text_.size() && text_[pos_] != '"') {
           char c = text_[pos_++];
           if (c == '\\') {
-            DPML_CHECK_MSG(pos_ < text_.size(), "mc trace: truncated escape");
+            if (pos_ >= text_.size()) bad_trace("truncated escape");
             const char e = text_[pos_++];
             switch (e) {
               case 'n': c = '\n'; break;
               case 't': c = '\t'; break;
               case 'r': c = '\r'; break;
               case 'u': {
-                DPML_CHECK_MSG(pos_ + 4 <= text_.size(),
-                               "mc trace: truncated \\u escape");
+                if (pos_ + 4 > text_.size()) bad_trace("truncated \\u escape");
                 unsigned code = 0;
                 std::size_t used = 0;
                 try {
@@ -163,7 +174,7 @@ class JsonParser {
                 } catch (const std::exception&) {
                   used = 0;
                 }
-                DPML_CHECK_MSG(used == 4, "mc trace: malformed \\u escape");
+                if (used != 4) bad_trace("malformed \\u escape");
                 pos_ += 4;
                 c = static_cast<char>(code & 0xFF);
                 break;
@@ -194,8 +205,10 @@ class JsonParser {
         } catch (const std::exception&) {
           used = 0;
         }
-        DPML_CHECK_MSG(used > 0, "mc trace: malformed JSON number at offset " +
-                                     std::to_string(pos_));
+        if (used == 0) {
+          bad_trace("malformed JSON number at offset " + std::to_string(pos_));
+        }
+        v.str = text_.substr(pos_, used);
         pos_ += used;
         return v;
       }
@@ -208,20 +221,39 @@ class JsonParser {
 
 const JsonValue& require(const JsonValue& obj, const std::string& key) {
   const JsonValue* v = obj.find(key);
-  DPML_CHECK_MSG(v != nullptr, "mc trace: missing field '" + key + "'");
+  if (v == nullptr) bad_trace("missing field '" + key + "'");
   return *v;
 }
 
-int as_int(const JsonValue& v, const std::string& what) {
-  DPML_CHECK_MSG(v.type == JsonValue::Type::number,
-                 "mc trace: field '" + what + "' must be a number");
+// A whole number in [lo, INT_MAX]; `what` names the field.
+int as_int(const JsonValue& v, const std::string& what, int lo) {
+  if (v.type != JsonValue::Type::number) {
+    bad_trace("field '" + what + "' must be a number");
+  }
+  // Written so that NaN fails too.
+  const bool whole = v.num >= lo &&
+                     v.num <= std::numeric_limits<int>::max() &&
+                     v.num == std::floor(v.num);
+  if (!whole) {
+    bad_trace("field '" + what + "' must be a whole number >= " +
+              std::to_string(lo) + " that fits an int, got " + v.str);
+  }
   return static_cast<int>(v.num);
 }
 
 std::string as_str(const JsonValue& v, const std::string& what) {
-  DPML_CHECK_MSG(v.type == JsonValue::Type::string,
-                 "mc trace: field '" + what + "' must be a string");
+  if (v.type != JsonValue::Type::string) {
+    bad_trace("field '" + what + "' must be a string");
+  }
   return v.str;
+}
+
+const std::vector<JsonValue>& as_array(const JsonValue& v,
+                                       const std::string& what) {
+  if (v.type != JsonValue::Type::array) {
+    bad_trace("field '" + what + "' must be an array");
+  }
+  return v.arr;
 }
 
 simmpi::Dtype dtype_by_name(const std::string& name) {
@@ -231,8 +263,7 @@ simmpi::Dtype dtype_by_name(const std::string& name) {
   for (const simmpi::Dtype dt : kAll) {
     if (name == simmpi::dtype_name(dt)) return dt;
   }
-  DPML_CHECK_MSG(false, "mc trace: unknown dtype '" + name + "'");
-  return simmpi::Dtype::i32;
+  bad_trace("field 'dtype' names no dtype: '" + name + "'");
 }
 
 }  // namespace
@@ -287,29 +318,46 @@ void save_trace(const Trace& t, const std::string& path) {
 
 Trace parse_trace(const std::string& json) {
   const JsonValue root = JsonParser(json).parse();
-  DPML_CHECK_MSG(root.type == JsonValue::Type::object &&
-                     root.find("mc_trace") != nullptr,
-                 "not an mc trace (missing \"mc_trace\" marker)");
+  if (root.type != JsonValue::Type::object ||
+      root.find("mc_trace") == nullptr) {
+    bad_trace("not an mc trace (missing \"mc_trace\" marker)");
+  }
   Trace t;
   const JsonValue& cfg = require(root, "config");
   t.config.cluster = as_str(require(cfg, "cluster"), "cluster");
-  t.config.nodes = as_int(require(cfg, "nodes"), "nodes");
-  t.config.ppn = as_int(require(cfg, "ppn"), "ppn");
-  t.config.kind = coll::coll_kind_by_name(as_str(require(cfg, "kind"), "kind"));
-  t.config.algo = as_str(require(cfg, "algo"), "algo");
-  t.config.count =
-      static_cast<std::size_t>(as_int(require(cfg, "count"), "count"));
-  t.config.dt = dtype_by_name(as_str(require(cfg, "dtype"), "dtype"));
-  t.config.leaders = as_int(require(cfg, "leaders"), "leaders");
-  t.config.root = as_int(require(cfg, "root"), "root");
-  for (const JsonValue& c : require(root, "choices").arr) {
-    t.choices.push_back(as_int(c, "choices[]"));
+  try {
+    (void)net::cluster_by_name(t.config.cluster);
+  } catch (const util::InvariantError&) {
+    bad_trace("field 'cluster' names no cluster preset: '" +
+              t.config.cluster + "'");
   }
-  for (const JsonValue& w : require(root, "wild").arr) {
-    DPML_CHECK_MSG(w.type == JsonValue::Type::array && w.arr.size() == 2,
-                   "mc trace: wild entries are [rank, ctx] pairs");
-    t.wild.emplace_back(as_int(w.arr[0], "wild[0]"),
-                        as_int(w.arr[1], "wild[1]"));
+  t.config.nodes = as_int(require(cfg, "nodes"), "nodes", 1);
+  t.config.ppn = as_int(require(cfg, "ppn"), "ppn", 1);
+  const std::string kind = as_str(require(cfg, "kind"), "kind");
+  if (!coll::is_coll_kind_name(kind)) {
+    bad_trace("field 'kind' names no collective kind: '" + kind + "'");
+  }
+  t.config.kind = coll::coll_kind_by_name(kind);
+  t.config.algo = as_str(require(cfg, "algo"), "algo");
+  t.config.count = static_cast<std::size_t>(
+      as_int(require(cfg, "count"), "count", 0));
+  t.config.dt = dtype_by_name(as_str(require(cfg, "dtype"), "dtype"));
+  t.config.leaders = as_int(require(cfg, "leaders"), "leaders", 1);
+  t.config.root = as_int(require(cfg, "root"), "root", 0);
+  const long long np = static_cast<long long>(t.config.nodes) * t.config.ppn;
+  if (t.config.root >= np) {
+    bad_trace("field 'root' must be below nodes * ppn = " +
+              std::to_string(np) + ", got " + std::to_string(t.config.root));
+  }
+  for (const JsonValue& c : as_array(require(root, "choices"), "choices")) {
+    t.choices.push_back(as_int(c, "choices[]", 0));
+  }
+  for (const JsonValue& w : as_array(require(root, "wild"), "wild")) {
+    if (w.type != JsonValue::Type::array || w.arr.size() != 2) {
+      bad_trace("field 'wild' holds [rank, ctx] pairs");
+    }
+    t.wild.emplace_back(as_int(w.arr[0], "wild[][0]", 0),
+                        as_int(w.arr[1], "wild[][1]", 0));
   }
   if (const JsonValue* f = root.find("failure")) {
     if (const JsonValue* ty = f->find("type")) t.failure_type = ty->str;
@@ -320,7 +368,7 @@ Trace parse_trace(const std::string& json) {
 
 Trace load_trace(const std::string& path) {
   std::ifstream in(path);
-  DPML_CHECK_MSG(in.good(), "cannot read mc trace '" + path + "'");
+  if (!in.good()) bad_trace("cannot read '" + path + "'");
   std::ostringstream buf;
   buf << in.rdbuf();
   return parse_trace(buf.str());

@@ -57,7 +57,10 @@ struct Trace {
 
 std::string trace_json(const Trace& t);
 void save_trace(const Trace& t, const std::string& path);
-// Throws util::InvariantError on malformed input.
+// Throws util::InvariantError on malformed input, one line naming the
+// field (or the JSON offset) and no source path: every number must be a
+// whole number that fits an int (at least 1 for nodes, ppn and leaders, 0
+// for the rest, root below nodes * ppn), and choices and wild arrays.
 Trace parse_trace(const std::string& json);
 Trace load_trace(const std::string& path);
 

@@ -5,15 +5,11 @@
 
 #include "apps/osu.hpp"
 #include "apps/program.hpp"
-#include "simmpi/machine.hpp"
 #include "util/error.hpp"
 
 namespace dpml::model {
 
 namespace {
-
-using simmpi::Machine;
-using simmpi::Rank;
 
 // Per-byte streaming cost: back-to-back sends of a large message between
 // the two ranks apps::osu_latency pingpongs.
@@ -30,46 +26,29 @@ double p2p_per_byte(const net::ClusterConfig& cfg, std::size_t bytes,
   return sim::to_seconds(run.end) / (static_cast<double>(bytes) * msgs);
 }
 
-// Named coroutines rather than lambda coroutines: a coroutine lambda's frame
-// refers back to the closure object, so captures dangle if the closure dies
-// before the frame does (dpmllint: coro-ref-capture). Parameters of a plain
-// coroutine function are copied into the frame and cannot dangle.
-sim::CoTask<void> oversub_rank(Rank& r, std::size_t bytes, int npl,
-                               int pairs) {
-  const auto& world = r.machine().world();
-  const int w = r.world_rank();
-  if (w < pairs) {
-    // Senders live under leaf 0, receivers under leaf 1 (ppn = 1, so world
-    // rank == node id); all pair flows share leaf 0's core uplink pool.
-    co_await r.send(world, npl + w, 0, bytes);
-  } else if (w >= npl && w < npl + pairs) {
-    co_await r.recv(world, w - npl, 0, bytes);
-  }
-  co_return;
-}
-
-// Wall time for `pairs` concurrent cross-leaf streams under the flow fabric.
+// Wall time for `pairs` concurrent cross-leaf streams under the flow
+// fabric. Senders live under leaf 0, receivers under leaf 1 (ppn = 1, so
+// world rank == node id); all pair flows share leaf 0's core uplink pool.
 double cross_leaf_time(const net::ClusterConfig& cfg, std::size_t bytes,
                        int nodes, int npl, int pairs) {
-  simmpi::RunOptions opt;
-  opt.with_data = false;
-  opt.fabric_level = fabric::FabricLevel::links;
-  Machine m(cfg, nodes, 1, opt);
-  m.run([&](Rank& r) { return oversub_rank(r, bytes, npl, pairs); });
-  return sim::to_seconds(m.now());
-}
-
-sim::CoTask<void> reduce_compute_rank(Rank& r, std::size_t bytes) {
-  co_await r.reduce_compute(bytes);
+  std::vector<apps::Program> programs(static_cast<std::size_t>(nodes));
+  for (int w = 0; w < pairs; ++w) {
+    programs[static_cast<std::size_t>(w)] = {
+        {.kind = apps::Op::Kind::send, .peer = npl + w, .count = bytes}};
+    programs[static_cast<std::size_t>(npl + w)] = {
+        {.kind = apps::Op::Kind::recv, .peer = w, .count = bytes}};
+  }
+  const auto run = apps::run_program(cfg, nodes, 1, {}, 1, programs, 0,
+                                     fabric::FabricLevel::links);
+  return sim::to_seconds(run.end);
 }
 
 // Reduction cost per byte measured through Rank::reduce_compute.
 double reduce_per_byte(const net::ClusterConfig& cfg, std::size_t bytes) {
-  simmpi::RunOptions opt;
-  opt.with_data = false;
-  Machine m(cfg, 1, 1, opt);
-  m.run([&](Rank& r) { return reduce_compute_rank(r, bytes); });
-  return sim::to_seconds(m.now()) / static_cast<double>(bytes);
+  const std::vector<apps::Program> programs = {
+      {{.kind = apps::Op::Kind::reduce_compute, .count = bytes}}};
+  const auto run = apps::run_program(cfg, 1, 1, {}, 1, programs, 0);
+  return sim::to_seconds(run.end) / static_cast<double>(bytes);
 }
 
 }  // namespace

@@ -20,6 +20,12 @@ namespace dpml::tenant {
 
 namespace {
 
+// A tenant input error: one line naming the flag or job field, no source
+// path.
+[[noreturn]] void bad_input(const std::string& what) {
+  throw util::InvariantError(what);
+}
+
 // Purpose constants for the repo-wide (seed, purpose, rank, op) derivation
 // scheme (util/rng.hpp); perturb uses 1..3.
 constexpr std::uint64_t kPurposeStagger = 17;
@@ -662,16 +668,10 @@ RunOut simulate(const net::ClusterConfig& cfg, int ppn,
       }
     }
     std::ofstream os(opt.trace_json);
-    DPML_CHECK_MSG(os.good(), "cannot write trace file " + opt.trace_json);
     machine.tracer().write_chrome_json(os);
+    if (!os.good()) bad_input("--trace-json: cannot write " + opt.trace_json);
   }
   return out;
-}
-
-// A tenant input error: one line naming the flag or job field, no source
-// path.
-[[noreturn]] void bad_input(const std::string& what) {
-  throw util::InvariantError(what);
 }
 
 // Replays the failure schedule in engine order — by instant, then in
@@ -731,6 +731,12 @@ void check_failure_schedule(const FailSpec& spec,
 void validate(const net::ClusterConfig& cfg, int ppn,
               const std::vector<JobSpec>& jobs, const TenantOptions& opt) {
   if (jobs.empty()) bad_input("tenant mix needs at least one job");
+  // Open the trace file for appending (it is written after the run), so an
+  // unwritable path fails now rather than after the whole simulation.
+  if (!opt.trace_json.empty() &&
+      !std::ofstream(opt.trace_json, std::ios::app).good()) {
+    bad_input("--trace-json: cannot write " + opt.trace_json);
+  }
   if (ppn < 1) {
     bad_input("--ppn must be >= 1 for a tenant run (got " +
               std::to_string(ppn) + ")");

@@ -161,11 +161,12 @@ TEST(GoldenKinds, HierarchicalDesignLatenciesAreLockedIn) {
   }
 }
 
-// The flat designs that run on the ring passes, the tree passes and the
-// local copy, on non-power-of-two p with ragged blocks: C 5x3 (p = 15) and
-// D 7x4 (p = 28), root 11 (neither 0 nor p-1), 1x1 machines
-// (reduce_scatter is then one local copy) and the linear gather and
-// scatter at p = 4.
+// The flat designs that run on the ring passes, the tree passes, the
+// hypercube passes and the local copy, on non-power-of-two p with ragged
+// blocks: C 5x3 (p = 15) and D 7x4 (p = 28), root 11 (neither 0 nor p-1),
+// 1x1 machines (reduce_scatter is then one local copy) and the linear
+// gather and scatter at p = 4; the rd allgather, whose other p fall back to
+// the ring, on p = 16 and p = 8.
 TEST(GoldenKinds, FlatDesignLatenciesAreLockedIn) {
   const KindGolden table[] = {
       {"C", 5, 3, CollKind::allreduce, "ring", 1, 1, 4100ul, 0,
@@ -240,6 +241,26 @@ TEST(GoldenKinds, FlatDesignLatenciesAreLockedIn) {
        307.15772399999997},
       {"C", 5, 3, CollKind::reduce_scatter, "reduce-then-scatter", 1, 1,
        1028ul, 0, 30.431106},
+      // The hypercube's two passes (coll/butterfly.hpp). p = 15 folds 7
+      // ranks in and out; 3 elements leave empty halving blocks, 1025 an
+      // odd bisection.
+      {"C", 5, 3, CollKind::allreduce, "rd", 1, 1, 12ul, 0,
+       4.2450000000000001},
+      {"C", 5, 3, CollKind::allreduce, "rd", 1, 1, 4100ul, 0, 13.038179},
+      {"C", 5, 3, CollKind::allreduce, "rd", 1, 1, 262148ul, 0,
+       603.99074600000006},
+      {"D", 7, 4, CollKind::allreduce, "rd", 1, 1, 65540ul, 0, 412.821056},
+      {"C", 5, 3, CollKind::allreduce, "rsa", 1, 1, 12ul, 0,
+       7.5572000000000008},
+      {"C", 5, 3, CollKind::allreduce, "rsa", 1, 1, 4100ul, 0, 12.651764},
+      {"C", 5, 3, CollKind::allreduce, "rsa", 1, 1, 262148ul, 0,
+       422.82831800000002},
+      {"D", 7, 4, CollKind::allreduce, "rsa", 1, 1, 65540ul, 0,
+       235.54465400000001},
+      {"test", 4, 4, CollKind::allgather, "rd", 1, 1, 1028ul, 0,
+       11.126797000000002},
+      {"A", 2, 4, CollKind::allgather, "rd", 1, 1, 1028ul, 0,
+       4.6371969999999996},
   };
   for (const KindGolden& g : table) {
     CollSpec spec;

@@ -267,6 +267,57 @@ TEST(McTrace, ParseRejectsMalformedInput) {
   EXPECT_THROW(mc::parse_trace("{\"mc_trace\": 2}"), util::InvariantError);
 }
 
+// A trace with one field mutated fails with one line that names the field
+// and no source path, where it used to cast, clamp or run on.
+TEST(McTrace, HostileFieldsAreOneLineErrorsNamingTheField) {
+  mc::Trace t;
+  t.config.nodes = 2;
+  t.config.ppn = 2;
+  t.config.count = 16;
+  t.choices = {1};
+  t.wild = {{0, 1}};
+  const std::string good = mc::trace_json(t);
+  ASSERT_NO_THROW(mc::parse_trace(good));
+  auto mutated = [&](const std::string& from, const std::string& to) {
+    std::string json = good;
+    const std::size_t at = json.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) json.replace(at, from.size(), to);
+    return json;
+  };
+  struct Case {
+    std::string json;
+    const char* names;
+  };
+  const Case cases[] = {
+      {mutated("\"nodes\": 2,", "\"nodes\": 1e300,"), "'nodes'"},
+      {mutated("\"nodes\": 2,", "\"nodes\": 2.7,"), "'nodes'"},
+      {mutated("\"ppn\": 2,", "\"ppn\": 0,"), "'ppn'"},
+      {mutated("\"count\": 16,", "\"count\": -16,"), "'count'"},
+      {mutated("\"root\": 0,", "\"root\": 4,"), "'root'"},
+      {mutated("\"choices\": [1]", "\"choices\": 5"), "'choices'"},
+      {mutated("\"choices\": [1]", "\"choices\": [-1]"), "'choices[]'"},
+      {mutated("\"wild\": [[0, 1]]", "\"wild\": {}"), "'wild'"},
+      {mutated("\"dtype\": \"i32\"", "\"dtype\": \"f16\""), "'dtype'"},
+      {mutated("\"kind\": \"allreduce\"", "\"kind\": \"allreduc\""),
+       "'kind'"},
+      {good.substr(0, good.size() / 2), "truncated JSON"},
+  };
+  for (const Case& c : cases) {
+    std::string msg = "accepted";
+    try {
+      (void)mc::parse_trace(c.json);
+    } catch (const util::InvariantError& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find(c.names), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("check failed"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find(".cpp"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find(".hpp"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Structured wait-cycle reports (shared between simcheck deadlocks and mc
 // counterexamples).

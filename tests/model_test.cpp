@@ -2,7 +2,11 @@
 // simulator in the regimes the model covers.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/measure.hpp"
+#include "model/fit.hpp"
 #include "model/model.hpp"
 #include "net/cluster.hpp"
 
@@ -135,6 +139,34 @@ TEST(Model, AgreesWithSimulatorWithinSmallFactor) {
           << "l=" << l << " bytes=" << bytes;
     }
   }
+}
+
+std::string g17(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+// The fitted constants are pinned to the bit: every probe runs on
+// apps::run_program, and a change there must not move them.
+TEST(ModelFit, FittedConstantsAreLockedIn) {
+  const FittedParams f = fit_from_simulation(net::cluster_b());
+  EXPECT_EQ(f.a, 1.0300000000000001e-06) << "a measured " << g17(f.a);
+  EXPECT_EQ(f.b, 4.0166893005371092e-10) << "b measured " << g17(f.b);
+  EXPECT_EQ(f.a2, 3.502e-07) << "a2 measured " << g17(f.a2);
+  EXPECT_EQ(f.b2, 2.0016689300537109e-10) << "b2 measured " << g17(f.b2);
+  EXPECT_EQ(f.c, 2.0000000000000001e-10) << "c measured " << g17(f.c);
+}
+
+// On stock D the injection pipe (proc_bw) is the bottleneck of every
+// cross-leaf stream, so the thinner core costs nothing (docs/MODEL.md §7);
+// with proc_bw raised to link_bw the core's share shows.
+TEST(ModelFit, OversubFactorIsLockedIn) {
+  net::ClusterConfig d = net::cluster_d();
+  EXPECT_EQ(fit_oversub_factor(d), 1.0);
+  d.nic.proc_bw = d.nic.link_bw;
+  const double os = fit_oversub_factor(d);
+  EXPECT_EQ(os, 1.2423475957206995) << "measured " << g17(os);
 }
 
 }  // namespace

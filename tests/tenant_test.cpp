@@ -509,6 +509,8 @@ TEST(TenantValidateTest, InputErrorsAreOneLineWithoutASourcePath) {
   hot.traffic = tenant::TrafficSpec::parse("hotspot:load=0.9,hot_frac=0.9");
   tenant::TenantOptions way;
   way.failures = tenant::FailSpec::parse("way=7");
+  tenant::TenantOptions trace;
+  trace.trace_json = "/nonexistent_dir/x.json";
   struct Case {
     std::string msg;
     const char* names;
@@ -520,6 +522,8 @@ TEST(TenantValidateTest, InputErrorsAreOneLineWithoutASourcePath) {
        "bad --bg-traffic spec: hotspot load * hot_frac"},
       {message([&] { run_with(way); }),
        "bad --fail-links spec: way 7 out of range (fabric has 4 ways)"},
+      {message([&] { run_with(trace); }),
+       "--trace-json: cannot write /nonexistent_dir/x.json"},
   };
   for (const Case& c : cases) {
     EXPECT_NE(c.msg.find(c.names), std::string::npos) << c.msg;
